@@ -1,0 +1,81 @@
+"""Compare the solver's step-growth singularity test with the singular-value test.
+
+Solves 300 seeded affine box VIs whose matrices are rank deficient (even
+index: trailing singular values exactly 0 before rounding) or near singular
+(odd index: trailing singular values 1e-14 .. 1e-6), m = 2 .. 29, from 4
+starts each (the default start and 3 seeded ones), twice: once with the
+solver as it is, once with the Newton direction patched to decide
+singularity by the full SVD, sigma_min < reg_floor * max(sigma_max, 1).
+Prints how many problems give identical runs (statuses, step kinds and the
+bits of x and v), how the differing ones differ, and how many problems have
+at least one solved start under each rule.
+
+    PYTHONPATH=src python scripts/singular_study.py
+"""
+
+from collections import Counter
+from unittest import mock
+
+import numpy as np
+
+import vibox.solver
+from vibox import BoxSet, SolveConfig, VIProblem, affine_mapping, solve
+from vibox.solver import default_start
+
+
+def svd_rule_direction(j, r, r_norm, reg_floor):
+    sv = np.linalg.svd(j, compute_uv=False)
+    return None if sv[-1] < reg_floor * max(sv[0], 1.0) else np.linalg.solve(j, -r)
+
+
+def problem(i):
+    rng = np.random.default_rng(1000 + i)
+    m = int(rng.integers(2, 30))
+    k = int(rng.integers(1, m))
+    u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    w = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    s = np.zeros(m)
+    s[:k] = rng.uniform(0.5, 5.0, k)
+    if i % 2:
+        s[k:] = 10.0 ** rng.uniform(-14, -6, m - k)
+    b = rng.standard_normal(m)
+    lo = rng.uniform(-3, 0, m)
+    hi = lo + rng.uniform(0.5, 4, m)
+    free = rng.random(m) < 0.2
+    lo[free], hi[free] = -np.inf, np.inf
+    p = VIProblem(affine_mapping((u * s) @ w.T, b), BoxSet.bounds(lo, hi))
+    box_lo = np.where(np.isfinite(lo), lo - 2.0, -10.0)
+    box_hi = np.where(np.isfinite(hi), hi + 2.0, 10.0)
+    return p, [default_start(p)] + [rng.uniform(box_lo, box_hi) for _ in range(3)]
+
+
+def runs(p, starts):
+    return [solve(p, SolveConfig(start=s)) for s in starts]
+
+
+def key(res):
+    return res.status, res.steps, res.x.tobytes(), res.v.tobytes()
+
+
+def main(count=300):
+    identical, first_change, solved = 0, Counter(), Counter()
+    for i in range(count):
+        p, starts = problem(i)
+        new = runs(p, starts)
+        with mock.patch.object(vibox.solver, "newton_direction", svd_rule_direction):
+            old = runs(p, starts)
+        solved["step-growth"] += any(r.solved for r in new)
+        solved["svd"] += any(r.solved for r in old)
+        if [key(r) for r in new] == [key(r) for r in old]:
+            identical += 1
+        for a, b in zip(old, new):
+            k = next((n for n, (s, t) in enumerate(zip(a.steps, b.steps)) if s != t), None)
+            if k is not None:
+                first_change[f"{a.steps[k]} (svd) -> {b.steps[k]} (step-growth)"] += 1
+    print(f"problems: {count}, identical: {identical}, differ: {count - identical}")
+    print("first differing step per start:", dict(first_change))
+    print("problems with a solved start:", dict(solved))
+
+
+if __name__ == "__main__":
+    main()

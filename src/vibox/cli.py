@@ -22,7 +22,7 @@ from .certificates import (BudgetError, CertificateReport, boundary_sample_set, 
                            maximal_rank_tsearch, p_upsilon_check, pl_condition_check,
                            pmatrix_minors, principal_submatrix_sigma_sweep,
                            uniform_pfunction_search, uniform_pmatrix_sampled)
-from .model import VIProblem, jacobian
+from .model import EvaluationError, VIProblem, jacobian
 from .normal_map import coercivity_probe
 from .problem_io import ProblemFileError, load_problem
 from .registry import REGISTRY, get_problem
@@ -165,7 +165,12 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
     t0 = time.perf_counter()
     cfg = SolveConfig(tol=args.tol)
-    results = multistart(p, cfg, starts=args.starts, seed=args.seed, radius=args.radius)
+    try:
+        results = multistart(p, cfg, starts=args.starts, seed=args.seed, radius=args.radius)
+    except EvaluationError as e:
+        print(f"error: {args.problem}: F is non-finite at a start point ({e})",
+              file=sys.stderr)
+        return EXIT_USAGE
     elapsed = time.perf_counter() - t0
     doc = _report_skeleton("solve", args.problem, provenance,
                            {"seed": args.seed, "starts": args.starts, "tol": args.tol,
@@ -184,6 +189,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    t0 = time.perf_counter()
     try:
         p, provenance = resolve_problem(args.problem)
         conditions = args.conditions.split(",") if args.conditions else None
@@ -193,7 +199,6 @@ def cmd_certify(args) -> int:
     except (KeyError, ProblemFileError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    t0 = time.perf_counter()
     doc = _report_skeleton("certify", args.problem, provenance,
                            {"seed": args.seed, "samples": args.samples,
                             "radius": args.radius, "tol": args.tol,

@@ -47,6 +47,8 @@ class BoxSet:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConfigurationError("box bounds must be 1-d arrays of equal length")
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ConfigurationError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ConfigurationError("box has lo > hi in some coordinate")
         if self.blocks is not None:

@@ -35,8 +35,10 @@ def normal_map_jacobian_element(p: VIProblem, v, boundary_rule="one") -> np.ndar
     v = as_vector(v, p.dim)
     z = project(p.set, v)
     d = projection_jacobian_element(p.set, v, boundary_rule).d
-    jf = jacobian(p, z)
-    return np.eye(p.dim) - np.diag(d) + jf * d[np.newaxis, :]
+    j = jacobian(p, z) * d
+    j += 0.0  # -0.0 -> +0.0, as in the sum I - D + dF D
+    j.flat[::p.dim + 1] += 1.0 - d
+    return j
 
 
 @dataclass(frozen=True)

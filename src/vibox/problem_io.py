@@ -75,6 +75,9 @@ def problem_from_dict(doc) -> VIProblem:
         q = {}
         for key, flat in gdoc["q"].items():
             i, j = (int(t) for t in key.split(","))
+            if not (0 <= i < len(sizes) and 0 <= j < len(sizes)):
+                raise ProblemFileError(f"game block key {key!r} is outside "
+                                       f"[0, {len(sizes)}) for {len(sizes)} players")
             q[(i, j)] = np.array(flat, dtype=float).reshape(sizes[i], sizes[j])
         c = [np.array(v, dtype=float) for v in gdoc["c"]]
         if box.blocks is None:

@@ -24,15 +24,24 @@ def project(k: BoxSet, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectionJacobianElement:
-    """Diagonal 0/1 element of the projection's generalized Jacobian.
+    """Diagonal 0/1 element of the projection's generalized Jacobian at x.
 
     d_i = 1 strictly inside or free, 0 strictly outside; at a boundary
     coordinate d_i follows the recorded tie-break rule.
     """
 
     d: np.ndarray
-    activity: tuple[str, ...]
     boundary_rule: str
+    box: BoxSet
+    x: np.ndarray
+
+    @property
+    def activity(self) -> tuple[str, ...]:
+        """Per-coordinate position of x relative to the box, as a tag."""
+        lo, hi, x = self.box.lo, self.box.hi, self.x
+        tags = np.select([np.isinf(lo) & np.isinf(hi), x < lo, x > hi, x == lo, x == hi],
+                         [FREE, OUTSIDE_BELOW, OUTSIDE_ABOVE, AT_LOWER, AT_UPPER], INTERIOR)
+        return tuple(tags.tolist())
 
     def matrix(self) -> np.ndarray:
         return np.diag(self.d)
@@ -41,27 +50,14 @@ class ProjectionJacobianElement:
 def projection_jacobian_element(k: BoxSet, x, boundary_rule="one") -> ProjectionJacobianElement:
     if boundary_rule not in ("one", "zero"):
         raise ValueError(f"unknown boundary rule {boundary_rule!r}")
-    x = as_vector(x, k.dim)
-    d = np.empty(k.dim)
-    activity = []
-    boundary_d = 1.0 if boundary_rule == "one" else 0.0
-    for i in range(k.dim):
-        lo, hi, xi = k.lo[i], k.hi[i], x[i]
-        if np.isinf(lo) and np.isinf(hi):
-            d[i], tag = 1.0, FREE
-        elif xi < lo:
-            d[i], tag = 0.0, OUTSIDE_BELOW
-        elif xi > hi:
-            d[i], tag = 0.0, OUTSIDE_ABOVE
-        elif xi == lo:
-            d[i], tag = boundary_d, AT_LOWER
-        elif xi == hi:
-            d[i], tag = boundary_d, AT_UPPER
-        else:
-            d[i], tag = 1.0, INTERIOR
-        activity.append(tag)
+    x = np.array(as_vector(x, k.dim))
+    drop = (x < k.lo) | (x > k.hi)
+    if boundary_rule == "zero":
+        drop |= (x == k.lo) | (x == k.hi)
+    d = np.where(drop & ~(np.isinf(k.lo) & np.isinf(k.hi)), 0.0, 1.0)
     d.setflags(write=False)
-    return ProjectionJacobianElement(d=d, activity=tuple(activity), boundary_rule=boundary_rule)
+    x.setflags(write=False)
+    return ProjectionJacobianElement(d=d, boundary_rule=boundary_rule, box=k, x=x)
 
 
 @dataclass(frozen=True)

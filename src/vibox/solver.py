@@ -62,20 +62,42 @@ def default_start(p: VIProblem) -> np.ndarray:
     return project(p.set, np.where(both, mid, 0.0))
 
 
+def newton_direction(j: np.ndarray, r: np.ndarray, r_norm: float,
+                     reg_floor: float) -> np.ndarray | None:
+    """The Newton direction d solving J d = -r, or None when J is numerically
+    singular: the LU solve fails, or ||r|| < reg_floor * max(c, 1) * ||d|| with
+    c the largest column norm of J (NaN or inf in d fails this test too).
+
+    Since sigma_min(J) <= ||r|| / ||d|| and c <= sigma_max(J), this flags J
+    only when the singular-value test sigma_min(J) < reg_floor *
+    max(sigma_max(J), 1) flags it too; a near-singular J whose step stays
+    bounded keeps its Newton step."""
+    try:
+        d = np.linalg.solve(j, -r)
+    except np.linalg.LinAlgError:
+        return None
+    c = max(float(np.sqrt(np.max(np.einsum("ij,ij->j", j, j)))), 1.0)
+    return d if r_norm >= reg_floor * c * float(np.linalg.norm(d)) else None
+
+
 def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
     """Drive the normal-map residual to zero from a single start point.
 
-    Newton steps on a generalized-Jacobian element, Levenberg-regularized
-    normal equations when the element is numerically singular, merit-gradient
-    and fixed-point fallbacks when the Newton direction is not a descent
+    Newton steps on a generalized-Jacobian element J, Levenberg-regularized
+    normal equations when J is numerically singular, merit-gradient and
+    fixed-point fallbacks when the Newton direction is not a descent
     direction for theta(v) = 1/2 ||r(v)||^2.
+
+    Singularity is read off the Newton solve itself, without an SVD: J
+    counts as singular when the LU solve of J d = -r fails or the step grows
+    past ||r|| / (reg_floor * max(c, 1)), with c the largest column norm of J
+    (``newton_direction``).
+
+    Raises EvaluationError when F is non-finite at the start point.
     """
     cfg = cfg or SolveConfig()
     v = default_start(p) if cfg.start is None else np.array(cfg.start, dtype=float)
-    try:
-        ev = normal_map(p, v)
-    except EvaluationError:
-        raise
+    ev = normal_map(p, v)
     trace = [ev.norm]
     steps = []
     status = MAX_ITERS
@@ -86,13 +108,11 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
         j = normal_map_jacobian_element(p, v, cfg.boundary_rule)
         r = ev.r
         grad = j.T @ r  # gradient of the merit function
-        sv = np.linalg.svd(j, compute_uv=False)
         kind = "newton"
-        if sv[-1] < cfg.reg_floor * max(sv[0], 1.0):
+        d = newton_direction(j, r, ev.norm, cfg.reg_floor)
+        if d is None:
             kind = "regularized"
             d = np.linalg.solve(j.T @ j + cfg.reg_floor * np.eye(p.dim), -grad)
-        else:
-            d = np.linalg.solve(j, -r)
         slope = float(grad @ d)
         if slope >= 0.0 or not np.all(np.isfinite(d)):
             kind = "gradient"

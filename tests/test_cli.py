@@ -1,11 +1,13 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from vibox import get_problem, load_problem, save_problem, solve
+from vibox import cli
 from vibox.cli import main
-from vibox.problem_io import ProblemFileError
+from vibox.problem_io import ProblemFileError, problem_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +97,18 @@ class TestCertifyCommand:
         _, out_b, _ = run_cli(capsys, "certify", "example-game", "--seed", "7")
         assert out_a == out_b
 
+    def test_timing_covers_certification(self, capsys, monkeypatch):
+        certify = cli.certify_problem
+
+        def slow_certify(*args, **kwargs):
+            time.sleep(0.2)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_problem", slow_certify)
+        code, _, err = run_cli(capsys, "certify", "spd-box", "--conditions", "pmatrix")
+        assert code == 0
+        assert float(err.split(" in ")[-1].rstrip().rstrip("s")) >= 0.2
+
     def test_seed_recorded_in_config(self, capsys):
         _, out, _ = run_cli(capsys, "certify", "identity-box", "--seed", "11",
                             "--conditions", "pmatrix")
@@ -153,6 +167,41 @@ class TestProblemFiles:
         }))
         with pytest.raises(ProblemFileError):
             load_problem(path)
+
+
+    def test_nan_bound_rejected_with_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "nanbound.json"
+        path.write_text(json.dumps({
+            "m": 1, "set": {"lo": [float("nan")], "hi": [1.0]},
+            "mapping": {"kind": "affine"}, "affine": {"A": [1.0]},
+        }))
+        with pytest.raises(ProblemFileError, match="NaN"):
+            load_problem(path)
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1 and out == "" and err.startswith("error:") and "NaN" in err
+
+    @pytest.mark.parametrize("key", ["2,0", "0,2", "-1,0", "1,-1"])
+    def test_game_block_key_out_of_range(self, tmp_path, capsys, key):
+        path = tmp_path / "game.json"
+        doc = problem_to_dict(get_problem("example-game"))
+        doc["game"]["q"][key] = [1.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFileError, match="outside"):
+            load_problem(path)
+        for command in ("solve", "certify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 1 and out == "" and key in err and "Traceback" not in err
+
+    def test_nonfinite_mapping_at_start_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "m": 1, "set": {"lo": [0.0], "hi": [2.0]},
+            "mapping": {"kind": "affine"}, "affine": {"A": [1e308], "b": [1e308]},
+        }))
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "non-finite" in err
 
 
 class TestReportCommand:

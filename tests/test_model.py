@@ -106,6 +106,12 @@ class TestBoxSet:
         with pytest.raises(ConfigurationError):
             BoxSet(np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("lo, hi", [([np.nan], [1.0]), ([0.0], [np.nan]),
+                                        ([0.0, -np.inf], [1.0, np.nan])])
+    def test_nan_bounds_rejected(self, lo, hi):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            BoxSet.bounds(lo, hi)
+
     def test_full_space_flag(self):
         assert BoxSet.full_space(4).is_full_space
         assert not BoxSet.bounds([0.0], [1.0]).is_full_space

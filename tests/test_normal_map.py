@@ -1,7 +1,9 @@
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vibox import (BoxSet, VIProblem, affine_mapping, coercivity_probe, get_problem,
-                   normal_map, normal_map_jacobian_element)
+                   normal_map, normal_map_jacobian_element, projection_jacobian_element)
 from vibox.model import fd_jacobian
 
 
@@ -58,6 +60,18 @@ class TestNormalMapJacobianElement:
                       BoxSet.bounds([0.0, 0.0], [1.0, 1.0]))
         np.testing.assert_array_equal(normal_map_jacobian_element(p, [2.0, 0.5]),
                                       [[1.0, 2.0], [0.0, 1.0]])
+
+    @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.sampled_from(["one", "zero"]))
+    def test_matches_dense_formula_bit_for_bit(self, m, seed, rule):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-3, 4, (m, m)) * rng.choice([1.0, 0.5, -0.0], (m, m))
+        lo = rng.choice([-np.inf, -1.0, 0.0], m)
+        hi = rng.choice([0.0, 1.0, np.inf], m)
+        p = VIProblem(affine_mapping(a), BoxSet.bounds(lo, hi))
+        v = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0], m)
+        d = projection_jacobian_element(p.set, v, rule).d
+        dense = np.eye(m) - np.diag(d) + a * d[np.newaxis, :]
+        assert normal_map_jacobian_element(p, v, rule).tobytes() == dense.tobytes()
 
     def test_matches_finite_differences(self):
         for pid in ("example-vi", "identity-box", "spd-box"):

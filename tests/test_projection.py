@@ -1,8 +1,44 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vibox import BoxSet, convg_hull_sample, project, projection_jacobian_element
 from vibox.model import fd_jacobian
+
+
+def loop_element(k, x, boundary_rule):
+    """Reference: the element coordinate by coordinate, tie-breaks spelled out."""
+    boundary_d = 1.0 if boundary_rule == "one" else 0.0
+    d, tags = [], []
+    for lo, hi, xi in zip(k.lo, k.hi, x):
+        if np.isinf(lo) and np.isinf(hi):
+            d.append(1.0), tags.append("free")
+        elif xi < lo:
+            d.append(0.0), tags.append("outside-below")
+        elif xi > hi:
+            d.append(0.0), tags.append("outside-above")
+        elif xi == lo:
+            d.append(boundary_d), tags.append("at-lower")
+        elif xi == hi:
+            d.append(boundary_d), tags.append("at-upper")
+        else:
+            d.append(1.0), tags.append("interior")
+    return np.array(d), tuple(tags)
+
+
+_BOUND = st.sampled_from([-np.inf, -2.0, -0.0, 0.0, 1.5, np.inf]) | st.floats(-5, 5)
+
+
+@st.composite
+def box_and_point(draw):
+    m = draw(st.integers(1, 8))
+    pairs = [sorted(draw(st.tuples(_BOUND, _BOUND))) for _ in range(m)]
+    k = BoxSet.bounds([a for a, _ in pairs], [b for _, b in pairs])
+    # Points on a bound, at +-inf, or anywhere: every branch of the tie-break.
+    x = [draw(st.sampled_from([lo, hi, -np.inf, np.inf]) | st.floats(-6, 6))
+         for lo, hi in zip(k.lo, k.hi)]
+    return k, np.array(x)
 
 
 class TestProject:
@@ -59,6 +95,21 @@ class TestProjectionJacobianElement:
         elem = projection_jacobian_element(k, [100.0, 2.0])
         np.testing.assert_array_equal(elem.d, [1.0, 0.0])
         assert elem.activity == ("free", "outside-above")
+
+    @given(box_and_point(), st.sampled_from(["one", "zero"]))
+    def test_vectorized_element_matches_loop(self, case, rule):
+        k, x = case
+        elem = projection_jacobian_element(k, x, boundary_rule=rule)
+        d, tags = loop_element(k, x, rule)
+        assert elem.d.tobytes() == d.tobytes()
+        assert elem.activity == tags
+
+    def test_element_keeps_its_point(self):
+        k = BoxSet.bounds([0.0], [1.0])
+        x = np.array([0.0])
+        elem = projection_jacobian_element(k, x, boundary_rule="zero")
+        x[0] = 0.5
+        assert elem.activity == ("at-lower",) and elem.d[0] == 0.0
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,54 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, get_problem,
                    multistart, normal_map, project, solve, solve_and_classify)
+from vibox.registry import problem_ids
+from vibox.solver import newton_direction
+
+REG_FLOOR = SolveConfig().reg_floor
+
+
+def svd_rule_flags(j):
+    """Singular-value test: sigma_min < reg_floor * max(sigma_max, 1)."""
+    sv = np.linalg.svd(j, compute_uv=False)
+    return sv[-1] < REG_FLOOR * max(sv[0], 1.0)
+
+
+def step_rule_flags(j, r):
+    return newton_direction(j, r, float(np.linalg.norm(r)), REG_FLOOR) is None
+
+
+def orthogonal(rng, m):
+    return np.linalg.qr(rng.standard_normal((m, m)))[0]
+
+
+@st.composite
+def newton_systems(draw):
+    """(J, r) with J well conditioned, near singular (trailing singular values
+    10^-4 .. 10^-16 of the largest) or an exactly singular integer product,
+    scaled by a power of two, optionally inside I - D + J D as the solver
+    builds its elements."""
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["well", "near", "exact"]))
+    if kind == "exact":
+        k = draw(st.integers(0, m - 1))
+        j = rng.integers(-3, 4, (m, k)) @ rng.integers(-3, 4, (k, m)) * 1.0
+    else:
+        s = 10.0 ** rng.uniform(-1, 1, m)
+        if kind == "near":
+            tail = draw(st.integers(1, m))
+            s[-tail:] = 10.0 ** -draw(st.floats(4, 16))
+        j = (orthogonal(rng, m) * s) @ orthogonal(rng, m).T
+    j = j * 2.0 ** draw(st.integers(-20, 20))
+    if draw(st.booleans()):
+        d = rng.integers(0, 2, m).astype(float)
+        j = np.eye(m) - np.diag(d) + j * d
+    r = rng.standard_normal(m) * 10.0 ** draw(st.integers(-8, 8))
+    return j, r
 
 
 class TestSolve:
@@ -87,6 +133,53 @@ class TestSolve:
         res = solve(get_problem("cubic-free"),
                     SolveConfig(max_iters=1, start=np.array([2.0, 2.0])))
         assert res.status == "max-iters" and res.iterations == 1
+
+
+class TestSingularityRule:
+    @given(newton_systems())
+    def test_flags_only_what_the_svd_rule_flags(self, system):
+        j, r = system
+        sv = np.linalg.svd(j, compute_uv=False)
+        # Within rounding error of the threshold either rule may tip either
+        # way; the band is far wider than that error (m * eps / reg_floor).
+        assume(abs(sv[-1] / (REG_FLOOR * max(sv[0], 1.0)) - 1.0) > 1e-4)
+        if step_rule_flags(j, r):
+            assert svd_rule_flags(j)
+
+    @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.integers(-20, 20),
+           st.sampled_from(["product", "zero-column", "zero-row", "repeated-column"]))
+    def test_exactly_singular_element_is_regularized(self, m, seed, scale, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "product":
+            j = rng.integers(-3, 4, (m, m - 1)) @ rng.integers(-3, 4, (m - 1, m)) * 1.0
+        else:
+            j = rng.integers(-3, 4, (m, m)) * 1.0
+            i, k = rng.choice(m, 2, replace=False)
+            if kind == "zero-column":
+                j[:, i] = 0.0
+            elif kind == "zero-row":
+                j[i] = 0.0
+            else:
+                j[:, i] = j[:, k]
+        j *= 2.0 ** scale
+        r = rng.standard_normal(m)
+        # A residual inside the range of J makes J d = -r consistent, and the
+        # Newton step then exists; require a part of r outside the range.
+        u, sv, _ = np.linalg.svd(j)
+        null = u[:, sv <= 1e-12 * max(sv[0], 1e-300)]
+        assume(null.shape[1] > 0 and np.linalg.norm(null.T @ r) >= 1e-3 * np.linalg.norm(r))
+        assert svd_rule_flags(j)
+        assert step_rule_flags(j, r)
+
+    def test_solver_makes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("solve called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for pid in problem_ids():
+            p = get_problem(pid)
+            for start in (None, np.full(p.dim, 7.0)):
+                solve(p, SolveConfig(start=start))
 
 
 class TestClassify:
