@@ -12,7 +12,7 @@ from .normal_map import CoercivityProbe, NormalMapEval, coercivity_probe, normal
 from .certificates import (BudgetError, CertificateReport, SampleSet, block_pfunction_search,
                            boundary_sample_set, draw_samples, growth_l0lp_fit,
                            hessian_block_convexity, maximal_rank_tsearch, p_upsilon_check,
-                           pl_condition_check, pmatrix_minors, pmatrix_oracle,
+                           pl_condition_check, pmatrix_minors, pmatrix_oracle, pmatrix_sampled,
                            principal_submatrix_sigma_sweep, uniform_pfunction_search,
                            uniform_pmatrix_sampled, upsilon_build)
 from .solver import SolveConfig, SolveResult, classify, multistart, solve, solve_and_classify

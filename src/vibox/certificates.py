@@ -10,7 +10,9 @@ conclusive (witness-backed), a pass is sampled evidence only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -29,6 +31,10 @@ MINOR_BUDGET_DIM = 20
 
 class BudgetError(ValueError):
     """Raised when an exhaustive enumeration would exceed its budget."""
+
+
+class NotStationaryError(ValueError):
+    """Raised when the PL check is given a point where the gradient map is not zero."""
 
 
 @dataclass(frozen=True)
@@ -99,42 +105,117 @@ def boundary_sample_set(box: BoxSet, count, seed, radius=10.0) -> SampleSet:
     return SampleSet(points=pts, seed=seed, radius=radius)
 
 
+# Upper bound on the bytes of one gathered stack of principal submatrices;
+# larger enumerations (up to m = MINOR_BUDGET_DIM) are processed in chunks.
+_STACK_BYTES = 1 << 21
+
+
+@lru_cache(maxsize=None)
+def _subset_table(m, r):
+    """The r-subsets of range(m) in lexicographic order, as a (C(m, r), r) array."""
+    table = np.array(list(combinations(range(m), r)), dtype=np.intp).reshape(-1, r)
+    table.setflags(write=False)
+    return table
+
+
+def _subset_chunks(m, r):
+    """The r-subsets of range(m) in lexicographic order, in index arrays whose
+    gathered submatrices fit in _STACK_BYTES.  Tables that fit in one chunk
+    are cached: about 4 MiB for every (m, r) with m <= MINOR_BUDGET_DIM."""
+    rows = max(1, _STACK_BYTES // (8 * r * r))
+    if comb(m, r) <= rows:
+        yield _subset_table(m, r)
+        return
+    it = combinations(range(m), r)
+    while chunk := list(islice(it, rows)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def _det_stack(s):
+    """Determinants of a (k, r, r) stack: exact cofactor expansion for orders
+    up to 3, which keeps small integer-entry minors exact in floating point;
+    larger orders use the LU-based determinant."""
+    r = s.shape[-1]
+    if r == 1:
+        return s[:, 0, 0]
+    if r == 2:
+        return s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    if r == 3:
+        return (s[:, 0, 0] * (s[:, 1, 1] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 1])
+                - s[:, 0, 1] * (s[:, 1, 0] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 0])
+                + s[:, 0, 2] * (s[:, 1, 0] * s[:, 2, 1] - s[:, 1, 1] * s[:, 2, 0]))
+    return np.linalg.det(s)
+
+
+def _sigma_min_stack(s):
+    """Smallest singular value of each matrix of a (k, r, r) stack."""
+    return np.linalg.svd(s, compute_uv=False)[:, -1]
+
+
+def _principal_values(a, fn, orders=None):
+    """Yield (index sets, fn of the stacked principal submatrices) chunk by
+    chunk: orders ascending (default 1..m), lexicographic within an order."""
+    m = a.shape[0]
+    for r in orders or range(1, m + 1):
+        for idx in _subset_chunks(m, r):
+            yield idx, fn(a[idx[:, :, None], idx[:, None, :]])
+
+
+def _first_min(values):
+    """(position, value) where a strict-< running minimum started at +inf ends
+    over ``values``: the first occurrence of the least value; NaN never wins.
+    (None, inf) when no value is below +inf."""
+    below = values < np.inf
+    if not below.any():
+        return None, np.inf
+    k = int(np.argmax(values == values[below].min()))
+    return k, float(values[k])
+
+
+def _distinct(mats):
+    """(position, matrix) for each matrix that is not byte-equal to an earlier
+    one.  The checkers' margins are strict-< minima and their witnesses first
+    hits, so a repeated matrix can change neither."""
+    seen = set()
+    for k, a in enumerate(mats):
+        key = a.tobytes()
+        if key not in seen:
+            seen.add(key)
+            yield k, a
+
+
 def principal_minor_det(a) -> float:
-    """Determinant with exact cofactor expansion for orders up to 3.
-
-    Keeps small integer-entry minors exact in floating point; larger
-    orders fall back to the LU-based determinant.
-    """
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if n == 3:
-        return float(a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-                     - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-                     + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
-    return float(np.linalg.det(a))
-
-
-def principal_index_sets(m):
-    """Nonempty index subsets ordered by size then lexicographically."""
-    for r in range(1, m + 1):
-        yield from combinations(range(m), r)
+    """Determinant of one matrix: exact cofactor expansion for orders up to 3,
+    LU-based above (the rule of _det_stack)."""
+    return float(_det_stack(np.asarray(a)[np.newaxis])[0])
 
 
 def _minor_scan(a):
     """(min minor, first nonpositive subset or None) over all principal minors."""
-    m = a.shape[0]
     min_minor = np.inf
     first_bad = None
-    for idx in principal_index_sets(m):
-        d = principal_minor_det(a[np.ix_(idx, idx)])
-        if d < min_minor:
-            min_minor = d
-        if d <= 0.0 and first_bad is None:
-            first_bad = idx
+    for idx, d in _principal_values(a, _det_stack):
+        _, v = _first_min(d)
+        if v < min_minor:
+            min_minor = v
+        if first_bad is None:
+            bad = np.flatnonzero(d <= 0.0)
+            if bad.size:
+                first_bad = tuple(int(i) for i in idx[bad[0]])
     return min_minor, first_bad
+
+
+def _sigma_scan(a):
+    """(min sigma_min, first index set attaining it or None) over all
+    principal submatrices."""
+    margin = np.inf
+    arg = None
+    for idx, s in _principal_values(a, _sigma_min_stack):
+        k, v = _first_min(s)
+        if v < margin:
+            margin = v
+            arg = tuple(int(i) for i in idx[k])
+    return margin, arg
 
 
 def pmatrix_minors(a, condition="pmatrix") -> CertificateReport:
@@ -182,6 +263,21 @@ def pmatrix_oracle(a, samples=100000, seed=0) -> CertificateReport:
                              f"no violating direction among samples; {SAMPLED_NOTE}")
 
 
+def pmatrix_sampled(p: VIProblem, samples: SampleSet) -> CertificateReport:
+    """Exact minors test of the Jacobian at every sampled point of K."""
+    budget = {"samples": samples.count}
+    min_margin = np.inf
+    for k, a in _distinct(jacobian(p, x) for x in samples.points):
+        rep = pmatrix_minors(a)
+        if rep.verdict == FAIL:
+            witness = dict(rep.witness, point=samples.points[k].tolist())
+            return CertificateReport("pmatrix", FAIL, rep.margin, witness, samples.seed,
+                                     budget, rep.notes)
+        min_margin = min(min_margin, rep.margin)
+    return CertificateReport("pmatrix", PASS, float(min_margin), None, samples.seed, budget,
+                             f"Jacobian is a P-matrix at every sample; {SAMPLED_NOTE}")
+
+
 def uniform_pmatrix_sampled(p: VIProblem, samples: SampleSet, mixed_rows=None,
                             eta_floor=1e-10) -> CertificateReport:
     """Sampled test of the uniform P-matrix condition on the Jacobian.
@@ -205,8 +301,9 @@ def uniform_pmatrix_sampled(p: VIProblem, samples: SampleSet, mixed_rows=None,
     budget = {"samples": n, "mixed_rows": len(tuples)}
     min_margin = np.inf
     min_tuple = None
-    for tup in tuples:
-        a_mix = np.array([jacs[tup[i]][i, :] for i in range(m)])
+    rows = np.arange(m)
+    for k, a_mix in _distinct(jacs[tup, rows] for tup in tuples):
+        tup = tuples[k]
         rep = pmatrix_minors(a_mix)
         if rep.verdict == FAIL:
             witness = {"tuple": [int(t) for t in tup],
@@ -238,13 +335,11 @@ def principal_submatrix_sigma_sweep(p: VIProblem, samples: SampleSet,
         raise BudgetError("submatrix enumeration exceeds budget for m > 20")
     margin = np.inf
     arg = None
-    for k, x in enumerate(samples.points):
-        a = jacobian(p, x)
-        for idx in principal_index_sets(m):
-            s = float(np.linalg.svd(a[np.ix_(idx, idx)], compute_uv=False)[-1])
-            if s < margin:
-                margin = s
-                arg = (k, idx)
+    for k, a in _distinct(jacobian(p, x) for x in samples.points):
+        s, idx = _sigma_scan(a)
+        if s < margin:
+            margin = s
+            arg = (k, idx)
     budget = {"samples": samples.count, "submatrices": 2 ** m - 1}
     metrics = {"argmin_point": samples.points[arg[0]].tolist(),
                "argmin_index_set": list(arg[1])}
@@ -408,14 +503,6 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
                              metrics)
 
 
-def _uniform_blocks(g: QuadraticGame):
-    sizes = set(g.block_sizes)
-    if len(sizes) != 1:
-        raise ConfigurationError(
-            "Upsilon analysis requires all player blocks of equal dimension")
-    return g.block_sizes[0]
-
-
 def upsilon_build(g: QuadraticGame, samples: SampleSet | None = None) -> np.ndarray:
     """The N x N comparison matrix: diagonal inf lambda_min of own blocks,
     off-diagonal minus sup spectral norm of cross blocks.
@@ -423,7 +510,9 @@ def upsilon_build(g: QuadraticGame, samples: SampleSet | None = None) -> np.ndar
     Quadratic games have constant Jacobian blocks, so the result is exact and
     sample-independent.
     """
-    _uniform_blocks(g)
+    if len(set(g.block_sizes)) != 1:
+        raise ConfigurationError(
+            "Upsilon analysis requires all player blocks of equal dimension")
     n = g.num_players
     ups = np.zeros((n, n))
     for i in range(n):
@@ -437,8 +526,13 @@ def upsilon_build(g: QuadraticGame, samples: SampleSet | None = None) -> np.ndar
 
 def p_upsilon_check(g: QuadraticGame, samples: SampleSet | None = None) -> CertificateReport:
     """Own blocks symmetric positive definite and the comparison matrix a
-    P-matrix; on pass the game has a unique Nash equilibrium."""
-    _uniform_blocks(g)
+    P-matrix; on pass the game has a unique Nash equilibrium.  Inconclusive
+    when the player blocks differ in dimension, where the test does not apply."""
+    budget = {"players": g.num_players}
+    if len(set(g.block_sizes)) != 1:
+        return CertificateReport("upsilon", INCONCLUSIVE, None, None, None, budget,
+                                 "the Upsilon test needs player blocks of equal dimension; "
+                                 f"block sizes are {list(g.block_sizes)}")
     lam_min = np.inf
     bad_player = None
     for i in range(g.num_players):
@@ -446,7 +540,6 @@ def p_upsilon_check(g: QuadraticGame, samples: SampleSet | None = None) -> Certi
         if lam < lam_min:
             lam_min = lam
             bad_player = i
-    budget = {"players": g.num_players}
     if lam_min <= 0.0:
         witness = {"clause": "own-block-pd", "player": bad_player, "lambda_min": lam_min}
         return CertificateReport("upsilon", FAIL, lam_min, witness, None, budget,
@@ -485,18 +578,20 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
     pts = boundary_samples.points
     budget = {"samples": len(pts), "t_schedule": list(t_schedule)}
     # Standing hypothesis: full-rank Jacobian on K.
-    for x in pts:
-        z = project(p.set, x)
-        s = float(np.linalg.svd(jacobian(p, z), compute_uv=False)[-1])
+    jacs = []  # distinct Jacobians at the projected samples, with their sigma_min
+    for k, a in _distinct(jacobian(p, project(p.set, x)) for x in pts):
+        s = float(np.linalg.svd(a, compute_uv=False)[-1])
         if s < tol:
-            witness = {"hypothesis": "jacobian-full-rank", "point": z.tolist(),
-                       "sigma_min": s}
+            witness = {"hypothesis": "jacobian-full-rank",
+                       "point": project(p.set, pts[k]).tolist(), "sigma_min": s}
             return CertificateReport("maximal-rank", FAIL, s, witness,
                                      boundary_samples.seed, budget,
                                      "Jacobian rank hypothesis fails at a sample")
+        jacs.append((a, s))
     if p.set.is_full_space:
-        # No boundary: the generalized Jacobian is the singleton {dF(x)}.
-        s_min = min(float(np.linalg.svd(jacobian(p, x), compute_uv=False)[-1]) for x in pts)
+        # No boundary: the generalized Jacobian is the singleton {dF(x)}, and
+        # the projection is the identity.
+        s_min = min(s for _, s in jacs)
         return CertificateReport("maximal-rank", PASS, s_min, None, boundary_samples.seed,
                                  budget, f"full-space degenerate case: Jacobian "
                                  f"sigma_min >= tol at samples; {SAMPLED_NOTE}",
@@ -505,29 +600,27 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
     on_boundary = [x for x in pts
                    if p.set.contains(x) and bool(np.any((x == p.set.lo) | (x == p.set.hi)))]
     if m >= 2:
-        for x in on_boundary:
-            a = jacobian(p, x)
-            for idx in combinations(range(m), m - 1):
-                d = principal_minor_det(a[np.ix_(idx, idx)])
-                if abs(d) < tol:
-                    witness = {"hypothesis": "m-1-minors", "point": x.tolist(),
-                               "index_set": list(idx), "minor": d}
-                    return CertificateReport("maximal-rank", FAIL, abs(d), witness,
+        for k, a in _distinct(jacobian(p, x) for x in on_boundary):
+            for idx, d in _principal_values(a, _det_stack, orders=(m - 1,)):
+                bad = np.flatnonzero(np.abs(d) < tol)
+                if bad.size:
+                    minor = float(d[bad[0]])
+                    witness = {"hypothesis": "m-1-minors", "point": on_boundary[k].tolist(),
+                               "index_set": [int(i) for i in idx[bad[0]]], "minor": minor}
+                    return CertificateReport("maximal-rank", FAIL, abs(minor), witness,
                                              boundary_samples.seed, budget,
                                              "vanishing (m-1)-minor at a boundary sample")
     hull = convg_hull_sample(m, beta_grid or (0.0, 0.25, 0.5, 0.75, 1.0),
                              alpha_samples, seed=boundary_samples.seed)
-    eye = np.eye(m)
-    jacs = [jacobian(p, project(p.set, x)) for x in pts]
+    bd = np.array([elem.beta * np.diag(elem.alpha) for elem in hull])
+    keep = np.eye(m) - bd
     for t in t_schedule:
         s_min = np.inf
-        for jf in jacs:
-            for elem in hull:
-                bd = elem.beta * np.diag(elem.alpha)
-                mat = bd + t * jf @ (eye - bd)
-                s = float(np.linalg.svd(mat, compute_uv=False)[-1])
-                if s < s_min:
-                    s_min = s
+        for jf, _ in jacs:
+            # One stacked SVD over the hull elements beta*diag(alpha) + t*J*(I - ...).
+            _, s = _first_min(_sigma_min_stack(bd + t * jf @ keep))
+            if s < s_min:
+                s_min = s
         if s_min >= tol:
             return CertificateReport("maximal-rank", PASS, s_min, None,
                                      boundary_samples.seed, budget,
@@ -548,7 +641,7 @@ def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0,
     vi = game_to_vi(g)
     grad_norm = float(np.linalg.norm(vi.F(xbar)))
     if grad_norm > 1e-6:
-        raise ValueError(
+        raise NotStationaryError(
             f"candidate is not stationary: gradient-map norm {grad_norm:.3e} > 1e-6")
     rng = np.random.default_rng(seed)
     mus = []

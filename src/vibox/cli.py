@@ -14,15 +14,14 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .certificates import (BudgetError, CertificateReport, boundary_sample_set, draw_samples,
-                           block_pfunction_search, growth_l0lp_fit, hessian_block_convexity,
+from .certificates import (BudgetError, CertificateReport, NotStationaryError,
+                           boundary_sample_set, draw_samples, block_pfunction_search,
+                           growth_l0lp_fit, hessian_block_convexity,
                            maximal_rank_tsearch, p_upsilon_check, pl_condition_check,
-                           pmatrix_minors, principal_submatrix_sigma_sweep,
+                           pmatrix_sampled, principal_submatrix_sigma_sweep,
                            uniform_pfunction_search, uniform_pmatrix_sampled)
-from .model import EvaluationError, VIProblem, jacobian
+from .model import EvaluationError, VIProblem
 from .normal_map import coercivity_probe
 from .problem_io import ProblemFileError, load_problem
 from .registry import REGISTRY, get_problem
@@ -52,23 +51,6 @@ def resolve_problem(name):
     if Path(name).exists():
         return load_problem(name), str(name)
     raise KeyError(f"unknown problem id or file: {name!r}")
-
-
-def _pmatrix_condition(p: VIProblem, seed, samples, radius) -> CertificateReport:
-    """Exact minors test of the Jacobian at sampled points of K."""
-    ss = draw_samples(p.set, samples, seed, radius)
-    min_margin = np.inf
-    for x in ss.points:
-        rep = pmatrix_minors(jacobian(p, x))
-        if rep.verdict == "fail":
-            witness = dict(rep.witness, point=x.tolist())
-            return CertificateReport("pmatrix", "fail", rep.margin, witness, seed,
-                                     {"samples": ss.count}, rep.notes)
-        min_margin = min(min_margin, rep.margin)
-    return CertificateReport("pmatrix", "pass", float(min_margin), None, seed,
-                             {"samples": ss.count},
-                             "Jacobian is a P-matrix at every sample; sampled "
-                             "surrogate, not a proof")
 
 
 def _coercivity_condition(p: VIProblem, seed) -> CertificateReport:
@@ -105,7 +87,8 @@ def certify_problem(p: VIProblem, conditions=None, seed=42, samples=30, radius=1
             continue
         try:
             if cond == "pmatrix":
-                reports.append(_pmatrix_condition(p, seed, samples, radius))
+                ss = draw_samples(p.set, samples, seed, radius)
+                reports.append(pmatrix_sampled(p, ss))
             elif cond == "uniform-pmatrix":
                 ss = draw_samples(p.set, samples, seed, radius)
                 reports.append(uniform_pmatrix_sampled(p, ss))
@@ -135,7 +118,13 @@ def certify_problem(p: VIProblem, conditions=None, seed=42, samples=30, radius=1
                         "pl", "inconclusive", None, None, seed, {},
                         "no stationary candidate: solver did not converge"))
                 else:
-                    reports.append(pl_condition_check(g, res.x, seed=seed))
+                    try:
+                        reports.append(pl_condition_check(g, res.x, seed=seed))
+                    except NotStationaryError as e:
+                        reports.append(CertificateReport(
+                            "pl", "inconclusive", None, None, seed, {},
+                            "the solver's point is a boundary equilibrium, outside "
+                            f"the scope of the PL check ({e})"))
             elif cond == "block-convexity":
                 reports.append(hessian_block_convexity(g))
         except BudgetError as e:
@@ -198,6 +187,10 @@ def cmd_certify(args) -> int:
                                            tol=args.tol)
     except (KeyError, ProblemFileError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except EvaluationError as e:
+        print(f"error: {args.problem}: F is non-finite at a sampled point ({e})",
+              file=sys.stderr)
         return EXIT_USAGE
     doc = _report_skeleton("certify", args.problem, provenance,
                            {"seed": args.seed, "samples": args.samples,

@@ -51,6 +51,8 @@ class BoxSet:
             raise ConfigurationError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ConfigurationError("box has lo > hi in some coordinate")
+        if np.any((lo == hi) & np.isinf(lo)):
+            raise ConfigurationError("box has an empty coordinate interval: lo = hi = +-inf")
         if self.blocks is not None:
             blocks = tuple(int(b) for b in self.blocks)
             object.__setattr__(self, "blocks", blocks)

@@ -1,13 +1,23 @@
+import json
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from vibox import (BoxSet, BudgetError, VIProblem, affine_mapping, block_pfunction_search,
-                   boundary_sample_set, draw_samples, game_to_vi, get_problem,
-                   growth_l0lp_fit, hessian_block_convexity, make_game,
-                   maximal_rank_tsearch, p_upsilon_check, pl_condition_check,
+from vibox import certificates
+from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
+                   block_pfunction_search, boundary_sample_set, builtin_mapping, draw_samples,
+                   game_to_vi, get_problem, growth_l0lp_fit, hessian_block_convexity,
+                   make_game, maximal_rank_tsearch, p_upsilon_check, pl_condition_check,
                    pmatrix_minors, pmatrix_oracle, principal_submatrix_sigma_sweep,
                    problem_ids, uniform_pfunction_search, uniform_pmatrix_sampled,
                    upsilon_build)
+from vibox.certificates import NotStationaryError, _det_stack, _principal_values
+from vibox.cli import certify_problem
 
 EXAMPLE_A = np.array([[1.0, 2.0], [3.0, 1.0]])
 
@@ -216,7 +226,180 @@ class TestUpsilon:
             upsilon_build(g)
 
 
+# The per-subset enumeration the stacked engine replaced, kept as its oracle.
+
+def oracle_index_sets(m):
+    for r in range(1, m + 1):
+        yield from combinations(range(m), r)
+
+
+def oracle_det(a):
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0])
+    if n == 2:
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    if n == 3:
+        return float(a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+                     - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+                     + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
+    return float(np.linalg.det(a))
+
+
+def oracle_minors(a):
+    return [(idx, oracle_det(a[np.ix_(idx, idx)])) for idx in oracle_index_sets(a.shape[0])]
+
+
+def oracle_minor_scan(a):
+    min_minor, first_bad = np.inf, None
+    for idx, d in oracle_minors(a):
+        if d < min_minor:
+            min_minor = d
+        if d <= 0.0 and first_bad is None:
+            first_bad = idx
+    return min_minor, first_bad
+
+
+def oracle_sigma_scan(a):
+    margin, arg = np.inf, None
+    for idx in oracle_index_sets(a.shape[0]):
+        s = float(np.linalg.svd(a[np.ix_(idx, idx)], compute_uv=False)[-1])
+        if s < margin:
+            margin, arg = s, idx
+    return margin, arg
+
+
+def outcome(fn, a):
+    """fn(a) with floats as float.hex, or the type of the exception it raises."""
+    try:
+        value, idx = fn(a)
+    except Exception as e:  # the type is what is compared
+        return type(e)
+    return float(value).hex(), idx
+
+
+@st.composite
+def square_matrices(draw):
+    """m = 1..12: plain floats, integer-entry singular matrices, matrices full
+    of signed zeros, and matrices with NaN or inf entries."""
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["float", "integer-singular", "signed-zero", "nonfinite"]))
+    if kind == "float":
+        return draw(hnp.arrays(np.float64, (m, m), elements=st.floats(-8, 8)))
+    if kind == "signed-zero":
+        return draw(hnp.arrays(np.float64, (m, m),
+                               elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])))
+    if kind == "nonfinite":
+        a = draw(hnp.arrays(np.float64, (m, m), elements=st.floats(-8, 8)))
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            a[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return a
+    rows = draw(hnp.arrays(np.float64, (m - 1, m), elements=st.integers(-3, 3)))
+    coef = draw(hnp.arrays(np.float64, m - 1, elements=st.integers(-2, 2)))
+    k = draw(st.integers(0, m - 1))
+    return np.insert(rows, k, coef @ rows, axis=0)
+
+
+# A stack budget this small splits most orders into several chunks.
+TINY_STACK = mock.patch.object(certificates, "_STACK_BYTES", 1 << 12)
+
+
+class TestMinorEngine:
+    @settings(max_examples=80)
+    @given(square_matrices())
+    def test_minors_match_oracle_bit_for_bit(self, a):
+        def engine_minors():
+            return [(tuple(int(i) for i in row), float(d).hex())
+                    for idx, ds in _principal_values(a, _det_stack) for row, d in zip(idx, ds)]
+
+        with np.errstate(all="ignore"):
+            expected = [(idx, float(d).hex()) for idx, d in oracle_minors(a)]
+            assert engine_minors() == expected
+            with TINY_STACK:
+                assert engine_minors() == expected
+
+    @settings(max_examples=80)
+    @given(square_matrices())
+    def test_minor_scan_matches_oracle(self, a):
+        with np.errstate(all="ignore"):
+            expected = outcome(oracle_minor_scan, a)
+            assert outcome(certificates._minor_scan, a) == expected
+            with TINY_STACK:
+                assert outcome(certificates._minor_scan, a) == expected
+
+    @settings(max_examples=80)
+    @given(square_matrices())
+    def test_sigma_scan_matches_oracle(self, a):
+        with np.errstate(all="ignore"):
+            expected = outcome(oracle_sigma_scan, a)
+            assert outcome(certificates._sigma_scan, a) == expected
+            with TINY_STACK:
+                assert outcome(certificates._sigma_scan, a) == expected
+
+    def test_ties_keep_the_first_index_set(self):
+        # every sigma_min is 1 and every minor 0 or 1: the first subset wins
+        assert certificates._sigma_scan(np.eye(6)) == (1.0, (0,))
+        assert certificates._minor_scan(np.zeros((5, 5))) == (0.0, (0,))
+        signed = np.diag([1.0, -0.0, 0.0])
+        assert outcome(certificates._minor_scan, signed) == ((-0.0).hex(), (1,))
+
+    def test_budget_dimension_stacks_stay_small(self):
+        rows = certificates._STACK_BYTES // (8 * 10 * 10)
+        chunks = certificates._subset_chunks(certificates.MINOR_BUDGET_DIM, 10)
+        first = next(chunks)
+        assert first.shape == (rows, 10)
+        assert [tuple(r) for r in first[:2]] == [tuple(range(10)), (*range(9), 10)]
+
+
+def scan_reports(p, seed=3):
+    """certify_problem's JSON for the checkers that scan sampled Jacobians."""
+    conditions = ["pmatrix", "uniform-pmatrix", "sigma-sweep", "maximal-rank"]
+    reports, _ = certify_problem(p, conditions, seed=seed, samples=12)
+    return json.dumps([r.to_dict() for r in reports], sort_keys=True)
+
+
+class TestDistinctJacobianScan:
+    """Skipping byte-identical Jacobians gives the report of scanning all."""
+
+    @pytest.mark.parametrize("case", ["cubic-box", "cubic-free", "affine-box", "near-affine"])
+    def test_same_report_as_scanning_every_sample(self, case):
+        rng = np.random.default_rng(5)
+        if case == "near-affine":
+            # Jacobians that differ from sample to sample only past the 8th digit
+            a = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
+            p = VIProblem(Mapping(fn=lambda x: a @ x + 1e-9 * x ** 2, dim=4,
+                                  jac=lambda x: a + np.diag(2e-9 * x)),
+                          BoxSet.bounds([-1.0] * 4, [1.0] * 4))
+        elif case == "cubic-box":
+            p = VIProblem(builtin_mapping("cubic-plus-linear", 3),
+                          BoxSet.bounds([-1.0, 0.0, -2.0], [1.0, 2.0, 0.5]))
+        elif case == "cubic-free":
+            p = get_problem("cubic-free")
+        else:
+            a = rng.standard_normal((5, 5)) + 4.0 * np.eye(5)
+            p = VIProblem(affine_mapping(a, rng.standard_normal(5)),
+                          BoxSet.bounds([-1.0] * 5, [2.0] * 5))
+        with mock.patch.object(certificates, "_distinct", lambda mats: enumerate(mats)):
+            expected = scan_reports(p)
+        assert scan_reports(p) == expected
+
+    def test_affine_jacobian_is_scanned_once(self):
+        p = VIProblem(affine_mapping(EXAMPLE_A), BoxSet.bounds([0.0, 0.0], [1.0, 1.0]))
+        with mock.patch.object(certificates, "_minor_scan",
+                               wraps=certificates._minor_scan) as scan:
+            uniform_pmatrix_sampled(p, draw_samples(p.set, 10, 0))
+        assert scan.call_count == 1
+
+
 class TestPUpsilonCheck:
+    def test_unequal_blocks_inconclusive(self):
+        g = make_game((1, 2), {(0, 0): [[1.0]], (1, 1): np.eye(2)},
+                      ([0.0], np.zeros(2)), free_box(3, blocks=(1, 2)))
+        rep = p_upsilon_check(g)
+        assert rep.verdict == "inconclusive" and rep.margin is None
+        assert "equal dimension" in rep.notes
+
     def test_example_game_fails(self):
         rep = p_upsilon_check(get_problem("example-game").game)
         assert rep.verdict == "fail"
@@ -276,6 +459,8 @@ class TestPLCondition:
     def test_nonstationary_candidate_rejected(self):
         g = get_problem("example-game").game
         with pytest.raises(ValueError):
+            pl_condition_check(g, np.array([1.0, 1.0]))
+        with pytest.raises(NotStationaryError, match="gradient-map norm"):
             pl_condition_check(g, np.array([1.0, 1.0]))
 
 

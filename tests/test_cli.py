@@ -1,10 +1,12 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from vibox import get_problem, load_problem, save_problem, solve
+from vibox import (BoxSet, game_to_vi, get_problem, load_problem, make_game,
+                   save_problem, solve)
 from vibox import cli
 from vibox.cli import main
 from vibox.problem_io import ProblemFileError, problem_to_dict
@@ -91,6 +93,31 @@ class TestCertifyCommand:
         assert doc["skipped"] == ["upsilon", "pl", "block-convexity"]
         assert [c["condition"] for c in doc["certificates"]] == ["pmatrix"]
         assert code == 0
+
+    def test_unequal_blocks_upsilon_inconclusive(self, tmp_path, capsys):
+        g = make_game((1, 2), {(0, 0): [[2.0]], (1, 1): np.eye(2)}, ([0.0], np.zeros(2)),
+                      BoxSet.bounds([-1.0] * 3, [1.0] * 3, blocks=(1, 2)))
+        path = tmp_path / "unequal.json"
+        save_problem(game_to_vi(g), path)
+        code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "upsilon")
+        assert code == 3
+        cert = json.loads(out)["certificates"][0]
+        assert cert["verdict"] == "inconclusive" and cert["margin"] is None
+        assert "equal dimension" in cert["notes"] and "[1, 2]" in cert["notes"]
+
+    def test_boundary_equilibrium_pl_inconclusive(self, tmp_path, capsys):
+        # Each player pushes towards +inf and stops at the bound 1: the gradient
+        # map is (-1, -1) at the solution (1, 1), not zero.
+        g = make_game((1, 1), {(0, 0): [[1.0]], (1, 1): [[1.0]]}, ([-2.0], [-2.0]),
+                      BoxSet.bounds([-1.0, -1.0], [1.0, 1.0], blocks=(1, 1)))
+        path = tmp_path / "boundary.json"
+        save_problem(game_to_vi(g), path)
+        code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl")
+        assert code == 3
+        cert = json.loads(out)["certificates"][0]
+        assert cert["verdict"] == "inconclusive" and cert["margin"] is None
+        assert "boundary equilibrium" in cert["notes"]
+        assert "gradient-map norm 1.414e+00" in cert["notes"]
 
     def test_byte_identical_reports(self, capsys):
         _, out_a, _ = run_cli(capsys, "certify", "example-game", "--seed", "7")
@@ -191,6 +218,33 @@ class TestProblemFiles:
         for command in ("solve", "certify"):
             code, out, err = run_cli(capsys, command, str(path))
             assert code == 1 and out == "" and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bound", ["inf", "-inf"])
+    def test_empty_infinite_interval_exit_one(self, tmp_path, capsys, bound):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "m": 2, "set": {"lo": [0.0, bound], "hi": [1.0, bound]},
+            "mapping": {"kind": "affine"}, "affine": {"A": [1.0, 0.0, 0.0, 1.0]},
+        }))
+        with pytest.raises(ProblemFileError, match="empty"):
+            load_problem(path)
+        for command in ("solve", "certify"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, command, str(path))
+            assert code == 1 and out == "" and err.startswith("error:") and "empty" in err
+
+    @pytest.mark.parametrize("condition", ["pfunction", "block-pfunction", "growth"])
+    def test_nonfinite_mapping_at_sample_exit_one(self, tmp_path, capsys, condition):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "m": 1, "set": {"lo": [0.0], "hi": [2.0]},
+            "mapping": {"kind": "affine"}, "affine": {"A": [1e308], "b": [1e308]},
+        }))
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(capsys, "certify", str(path), "--conditions", condition)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "non-finite at a sampled point" in err
 
     def test_nonfinite_mapping_at_start_exit_one(self, tmp_path, capsys):
         path = tmp_path / "overflow.json"

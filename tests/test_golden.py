@@ -1,4 +1,4 @@
-"""Golden solver runs: every registry problem, bit for bit.
+"""Golden runs: solver results and certify reports, bit for bit.
 
 ``tests/data/golden_multistart.json`` pins, per registry problem, what
 ``multistart(p, starts=8, seed=42)`` returns, and what ``solve`` returns from
@@ -6,21 +6,37 @@ each of 8 seeded start points before any deduplication: statuses, step
 kinds, iteration counts and ``float.hex`` of every coordinate of ``x`` and
 ``v``.  A solver change that keeps Newton iterates bit-identical leaves it
 as is.
-Regenerate it (only for a deliberate behaviour change) with
 
-    PYTHONPATH=src python tests/test_golden.py
+``tests/data/golden_certify.json`` pins the exit code and the full stdout of
+``vibox certify`` with default options for every registry problem and for
+three seeded affine VIs with m = 8 (a P-matrix, one with a planted negative
+2x2 principal minor, and a rank-deficient one).  A checker change that keeps
+every margin and witness bit-identical leaves it as is.
+
+Regenerate a file (only for a deliberate behaviour change) with
+
+    PYTHONPATH=src python tests/test_golden.py multistart
+    PYTHONPATH=src python tests/test_golden.py certify
 """
 
+import contextlib
+import io
 import json
+import os
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vibox import SolveConfig, get_problem, multistart, solve
+from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, get_problem, multistart,
+                   save_problem, solve)
+from vibox.cli import main
 from vibox.registry import problem_ids
 
 GOLDEN = Path(__file__).parent / "data" / "golden_multistart.json"
+GOLDEN_CERTIFY = Path(__file__).parent / "data" / "golden_certify.json"
 
 
 def _record(r):
@@ -38,6 +54,45 @@ def snapshot(pid):
             "starts": [_record(solve(p, SolveConfig(start=s))) for s in starts]}
 
 
+def affine_cases(m=8):
+    """Seeded affine VIs on a box with one free and one half-bounded coordinate."""
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((m, m))
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, np.abs(a).sum(axis=1) + rng.uniform(0.5, 1.5, m))
+    planted = a.copy()
+    planted[2, 5] = planted[5, 2] = 1.5 * np.sqrt(a[2, 2] * a[5, 5])
+    u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    w = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    singular = u @ np.diag(np.r_[rng.uniform(0.5, 3.0, m - 2), 0.0, 0.0]) @ w.T
+    lo = np.r_[np.full(m - 2, -2.0), -np.inf, 0.0]
+    hi = np.r_[np.full(m - 2, 3.0), np.inf, np.inf]
+    b = rng.standard_normal(m)
+    return {f"affine-m{m}-{tag}": VIProblem(affine_mapping(mat, b), BoxSet(lo, hi), name=tag)
+            for tag, mat in (("pmatrix", a), ("planted", planted), ("singular", singular))}
+
+
+def certify_output(problem):
+    """Exit code and stdout of ``vibox certify <problem>``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["certify", problem])
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+def certify_record(name):
+    """Certify record of a registry problem, or of an affine case written to
+    the current directory (so that the report names a relative path)."""
+    cases = affine_cases()
+    if name in cases:
+        save_problem(cases[name], f"{name}.json")
+        return certify_output(f"{name}.json")
+    return certify_output(name)
+
+
+CERTIFY_NAMES = problem_ids() + sorted(affine_cases())
+
+
 @pytest.mark.parametrize("pid", problem_ids())
 def test_multistart_matches_golden(pid):
     golden = json.loads(GOLDEN.read_text())
@@ -48,6 +103,23 @@ def test_golden_covers_registry():
     assert sorted(json.loads(GOLDEN.read_text())) == problem_ids()
 
 
+@pytest.mark.parametrize("name", CERTIFY_NAMES)
+def test_certify_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert certify_record(name) == json.loads(GOLDEN_CERTIFY.read_text())[name]
+
+
+def test_golden_certify_covers_cases():
+    assert sorted(json.loads(GOLDEN_CERTIFY.read_text())) == sorted(CERTIFY_NAMES)
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({pid: snapshot(pid) for pid in problem_ids()},
-                                 indent=1, sort_keys=True) + "\n")
+    which = sys.argv[1:] or ["multistart", "certify"]
+    if "multistart" in which:
+        GOLDEN.write_text(json.dumps({pid: snapshot(pid) for pid in problem_ids()},
+                                     indent=1, sort_keys=True) + "\n")
+    if "certify" in which:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            records = {name: certify_record(name) for name in CERTIFY_NAMES}
+        GOLDEN_CERTIFY.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")

@@ -112,6 +112,11 @@ class TestBoxSet:
         with pytest.raises(ConfigurationError, match="NaN"):
             BoxSet.bounds(lo, hi)
 
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_empty_infinite_interval_rejected(self, inf):
+        with pytest.raises(ConfigurationError, match="empty"):
+            BoxSet.bounds([0.0, inf], [1.0, inf])
+
     def test_full_space_flag(self):
         assert BoxSet.full_space(4).is_full_space
         assert not BoxSet.bounds([0.0], [1.0]).is_full_space
