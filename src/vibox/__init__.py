@@ -9,13 +9,14 @@ from .projection import (ConvGSample, ProjectionJacobianElement, convg_hull_samp
                          project, projection_jacobian_element)
 from .normal_map import CoercivityProbe, NormalMapEval, coercivity_probe, normal_map, \
     normal_map_jacobian_element
-from .certificates import (BudgetError, CertificateReport, SampleSet, block_pfunction_search,
-                           boundary_sample_set, draw_samples, growth_l0lp_fit,
+from .certificates import (CONDITIONS, BudgetError, CertificateReport, SampleSet,
+                           block_pfunction_search, boundary_sample_set, certify_problem,
+                           coercivity_check, draw_samples, growth_l0lp_fit,
                            hessian_block_convexity, maximal_rank_tsearch, p_upsilon_check,
                            pl_condition_check, pmatrix_minors, pmatrix_oracle, pmatrix_sampled,
                            principal_submatrix_sigma_sweep, uniform_pfunction_search,
                            uniform_pmatrix_sampled, upsilon_build)
 from .solver import SolveConfig, SolveResult, classify, multistart, solve, solve_and_classify
-from .registry import REGISTRY, ProblemRegistryEntry, builtin_mapping, get_problem, problem_ids
+from .registry import REGISTRY, builtin_mapping, get_problem, problem_ids
 from .problem_io import ProblemFileError, load_problem, problem_from_dict, problem_to_dict, \
     save_problem

@@ -9,7 +9,7 @@ conclusive (witness-backed), a pass is sampled evidence only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import (BoxSet, ConfigurationError, QuadraticGame, VIProblem, as_vector,
                     game_to_vi, jacobian)
+from .normal_map import coercivity_probe
 from .projection import convg_hull_sample, project
 
 PASS = "pass"
@@ -49,16 +50,7 @@ class CertificateReport:
     metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "witness": self.witness,
-            "seed": self.seed,
-            "budget": self.budget,
-            "notes": self.notes,
-            "metrics": self.metrics,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -477,24 +469,17 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
                 break
         if len(pair_list) >= pairs:
             break
-    long_ratios = []
-    short = []
-    for x, y in pair_list:
-        sep = float(np.linalg.norm(y - x))
-        df = float(np.linalg.norm(p.F(x) - p.F(y)))
-        if sep >= 1.0:
-            long_ratios.append(df / sep ** p_exponent)
-        else:
-            short.append((df, sep))
+    fits = [(float(np.linalg.norm(p.F(x) - p.F(y))), float(np.linalg.norm(y - x)))
+            for x, y in pair_list]  # (df, sep) per pair
+    long_ratios = [df / sep ** p_exponent for df, sep in fits if sep >= 1.0]
+    short = [(df, sep) for df, sep in fits if sep < 1.0]
     if long_ratios:
         lp = max(long_ratios)
     else:
         lp = max((df / sep ** p_exponent for df, sep in short), default=0.0)
     l0 = max((df - lp * sep ** p_exponent for df, sep in short), default=0.0)
     l0 = 0.0 if l0 < 1e-12 * max(1.0, lp) else l0  # float noise below fit resolution
-    covered = sum(1 for x, y in pair_list
-                  if np.linalg.norm(p.F(x) - p.F(y))
-                  <= l0 + lp * np.linalg.norm(y - x) ** p_exponent + 1e-12)
+    covered = sum(1 for df, sep in fits if df <= l0 + lp * sep ** p_exponent + 1e-12)
     metrics = {"L0": float(l0), "Lp": float(lp), "p": float(p_exponent),
                "coverage": covered / max(1, len(pair_list))}
     return CertificateReport("growth", PASS, float(lp), None, seed,
@@ -503,7 +488,7 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
                              metrics)
 
 
-def upsilon_build(g: QuadraticGame, samples: SampleSet | None = None) -> np.ndarray:
+def upsilon_build(g: QuadraticGame) -> np.ndarray:
     """The N x N comparison matrix: diagonal inf lambda_min of own blocks,
     off-diagonal minus sup spectral norm of cross blocks.
 
@@ -524,7 +509,7 @@ def upsilon_build(g: QuadraticGame, samples: SampleSet | None = None) -> np.ndar
     return ups
 
 
-def p_upsilon_check(g: QuadraticGame, samples: SampleSet | None = None) -> CertificateReport:
+def p_upsilon_check(g: QuadraticGame) -> CertificateReport:
     """Own blocks symmetric positive definite and the comparison matrix a
     P-matrix; on pass the game has a unique Nash equilibrium.  Inconclusive
     when the player blocks differ in dimension, where the test does not apply."""
@@ -533,18 +518,12 @@ def p_upsilon_check(g: QuadraticGame, samples: SampleSet | None = None) -> Certi
         return CertificateReport("upsilon", INCONCLUSIVE, None, None, None, budget,
                                  "the Upsilon test needs player blocks of equal dimension; "
                                  f"block sizes are {list(g.block_sizes)}")
-    lam_min = np.inf
-    bad_player = None
-    for i in range(g.num_players):
-        lam = float(np.linalg.eigvalsh(g.block(i, i))[0])
-        if lam < lam_min:
-            lam_min = lam
-            bad_player = i
-    if lam_min <= 0.0:
-        witness = {"clause": "own-block-pd", "player": bad_player, "lambda_min": lam_min}
-        return CertificateReport("upsilon", FAIL, lam_min, witness, None, budget,
+    convex = hessian_block_convexity(g)
+    if convex.verdict == FAIL:
+        witness = dict(convex.witness, clause="own-block-pd")
+        return CertificateReport("upsilon", FAIL, convex.margin, witness, None, budget,
                                  "own-block Hessian is not positive definite")
-    ups = upsilon_build(g, samples)
+    ups = upsilon_build(g)
     rep = pmatrix_minors(ups)
     metrics = {"upsilon": ups.tolist()}
     if rep.verdict == FAIL:
@@ -715,3 +694,103 @@ def hessian_block_convexity(g: QuadraticGame) -> CertificateReport:
     return CertificateReport("block-convexity", FAIL, float(margin),
                              {"player": bad, "lambda_min": float(margin)}, None, budget,
                              "own-block Hessian with nonpositive eigenvalue")
+
+
+def coercivity_check(p: VIProblem, seed=0) -> CertificateReport:
+    """The normal map's ray-based coercivity probe as a certificate: fail on a
+    ray whose residual norm does not grow, pass when every ray grows."""
+    probe = coercivity_probe(p, seed=seed)
+    slopes = [r.slope for r in probe.rays if r.slope is not None]
+    margin = float(min(slopes)) if slopes else None
+    budget = {"rays": len(probe.rays), "steps": len(probe.rays[0].radii)}
+    if probe.verdict == "violation-witness":
+        bad = next(r for r in probe.rays if r.verdict == "violation-witness")
+        witness = {"direction": bad.direction.tolist(),
+                   "norms": bad.norms.tolist(), "radii": bad.radii.tolist()}
+        return CertificateReport("coercivity", FAIL, margin, witness, seed, budget,
+                                 "residual norm fails to grow along a ray")
+    if probe.verdict == "coercive-evidence":
+        return CertificateReport("coercivity", PASS, margin, None, seed, budget,
+                                 "all rays show growing residual norms; sampled "
+                                 "evidence, not a proof")
+    return CertificateReport("coercivity", INCONCLUSIVE, margin, None, seed, budget,
+                             "slopes below the evidence threshold on some ray")
+
+
+def _pl_at_solution(p: VIProblem, g: QuadraticGame, seed) -> CertificateReport:
+    """The PL check at the point the solver reaches from its default start."""
+    from .solver import solve  # here: the solver imports this module
+
+    res = solve(p)
+    if not res.solved:
+        return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
+                                 "no stationary candidate: solver did not converge")
+    try:
+        return pl_condition_check(g, res.x, seed=seed)
+    except NotStationaryError as e:
+        return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
+                                 "the solver's point is a boundary equilibrium, outside "
+                                 f"the scope of the PL check ({e})")
+
+
+@dataclass(frozen=True)
+class _Settings:
+    """The certify options a condition's checker reads."""
+
+    box: BoxSet
+    seed: int
+    samples: int
+    radius: float
+    tol: float
+
+    @property
+    def pairs(self) -> int:
+        return max(100, 4 * self.samples)
+
+    def draw(self) -> SampleSet:
+        return draw_samples(self.box, self.samples, self.seed, self.radius)
+
+
+# Condition id -> (checker(p, game, settings), game_only), in the default order.
+# Checkers are looked up as module globals at call time, never captured, so
+# that a function replaced on this module (by a test or a tracer) is the one run.
+CONDITIONS = {
+    "pmatrix": (lambda p, g, s: pmatrix_sampled(p, s.draw()), False),
+    "uniform-pmatrix": (lambda p, g, s: uniform_pmatrix_sampled(p, s.draw()), False),
+    "sigma-sweep": (lambda p, g, s: principal_submatrix_sigma_sweep(p, s.draw()), False),
+    "pfunction": (lambda p, g, s: uniform_pfunction_search(
+        p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
+    "block-pfunction": (lambda p, g, s: block_pfunction_search(
+        p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
+    "growth": (lambda p, g, s: growth_l0lp_fit(
+        p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
+    "upsilon": (lambda p, g, s: p_upsilon_check(g), True),
+    "maximal-rank": (lambda p, g, s: maximal_rank_tsearch(
+        p, boundary_sample_set(p.set, s.samples, s.seed, s.radius), tol=s.tol), False),
+    "coercivity": (lambda p, g, s: coercivity_check(p, s.seed), False),
+    "pl": (lambda p, g, s: _pl_at_solution(p, g, s.seed), True),
+    "block-convexity": (lambda p, g, s: hessian_block_convexity(g), True),
+}
+
+
+def certify_problem(p: VIProblem, conditions=None, seed=42, samples=30, radius=10.0,
+                    tol=1e-8):
+    """Run the requested checkers of CONDITIONS (default: all); returns
+    (reports, skipped) in request order, game-only ids on a VI skipped."""
+    conditions = list(conditions) if conditions else list(CONDITIONS)
+    unknown = [c for c in conditions if c not in CONDITIONS]
+    if unknown:
+        raise KeyError(f"unknown condition ids: {unknown}")
+    settings = _Settings(p.set, seed, samples, radius, tol)
+    reports, skipped = [], []
+    for cond in conditions:
+        check, game_only = CONDITIONS[cond]
+        if game_only and p.game is None:
+            skipped.append(cond)
+            continue
+        try:
+            reports.append(check(p, p.game, settings))
+        except BudgetError as e:
+            reports.append(CertificateReport(cond, INCONCLUSIVE, None, None, seed, {},
+                                             f"budget exceeded: {e}"))
+    return reports, skipped

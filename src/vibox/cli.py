@@ -15,22 +15,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .certificates import (BudgetError, CertificateReport, NotStationaryError,
-                           boundary_sample_set, draw_samples, block_pfunction_search,
-                           growth_l0lp_fit, hessian_block_convexity,
-                           maximal_rank_tsearch, p_upsilon_check, pl_condition_check,
-                           pmatrix_sampled, principal_submatrix_sigma_sweep,
-                           uniform_pfunction_search, uniform_pmatrix_sampled)
-from .model import EvaluationError, VIProblem
-from .normal_map import coercivity_probe
+from .certificates import certify_problem
+from .model import EvaluationError
 from .problem_io import ProblemFileError, load_problem
 from .registry import REGISTRY, get_problem
-from .solver import SolveConfig, multistart, solve
-
-ALL_CONDITIONS = ("pmatrix", "uniform-pmatrix", "sigma-sweep", "pfunction",
-                  "block-pfunction", "growth", "upsilon", "maximal-rank", "coercivity",
-                  "pl", "block-convexity")
-GAME_ONLY = ("upsilon", "pl", "block-convexity")
+from .solver import SolveConfig, multistart
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,86 +40,6 @@ def resolve_problem(name):
     if Path(name).exists():
         return load_problem(name), str(name)
     raise KeyError(f"unknown problem id or file: {name!r}")
-
-
-def _coercivity_condition(p: VIProblem, seed) -> CertificateReport:
-    probe = coercivity_probe(p, seed=seed)
-    slopes = [r.slope for r in probe.rays if r.slope is not None]
-    margin = float(min(slopes)) if slopes else None
-    budget = {"rays": len(probe.rays), "steps": len(probe.rays[0].radii)}
-    if probe.verdict == "violation-witness":
-        bad = next(r for r in probe.rays if r.verdict == "violation-witness")
-        witness = {"direction": bad.direction.tolist(),
-                   "norms": bad.norms.tolist(), "radii": bad.radii.tolist()}
-        return CertificateReport("coercivity", "fail", margin, witness, seed, budget,
-                                 "residual norm fails to grow along a ray")
-    if probe.verdict == "coercive-evidence":
-        return CertificateReport("coercivity", "pass", margin, None, seed, budget,
-                                 "all rays show growing residual norms; sampled "
-                                 "evidence, not a proof")
-    return CertificateReport("coercivity", "inconclusive", margin, None, seed, budget,
-                             "slopes below the evidence threshold on some ray")
-
-
-def certify_problem(p: VIProblem, conditions=None, seed=42, samples=30, radius=10.0,
-                    tol=1e-8):
-    """Run the requested checkers; returns (reports, skipped) in request order."""
-    conditions = list(conditions) if conditions else list(ALL_CONDITIONS)
-    unknown = [c for c in conditions if c not in ALL_CONDITIONS]
-    if unknown:
-        raise KeyError(f"unknown condition ids: {unknown}")
-    g = p.game
-    reports, skipped = [], []
-    for cond in conditions:
-        if cond in GAME_ONLY and g is None:
-            skipped.append(cond)
-            continue
-        try:
-            if cond == "pmatrix":
-                ss = draw_samples(p.set, samples, seed, radius)
-                reports.append(pmatrix_sampled(p, ss))
-            elif cond == "uniform-pmatrix":
-                ss = draw_samples(p.set, samples, seed, radius)
-                reports.append(uniform_pmatrix_sampled(p, ss))
-            elif cond == "sigma-sweep":
-                ss = draw_samples(p.set, samples, seed, radius)
-                reports.append(principal_submatrix_sigma_sweep(p, ss))
-            elif cond == "pfunction":
-                reports.append(uniform_pfunction_search(
-                    p, pairs=max(100, 4 * samples), seed=seed, radius=radius))
-            elif cond == "block-pfunction":
-                reports.append(block_pfunction_search(
-                    p, pairs=max(100, 4 * samples), seed=seed, radius=radius))
-            elif cond == "growth":
-                reports.append(growth_l0lp_fit(
-                    p, pairs=max(100, 4 * samples), seed=seed, radius=radius))
-            elif cond == "upsilon":
-                reports.append(p_upsilon_check(g))
-            elif cond == "maximal-rank":
-                bs = boundary_sample_set(p.set, samples, seed, radius)
-                reports.append(maximal_rank_tsearch(p, bs, tol=tol))
-            elif cond == "coercivity":
-                reports.append(_coercivity_condition(p, seed))
-            elif cond == "pl":
-                res = solve(p, SolveConfig())
-                if not res.solved:
-                    reports.append(CertificateReport(
-                        "pl", "inconclusive", None, None, seed, {},
-                        "no stationary candidate: solver did not converge"))
-                else:
-                    try:
-                        reports.append(pl_condition_check(g, res.x, seed=seed))
-                    except NotStationaryError as e:
-                        reports.append(CertificateReport(
-                            "pl", "inconclusive", None, None, seed, {},
-                            "the solver's point is a boundary equilibrium, outside "
-                            f"the scope of the PL check ({e})"))
-            elif cond == "block-convexity":
-                reports.append(hessian_block_convexity(g))
-        except BudgetError as e:
-            reports.append(CertificateReport(cond, "inconclusive", None, None, seed, {},
-                                             f"budget exceeded: {e}"))
-    return reports, skipped
 
 
 def _emit(doc):
@@ -237,8 +146,7 @@ def cmd_report(args) -> int:
 
 def cmd_list(args) -> int:
     for pid in sorted(REGISTRY):
-        entry = REGISTRY[pid]
-        kind = "game" if entry.build().game is not None else "vi"
+        kind = "game" if REGISTRY[pid]().game is not None else "vi"
         print(f"{pid}\t{kind}")
     return EXIT_OK
 

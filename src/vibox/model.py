@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -242,17 +242,7 @@ def game_to_vi(g: QuadraticGame, name="game") -> VIProblem:
     F_i(x) = Q_ii x_i + sum_{j!=i} Q_ij x_j + c_i; the Jacobian is the
     constant block matrix of the Q blocks.
     """
-    a = g.full_matrix()
-    b = g.linear_term()
-    a.setflags(write=False)
-    b.setflags(write=False)
-    mapping = Mapping(
-        fn=lambda x: a @ x + b,
-        dim=g.dim,
-        jac=lambda x: a.copy(),
-        kind="game-gradient",
-        data={"A": a, "b": b},
-    )
+    mapping = replace(affine_mapping(g.full_matrix(), g.linear_term()), kind="game-gradient")
     return VIProblem(mapping=mapping, set=g.box, name=name, game=g)
 
 

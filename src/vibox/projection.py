@@ -8,13 +8,6 @@ import numpy as np
 
 from .model import BoxSet, as_vector
 
-INTERIOR = "interior"
-AT_LOWER = "at-lower"
-AT_UPPER = "at-upper"
-OUTSIDE_BELOW = "outside-below"
-OUTSIDE_ABOVE = "outside-above"
-FREE = "free"
-
 
 def project(k: BoxSet, x) -> np.ndarray:
     """Componentwise clamp of x into the box; identity on the full space."""
@@ -32,16 +25,6 @@ class ProjectionJacobianElement:
 
     d: np.ndarray
     boundary_rule: str
-    box: BoxSet
-    x: np.ndarray
-
-    @property
-    def activity(self) -> tuple[str, ...]:
-        """Per-coordinate position of x relative to the box, as a tag."""
-        lo, hi, x = self.box.lo, self.box.hi, self.x
-        tags = np.select([np.isinf(lo) & np.isinf(hi), x < lo, x > hi, x == lo, x == hi],
-                         [FREE, OUTSIDE_BELOW, OUTSIDE_ABOVE, AT_LOWER, AT_UPPER], INTERIOR)
-        return tuple(tags.tolist())
 
     def matrix(self) -> np.ndarray:
         return np.diag(self.d)
@@ -50,14 +33,13 @@ class ProjectionJacobianElement:
 def projection_jacobian_element(k: BoxSet, x, boundary_rule="one") -> ProjectionJacobianElement:
     if boundary_rule not in ("one", "zero"):
         raise ValueError(f"unknown boundary rule {boundary_rule!r}")
-    x = np.array(as_vector(x, k.dim))
+    x = as_vector(x, k.dim)
     drop = (x < k.lo) | (x > k.hi)
     if boundary_rule == "zero":
         drop |= (x == k.lo) | (x == k.hi)
     d = np.where(drop & ~(np.isinf(k.lo) & np.isinf(k.hi)), 0.0, 1.0)
     d.setflags(write=False)
-    x.setflags(write=False)
-    return ProjectionJacobianElement(d=d, boundary_rule=boundary_rule, box=k, x=x)
+    return ProjectionJacobianElement(d=d, boundary_rule=boundary_rule)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,6 @@
-"""Builtin problem registry with expected artifacts for self-tests."""
+"""Builtin problem registry: problem id -> builder of the VIProblem (``game`` set for games)."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,16 +29,6 @@ def builtin_mapping(mapping_id, m) -> Mapping:
     if mapping_id not in BUILTIN_MAPPINGS:
         raise KeyError(f"unknown builtin mapping {mapping_id!r}")
     return BUILTIN_MAPPINGS[mapping_id](m)
-
-
-@dataclass(frozen=True)
-class ProblemRegistryEntry:
-    id: str
-    builder: callable  # () -> VIProblem (problem.game set for games)
-    expected: dict = field(default_factory=dict)
-
-    def build(self) -> VIProblem:
-        return self.builder()
 
 
 def _example_vi():
@@ -78,49 +66,19 @@ def _cubic_free():
 
 
 REGISTRY = {
-    e.id: e
-    for e in (
-        ProblemRegistryEntry(
-            "example-vi", _example_vi,
-            expected={"solution": [0.0, 0.0],
-                      "certificates": {"pfunction": "fail", "coercivity": "coercive-evidence",
-                                       "sigma-sweep": "pass"}},
-        ),
-        ProblemRegistryEntry(
-            "example-game", _example_game,
-            expected={"solution": [0.0, 0.0], "classification": "nash",
-                      "certificates": {"upsilon": "fail", "pfunction": "fail",
-                                       "block-convexity": "pass"}},
-        ),
-        ProblemRegistryEntry(
-            "identity-box", _identity_box,
-            expected={"solution": [1.0, 1.0, 1.0],
-                      "certificates": {"pfunction": "inconclusive", "sigma-sweep": "pass"}},
-        ),
-        ProblemRegistryEntry(
-            "constant-box", _constant_box,
-            expected={"solution": [0.0, 0.0, 0.0],
-                      "certificates": {"pfunction": "fail", "sigma-sweep": "fail"}},
-        ),
-        ProblemRegistryEntry(
-            "spd-box", _spd_box,
-            expected={"solution": [1.0, 1.0],
-                      "certificates": {"pfunction": "inconclusive", "sigma-sweep": "pass",
-                                       "coercivity": "coercive-evidence"}},
-        ),
-        ProblemRegistryEntry(
-            "cubic-free", _cubic_free,
-            expected={"solution": [0.0, 0.0],
-                      "certificates": {"sigma-sweep": "pass"}},
-        ),
-    )
+    "example-vi": _example_vi,
+    "example-game": _example_game,
+    "identity-box": _identity_box,
+    "constant-box": _constant_box,
+    "spd-box": _spd_box,
+    "cubic-free": _cubic_free,
 }
 
 
 def get_problem(problem_id) -> VIProblem:
     if problem_id not in REGISTRY:
         raise KeyError(f"unknown problem id {problem_id!r}")
-    return REGISTRY[problem_id].build()
+    return REGISTRY[problem_id]()
 
 
 def problem_ids():

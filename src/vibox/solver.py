@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .certificates import hessian_block_convexity, pl_condition_check
+from .certificates import draw_samples, hessian_block_convexity, pl_condition_check
 from .model import EvaluationError, QuadraticGame, VIProblem
 from .normal_map import normal_map, normal_map_jacobian_element
 from .projection import project
@@ -193,12 +193,8 @@ def multistart(p: VIProblem, cfg: SolveConfig | None = None, starts=8, seed=0,
     if starts < 1:
         raise ValueError("need at least one start")
     cfg = cfg or SolveConfig()
-    rng = np.random.default_rng(seed)
-    lo = np.where(np.isfinite(p.set.lo), p.set.lo, -radius)
-    hi = np.maximum(np.where(np.isfinite(p.set.hi), p.set.hi, radius), lo)
-    start_points = [default_start(p) if cfg.start is None else np.asarray(cfg.start, float)]
-    while len(start_points) < starts:
-        start_points.append(np.clip(rng.uniform(lo, hi), p.set.lo, p.set.hi))
+    start_points = [default_start(p) if cfg.start is None else np.asarray(cfg.start, float),
+                    *draw_samples(p.set, starts - 1, seed, radius).points]
     results = [solve_and_classify(p, replace(cfg, start=s)) for s in start_points]
     deduped = []
     for res in results:

@@ -16,8 +16,8 @@ from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
                    pmatrix_minors, pmatrix_oracle, principal_submatrix_sigma_sweep,
                    problem_ids, uniform_pfunction_search, uniform_pmatrix_sampled,
                    upsilon_build)
-from vibox.certificates import NotStationaryError, _det_stack, _principal_values
-from vibox.cli import certify_problem
+from vibox.certificates import (CONDITIONS, NotStationaryError, _det_stack, _principal_values,
+                                certify_problem)
 
 EXAMPLE_A = np.array([[1.0, 2.0], [3.0, 1.0]])
 
@@ -197,6 +197,16 @@ class TestGrowthFit:
         assert rep.verdict == "pass" and np.isfinite(rep.metrics["Lp"])
         assert rep.metrics["coverage"] == 1.0
 
+    def test_two_evaluations_per_pair(self, monkeypatch):
+        # the fit and the coverage share one F(x), F(y) per pair
+        calls = []
+        call = Mapping.__call__
+        monkeypatch.setattr(Mapping, "__call__", lambda self, x: calls.append(1) or call(self, x))
+        p = VIProblem(builtin_mapping("cubic-plus-linear", 3),
+                      BoxSet.bounds([-1.0, 0.0, -np.inf], [1.0, np.inf, np.inf]))
+        rep = growth_l0lp_fit(p, pairs=120, seed=2)
+        assert rep.budget["pairs"] == 120 and len(calls) == 2 * 120
+
 
 class TestUpsilon:
     def test_example_game(self):
@@ -211,12 +221,6 @@ class TestUpsilon:
     def test_two_block_game(self):
         np.testing.assert_array_equal(upsilon_build(two_block_game()),
                                       [[2.0, -1.0], [-1.0, 2.0]])
-
-    def test_sample_independence(self):
-        g = get_problem("example-game").game
-        a = upsilon_build(g, draw_samples(g.box, 5, 1))
-        b = upsilon_build(g, draw_samples(g.box, 9, 2))
-        assert np.array_equal(a, b)
 
     def test_nonuniform_blocks_rejected(self):
         from vibox import ConfigurationError
@@ -511,3 +515,54 @@ class TestImplicationChain:
                 continue
             assert principal_submatrix_sigma_sweep(p, ss).margin > 0.0
             assert uniform_pfunction_search(p, pairs=150, seed=7).verdict != "fail"
+
+
+# The public checker each condition id reaches through its table entry.
+CHECKER_OF = {"pmatrix": "pmatrix_sampled", "uniform-pmatrix": "uniform_pmatrix_sampled",
+              "sigma-sweep": "principal_submatrix_sigma_sweep",
+              "pfunction": "uniform_pfunction_search", "block-pfunction": "block_pfunction_search",
+              "growth": "growth_l0lp_fit", "upsilon": "p_upsilon_check",
+              "maximal-rank": "maximal_rank_tsearch", "coercivity": "coercivity_check",
+              "pl": "pl_condition_check", "block-convexity": "hessian_block_convexity"}
+
+
+class TestConditionTable:
+    def test_every_condition_has_a_checker(self):
+        assert list(CONDITIONS) == list(CHECKER_OF)
+
+    @pytest.mark.parametrize("cond", list(CHECKER_OF))
+    def test_checker_replaced_on_the_module_is_run(self, cond, monkeypatch):
+        # Wrappers installed on the module (tests, tracers) must see every call.
+        calls = []
+        checker = getattr(certificates, CHECKER_OF[cond])
+        monkeypatch.setattr(certificates, CHECKER_OF[cond],
+                            lambda *a, **k: calls.append(1) or checker(*a, **k))
+        reports, skipped = certify_problem(get_problem("example-game"), [cond], samples=5)
+        assert len(calls) == 1 and skipped == []
+        assert [r.condition for r in reports] == [cond]
+
+    def test_replaced_pmatrix_checker_report_is_returned(self, monkeypatch):
+        mine = certificates.CertificateReport("pmatrix", "pass", 1.0, None, 42, {}, "replaced")
+        monkeypatch.setattr(certificates, "pmatrix_sampled", lambda p, samples: mine)
+        assert certify_problem(get_problem("spd-box"), ["pmatrix"]) == ([mine], [])
+
+    def test_vi_skips_exactly_the_game_only_ids(self):
+        game_only = [c for c, (_, only) in CONDITIONS.items() if only]
+        assert game_only == ["upsilon", "pl", "block-convexity"]
+        reports, skipped = certify_problem(get_problem("spd-box"), samples=5)
+        assert skipped == game_only
+        assert [r.condition for r in reports] == [c for c in CONDITIONS if c not in game_only]
+        reports, skipped = certify_problem(get_problem("example-game"), samples=5)
+        assert skipped == [] and [r.condition for r in reports] == list(CONDITIONS)
+
+    def test_request_order_and_unknown_ids(self):
+        reports, skipped = certify_problem(get_problem("spd-box"),
+                                           ["growth", "pl", "pmatrix"], samples=5)
+        assert [r.condition for r in reports] == ["growth", "pmatrix"] and skipped == ["pl"]
+        with pytest.raises(KeyError, match="nope"):
+            certify_problem(get_problem("spd-box"), ["pmatrix", "nope"])
+
+    def test_budget_error_becomes_inconclusive(self):
+        p = VIProblem(affine_mapping(np.eye(21)), free_box(21))
+        reports, _ = certify_problem(p, ["sigma-sweep"], samples=2)
+        assert reports[0].verdict == "inconclusive" and "budget exceeded" in reports[0].notes

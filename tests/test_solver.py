@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, get_problem,
                    multistart, normal_map, project, solve, solve_and_classify)
 from vibox.registry import problem_ids
-from vibox.solver import newton_direction
+from vibox import solver
+from vibox.solver import SolveResult, newton_direction
 
 REG_FLOOR = SolveConfig().reg_floor
 
@@ -243,3 +244,52 @@ class TestStartSelection:
         p = get_problem("example-vi")
         res = solve(p, SolveConfig(start=np.array([9.0, -9.0])))
         assert res.status == "solved"
+
+
+def per_start_draws(box, starts, seed, radius):
+    """The start points multistart drew one at a time before it used
+    draw_samples, kept as the oracle of its seeded starts."""
+    rng = np.random.default_rng(seed)
+    lo = np.where(np.isfinite(box.lo), box.lo, -radius)
+    hi = np.maximum(np.where(np.isfinite(box.hi), box.hi, radius), lo)
+    return [np.clip(rng.uniform(lo, hi), box.lo, box.hi) for _ in range(starts - 1)]
+
+
+_END = st.floats(-30.0, 30.0)  # beyond the radius too: lo > radius, hi < -radius
+
+
+@st.composite
+def half_bounded_boxes(draw):
+    """Boxes whose first coordinate is half-bounded, the others of any kind."""
+    m = draw(st.integers(1, 6))
+    kinds = [draw(st.sampled_from(["lower", "upper"]))]
+    kinds += draw(st.lists(st.sampled_from(["lower", "upper", "both", "free"]),
+                           min_size=m - 1, max_size=m - 1))
+    lo, hi = [], []
+    for kind in kinds:
+        a, b = sorted((draw(_END), draw(_END)))
+        lo.append(a if kind in ("lower", "both") else -np.inf)
+        hi.append(b if kind in ("upper", "both") else np.inf)
+    return BoxSet.bounds(lo, hi)
+
+
+class TestMultistartStarts:
+    @given(half_bounded_boxes(), st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.5, 1.0, 10.0, 25.0]))
+    def test_starts_match_per_start_draws(self, box, starts, seed, radius):
+        p = VIProblem(affine_mapping(np.eye(box.dim)), box)
+        seen = []
+
+        def record(p, cfg=None, g=None):
+            seen.append(cfg.start)
+            return SolveResult("max-iters", cfg.start, cfg.start, 1.0, (1.0,), ())
+
+        original = solver.solve_and_classify
+        solver.solve_and_classify = record
+        try:
+            multistart(p, starts=starts, seed=seed, radius=radius)
+        finally:
+            solver.solve_and_classify = original
+        expected = per_start_draws(box, starts, seed, radius)
+        assert len(seen) == starts
+        assert [s.tobytes() for s in seen[1:]] == [s.tobytes() for s in expected]
