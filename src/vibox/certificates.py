@@ -757,7 +757,8 @@ class _Settings:
 CONDITIONS = {
     "pmatrix": (lambda p, g, s: pmatrix_sampled(p, s.draw()), False),
     "uniform-pmatrix": (lambda p, g, s: uniform_pmatrix_sampled(p, s.draw()), False),
-    "sigma-sweep": (lambda p, g, s: principal_submatrix_sigma_sweep(p, s.draw()), False),
+    "sigma-sweep": (lambda p, g, s: principal_submatrix_sigma_sweep(
+        p, s.draw(), threshold=s.tol), False),
     "pfunction": (lambda p, g, s: uniform_pfunction_search(
         p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
     "block-pfunction": (lambda p, g, s: block_pfunction_search(

@@ -32,6 +32,7 @@ import pytest
 
 from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, get_problem, multistart,
                    save_problem, solve)
+from vibox.certificates import certify_problem
 from vibox.cli import main
 from vibox.registry import problem_ids
 
@@ -111,6 +112,15 @@ def test_certify_matches_golden(name, tmp_path, monkeypatch):
 
 def test_golden_certify_covers_cases():
     assert sorted(json.loads(GOLDEN_CERTIFY.read_text())) == sorted(CERTIFY_NAMES)
+
+
+def test_sigma_sweep_fails_on_rank_deficient_case():
+    # rank m - 2: the sweep's smallest sigma_min is rounding noise, below --tol
+    p = affine_cases()["affine-m8-singular"]
+    tol = 1e-8
+    (rep,), _ = certify_problem(p, ["sigma-sweep"], tol=tol)
+    assert rep.verdict == "fail" and rep.witness["sigma_min"] <= tol
+    assert rep.witness["index_set"] == list(range(8))
 
 
 if __name__ == "__main__":
