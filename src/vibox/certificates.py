@@ -696,7 +696,7 @@ def hessian_block_convexity(g: QuadraticGame) -> CertificateReport:
                              "own-block Hessian with nonpositive eigenvalue")
 
 
-def coercivity_check(p: VIProblem, seed=0) -> CertificateReport:
+def coercivity_check(p: VIProblem, seed) -> CertificateReport:
     """The normal map's ray-based coercivity probe as a certificate: fail on a
     ray whose residual norm does not grow, pass when every ray grows."""
     probe = coercivity_probe(p, seed=seed)

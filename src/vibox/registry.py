@@ -1,4 +1,4 @@
-"""Builtin problem registry: problem id -> builder of the VIProblem (``game`` set for games)."""
+"""Builtin problem registry: id -> function returning the VIProblem (``game`` set for games)."""
 
 from __future__ import annotations
 
