@@ -19,8 +19,7 @@ from unittest import mock
 import numpy as np
 
 import vibox.solver
-from vibox import BoxSet, SolveConfig, VIProblem, affine_mapping, solve
-from vibox.solver import default_start
+from vibox import BoxSet, SolveConfig, VIProblem, affine_mapping, box_midpoint, solve
 
 
 def svd_rule_direction(j, r, r_norm, reg_floor):
@@ -46,7 +45,7 @@ def problem(i):
     p = VIProblem(affine_mapping((u * s) @ w.T, b), BoxSet.bounds(lo, hi))
     box_lo = np.where(np.isfinite(lo), lo - 2.0, -10.0)
     box_hi = np.where(np.isfinite(hi), hi + 2.0, 10.0)
-    return p, [default_start(p)] + [rng.uniform(box_lo, box_hi) for _ in range(3)]
+    return p, [box_midpoint(p.set)] + [rng.uniform(box_lo, box_hi) for _ in range(3)]
 
 
 def runs(p, starts):

@@ -10,8 +10,8 @@ from .projection import (ConvGSample, ProjectionJacobianElement, convg_hull_samp
 from .normal_map import CoercivityProbe, NormalMapEval, coercivity_probe, normal_map, \
     normal_map_jacobian_element
 from .certificates import (CONDITIONS, BudgetError, CertificateReport, SampleSet,
-                           block_pfunction_search, boundary_sample_set, certify_problem,
-                           coercivity_check, draw_samples, growth_l0lp_fit,
+                           block_pfunction_search, boundary_sample_set, box_midpoint,
+                           certify_problem, coercivity_check, draw_samples, growth_l0lp_fit,
                            hessian_block_convexity, maximal_rank_tsearch, p_upsilon_check,
                            pl_condition_check, pmatrix_minors, pmatrix_oracle, pmatrix_sampled,
                            principal_submatrix_sigma_sweep, uniform_pfunction_search,

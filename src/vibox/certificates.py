@@ -60,7 +60,6 @@ class SampleSet:
 
     points: np.ndarray  # (count, m)
     seed: int
-    radius: float
 
     @property
     def count(self) -> int:
@@ -74,7 +73,15 @@ def draw_samples(box: BoxSet, count, seed, radius=10.0) -> SampleSet:
     hi = np.maximum(hi, lo)  # half-bounded coordinate with lo > radius
     pts = rng.uniform(lo, hi, size=(count, box.dim))
     pts = np.clip(pts, box.lo, box.hi)
-    return SampleSet(points=pts, seed=seed, radius=radius)
+    return SampleSet(points=pts, seed=seed)
+
+
+def box_midpoint(box: BoxSet) -> np.ndarray:
+    """Midpoint of the finite coordinates; an unbounded coordinate sits at 0
+    projected into K (its finite bound when 0 lies outside)."""
+    both = np.isfinite(box.lo) & np.isfinite(box.hi)
+    mid = (np.where(both, box.lo, 0.0) + np.where(both, box.hi, 0.0)) / 2.0
+    return project(box, np.where(both, mid, 0.0))
 
 
 def boundary_sample_set(box: BoxSet, count, seed, radius=10.0) -> SampleSet:
@@ -94,7 +101,7 @@ def boundary_sample_set(box: BoxSet, count, seed, radius=10.0) -> SampleSet:
                 out[i] = bound + push
                 extra.append(out)
     pts = np.vstack([base, np.array(extra)]) if extra else base
-    return SampleSet(points=pts, seed=seed, radius=radius)
+    return SampleSet(points=pts, seed=seed)
 
 
 # Upper bound on the bytes of one gathered stack of principal submatrices;
@@ -356,30 +363,22 @@ def _direction_grid(m):
     return dirs
 
 
+def _pairs(box: BoxSet, bases, dirs, radii, count):
+    """The first count pairs (x, P_K[x + r d]) at least 1e-12 apart; x runs
+    over bases (outermost), d over dirs and r over radii (innermost)."""
+    grid = ((x, project(box, x + r * d)) for x in bases for d in dirs for r in radii)
+    return list(islice(((x, y) for x, y in grid if np.linalg.norm(y - x) >= 1e-12), count))
+
+
 def _pair_stream(box: BoxSet, pairs, seed, radius):
-    """Deterministic pair generator: direction-grid pairs around base points
-    first, then random pairs; coincident pairs are skipped."""
-    rng = np.random.default_rng(seed)
-    both = np.isfinite(box.lo) & np.isfinite(box.hi)
-    mid = np.where(both, (np.where(both, box.lo, 0.0) + np.where(both, box.hi, 0.0)) / 2.0, 0.0)
-    bases = [project(box, mid)]
-    bases.extend(draw_samples(box, 3, seed + 1, radius).points)
-    out = []
-    for x in bases:
-        for d in _direction_grid(box.dim):
-            y = project(box, x + d)
-            if np.linalg.norm(y - x) >= 1e-12:
-                out.append((x, y))
-            if len(out) >= pairs:
-                return out
-    while len(out) < pairs:
-        x = project(box, rng.uniform(-radius, radius, box.dim) if not box.is_bounded
-                    else rng.uniform(box.lo, box.hi))
-        y = project(box, rng.uniform(-radius, radius, box.dim) if not box.is_bounded
-                    else rng.uniform(box.lo, box.hi))
-        if np.linalg.norm(y - x) < 1e-12:
-            continue
-        out.append((x, y))
+    """Direction-grid pairs around the box midpoint and three seeded points,
+    then pairs of consecutive rows of one draw_samples call; pairs closer than
+    1e-12 are skipped, so a box without two distinct points gives fewer pairs."""
+    bases = [box_midpoint(box), *draw_samples(box, 3, seed + 1, radius).points]
+    out = _pairs(box, bases, _direction_grid(box.dim), (1.0,), pairs)
+    rows = draw_samples(box, 2 * (pairs - len(out)), seed, radius).points
+    out.extend((x, y) for x, y in zip(rows[0::2], rows[1::2])
+               if np.linalg.norm(y - x) >= 1e-12)
     return out
 
 
@@ -411,11 +410,16 @@ def _block_slices(blocks):
 
 
 def _pfunction_search(p, blocks, pairs, seed, radius, condition):
+    pair_list = _pair_stream(p.set, pairs, seed, radius)
+    budget = {"pairs": len(pair_list)}
+    if not pair_list:
+        return CertificateReport(condition, INCONCLUSIVE, None, None, seed, budget,
+                                 "K has no two points at least 1e-12 apart; no pair to test")
     slices = _block_slices(blocks) if blocks is not None else None
     min_rho = np.inf
     first_violation = None
     arg = None
-    for x, y in _pair_stream(p.set, pairs, seed, radius):
+    for x, y in pair_list:
         fx, fy = p.F(x), p.F(y)
         d = x - y
         if slices is None:
@@ -428,7 +432,6 @@ def _pfunction_search(p, blocks, pairs, seed, radius, condition):
             arg = (x, y)
         if rho <= 0.0 and first_violation is None:
             first_violation = {"x": x.tolist(), "y": y.tolist(), "rho": rho}
-    budget = {"pairs": pairs}
     if first_violation is not None:
         return CertificateReport(condition, FAIL, float(min_rho), first_violation, seed,
                                  budget, "pair violating the P-function inequality",
@@ -455,20 +458,7 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
         n = np.linalg.norm(d)
         if n > 1e-12:
             dirs.append(d / n)
-    radii = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-    pair_list = []
-    for x in bases:
-        for d in dirs:
-            for r in radii:
-                y = project(box, x + r * d)
-                if np.linalg.norm(y - x) >= 1e-12:
-                    pair_list.append((x, y))
-                if len(pair_list) >= pairs:
-                    break
-            if len(pair_list) >= pairs:
-                break
-        if len(pair_list) >= pairs:
-            break
+    pair_list = _pairs(box, bases, dirs, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0), pairs)
     fits = [(float(np.linalg.norm(p.F(x) - p.F(y))), float(np.linalg.norm(y - x)))
             for x, y in pair_list]  # (df, sep) per pair
     long_ratios = [df / sep ** p_exponent for df, sep in fits if sep >= 1.0]
@@ -501,8 +491,7 @@ def upsilon_build(g: QuadraticGame) -> np.ndarray:
     n = g.num_players
     ups = np.zeros((n, n))
     for i in range(n):
-        qii = g.block(i, i)
-        ups[i, i] = float(np.linalg.eigvalsh((qii + qii.T) / 2.0)[0])
+        ups[i, i] = float(np.linalg.eigvalsh(g.block(i, i))[0])
         for j in range(n):
             if j != i:
                 ups[i, j] = -float(np.linalg.norm(g.block(i, j), 2))
@@ -677,13 +666,12 @@ def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0,
 
 
 def hessian_block_convexity(g: QuadraticGame) -> CertificateReport:
-    """Smallest eigenvalue over the symmetrized own-block Hessians; positive
-    margin means every player's cost is strongly convex in its own variable."""
+    """Smallest eigenvalue over the own-block Hessians; positive margin means
+    every player's cost is strongly convex in its own variable."""
     margin = np.inf
     bad = None
     for i in range(g.num_players):
-        qii = g.block(i, i)
-        lam = float(np.linalg.eigvalsh((qii + qii.T) / 2.0)[0])
+        lam = float(np.linalg.eigvalsh(g.block(i, i))[0])
         if lam < margin:
             margin = lam
             bad = i

@@ -69,10 +69,6 @@ class BoxSet:
     def is_full_space(self) -> bool:
         return bool(np.all(np.isinf(self.lo)) and np.all(np.isinf(self.hi)))
 
-    @property
-    def is_bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
-
     def contains(self, x, tol=0.0) -> bool:
         x = as_vector(x, self.dim)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
@@ -135,7 +131,7 @@ class QuadraticGame:
     """N-player game with quadratic costs and box action sets.
 
     Player i minimizes f_i(x) = 1/2 x_i' Q_ii x_i + x_i' sum_{j!=i} Q_ij x_j + c_i' x_i
-    over its box K_i.  Q_ii must be symmetric.
+    over its box K_i.  Q_ii must be exactly symmetric.
     """
 
     block_sizes: tuple[int, ...]
@@ -156,7 +152,7 @@ class QuadraticGame:
                 raise ConfigurationError(f"missing own-block matrix for player {i}")
             if qii.shape != (ni, ni):
                 raise ConfigurationError(f"own-block of player {i} has wrong shape")
-            if not np.allclose(qii, qii.T, atol=0.0):
+            if not np.array_equal(qii, qii.T):
                 raise ConfigurationError(f"own-block of player {i} is not symmetric")
             if self.c[i].shape != (ni,):
                 raise ConfigurationError(f"linear term of player {i} has wrong length")
@@ -180,19 +176,6 @@ class QuadraticGame:
     def block_slice(self, i) -> slice:
         start = sum(self.block_sizes[:i])
         return slice(start, start + self.block_sizes[i])
-
-    def cost(self, i, x) -> float:
-        """Player i's cost at the joint action x."""
-        x = as_vector(x, self.dim)
-        xi = x[self.block_slice(i)]
-        cross = sum(
-            self.block(i, j) @ x[self.block_slice(j)]
-            for j in range(self.num_players)
-            if j != i
-        )
-        if isinstance(cross, int):  # single player: empty sum
-            cross = np.zeros_like(xi)
-        return float(0.5 * xi @ self.block(i, i) @ xi + xi @ cross + self.c[i] @ xi)
 
     def full_matrix(self) -> np.ndarray:
         """Block matrix of the game gradient mapping: diagonal Q_ii, off-diagonal Q_ij."""

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .certificates import draw_samples, hessian_block_convexity, pl_condition_check
+from .certificates import (box_midpoint, draw_samples, hessian_block_convexity,
+                           pl_condition_check)
 from .model import EvaluationError, QuadraticGame, VIProblem
 from .normal_map import normal_map, normal_map_jacobian_element
 from .projection import project
@@ -54,14 +55,6 @@ class SolveResult:
         return self.status == SOLVED
 
 
-def default_start(p: VIProblem) -> np.ndarray:
-    """Box midpoint; unbounded coordinates start at 0 (or the finite bound)."""
-    lo, hi = p.set.lo, p.set.hi
-    both = np.isfinite(lo) & np.isfinite(hi)
-    mid = (np.where(both, lo, 0.0) + np.where(both, hi, 0.0)) / 2.0
-    return project(p.set, np.where(both, mid, 0.0))
-
-
 def newton_direction(j: np.ndarray, r: np.ndarray, r_norm: float,
                      reg_floor: float) -> np.ndarray | None:
     """The Newton direction d solving J d = -r, or None when J is numerically
@@ -96,7 +89,7 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
     Raises EvaluationError when F is non-finite at the start point.
     """
     cfg = cfg or SolveConfig()
-    v = default_start(p) if cfg.start is None else np.array(cfg.start, dtype=float)
+    v = box_midpoint(p.set) if cfg.start is None else np.array(cfg.start, dtype=float)
     ev = normal_map(p, v)
     trace = [ev.norm]
     steps = []
@@ -193,7 +186,7 @@ def multistart(p: VIProblem, cfg: SolveConfig | None = None, starts=8, seed=0,
     if starts < 1:
         raise ValueError("need at least one start")
     cfg = cfg or SolveConfig()
-    start_points = [default_start(p) if cfg.start is None else np.asarray(cfg.start, float),
+    start_points = [box_midpoint(p.set) if cfg.start is None else np.asarray(cfg.start, float),
                     *draw_samples(p.set, starts - 1, seed, radius).points]
     results = [solve_and_classify(p, replace(cfg, start=s)) for s in start_points]
     deduped = []

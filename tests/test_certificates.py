@@ -10,12 +10,12 @@ from hypothesis.extra import numpy as hnp
 
 from vibox import certificates
 from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
-                   block_pfunction_search, boundary_sample_set, builtin_mapping, draw_samples,
-                   game_to_vi, get_problem, growth_l0lp_fit, hessian_block_convexity,
-                   make_game, maximal_rank_tsearch, p_upsilon_check, pl_condition_check,
-                   pmatrix_minors, pmatrix_oracle, principal_submatrix_sigma_sweep,
-                   problem_ids, uniform_pfunction_search, uniform_pmatrix_sampled,
-                   upsilon_build)
+                   block_pfunction_search, boundary_sample_set, box_midpoint, builtin_mapping,
+                   draw_samples, game_to_vi, get_problem, growth_l0lp_fit,
+                   hessian_block_convexity, make_game, maximal_rank_tsearch, p_upsilon_check,
+                   pl_condition_check, pmatrix_minors, pmatrix_oracle,
+                   principal_submatrix_sigma_sweep, problem_ids, project,
+                   uniform_pfunction_search, uniform_pmatrix_sampled, upsilon_build)
 from vibox.certificates import (CONDITIONS, NotStationaryError, _det_stack, _principal_values,
                                 certify_problem)
 
@@ -502,6 +502,60 @@ class TestSampling:
         box = BoxSet.bounds([0.0], [1.0])
         assert np.array_equal(draw_samples(box, 50, 4).points,
                               draw_samples(box, 50, 4).points)
+
+
+def grid_pairs(box, seed, radius):
+    """Every direction-grid pair of _pair_stream, in order, built with plain loops."""
+    bases = [box_midpoint(box), *draw_samples(box, 3, seed + 1, radius).points]
+    out = []
+    for x in bases:
+        for d in certificates._direction_grid(box.dim):
+            y = project(box, x + d)
+            if np.linalg.norm(y - x) >= 1e-12:
+                out.append((x, y))
+    return out
+
+
+_BOUND = st.floats(-30.0, 30.0)  # beyond the radius too: lo > radius, hi < -radius
+
+
+@st.composite
+def mixed_boxes(draw):
+    """Boxes mixing half-bounded, bounded, one-point and free coordinates."""
+    m = draw(st.integers(1, 4))
+    lo, hi = [], []
+    for kind in draw(st.lists(st.sampled_from(["lower", "upper", "both", "point", "free"]),
+                              min_size=m, max_size=m)):
+        a, b = sorted((draw(_BOUND), draw(_BOUND)))
+        b = a if kind == "point" else b
+        lo.append(a if kind in ("lower", "both", "point") else -np.inf)
+        hi.append(b if kind in ("upper", "both", "point") else np.inf)
+    return BoxSet.bounds(lo, hi)
+
+
+class TestPairStream:
+    @given(mixed_boxes(), st.integers(1, 120), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.5, 1.0, 10.0, 25.0]))
+    def test_grid_pairs_then_consecutive_sample_rows(self, box, pairs, seed, radius):
+        out = certificates._pair_stream(box, pairs, seed, radius)
+        grid = grid_pairs(box, seed, radius)[:pairs]
+        rows = draw_samples(box, 2 * (pairs - len(grid)), seed, radius).points
+        tail = [(x, y) for x, y in zip(rows[0::2], rows[1::2])
+                if np.linalg.norm(y - x) >= 1e-12]
+        assert [(x.tobytes(), y.tobytes()) for x, y in out] == \
+            [(x.tobytes(), y.tobytes()) for x, y in grid + tail]
+        for x, y in out:
+            assert box.contains(x) and box.contains(y)
+            assert np.linalg.norm(y - x) >= 1e-12
+
+    def test_sampled_pairs_respect_finite_bounds(self):
+        # [0, 1] x R: the pairs after the 16 grid pairs are drawn inside [0, 1],
+        # not drawn from [-radius, radius] and clamped onto a bound
+        box = BoxSet.bounds([0.0, -np.inf], [1.0, np.inf])
+        out = certificates._pair_stream(box, 100, 0, 10.0)
+        assert len(grid_pairs(box, 0, 10.0)) == 16 and len(out) == 100
+        first = np.array([[x[0], y[0]] for x, y in out[16:]])
+        assert np.all((first > 0.0) & (first < 1.0))
 
 
 class TestImplicationChain:

@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from vibox import (BoxSet, game_to_vi, get_problem, load_problem, make_game,
-                   save_problem, solve)
+import vibox
+from vibox import (BoxSet, VIProblem, affine_mapping, game_to_vi, get_problem, load_problem,
+                   make_game, save_problem, solve)
 from vibox import cli
 from vibox.cli import main
 from vibox.problem_io import ProblemFileError, problem_to_dict
@@ -118,6 +122,34 @@ class TestCertifyCommand:
         assert cert["verdict"] == "inconclusive" and cert["margin"] is None
         assert "boundary equilibrium" in cert["notes"]
         assert "gradient-map norm 1.414e+00" in cert["notes"]
+
+    @pytest.mark.parametrize("kind", ["vi", "game"])
+    def test_one_point_box_returns_valid_json(self, tmp_path, kind):
+        # No two distinct points: the pair checkers must stop, not search forever.
+        lo = hi = [1.0, 2.0]
+        if kind == "game":
+            p = game_to_vi(make_game((1, 1), {(0, 0): [[2.0]], (1, 1): [[1.0]], (0, 1): [[0.5]]},
+                                     ([1.0], [-1.0]), BoxSet.bounds(lo, hi, blocks=(1, 1))))
+        else:
+            p = VIProblem(affine_mapping([[2.0, 0.5], [0.0, 1.0]], [1.0, -1.0]),
+                          BoxSet.bounds(lo, hi))
+        path = tmp_path / "point.json"
+        save_problem(p, path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vibox.__file__)))
+        done = subprocess.run([sys.executable, "-m", "vibox.cli", "certify", str(path)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 3, done.stderr
+
+        def no_constants(token):
+            raise ValueError(f"stdout is not strict JSON: {token}")
+
+        certs = {c["condition"]: c
+                 for c in json.loads(done.stdout, parse_constant=no_constants)["certificates"]}
+        for cond in ("pfunction", "block-pfunction"):
+            assert certs[cond]["verdict"] == "inconclusive" and certs[cond]["margin"] is None
+            assert certs[cond]["budget"] == {"pairs": 0}
+            assert "no two points" in certs[cond]["notes"]
+        assert certs["growth"]["budget"] == {"pairs": 0}
 
     def test_byte_identical_reports(self, capsys):
         _, out_a, _ = run_cli(capsys, "certify", "example-game", "--seed", "7")

@@ -46,9 +46,11 @@ class TestGameToVI:
                       BoxSet(np.full(3, -np.inf), np.full(3, np.inf), blocks=(1, 2)))
 
     def test_asymmetric_own_block_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_game((2,), {(0, 0): [[1.0, 2.0], [0.0, 1.0]]}, (np.zeros(2),),
-                      BoxSet(np.full(2, -np.inf), np.full(2, np.inf), blocks=(2,)))
+        # the second block is symmetric to within np.allclose's default rtol
+        for qii in ([[1.0, 2.0], [0.0, 1.0]], [[1.0, 1.0 + 5e-6], [1.0, 1.0]]):
+            with pytest.raises(ConfigurationError):
+                make_game((2,), {(0, 0): qii}, (np.zeros(2),),
+                          BoxSet(np.full(2, -np.inf), np.full(2, np.inf), blocks=(2,)))
 
 
 class TestJacobian:

@@ -230,15 +230,15 @@ class TestMultistart:
 
 class TestStartSelection:
     def test_default_start_is_box_midpoint(self):
-        from vibox.solver import default_start
+        from vibox.certificates import box_midpoint
         p = get_problem("identity-box")
-        np.testing.assert_array_equal(default_start(p), [1.5, 1.5, 1.5])
+        np.testing.assert_array_equal(box_midpoint(p.set), [1.5, 1.5, 1.5])
 
     def test_unbounded_coordinates_start_at_zero(self):
-        from vibox.solver import default_start
+        from vibox.certificates import box_midpoint
         p = VIProblem(affine_mapping(np.eye(2)),
                       BoxSet.bounds([0.0, -np.inf], [4.0, np.inf]))
-        np.testing.assert_array_equal(default_start(p), [2.0, 0.0])
+        np.testing.assert_array_equal(box_midpoint(p.set), [2.0, 0.0])
 
     def test_explicit_start_respected(self):
         p = get_problem("example-vi")
