@@ -19,15 +19,17 @@ import numpy as np
 from .model import (BoxSet, ConfigurationError, QuadraticGame, VIProblem, as_vector,
                     game_to_vi, jacobian)
 from .normal_map import coercivity_probe
-from .projection import convg_hull_sample, project
+from .projection import project
 
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 SAMPLED_NOTE = "sampled surrogate, not a proof"
+NO_PAIR_NOTE = "K has no two points at least 1e-12 apart; no pair to test"
 
 MINOR_BUDGET_DIM = 20
+ETA_FLOOR = 1e-10  # least principal minor of a uniform-pmatrix mixed-row matrix
 
 
 class BudgetError(ValueError):
@@ -217,7 +219,7 @@ def _sigma_scan(a):
     return margin, arg
 
 
-def pmatrix_minors(a, condition="pmatrix") -> CertificateReport:
+def pmatrix_minors(a) -> CertificateReport:
     """Exact P-matrix test: every principal minor must be positive."""
     a = np.asarray(a, dtype=float)
     m = a.shape[0]
@@ -232,9 +234,9 @@ def pmatrix_minors(a, condition="pmatrix") -> CertificateReport:
             "index_set": list(first_bad),
             "minor": principal_minor_det(a[np.ix_(first_bad, first_bad)]),
         }
-        return CertificateReport(condition, FAIL, float(min_minor), witness, None, budget,
+        return CertificateReport("pmatrix", FAIL, float(min_minor), witness, None, budget,
                                  "nonpositive principal minor found")
-    return CertificateReport(condition, PASS, float(min_minor), None, None, budget,
+    return CertificateReport("pmatrix", PASS, float(min_minor), None, None, budget,
                              "all principal minors positive (exact enumeration)")
 
 
@@ -277,26 +279,21 @@ def pmatrix_sampled(p: VIProblem, samples: SampleSet) -> CertificateReport:
                              f"Jacobian is a P-matrix at every sample; {SAMPLED_NOTE}")
 
 
-def uniform_pmatrix_sampled(p: VIProblem, samples: SampleSet, mixed_rows=None,
-                            eta_floor=1e-10) -> CertificateReport:
+def uniform_pmatrix_sampled(p: VIProblem, samples: SampleSet) -> CertificateReport:
     """Sampled test of the uniform P-matrix condition on the Jacobian.
 
     Mixed-row matrices take row i from the Jacobian at the i-th point of a
     tuple of sampled points; each must be a P-matrix with margin at least
-    eta_floor.  The all-same tuples (one per sample) are always included.
+    ETA_FLOOR.  The 2n tuples are the n all-same ones (one per sample), then
+    n seeded draws.
     """
     if samples.count == 0:
         raise ValueError("sample set is empty")
     n, m = samples.count, p.dim
-    if mixed_rows is None:
-        mixed_rows = 2 * n
-    if mixed_rows < n:
-        raise ValueError("mixed_rows must be at least the sample count")
     jacs = np.array([jacobian(p, x) for x in samples.points])
     rng = np.random.default_rng(samples.seed)
     tuples = [np.full(m, k) for k in range(n)]
-    while len(tuples) < mixed_rows:
-        tuples.append(rng.integers(0, n, size=m))
+    tuples += [rng.integers(0, n, size=m) for _ in range(n)]
     budget = {"samples": n, "mixed_rows": len(tuples)}
     min_margin = np.inf
     min_tuple = None
@@ -315,9 +312,9 @@ def uniform_pmatrix_sampled(p: VIProblem, samples: SampleSet, mixed_rows=None,
         if rep.margin < min_margin:
             min_margin = rep.margin
             min_tuple = tup
-    if min_margin < eta_floor:
+    if min_margin < ETA_FLOOR:
         witness = {"tuple": [int(t) for t in min_tuple], "min_minor": float(min_margin),
-                   "eta_floor": eta_floor}
+                   "eta_floor": ETA_FLOOR}
         return CertificateReport("uniform-pmatrix", FAIL, float(min_margin), witness,
                                  samples.seed, budget,
                                  "P-matrix margin below the uniform floor")
@@ -390,14 +387,11 @@ def uniform_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Ce
     return _pfunction_search(p, None, pairs, seed, radius, "pfunction")
 
 
-def block_pfunction_search(p: VIProblem, blocks=None, pairs=200, seed=0,
-                           radius=10.0) -> CertificateReport:
-    """Block variant: the max runs over block inner products <[F(x)-F(y)]_j, [x-y]_j>."""
-    if blocks is None:
-        blocks = p.set.blocks or (p.dim,)
-    if sum(blocks) != p.dim:
-        raise ConfigurationError("block partition inconsistent with the dimension")
-    return _pfunction_search(p, tuple(blocks), pairs, seed, radius, "block-pfunction")
+def block_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> CertificateReport:
+    """Block variant: the max runs over block inner products <[F(x)-F(y)]_j, [x-y]_j>,
+    with the blocks of K (one block when K has none)."""
+    return _pfunction_search(p, p.set.blocks or (p.dim,), pairs, seed, radius,
+                             "block-pfunction")
 
 
 def _block_slices(blocks):
@@ -414,7 +408,7 @@ def _pfunction_search(p, blocks, pairs, seed, radius, condition):
     budget = {"pairs": len(pair_list)}
     if not pair_list:
         return CertificateReport(condition, INCONCLUSIVE, None, None, seed, budget,
-                                 "K has no two points at least 1e-12 apart; no pair to test")
+                                 NO_PAIR_NOTE)
     slices = _block_slices(blocks) if blocks is not None else None
     min_rho = np.inf
     first_violation = None
@@ -445,7 +439,8 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
     """Least-max fit of ||F(x)-F(y)|| <= L0 + Lp ||x-y||^p over sampled pairs.
 
     Lp is the worst ratio over pairs with separation >= 1; L0 covers the
-    residual of the shorter pairs.  Always passes; margin is the fitted Lp.
+    residual of the shorter pairs.  Passes with margin the fitted Lp whenever
+    K has a pair to fit, and is inconclusive otherwise.
     """
     if p_exponent < 1.0:
         raise ValueError("growth exponent must be at least 1")
@@ -459,6 +454,9 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
         if n > 1e-12:
             dirs.append(d / n)
     pair_list = _pairs(box, bases, dirs, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0), pairs)
+    if not pair_list:
+        return CertificateReport("growth", INCONCLUSIVE, None, None, seed, {"pairs": 0},
+                                 NO_PAIR_NOTE)
     fits = [(float(np.linalg.norm(p.F(x) - p.F(y))), float(np.linalg.norm(y - x)))
             for x, y in pair_list]  # (df, sep) per pair
     long_ratios = [df / sep ** p_exponent for df, sep in fits if sep >= 1.0]
@@ -471,7 +469,7 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
     l0 = 0.0 if l0 < 1e-12 * max(1.0, lp) else l0  # float noise below fit resolution
     covered = sum(1 for df, sep in fits if df <= l0 + lp * sep ** p_exponent + 1e-12)
     metrics = {"L0": float(l0), "Lp": float(lp), "p": float(p_exponent),
-               "coverage": covered / max(1, len(pair_list))}
+               "coverage": covered / len(pair_list)}
     return CertificateReport("growth", PASS, float(lp), None, seed,
                              {"pairs": len(pair_list)},
                              f"fitted growth envelope on sampled pairs; {SAMPLED_NOTE}",
@@ -525,26 +523,33 @@ def p_upsilon_check(g: QuadraticGame) -> CertificateReport:
                              "Nash equilibrium", metrics)
 
 
-DEFAULT_T_SCHEDULE = tuple(float(2 ** k) for k in range(13))
+T_SCHEDULE = tuple(float(2 ** k) for k in range(13))
+
+
+def _hull_rows(m):
+    """The (1 + 4(m+1), m) rows beta * alpha of the hull sample I - beta *
+    diag(alpha): the zero row, then for each beta in (0.25, 0.5, 0.75, 1)
+    beta times each simplex vertex e_i and the barycenter."""
+    alphas = np.vstack([np.eye(m), np.full(m, 1.0 / m)])
+    return np.vstack([np.zeros(m), *(beta * alphas for beta in (0.25, 0.5, 0.75, 1.0))])
 
 
 def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
-                         t_schedule=DEFAULT_T_SCHEDULE, tol=1e-8,
-                         beta_grid=None, alpha_samples=None) -> CertificateReport:
-    """Search for a scale t making every sampled generalized-Jacobian element
-    of the scaled normal map nonsingular.
+                         tol=1e-8) -> CertificateReport:
+    """Search for a scale t in T_SCHEDULE making every sampled
+    generalized-Jacobian element of the scaled normal map nonsingular.
 
     Elements have the form beta*diag(alpha) + t*J*(I - beta*diag(alpha)) with
-    J the Jacobian at the projected sample and (beta, alpha) ranging over a
-    sampled convex hull of the coordinate-drop family.  Standing hypotheses
-    (Jacobian sigma_min >= tol on K, nonzero (m-1)-minors at boundary points)
-    are verified first.
+    J the Jacobian at the projected sample and beta*alpha ranging over
+    _hull_rows, a fixed sample of the convex hull of {I} union {I - e_i e_i'}.
+    Standing hypotheses (Jacobian sigma_min >= tol on K, nonzero (m-1)-minors
+    at boundary points) are verified first.
     """
     m = p.dim
     if m > MINOR_BUDGET_DIM:
         raise BudgetError("minor enumeration exceeds budget for m > 20")
     pts = boundary_samples.points
-    budget = {"samples": len(pts), "t_schedule": list(t_schedule)}
+    budget = {"samples": len(pts), "t_schedule": list(T_SCHEDULE)}
     # Standing hypothesis: full-rank Jacobian on K.
     jacs = []  # distinct Jacobians at the projected samples, with their sigma_min
     for k, a in _distinct(jacobian(p, project(p.set, x)) for x in pts):
@@ -578,11 +583,9 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
                     return CertificateReport("maximal-rank", FAIL, abs(minor), witness,
                                              boundary_samples.seed, budget,
                                              "vanishing (m-1)-minor at a boundary sample")
-    hull = convg_hull_sample(m, beta_grid or (0.0, 0.25, 0.5, 0.75, 1.0),
-                             alpha_samples, seed=boundary_samples.seed)
-    bd = np.array([elem.beta * np.diag(elem.alpha) for elem in hull])
+    bd = _hull_rows(m)[:, :, None] * np.eye(m)  # the stack of beta * diag(alpha)
     keep = np.eye(m) - bd
-    for t in t_schedule:
+    for t in T_SCHEDULE:
         s_min = np.inf
         for jf, _ in jacs:
             # One stacked SVD over the hull elements beta*diag(alpha) + t*J*(I - ...).
@@ -600,11 +603,11 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
                              "theorem may still apply with a larger t")
 
 
-def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0,
-                       radius=5.0) -> CertificateReport:
+def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0) -> CertificateReport:
     """Gap-domination check at a stationary candidate: for each player the
     squared own gradient must dominate a positive multiple of the
-    suboptimality gap, upgrading the candidate to a Nash equilibrium."""
+    suboptimality gap, upgrading the candidate to a Nash equilibrium.  An
+    unbounded own coordinate is sampled within 5 of the candidate."""
     xbar = as_vector(xbar, g.dim)
     vi = game_to_vi(g)
     grad_norm = float(np.linalg.norm(vi.F(xbar)))
@@ -639,8 +642,8 @@ def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0,
                     "no finite inner minimum exists", {"player": i})
         # gap(x_i) = 1/2 (x_i - x_opt)' Q_ii (x_i - x_opt); exact for quadratics
         mu_i = np.inf
-        lo = np.where(np.isfinite(g.box.lo[sl]), g.box.lo[sl], xbar[sl] - radius)
-        hi = np.where(np.isfinite(g.box.hi[sl]), g.box.hi[sl], xbar[sl] + radius)
+        lo = np.where(np.isfinite(g.box.lo[sl]), g.box.lo[sl], xbar[sl] - 5.0)
+        hi = np.where(np.isfinite(g.box.hi[sl]), g.box.hi[sl], xbar[sl] + 5.0)
         for _ in range(samples):
             xi = rng.uniform(lo, np.maximum(hi, lo))
             dx = xi - x_opt
@@ -687,7 +690,7 @@ def hessian_block_convexity(g: QuadraticGame) -> CertificateReport:
 def coercivity_check(p: VIProblem, seed) -> CertificateReport:
     """The normal map's ray-based coercivity probe as a certificate: fail on a
     ray whose residual norm does not grow, pass when every ray grows."""
-    probe = coercivity_probe(p, seed=seed)
+    probe = coercivity_probe(p)
     slopes = [r.slope for r in probe.rays if r.slope is not None]
     margin = float(min(slopes)) if slopes else None
     budget = {"rays": len(probe.rays), "steps": len(probe.rays[0].radii)}

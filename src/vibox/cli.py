@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,6 +33,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _number(convert, ok, expected):
+    """An argparse type: convert(text) when ok accepts the value, else a usage
+    error naming what was expected."""
+    def parse(text):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_COUNT = _number(int, lambda n: n >= 1, "an integer >= 1")
+_POSITIVE = _number(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")  # NaN fails
 
 
 def resolve_problem(name):
@@ -157,22 +175,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--radius", type=float, default=10.0,
+        sp.add_argument("--radius", type=_POSITIVE, default=10.0,
                         help="sampling radius for unbounded coordinates")
 
     sp = sub.add_parser("solve", help="solve a VI or game problem")
     sp.add_argument("problem")
     common(sp)
-    sp.add_argument("--starts", type=int, default=8)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--starts", type=_COUNT, default=8)
+    sp.add_argument("--tol", type=_POSITIVE, default=1e-10)
     sp.add_argument("--trace", action="store_true", help="include residual traces")
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("certify", help="run existence-condition checkers")
     sp.add_argument("problem")
     common(sp)
-    sp.add_argument("--samples", type=int, default=30)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--samples", type=_COUNT, default=30)
+    sp.add_argument("--tol", type=_POSITIVE, default=1e-8)
     sp.add_argument("--conditions", help="comma-separated condition ids (default: all)")
     sp.set_defaults(fn=cmd_certify)
 

@@ -69,9 +69,9 @@ class BoxSet:
     def is_full_space(self) -> bool:
         return bool(np.all(np.isinf(self.lo)) and np.all(np.isinf(self.hi)))
 
-    def contains(self, x, tol=0.0) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, self.dim)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
     @staticmethod
     def full_space(m: int) -> "BoxSet":

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .certificates import (box_midpoint, draw_samples, hessian_block_convexity,
                            pl_condition_check)
-from .model import EvaluationError, QuadraticGame, VIProblem
+from .model import EvaluationError, VIProblem
 from .normal_map import normal_map, normal_map_jacobian_element
 from .projection import project
 
@@ -22,21 +22,21 @@ QUASI_NASH = "quasi-nash"
 NASH = "nash"
 NOT_APPLICABLE = "n/a"
 
+ARMIJO_SLOPE = 1e-4  # line search: sufficient-decrease constant,
+BACKTRACK = 0.5  # step shrink factor
+MAX_HALVINGS = 40  # and most halvings per Newton iteration
+REG_FLOOR = 1e-8  # singularity floor of newton_direction; Levenberg weight
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     max_iters: int = 200
     tol: float = 1e-10
-    armijo_slope: float = 1e-4
-    backtrack: float = 0.5
-    max_halvings: int = 40
-    reg_floor: float = 1e-8
-    boundary_rule: str = "one"
     start: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.tol <= 0 or self.reg_floor <= 0:
-            raise ValueError("tolerances must be positive and max_iters >= 1")
+        if self.max_iters < 1 or self.tol <= 0:
+            raise ValueError("tol must be positive and max_iters >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
 
     Singularity is read off the Newton solve itself, without an SVD: J
     counts as singular when the LU solve of J d = -r fails or the step grows
-    past ||r|| / (reg_floor * max(c, 1)), with c the largest column norm of J
+    past ||r|| / (REG_FLOOR * max(c, 1)), with c the largest column norm of J
     (``newton_direction``).
 
     Raises EvaluationError when F is non-finite at the start point.
@@ -98,14 +98,14 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
         if ev.norm <= cfg.tol:
             status = SOLVED
             break
-        j = normal_map_jacobian_element(p, v, cfg.boundary_rule)
+        j = normal_map_jacobian_element(p, v)
         r = ev.r
         grad = j.T @ r  # gradient of the merit function
         kind = "newton"
-        d = newton_direction(j, r, ev.norm, cfg.reg_floor)
+        d = newton_direction(j, r, ev.norm, REG_FLOOR)
         if d is None:
             kind = "regularized"
-            d = np.linalg.solve(j.T @ j + cfg.reg_floor * np.eye(p.dim), -grad)
+            d = np.linalg.solve(j.T @ j + REG_FLOOR * np.eye(p.dim), -grad)
         slope = float(grad @ d)
         if slope >= 0.0 or not np.all(np.isfinite(d)):
             kind = "gradient"
@@ -120,21 +120,21 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
         accepted = None
         t = 1.0
         theta0 = 0.5 * ev.norm ** 2
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             try:
                 trial = normal_map(p, v + t * d)
             except EvaluationError:
-                t *= cfg.backtrack
+                t *= BACKTRACK
                 continue
             theta = 0.5 * trial.norm ** 2
             if slope is not None:
-                ok = theta <= theta0 + cfg.armijo_slope * t * slope
+                ok = theta <= theta0 + ARMIJO_SLOPE * t * slope
             else:
-                ok = theta <= (1.0 - cfg.armijo_slope * t) * theta0
+                ok = theta <= (1.0 - ARMIJO_SLOPE * t) * theta0
             if ok and theta < theta0:
                 accepted = (v + t * d, trial)
                 break
-            t *= cfg.backtrack
+            t *= BACKTRACK
         if accepted is None:
             if kind in ("gradient", "picard") and np.linalg.norm(grad) <= 1e-12 * (1.0 + ev.norm):
                 status = FALLBACK_EXHAUSTED
@@ -151,30 +151,28 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
                        steps=tuple(steps), iterations=len(steps))
 
 
-def classify(p: VIProblem, g: QuadraticGame | None, res: SolveResult,
-             pl_samples=200, seed=0) -> str:
+def classify(p: VIProblem, res: SolveResult) -> str:
     """vi-solution for plain VIs; for games, quasi-nash upgraded to nash when
     the block-convexity gate or the gap-domination check passes."""
     if not res.solved:
         return NOT_APPLICABLE
-    g = g if g is not None else p.game
+    g = p.game
     if g is None:
         return VI_SOLUTION
     if hessian_block_convexity(g).verdict == "pass":
         return NASH
     try:
-        if pl_condition_check(g, res.x, samples=pl_samples, seed=seed).verdict == "pass":
+        if pl_condition_check(g, res.x).verdict == "pass":
             return NASH
     except ValueError:
         pass
     return QUASI_NASH
 
 
-def solve_and_classify(p: VIProblem, cfg: SolveConfig | None = None,
-                       g: QuadraticGame | None = None) -> SolveResult:
+def solve_and_classify(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
     res = solve(p, cfg)
     if res.solved:
-        res = replace(res, classification=classify(p, g, res))
+        res = replace(res, classification=classify(p, res))
     return res
 
 

@@ -114,12 +114,12 @@ def test_criterion_6_coercivity_probe_is_calibrated(scorecard):
     ok = True
     for m in (2, 5, 10):
         p = VIProblem(affine_mapping(np.eye(m)), BoxSet.full_space(m))
-        probe = coercivity_probe(p, seed=6)
+        probe = coercivity_probe(p)
         ok &= probe.verdict == "coercive-evidence"
         slope_err = max(slope_err, max(abs(r.slope - 1.0) for r in probe.rays))
     ok &= slope_err <= 0.01
     flat = VIProblem(affine_mapping(np.zeros((3, 3)), np.ones(3)), BoxSet.full_space(3))
-    ok &= coercivity_probe(flat, seed=6).verdict == "violation-witness"
+    ok &= coercivity_probe(flat).verdict == "violation-witness"
     scorecard(6, ok, f"identity slope error {slope_err:.1e}, flat map flagged")
 
 

@@ -16,8 +16,8 @@ from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
                    pl_condition_check, pmatrix_minors, pmatrix_oracle,
                    principal_submatrix_sigma_sweep, problem_ids, project,
                    uniform_pfunction_search, uniform_pmatrix_sampled, upsilon_build)
-from vibox.certificates import (CONDITIONS, NotStationaryError, _det_stack, _principal_values,
-                                certify_problem)
+from vibox.certificates import (CONDITIONS, NotStationaryError, _det_stack, _hull_rows,
+                                _principal_values, certify_problem)
 
 EXAMPLE_A = np.array([[1.0, 2.0], [3.0, 1.0]])
 
@@ -158,14 +158,14 @@ class TestPfunctionSearch:
 class TestBlockPfunction:
     def test_single_block_is_monotonicity_and_identity_margin_one(self):
         p = VIProblem(affine_mapping(np.eye(2)), free_box(2))
-        rep = block_pfunction_search(p, blocks=(2,), pairs=100, seed=0)
+        rep = block_pfunction_search(p, pairs=100, seed=0)
         assert rep.verdict == "inconclusive"
         assert rep.margin == 1.0
 
     def test_rotation_fails_single_block(self):
         # skew mapping: <F(x)-F(y), x-y> = 0 on every pair
         p = VIProblem(affine_mapping([[0.0, -1.0], [1.0, 0.0]]), free_box(2))
-        rep = block_pfunction_search(p, blocks=(2,), pairs=100, seed=0)
+        rep = block_pfunction_search(p, pairs=100, seed=0)
         assert rep.verdict == "fail" and rep.witness["rho"] == 0.0
 
     def test_coordinate_blocks_match_coordinate_test(self):
@@ -418,6 +418,33 @@ class TestPUpsilonCheck:
     def test_two_block_game_passes_with_margin(self):
         rep = p_upsilon_check(two_block_game())
         assert rep.verdict == "pass" and rep.margin == 2.0  # minors {2, 2, 3}
+
+
+class TestHullRows:
+    """_hull_rows: beta * alpha for the hull sample I - beta * diag(alpha)."""
+
+    def test_beta_zero_collapses_to_identity(self):
+        np.testing.assert_array_equal(np.eye(2) - np.diag(_hull_rows(2)[0]), np.eye(2))
+
+    def test_vertex(self):
+        vertex = next(r for r in _hull_rows(2) if np.array_equal(r, [1.0, 0.0]))
+        np.testing.assert_array_equal(np.eye(2) - np.diag(vertex), np.diag([0.0, 1.0]))
+
+    def test_barycenter(self):
+        np.testing.assert_allclose(1.0 - _hull_rows(3)[-1], 2.0 / 3.0)
+
+    def test_rows_match_beta_diag_alpha(self):
+        # The construction the rows replace: beta * diag(alpha) with beta = 0 once
+        # (alpha = e_0), then each beta of the grid with the simplex vertices and
+        # the barycenter.
+        for m in (1, 2, 3, 5, 7):  # m = 5: beta / m and beta * (1.0 / m) differ at beta 0.75
+            alphas = [np.eye(m)[i] for i in range(m)] + [np.full(m, 1.0 / m)]
+            old = [0.0 * np.diag(alphas[0])]
+            old += [beta * np.diag(alpha) for beta in (0.25, 0.5, 0.75, 1.0)
+                    for alpha in alphas]
+            rows = _hull_rows(m)
+            assert rows.shape == (1 + 4 * (m + 1), m)
+            assert (rows[:, :, None] * np.eye(m)).tobytes() == np.array(old).tobytes()
 
 
 class TestMaximalRankTsearch:

@@ -65,6 +65,25 @@ class TestSolveCommand:
         assert code == 1 and "error" in err
 
 
+class TestNumberOptions:
+    @pytest.mark.parametrize("argv", [
+        ("certify", "example-vi", "--samples", "0"),
+        ("certify", "example-vi", "--samples", "-1"),
+        ("solve", "example-vi", "--starts", "0"),
+        ("solve", "example-vi", "--tol", "0"),
+        ("solve", "example-vi", "--radius", "nan"),
+        ("certify", "example-vi", "--radius", "inf"),
+        ("certify", "example-vi", "--radius", "-1"),
+        ("certify", "example-vi", "--tol", "-1"),
+    ], ids=" ".join)
+    def test_out_of_range_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: argument {argv[2]}: expected ")
+        assert err.rstrip().endswith(f", got {argv[3]!r}")
+
+
 class TestCertifyCommand:
     def test_all_pass_exit_zero(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "spd-box",
@@ -145,11 +164,10 @@ class TestCertifyCommand:
 
         certs = {c["condition"]: c
                  for c in json.loads(done.stdout, parse_constant=no_constants)["certificates"]}
-        for cond in ("pfunction", "block-pfunction"):
+        for cond in ("pfunction", "block-pfunction", "growth"):
             assert certs[cond]["verdict"] == "inconclusive" and certs[cond]["margin"] is None
             assert certs[cond]["budget"] == {"pairs": 0}
             assert "no two points" in certs[cond]["notes"]
-        assert certs["growth"]["budget"] == {"pairs": 0}
 
     def test_byte_identical_reports(self, capsys):
         _, out_a, _ = run_cli(capsys, "certify", "example-game", "--seed", "7")
