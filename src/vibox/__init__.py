@@ -15,7 +15,7 @@ from .certificates import (CONDITIONS, BudgetError, CertificateReport, SampleSet
                            pl_condition_check, pmatrix_minors, pmatrix_oracle, pmatrix_sampled,
                            principal_submatrix_sigma_sweep, uniform_pfunction_search,
                            uniform_pmatrix_sampled, upsilon_build)
-from .solver import SolveConfig, SolveResult, classify, multistart, solve, solve_and_classify
+from .solver import SolveConfig, SolveResult, classify, multistart, solve
 from .registry import REGISTRY, builtin_mapping, get_problem, problem_ids
 from .problem_io import ProblemFileError, load_problem, problem_from_dict, problem_to_dict, \
     save_problem

@@ -69,10 +69,11 @@ class SampleSet:
 
 
 def draw_samples(box: BoxSet, count, seed, radius=10.0) -> SampleSet:
+    """Uniform draws over the box, an infinite upper side replaced by
+    max(radius, lo + radius) and an infinite lower side by min(-radius, hi - radius)."""
     rng = np.random.default_rng(seed)
-    lo = np.where(np.isfinite(box.lo), box.lo, -radius)
-    hi = np.where(np.isfinite(box.hi), box.hi, radius)
-    hi = np.maximum(hi, lo)  # half-bounded coordinate with lo > radius
+    lo = np.where(np.isfinite(box.lo), box.lo, np.minimum(-radius, box.hi - radius))
+    hi = np.where(np.isfinite(box.hi), box.hi, np.maximum(radius, box.lo + radius))
     pts = rng.uniform(lo, hi, size=(count, box.dim))
     pts = np.clip(pts, box.lo, box.hi)
     return SampleSet(points=pts, seed=seed)
@@ -367,6 +368,20 @@ def _pairs(box: BoxSet, bases, dirs, radii, count):
     return list(islice(((x, y) for x, y in grid if np.linalg.norm(y - x) >= 1e-12), count))
 
 
+def _with_values(F, pairs):
+    """(x, y, F(x), F(y)) per pair, with F evaluated once per distinct point:
+    grid pairs share their base, and projected ends can coincide."""
+    values = {}
+
+    def value(z):
+        key = z.tobytes()
+        if key not in values:
+            values[key] = F(z)
+        return values[key]
+
+    return [(x, y, value(x), value(y)) for x, y in pairs]
+
+
 def _pair_stream(box: BoxSet, pairs, seed, radius):
     """Direction-grid pairs around the box midpoint and three seeded points,
     then pairs of consecutive rows of one draw_samples call; pairs closer than
@@ -413,8 +428,7 @@ def _pfunction_search(p, blocks, pairs, seed, radius, condition):
     min_rho = np.inf
     first_violation = None
     arg = None
-    for x, y in pair_list:
-        fx, fy = p.F(x), p.F(y)
+    for x, y, fx, fy in _with_values(p.F, pair_list):
         d = x - y
         if slices is None:
             top = float(np.max((fx - fy) * d))
@@ -457,8 +471,8 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
     if not pair_list:
         return CertificateReport("growth", INCONCLUSIVE, None, None, seed, {"pairs": 0},
                                  NO_PAIR_NOTE)
-    fits = [(float(np.linalg.norm(p.F(x) - p.F(y))), float(np.linalg.norm(y - x)))
-            for x, y in pair_list]  # (df, sep) per pair
+    fits = [(float(np.linalg.norm(fx - fy)), float(np.linalg.norm(y - x)))
+            for x, y, fx, fy in _with_values(p.F, pair_list)]  # (df, sep) per pair
     long_ratios = [df / sep ** p_exponent for df, sep in fits if sep >= 1.0]
     short = [(df, sep) for df, sep in fits if sep < 1.0]
     if long_ratios:
@@ -606,15 +620,15 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
 def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0) -> CertificateReport:
     """Gap-domination check at a stationary candidate: for each player the
     squared own gradient must dominate a positive multiple of the
-    suboptimality gap, upgrading the candidate to a Nash equilibrium.  An
-    unbounded own coordinate is sampled within 5 of the candidate."""
+    suboptimality gap, upgrading the candidate to a Nash equilibrium.  Each
+    player reads its own columns of one draw_samples call over K."""
     xbar = as_vector(xbar, g.dim)
     vi = game_to_vi(g)
     grad_norm = float(np.linalg.norm(vi.F(xbar)))
     if grad_norm > 1e-6:
         raise NotStationaryError(
             f"candidate is not stationary: gradient-map norm {grad_norm:.3e} > 1e-6")
-    rng = np.random.default_rng(seed)
+    rows = draw_samples(g.box, samples, seed).points
     mus = []
     budget = {"samples": samples}
     for i in range(g.num_players):
@@ -634,29 +648,23 @@ def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0) -> Certifica
                 f"player {i} cost is unbounded below in its own variable; "
                 "no finite inner minimum exists", {"player": i})
         else:
-            x_opt, residual = np.linalg.lstsq(qii, -b, rcond=None)[:2]
+            x_opt = np.linalg.lstsq(qii, -b, rcond=None)[0]
             if np.linalg.norm(qii @ x_opt + b) > 1e-8:
                 return CertificateReport(
                     "pl", INCONCLUSIVE, None, None, seed, budget,
                     f"player {i} cost decreases linearly along a flat direction; "
                     "no finite inner minimum exists", {"player": i})
         # gap(x_i) = 1/2 (x_i - x_opt)' Q_ii (x_i - x_opt); exact for quadratics
-        mu_i = np.inf
-        lo = np.where(np.isfinite(g.box.lo[sl]), g.box.lo[sl], xbar[sl] - 5.0)
-        hi = np.where(np.isfinite(g.box.hi[sl]), g.box.hi[sl], xbar[sl] + 5.0)
-        for _ in range(samples):
-            xi = rng.uniform(lo, np.maximum(hi, lo))
-            dx = xi - x_opt
-            gap = float(0.5 * dx @ qii @ dx)
-            if gap <= 1e-12:
-                continue
-            grad2 = float(np.sum((qii @ xi + b) ** 2))
-            mu_i = min(mu_i, grad2 / gap)
-        if not np.isfinite(mu_i):
+        xi = rows[:, sl]
+        dx = xi - x_opt
+        gap = 0.5 * np.sum((dx @ qii) * dx, axis=1)
+        grad2 = np.sum((xi @ qii.T + b) ** 2, axis=1)
+        positive = gap > 1e-12
+        if not positive.any():
             return CertificateReport("pl", INCONCLUSIVE, None, None, seed, budget,
                                      f"player {i}: no sample with a positive gap",
                                      {"player": i})
-        mus.append(mu_i)
+        mus.append(float(np.min(grad2[positive] / gap[positive])))
     margin = float(min(mus))
     metrics = {"mu": [float(v) for v in mus]}
     if margin > 0.0:

@@ -49,6 +49,7 @@ def _number(convert, ok, expected):
 
 
 _COUNT = _number(int, lambda n: n >= 1, "an integer >= 1")
+_SEED = _number(int, lambda n: n >= 0, "an integer >= 0")
 _POSITIVE = _number(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")  # NaN fails
 
 
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=42)
+        sp.add_argument("--seed", type=_SEED, default=42)
         sp.add_argument("--radius", type=_POSITIVE, default=10.0,
                         help="sampling radius for unbounded coordinates")
 

@@ -169,29 +169,23 @@ def classify(p: VIProblem, res: SolveResult) -> str:
     return QUASI_NASH
 
 
-def solve_and_classify(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
-    res = solve(p, cfg)
-    if res.solved:
-        res = replace(res, classification=classify(p, res))
-    return res
-
-
 def multistart(p: VIProblem, cfg: SolveConfig | None = None, starts=8, seed=0,
                radius=10.0) -> list[SolveResult]:
     """Seeded starts across K plus the default start, solved independently;
-    solved results deduplicated by solution proximity and sorted by residual
-    then lexicographically by solution."""
+    solved results deduplicated by solution proximity, each kept one
+    classified, and sorted by residual then lexicographically by solution."""
     if starts < 1:
         raise ValueError("need at least one start")
     cfg = cfg or SolveConfig()
     start_points = [box_midpoint(p.set) if cfg.start is None else np.asarray(cfg.start, float),
                     *draw_samples(p.set, starts - 1, seed, radius).points]
-    results = [solve_and_classify(p, replace(cfg, start=s)) for s in start_points]
+    results = [solve(p, replace(cfg, start=s)) for s in start_points]
     deduped = []
     for res in results:
-        if res.solved and any(other.solved and np.linalg.norm(other.x - res.x) <= 1e-6
-                              for other in deduped):
-            continue
-        deduped.append(res)
+        if not res.solved:
+            deduped.append(res)
+        elif not any(other.solved and np.linalg.norm(other.x - res.x) <= 1e-6
+                     for other in deduped):
+            deduped.append(replace(res, classification=classify(p, res)))
     deduped.sort(key=lambda r: (not r.solved, r.residual, tuple(r.x)))
     return deduped

@@ -14,7 +14,7 @@ import pytest
 from vibox import (BoxSet, VIProblem, affine_mapping, boundary_sample_set,
                    coercivity_probe, fd_jacobian, get_problem, maximal_rank_tsearch,
                    multistart, normal_map, normal_map_jacobian_element, pl_condition_check,
-                   pmatrix_minors, pmatrix_oracle, solve, solve_and_classify,
+                   pmatrix_minors, pmatrix_oracle, solve,
                    uniform_pfunction_search, upsilon_build)
 from vibox.cli import main as cli_main
 
@@ -44,7 +44,7 @@ def test_criterion_1_multistart_solves_coupled_affine_vi(scorecard):
 
 def test_criterion_2_game_classified_nash_with_exact_gap_moduli(scorecard):
     p = get_problem("example-game")
-    res = solve_and_classify(p)
+    res = multistart(p, starts=1)[0]
     rep = pl_condition_check(p.game, res.x, samples=200, seed=42)
     mu = rep.metrics["mu"]
     ok = (res.status == "solved" and res.classification == "nash"

@@ -121,6 +121,22 @@ class TestSigmaSweep:
         assert rep.witness is not None
 
 
+def evaluations(monkeypatch, check, builder):
+    """(sorted bytes of every point F is called at, sorted bytes of the
+    distinct ends of the pairs the module's ``builder`` returns, report) for
+    ``check`` with 120 pairs on a mixed box."""
+    calls, pairs = [], []
+    call = Mapping.__call__
+    monkeypatch.setattr(Mapping, "__call__",
+                        lambda self, x: calls.append(x.tobytes()) or call(self, x))
+    build = getattr(certificates, builder)
+    monkeypatch.setattr(certificates, builder, lambda *a: pairs.extend(build(*a)) or pairs)
+    p = VIProblem(builtin_mapping("cubic-plus-linear", 3),
+                  BoxSet.bounds([-1.0, 0.0, -np.inf], [1.0, np.inf, np.inf]))
+    rep = check(p, pairs=120, seed=2)
+    return sorted(calls), sorted({z.tobytes() for pair in pairs for z in pair}), rep
+
+
 class TestPfunctionSearch:
     def test_example_vi_fails_along_antidiagonal(self):
         rep = uniform_pfunction_search(get_problem("example-vi"), pairs=200, seed=42)
@@ -153,6 +169,11 @@ class TestPfunctionSearch:
     def test_pair_floor(self):
         with pytest.raises(ValueError):
             uniform_pfunction_search(get_problem("example-vi"), pairs=10)
+
+    @pytest.mark.parametrize("check", [uniform_pfunction_search, block_pfunction_search])
+    def test_one_evaluation_per_distinct_point(self, check, monkeypatch):
+        calls, points, rep = evaluations(monkeypatch, check, "_pair_stream")
+        assert rep.budget["pairs"] == 120 and sorted(calls) == points
 
 
 class TestBlockPfunction:
@@ -197,15 +218,11 @@ class TestGrowthFit:
         assert rep.verdict == "pass" and np.isfinite(rep.metrics["Lp"])
         assert rep.metrics["coverage"] == 1.0
 
-    def test_two_evaluations_per_pair(self, monkeypatch):
-        # the fit and the coverage share one F(x), F(y) per pair
-        calls = []
-        call = Mapping.__call__
-        monkeypatch.setattr(Mapping, "__call__", lambda self, x: calls.append(1) or call(self, x))
-        p = VIProblem(builtin_mapping("cubic-plus-linear", 3),
-                      BoxSet.bounds([-1.0, 0.0, -np.inf], [1.0, np.inf, np.inf]))
-        rep = growth_l0lp_fit(p, pairs=120, seed=2)
-        assert rep.budget["pairs"] == 120 and len(calls) == 2 * 120
+    def test_one_evaluation_per_distinct_point(self, monkeypatch):
+        # grid pairs share their base, and some projected ends coincide
+        calls, points, rep = evaluations(monkeypatch, growth_l0lp_fit, "_pairs")
+        assert rep.budget["pairs"] == 120 and sorted(calls) == points
+        assert len(points) < 2 * 120
 
 
 class TestUpsilon:
@@ -495,6 +512,61 @@ class TestPLCondition:
             pl_condition_check(g, np.array([1.0, 1.0]))
 
 
+def pl_mu_oracle(g, xbar, rows):
+    """mu per player from a plain loop over the rows; inf for a player with no
+    row of positive gap."""
+    mus = []
+    for i in range(g.num_players):
+        sl, qii = g.block_slice(i), g.block(i, i)
+        b = np.zeros(g.block_sizes[i])
+        for j in range(g.num_players):
+            if j != i:
+                b = b + g.block(i, j) @ xbar[g.block_slice(j)]
+        b = b + g.c[i]
+        x_opt = np.linalg.solve(qii, -b)
+        mu = np.inf
+        for row in rows:
+            dx = row[sl] - x_opt
+            gap = float(0.5 * dx @ qii @ dx)
+            if gap > 1e-12:
+                mu = min(mu, float(np.sum((qii @ row[sl] + b) ** 2)) / gap)
+        mus.append(mu)
+    return mus
+
+
+@st.composite
+def stationary_games(draw):
+    """(game, stationary point): 2 or 3 players with blocks of size 1 to 3,
+    positive definite own blocks, a box mixing every kind of coordinate, and
+    c chosen so that the gradient map vanishes at the point."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    box = draw(mixed_boxes(st.just(sum(sizes))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = {(i, j): rng.uniform(-1.0, 1.0, (a, b))
+         for i, a in enumerate(sizes) for j, b in enumerate(sizes)}
+    for i, a in enumerate(sizes):
+        s = q[i, i] @ q[i, i].T + rng.uniform(0.1, 2.0) * np.eye(a)
+        q[i, i] = (s + s.T) / 2.0
+    g = make_game(sizes, q, [np.zeros(a) for a in sizes], BoxSet(box.lo, box.hi, sizes))
+    xbar = rng.uniform(-5.0, 5.0, g.dim)
+    c = -(g.full_matrix() @ xbar)
+    g = make_game(sizes, q, [c[g.block_slice(i)] for i in range(len(sizes))], g.box)
+    return g, xbar
+
+
+class TestPLSampler:
+    @given(stationary_games(), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_row_loop(self, game, samples, seed):
+        g, xbar = game
+        rep = pl_condition_check(g, xbar, samples=samples, seed=seed)
+        mus = pl_mu_oracle(g, xbar, draw_samples(g.box, samples, seed).points)
+        if not all(np.isfinite(mus)):
+            assert rep.verdict == "inconclusive"
+            return
+        assert rep.verdict == ("pass" if min(mus) > 0.0 else "fail")
+        np.testing.assert_allclose(rep.metrics["mu"], mus, rtol=1e-12, atol=0.0)
+
+
 class TestHessianBlockConvexity:
     def test_example_game(self):
         rep = hessian_block_convexity(get_problem("example-game").game)
@@ -547,9 +619,9 @@ _BOUND = st.floats(-30.0, 30.0)  # beyond the radius too: lo > radius, hi < -rad
 
 
 @st.composite
-def mixed_boxes(draw):
+def mixed_boxes(draw, dims=st.integers(1, 4)):
     """Boxes mixing half-bounded, bounded, one-point and free coordinates."""
-    m = draw(st.integers(1, 4))
+    m = draw(dims)
     lo, hi = [], []
     for kind in draw(st.lists(st.sampled_from(["lower", "upper", "both", "point", "free"]),
                               min_size=m, max_size=m)):

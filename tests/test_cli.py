@@ -75,6 +75,8 @@ class TestNumberOptions:
         ("certify", "example-vi", "--radius", "inf"),
         ("certify", "example-vi", "--radius", "-1"),
         ("certify", "example-vi", "--tol", "-1"),
+        ("solve", "example-vi", "--seed", "-1"),
+        ("certify", "example-vi", "--seed", "-1"),
     ], ids=" ".join)
     def test_out_of_range_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

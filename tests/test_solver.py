@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, get_problem,
-                   multistart, normal_map, project, solve, solve_and_classify)
+from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, classify, get_problem,
+                   multistart, normal_map, project, solve, uniform_pfunction_search)
 from vibox.registry import problem_ids
 from vibox import solver
 from vibox.solver import REG_FLOOR, SolveResult, newton_direction
@@ -176,19 +176,20 @@ class TestSingularityRule:
 class TestClassify:
     def test_example_game_is_nash(self):
         p = get_problem("example-game")
-        res = solve_and_classify(p)
+        res = multistart(p, starts=1)[0]
         assert res.status == "solved"
-        assert res.classification == "nash"
+        assert res.classification == "nash" == classify(p, solve(p))
         assert np.linalg.norm(res.x) <= 1e-8
 
     def test_plain_vi_label(self):
-        res = solve_and_classify(get_problem("example-vi"))
-        assert res.classification == "vi-solution"
+        p = get_problem("example-vi")
+        assert classify(p, solve(p)) == "vi-solution"
 
     def test_unsolved_has_no_label(self):
-        res = solve_and_classify(get_problem("cubic-free"),
-                                 SolveConfig(max_iters=1, start=np.array([2.0, 2.0])))
-        assert res.classification == "n/a"
+        p = get_problem("cubic-free")
+        cfg = SolveConfig(max_iters=1, start=np.array([2.0, 2.0]))
+        assert classify(p, solve(p, cfg)) == "n/a"
+        assert multistart(p, cfg, starts=1)[0].classification == "n/a"
 
 
 class TestMultistart:
@@ -217,6 +218,21 @@ class TestMultistart:
         with pytest.raises(ValueError):
             multistart(get_problem("example-vi"), starts=0)
 
+    @pytest.mark.parametrize("pid", ["example-game", "example-vi", "spd-box"])
+    def test_classify_once_per_kept_solved_result(self, pid, monkeypatch):
+        p = get_problem(pid)
+        seen = []
+
+        def record(p, res):
+            seen.append(res.x)
+            return classify(p, res)
+
+        monkeypatch.setattr(solver, "classify", record)
+        results = multistart(p, starts=8, seed=3)
+        kept = [r.x.tobytes() for r in results if r.solved]
+        assert sorted(x.tobytes() for x in seen) == sorted(kept)
+        assert all(r.classification != "n/a" for r in results if r.solved)
+
 
 class TestStartSelection:
     def test_default_start_is_box_midpoint(self):
@@ -237,11 +253,11 @@ class TestStartSelection:
 
 
 def per_start_draws(box, starts, seed, radius):
-    """The start points multistart drew one at a time before it used
-    draw_samples, kept as the oracle of its seeded starts."""
+    """The seeded start points, drawn one at a time: an infinite side moves in
+    to radius from 0, or to radius past the finite bound when that is further."""
     rng = np.random.default_rng(seed)
-    lo = np.where(np.isfinite(box.lo), box.lo, -radius)
-    hi = np.maximum(np.where(np.isfinite(box.hi), box.hi, radius), lo)
+    lo = [a if np.isfinite(a) else min(-radius, b - radius) for a, b in zip(box.lo, box.hi)]
+    hi = [b if np.isfinite(b) else max(radius, a + radius) for a, b in zip(box.lo, box.hi)]
     return [np.clip(rng.uniform(lo, hi), box.lo, box.hi) for _ in range(starts - 1)]
 
 
@@ -263,6 +279,23 @@ def half_bounded_boxes(draw):
     return BoxSet.bounds(lo, hi)
 
 
+def record_starts(p, **kw):
+    """The start of every solve multistart makes, with solver.solve replaced."""
+    seen = []
+
+    def record(p, cfg=None):
+        seen.append(cfg.start)
+        return SolveResult("max-iters", cfg.start, cfg.start, 1.0, (1.0,), ())
+
+    original = solver.solve
+    solver.solve = record
+    try:
+        multistart(p, **kw)
+    finally:
+        solver.solve = original
+    return seen
+
+
 class TestMultistartStarts:
     @given(half_bounded_boxes(), st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([0.5, 1.0, 10.0, 25.0]))
@@ -270,16 +303,16 @@ class TestMultistartStarts:
         p = VIProblem(affine_mapping(np.eye(box.dim)), box)
         seen = []
 
-        def record(p, cfg=None, g=None):
-            seen.append(cfg.start)
-            return SolveResult("max-iters", cfg.start, cfg.start, 1.0, (1.0,), ())
-
-        original = solver.solve_and_classify
-        solver.solve_and_classify = record
-        try:
-            multistart(p, starts=starts, seed=seed, radius=radius)
-        finally:
-            solver.solve_and_classify = original
+        seen = record_starts(p, starts=starts, seed=seed, radius=radius)
         expected = per_start_draws(box, starts, seed, radius)
         assert len(seen) == starts
         assert [s.tobytes() for s in seen[1:]] == [s.tobytes() for s in expected]
+
+    def test_lower_bound_beyond_radius_gives_distinct_starts(self):
+        # [20, inf): the window is [20, 30], not the single point 20
+        box = BoxSet.bounds([20.0], [np.inf])
+        seen = record_starts(VIProblem(affine_mapping(np.eye(1)), box), starts=8, seed=0)
+        assert len({s.tobytes() for s in seen}) == 8
+        assert all(20.0 <= s[0] <= 30.0 for s in seen)
+        rep = uniform_pfunction_search(VIProblem(affine_mapping(np.eye(1)), box), pairs=100)
+        assert rep.budget["pairs"] == 100
