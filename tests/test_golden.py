@@ -8,10 +8,12 @@ kinds, iteration counts and ``float.hex`` of every coordinate of ``x`` and
 as is.
 
 ``tests/data/golden_certify.json`` pins the exit code and the full stdout of
-``vibox certify`` with default options for every registry problem and for
+``vibox certify`` with default options for every registry problem, for
 three seeded affine VIs with m = 8 (a P-matrix, one with a planted negative
-2x2 principal minor, and a rank-deficient one).  A checker change that keeps
-every margin and witness bit-identical leaves it as is.
+2x2 principal minor, and a rank-deficient one), and for a seeded two-player
+game with 2-dim own blocks on a bounded box, whose ``pl`` margin is not a
+round number.  A checker change that keeps every margin and witness
+bit-identical leaves it as is.
 
 Regenerate a file (only for a deliberate behaviour change) with
 
@@ -30,8 +32,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, get_problem, multistart,
-                   save_problem, solve)
+from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, game_to_vi, get_problem,
+                   make_game, multistart, save_problem, solve)
 from vibox.certificates import certify_problem
 from vibox.cli import main
 from vibox.registry import problem_ids
@@ -73,6 +75,21 @@ def affine_cases(m=8):
             for tag, mat in (("pmatrix", a), ("planted", planted), ("singular", singular))}
 
 
+def game_cases():
+    """A seeded two-player game with 2-dim own blocks on [-3, 3]^4 whose unique
+    Nash equilibrium lies inside the box."""
+    rng = np.random.default_rng(9)
+    q = {(i, j): rng.uniform(-0.5, 0.5, (2, 2)) for i in range(2) for j in range(2)}
+    for i in range(2):
+        s = q[i, i] @ q[i, i].T + np.eye(2)
+        q[i, i] = (s + s.T) / 2.0
+    g = make_game((2, 2), q, (np.zeros(2), np.zeros(2)),
+                  BoxSet(np.full(4, -3.0), np.full(4, 3.0), (2, 2)))
+    c = -(g.full_matrix() @ rng.uniform(-1.0, 1.0, 4))
+    g = make_game((2, 2), q, (c[:2], c[2:]), g.box)
+    return {"game-2x2-box": game_to_vi(g, name="game-2x2-box")}
+
+
 def certify_output(problem):
     """Exit code and stdout of ``vibox certify <problem>``."""
     out = io.StringIO()
@@ -82,16 +99,16 @@ def certify_output(problem):
 
 
 def certify_record(name):
-    """Certify record of a registry problem, or of an affine case written to
-    the current directory (so that the report names a relative path)."""
-    cases = affine_cases()
+    """Certify record of a registry problem, or of an affine or game case
+    written to the current directory (so that the report names a relative path)."""
+    cases = {**affine_cases(), **game_cases()}
     if name in cases:
         save_problem(cases[name], f"{name}.json")
         return certify_output(f"{name}.json")
     return certify_output(name)
 
 
-CERTIFY_NAMES = problem_ids() + sorted(affine_cases())
+CERTIFY_NAMES = problem_ids() + sorted(affine_cases()) + sorted(game_cases())
 
 
 @pytest.mark.parametrize("pid", problem_ids())
