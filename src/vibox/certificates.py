@@ -623,8 +623,8 @@ def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0) -> Certifica
     suboptimality gap, upgrading the candidate to a Nash equilibrium.  Each
     player reads its own columns of one draw_samples call over K."""
     xbar = as_vector(xbar, g.dim)
-    vi = game_to_vi(g)
-    grad_norm = float(np.linalg.norm(vi.F(xbar)))
+    grad = game_to_vi(g).F(xbar)
+    grad_norm = float(np.linalg.norm(grad))
     if grad_norm > 1e-6:
         raise NotStationaryError(
             f"candidate is not stationary: gradient-map norm {grad_norm:.3e} > 1e-6")
@@ -634,11 +634,7 @@ def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0) -> Certifica
     for i in range(g.num_players):
         sl = g.block_slice(i)
         qii = g.block(i, i)
-        b = np.zeros(g.block_sizes[i])
-        for j in range(g.num_players):
-            if j != i:
-                b = b + g.block(i, j) @ xbar[g.block_slice(j)]
-        b = b + g.c[i]
+        b = grad[sl] - qii @ xbar[sl]  # own gradient is qii @ x_i + b, others at xbar
         lam = float(np.linalg.eigvalsh(qii)[0])
         if lam > 1e-12:
             x_opt = np.linalg.solve(qii, -b)

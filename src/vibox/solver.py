@@ -182,10 +182,9 @@ def multistart(p: VIProblem, cfg: SolveConfig | None = None, starts=8, seed=0,
     results = [solve(p, replace(cfg, start=s)) for s in start_points]
     deduped = []
     for res in results:
-        if not res.solved:
-            deduped.append(res)
-        elif not any(other.solved and np.linalg.norm(other.x - res.x) <= 1e-6
-                     for other in deduped):
-            deduped.append(replace(res, classification=classify(p, res)))
+        if res.solved and any(other.solved and np.linalg.norm(other.x - res.x) <= 1e-6
+                              for other in deduped):
+            continue
+        deduped.append(replace(res, classification=classify(p, res)) if res.solved else res)
     deduped.sort(key=lambda r: (not r.solved, r.residual, tuple(r.x)))
     return deduped
