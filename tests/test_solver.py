@@ -301,8 +301,6 @@ class TestMultistartStarts:
            st.sampled_from([0.5, 1.0, 10.0, 25.0]))
     def test_starts_match_per_start_draws(self, box, starts, seed, radius):
         p = VIProblem(affine_mapping(np.eye(box.dim)), box)
-        seen = []
-
         seen = record_starts(p, starts=starts, seed=seed, radius=radius)
         expected = per_start_draws(box, starts, seed, radius)
         assert len(seen) == starts
