@@ -1,11 +1,12 @@
 """Golden runs: solver results and certify reports, bit for bit.
 
-``tests/data/golden_multistart.json`` pins, per registry problem, what
-``multistart(p, starts=8, seed=42)`` returns, and what ``solve`` returns from
-each of 8 seeded start points before any deduplication: statuses, step
-kinds, iteration counts and ``float.hex`` of every coordinate of ``x`` and
-``v``.  A solver change that keeps Newton iterates bit-identical leaves it
-as is.
+``tests/data/golden_multistart.json`` pins, per registry problem and for a
+seeded nonconvex game whose stalled starts backtrack about 20 times per
+Newton iteration, what ``multistart(p, starts=8, seed=42)`` returns, and
+what ``solve`` returns from each of 8 seeded start points before any
+deduplication: statuses, step kinds, iteration counts and ``float.hex`` of
+every coordinate of ``x`` and ``v``.  A solver change that keeps Newton
+iterates bit-identical leaves it as is.
 
 ``tests/data/golden_certify.json`` pins the exit code and the full stdout of
 ``vibox certify`` with default options for every registry problem, for
@@ -47,8 +48,9 @@ def _record(r):
             "x": [float(t).hex() for t in r.x], "v": [float(t).hex() for t in r.v]}
 
 
-def snapshot(pid):
-    p = get_problem(pid)
+def snapshot(name):
+    cases = stall_cases()
+    p = cases[name] if name in cases else get_problem(name)
     rng = np.random.default_rng(42)
     lo = np.where(np.isfinite(p.set.lo), p.set.lo, -10.0)
     hi = np.where(np.isfinite(p.set.hi), p.set.hi, 10.0)
@@ -90,6 +92,26 @@ def game_cases():
     return {"game-2x2-box": game_to_vi(g, name="game-2x2-box")}
 
 
+def stall_cases():
+    """A seeded three-player game on [-3, 3]^4 with blocks (2, 1, 1) whose first
+    own block is indefinite: half of the seeded starts of ``snapshot`` and all
+    but one of ``multistart``'s end in line-search-stall, after about 20
+    halvings per Newton iteration."""
+    rng = np.random.default_rng(37)
+    a = 0.4 * rng.standard_normal((4, 4))
+    u = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    own = u @ np.diag([-rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)]) @ u.T
+    a[:2, :2] = (own + own.T) / 2.0
+    for i in (2, 3):
+        a[i, i] = rng.standard_normal() ** 2 + 0.5
+    c = rng.uniform(-3.0, 3.0, 4)
+    sl = (slice(0, 2), slice(2, 3), slice(3, 4))
+    q = {(i, j): a[sl[i], sl[j]] for i in range(3) for j in range(3)}
+    g = make_game((2, 1, 1), q, [c[s] for s in sl],
+                  BoxSet(np.full(4, -3.0), np.full(4, 3.0), (2, 1, 1)))
+    return {"game-3p-stall": game_to_vi(g, name="game-3p-stall")}
+
+
 def certify_output(problem):
     """Exit code and stdout of ``vibox certify <problem>``."""
     out = io.StringIO()
@@ -108,17 +130,25 @@ def certify_record(name):
     return certify_output(name)
 
 
+MULTISTART_NAMES = problem_ids() + sorted(stall_cases())
 CERTIFY_NAMES = problem_ids() + sorted(affine_cases()) + sorted(game_cases())
 
 
-@pytest.mark.parametrize("pid", problem_ids())
+@pytest.mark.parametrize("pid", MULTISTART_NAMES)
 def test_multistart_matches_golden(pid):
     golden = json.loads(GOLDEN.read_text())
     assert snapshot(pid) == golden[pid]
 
 
 def test_golden_covers_registry():
-    assert sorted(json.loads(GOLDEN.read_text())) == problem_ids()
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(MULTISTART_NAMES)
+
+
+def test_stall_case_pins_long_backtracking():
+    golden = json.loads(GOLDEN.read_text())["game-3p-stall"]
+    stalled = [r for r in golden["starts"] if r["status"] == "line-search-stall"]
+    assert len(stalled) >= 2 and min(r["iterations"] for r in stalled) >= 10
+    assert any(r["status"] == "solved" for r in golden["multistart"])
 
 
 @pytest.mark.parametrize("name", CERTIFY_NAMES)
@@ -143,7 +173,7 @@ def test_sigma_sweep_fails_on_rank_deficient_case():
 if __name__ == "__main__":
     which = sys.argv[1:] or ["multistart", "certify"]
     if "multistart" in which:
-        GOLDEN.write_text(json.dumps({pid: snapshot(pid) for pid in problem_ids()},
+        GOLDEN.write_text(json.dumps({name: snapshot(name) for name in MULTISTART_NAMES},
                                      indent=1, sort_keys=True) + "\n")
     if "certify" in which:
         with tempfile.TemporaryDirectory() as tmp:
