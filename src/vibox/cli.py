@@ -9,6 +9,7 @@ file (see problem_io for the file schema).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -170,7 +171,10 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it names a command, and
+    main runs the module's cmd_<command> as it is at call time."""
     parser = _Parser(prog="vibox", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -185,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--starts", type=_COUNT, default=8)
     sp.add_argument("--tol", type=_POSITIVE, default=1e-10)
     sp.add_argument("--trace", action="store_true", help="include residual traces")
-    sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("certify", help="run existence-condition checkers")
     sp.add_argument("problem")
@@ -193,25 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_COUNT, default=30)
     sp.add_argument("--tol", type=_POSITIVE, default=1e-8)
     sp.add_argument("--conditions", help="comma-separated condition ids (default: all)")
-    sp.set_defaults(fn=cmd_certify)
 
     sp = sub.add_parser("report", help="merge run reports into a comparison table")
     sp.add_argument("files", nargs="*")
     sp.add_argument("--format", choices=("text", "delimited"), default="text")
-    sp.set_defaults(fn=cmd_report)
 
-    sp = sub.add_parser("list", help="list builtin problems")
-    sp.set_defaults(fn=cmd_list)
+    sub.add_parser("list", help="list builtin problems")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    return args.fn(args)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

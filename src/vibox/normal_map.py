@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,8 +16,7 @@ VIOLATION_WITNESS = "violation-witness"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class NormalMapEval:
+class NormalMapEval(NamedTuple):
     v: np.ndarray
     z: np.ndarray  # projected point P_K[v]
     r: np.ndarray  # residual v - z + F(z)
@@ -23,10 +24,17 @@ class NormalMapEval:
 
 
 def normal_map(p: VIProblem, v) -> NormalMapEval:
+    """The residual at v, with the projection and F evaluated inline: this is
+    the solver's line-search step, called once per trial.  F is checked for
+    finiteness through the norm only; when the norm is not finite, p.F(z)
+    raises EvaluationError if F(z) is non-finite, exactly as it would have."""
     v = as_vector(v, p.dim)
-    z = project(p.set, v)
-    r = v - z + p.F(z)
-    return NormalMapEval(v=v, z=z, r=r, norm=float(np.linalg.norm(r)))
+    z = np.minimum(np.maximum(v, p.set.lo), p.set.hi)
+    r = v - z + np.asarray(p.mapping.fn(z), dtype=float)
+    norm = math.sqrt(r.dot(r))  # np.linalg.norm(r): the same call, without its dispatch
+    if not math.isfinite(norm):
+        p.F(z)
+    return NormalMapEval(v, z, r, norm)
 
 
 def normal_map_jacobian_element(p: VIProblem, v) -> np.ndarray:

@@ -132,7 +132,7 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
             else:
                 ok = theta <= (1.0 - ARMIJO_SLOPE * t) * theta0
             if ok and theta < theta0:
-                accepted = (v + t * d, trial)
+                accepted = trial
                 break
             t *= BACKTRACK
         if accepted is None:
@@ -141,7 +141,7 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
             else:
                 status = LINE_SEARCH_STALL
             break
-        v, ev = accepted
+        v, ev = accepted.v, accepted
         trace.append(ev.norm)
         steps.append(kind)
     if ev.norm <= cfg.tol:

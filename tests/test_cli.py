@@ -65,6 +65,24 @@ class TestSolveCommand:
         assert code == 1 and "error" in err
 
 
+class TestParserReuse:
+    def test_consecutive_calls_do_not_share_options(self, capsys):
+        _, fresh, _ = run_cli(capsys, "solve", "example-vi", "--starts", "2")
+        _, traced, _ = run_cli(capsys, "solve", "example-vi", "--trace", "--seed", "7",
+                               "--starts", "2")
+        assert "trace" in json.loads(traced)["results"][0]
+        _, again, _ = run_cli(capsys, "solve", "example-vi", "--starts", "2")
+        assert again == fresh
+        doc = json.loads(again)
+        assert doc["config"]["seed"] == 42 and "trace" not in doc["results"][0]
+
+    def test_command_replaced_after_first_call_runs(self, capsys, monkeypatch):
+        run_cli(capsys, "solve", "example-vi", "--starts", "1")
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.problem) or 7)
+        assert main(["solve", "spd-box"]) == 7 and seen == ["spd-box"]
+
+
 class TestNumberOptions:
     @pytest.mark.parametrize("argv", [
         ("certify", "example-vi", "--samples", "0"),

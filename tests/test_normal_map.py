@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vibox import (BoxSet, VIProblem, affine_mapping, coercivity_probe, get_problem,
-                   normal_map, normal_map_jacobian_element, projection_jacobian_element)
-from vibox.model import fd_jacobian
+from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, coercivity_probe, get_problem,
+                   normal_map, normal_map_jacobian_element, project,
+                   projection_jacobian_element)
+from vibox.model import EvaluationError, fd_jacobian
 
 
 def box_identity():
@@ -40,6 +42,50 @@ class TestNormalMap:
             v = rng.uniform(-5, 5, 2)
             ev = normal_map(p, v)
             assert np.array_equal(ev.r, ev.v - ev.z + p.F(ev.z))
+
+
+    @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_formula_bit_for_bit(self, m, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-3, 4, (m, m))
+        lo = rng.choice([-np.inf, -1.0, 0.0], m)
+        hi = rng.choice([0.0, 1.0, np.inf], m)
+        p = VIProblem(affine_mapping(a, rng.standard_normal(m)), BoxSet.bounds(lo, hi))
+        v = rng.uniform(-3.0, 3.0, m)
+        z = project(p.set, v)
+        r = v - z + p.F(z)
+        ev = normal_map(p, v)
+        assert ev.z.tobytes() == z.tobytes() and ev.r.tobytes() == r.tobytes()
+        assert float(ev.norm).hex() == float(np.linalg.norm(r)).hex()
+
+    @pytest.mark.parametrize("v, coordinate", [([0.2, 0.7, 0.9], 1), ([2.0, 0.1, 0.3], 0)])
+    def test_nonfinite_mapping_raises_with_coordinate(self, v, coordinate):
+        nan_above_half = Mapping(fn=lambda x: np.where(x > 0.5, np.nan, x), dim=3)
+        p = VIProblem(nan_above_half, BoxSet.bounds([0.0] * 3, [1.0] * 3))
+        with pytest.raises(EvaluationError) as direct:
+            p.F(project(p.set, v))
+        with pytest.raises(EvaluationError) as via_normal_map:
+            normal_map(p, v)
+        assert via_normal_map.value.coordinate == direct.value.coordinate == coordinate
+        assert str(via_normal_map.value) == str(direct.value)
+
+    def test_overflowing_builtin_mapping_raises(self):
+        p = get_problem("cubic-free")
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError) as exc:
+            normal_map(p, [1.0, 1e200])
+        assert exc.value.coordinate == 1
+
+    def test_overflowing_norm_of_finite_residual_is_inf(self):
+        p = VIProblem(affine_mapping(np.eye(2)), BoxSet.full_space(2))
+        with np.errstate(over="ignore"):
+            ev = normal_map(p, [1e200, -1e200])
+        assert np.all(np.isfinite(ev.r)) and ev.norm == np.inf
+
+    def test_eval_is_immutable(self):
+        ev = normal_map(get_problem("example-vi"), [1.0, 1.0])
+        for field in ("v", "z", "r", "norm"):
+            with pytest.raises(AttributeError):
+                setattr(ev, field, 0.0)
 
 
 class TestNormalMapJacobianElement:

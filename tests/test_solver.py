@@ -102,6 +102,13 @@ class TestSolve:
         assert res.residual == res.trace[-1]
         assert res.residual == normal_map(p, res.v).norm
 
+    @pytest.mark.parametrize("pid", problem_ids())
+    def test_result_is_the_normal_map_at_v(self, pid):
+        p = get_problem(pid)
+        for res in multistart(p, starts=8, seed=3):
+            ev = normal_map(p, res.v)
+            assert res.residual == ev.norm and np.array_equal(res.x, ev.z)
+
     def test_step_kinds_recorded(self):
         res = solve(get_problem("example-vi"))
         assert set(res.steps) <= {"newton", "regularized", "gradient", "picard"}
