@@ -44,19 +44,26 @@ def _encode_bound(v):
 
 
 def load_problem(path) -> VIProblem:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ProblemFileError(f"{path}: cannot read a UTF-8 problem file: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ProblemFileError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     try:
         return problem_from_dict(doc)
-    except (KeyError, ConfigurationError, ProblemFileError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, ConfigurationError, ProblemFileError, TypeError,
+            ValueError) as e:
         raise ProblemFileError(f"{path}: {e}") from e
 
 
 def problem_from_dict(doc) -> VIProblem:
+    if not isinstance(doc, dict):
+        raise ProblemFileError(f"expected a JSON object at the top level, "
+                               f"got {type(doc).__name__}")
     name = doc.get("name", "unnamed")
     m = int(doc["m"])
     set_doc = doc["set"]

@@ -277,6 +277,26 @@ class TestProblemFiles:
         code, out, err = run_cli(capsys, "solve", str(path))
         assert code == 1 and out == "" and err.startswith("error:") and "NaN" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "list", "nested-list"])
+    def test_unreadable_problem_file_exit_one(self, tmp_path, capsys, kind):
+        path = tmp_path / "bad.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"name": "\xff"}')
+        elif kind == "list":
+            path.write_text("[1, 2]")
+        else:
+            doc = problem_to_dict(get_problem("example-game"))
+            doc["game"]["q"] = [1.0]
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFileError):
+            load_problem(path)
+        for command in ("solve", "certify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 1 and out == "" and err.startswith("error:")
+            assert err.count("\n") == 1 and str(path) in err
+
     @pytest.mark.parametrize("key", ["2,0", "0,2", "-1,0", "1,-1"])
     def test_game_block_key_out_of_range(self, tmp_path, capsys, key):
         path = tmp_path / "game.json"
