@@ -617,7 +617,8 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
                              "theorem may still apply with a larger t")
 
 
-def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0) -> CertificateReport:
+def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0,
+                       radius=10.0) -> CertificateReport:
     """Gap-domination check at a stationary candidate: for each player the
     squared own gradient must dominate a positive multiple of the
     suboptimality gap, upgrading the candidate to a Nash equilibrium.  Each
@@ -628,7 +629,7 @@ def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0) -> Certifica
     if grad_norm > 1e-6:
         raise NotStationaryError(
             f"candidate is not stationary: gradient-map norm {grad_norm:.3e} > 1e-6")
-    rows = draw_samples(g.box, samples, seed).points
+    rows = draw_samples(g.box, samples, seed, radius).points
     mus = []
     budget = {"samples": samples}
     for i in range(g.num_players):
@@ -712,7 +713,8 @@ def coercivity_check(p: VIProblem, seed) -> CertificateReport:
                              "slopes below the evidence threshold on some ray")
 
 
-def _pl_at_solution(p: VIProblem, g: QuadraticGame, seed) -> CertificateReport:
+def _pl_at_solution(p: VIProblem, g: QuadraticGame, seed, samples,
+                    radius) -> CertificateReport:
     """The PL check at the point the solver reaches from its default start."""
     from .solver import solve  # here: the solver imports this module
 
@@ -721,7 +723,7 @@ def _pl_at_solution(p: VIProblem, g: QuadraticGame, seed) -> CertificateReport:
         return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
                                  "no stationary candidate: solver did not converge")
     try:
-        return pl_condition_check(g, res.x, seed=seed)
+        return pl_condition_check(g, res.x, samples, seed, radius)
     except NotStationaryError as e:
         return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
                                  "the solver's point is a boundary equilibrium, outside "
@@ -764,7 +766,7 @@ CONDITIONS = {
     "maximal-rank": (lambda p, g, s: maximal_rank_tsearch(
         p, boundary_sample_set(p.set, s.samples, s.seed, s.radius), tol=s.tol), False),
     "coercivity": (lambda p, g, s: coercivity_check(p, s.seed), False),
-    "pl": (lambda p, g, s: _pl_at_solution(p, g, s.seed), True),
+    "pl": (lambda p, g, s: _pl_at_solution(p, g, s.seed, s.pairs, s.radius), True),
     "block-convexity": (lambda p, g, s: hessian_block_convexity(g), True),
 }
 

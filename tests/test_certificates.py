@@ -555,11 +555,12 @@ def stationary_games(draw):
 
 
 class TestPLSampler:
-    @given(stationary_games(), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
-    def test_matches_per_row_loop(self, game, samples, seed):
+    @given(stationary_games(), st.integers(1, 60), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.5, 10.0, 40.0]))
+    def test_matches_per_row_loop(self, game, samples, seed, radius):
         g, xbar = game
-        rep = pl_condition_check(g, xbar, samples=samples, seed=seed)
-        mus = pl_mu_oracle(g, xbar, draw_samples(g.box, samples, seed).points)
+        rep = pl_condition_check(g, xbar, samples=samples, seed=seed, radius=radius)
+        mus = pl_mu_oracle(g, xbar, draw_samples(g.box, samples, seed, radius).points)
         if not all(np.isfinite(mus)):
             assert rep.verdict == "inconclusive"
             return

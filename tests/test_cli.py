@@ -148,6 +148,29 @@ class TestCertifyCommand:
         assert cert["verdict"] == "inconclusive" and cert["margin"] is None
         assert "equal dimension" in cert["notes"] and "[1, 2]" in cert["notes"]
 
+    def test_pl_follows_samples_and_radius(self, tmp_path, capsys):
+        # Two players with 2-dim own blocks on R^4; the equilibrium is off 0, so
+        # the sampled directions from it, and with them pl's margin, move with
+        # the radius as well as with the number of samples.
+        q = {(0, 0): [[1.05, 0.05], [0.05, 1.5]], (0, 1): [[0.3, 0.4], [0.1, 0.2]],
+             (1, 0): [[0.0, 0.4], [0.3, -0.5]], (1, 1): [[1.41, 0.23], [0.23, 1.13]]}
+        g = make_game((2, 2), q, ([2.2, 0.2], [-1.2, -0.5]),
+                      BoxSet(np.full(4, -np.inf), np.full(4, np.inf), (2, 2)))
+        path = tmp_path / "game.json"
+        save_problem(game_to_vi(g), path)
+
+        def pl(*options):
+            code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl", *options)
+            (cert,) = json.loads(out)["certificates"]
+            assert code == 0 and cert["verdict"] == "pass"
+            return cert["budget"]["samples"], cert["margin"]
+
+        default = pl()
+        assert default[0] == 120  # the pair budget, max(100, 4 * samples)
+        fewer, narrower = pl("--samples", "5"), pl("--radius", "1")
+        assert fewer[0] == 100 and fewer[1] != default[1]
+        assert narrower[0] == 120 and narrower[1] != default[1]
+
     def test_boundary_equilibrium_pl_inconclusive(self, tmp_path, capsys):
         # Each player pushes towards +inf and stops at the bound 1: the gradient
         # map is (-1, -1) at the solution (1, 1), not zero.
