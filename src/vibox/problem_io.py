@@ -62,7 +62,7 @@ def load_problem(path) -> VIProblem:
 
 def problem_from_dict(doc) -> VIProblem:
     if not isinstance(doc, dict):
-        raise ProblemFileError(f"expected a JSON object at the top level, "
+        raise ProblemFileError("expected a JSON object at the top level, "
                                f"got {type(doc).__name__}")
     name = doc.get("name", "unnamed")
     m = int(doc["m"])
