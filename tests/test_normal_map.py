@@ -43,7 +43,6 @@ class TestNormalMap:
             ev = normal_map(p, v)
             assert np.array_equal(ev.r, ev.v - ev.z + p.F(ev.z))
 
-
     @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     def test_matches_reference_formula_bit_for_bit(self, m, seed):
         rng = np.random.default_rng(seed)
