@@ -18,6 +18,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 
 from .model import BoxSet, ConfigurationError, VIProblem, affine_mapping, game_to_vi, make_game
 from .registry import builtin_mapping
@@ -43,6 +44,29 @@ def _encode_bound(v):
     return v
 
 
+# orjson 3.8 has no nesting limit: a balanced 1,000,000-deep array overflows the
+# C stack and kills the process.  Each level opens with "[" or "{", so a text
+# with at most this many of them (strings included) is shallow enough for it.
+ORJSON_MAX_OPENINGS = 1024
+
+
+def _parse_json(text):
+    """json.loads(text), through orjson when the text is shallow enough.
+
+    orjson raises on what only json reads (NaN and Infinity literals, numbers
+    that overflow a double, lone surrogates, a byte-order mark) and on
+    malformed text; json then gives its document or its JSONDecodeError.
+    Floats are bit-identical either way; integers beyond the 64-bit range
+    come back from orjson as the nearest float.
+    """
+    if text.count("[") + text.count("{") <= ORJSON_MAX_OPENINGS:
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
+
+
 def load_problem(path) -> VIProblem:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -50,13 +74,17 @@ def load_problem(path) -> VIProblem:
     except (OSError, UnicodeDecodeError) as e:
         raise ProblemFileError(f"{path}: cannot read a UTF-8 problem file: {e}") from e
     try:
-        doc = json.loads(text)
+        doc = _parse_json(text)
     except json.JSONDecodeError as e:
         raise ProblemFileError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ProblemFileError(f"{path}: JSON nested too deeply") from e
+    except ValueError as e:  # an integer longer than int() reads
+        raise ProblemFileError(f"{path}: number too large: {e.args[0].split(';')[0]}") from e
     try:
         return problem_from_dict(doc)
-    except (AttributeError, KeyError, ConfigurationError, ProblemFileError, TypeError,
-            ValueError) as e:
+    except (AttributeError, KeyError, ConfigurationError, OverflowError, ProblemFileError,
+            TypeError, ValueError) as e:
         raise ProblemFileError(f"{path}: {e}") from e
 
 

@@ -1,0 +1,136 @@
+"""The problem-file parser: orjson where it is safe, json otherwise, and the
+same documents and problems either way."""
+
+import json
+import math
+import struct
+
+import numpy as np
+import orjson
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from vibox import BoxSet, VIProblem, affine_mapping, game_to_vi, load_problem, make_game
+from vibox.problem_io import (ORJSON_MAX_OPENINGS, _parse_json, problem_from_dict,
+                              save_problem)
+
+INT64_MIN, UINT64_MAX = -2 ** 63, 2 ** 64 - 1
+
+
+def same(a, b) -> bool:
+    """Equal and of the same type all the way down, floats bit for bit (so
+    0.0 and -0.0 differ), dict keys in the same order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def as_parsed(doc):
+    """json.loads's document as orjson reads it: an integer beyond the 64-bit
+    range becomes the nearest float, unless some number in the document
+    overflows a double, which sends the whole text to json."""
+    def floated(v):
+        if isinstance(v, list):
+            return [floated(x) for x in v]
+        if isinstance(v, dict):
+            return {k: floated(x) for k, x in v.items()}
+        if type(v) is int and not INT64_MIN <= v <= UINT64_MAX:
+            return float(v)
+        return v
+
+    try:
+        return floated(doc)
+    except OverflowError:
+        return doc
+
+
+floats = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.floats(min_value=-1e-300, max_value=1e-300)           # subnormals, +-0.0
+          | st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                             -0.0, 0.0]))
+integers = (st.integers(-2 ** 53, 2 ** 53)
+            | st.integers(INT64_MIN - 2 ** 70, INT64_MIN + 8)
+            | st.integers(UINT64_MAX - 8, 10 ** 40)
+            | st.integers(10 ** 300, 10 ** 310))                     # json only
+documents = st.recursive(
+    floats | integers | st.text(max_size=8) | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=6),
+    max_leaves=40)
+
+
+class TestParseJson:
+    @given(documents, st.sampled_from([None, 0, 2]), st.booleans())
+    def test_equals_json_loads(self, doc, indent, ensure_ascii):
+        text = json.dumps(doc, indent=indent, ensure_ascii=ensure_ascii)
+        assert same(_parse_json(text), as_parsed(json.loads(text)))
+
+    def test_json_only_inputs_read_as_json_reads_them(self):
+        for text in ('[NaN, Infinity, -Infinity]', '[1e400, -1e400]', '"\\ud800"',
+                     '[' + '7' * 400 + ']', '{"a": [1.5, "x"], "b": NaN}'):
+            assert same(_parse_json(text), as_parsed(json.loads(text))), text
+        assert math.isnan(_parse_json("NaN"))
+
+    def test_deep_text_goes_to_json(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("orjson called on deep text")
+
+        monkeypatch.setattr(orjson, "loads", refuse)
+        depth = ORJSON_MAX_OPENINGS + 1
+        with pytest.raises(RecursionError):
+            _parse_json("[" * depth + "]" * depth)
+        # Brackets inside strings count too: the guard errs towards json.
+        assert _parse_json('{"k": "' + "[" * depth + '"}') == {"k": "[" * depth}
+
+
+def affine_problems():
+    return st.integers(1, 5).flatmap(lambda m: st.tuples(
+        st.lists(floats, min_size=m * m, max_size=m * m),
+        st.lists(floats, min_size=m, max_size=m),
+        st.lists(st.sampled_from([-math.inf, -1.0, 0.0, -2.5e-310]), min_size=m, max_size=m),
+        st.lists(st.sampled_from([math.inf, 1.0, 3.25, 1e300]), min_size=m, max_size=m),
+    ).map(lambda t: VIProblem(affine_mapping(np.reshape(t[0], (m, m)), t[1]),
+                              BoxSet.bounds(t[2], t[3]), name="random-affine")))
+
+
+@st.composite
+def game_problems(draw):
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    q = {}
+    for i, si in enumerate(sizes):
+        for j, sj in enumerate(sizes):
+            block = np.reshape(draw(st.lists(floats, min_size=si * sj, max_size=si * sj)),
+                               (si, sj))
+            if i == j:
+                block = np.triu(block) + np.triu(block, 1).T    # exactly symmetric
+            q[(i, j)] = block
+    c = [draw(st.lists(floats, min_size=s, max_size=s)) for s in sizes]
+    m = sum(sizes)
+    box = BoxSet.bounds([-3.0] * m, [draw(st.sampled_from([3.0, math.inf]))] * m,
+                        blocks=tuple(sizes))
+    return game_to_vi(make_game(sizes, q, c, box), name="random-game")
+
+
+def problem_bytes(p):
+    parts = [p.name, p.set.lo.tobytes(), p.set.hi.tobytes(), p.set.blocks,
+             p.mapping.data["A"].tobytes(), p.mapping.data["b"].tobytes()]
+    if p.game is not None:
+        parts += [{k: v.tobytes() for k, v in p.game.q.items()},
+                  [v.tobytes() for v in p.game.c]]
+    return parts
+
+
+class TestLoadProblem:
+    @given(affine_problems() | game_problems())
+    def test_saved_problem_loads_as_with_json(self, tmp_path_factory, p):
+        path = tmp_path_factory.mktemp("saved") / "p.json"
+        save_problem(p, path)
+        via_json = problem_from_dict(json.loads(path.read_text()))
+        assert problem_bytes(load_problem(path)) == problem_bytes(via_json)
