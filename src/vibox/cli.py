@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .certificates import certify_problem
 from .model import EvaluationError
@@ -75,6 +77,12 @@ def _report_skeleton(command, problem_id, provenance, config):
     }
 
 
+# A mapping that overflows is reported as one error line (EvaluationError), not
+# also as numpy's RuntimeWarning.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def cmd_solve(args) -> int:
     try:
         p, provenance = resolve_problem(args.problem)
@@ -106,6 +114,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK if any(r.solved for r in results) else EXIT_NOT_SOLVED
 
 
+@_QUIET_OVERFLOW
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
     try:

@@ -11,7 +11,7 @@ import pytest
 import vibox
 from vibox import (BoxSet, VIProblem, affine_mapping, game_to_vi, get_problem, load_problem,
                    make_game, save_problem, solve)
-from vibox import cli
+from vibox import cli, problem_io
 from vibox.cli import main
 from vibox.problem_io import ProblemFileError, problem_to_dict
 
@@ -20,6 +20,60 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Every kind of write_bad_problem_file that is safe to parse in this process.
+BAD_FILE_KINDS = ["directory", "not-utf8", "list", "nested-list", "int-400-digits",
+                  "int-5000-digits", "list-100000-deep", "nan-bound", "syntax", "trailing-comma",
+                  "bom", "missing-field", "bad-bound", "empty-interval", "block-key"]
+
+
+def write_bad_problem_file(path, kind):
+    """Write a problem file that vibox must reject with one error line."""
+    doc = problem_to_dict(get_problem("example-vi"))
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"name": "\xff"}')
+    elif kind == "list":
+        path.write_text("[1, 2]")
+    elif kind == "nested-list":
+        doc = problem_to_dict(get_problem("example-game"))
+        doc["game"]["q"] = [1.0]
+        path.write_text(json.dumps(doc))
+    elif kind.startswith("int-"):             # int-<n>-digits: one entry of A
+        doc["affine"]["A"][0] = "BIG"
+        path.write_text(json.dumps(doc).replace('"BIG"', "9" * int(kind.split("-")[1])))
+    elif kind.startswith("list-"):            # list-<n>-deep
+        depth = int(kind.split("-")[1])
+        path.write_text("[" * depth + "]" * depth)
+    elif kind.startswith("object-"):          # object-<n>-deep
+        depth = int(kind.split("-")[1])
+        path.write_text('{"a":' * depth + "1" + "}" * depth)
+    elif kind == "nan-bound":
+        doc["set"]["lo"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+    elif kind == "syntax":
+        path.write_text('{\n  "m": 2,\n  oops\n}\n')
+    elif kind == "trailing-comma":
+        path.write_text(json.dumps(doc)[:-1] + ",}")
+    elif kind == "bom":
+        path.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
+    elif kind == "missing-field":
+        del doc["mapping"]
+        path.write_text(json.dumps(doc))
+    elif kind == "bad-bound":
+        doc["set"]["lo"][0] = "low"
+        path.write_text(json.dumps(doc))
+    elif kind == "empty-interval":
+        doc["set"]["lo"][0] = doc["set"]["hi"][0] = "inf"
+        path.write_text(json.dumps(doc))
+    elif kind == "block-key":
+        doc = problem_to_dict(get_problem("example-game"))
+        doc["game"]["q"]["2,0"] = [1.0]
+        path.write_text(json.dumps(doc))
+    else:
+        raise ValueError(kind)
 
 
 class TestList:
@@ -300,25 +354,42 @@ class TestProblemFiles:
         code, out, err = run_cli(capsys, "solve", str(path))
         assert code == 1 and out == "" and err.startswith("error:") and "NaN" in err
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "list", "nested-list"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "list", "nested-list",
+                                      "int-400-digits", "int-5000-digits", "list-100000-deep"])
     def test_unreadable_problem_file_exit_one(self, tmp_path, capsys, kind):
         path = tmp_path / "bad.json"
-        if kind == "directory":
-            path.mkdir()
-        elif kind == "not-utf8":
-            path.write_bytes(b'{"name": "\xff"}')
-        elif kind == "list":
-            path.write_text("[1, 2]")
-        else:
-            doc = problem_to_dict(get_problem("example-game"))
-            doc["game"]["q"] = [1.0]
-            path.write_text(json.dumps(doc))
+        write_bad_problem_file(path, kind)
         with pytest.raises(ProblemFileError):
             load_problem(path)
         for command in ("solve", "certify"):
             code, out, err = run_cli(capsys, command, str(path))
             assert code == 1 and out == "" and err.startswith("error:")
             assert err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("kind", ["list-1000000-deep", "object-200000-deep",
+                                      "int-400-digits", "int-5000-digits", "nan-bound"])
+    def test_pathological_file_exit_one_in_subprocess(self, tmp_path, kind):
+        # A parser that overflows the C stack kills the process; a subprocess
+        # turns that into a failed test instead of a dead test run.
+        path = tmp_path / "bad.json"
+        write_bad_problem_file(path, kind)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vibox.__file__)))
+        for command in ("solve", "certify"):
+            done = subprocess.run([sys.executable, "-m", "vibox.cli", command, str(path)],
+                                  capture_output=True, text=True, timeout=60, env=env)
+            assert done.returncode == 1 and done.stdout == "", done.stderr[-500:]
+            assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", BAD_FILE_KINDS)
+    def test_same_message_as_json_parser(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "bad.json"
+        write_bad_problem_file(path, kind)
+        with pytest.raises(ProblemFileError) as fast:
+            load_problem(path)
+        monkeypatch.setattr(problem_io, "_parse_json", json.loads)
+        with pytest.raises(ProblemFileError) as plain:
+            load_problem(path)
+        assert str(fast.value) == str(plain.value)
 
     @pytest.mark.parametrize("key", ["2,0", "0,2", "-1,0", "1,-1"])
     def test_game_block_key_out_of_range(self, tmp_path, capsys, key):
@@ -347,28 +418,22 @@ class TestProblemFiles:
                 code, out, err = run_cli(capsys, command, str(path))
             assert code == 1 and out == "" and err.startswith("error:") and "empty" in err
 
-    @pytest.mark.parametrize("condition", ["pfunction", "block-pfunction", "growth"])
-    def test_nonfinite_mapping_at_sample_exit_one(self, tmp_path, capsys, condition):
+    @pytest.mark.parametrize("argv", [("certify", "--conditions", "pfunction"),
+                                      ("certify", "--conditions", "block-pfunction"),
+                                      ("certify", "--conditions", "growth"), ("solve",)],
+                             ids=["pfunction", "block-pfunction", "growth", "solve"])
+    def test_nonfinite_mapping_at_sample_exit_one(self, tmp_path, capsys, argv):
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({
             "m": 1, "set": {"lo": [0.0], "hi": [2.0]},
             "mapping": {"kind": "affine"}, "affine": {"A": [1e308], "b": [1e308]},
         }))
-        with np.errstate(over="ignore"):
-            code, out, err = run_cli(capsys, "certify", str(path), "--conditions", condition)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "non-finite at a sampled point" in err
-
-    def test_nonfinite_mapping_at_start_exit_one(self, tmp_path, capsys):
-        path = tmp_path / "overflow.json"
-        path.write_text(json.dumps({
-            "m": 1, "set": {"lo": [0.0], "hi": [2.0]},
-            "mapping": {"kind": "affine"}, "affine": {"A": [1e308], "b": [1e308]},
-        }))
-        with np.errstate(over="ignore"):
-            code, out, err = run_cli(capsys, "solve", str(path))
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "non-finite" in err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1 and out == "" and err.count("\n") == 1
+        point = "a start point" if argv[0] == "solve" else "a sampled point"
+        assert err.startswith("error:") and f"non-finite at {point}" in err
 
 
 class TestReportCommand:
