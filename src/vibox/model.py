@@ -109,7 +109,7 @@ class Mapping:
 
 
 def affine_mapping(a, b=None) -> Mapping:
-    """F(x) = A x + b with constant Jacobian A."""
+    """F(x) = A x + b with constant Jacobian A; ``jac`` returns A itself, read-only."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError("affine matrix must be square")
@@ -120,7 +120,7 @@ def affine_mapping(a, b=None) -> Mapping:
     return Mapping(
         fn=lambda x: a @ x + b,
         dim=m,
-        jac=lambda x: a.copy(),
+        jac=lambda x: a,
         kind="affine",
         data={"A": a, "b": b},
     )

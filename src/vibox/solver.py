@@ -8,7 +8,7 @@ import numpy as np
 
 from .certificates import (box_midpoint, draw_samples, hessian_block_convexity,
                            pl_condition_check)
-from .model import EvaluationError, VIProblem
+from .model import EvaluationError, VIProblem, jacobian
 from .normal_map import normal_map, normal_map_jacobian_element
 from .projection import project
 
@@ -55,22 +55,44 @@ class SolveResult:
         return self.status == SOLVED
 
 
-def newton_direction(j: np.ndarray, r: np.ndarray, r_norm: float,
+def newton_direction(df: np.ndarray, free: np.ndarray, r: np.ndarray, r_norm: float,
                      reg_floor: float) -> np.ndarray | None:
-    """The Newton direction d solving J d = -r, or None when J is numerically
-    singular: the LU solve fails, or ||r|| < reg_floor * max(c, 1) * ||d|| with
-    c the largest column norm of J (NaN or inf in d fails this test too).
+    """The Newton direction d solving J d = -r for J = I - D + dF D, with D the
+    0/1 diagonal that is 1 on the boolean mask ``free``, or None when J is
+    numerically singular: the LU solve fails, or ||r|| < reg_floor * max(c, 1)
+    * ||d|| with c the largest column norm of J (NaN or inf in d fails this
+    test too).
+
+    The columns of J off ``free`` are unit vectors, so only the free block is
+    factored: dF[F, F] d_F = -r_F, then d_A = -r_A - dF[A, F] d_F.  With every
+    coordinate free this is the LU solve of dF itself; with none, d = -r.
 
     Since sigma_min(J) <= ||r|| / ||d|| and c <= sigma_max(J), this flags J
     only when the singular-value test sigma_min(J) < reg_floor *
     max(sigma_max(J), 1) flags it too; a near-singular J whose step stays
     bounded keeps its Newton step."""
     try:
-        d = np.linalg.solve(j, -r)
+        if free.all():
+            d = np.linalg.solve(df, -r)
+        else:
+            d = -r
+            if free.any():
+                d_free = np.zeros_like(r)
+                d_free[free] = np.linalg.solve(df[np.ix_(free, free)], d[free])
+                d -= df @ d_free
+                d[free] = d_free[free]
     except np.linalg.LinAlgError:
         return None
-    c = max(float(np.sqrt(np.max(np.einsum("ij,ij->j", j, j)))), 1.0)
+    # The active columns of J have norm 1, its free columns are those of dF.
+    col_sq = np.einsum("ij,ij->j", df, df)[free]
+    c = max(float(np.sqrt(np.max(col_sq))), 1.0) if col_sq.size else 1.0
     return d if r_norm >= reg_floor * c * float(np.linalg.norm(d)) else None
+
+
+def merit_gradient(df: np.ndarray, free: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """J^T r, the gradient of theta(v) = 1/2 ||r(v)||^2 for J = I - D + dF D:
+    dF^T r on the coordinates of the mask ``free``, r on the others."""
+    return np.where(free, df.T @ r, r)
 
 
 def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
@@ -81,10 +103,12 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
     fixed-point fallbacks when the Newton direction is not a descent
     direction for theta(v) = 1/2 ||r(v)||^2.
 
-    Singularity is read off the Newton solve itself, without an SVD: J
-    counts as singular when the LU solve of J d = -r fails or the step grows
-    past ||r|| / (REG_FLOOR * max(c, 1)), with c the largest column norm of J
-    (``newton_direction``).
+    J d = -r is solved on the free coordinates of v only (those inside or on
+    the bounds of K), followed by one back-substitution for the others.
+    Singularity is read off that solve, without an SVD: J counts as singular
+    when the LU solve fails or the step grows past ||r|| / (REG_FLOOR *
+    max(c, 1)), with c the largest column norm of J (``newton_direction``).
+    Only then is J itself built, for the regularized step.
 
     Raises EvaluationError when F is non-finite at the start point.
     """
@@ -98,13 +122,15 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
         if ev.norm <= cfg.tol:
             status = SOLVED
             break
-        j = normal_map_jacobian_element(p, v)
         r = ev.r
-        grad = j.T @ r  # gradient of the merit function
+        df = jacobian(p, ev.z)
+        free = (v >= p.set.lo) & (v <= p.set.hi)  # d == 1 in projection_jacobian_element
+        grad = merit_gradient(df, free, r)
         kind = "newton"
-        d = newton_direction(j, r, ev.norm, REG_FLOOR)
+        d = newton_direction(df, free, r, ev.norm, REG_FLOOR)
         if d is None:
             kind = "regularized"
+            j = normal_map_jacobian_element(p, v)
             d = np.linalg.solve(j.T @ j + REG_FLOOR * np.eye(p.dim), -grad)
         slope = float(grad @ d)
         if slope >= 0.0 or not np.all(np.isfinite(d)):

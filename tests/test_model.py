@@ -62,6 +62,14 @@ class TestJacobian:
         for m in mats:
             assert np.array_equal(m, a)
 
+    def test_affine_jacobian_is_read_only(self):
+        a = np.array([[1.0, 2.0], [3.0, 1.0]])
+        j = affine_mapping(a).jac(np.zeros(2))
+        assert not j.flags.writeable
+        with pytest.raises(ValueError):
+            j[0, 0] = 5.0
+        assert np.array_equal(j, [[1.0, 2.0], [3.0, 1.0]])
+
     def test_identity_mapping(self):
         p = VIProblem(affine_mapping(np.eye(3)), BoxSet.full_space(3))
         np.testing.assert_array_equal(jacobian(p, np.array([1.0, -2.0, 0.5])), np.eye(3))

@@ -7,7 +7,7 @@ from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, classify, get
                    multistart, normal_map, project, solve, uniform_pfunction_search)
 from vibox.registry import problem_ids
 from vibox import solver
-from vibox.solver import REG_FLOOR, SolveResult, newton_direction
+from vibox.solver import REG_FLOOR, SolveResult, merit_gradient, newton_direction
 
 
 def svd_rule_flags(j):
@@ -16,8 +16,24 @@ def svd_rule_flags(j):
     return sv[-1] < REG_FLOOR * max(sv[0], 1.0)
 
 
-def step_rule_flags(j, r):
-    return newton_direction(j, r, float(np.linalg.norm(r)), REG_FLOOR) is None
+def step_rule_flags(df, free, r):
+    return newton_direction(df, free, r, float(np.linalg.norm(r)), REG_FLOOR) is None
+
+
+def element(df, free):
+    """The dense element I - D + dF D with D = diag(free)."""
+    d = free.astype(float)
+    return np.eye(d.size) - np.diag(d) + df * d
+
+
+def dense_direction(j, r, r_norm, reg_floor):
+    """The step-growth rule on the full element: LU of J, c from J's columns."""
+    try:
+        d = np.linalg.solve(j, -r)
+    except np.linalg.LinAlgError:
+        return None
+    c = max(float(np.sqrt(np.max(np.einsum("ij,ij->j", j, j)))), 1.0)
+    return d if r_norm >= reg_floor * c * float(np.linalg.norm(d)) else None
 
 
 def orthogonal(rng, m):
@@ -26,28 +42,27 @@ def orthogonal(rng, m):
 
 @st.composite
 def newton_systems(draw):
-    """(J, r) with J well conditioned, near singular (trailing singular values
-    10^-4 .. 10^-16 of the largest) or an exactly singular integer product,
-    scaled by a power of two, optionally inside I - D + J D as the solver
-    builds its elements."""
+    """(dF, free, r) with dF well conditioned, near singular (trailing
+    singular values 10^-4 .. 10^-16 of the largest) or an exactly singular
+    integer product, scaled by a power of two, and a free mask that is all
+    true, all false or drawn at random."""
     m = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["well", "near", "exact"]))
     if kind == "exact":
         k = draw(st.integers(0, m - 1))
-        j = rng.integers(-3, 4, (m, k)) @ rng.integers(-3, 4, (k, m)) * 1.0
+        df = rng.integers(-3, 4, (m, k)) @ rng.integers(-3, 4, (k, m)) * 1.0
     else:
         s = 10.0 ** rng.uniform(-1, 1, m)
         if kind == "near":
             tail = draw(st.integers(1, m))
             s[-tail:] = 10.0 ** -draw(st.floats(4, 16))
-        j = (orthogonal(rng, m) * s) @ orthogonal(rng, m).T
-    j = j * 2.0 ** draw(st.integers(-20, 20))
-    if draw(st.booleans()):
-        d = rng.integers(0, 2, m).astype(float)
-        j = np.eye(m) - np.diag(d) + j * d
+        df = (orthogonal(rng, m) * s) @ orthogonal(rng, m).T
+    df = df * 2.0 ** draw(st.integers(-20, 20))
+    mask = draw(st.sampled_from(["all", "none", "random"]))
+    free = np.full(m, mask == "all") if mask != "random" else rng.integers(0, 2, m) == 1
     r = rng.standard_normal(m) * 10.0 ** draw(st.integers(-8, 8))
-    return j, r
+    return df, free, r
 
 
 class TestSolve:
@@ -136,12 +151,13 @@ class TestSolve:
 class TestSingularityRule:
     @given(newton_systems())
     def test_flags_only_what_the_svd_rule_flags(self, system):
-        j, r = system
+        df, free, r = system
+        j = element(df, free)
         sv = np.linalg.svd(j, compute_uv=False)
         # Within rounding error of the threshold either rule may tip either
         # way; the band is far wider than that error (m * eps / reg_floor).
         assume(abs(sv[-1] / (REG_FLOOR * max(sv[0], 1.0)) - 1.0) > 1e-4)
-        if step_rule_flags(j, r):
+        if step_rule_flags(df, free, r):
             assert svd_rule_flags(j)
 
     @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.integers(-20, 20),
@@ -167,7 +183,7 @@ class TestSingularityRule:
         null = u[:, sv <= 1e-12 * max(sv[0], 1e-300)]
         assume(null.shape[1] > 0 and np.linalg.norm(null.T @ r) >= 1e-3 * np.linalg.norm(r))
         assert svd_rule_flags(j)
-        assert step_rule_flags(j, r)
+        assert step_rule_flags(j, np.ones(m, dtype=bool), r)
 
     def test_solver_makes_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -178,6 +194,67 @@ class TestSingularityRule:
             p = get_problem(pid)
             for start in (None, np.full(p.dim, 7.0)):
                 solve(p, SolveConfig(start=start))
+
+
+class TestReducedStep:
+    """newton_direction factors dF on the free coordinates only; these
+    properties hold it to the dense element I - D + dF D."""
+
+    @given(newton_systems())
+    def test_direction_matches_dense_solve(self, system):
+        df, free, r = system
+        j = element(df, free)
+        d = newton_direction(df, free, r, float(np.linalg.norm(r)), REG_FLOOR)
+        assume(d is not None)
+        try:
+            ref = np.linalg.solve(j, -r)
+        except np.linalg.LinAlgError:
+            assume(False)
+        sv = np.linalg.svd(j, compute_uv=False)
+        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+        # Both solves are backward stable for J, so each is within about
+        # cond(J) * m * eps of the exact step.
+        tol = 8.0 * j.shape[0] * np.finfo(float).eps * cond * np.linalg.norm(ref)
+        assert np.linalg.norm(d - ref) <= tol
+
+    @given(newton_systems())
+    def test_same_singular_verdict_as_dense_solve(self, system):
+        df, free, r = system
+        j = element(df, free)
+        r_norm = float(np.linalg.norm(r))
+        # The verdict compares ||r|| with reg_floor * c * ||d||; where that
+        # ratio is within rounding of 1, the two solves may tip either way.
+        try:
+            ref = np.linalg.solve(j, -r)
+            c = max(float(np.sqrt(np.max(np.einsum("ij,ij->j", j, j)))), 1.0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ratio = r_norm / (REG_FLOOR * c * float(np.linalg.norm(ref)))
+            assume(not abs(ratio - 1.0) <= 1e-4)
+        except np.linalg.LinAlgError:
+            pass
+        reduced = newton_direction(df, free, r, r_norm, REG_FLOOR)
+        assert (reduced is None) == (dense_direction(j, r, r_norm, REG_FLOOR) is None)
+
+    @given(newton_systems())
+    def test_gradient_is_element_transpose_times_r(self, system):
+        df, free, r = system
+        grad = merit_gradient(df, free, r)
+        assert grad.tobytes() == (element(df, free).T @ r).tobytes()
+
+    @given(newton_systems())
+    def test_all_active_step_is_minus_r(self, system):
+        df, _, r = system
+        d = newton_direction(df, np.zeros(r.size, dtype=bool), r,
+                             float(np.linalg.norm(r)), REG_FLOOR)
+        assert d is not None and d.tobytes() == (-r).tobytes()
+
+    @given(newton_systems())
+    def test_all_free_step_is_the_lu_of_df(self, system):
+        df, _, r = system
+        d = newton_direction(df, np.ones(r.size, dtype=bool), r,
+                             float(np.linalg.norm(r)), REG_FLOOR)
+        assume(d is not None)
+        assert d.tobytes() == np.linalg.solve(df, -r).tobytes()
 
 
 class TestClassify:
