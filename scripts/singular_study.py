@@ -4,11 +4,14 @@ Solves 300 seeded affine box VIs whose matrices are rank deficient (even
 index: trailing singular values exactly 0 before rounding) or near singular
 (odd index: trailing singular values 1e-14 .. 1e-6), m = 2 .. 29, from 4
 starts each (the default start and 3 seeded ones), twice: once with the
-solver as it is, once with the Newton direction patched to decide
-singularity by the full SVD, sigma_min < reg_floor * max(sigma_max, 1).
+solver as it is, once with the Newton direction patched to build the full
+element J, decide singularity by its SVD, sigma_min < reg_floor *
+max(sigma_max, 1), and solve J d = -r by the LU of J itself.
 Prints how many problems give identical runs (statuses, step kinds and the
-bits of x and v), how the differing ones differ, and how many problems have
-at least one solved start under each rule.
+bits of x and v), how many give the same statuses and step kinds (the bits
+differ by rounding wherever a coordinate is active, since the solver factors
+only the free block), how the differing ones differ, and how many problems
+have at least one solved start under each rule.
 
     PYTHONPATH=src python scripts/singular_study.py
 """
@@ -22,7 +25,11 @@ import vibox.solver
 from vibox import BoxSet, SolveConfig, VIProblem, affine_mapping, box_midpoint, solve
 
 
-def svd_rule_direction(j, r, r_norm, reg_floor):
+def svd_rule_direction(df, free, r, r_norm, reg_floor):
+    """The reference: the full element J = I - D + dF D, its SVD, and the LU
+    solve of J d = -r when the singular-value test passes."""
+    d = free.astype(float)
+    j = df * d + np.diag(1.0 - d)
     sv = np.linalg.svd(j, compute_uv=False)
     return None if sv[-1] < reg_floor * max(sv[0], 1.0) else np.linalg.solve(j, -r)
 
@@ -57,7 +64,7 @@ def key(res):
 
 
 def main(count=300):
-    identical, first_change, solved = 0, Counter(), Counter()
+    identical, same_steps, first_change, solved = 0, 0, Counter(), Counter()
     for i in range(count):
         p, starts = problem(i)
         new = runs(p, starts)
@@ -67,11 +74,13 @@ def main(count=300):
         solved["svd"] += any(r.solved for r in old)
         if [key(r) for r in new] == [key(r) for r in old]:
             identical += 1
+        same_steps += [key(r)[:2] for r in new] == [key(r)[:2] for r in old]
         for a, b in zip(old, new):
             k = next((n for n, (s, t) in enumerate(zip(a.steps, b.steps)) if s != t), None)
             if k is not None:
                 first_change[f"{a.steps[k]} (svd) -> {b.steps[k]} (step-growth)"] += 1
-    print(f"problems: {count}, identical: {identical}, differ: {count - identical}")
+    print(f"problems: {count}, identical: {identical}, differ: {count - identical}, "
+          f"same statuses and steps: {same_steps}")
     print("first differing step per start:", dict(first_change))
     print("problems with a solved start:", dict(solved))
 

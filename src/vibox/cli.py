@@ -146,16 +146,26 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+def _report_rows(path) -> list[tuple]:
+    """(problem, condition, verdict, margin) for each certificate of one report
+    file; the problem id and condition ids must be strings, so rows sort."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    pid = doc["problem"]["id"]
+    rows = [(pid, cert["condition"], cert["verdict"], cert["margin"])
+            for cert in doc.get("certificates", [])]
+    if not all(isinstance(r[0], str) and isinstance(r[1], str) for r in rows):
+        raise TypeError("problem id and condition ids must be strings")
+    return rows
+
+
 def cmd_report(args) -> int:
     rows = []
     for path in args.files:
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            pid = doc["problem"]["id"]
-            for cert in doc.get("certificates", []):
-                rows.append((pid, cert["condition"], cert["verdict"], cert["margin"]))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+            rows += _report_rows(path)
+        except (OSError, ValueError, RecursionError, KeyError, TypeError) as e:
+            # ValueError covers json.JSONDecodeError and UnicodeDecodeError
             print(f"warning: skipping {path}: {e}", file=sys.stderr)
     rows.sort(key=lambda r: (r[0], r[1]))
     header = ("problem", "condition", "verdict", "margin")

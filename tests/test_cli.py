@@ -466,6 +466,22 @@ class TestReportCommand:
         assert code == 0
         assert out.strip() == "problem\tcondition\tverdict\tmargin"
 
+    @pytest.mark.parametrize("kind", ["not-utf8", "list-100000-deep", "int-5000-digits",
+                                      "id-list"])
+    def test_bad_report_skipped_with_one_warning(self, capsys, tmp_path, kind):
+        good = self._write_report(capsys, tmp_path, "spd-box", "pmatrix", "a.json")
+        bad = tmp_path / "bad.json"
+        if kind == "id-list":  # sorting it among string ids would raise
+            doc = json.loads(good.read_text())
+            doc["problem"]["id"] = ["spd-box"]
+            bad.write_text(json.dumps(doc))
+        else:
+            write_bad_problem_file(bad, kind)
+        code, out, err = run_cli(capsys, "report", str(good), str(bad), "--format", "delimited")
+        assert code == 0 and err.count("\n") == 1
+        assert err.startswith(f"warning: skipping {bad}: ")
+        assert [l.split("\t")[:2] for l in out.splitlines()[1:]] == [["spd-box", "pmatrix"]]
+
     def test_unreadable_file_skipped_with_warning(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
