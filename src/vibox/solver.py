@@ -84,8 +84,7 @@ def newton_direction(df: np.ndarray, free: np.ndarray, r: np.ndarray, r_norm: fl
     except np.linalg.LinAlgError:
         return None
     # The active columns of J have norm 1, its free columns are those of dF.
-    col_sq = np.einsum("ij,ij->j", df, df)[free]
-    c = max(float(np.sqrt(np.max(col_sq))), 1.0) if col_sq.size else 1.0
+    c = float(np.sqrt(np.max(np.einsum("ij,ij->j", df, df)[free], initial=1.0)))
     return d if r_norm >= reg_floor * c * float(np.linalg.norm(d)) else None
 
 
