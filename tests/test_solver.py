@@ -205,11 +205,11 @@ class TestReducedStep:
         df, free, r = system
         j = element(df, free)
         d = newton_direction(df, free, r, float(np.linalg.norm(r)), REG_FLOOR)
-        assume(d is not None)
         try:
             ref = np.linalg.solve(j, -r)
         except np.linalg.LinAlgError:
-            assume(False)
+            ref = None
+        assume(d is not None and ref is not None)
         sv = np.linalg.svd(j, compute_uv=False)
         cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
         # Both solves are backward stable for J, so each is within about
