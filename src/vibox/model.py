@@ -109,12 +109,15 @@ class Mapping:
 
 
 def affine_mapping(a, b=None) -> Mapping:
-    """F(x) = A x + b with constant Jacobian A; ``jac`` returns A itself, read-only."""
-    a = np.asarray(a, dtype=float)
+    """F(x) = A x + b with constant Jacobian A; ``jac`` returns A itself, read-only.
+
+    A and b are kept as read-only views: the caller's own arrays are neither
+    copied nor frozen, so a caller that writes into them later changes F."""
+    a = np.asarray(a, dtype=float).view()
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError("affine matrix must be square")
     m = a.shape[0]
-    b = np.zeros(m) if b is None else as_vector(b, m)
+    b = (np.zeros(m) if b is None else as_vector(b, m)).view()
     a.setflags(write=False)
     b.setflags(write=False)
     return Mapping(

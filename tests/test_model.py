@@ -70,6 +70,14 @@ class TestJacobian:
             j[0, 0] = 5.0
         assert np.array_equal(j, [[1.0, 2.0], [3.0, 1.0]])
 
+    def test_affine_mapping_leaves_caller_arrays_writable(self):
+        a, b = np.eye(2), np.ones(2)
+        f = affine_mapping(a, b)
+        assert a.flags.writeable and b.flags.writeable
+        assert not f.jac(np.zeros(2)).flags.writeable
+        assert not f.data["A"].flags.writeable and not f.data["b"].flags.writeable
+        assert np.shares_memory(f.data["A"], a) and np.shares_memory(f.data["b"], b)
+
     def test_identity_mapping(self):
         p = VIProblem(affine_mapping(np.eye(3)), BoxSet.full_space(3))
         np.testing.assert_array_equal(jacobian(p, np.array([1.0, -2.0, 0.5])), np.eye(3))
