@@ -715,10 +715,14 @@ def coercivity_check(p: VIProblem, seed) -> CertificateReport:
 
 def _pl_at_solution(p: VIProblem, g: QuadraticGame, seed, samples,
                     radius) -> CertificateReport:
-    """The PL check at the point the solver reaches from its default start."""
-    from .solver import solve  # here: the solver imports this module
+    """The PL check at the point the solver reaches from its default start,
+    or, when that start does not solve a game on a bounded box, at the end
+    of the corner-ray path."""
+    from .solver import _corner_ray_path, _path_applies, SolveConfig, solve  # solver imports us
 
     res = solve(p)
+    if not res.solved and _path_applies(p):
+        res = _corner_ray_path(p, SolveConfig())
     if not res.solved:
         return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
                                  "no stationary candidate: solver did not converge")

@@ -25,6 +25,8 @@ NOT_APPLICABLE = "n/a"
 ARMIJO_SLOPE = 1e-4  # line search: sufficient-decrease constant,
 BACKTRACK = 0.5  # step shrink factor
 MAX_HALVINGS = 40  # and most halvings per Newton iteration
+MIN_PROGRESS = 1e-3  # a start ends after two accepted steps in a row that each
+                     # lower ||r|| by less than this share
 REG_FLOOR = 1e-8  # singularity floor of newton_direction; Levenberg weight
 
 
@@ -46,9 +48,9 @@ class SolveResult:
     x: np.ndarray  # solution candidate P_K[v]
     residual: float
     trace: tuple[float, ...]  # residual norm per accepted iterate, initial included
-    steps: tuple[str, ...]  # newton | regularized | gradient | picard
+    steps: tuple[str, ...]  # newton | regularized | gradient | picard, or (path,)
     classification: str = NOT_APPLICABLE
-    iterations: int = 0
+    iterations: int = 0  # accepted steps; pivots for a path result
 
     @property
     def solved(self) -> bool:
@@ -109,6 +111,11 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
     max(c, 1)), with c the largest column norm of J (``newton_direction``).
     Only then is J itself built, for the regularized step.
 
+    The start ends as line-search-stall when the line search finds no
+    decrease, or when two accepted steps in a row each lower ||r|| by less
+    than MIN_PROGRESS of its value: such a start crawls along a valley of
+    the merit function and has, in practice, stopped converging.
+
     Raises EvaluationError when F is non-finite at the start point.
     """
     cfg = cfg or SolveConfig()
@@ -117,6 +124,7 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
     trace = [ev.norm]
     steps = []
     status = MAX_ITERS
+    slow = 0  # accepted steps in a row below MIN_PROGRESS
     for _ in range(cfg.max_iters):
         if ev.norm <= cfg.tol:
             status = SOLVED
@@ -166,14 +174,115 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
             else:
                 status = LINE_SEARCH_STALL
             break
+        slow = slow + 1 if accepted.norm > (1.0 - MIN_PROGRESS) * ev.norm else 0
         v, ev = accepted.v, accepted
         trace.append(ev.norm)
         steps.append(kind)
+        if slow == 2:
+            status = LINE_SEARCH_STALL
+            break
     if ev.norm <= cfg.tol:
         status = SOLVED
     x = project(p.set, v)
     return SolveResult(status=status, v=v, x=x, residual=ev.norm, trace=tuple(trace),
                        steps=tuple(steps), iterations=len(steps))
+
+
+def _path_applies(p: VIProblem) -> bool:
+    """The corner-ray path needs F = A x + b and a box with every bound finite."""
+    return (p.mapping.kind in ("affine", "game-gradient")
+            and bool(np.all(np.isfinite(p.set.lo)) and np.all(np.isfinite(p.set.hi))))
+
+
+def _lexmin(ratios: np.ndarray, prefer=None) -> int:
+    """Index of the lexicographically smallest row of ``ratios``.  Entries
+    within 1e-12 (relative) of a column's minimum tie.  A row of the boolean
+    mask ``prefer`` that ties in the first column wins outright; a tie left
+    after the last column goes to the smallest index."""
+    rows = np.arange(ratios.shape[0])
+    for k, col in enumerate(ratios.T):
+        vals = col[rows]
+        low = vals.min()
+        rows = rows[vals <= low + 1e-12 * max(1.0, abs(low))]
+        if k == 0 and prefer is not None and prefer[rows].any():
+            return int(rows[prefer[rows]][0])
+        if rows.size == 1:
+            break
+    return int(rows[0])
+
+
+def _corner_ray_path(p: VIProblem, cfg: SolveConfig) -> SolveResult:
+    """Follow F_nor(v) + mu 1 = 0 from the ray on which every coordinate sits
+    at its lower bound, with mu falling to 0: Lemke's method on the box MCP.
+
+    Coordinates with lo == hi are fixed and left out.  On the others, with
+    x = lo + z, z <= u = hi - lo and F(x) + mu 1 = s - t, this is the LCP
+        s = (A z + q + t) + mu 1 >= 0,  z >= 0,  s'z = 0,
+        y = u - z              >= 0,    t >= 0,  y't = 0,
+    q = F(lo), pivoted in a dense tableau with the lexicographic ratio test
+    (Cottle, Pang & Stone 1992, Ch. 4), which also decides degenerate ties.
+    On a bounded box the starting ray is the only unbounded branch, so the
+    path ends where mu leaves the basis, at a solution.  The point is read
+    back as v = x - F(x); if its residual is above tol, one Newton step on
+    its piece follows.  At most cfg.max_iters pivots (then max-iters); a
+    path that ends with residual above tol reports line-search-stall.
+    """
+    lo, hi = p.set.lo, p.set.hi
+    a, b = p.mapping.data["A"], p.mapping.data["b"]
+    idx = np.flatnonzero(lo < hi)
+    n = idx.size
+    q = (a @ lo + b)[idx]
+    # Columns: w = (s, y) 0..2n-1, their complements (z, t) 2n..4n-1, mu, rhs.
+    # Rows read w - M (z, t) - (1, 0) mu = (q, u) with M = [[A_NN, I], [-I, 0]].
+    tab = np.zeros((2 * n, 4 * n + 2))
+    tab[:, :2 * n] = np.eye(2 * n)
+    tab[:n, 2 * n:3 * n] = -a[np.ix_(idx, idx)]
+    tab[:n, 3 * n:4 * n] = -np.eye(n)
+    tab[n:, 2 * n:3 * n] = np.eye(n)
+    tab[:n, 4 * n] = -1.0
+    tab[:, -1] = np.r_[q, (hi - lo)[idx]]
+    basis = np.arange(2 * n)
+    mu, keys = 4 * n, np.r_[4 * n + 1, np.arange(2 * n)]  # ratio-test columns: rhs, B^-1
+    pivots, status = 0, LINE_SEARCH_STALL
+    if n and q.min() < 0.0:
+        row, entering = _lexmin(tab[:n][:, keys]), mu  # the most negative q_i leaves
+        while True:
+            if pivots == cfg.max_iters:
+                status = MAX_ITERS
+                break
+            tab[row] /= tab[row, entering]
+            col = tab[:, entering].copy()
+            col[row] = 0.0
+            tab -= np.outer(col, tab[row])
+            leaving, basis[row] = basis[row], entering
+            pivots += 1
+            if leaving == mu:
+                break
+            entering = leaving + 2 * n if leaving < 2 * n else leaving - 2 * n
+            col = tab[:, entering]
+            rows = np.flatnonzero(col > 1e-12 * max(1.0, float(np.abs(col).max())))
+            if rows.size == 0:  # a secondary ray: only by rounding on a bounded box
+                break
+            ratios = tab[rows][:, keys] / col[rows, None]
+            row = rows[_lexmin(ratios, prefer=basis[rows] == mu)]
+    values = np.zeros(4 * n + 1)
+    values[basis] = tab[:, -1]
+    x = lo.copy()
+    x[idx] += values[2 * n:3 * n]
+    x = np.minimum(np.maximum(x, lo), hi)
+    ev = normal_map(p, x - p.F(x))
+    trace = [ev.norm]
+    if ev.norm > cfg.tol:
+        free = (ev.v >= lo) & (ev.v <= hi)
+        d = newton_direction(a, free, ev.r, ev.norm, REG_FLOOR)
+        trial = normal_map(p, ev.v + d) if d is not None else ev
+        if trial.norm < ev.norm:
+            ev = trial
+            trace.append(ev.norm)
+    if ev.norm <= cfg.tol:
+        status = SOLVED
+    return SolveResult(status=status, v=ev.v, x=ev.z, residual=ev.norm, trace=tuple(trace),
+                       steps=("path",), iterations=pivots)
 
 
 def classify(p: VIProblem, res: SolveResult) -> str:
@@ -196,20 +305,26 @@ def classify(p: VIProblem, res: SolveResult) -> str:
 
 def multistart(p: VIProblem, cfg: SolveConfig | None = None, starts=8, seed=0,
                radius=10.0) -> list[SolveResult]:
-    """Seeded starts across K plus the default start, solved independently;
-    solved results deduplicated by solution proximity, each kept one
-    classified, and sorted by residual then lexicographically by solution."""
+    """Seeded starts across K plus the default start, solved independently.
+    When none of them solves an affine or game problem on a box with every
+    bound finite, the corner-ray path (``_corner_ray_path``) adds one result.
+    Solved results are deduplicated by solution proximity, each kept one
+    classified; solved results come first, ordered by solution, then the
+    others by residual and solution."""
     if starts < 1:
         raise ValueError("need at least one start")
     cfg = cfg or SolveConfig()
     start_points = [box_midpoint(p.set) if cfg.start is None else np.asarray(cfg.start, float),
                     *draw_samples(p.set, starts - 1, seed, radius).points]
     results = [solve(p, replace(cfg, start=s)) for s in start_points]
+    if not any(r.solved for r in results) and _path_applies(p):
+        results.append(_corner_ray_path(p, cfg))
     deduped = []
     for res in results:
         if res.solved and any(other.solved and np.linalg.norm(other.x - res.x) <= 1e-6
                               for other in deduped):
             continue
         deduped.append(replace(res, classification=classify(p, res)) if res.solved else res)
-    deduped.sort(key=lambda r: (not r.solved, r.residual, tuple(r.x)))
+    deduped.sort(key=lambda r: (False, 0.0, tuple(r.x)) if r.solved
+                 else (True, r.residual, tuple(r.x)))
     return deduped

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vibox import certificates
+from vibox import certificates, solver
 from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
                    block_pfunction_search, boundary_sample_set, box_midpoint, builtin_mapping,
                    draw_samples, game_to_vi, get_problem, growth_l0lp_fit,
@@ -510,6 +510,32 @@ class TestPLCondition:
             pl_condition_check(g, np.array([1.0, 1.0]))
         with pytest.raises(NotStationaryError, match="gradient-map norm"):
             pl_condition_check(g, np.array([1.0, 1.0]))
+
+
+def unsolved(p, cfg=None):
+    """Stands in for solver.solve: a start that does not converge."""
+    v = np.zeros(p.dim)
+    return solver.SolveResult("line-search-stall", v, project(p.set, v), 1.0, (1.0,), ())
+
+
+class TestPLAtSolution:
+    def test_falls_back_to_the_path_on_a_bounded_game(self, monkeypatch):
+        # interior equilibrium (5/9, -2/9) of [-3, 3]^2: with its solve failing,
+        # pl checks the end of the corner-ray path and reaches the same verdict
+        g = make_game((1, 1), {(0, 0): [[2.0]], (0, 1): [[0.5]], (1, 0): [[-0.5]],
+                               (1, 1): [[1.0]]}, ([-1.0], [0.5]),
+                      BoxSet(np.full(2, -3.0), np.full(2, 3.0), (1, 1)))
+        p = game_to_vi(g)
+        (solved,), _ = certify_problem(p, ["pl"])
+        monkeypatch.setattr(solver, "solve", unsolved)
+        (path,), _ = certify_problem(p, ["pl"])
+        assert solved.verdict == path.verdict == "pass"
+        np.testing.assert_allclose(path.metrics["mu"], solved.metrics["mu"], rtol=1e-9)
+
+    def test_unbounded_game_stays_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(solver, "solve", unsolved)
+        (rep,), _ = certify_problem(get_problem("example-game"), ["pl"])
+        assert rep.verdict == "inconclusive" and "did not converge" in rep.notes
 
 
 def pl_mu_oracle(g, xbar, rows):

@@ -1,8 +1,8 @@
 """Golden runs: solver results and certify reports, bit for bit.
 
 ``tests/data/golden_multistart.json`` pins, per registry problem and for a
-seeded nonconvex game whose stalled starts backtrack about 20 times per
-Newton iteration, what ``multistart(p, starts=8, seed=42)`` returns, and
+seeded nonconvex game half of whose starts stall, what
+``multistart(p, starts=8, seed=42)`` returns, and
 what ``solve`` returns from each of 8 seeded start points before any
 deduplication: statuses, step kinds, iteration counts and ``float.hex`` of
 every coordinate of ``x`` and ``v``.  A solver change that keeps Newton
@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, game_to_vi, get_problem,
-                   make_game, multistart, save_problem, solve)
+                   make_game, multistart, normal_map, save_problem, solve, solver)
 from vibox.certificates import certify_problem
 from vibox.cli import main
 from vibox.registry import problem_ids
@@ -48,15 +48,19 @@ def _record(r):
             "x": [float(t).hex() for t in r.x], "v": [float(t).hex() for t in r.v]}
 
 
-def snapshot(name):
-    cases = stall_cases()
-    p = cases[name] if name in cases else get_problem(name)
+def snapshot_starts(p):
+    """The 8 seeded start points of ``snapshot``."""
     rng = np.random.default_rng(42)
     lo = np.where(np.isfinite(p.set.lo), p.set.lo, -10.0)
     hi = np.where(np.isfinite(p.set.hi), p.set.hi, 10.0)
-    starts = [rng.uniform(lo - 2.0, hi + 2.0) for _ in range(8)]
+    return [rng.uniform(lo - 2.0, hi + 2.0) for _ in range(8)]
+
+
+def snapshot(name):
+    cases = stall_cases()
+    p = cases[name] if name in cases else get_problem(name)
     return {"multistart": [_record(r) for r in multistart(p, starts=8, seed=42)],
-            "starts": [_record(solve(p, SolveConfig(start=s))) for s in starts]}
+            "starts": [_record(solve(p, SolveConfig(start=s))) for s in snapshot_starts(p)]}
 
 
 def affine_cases(m=8):
@@ -95,8 +99,8 @@ def game_cases():
 def stall_cases():
     """A seeded three-player game on [-3, 3]^4 with blocks (2, 1, 1) whose first
     own block is indefinite: half of the seeded starts of ``snapshot`` and all
-    but one of ``multistart``'s end in line-search-stall, after about 20
-    halvings per Newton iteration."""
+    but one of ``multistart``'s end in line-search-stall.  Without the
+    progress stop they took about 20 halvings per Newton iteration."""
     rng = np.random.default_rng(37)
     a = 0.4 * rng.standard_normal((4, 4))
     u = np.linalg.qr(rng.standard_normal((2, 2)))[0]
@@ -144,11 +148,35 @@ def test_golden_covers_registry():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(MULTISTART_NAMES)
 
 
-def test_stall_case_pins_long_backtracking():
-    golden = json.loads(GOLDEN.read_text())["game-3p-stall"]
-    stalled = [r for r in golden["starts"] if r["status"] == "line-search-stall"]
-    assert len(stalled) >= 2 and min(r["iterations"] for r in stalled) >= 10
-    assert any(r["status"] == "solved" for r in golden["multistart"])
+def test_stall_case_stops_stalled_starts_early(monkeypatch):
+    # Each stalled seeded start ends within 10 iterations, on fewer normal-map
+    # evaluations than the same start makes with the progress stop disabled.
+    p = stall_cases()["game-3p-stall"]
+    calls = []
+
+    def counted(p, v):
+        calls.append(1)
+        return normal_map(p, v)
+
+    def run(start):
+        calls.clear()
+        res = solve(p, SolveConfig(start=start))
+        return res, len(calls)
+
+    monkeypatch.setattr(solver, "normal_map", counted)
+    stalled = 0
+    for start in snapshot_starts(p):
+        res, evals = run(start)
+        if res.status != "line-search-stall":
+            continue
+        stalled += 1
+        with monkeypatch.context() as m:
+            m.setattr(solver, "MIN_PROGRESS", 0.0)
+            old, old_evals = run(start)
+        assert old.status == "line-search-stall"
+        assert res.iterations <= 10 < old.iterations and evals < old_evals
+    assert stalled >= 2
+    assert any(r.status == "solved" for r in multistart(p, starts=8, seed=42))
 
 
 @pytest.mark.parametrize("name", CERTIFY_NAMES)

@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, classify, get_problem,
-                   multistart, normal_map, project, solve, uniform_pfunction_search)
+from vibox import (BoxSet, Mapping, SolveConfig, VIProblem, affine_mapping, classify,
+                   game_to_vi, get_problem, make_game, multistart, normal_map, project, solve,
+                   uniform_pfunction_search)
 from vibox.registry import problem_ids
 from vibox import solver
-from vibox.solver import REG_FLOOR, SolveResult, merit_gradient, newton_direction
+from vibox.solver import (REG_FLOOR, SolveResult, _corner_ray_path, merit_gradient,
+                          newton_direction)
 
 
 def svd_rule_flags(j):
@@ -295,8 +299,24 @@ class TestMultistart:
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.x, rb.x) and ra.status == rb.status
-        residuals = [r.residual for r in a if r.status == "solved"]
-        assert residuals == sorted(residuals)
+
+    def test_order_solved_by_solution_then_unsolved_by_residual(self, monkeypatch):
+        # solved first, by x alone whatever their residuals; then by residual and x
+        def fake(p, cfg):
+            x = np.asarray(cfg.start, float)
+            status, residual = fakes[tuple(x)]
+            return SolveResult(status, x, x, residual, (residual,), ())
+
+        fakes = {(2.0,): ("solved", 1e-12), (1.0,): ("solved", 1e-11),
+                 (0.5,): ("max-iters", 2.0), (0.25,): ("max-iters", 1.0),
+                 (0.75,): ("line-search-stall", 1.0)}
+        starts = [np.array(x) for x in fakes]
+        monkeypatch.setattr(solver, "draw_samples",
+                            lambda box, count, seed, radius: type("S", (), {"points": starts[1:]}))
+        monkeypatch.setattr(solver, "solve", fake)
+        p = VIProblem(affine_mapping(np.eye(1)), BoxSet.full_space(1))
+        results = multistart(p, SolveConfig(start=starts[0]), starts=len(starts))
+        assert [float(r.x[0]) for r in results] == [1.0, 2.0, 0.25, 0.75, 0.5]
 
     def test_start_floor(self):
         with pytest.raises(ValueError):
@@ -398,3 +418,127 @@ class TestMultistartStarts:
         assert all(20.0 <= s[0] <= 30.0 for s in seen)
         rep = uniform_pfunction_search(VIProblem(affine_mapping(np.eye(1)), box), pairs=100)
         assert rep.budget["pairs"] == 100
+
+
+def game_matrix(rng, m):
+    """Gradient matrix of a quadratic game with players of 1 or 2 coordinates,
+    one own block indefinite when a 2-dim player exists, and its block sizes."""
+    sizes = []
+    while sum(sizes) < m:
+        sizes.append(int(min(rng.integers(1, 3), m - sum(sizes))))
+    a = 0.4 * rng.standard_normal((m, m))
+    offs = np.cumsum([0, *sizes])
+    for i, k in enumerate(sizes):
+        g = rng.standard_normal((k, k))
+        own = g @ g.T + 0.5 * k * np.eye(k)
+        if k == 2 and i == sizes.index(2):
+            u = orthogonal(rng, 2)
+            own = u @ np.diag([-rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)]) @ u.T
+        a[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = (own + own.T) / 2.0
+    return a, tuple(sizes)
+
+
+@st.composite
+def bounded_affine_vis(draw):
+    """(problem, A, b, lo, hi): F = A x + b on a box with every bound finite,
+    m = 1..8, A indefinite, singular (an integer product of rank < m, with
+    integer b and bounds, so that ties and degenerate pivots occur) or the
+    gradient of a quadratic game, about a quarter of the coordinates fixed
+    (lo == hi)."""
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["indefinite", "singular", "game"]))
+    fixed = rng.random(m) < 0.25
+    if kind == "singular":
+        k = draw(st.integers(0, m - 1))
+        a = rng.integers(-3, 4, (m, k)) @ rng.integers(-3, 4, (k, m)) * 1.0
+        b = rng.integers(-3, 4, m) * 1.0
+        lo = rng.integers(-3, 1, m) * 1.0
+        hi = np.where(fixed, lo, lo + rng.integers(1, 4, m))
+    else:
+        a = 2.0 * rng.standard_normal((m, m))
+        b = rng.uniform(-3.0, 3.0, m)
+        lo = rng.uniform(-3.0, 0.0, m)
+        hi = np.where(fixed, lo, lo + rng.uniform(0.5, 4.0, m))
+    if kind == "game":
+        a, sizes = game_matrix(rng, m)
+        offs = np.cumsum([0, *sizes])
+        sl = [slice(offs[i], offs[i + 1]) for i in range(len(sizes))]
+        q = {(i, j): a[sl[i], sl[j]] for i in range(len(sizes)) for j in range(len(sizes))}
+        g = make_game(sizes, q, [b[s] for s in sl], BoxSet(lo, hi, sizes))
+        return game_to_vi(g), a, b, lo, hi
+    return VIProblem(affine_mapping(a, b), BoxSet(lo, hi)), a, b, lo, hi
+
+
+def enumerated_solutions(a, b, lo, hi, tol=1e-9):
+    """The oracle: every solution of the box VI on a piece whose free block
+    A[S, S] is nonsingular, found by trying all 3^m patterns of each
+    coordinate at lo, free or at hi (a fixed coordinate only at lo)."""
+    found = []
+    for pattern in itertools.product((-1, 0, 1), repeat=b.size):
+        s = np.array(pattern)
+        if np.any((s != -1) & (lo == hi)):
+            continue
+        free = s == 0
+        x = np.where(s == 1, hi, lo)
+        if free.any():
+            sub = a[np.ix_(free, free)]
+            if np.linalg.cond(sub) > 1e10:
+                continue
+            x[free] = np.linalg.solve(sub, -(b[free] + a[np.ix_(free, ~free)] @ x[~free]))
+        f = a @ x + b
+        slack = tol * (1.0 + np.abs(x).max() + np.abs(f).max())
+        if (np.all(x >= lo - slack) and np.all(x <= hi + slack)
+                and np.all(f[(s == -1) & (lo < hi)] >= -slack) and np.all(f[s == 1] <= slack)):
+            found.append(x)
+    return found
+
+
+def failed_start(p, cfg):
+    """Stands in for solve: a start that does not converge."""
+    v = np.zeros(p.dim)
+    return SolveResult("line-search-stall", v, project(p.set, v), 1.0, (1.0,), ())
+
+
+class TestCornerRayPath:
+    @given(bounded_affine_vis())
+    def test_path_ends_at_a_solution_the_enumeration_finds(self, case):
+        p, a, b, lo, hi = case
+        cfg = SolveConfig()
+        res = _corner_ray_path(p, cfg)
+        assert res.solved and res.steps == ("path",)
+        ev = normal_map(p, res.v)
+        assert ev.norm == res.residual <= cfg.tol and np.array_equal(ev.z, res.x)
+        natural = np.abs(res.x - np.clip(res.x - (a @ res.x + b), lo, hi)).max()
+        assert natural <= 1e-8
+        inside = (res.x > lo + 1e-9) & (res.x < hi - 1e-9)
+        if b.size <= 6 and (not inside.any() or np.linalg.cond(a[np.ix_(inside, inside)]) < 1e8):
+            # The path's piece is nonsingular, so the oracle has its point.
+            dist = min(np.abs(x - res.x).max() for x in enumerated_solutions(a, b, lo, hi))
+            assert dist <= 1e-6 * (1.0 + np.abs(res.x).max())
+
+    def test_runs_once_when_every_start_fails(self, monkeypatch):
+        monkeypatch.setattr(solver, "solve", failed_start)
+        p = get_problem("spd-box")
+        results = multistart(p, starts=4, seed=0)
+        assert len(results) == 5 and [r.steps for r in results].count(("path",)) == 1
+        path = results[0]  # the only solved result comes first
+        assert path.steps == ("path",) and path.solved and path.classification == "vi-solution"
+        np.testing.assert_allclose(path.x, [1.0, 1.0], atol=1e-12)
+
+    def test_skipped_when_a_start_solves(self, monkeypatch):
+        monkeypatch.setattr(solver, "_corner_ray_path", None)  # calling it would raise
+        assert multistart(get_problem("spd-box"), starts=4, seed=0)[0].solved
+
+    @pytest.mark.parametrize("p", [
+        VIProblem(affine_mapping(np.eye(2)), BoxSet.bounds([0.0, 0.0], [1.0, np.inf])),
+        VIProblem(affine_mapping(np.eye(2)), BoxSet.bounds([-np.inf, 0.0], [1.0, 1.0])),
+        VIProblem(Mapping(fn=lambda x: x - 0.5, dim=2, jac=lambda x: np.eye(2)),
+                  BoxSet.bounds([0.0, 0.0], [1.0, 1.0])),
+        get_problem("example-game"),
+    ], ids=["upper-inf", "lower-inf", "builtin", "game-full-space"])
+    def test_never_runs_on_an_infinite_side_or_a_builtin_mapping(self, p, monkeypatch):
+        monkeypatch.setattr(solver, "solve", failed_start)
+        monkeypatch.setattr(solver, "_corner_ray_path", None)
+        results = multistart(p, starts=3, seed=0)
+        assert results and not any(r.steps == ("path",) for r in results)
