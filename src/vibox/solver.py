@@ -194,18 +194,15 @@ def _path_applies(p: VIProblem) -> bool:
             and bool(np.all(np.isfinite(p.set.lo)) and np.all(np.isfinite(p.set.hi))))
 
 
-def _lexmin(ratios: np.ndarray, prefer=None) -> int:
+def _lexmin(ratios: np.ndarray) -> int:
     """Index of the lexicographically smallest row of ``ratios``.  Entries
-    within 1e-12 (relative) of a column's minimum tie.  A row of the boolean
-    mask ``prefer`` that ties in the first column wins outright; a tie left
-    after the last column goes to the smallest index."""
+    within 1e-12 (relative) of a column's minimum tie; a tie left after the
+    last column goes to the smallest index."""
     rows = np.arange(ratios.shape[0])
-    for k, col in enumerate(ratios.T):
+    for col in ratios.T:
         vals = col[rows]
         low = vals.min()
         rows = rows[vals <= low + 1e-12 * max(1.0, abs(low))]
-        if k == 0 and prefer is not None and prefer[rows].any():
-            return int(rows[prefer[rows]][0])
         if rows.size == 1:
             break
     return int(rows[0])
@@ -264,7 +261,7 @@ def _corner_ray_path(p: VIProblem, cfg: SolveConfig) -> SolveResult:
             if rows.size == 0:  # a secondary ray: only by rounding on a bounded box
                 break
             ratios = tab[rows][:, keys] / col[rows, None]
-            row = rows[_lexmin(ratios, prefer=basis[rows] == mu)]
+            row = rows[_lexmin(ratios)]
     values = np.zeros(4 * n + 1)
     values[basis] = tab[:, -1]
     x = lo.copy()

@@ -302,21 +302,16 @@ class TestMultistart:
 
     def test_order_solved_by_solution_then_unsolved_by_residual(self, monkeypatch):
         # solved first, by x alone whatever their residuals; then by residual and x
-        def fake(p, cfg):
-            x = np.asarray(cfg.start, float)
-            status, residual = fakes[tuple(x)]
-            return SolveResult(status, x, x, residual, (residual,), ())
+        fakes = iter([("solved", 2.0, 1e-12), ("solved", 1.0, 1e-11), ("max-iters", 0.5, 2.0),
+                      ("max-iters", 0.25, 1.0), ("line-search-stall", 0.75, 1.0)])
 
-        fakes = {(2.0,): ("solved", 1e-12), (1.0,): ("solved", 1e-11),
-                 (0.5,): ("max-iters", 2.0), (0.25,): ("max-iters", 1.0),
-                 (0.75,): ("line-search-stall", 1.0)}
-        starts = [np.array(x) for x in fakes]
-        monkeypatch.setattr(solver, "draw_samples",
-                            lambda box, count, seed, radius: type("S", (), {"points": starts[1:]}))
+        def fake(p, cfg):
+            status, x, residual = next(fakes)
+            return SolveResult(status, np.array([x]), np.array([x]), residual, (residual,), ())
+
         monkeypatch.setattr(solver, "solve", fake)
         p = VIProblem(affine_mapping(np.eye(1)), BoxSet.full_space(1))
-        results = multistart(p, SolveConfig(start=starts[0]), starts=len(starts))
-        assert [float(r.x[0]) for r in results] == [1.0, 2.0, 0.25, 0.75, 0.5]
+        assert [float(r.x[0]) for r in multistart(p, starts=5)] == [1.0, 2.0, 0.25, 0.75, 0.5]
 
     def test_start_floor(self):
         with pytest.raises(ValueError):
@@ -516,6 +511,24 @@ class TestCornerRayPath:
             # The path's piece is nonsingular, so the oracle has its point.
             dist = min(np.abs(x - res.x).max() for x in enumerated_solutions(a, b, lo, hi))
             assert dist <= 1e-6 * (1.0 + np.abs(res.x).max())
+
+    def test_newton_step_on_the_final_piece(self):
+        # Singular values down to 1e-8 on [-1000, 1000]^m: the tableau's
+        # rounding can leave the path's end above tol, and one Newton step on
+        # its piece must then bring it below.
+        polished = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(2, 7))
+            a = (orthogonal(rng, m) * 10.0 ** rng.uniform(-8, 2, m)) @ orthogonal(rng, m).T
+            p = VIProblem(affine_mapping(a, 100.0 * rng.standard_normal(m)),
+                          BoxSet(np.full(m, -1e3), np.full(m, 1e3)))
+            res = _corner_ray_path(p, SolveConfig())
+            assert res.solved and res.trace[-1] == res.residual
+            if len(res.trace) == 2:
+                polished += 1
+                assert res.trace[1] <= 1e-10 < res.trace[0]
+        assert polished >= 2
 
     def test_runs_once_when_every_start_fails(self, monkeypatch):
         monkeypatch.setattr(solver, "solve", failed_start)
