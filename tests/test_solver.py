@@ -451,11 +451,12 @@ def bounded_affine_vis(draw):
         lo = rng.integers(-3, 1, m) * 1.0
         hi = np.where(fixed, lo, lo + rng.integers(1, 4, m))
     else:
-        a = 2.0 * rng.standard_normal((m, m))
         b = rng.uniform(-3.0, 3.0, m)
         lo = rng.uniform(-3.0, 0.0, m)
         hi = np.where(fixed, lo, lo + rng.uniform(0.5, 4.0, m))
-    if kind == "game":
+    if kind == "indefinite":
+        a = 2.0 * rng.standard_normal((m, m))
+    elif kind == "game":
         a, sizes = game_matrix(rng, m)
         offs = np.cumsum([0, *sizes])
         sl = [slice(offs[i], offs[i + 1]) for i in range(len(sizes))]
