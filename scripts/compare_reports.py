@@ -7,7 +7,11 @@ with ``--seed 5 --radius 3`` (``certify`` also with ``--samples 12``; ``solve``
 has no ``--samples``).  The same calls run on problem files too: this
 checkout writes every registry problem once with ``save_problem`` into a
 temporary directory that both subprocesses read, so the file loader is
-compared and the ``provenance`` fields (the paths) match.  Prints each call
+compared and the ``provenance`` fields (the paths) match.  Four seeded
+quadratic games join them, written straight in the file schema with
+``json.dump`` (``save_games``), so that the game loader and the game-only
+checkers meet unequal blocks, a nonconvex and a semidefinite own block, and
+a game without cross blocks.  Prints each call
 whose exit code or stdout differs between the checkouts, or whose argv only
 one of them makes, and exits 1 if there is any; stderr (timings) is not
 compared.
@@ -23,6 +27,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
 OPTIONS = {"solve": ["--seed", "5", "--radius", "3"],
@@ -48,6 +54,50 @@ def save_registry(problem_dir):
 
     for pid in problem_ids():
         save_problem(get_problem(pid), Path(problem_dir) / f"{pid}.json")
+
+
+def _symmetric(rng, n, least):
+    """An exactly symmetric n x n matrix whose least eigenvalue is about ``least``."""
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = u @ np.diag(np.r_[least, rng.uniform(0.5, 2.0, n - 1)]) @ u.T
+    return (s + s.T) / 2.0
+
+
+def save_games(problem_dir):
+    """Write four seeded games into problem_dir as files of mapping kind "game"."""
+    rng = np.random.default_rng(12)
+
+    def cross(sizes):
+        return {(i, j): 0.5 * rng.standard_normal((a, b)) for i, a in enumerate(sizes)
+                for j, b in enumerate(sizes) if i != j}
+
+    def linear(sizes):
+        return [rng.uniform(-1.0, 1.0, n) for n in sizes]
+
+    games = {  # name: (block sizes, blocks Q_ij, linear terms c_i, bounds lo, hi)
+        "game-unequal-blocks": ((1, 2), {(0, 0): _symmetric(rng, 1, 1.0),
+                                         (1, 1): _symmetric(rng, 2, 0.5), **cross((1, 2))},
+                                linear((1, 2)), [-2.0] * 3, [2.0] * 3),
+        "game-nonconvex": ((2, 2), {(0, 0): _symmetric(rng, 2, -0.5),
+                                    (1, 1): _symmetric(rng, 2, 1.0), **cross((2, 2))},
+                           linear((2, 2)), [-3.0] * 4, [3.0] * 4),
+        "game-semidefinite": ((2, 1), {(0, 0): np.diag([1.0, 0.0]), (1, 1): np.eye(1)},
+                              [np.zeros(2), np.zeros(1)], [-1.0] * 3, [1.0] * 3),
+        "game-no-cross": ((1, 2, 1), {(0, 0): _symmetric(rng, 1, 1.5),
+                                      (1, 1): _symmetric(rng, 2, 0.8),
+                                      (2, 2): _symmetric(rng, 1, 2.0)},
+                          linear((1, 2, 1)), [-np.inf, -1.0, -1.0, 0.0],
+                          [np.inf, 1.0, np.inf, 2.0]),
+    }
+    for name, (sizes, q, c, lo, hi) in games.items():
+        doc = {"name": name, "m": sum(sizes), "mapping": {"kind": "game"},
+               "set": {"lo": [v if np.isfinite(v) else str(v) for v in lo],
+                       "hi": [v if np.isfinite(v) else str(v) for v in hi],
+                       "blocks": list(sizes)},
+               "game": {"block_sizes": list(sizes), "c": [v.tolist() for v in c],
+                        "q": {f"{i},{j}": v.ravel().tolist() for (i, j), v in q.items()}}}
+        with open(Path(problem_dir) / f"{name}.json", "w") as fh:
+            json.dump(doc, fh)
 
 
 def emit(problem_dir):
@@ -79,6 +129,7 @@ def main(argv) -> int:
         return 2
     with tempfile.TemporaryDirectory() as problem_dir:
         save_registry(problem_dir)
+        save_games(problem_dir)
         mine, other = run(HERE, problem_dir), run(argv[0], problem_dir)
     differ = [key for key in sorted(mine.keys() | other.keys())
               if mine.get(key) != other.get(key)]

@@ -3,8 +3,8 @@ certificates with brute-force oracles, and quadratic-game analysis."""
 
 __version__ = "0.1.0"
 
-from .model import (BoxSet, ConfigurationError, EvaluationError, Mapping, QuadraticGame,
-                    VIProblem, affine_mapping, fd_jacobian, game_to_vi, jacobian, make_game)
+from .model import (BoxSet, ConfigurationError, EvaluationError, Mapping, VIProblem,
+                    affine_mapping, fd_jacobian, jacobian, make_game)
 from .projection import project, projection_jacobian_element
 from .normal_map import CoercivityProbe, NormalMapEval, coercivity_probe, normal_map, \
     normal_map_jacobian_element

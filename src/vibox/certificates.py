@@ -16,8 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .model import (BoxSet, ConfigurationError, QuadraticGame, VIProblem, as_vector,
-                    game_to_vi, jacobian)
+from .model import BoxSet, ConfigurationError, VIProblem, as_vector, block_slices, jacobian
 from .normal_map import coercivity_probe
 from .projection import project
 
@@ -409,22 +408,13 @@ def block_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Cert
                              "block-pfunction")
 
 
-def _block_slices(blocks):
-    slices = []
-    start = 0
-    for b in blocks:
-        slices.append(slice(start, start + b))
-        start += b
-    return slices
-
-
 def _pfunction_search(p, blocks, pairs, seed, radius, condition):
     pair_list = _pair_stream(p.set, pairs, seed, radius)
     budget = {"pairs": len(pair_list)}
     if not pair_list:
         return CertificateReport(condition, INCONCLUSIVE, None, None, seed, budget,
                                  NO_PAIR_NOTE)
-    slices = _block_slices(blocks) if blocks is not None else None
+    slices = block_slices(blocks) if blocks is not None else None
     min_rho = np.inf
     first_violation = None
     arg = None
@@ -490,41 +480,43 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
                              metrics)
 
 
-def upsilon_build(g: QuadraticGame) -> np.ndarray:
-    """The N x N comparison matrix: diagonal inf lambda_min of own blocks,
-    off-diagonal minus sup spectral norm of cross blocks.
+def upsilon_build(p: VIProblem) -> np.ndarray:
+    """The N x N comparison matrix of a game (``make_game``): diagonal inf
+    lambda_min of own blocks, off-diagonal minus sup spectral norm of cross
+    blocks, each block A[s_i, s_j] of the Jacobian A for the blocks s of K.
 
     Quadratic games have constant Jacobian blocks, so the result is exact and
     sample-independent.
     """
-    if len(set(g.block_sizes)) != 1:
+    if len(set(p.set.blocks)) != 1:
         raise ConfigurationError(
             "Upsilon analysis requires all player blocks of equal dimension")
-    n = g.num_players
-    ups = np.zeros((n, n))
-    for i in range(n):
-        ups[i, i] = float(np.linalg.eigvalsh(g.block(i, i))[0])
-        for j in range(n):
+    a = p.mapping.data["A"]
+    sl = block_slices(p.set.blocks)
+    ups = np.zeros((len(sl), len(sl)))
+    for i, si in enumerate(sl):
+        ups[i, i] = float(np.linalg.eigvalsh(a[si, si])[0])
+        for j, sj in enumerate(sl):
             if j != i:
-                ups[i, j] = -float(np.linalg.norm(g.block(i, j), 2))
+                ups[i, j] = -float(np.linalg.norm(a[si, sj], 2))
     return ups
 
 
-def p_upsilon_check(g: QuadraticGame) -> CertificateReport:
+def p_upsilon_check(p: VIProblem) -> CertificateReport:
     """Own blocks symmetric positive definite and the comparison matrix a
     P-matrix; on pass the game has a unique Nash equilibrium.  Inconclusive
     when the player blocks differ in dimension, where the test does not apply."""
-    budget = {"players": g.num_players}
-    if len(set(g.block_sizes)) != 1:
+    budget = {"players": len(p.set.blocks)}
+    if len(set(p.set.blocks)) != 1:
         return CertificateReport("upsilon", INCONCLUSIVE, None, None, None, budget,
                                  "the Upsilon test needs player blocks of equal dimension; "
-                                 f"block sizes are {list(g.block_sizes)}")
-    convex = hessian_block_convexity(g)
+                                 f"block sizes are {list(p.set.blocks)}")
+    convex = hessian_block_convexity(p)
     if convex.verdict == FAIL:
         witness = dict(convex.witness, clause="own-block-pd")
         return CertificateReport("upsilon", FAIL, convex.margin, witness, None, budget,
                                  "own-block Hessian is not positive definite")
-    ups = upsilon_build(g)
+    ups = upsilon_build(p)
     rep = pmatrix_minors(ups)
     metrics = {"upsilon": ups.tolist()}
     if rep.verdict == FAIL:
@@ -617,24 +609,24 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
                              "theorem may still apply with a larger t")
 
 
-def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0,
+def pl_condition_check(p: VIProblem, xbar, samples=200, seed=0,
                        radius=10.0) -> CertificateReport:
-    """Gap-domination check at a stationary candidate: for each player the
-    squared own gradient must dominate a positive multiple of the
-    suboptimality gap, upgrading the candidate to a Nash equilibrium.  Each
-    player reads its own columns of one draw_samples call over K."""
-    xbar = as_vector(xbar, g.dim)
-    grad = game_to_vi(g).F(xbar)
+    """Gap-domination check of a game (``make_game``) at a stationary
+    candidate: for each player the squared own gradient must dominate a
+    positive multiple of the suboptimality gap, upgrading the candidate to a
+    Nash equilibrium.  Each player reads its own columns of one draw_samples
+    call over K and its own block A[s_i, s_i] of the Jacobian A."""
+    xbar = as_vector(xbar, p.dim)
+    grad = p.F(xbar)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm > 1e-6:
         raise NotStationaryError(
             f"candidate is not stationary: gradient-map norm {grad_norm:.3e} > 1e-6")
-    rows = draw_samples(g.box, samples, seed, radius).points
+    rows = draw_samples(p.set, samples, seed, radius).points
     mus = []
     budget = {"samples": samples}
-    for i in range(g.num_players):
-        sl = g.block_slice(i)
-        qii = g.block(i, i)
+    for i, sl in enumerate(block_slices(p.set.blocks)):
+        qii = p.mapping.data["A"][sl, sl]
         b = grad[sl] - qii @ xbar[sl]  # own gradient is qii @ x_i + b, others at xbar
         lam = float(np.linalg.eigvalsh(qii)[0])
         if lam > 1e-12:
@@ -673,17 +665,18 @@ def pl_condition_check(g: QuadraticGame, xbar, samples=200, seed=0,
                              seed, budget, "nonpositive gap-domination constant", metrics)
 
 
-def hessian_block_convexity(g: QuadraticGame) -> CertificateReport:
-    """Smallest eigenvalue over the own-block Hessians; positive margin means
-    every player's cost is strongly convex in its own variable."""
+def hessian_block_convexity(p: VIProblem) -> CertificateReport:
+    """Smallest eigenvalue over the own-block Hessians A[s_i, s_i] of a game
+    (``make_game``); positive margin means every player's cost is strongly
+    convex in its own variable."""
     margin = np.inf
     bad = None
-    for i in range(g.num_players):
-        lam = float(np.linalg.eigvalsh(g.block(i, i))[0])
+    for i, sl in enumerate(block_slices(p.set.blocks)):
+        lam = float(np.linalg.eigvalsh(p.mapping.data["A"][sl, sl])[0])
         if lam < margin:
             margin = lam
             bad = i
-    budget = {"players": g.num_players}
+    budget = {"players": len(p.set.blocks)}
     if margin > 0.0:
         return CertificateReport("block-convexity", PASS, float(margin), None, None,
                                  budget, "every own-block Hessian is positive definite")
@@ -713,8 +706,7 @@ def coercivity_check(p: VIProblem, seed) -> CertificateReport:
                              "slopes below the evidence threshold on some ray")
 
 
-def _pl_at_solution(p: VIProblem, g: QuadraticGame, seed, samples,
-                    radius) -> CertificateReport:
+def _pl_at_solution(p: VIProblem, seed, samples, radius) -> CertificateReport:
     """The PL check at the point the solver reaches from its default start,
     or, when that start does not solve a game on a bounded box, at the end
     of the corner-ray path."""
@@ -727,7 +719,7 @@ def _pl_at_solution(p: VIProblem, g: QuadraticGame, seed, samples,
         return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
                                  "no stationary candidate: solver did not converge")
     try:
-        return pl_condition_check(g, res.x, samples, seed, radius)
+        return pl_condition_check(p, res.x, samples, seed, radius)
     except NotStationaryError as e:
         return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
                                  "the solver's point is a boundary equilibrium, outside "
@@ -752,26 +744,26 @@ class _Settings:
         return draw_samples(self.box, self.samples, self.seed, self.radius)
 
 
-# Condition id -> (checker(p, game, settings), game_only), in the default order.
+# Condition id -> (checker(p, settings), game_only), in the default order.
 # Checkers are looked up as module globals at call time, never captured, so
 # that a function replaced on this module (by a test or a tracer) is the one run.
 CONDITIONS = {
-    "pmatrix": (lambda p, g, s: pmatrix_sampled(p, s.draw()), False),
-    "uniform-pmatrix": (lambda p, g, s: uniform_pmatrix_sampled(p, s.draw()), False),
-    "sigma-sweep": (lambda p, g, s: principal_submatrix_sigma_sweep(
+    "pmatrix": (lambda p, s: pmatrix_sampled(p, s.draw()), False),
+    "uniform-pmatrix": (lambda p, s: uniform_pmatrix_sampled(p, s.draw()), False),
+    "sigma-sweep": (lambda p, s: principal_submatrix_sigma_sweep(
         p, s.draw(), threshold=s.tol), False),
-    "pfunction": (lambda p, g, s: uniform_pfunction_search(
+    "pfunction": (lambda p, s: uniform_pfunction_search(
         p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
-    "block-pfunction": (lambda p, g, s: block_pfunction_search(
+    "block-pfunction": (lambda p, s: block_pfunction_search(
         p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
-    "growth": (lambda p, g, s: growth_l0lp_fit(
+    "growth": (lambda p, s: growth_l0lp_fit(
         p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
-    "upsilon": (lambda p, g, s: p_upsilon_check(g), True),
-    "maximal-rank": (lambda p, g, s: maximal_rank_tsearch(
+    "upsilon": (lambda p, s: p_upsilon_check(p), True),
+    "maximal-rank": (lambda p, s: maximal_rank_tsearch(
         p, boundary_sample_set(p.set, s.samples, s.seed, s.radius), tol=s.tol), False),
-    "coercivity": (lambda p, g, s: coercivity_check(p, s.seed), False),
-    "pl": (lambda p, g, s: _pl_at_solution(p, g, s.seed, s.pairs, s.radius), True),
-    "block-convexity": (lambda p, g, s: hessian_block_convexity(g), True),
+    "coercivity": (lambda p, s: coercivity_check(p, s.seed), False),
+    "pl": (lambda p, s: _pl_at_solution(p, s.seed, s.pairs, s.radius), True),
+    "block-convexity": (lambda p, s: hessian_block_convexity(p), True),
 }
 
 
@@ -787,11 +779,11 @@ def certify_problem(p: VIProblem, conditions=None, seed=42, samples=30, radius=1
     reports, skipped = [], []
     for cond in conditions:
         check, game_only = CONDITIONS[cond]
-        if game_only and p.game is None:
+        if game_only and not p.is_game:
             skipped.append(cond)
             continue
         try:
-            reports.append(check(p, p.game, settings))
+            reports.append(check(p, settings))
         except BudgetError as e:
             reports.append(CertificateReport(cond, INCONCLUSIVE, None, None, seed, {},
                                              f"budget exceeded: {e}"))

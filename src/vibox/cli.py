@@ -185,7 +185,7 @@ def cmd_report(args) -> int:
 
 def cmd_list(args) -> int:
     for pid in sorted(REGISTRY):
-        kind = "game" if REGISTRY[pid]().game is not None else "vi"
+        kind = "game" if REGISTRY[pid]().is_game else "vi"
         print(f"{pid}\t{kind}")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Core problem types: mappings with Jacobians, box sets, quadratic games, VI problems."""
+"""Core problem types: mappings with Jacobians, box sets, VI problems and quadratic games."""
 
 from __future__ import annotations
 
@@ -33,7 +33,9 @@ class BoxSet:
     """Cartesian product of closed intervals; infinite bounds mark unconstrained coordinates.
 
     ``blocks``, when present, partitions the coordinates into consecutive
-    groups (player action sets in the game case).
+    groups (player action sets in the game case).  The bounds are kept as
+    read-only copies: the caller's arrays stay writable, and writing into them
+    later leaves the box unchanged.
     """
 
     lo: np.ndarray
@@ -41,8 +43,8 @@ class BoxSet:
     blocks: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
+        lo = np.array(self.lo, dtype=float)
+        hi = np.array(self.hi, dtype=float)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
@@ -58,8 +60,8 @@ class BoxSet:
             object.__setattr__(self, "blocks", blocks)
             if any(b <= 0 for b in blocks) or sum(blocks) != lo.shape[0]:
                 raise ConfigurationError("block sizes must be positive and sum to the dimension")
-        self.lo.setflags(write=False)
-        self.hi.setflags(write=False)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -79,7 +81,7 @@ class BoxSet:
 
     @staticmethod
     def bounds(lo, hi, blocks=None) -> "BoxSet":
-        return BoxSet(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), blocks)
+        return BoxSet(lo, hi, blocks)
 
 
 @dataclass(frozen=True)
@@ -129,74 +131,10 @@ def affine_mapping(a, b=None) -> Mapping:
     )
 
 
-@dataclass(frozen=True)
-class QuadraticGame:
-    """N-player game with quadratic costs and box action sets.
-
-    Player i minimizes f_i(x) = 1/2 x_i' Q_ii x_i + x_i' sum_{j!=i} Q_ij x_j + c_i' x_i
-    over its box K_i.  Q_ii must be exactly symmetric.
-    """
-
-    block_sizes: tuple[int, ...]
-    q: dict  # (i, j) -> block matrix; diagonal entries required
-    c: tuple[np.ndarray, ...]
-    box: BoxSet
-
-    def __post_init__(self):
-        n = len(self.block_sizes)
-        if n < 1:
-            raise ConfigurationError("game needs at least one player")
-        if self.box.blocks != tuple(self.block_sizes):
-            raise ConfigurationError("box block partition must match game block sizes")
-        for i in range(n):
-            ni = self.block_sizes[i]
-            qii = self.q.get((i, i))
-            if qii is None:
-                raise ConfigurationError(f"missing own-block matrix for player {i}")
-            if qii.shape != (ni, ni):
-                raise ConfigurationError(f"own-block of player {i} has wrong shape")
-            if not np.array_equal(qii, qii.T):
-                raise ConfigurationError(f"own-block of player {i} is not symmetric")
-            if self.c[i].shape != (ni,):
-                raise ConfigurationError(f"linear term of player {i} has wrong length")
-            for j in range(n):
-                if j != i and (i, j) in self.q:
-                    if self.q[(i, j)].shape != (ni, self.block_sizes[j]):
-                        raise ConfigurationError(f"cross block ({i},{j}) has wrong shape")
-
-    @property
-    def num_players(self) -> int:
-        return len(self.block_sizes)
-
-    @property
-    def dim(self) -> int:
-        return sum(self.block_sizes)
-
-    def block(self, i, j) -> np.ndarray:
-        ni, nj = self.block_sizes[i], self.block_sizes[j]
-        return np.asarray(self.q.get((i, j), np.zeros((ni, nj))), dtype=float)
-
-    def block_slice(self, i) -> slice:
-        start = sum(self.block_sizes[:i])
-        return slice(start, start + self.block_sizes[i])
-
-    def full_matrix(self) -> np.ndarray:
-        """Block matrix of the game gradient mapping: diagonal Q_ii, off-diagonal Q_ij."""
-        m = self.dim
-        a = np.zeros((m, m))
-        for i in range(self.num_players):
-            for j in range(self.num_players):
-                a[self.block_slice(i), self.block_slice(j)] = self.block(i, j)
-        return a
-
-    def linear_term(self) -> np.ndarray:
-        return np.concatenate(self.c)
-
-
-def make_game(block_sizes, q, c, box) -> QuadraticGame:
-    q = {k: np.asarray(v, dtype=float) for k, v in q.items()}
-    c = tuple(np.asarray(v, dtype=float) for v in c)
-    return QuadraticGame(tuple(int(b) for b in block_sizes), q, c, box)
+def block_slices(blocks) -> list[slice]:
+    """The consecutive coordinate slices of blocks of the given sizes."""
+    bounds = np.cumsum([0, *blocks])
+    return [slice(int(s), int(e)) for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -206,7 +144,6 @@ class VIProblem:
     mapping: Mapping
     set: BoxSet
     name: str = "unnamed"
-    game: QuadraticGame | None = None
 
     def __post_init__(self):
         if self.mapping.dim != self.set.dim:
@@ -218,18 +155,53 @@ class VIProblem:
     def dim(self) -> int:
         return self.set.dim
 
+    @property
+    def is_game(self) -> bool:
+        """A quadratic game's VI (``make_game``); its players are the blocks of K."""
+        return self.mapping.kind == "game-gradient"
+
     def F(self, x) -> np.ndarray:
         return self.mapping(x)
 
 
-def game_to_vi(g: QuadraticGame, name="game") -> VIProblem:
-    """Compile a quadratic game to its gradient-mapping VI.
+def make_game(block_sizes, q, c, box, name="game") -> VIProblem:
+    """The VI of an N-player game with quadratic costs and box action sets.
 
-    F_i(x) = Q_ii x_i + sum_{j!=i} Q_ij x_j + c_i; the Jacobian is the
-    constant block matrix of the Q blocks.
+    Player i minimizes f_i(x) = 1/2 x_i' Q_ii x_i + x_i' sum_{j!=i} Q_ij x_j + c_i' x_i
+    over its block of ``box``, with q[(i, j)] = Q_ij (Q_ii required and exactly
+    symmetric, absent blocks zero).  The mapping is the gradient map, of kind
+    game-gradient: F(x) = A x + b with A the block matrix of the Q_ij and b the
+    stacked c_i, both new arrays that later writes into ``q`` or ``c`` leave alone.
     """
-    mapping = replace(affine_mapping(g.full_matrix(), g.linear_term()), kind="game-gradient")
-    return VIProblem(mapping=mapping, set=g.box, name=name, game=g)
+    sizes = tuple(int(s) for s in block_sizes)
+    n = len(sizes)
+    if n < 1:
+        raise ConfigurationError("game needs at least one player")
+    if box.blocks != sizes:
+        raise ConfigurationError("box block partition must match game block sizes")
+    if len(c) != n:
+        raise ConfigurationError(f"game has {len(c)} linear terms for {n} players")
+    sl = block_slices(sizes)
+    a = np.zeros((box.dim, box.dim))
+    for (i, j), block in q.items():
+        if not (0 <= i < n and 0 <= j < n):
+            raise ConfigurationError(f"game block key ({i}, {j}) is outside [0, {n}) "
+                                     f"for {n} players")
+        block = np.asarray(block, dtype=float)
+        if block.shape != (sizes[i], sizes[j]):
+            raise ConfigurationError(f"own-block of player {i} has wrong shape" if i == j
+                                     else f"cross block ({i},{j}) has wrong shape")
+        a[sl[i], sl[j]] = block
+    c = [np.asarray(v, dtype=float) for v in c]
+    for i, s in enumerate(sl):
+        if (i, i) not in q:
+            raise ConfigurationError(f"missing own-block matrix for player {i}")
+        if not np.array_equal(a[s, s], a[s, s].T):
+            raise ConfigurationError(f"own-block of player {i} is not symmetric")
+        if c[i].shape != (sizes[i],):
+            raise ConfigurationError(f"linear term of player {i} has wrong length")
+    mapping = replace(affine_mapping(a, np.concatenate(c)), kind="game-gradient")
+    return VIProblem(mapping=mapping, set=box, name=name)
 
 
 def jacobian(p: VIProblem, x) -> np.ndarray:

@@ -8,7 +8,7 @@ Files are JSON with the following fields:
     set.blocks      optional block partition
     mapping.kind    one of "affine", "game", "builtin"
     affine.A        row-major m*m matrix, affine.b offset (kind "affine")
-    game.block_sizes, game.q ("i,j" keyed row-major blocks), game.c
+    game.block_sizes, game.q ("i,j" keyed row-major blocks; absent ones are zero), game.c
     builtin.id      registered mapping id (kind "builtin")
 """
 
@@ -20,7 +20,7 @@ import math
 import numpy as np
 import orjson
 
-from .model import BoxSet, ConfigurationError, VIProblem, affine_mapping, game_to_vi, make_game
+from .model import BoxSet, ConfigurationError, VIProblem, affine_mapping, block_slices, make_game
 from .registry import builtin_mapping
 
 
@@ -114,12 +114,7 @@ def problem_from_dict(doc) -> VIProblem:
                 raise ProblemFileError(f"game block key {key!r} is outside "
                                        f"[0, {len(sizes)}) for {len(sizes)} players")
             q[(i, j)] = np.array(flat, dtype=float).reshape(sizes[i], sizes[j])
-        c = [np.array(v, dtype=float) for v in gdoc["c"]]
-        if box.blocks is None:
-            box = BoxSet(box.lo, box.hi, sizes)
-        g = make_game(sizes, q, c, box)
-        vi = game_to_vi(g, name=name)
-        return vi
+        return make_game(sizes, q, gdoc["c"], BoxSet(lo, hi, blocks or sizes), name=name)
     if kind == "builtin":
         mapping = builtin_mapping(doc["builtin"]["id"], m)
         return VIProblem(mapping, box, name=name)
@@ -137,13 +132,15 @@ def problem_to_dict(p: VIProblem) -> dict:
     }
     if p.set.blocks:
         doc["set"]["blocks"] = list(p.set.blocks)
-    if p.game is not None:
-        g = p.game
+    if p.is_game:
+        a, b = p.mapping.data["A"], p.mapping.data["b"]
+        sl = block_slices(p.set.blocks)
         doc["mapping"] = {"kind": "game"}
         doc["game"] = {
-            "block_sizes": list(g.block_sizes),
-            "q": {f"{i},{j}": g.q[(i, j)].ravel().tolist() for (i, j) in sorted(g.q)},
-            "c": [v.tolist() for v in g.c],
+            "block_sizes": list(p.set.blocks),
+            "q": {f"{i},{j}": a[si, sj].ravel().tolist()
+                  for i, si in enumerate(sl) for j, sj in enumerate(sl)},
+            "c": [b[s].tolist() for s in sl],
         }
     elif p.mapping.kind == "affine":
         doc["mapping"] = {"kind": "affine"}

@@ -1,10 +1,10 @@
-"""Builtin problem registry: id -> function returning the VIProblem (``game`` set for games)."""
+"""Builtin problem registry: id -> function returning the VIProblem."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import BoxSet, Mapping, VIProblem, affine_mapping, game_to_vi, make_game
+from .model import BoxSet, Mapping, VIProblem, affine_mapping, make_game
 
 
 def _cubic_plus_linear(m):
@@ -37,13 +37,13 @@ def _example_vi():
 
 
 def _example_game():
-    g = make_game(
+    return make_game(
         block_sizes=(1, 1),
         q={(0, 0): [[1.0]], (0, 1): [[2.0]], (1, 0): [[3.0]], (1, 1): [[1.0]]},
         c=([0.0], [0.0]),
         box=BoxSet(np.array([-np.inf, -np.inf]), np.array([np.inf, np.inf]), blocks=(1, 1)),
+        name="example-game",
     )
-    return game_to_vi(g, name="example-game")
 
 
 def _identity_box():

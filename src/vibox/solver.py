@@ -287,13 +287,12 @@ def classify(p: VIProblem, res: SolveResult) -> str:
     the block-convexity gate or the gap-domination check passes."""
     if not res.solved:
         return NOT_APPLICABLE
-    g = p.game
-    if g is None:
+    if not p.is_game:
         return VI_SOLUTION
-    if hessian_block_convexity(g).verdict == "pass":
+    if hessian_block_convexity(p).verdict == "pass":
         return NASH
     try:
-        if pl_condition_check(g, res.x).verdict == "pass":
+        if pl_condition_check(p, res.x).verdict == "pass":
             return NASH
     except ValueError:
         pass

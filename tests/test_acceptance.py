@@ -45,7 +45,7 @@ def test_criterion_1_multistart_solves_coupled_affine_vi(scorecard):
 def test_criterion_2_game_classified_nash_with_exact_gap_moduli(scorecard):
     p = get_problem("example-game")
     res = multistart(p, starts=1)[0]
-    rep = pl_condition_check(p.game, res.x, samples=200, seed=42)
+    rep = pl_condition_check(p, res.x, samples=200, seed=42)
     mu = rep.metrics["mu"]
     ok = (res.status == "solved" and res.classification == "nash"
           and np.linalg.norm(res.x) <= 1e-8
@@ -60,7 +60,7 @@ def test_criterion_3_negative_certificates_carry_exact_witnesses(scorecard):
     d /= np.linalg.norm(d)
     target = np.array([1.0, -1.0]) / np.sqrt(2.0)
     dir_err = min(np.linalg.norm(d - target), np.linalg.norm(d + target))
-    ups = upsilon_build(get_problem("example-game").game)
+    ups = upsilon_build(get_problem("example-game"))
     rep_up = pmatrix_minors(ups)
     ok = (rep_pf.verdict == "fail" and dir_err <= 1e-3
           and np.array_equal(ups, [[1.0, -2.0], [-3.0, 1.0]])

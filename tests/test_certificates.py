@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from vibox import certificates, solver
 from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
                    block_pfunction_search, boundary_sample_set, box_midpoint, builtin_mapping,
-                   draw_samples, game_to_vi, get_problem, growth_l0lp_fit,
+                   draw_samples, get_problem, growth_l0lp_fit,
                    hessian_block_convexity, make_game, maximal_rank_tsearch, p_upsilon_check,
                    pl_condition_check, pmatrix_minors, pmatrix_oracle,
                    principal_submatrix_sigma_sweep, problem_ids, project,
@@ -227,7 +227,7 @@ class TestGrowthFit:
 
 class TestUpsilon:
     def test_example_game(self):
-        g = get_problem("example-game").game
+        g = get_problem("example-game")
         np.testing.assert_array_equal(upsilon_build(g), [[1.0, -2.0], [-3.0, 1.0]])
 
     def test_decoupled_identity(self):
@@ -422,7 +422,7 @@ class TestPUpsilonCheck:
         assert "equal dimension" in rep.notes
 
     def test_example_game_fails(self):
-        rep = p_upsilon_check(get_problem("example-game").game)
+        rep = p_upsilon_check(get_problem("example-game"))
         assert rep.verdict == "fail"
         assert rep.witness["minor"] == -5.0
         assert rep.metrics["upsilon"] == [[1.0, -2.0], [-3.0, 1.0]]
@@ -485,7 +485,7 @@ class TestMaximalRankTsearch:
 
 class TestPLCondition:
     def test_example_game_mu_exact(self):
-        g = get_problem("example-game").game
+        g = get_problem("example-game")
         rep = pl_condition_check(g, np.zeros(2), samples=100, seed=9)
         assert rep.verdict == "pass"
         assert rep.metrics["mu"] == [2.0, 2.0]
@@ -505,7 +505,7 @@ class TestPLCondition:
         assert "unbounded below" in rep.notes
 
     def test_nonstationary_candidate_rejected(self):
-        g = get_problem("example-game").game
+        g = get_problem("example-game")
         with pytest.raises(ValueError):
             pl_condition_check(g, np.array([1.0, 1.0]))
         with pytest.raises(NotStationaryError, match="gradient-map norm"):
@@ -522,10 +522,9 @@ class TestPLAtSolution:
     def test_falls_back_to_the_path_on_a_bounded_game(self, monkeypatch):
         # interior equilibrium (5/9, -2/9) of [-3, 3]^2: with its solve failing,
         # pl checks the end of the corner-ray path and reaches the same verdict
-        g = make_game((1, 1), {(0, 0): [[2.0]], (0, 1): [[0.5]], (1, 0): [[-0.5]],
+        p = make_game((1, 1), {(0, 0): [[2.0]], (0, 1): [[0.5]], (1, 0): [[-0.5]],
                                (1, 1): [[1.0]]}, ([-1.0], [0.5]),
                       BoxSet(np.full(2, -3.0), np.full(2, 3.0), (1, 1)))
-        p = game_to_vi(g)
         (solved,), _ = certify_problem(p, ["pl"])
         monkeypatch.setattr(solver, "solve", unsolved)
         (path,), _ = certify_problem(p, ["pl"])
@@ -538,17 +537,20 @@ class TestPLAtSolution:
         assert rep.verdict == "inconclusive" and "did not converge" in rep.notes
 
 
-def pl_mu_oracle(g, xbar, rows):
+def pl_mu_oracle(p, xbar, rows):
     """mu per player from a plain loop over the rows; inf for a player with no
-    row of positive gap."""
+    row of positive gap.  The blocks Q_ij and c_i are read straight off A and b."""
+    a, c = p.mapping.data["A"], p.mapping.data["b"]
+    ends = np.cumsum(p.set.blocks)
+    sls = [slice(end - size, end) for size, end in zip(p.set.blocks, ends)]
     mus = []
-    for i in range(g.num_players):
-        sl, qii = g.block_slice(i), g.block(i, i)
-        b = np.zeros(g.block_sizes[i])
-        for j in range(g.num_players):
+    for i, sl in enumerate(sls):
+        qii = a[sl, sl]
+        b = np.zeros(p.set.blocks[i])
+        for j, sj in enumerate(sls):
             if j != i:
-                b = b + g.block(i, j) @ xbar[g.block_slice(j)]
-        b = b + g.c[i]
+                b = b + a[sl, sj] @ xbar[sj]
+        b = b + c[sl]
         x_opt = np.linalg.solve(qii, -b)
         mu = np.inf
         for row in rows:
@@ -562,7 +564,7 @@ def pl_mu_oracle(g, xbar, rows):
 
 @st.composite
 def stationary_games(draw):
-    """(game, stationary point): 2 or 3 players with blocks of size 1 to 3,
+    """(game's VI, stationary point): 2 or 3 players with blocks of size 1 to 3,
     positive definite own blocks, a box mixing every kind of coordinate, and
     c chosen so that the gradient map vanishes at the point."""
     sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
@@ -573,20 +575,20 @@ def stationary_games(draw):
     for i, a in enumerate(sizes):
         s = q[i, i] @ q[i, i].T + rng.uniform(0.1, 2.0) * np.eye(a)
         q[i, i] = (s + s.T) / 2.0
-    g = make_game(sizes, q, [np.zeros(a) for a in sizes], BoxSet(box.lo, box.hi, sizes))
-    xbar = rng.uniform(-5.0, 5.0, g.dim)
-    c = -(g.full_matrix() @ xbar)
-    g = make_game(sizes, q, [c[g.block_slice(i)] for i in range(len(sizes))], g.box)
-    return g, xbar
+    box = BoxSet(box.lo, box.hi, sizes)
+    p = make_game(sizes, q, [np.zeros(a) for a in sizes], box)
+    xbar = rng.uniform(-5.0, 5.0, p.dim)
+    c = -(p.mapping.data["A"] @ xbar)
+    return make_game(sizes, q, np.split(c, np.cumsum(sizes)[:-1]), box), xbar
 
 
 class TestPLSampler:
     @given(stationary_games(), st.integers(1, 60), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([0.5, 10.0, 40.0]))
     def test_matches_per_row_loop(self, game, samples, seed, radius):
-        g, xbar = game
-        rep = pl_condition_check(g, xbar, samples=samples, seed=seed, radius=radius)
-        mus = pl_mu_oracle(g, xbar, draw_samples(g.box, samples, seed, radius).points)
+        p, xbar = game
+        rep = pl_condition_check(p, xbar, samples=samples, seed=seed, radius=radius)
+        mus = pl_mu_oracle(p, xbar, draw_samples(p.set, samples, seed, radius).points)
         if not all(np.isfinite(mus)):
             assert rep.verdict == "inconclusive"
             return
@@ -596,7 +598,7 @@ class TestPLSampler:
 
 class TestHessianBlockConvexity:
     def test_example_game(self):
-        rep = hessian_block_convexity(get_problem("example-game").game)
+        rep = hessian_block_convexity(get_problem("example-game"))
         assert rep.verdict == "pass" and rep.margin == 1.0
 
     def test_zero_block_fails(self):

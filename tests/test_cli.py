@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import vibox
-from vibox import (BoxSet, VIProblem, affine_mapping, game_to_vi, get_problem, load_problem,
-                   make_game, save_problem, solve)
+from vibox import (BoxSet, VIProblem, affine_mapping, get_problem, load_problem, make_game,
+                   save_problem, solve)
 from vibox import cli, problem_io
 from vibox.cli import main
 from vibox.problem_io import ProblemFileError, problem_to_dict
@@ -195,7 +195,7 @@ class TestCertifyCommand:
         g = make_game((1, 2), {(0, 0): [[2.0]], (1, 1): np.eye(2)}, ([0.0], np.zeros(2)),
                       BoxSet.bounds([-1.0] * 3, [1.0] * 3, blocks=(1, 2)))
         path = tmp_path / "unequal.json"
-        save_problem(game_to_vi(g), path)
+        save_problem(g, path)
         code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "upsilon")
         assert code == 3
         cert = json.loads(out)["certificates"][0]
@@ -211,7 +211,7 @@ class TestCertifyCommand:
         g = make_game((2, 2), q, ([2.2, 0.2], [-1.2, -0.5]),
                       BoxSet(np.full(4, -np.inf), np.full(4, np.inf), (2, 2)))
         path = tmp_path / "game.json"
-        save_problem(game_to_vi(g), path)
+        save_problem(g, path)
 
         def pl(*options):
             code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl", *options)
@@ -231,7 +231,7 @@ class TestCertifyCommand:
         g = make_game((1, 1), {(0, 0): [[1.0]], (1, 1): [[1.0]]}, ([-2.0], [-2.0]),
                       BoxSet.bounds([-1.0, -1.0], [1.0, 1.0], blocks=(1, 1)))
         path = tmp_path / "boundary.json"
-        save_problem(game_to_vi(g), path)
+        save_problem(g, path)
         code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl")
         assert code == 3
         cert = json.loads(out)["certificates"][0]
@@ -244,8 +244,8 @@ class TestCertifyCommand:
         # No two distinct points: the pair checkers must stop, not search forever.
         lo = hi = [1.0, 2.0]
         if kind == "game":
-            p = game_to_vi(make_game((1, 1), {(0, 0): [[2.0]], (1, 1): [[1.0]], (0, 1): [[0.5]]},
-                                     ([1.0], [-1.0]), BoxSet.bounds(lo, hi, blocks=(1, 1))))
+            p = make_game((1, 1), {(0, 0): [[2.0]], (1, 1): [[1.0]], (0, 1): [[0.5]]},
+                          ([1.0], [-1.0]), BoxSet.bounds(lo, hi, blocks=(1, 1)))
         else:
             p = VIProblem(affine_mapping([[2.0, 0.5], [0.0, 1.0]], [1.0, -1.0]),
                           BoxSet.bounds(lo, hi))

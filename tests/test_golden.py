@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, game_to_vi, get_problem,
-                   make_game, multistart, normal_map, save_problem, solve, solver)
+from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, get_problem, make_game,
+                   multistart, normal_map, save_problem, solve, solver)
 from vibox.certificates import certify_problem
 from vibox.cli import main
 from vibox.registry import problem_ids
@@ -89,11 +89,10 @@ def game_cases():
     for i in range(2):
         s = q[i, i] @ q[i, i].T + np.eye(2)
         q[i, i] = (s + s.T) / 2.0
-    g = make_game((2, 2), q, (np.zeros(2), np.zeros(2)),
-                  BoxSet(np.full(4, -3.0), np.full(4, 3.0), (2, 2)))
-    c = -(g.full_matrix() @ rng.uniform(-1.0, 1.0, 4))
-    g = make_game((2, 2), q, (c[:2], c[2:]), g.box)
-    return {"game-2x2-box": game_to_vi(g, name="game-2x2-box")}
+    box = BoxSet(np.full(4, -3.0), np.full(4, 3.0), (2, 2))
+    g = make_game((2, 2), q, (np.zeros(2), np.zeros(2)), box)
+    c = -(g.mapping.data["A"] @ rng.uniform(-1.0, 1.0, 4))
+    return {"game-2x2-box": make_game((2, 2), q, (c[:2], c[2:]), box, name="game-2x2-box")}
 
 
 def stall_cases():
@@ -111,9 +110,9 @@ def stall_cases():
     c = rng.uniform(-3.0, 3.0, 4)
     sl = (slice(0, 2), slice(2, 3), slice(3, 4))
     q = {(i, j): a[sl[i], sl[j]] for i in range(3) for j in range(3)}
-    g = make_game((2, 1, 1), q, [c[s] for s in sl],
-                  BoxSet(np.full(4, -3.0), np.full(4, 3.0), (2, 1, 1)))
-    return {"game-3p-stall": game_to_vi(g, name="game-3p-stall")}
+    return {"game-3p-stall": make_game((2, 1, 1), q, [c[s] for s in sl],
+                                       BoxSet(np.full(4, -3.0), np.full(4, 3.0), (2, 1, 1)),
+                                       name="game-3p-stall")}
 
 
 def certify_output(problem):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from vibox import (BoxSet, ConfigurationError, EvaluationError, Mapping, VIProblem,
-                   affine_mapping, builtin_mapping, game_to_vi, get_problem, jacobian,
-                   make_game)
+                   affine_mapping, builtin_mapping, get_problem, jacobian, make_game)
 
 
 def example_game():
@@ -17,25 +16,23 @@ def example_game():
 
 class TestGameToVI:
     def test_example_game_mapping_and_jacobian(self):
-        p = game_to_vi(example_game())
+        p = example_game()
         x = np.array([1.0, 1.0])
         assert np.array_equal(p.F(x), [3.0, 4.0])
         np.testing.assert_array_equal(p.F(np.array([2.0, -1.0])), [0.0, 5.0])
         np.testing.assert_array_equal(jacobian(p, x), [[1.0, 2.0], [3.0, 1.0]])
 
     def test_single_player_identity(self):
-        g = make_game((2,), {(0, 0): np.eye(2)}, (np.zeros(2),),
+        p = make_game((2,), {(0, 0): np.eye(2)}, (np.zeros(2),),
                       BoxSet(np.full(2, -np.inf), np.full(2, np.inf), blocks=(2,)))
-        p = game_to_vi(g)
         x = np.array([0.3, -0.7])
         np.testing.assert_array_equal(p.F(x), x)
         np.testing.assert_array_equal(jacobian(p, x), np.eye(2))
 
     def test_decoupled_constant_costs(self):
-        g = make_game((1, 1), {(0, 0): [[0.0]], (1, 1): [[0.0]]},
+        p = make_game((1, 1), {(0, 0): [[0.0]], (1, 1): [[0.0]]},
                       ([2.0], [-3.0]),
                       BoxSet(np.full(2, -np.inf), np.full(2, np.inf), blocks=(1, 1)))
-        p = game_to_vi(g)
         for x in (np.zeros(2), np.array([5.0, -5.0])):
             np.testing.assert_array_equal(p.F(x), [2.0, -3.0])
         np.testing.assert_array_equal(jacobian(p, np.ones(2)), np.zeros((2, 2)))
@@ -51,6 +48,38 @@ class TestGameToVI:
             with pytest.raises(ConfigurationError):
                 make_game((2,), {(0, 0): qii}, (np.zeros(2),),
                           BoxSet(np.full(2, -np.inf), np.full(2, np.inf), blocks=(2,)))
+
+    @pytest.mark.parametrize("q, c, message", [
+        ({(1, 1): [[1.0]]}, ([0.0], [0.0]), "missing own-block matrix for player 0"),
+        ({(0, 0): [1.0], (1, 1): [[1.0]]}, ([0.0], [0.0]), "own-block of player 0 has wrong"),
+        ({(0, 0): [[1.0]], (1, 1): [[1.0]], (0, 1): [[1.0, 2.0]]}, ([0.0], [0.0]),
+         r"cross block \(0,1\) has wrong shape"),
+        ({(0, 0): [[1.0]], (1, 1): [[1.0]]}, ([0.0], [0.0, 1.0]),
+         "linear term of player 1 has wrong length"),
+        ({(0, 0): [[1.0]], (1, 1): [[1.0]]}, ([0.0],), "1 linear terms for 2 players"),
+        ({(0, 0): [[1.0]], (1, 1): [[1.0]]}, ([0.0], [0.0], [0.0]),
+         "3 linear terms for 2 players"),
+        ({(0, 0): [[1.0]], (1, 1): [[1.0]], (0, -1): [[1.0]]}, ([0.0], [0.0]),
+         r"key \(0, -1\) is outside \[0, 2\)"),
+        ({(0, 0): [[1.0]], (1, 1): [[1.0]], (2, 0): [[1.0]]}, ([0.0], [0.0]),
+         r"key \(2, 0\) is outside"),
+    ])
+    def test_malformed_game_rejected_with_its_message(self, q, c, message):
+        # a negative key would otherwise wrap around to the last player's block
+        with pytest.raises(ConfigurationError, match=message):
+            make_game((1, 1), q, c, BoxSet.bounds([0.0, 0.0], [1.0, 1.0], (1, 1)))
+
+    def test_caller_writes_leave_the_game_unchanged(self):
+        q = {(0, 0): np.eye(2), (0, 1): np.ones((2, 1)), (1, 1): np.array([[3.0]])}
+        c = [np.array([1.0, 2.0]), np.array([-1.0])]
+        p = make_game((2, 1), q, c, BoxSet.bounds([-1.0] * 3, [1.0] * 3, (2, 1)))
+        a, b = p.mapping.data["A"].copy(), p.mapping.data["b"].copy()
+        q[(0, 0)][0, 1] = 7.0  # an asymmetric own block, had it been seen
+        q[(0, 1)][:] = 5.0
+        c[0][:] = 9.0
+        assert all(v.flags.writeable for v in (*q.values(), *c))
+        assert np.array_equal(p.mapping.data["A"], a) and np.array_equal(p.mapping.data["b"], b)
+        np.testing.assert_array_equal(p.F(np.zeros(3)), [1.0, 2.0, -1.0])
 
 
 class TestJacobian:
@@ -100,12 +129,11 @@ class TestJacobian:
                 assert err < 1e-5
 
     def test_game_jacobian_equals_block_assembly(self):
-        g = example_game()
-        p = game_to_vi(g)
+        p = example_game()
         expected = np.array([[1.0, 2.0], [3.0, 1.0]])
         for x in (np.zeros(2), np.array([4.0, -1.0])):
             assert np.array_equal(jacobian(p, x), expected)
-            assert np.array_equal(g.full_matrix(), expected)
+            assert np.array_equal(p.mapping.data["A"], expected)
 
     def test_nonfinite_evaluation_reports_coordinate(self):
         bad = Mapping(fn=lambda x: np.array([x[0], np.sqrt(x[1])]), dim=2)
@@ -120,6 +148,16 @@ class TestJacobian:
 
 
 class TestBoxSet:
+    def test_caller_bounds_stay_writable_and_unshared(self):
+        lo = np.zeros(2)
+        hi = lo + 1.0
+        k = BoxSet(lo, hi)
+        assert lo.flags.writeable and hi.flags.writeable
+        assert not k.lo.flags.writeable and not k.hi.flags.writeable
+        lo[0], hi[1] = 5.0, -5.0  # would give lo > hi, had the box kept the arrays
+        np.testing.assert_array_equal(k.lo, [0.0, 0.0])
+        np.testing.assert_array_equal(k.hi, [1.0, 1.0])
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             BoxSet(np.array([1.0]), np.array([0.0]))

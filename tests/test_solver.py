@@ -6,10 +6,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from vibox import (BoxSet, Mapping, SolveConfig, VIProblem, affine_mapping, classify,
-                   game_to_vi, get_problem, make_game, multistart, normal_map, project, solve,
+                   get_problem, make_game, multistart, normal_map, project, solve,
                    uniform_pfunction_search)
 from vibox.registry import problem_ids
-from vibox import solver
+from vibox import certificates, solver
 from vibox.solver import (REG_FLOOR, SolveResult, _corner_ray_path, merit_gradient,
                           newton_direction)
 
@@ -94,6 +94,22 @@ class TestSolve:
         res = solve(get_problem("cubic-free"))
         assert res.status == "solved"
         assert np.linalg.norm(res.x) <= 1e-6
+
+    def test_line_search_backs_off_where_f_is_non_finite(self):
+        # F(x) = x^3 - 1 is non-finite for |x| > 10; from 0.1 the first Newton
+        # trial lands near 33.4, so the line search must halve t past the error.
+        trials = []
+
+        def f(x):
+            trials.append(float(x[0]))
+            return np.where(np.abs(x) > 10.0, np.inf, x ** 3 - 1.0)
+
+        p = VIProblem(Mapping(fn=f, dim=1, jac=lambda x: np.diag(3.0 * x ** 2)),
+                      BoxSet.full_space(1))
+        res = solve(p, SolveConfig(start=np.array([0.1])))
+        assert res.status == "solved" and res.steps[0] == "newton"
+        np.testing.assert_allclose(res.x, [1.0], atol=1e-10)
+        assert trials[1] == pytest.approx(0.1 + 0.999 / 0.03)
 
     def test_newton_quadratic_tail_on_spd(self):
         res = solve(get_problem("spd-box"),
@@ -268,6 +284,24 @@ class TestClassify:
         assert res.status == "solved"
         assert res.classification == "nash" == classify(p, solve(p))
         assert np.linalg.norm(res.x) <= 1e-8
+
+    def test_pl_upgrades_a_game_that_fails_block_convexity(self, monkeypatch):
+        # Q_00 = diag(1, 0) is only semidefinite, so block-convexity fails; the
+        # gap-domination check then finds every solution a Nash equilibrium.
+        p = make_game((2, 1), {(0, 0): np.diag([1.0, 0.0]), (1, 1): [[1.0]]},
+                      (np.zeros(2), np.zeros(1)), BoxSet.bounds([-1.0] * 3, [1.0] * 3, (2, 1)))
+        assert solver.hessian_block_convexity(p).verdict == "fail"
+        verdicts = []
+
+        def pl(*args):
+            rep = certificates.pl_condition_check(*args)
+            verdicts.append(rep.verdict)
+            return rep
+
+        monkeypatch.setattr(solver, "pl_condition_check", pl)
+        solved = [r for r in multistart(p, starts=8, seed=3) if r.solved]
+        assert solved and [r.classification for r in solved] == ["nash"] * len(solved)
+        assert verdicts == ["pass"] * len(solved)
 
     def test_plain_vi_label(self):
         p = get_problem("example-vi")
@@ -461,8 +495,7 @@ def bounded_affine_vis(draw):
         offs = np.cumsum([0, *sizes])
         sl = [slice(offs[i], offs[i + 1]) for i in range(len(sizes))]
         q = {(i, j): a[sl[i], sl[j]] for i in range(len(sizes)) for j in range(len(sizes))}
-        g = make_game(sizes, q, [b[s] for s in sl], BoxSet(lo, hi, sizes))
-        return game_to_vi(g), a, b, lo, hi
+        return make_game(sizes, q, [b[s] for s in sl], BoxSet(lo, hi, sizes)), a, b, lo, hi
     return VIProblem(affine_mapping(a, b), BoxSet(lo, hi)), a, b, lo, hi
 
 
