@@ -7,11 +7,12 @@ with ``--seed 5 --radius 3`` (``certify`` also with ``--samples 12``; ``solve``
 has no ``--samples``).  The same calls run on problem files too: this
 checkout writes every registry problem once with ``save_problem`` into a
 temporary directory that both subprocesses read, so the file loader is
-compared and the ``provenance`` fields (the paths) match.  Four seeded
+compared and the ``provenance`` fields (the paths) match.  Five seeded
 quadratic games join them, written straight in the file schema with
 ``json.dump`` (``save_games``), so that the game loader and the game-only
-checkers meet unequal blocks, a nonconvex and a semidefinite own block, and
-a game without cross blocks.  Prints each call
+checkers meet unequal blocks, a nonconvex and a semidefinite own block, a
+game without cross blocks, and a game whose default start stalls, so that
+``pl`` takes its candidate from the corner-ray path.  Prints each call
 whose exit code or stdout differs between the checkouts, or whose argv only
 one of them makes, and exits 1 if there is any; stderr (timings) is not
 compared.
@@ -63,8 +64,25 @@ def _symmetric(rng, n, least):
     return (s + s.T) / 2.0
 
 
+def _stall_game():
+    """game-3p-stall of tests/test_golden.py, built the same way: three players
+    on [-3, 3]^4 with blocks (2, 1, 1) and an indefinite first own block.  Its
+    default start stalls, so ``pl`` checks the end of the corner-ray path."""
+    rng = np.random.default_rng(37)
+    a = 0.4 * rng.standard_normal((4, 4))
+    u = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    own = u @ np.diag([-rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)]) @ u.T
+    a[:2, :2] = (own + own.T) / 2.0
+    for i in (2, 3):
+        a[i, i] = rng.standard_normal() ** 2 + 0.5
+    c = rng.uniform(-3.0, 3.0, 4)
+    sl = (slice(0, 2), slice(2, 3), slice(3, 4))
+    q = {(i, j): a[sl[i], sl[j]] for i in range(3) for j in range(3)}
+    return (2, 1, 1), q, [c[s] for s in sl], [-3.0] * 4, [3.0] * 4
+
+
 def save_games(problem_dir):
-    """Write four seeded games into problem_dir as files of mapping kind "game"."""
+    """Write five seeded games into problem_dir as files of mapping kind "game"."""
     rng = np.random.default_rng(12)
 
     def cross(sizes):
@@ -88,6 +106,7 @@ def save_games(problem_dir):
                                       (2, 2): _symmetric(rng, 1, 2.0)},
                           linear((1, 2, 1)), [-np.inf, -1.0, -1.0, 0.0],
                           [np.inf, 1.0, np.inf, 2.0]),
+        "game-3p-stall": _stall_game(),
     }
     for name, (sizes, q, c, lo, hi) in games.items():
         doc = {"name": name, "m": sum(sizes), "mapping": {"kind": "game"},

@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .model import (BoxSet, ConfigurationError, EvaluationError, Mapping, VIProblem,
                     affine_mapping, fd_jacobian, jacobian, make_game)
 from .projection import project, projection_jacobian_element
-from .normal_map import CoercivityProbe, NormalMapEval, coercivity_probe, normal_map, \
-    normal_map_jacobian_element
+from .normal_map import NormalMapEval, coercivity_probe, normal_map, normal_map_jacobian_element
 from .certificates import (CONDITIONS, BudgetError, CertificateReport, SampleSet,
                            block_pfunction_search, boundary_sample_set, box_midpoint,
                            certify_problem, coercivity_check, draw_samples, growth_l0lp_fit,

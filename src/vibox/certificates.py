@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .model import BoxSet, ConfigurationError, VIProblem, as_vector, block_slices, jacobian
-from .normal_map import coercivity_probe
+from .normal_map import RAY_RADII, coercivity_probe
 from .projection import project
 
 PASS = "pass"
@@ -33,10 +33,6 @@ ETA_FLOOR = 1e-10  # least principal minor of a uniform-pmatrix mixed-row matrix
 
 class BudgetError(ValueError):
     """Raised when an exhaustive enumeration would exceed its budget."""
-
-
-class NotStationaryError(ValueError):
-    """Raised when the PL check is given a point where the gradient map is not zero."""
 
 
 @dataclass(frozen=True)
@@ -438,16 +434,13 @@ def _pfunction_search(p, blocks, pairs, seed, radius, condition):
                              f"no violating pair; empirical mu = min rho; {SAMPLED_NOTE}")
 
 
-def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
-                    radius=10.0) -> CertificateReport:
-    """Least-max fit of ||F(x)-F(y)|| <= L0 + Lp ||x-y||^p over sampled pairs.
+def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> CertificateReport:
+    """Least-max fit of ||F(x)-F(y)|| <= L0 + Lp ||x-y||^p, p = 1, over sampled pairs.
 
     Lp is the worst ratio over pairs with separation >= 1; L0 covers the
     residual of the shorter pairs.  Passes with margin the fitted Lp whenever
     K has a pair to fit, and is inconclusive otherwise.
     """
-    if p_exponent < 1.0:
-        raise ValueError("growth exponent must be at least 1")
     rng = np.random.default_rng(seed)
     box = p.set
     bases = draw_samples(box, max(2, pairs // 40), seed, radius).points
@@ -463,16 +456,16 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, p_exponent=1.0, seed=0,
                                  NO_PAIR_NOTE)
     fits = [(float(np.linalg.norm(fx - fy)), float(np.linalg.norm(y - x)))
             for x, y, fx, fy in _with_values(p.F, pair_list)]  # (df, sep) per pair
-    long_ratios = [df / sep ** p_exponent for df, sep in fits if sep >= 1.0]
+    long_ratios = [df / sep for df, sep in fits if sep >= 1.0]
     short = [(df, sep) for df, sep in fits if sep < 1.0]
     if long_ratios:
         lp = max(long_ratios)
     else:
-        lp = max((df / sep ** p_exponent for df, sep in short), default=0.0)
-    l0 = max((df - lp * sep ** p_exponent for df, sep in short), default=0.0)
+        lp = max((df / sep for df, sep in short), default=0.0)
+    l0 = max((df - lp * sep for df, sep in short), default=0.0)
     l0 = 0.0 if l0 < 1e-12 * max(1.0, lp) else l0  # float noise below fit resolution
-    covered = sum(1 for df, sep in fits if df <= l0 + lp * sep ** p_exponent + 1e-12)
-    metrics = {"L0": float(l0), "Lp": float(lp), "p": float(p_exponent),
+    covered = sum(1 for df, sep in fits if df <= l0 + lp * sep + 1e-12)
+    metrics = {"L0": float(l0), "Lp": float(lp), "p": 1.0,
                "coverage": covered / len(pair_list)}
     return CertificateReport("growth", PASS, float(lp), None, seed,
                              {"pairs": len(pair_list)},
@@ -614,14 +607,17 @@ def pl_condition_check(p: VIProblem, xbar, samples=200, seed=0,
     """Gap-domination check of a game (``make_game``) at a stationary
     candidate: for each player the squared own gradient must dominate a
     positive multiple of the suboptimality gap, upgrading the candidate to a
-    Nash equilibrium.  Each player reads its own columns of one draw_samples
-    call over K and its own block A[s_i, s_i] of the Jacobian A."""
+    Nash equilibrium; inconclusive where the gradient map exceeds 1e-6 in
+    norm.  Each player reads its own columns of one draw_samples call over K
+    and its own block A[s_i, s_i] of the Jacobian A."""
     xbar = as_vector(xbar, p.dim)
     grad = p.F(xbar)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm > 1e-6:
-        raise NotStationaryError(
-            f"candidate is not stationary: gradient-map norm {grad_norm:.3e} > 1e-6")
+        return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
+                                 "the solver's point is a boundary equilibrium, outside the "
+                                 "scope of the PL check (candidate is not stationary: "
+                                 f"gradient-map norm {grad_norm:.3e} > 1e-6)")
     rows = draw_samples(p.set, samples, seed, radius).points
     mus = []
     budget = {"samples": samples}
@@ -686,19 +682,28 @@ def hessian_block_convexity(p: VIProblem) -> CertificateReport:
 
 
 def coercivity_check(p: VIProblem, seed) -> CertificateReport:
-    """The normal map's ray-based coercivity probe as a certificate: fail on a
-    ray whose residual norm does not grow, pass when every ray grows."""
-    probe = coercivity_probe(p)
-    slopes = [r.slope for r in probe.rays if r.slope is not None]
-    margin = float(min(slopes)) if slopes else None
-    budget = {"rays": len(probe.rays), "steps": len(probe.rays[0].radii)}
-    if probe.verdict == "violation-witness":
-        bad = next(r for r in probe.rays if r.verdict == "violation-witness")
-        witness = {"direction": bad.direction.tolist(),
-                   "norms": bad.norms.tolist(), "radii": bad.radii.tolist()}
-        return CertificateReport("coercivity", FAIL, margin, witness, seed, budget,
+    """Norm coercivity of the normal map from ``coercivity_probe``'s table.  A
+    ray whose last norm is below twice its first is a violation (fail, the
+    first such ray the witness); a ray with finite norms, positive past the
+    first four radii, has their log-log slope.  Pass when every ray has a
+    slope of at least 0.5, else inconclusive; the margin is the least slope."""
+    directions, norms = coercivity_probe(p)
+    tail = slice(4, None)
+    slopes, violation = [], None
+    for d, row in zip(directions, norms):
+        if not np.all(np.isfinite(row)):
+            continue
+        if row[-1] < 2.0 * row[0]:
+            violation = violation or {"direction": d.tolist(), "norms": row.tolist(),
+                                      "radii": RAY_RADII.tolist()}
+        elif row[tail].min() > 0.0:
+            slopes.append(float(np.polyfit(np.log(RAY_RADII[tail]), np.log(row[tail]), 1)[0]))
+    margin = min(slopes) if slopes else None
+    budget = {"rays": len(directions), "steps": RAY_RADII.size}
+    if violation:
+        return CertificateReport("coercivity", FAIL, margin, violation, seed, budget,
                                  "residual norm fails to grow along a ray")
-    if probe.verdict == "coercive-evidence":
+    if len(slopes) == len(directions) and margin >= 0.5:
         return CertificateReport("coercivity", PASS, margin, None, seed, budget,
                                  "all rays show growing residual norms; sampled "
                                  "evidence, not a proof")
@@ -707,23 +712,16 @@ def coercivity_check(p: VIProblem, seed) -> CertificateReport:
 
 
 def _pl_at_solution(p: VIProblem, seed, samples, radius) -> CertificateReport:
-    """The PL check at the point the solver reaches from its default start,
-    or, when that start does not solve a game on a bounded box, at the end
-    of the corner-ray path."""
-    from .solver import _corner_ray_path, _path_applies, SolveConfig, solve  # solver imports us
+    """The PL check at the first result of ``multistart`` from the default
+    start alone: the point that start reaches, or, when it does not solve a
+    game on a bounded box, the end of the corner-ray path."""
+    from .solver import multistart  # solver imports us
 
-    res = solve(p)
-    if not res.solved and _path_applies(p):
-        res = _corner_ray_path(p, SolveConfig())
+    res = multistart(p, starts=1)[0]
     if not res.solved:
         return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
                                  "no stationary candidate: solver did not converge")
-    try:
-        return pl_condition_check(p, res.x, samples, seed, radius)
-    except NotStationaryError as e:
-        return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
-                                 "the solver's point is a boundary equilibrium, outside "
-                                 f"the scope of the PL check ({e})")
+    return pl_condition_check(p, res.x, samples, seed, radius)
 
 
 @dataclass(frozen=True)

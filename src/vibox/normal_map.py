@@ -1,9 +1,8 @@
-"""The normal mapping v -> v - P_K[v] + F(P_K[v]), its Jacobian elements, and coercivity probes."""
+"""The normal mapping v -> v - P_K[v] + F(P_K[v]), its Jacobian elements, and a coercivity probe."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -11,9 +10,7 @@ import numpy as np
 from .model import EvaluationError, VIProblem, as_vector, jacobian
 from .projection import project, projection_jacobian_element
 
-COERCIVE_EVIDENCE = "coercive-evidence"
-VIOLATION_WITNESS = "violation-witness"
-INCONCLUSIVE = "inconclusive"
+RAY_RADII = 2.0 ** np.arange(12)  # radii of coercivity_probe
 
 
 class NormalMapEval(NamedTuple):
@@ -49,57 +46,18 @@ def normal_map_jacobian_element(p: VIProblem, v) -> np.ndarray:
     return j
 
 
-@dataclass(frozen=True)
-class RayProbe:
-    direction: np.ndarray
-    radii: np.ndarray
-    norms: np.ndarray
-    slope: float | None  # log-log fit past burn-in; None if non-finite values hit
-    verdict: str
-
-
-@dataclass(frozen=True)
-class CoercivityProbe:
-    rays: tuple[RayProbe, ...]
-    verdict: str
-
-
-def coercivity_probe(p: VIProblem) -> CoercivityProbe:
-    """Evidence for norm coercivity of the normal map along the 2m rays +-e_i.
-
-    Along each ray the residual norm is tabulated at radii 2^k, k = 0..11.
-    A ray whose final norm fails to reach twice its first value witnesses a
-    violation; if every ray's log-log slope past the first four radii is at
-    least 0.5 the probe reports coercive evidence; anything else is
-    inconclusive.  Deterministic sampling evidence, not a proof.
-    """
-    radii = 2.0 ** np.arange(12)
+def coercivity_probe(p: VIProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The residual norms of the normal map along the 2m rays +-e_i, as
+    (directions, norms): direction 2i is +e_i and 2i + 1 is -e_i, and row k
+    of norms holds ||F_nor(r d_k)|| at the radii r of RAY_RADII.  A ray on
+    which F is non-finite gets a row of NaN.  ``coercivity_check`` reads the
+    table; this function only evaluates it."""
     eye = np.eye(p.dim)
-    ray_reports = []
-    for d in (s * eye[i] for i in range(p.dim) for s in (1.0, -1.0)):
+    directions = np.array([s * eye[i] for i in range(p.dim) for s in (1.0, -1.0)])
+    norms = np.empty((len(directions), RAY_RADII.size))
+    for row, d in zip(norms, directions):
         try:
-            norms = np.array([normal_map(p, r * d).norm for r in radii])
+            row[:] = [normal_map(p, r * d).norm for r in RAY_RADII]
         except EvaluationError:
-            norms = np.full(radii.size, np.nan)
-        if not np.all(np.isfinite(norms)):
-            ray_reports.append(RayProbe(d, radii, norms, None, INCONCLUSIVE))
-            continue
-        if norms[-1] < 2.0 * norms[0]:
-            ray_reports.append(RayProbe(d, radii, norms, None, VIOLATION_WITNESS))
-            continue
-        tail = slice(4, None)
-        with np.errstate(divide="ignore"):
-            logs = np.log(norms[tail])
-        if not np.all(np.isfinite(logs)):
-            ray_reports.append(RayProbe(d, radii, norms, None, INCONCLUSIVE))
-            continue
-        slope = float(np.polyfit(np.log(radii[tail]), logs, 1)[0])
-        verdict = COERCIVE_EVIDENCE if slope >= 0.5 else INCONCLUSIVE
-        ray_reports.append(RayProbe(d, radii, norms, slope, verdict))
-    if any(r.verdict == VIOLATION_WITNESS for r in ray_reports):
-        verdict = VIOLATION_WITNESS
-    elif all(r.verdict == COERCIVE_EVIDENCE for r in ray_reports):
-        verdict = COERCIVE_EVIDENCE
-    else:
-        verdict = INCONCLUSIVE
-    return CoercivityProbe(rays=tuple(ray_reports), verdict=verdict)
+            row[:] = np.nan
+    return directions, norms

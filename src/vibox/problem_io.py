@@ -4,12 +4,14 @@ Files are JSON with the following fields:
 
     name            problem label
     m               dimension
-    set.lo, set.hi  per-coordinate bounds; "inf" / "-inf" mark unbounded sides
+    set.lo, set.hi  per-coordinate bounds; "inf", "-inf" or an overflowing number: no bound
     set.blocks      optional block partition
     mapping.kind    one of "affine", "game", "builtin"
     affine.A        row-major m*m matrix, affine.b offset (kind "affine")
     game.block_sizes, game.q ("i,j" keyed row-major blocks; absent ones are zero), game.c
     builtin.id      registered mapping id (kind "builtin")
+
+Every entry of affine.A, affine.b, game.q and game.c must be finite (1e400 is not).
 """
 
 from __future__ import annotations
@@ -36,6 +38,16 @@ def _decode_bound(v):
             return -math.inf
         raise ProblemFileError(f"bad bound value {v!r}")
     return float(v)
+
+
+def _finite(p: VIProblem, a_field, b_field) -> VIProblem:
+    """p, unless an entry of its A (read from a_field) or b (from b_field) is
+    NaN or infinite.  One check per assembled array: a check per game block
+    cost several times as much on small games."""
+    for field, key in ((a_field, "A"), (b_field, "b")):
+        if not np.isfinite(p.mapping.data[key]).all():
+            raise ProblemFileError(f"{field} has an entry that is not a finite number")
+    return p
 
 
 def _encode_bound(v):
@@ -103,7 +115,7 @@ def problem_from_dict(doc) -> VIProblem:
     if kind == "affine":
         a = np.array(doc["affine"]["A"], dtype=float).reshape(m, m)
         b = np.array(doc["affine"].get("b", [0.0] * m), dtype=float)
-        return VIProblem(affine_mapping(a, b), box, name=name)
+        return _finite(VIProblem(affine_mapping(a, b), box, name=name), "affine.A", "affine.b")
     if kind == "game":
         gdoc = doc["game"]
         sizes = tuple(int(s) for s in gdoc["block_sizes"])
@@ -114,7 +126,8 @@ def problem_from_dict(doc) -> VIProblem:
                 raise ProblemFileError(f"game block key {key!r} is outside "
                                        f"[0, {len(sizes)}) for {len(sizes)} players")
             q[(i, j)] = np.array(flat, dtype=float).reshape(sizes[i], sizes[j])
-        return make_game(sizes, q, gdoc["c"], BoxSet(lo, hi, blocks or sizes), name=name)
+        return _finite(make_game(sizes, q, gdoc["c"], BoxSet(lo, hi, blocks or sizes), name=name),
+                       "game.q", "game.c")
     if kind == "builtin":
         mapping = builtin_mapping(doc["builtin"]["id"], m)
         return VIProblem(mapping, box, name=name)

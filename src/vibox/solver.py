@@ -289,13 +289,9 @@ def classify(p: VIProblem, res: SolveResult) -> str:
         return NOT_APPLICABLE
     if not p.is_game:
         return VI_SOLUTION
-    if hessian_block_convexity(p).verdict == "pass":
+    if (hessian_block_convexity(p).verdict == "pass"
+            or pl_condition_check(p, res.x).verdict == "pass"):
         return NASH
-    try:
-        if pl_condition_check(p, res.x).verdict == "pass":
-            return NASH
-    except ValueError:
-        pass
     return QUASI_NASH
 
 

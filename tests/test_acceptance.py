@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from vibox import (BoxSet, VIProblem, affine_mapping, boundary_sample_set,
-                   coercivity_probe, fd_jacobian, get_problem, maximal_rank_tsearch,
-                   multistart, normal_map, normal_map_jacobian_element, pl_condition_check,
-                   pmatrix_minors, pmatrix_oracle, solve,
+                   coercivity_check, coercivity_probe, fd_jacobian, get_problem,
+                   maximal_rank_tsearch, multistart, normal_map, normal_map_jacobian_element,
+                   pl_condition_check, pmatrix_minors, pmatrix_oracle, solve,
                    uniform_pfunction_search, upsilon_build)
 from vibox.cli import main as cli_main
 
@@ -114,12 +114,13 @@ def test_criterion_6_coercivity_probe_is_calibrated(scorecard):
     ok = True
     for m in (2, 5, 10):
         p = VIProblem(affine_mapping(np.eye(m)), BoxSet.full_space(m))
-        probe = coercivity_probe(p)
-        ok &= probe.verdict == "coercive-evidence"
-        slope_err = max(slope_err, max(abs(r.slope - 1.0) for r in probe.rays))
+        _, norms = coercivity_probe(p)
+        slopes = np.polyfit(np.log(2.0 ** np.arange(4, 12)), np.log(norms[:, 4:]).T, 1)[0]
+        slope_err = max(slope_err, float(np.max(np.abs(slopes - 1.0))))
+        ok &= coercivity_check(p, 0).verdict == "pass"
     ok &= slope_err <= 0.01
     flat = VIProblem(affine_mapping(np.zeros((3, 3)), np.ones(3)), BoxSet.full_space(3))
-    ok &= coercivity_probe(flat).verdict == "violation-witness"
+    ok &= coercivity_check(flat, 0).verdict == "fail"
     scorecard(6, ok, f"identity slope error {slope_err:.1e}, flat map flagged")
 
 

@@ -11,13 +11,14 @@ from hypothesis.extra import numpy as hnp
 from vibox import certificates, solver
 from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
                    block_pfunction_search, boundary_sample_set, box_midpoint, builtin_mapping,
-                   draw_samples, get_problem, growth_l0lp_fit,
-                   hessian_block_convexity, make_game, maximal_rank_tsearch, p_upsilon_check,
-                   pl_condition_check, pmatrix_minors, pmatrix_oracle,
+                   coercivity_check, draw_samples, get_problem, growth_l0lp_fit,
+                   hessian_block_convexity, make_game, maximal_rank_tsearch, normal_map,
+                   p_upsilon_check, pl_condition_check, pmatrix_minors, pmatrix_oracle,
                    principal_submatrix_sigma_sweep, problem_ids, project,
                    uniform_pfunction_search, uniform_pmatrix_sampled, upsilon_build)
-from vibox.certificates import (CONDITIONS, NotStationaryError, _det_stack, _hull_rows,
-                                _principal_values, certify_problem)
+from vibox.certificates import (CONDITIONS, _det_stack, _hull_rows, _principal_values,
+                                certify_problem)
+from vibox.model import EvaluationError
 
 EXAMPLE_A = np.array([[1.0, 2.0], [3.0, 1.0]])
 
@@ -200,7 +201,7 @@ class TestBlockPfunction:
 class TestGrowthFit:
     def test_affine_spectral_norm(self):
         p = get_problem("example-vi")
-        rep = growth_l0lp_fit(p, pairs=200, p_exponent=1.0, seed=3)
+        rep = growth_l0lp_fit(p, pairs=200, seed=3)
         assert rep.verdict == "pass"
         assert rep.metrics["Lp"] <= np.linalg.norm(EXAMPLE_A, 2) + 1e-9
         assert rep.metrics["L0"] == 0.0
@@ -208,13 +209,13 @@ class TestGrowthFit:
 
     def test_identity(self):
         p = VIProblem(affine_mapping(np.eye(2)), free_box(2))
-        rep = growth_l0lp_fit(p, pairs=150, p_exponent=1.0, seed=0)
-        assert rep.metrics["Lp"] == 1.0 and rep.metrics["L0"] == 0.0
+        rep = growth_l0lp_fit(p, pairs=150, seed=0)
+        assert rep.metrics["Lp"] == 1.0 and rep.metrics["L0"] == 0.0 and rep.metrics["p"] == 1.0
 
     def test_cubic_on_box(self):
         from vibox import builtin_mapping
         p = VIProblem(builtin_mapping("cubic", 2), BoxSet.bounds([-2.0] * 2, [2.0] * 2))
-        rep = growth_l0lp_fit(p, pairs=150, p_exponent=3.0, seed=1)
+        rep = growth_l0lp_fit(p, pairs=150, seed=1)
         assert rep.verdict == "pass" and np.isfinite(rep.metrics["Lp"])
         assert rep.metrics["coverage"] == 1.0
 
@@ -505,11 +506,9 @@ class TestPLCondition:
         assert "unbounded below" in rep.notes
 
     def test_nonstationary_candidate_rejected(self):
-        g = get_problem("example-game")
-        with pytest.raises(ValueError):
-            pl_condition_check(g, np.array([1.0, 1.0]))
-        with pytest.raises(NotStationaryError, match="gradient-map norm"):
-            pl_condition_check(g, np.array([1.0, 1.0]))
+        rep = pl_condition_check(get_problem("example-game"), np.array([1.0, 1.0]), seed=4)
+        assert rep.verdict == "inconclusive" and rep.margin is None and rep.witness is None
+        assert rep.seed == 4 and rep.budget == {} and "gradient-map norm" in rep.notes
 
 
 def unsolved(p, cfg=None):
@@ -611,6 +610,93 @@ class TestHessianBlockConvexity:
         g = make_game((1, 1), {(0, 0): [[2.0]], (1, 1): [[2.0]]}, ([0.0], [0.0]),
                       free_box(2, blocks=(1, 1)))
         assert hessian_block_convexity(g).margin == 2.0
+
+
+def coercivity_oracle(p, seed):
+    """(verdict, margin, witness, budget) of coercivity_check, from a per-ray
+    rule of its own: along each ray +-e_i the residual norms at radii 2^k,
+    k = 0..11, give the ray a verdict (undecided when a norm is not finite),
+    and the report follows from the ray verdicts."""
+    radii = 2.0 ** np.arange(12)
+    eye = np.eye(p.dim)
+    rays = []  # (direction, norms, slope or None, verdict)
+    for d in (s * eye[i] for i in range(p.dim) for s in (1.0, -1.0)):
+        try:
+            norms = np.array([normal_map(p, r * d).norm for r in radii])
+        except EvaluationError:
+            norms = np.full(radii.size, np.nan)
+        slope, verdict = None, "undecided"
+        if np.all(np.isfinite(norms)):
+            if norms[-1] < 2.0 * norms[0]:
+                verdict = "violation"
+            else:
+                with np.errstate(divide="ignore"):
+                    logs = np.log(norms[4:])
+                if np.all(np.isfinite(logs)):
+                    slope = float(np.polyfit(np.log(radii[4:]), logs, 1)[0])
+                    verdict = "coercive" if slope >= 0.5 else "undecided"
+        rays.append((d, norms, slope, verdict))
+    slopes = [slope for _, _, slope, _ in rays if slope is not None]
+    margin = float(min(slopes)) if slopes else None
+    budget = {"rays": len(rays), "steps": len(radii)}
+    violations = [(d, norms) for d, norms, _, verdict in rays if verdict == "violation"]
+    if violations:
+        d, norms = violations[0]
+        witness = {"direction": d.tolist(), "norms": norms.tolist(), "radii": radii.tolist()}
+        return "fail", margin, witness, budget
+    if all(verdict == "coercive" for *_, verdict in rays):
+        return "pass", margin, None, budget
+    return "inconclusive", margin, None, budget
+
+
+RAY_KINDS = {  # coordinate i of F as a function of x_i alone
+    "linear": lambda t: 2.0 * t,  # grows with slope 1
+    "constant": lambda t: 1.0,  # does not grow: a violation
+    "slow": lambda t: np.sign(t) * abs(t) ** 0.3,  # grows with slope 0.3 < 0.5
+    "nan-past-100": lambda t: np.nan if abs(t) > 100.0 else t,  # a NaN row
+    "root-16": lambda t: t - 16.0,  # norm 0 at radius 16 along +e_i
+    "huge": lambda t: 1e300 * t,  # finite, but the residual norm overflows: an inf row
+}
+
+
+def ray_problem(kinds, box=None):
+    """The VI of F(x)_i = RAY_KINDS[kinds[i]](x_i) on box (default R^m)."""
+    fns = [RAY_KINDS[k] for k in kinds]
+    mapping = Mapping(fn=lambda x: np.array([f(t) for f, t in zip(fns, x)]), dim=len(kinds))
+    return VIProblem(mapping, box or BoxSet.full_space(len(kinds)))
+
+
+@st.composite
+def ray_problems(draw):
+    box = draw(mixed_boxes(st.integers(1, 3)))
+    kinds = draw(st.lists(st.sampled_from(sorted(RAY_KINDS)), min_size=box.dim,
+                          max_size=box.dim))
+    return ray_problem(kinds, box)
+
+
+class TestCoercivityCheck:
+    # one case per branch of the ray rule, on R^m
+    @pytest.mark.parametrize("kinds, verdict", [
+        (("linear", "linear"), "pass"),
+        (("linear", "constant"), "fail"),  # rays 2 and 3 violate; ray 2 is the witness
+        (("slow",), "inconclusive"),
+        (("nan-past-100", "linear"), "inconclusive"),
+        (("root-16", "linear"), "inconclusive"),
+        (("huge",), "inconclusive"),
+    ])
+    def test_each_branch_matches_the_oracle(self, kinds, verdict):
+        with np.errstate(over="ignore"):
+            rep = coercivity_check(ray_problem(kinds), 7)
+            expected = coercivity_oracle(ray_problem(kinds), 7)
+        assert (rep.verdict, rep.margin, rep.witness, rep.budget) == expected
+        assert rep.verdict == verdict and rep.seed == 7
+
+    @given(ray_problems(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_oracle(self, p, seed):
+        with np.errstate(over="ignore"):
+            rep = coercivity_check(p, seed)
+            expected = coercivity_oracle(p, seed)
+        assert (rep.verdict, rep.margin, rep.witness, rep.budget) == expected
 
 
 class TestSampling:

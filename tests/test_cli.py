@@ -291,6 +291,15 @@ class TestCertifyCommand:
         assert doc["certificates"][0]["seed"] == 11
 
 
+NONFINITE_ENTRIES = [  # (field, problem, path to one entry of the field in its file)
+    ("game.q", "example-game", ("game", "q", "0,0", 0)),
+    ("game.q", "example-game", ("game", "q", "0,1", 0)),
+    ("game.c", "example-game", ("game", "c", 1, 0)),
+    ("affine.A", "spd-box", ("affine", "A", 0)),
+    ("affine.b", "spd-box", ("affine", "b", 1)),
+]
+
+
 class TestProblemFiles:
     def test_round_trip_matches_builtin_bit_exact(self, tmp_path, capsys):
         for pid in ("example-vi", "example-game", "identity-box", "cubic-free"):
@@ -417,6 +426,35 @@ class TestProblemFiles:
                 warnings.simplefilter("error")
                 code, out, err = run_cli(capsys, command, str(path))
             assert code == 1 and out == "" and err.startswith("error:") and "empty" in err
+
+    @pytest.mark.parametrize("field, pid, where, number", [
+        pytest.param(field, pid, where, number, id=f"{'.'.join(map(str, where))}={number}")
+        for field, pid, where in NONFINITE_ENTRIES for number in ("1e400", "-1e400", "NaN")
+        if not (where[2] == "0,0" and number == "NaN")])  # a NaN own block is not symmetric
+    def test_nonfinite_problem_data_exit_one(self, tmp_path, capsys, field, pid, where, number):
+        doc = problem_to_dict(get_problem(pid))
+        *keys, last = where
+        entry = doc
+        for key in keys:
+            entry = entry[key]
+        entry[last] = 7.25  # a marker, replaced by number in the file's text
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc).replace("7.25", number))
+        with pytest.raises(ProblemFileError, match="not a finite number"):
+            load_problem(path)
+        conditions = "block-convexity,upsilon" if pid == "example-game" else "pmatrix,sigma-sweep"
+        for argv in (["solve"], ["certify", "--conditions", conditions]):
+            code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert err.startswith("error:") and f"{field} has an entry" in err
+
+    def test_overflowing_bound_is_an_unbounded_side(self, tmp_path):
+        path = tmp_path / "bounds.json"
+        doc = problem_to_dict(get_problem("spd-box"))
+        doc["set"]["lo"][0], doc["set"]["hi"][1] = 7.25, 8.25
+        path.write_text(json.dumps(doc).replace("7.25", "-1e400").replace("8.25", "1e400"))
+        p = load_problem(path)
+        assert p.set.lo[0] == -np.inf and p.set.hi[1] == np.inf
 
     @pytest.mark.parametrize("argv", [("certify", "--conditions", "pfunction"),
                                       ("certify", "--conditions", "block-pfunction"),

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, coercivity_probe, get_problem,
-                   normal_map, normal_map_jacobian_element, project,
-                   projection_jacobian_element)
+from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, coercivity_check,
+                   coercivity_probe, get_problem, normal_map, normal_map_jacobian_element,
+                   project, projection_jacobian_element)
 from vibox.model import EvaluationError, fd_jacobian
+from vibox.normal_map import RAY_RADII
 
 
 def box_identity():
@@ -137,28 +138,37 @@ class TestCoercivityProbe:
     def test_identity_slopes(self):
         for m in (2, 5):
             p = VIProblem(affine_mapping(np.eye(m)), BoxSet.full_space(m))
-            probe = coercivity_probe(p)
-            assert probe.verdict == "coercive-evidence"
-            for ray in probe.rays:
-                assert abs(ray.slope - 1.0) < 0.01
+            directions, norms = coercivity_probe(p)
+            signs = np.tile([1.0, -1.0], m)[:, None]
+            np.testing.assert_array_equal(directions, np.repeat(np.eye(m), 2, axis=0) * signs)
+            np.testing.assert_array_equal(norms, np.tile(RAY_RADII, (2 * m, 1)))
+            slopes = np.polyfit(np.log(RAY_RADII[4:]), np.log(norms[:, 4:]).T, 1)[0]
+            assert np.all(np.abs(slopes - 1.0) < 0.01)
+            assert coercivity_check(p, 0).verdict == "pass"
 
     def test_example_vi_coercive(self):
-        probe = coercivity_probe(get_problem("example-vi"))
-        assert probe.verdict == "coercive-evidence"
+        assert coercivity_check(get_problem("example-vi"), 0).verdict == "pass"
 
     def test_constant_mapping_violation(self):
         p = VIProblem(affine_mapping(np.zeros((3, 3)), np.ones(3)), BoxSet.full_space(3))
-        probe = coercivity_probe(p)
-        assert probe.verdict == "violation-witness"
-        assert all(r.verdict == "violation-witness" for r in probe.rays)
+        _, norms = coercivity_probe(p)
+        assert np.all(norms[:, -1] < 2.0 * norms[:, 0])
+        rep = coercivity_check(p, 0)
+        assert rep.verdict == "fail" and rep.witness["direction"] == [1.0, 0.0, 0.0]
 
     def test_spd_on_box_coercive(self):
         p = VIProblem(affine_mapping([[2.0, -1.0], [-1.0, 2.0]]),
                       BoxSet.bounds([0.0, 0.0], [1.0, 1.0]))
-        assert coercivity_probe(p).verdict == "coercive-evidence"
+        assert coercivity_check(p, 0).verdict == "pass"
 
     def test_deterministic(self):
         p = get_problem("example-vi")
-        a = coercivity_probe(p)
-        b = coercivity_probe(p)
-        assert [r.slope for r in a.rays] == [r.slope for r in b.rays]
+        (da, a), (db, b) = coercivity_probe(p), coercivity_probe(p)
+        assert da.tobytes() == db.tobytes() and a.tobytes() == b.tobytes()
+
+    def test_nonfinite_ray_gets_nan_row(self):
+        # F is NaN past |x_0| = 100: both rays along e_0 get NaN rows, the others none
+        p = VIProblem(Mapping(fn=lambda x: np.where(abs(x[0]) > 100.0, np.nan, x), dim=2),
+                      BoxSet.full_space(2))
+        _, norms = coercivity_probe(p)
+        assert np.all(np.isnan(norms[:2])) and np.all(np.isfinite(norms[2:]))
