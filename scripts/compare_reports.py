@@ -2,20 +2,23 @@
 
 Runs, in one subprocess per checkout (with PYTHONPATH=<checkout>/src),
 ``vibox.cli.main`` in-process over ``list`` and over ``solve`` and
-``certify`` on every registry problem, once with default options and once
+``certify`` on every registry problem, once with default options, once
 with ``--seed 5 --radius 3`` (``certify`` also with ``--samples 12``; ``solve``
-has no ``--samples``).  The same calls run on problem files too: this
-checkout writes every registry problem once with ``save_problem`` into a
-temporary directory that both subprocesses read, so the file loader is
-compared and the ``provenance`` fields (the paths) match.  Five seeded
-quadratic games join them, written straight in the file schema with
-``json.dump`` (``save_games``), so that the game loader and the game-only
-checkers meet unequal blocks, a nonconvex and a semidefinite own block, a
-game without cross blocks, and a game whose default start stalls, so that
-``pl`` takes its candidate from the corner-ray path.  Prints each call
-whose exit code or stdout differs between the checkouts, or whose argv only
-one of them makes, and exits 1 if there is any; stderr (timings) is not
-compared.
+has no ``--samples``), and once with a tolerance that changes some reports:
+``--tol 1e-6`` for ``solve``, and ``--tol 0.5`` for ``certify``, which moves
+the ``sigma-sweep`` and ``maximal-rank`` verdicts of three games.  A
+tolerance that no longer reaches the solver or the checkers then shows.
+The same calls run on problem files too: this checkout writes every
+registry problem once with ``save_problem`` into a temporary directory that
+both subprocesses read, so the file loader is compared and the
+``provenance`` fields (the paths) match.  Five seeded quadratic games join
+them, written straight in the file schema with ``json.dump``
+(``save_games``), so that the game loader and the game-only checkers meet
+unequal blocks, a nonconvex and a semidefinite own block, a game without
+cross blocks, and a game whose default start stalls, so that ``pl`` takes
+its candidate from the corner-ray path.  Prints each call whose exit code
+or stdout differs between the checkouts, or whose argv only one of them
+makes, and exits 1 if there is any; stderr (timings) is not compared.
 
     python scripts/compare_reports.py <other-checkout>
 """
@@ -32,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
-OPTIONS = {"solve": ["--seed", "5", "--radius", "3"],
-           "certify": ["--seed", "5", "--samples", "12", "--radius", "3"]}
+OPTIONS = {"solve": [["--seed", "5", "--radius", "3"], ["--tol", "1e-6"]],
+           "certify": [["--seed", "5", "--samples", "12", "--radius", "3"], ["--tol", "0.5"]]}
 
 
 def calls(problem_dir):
@@ -41,10 +44,11 @@ def calls(problem_dir):
 
     problems = [*problem_ids(), *sorted(str(f) for f in Path(problem_dir).glob("*.json"))]
     yield ["list"]
-    for command, options in OPTIONS.items():
+    for command, option_sets in OPTIONS.items():
         for problem in problems:
             yield [command, problem]
-            yield [command, problem, *options]
+            for options in option_sets:
+                yield [command, problem, *options]
 
 
 def save_registry(problem_dir):

@@ -22,7 +22,7 @@ from unittest import mock
 import numpy as np
 
 import vibox.solver
-from vibox import BoxSet, SolveConfig, VIProblem, affine_mapping, box_midpoint, solve
+from vibox import BoxSet, VIProblem, affine_mapping, box_midpoint, solve
 
 
 def svd_rule_direction(df, free, r, r_norm, reg_floor):
@@ -49,14 +49,14 @@ def problem(i):
     hi = lo + rng.uniform(0.5, 4, m)
     free = rng.random(m) < 0.2
     lo[free], hi[free] = -np.inf, np.inf
-    p = VIProblem(affine_mapping((u * s) @ w.T, b), BoxSet.bounds(lo, hi))
+    p = VIProblem(affine_mapping((u * s) @ w.T, b), BoxSet(lo, hi))
     box_lo = np.where(np.isfinite(lo), lo - 2.0, -10.0)
     box_hi = np.where(np.isfinite(hi), hi + 2.0, 10.0)
     return p, [box_midpoint(p.set)] + [rng.uniform(box_lo, box_hi) for _ in range(3)]
 
 
 def runs(p, starts):
-    return [solve(p, SolveConfig(start=s)) for s in starts]
+    return [solve(p, start=s) for s in starts]
 
 
 def key(res):

@@ -50,28 +50,15 @@ class CertificateReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Seeded points drawn from a box; unbounded coordinates are drawn within
-    a finite radius and every point lies in K exactly."""
-
-    points: np.ndarray  # (count, m)
-    seed: int
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
-def draw_samples(box: BoxSet, count, seed, radius=10.0) -> SampleSet:
-    """Uniform draws over the box, an infinite upper side replaced by
-    max(radius, lo + radius) and an infinite lower side by min(-radius, hi - radius)."""
+def draw_samples(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
+    """(count, m) seeded uniform draws over the box, an infinite upper side
+    replaced by max(radius, lo + radius) and an infinite lower side by
+    min(-radius, hi - radius); every point lies in K exactly."""
     rng = np.random.default_rng(seed)
     lo = np.where(np.isfinite(box.lo), box.lo, np.minimum(-radius, box.hi - radius))
     hi = np.where(np.isfinite(box.hi), box.hi, np.maximum(radius, box.lo + radius))
     pts = rng.uniform(lo, hi, size=(count, box.dim))
-    pts = np.clip(pts, box.lo, box.hi)
-    return SampleSet(points=pts, seed=seed)
+    return np.clip(pts, box.lo, box.hi)
 
 
 def box_midpoint(box: BoxSet) -> np.ndarray:
@@ -82,10 +69,10 @@ def box_midpoint(box: BoxSet) -> np.ndarray:
     return project(box, np.where(both, mid, 0.0))
 
 
-def boundary_sample_set(box: BoxSet, count, seed, radius=10.0) -> SampleSet:
-    """Interior draws plus, per finite bound, points pinned exactly to that
-    bound and points pushed strictly outside it."""
-    base = draw_samples(box, count, seed, radius).points
+def boundary_sample_set(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
+    """The rows of draw_samples plus, per finite bound, copies of the first
+    three pinned exactly to that bound and pushed strictly outside it."""
+    base = draw_samples(box, count, seed, radius)
     extra = []
     for i in range(box.dim):
         for bound, push in ((box.lo[i], -1.0), (box.hi[i], 1.0)):
@@ -98,8 +85,7 @@ def boundary_sample_set(box: BoxSet, count, seed, radius=10.0) -> SampleSet:
                 out = base[k].copy()
                 out[i] = bound + push
                 extra.append(out)
-    pts = np.vstack([base, np.array(extra)]) if extra else base
-    return SampleSet(points=pts, seed=seed)
+    return np.vstack([base, np.array(extra)]) if extra else base
 
 
 # Upper bound on the bytes of one gathered stack of principal submatrices;
@@ -260,34 +246,43 @@ def pmatrix_oracle(a, samples=100000, seed=0) -> CertificateReport:
                              f"no violating direction among samples; {SAMPLED_NOTE}")
 
 
-def pmatrix_sampled(p: VIProblem, samples: SampleSet) -> CertificateReport:
-    """Exact minors test of the Jacobian at every sampled point of K."""
-    budget = {"samples": samples.count}
+def _sample_points(draw, box: BoxSet, samples, seed, radius) -> np.ndarray:
+    """draw(box, samples, seed, radius) for a sampled checker, which needs at
+    least one point."""
+    if samples < 1:
+        raise ValueError("sample set is empty")
+    return draw(box, samples, seed, radius)
+
+
+def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
+    """Exact minors test of the Jacobian at each of ``samples`` points of
+    draw_samples."""
+    pts = _sample_points(draw_samples, p.set, samples, seed, radius)
+    budget = {"samples": samples}
     min_margin = np.inf
-    for k, a in _distinct(jacobian(p, x) for x in samples.points):
+    for k, a in _distinct(jacobian(p, x) for x in pts):
         rep = pmatrix_minors(a)
         if rep.verdict == FAIL:
-            witness = dict(rep.witness, point=samples.points[k].tolist())
-            return CertificateReport("pmatrix", FAIL, rep.margin, witness, samples.seed,
-                                     budget, rep.notes)
+            witness = dict(rep.witness, point=pts[k].tolist())
+            return CertificateReport("pmatrix", FAIL, rep.margin, witness, seed, budget,
+                                     rep.notes)
         min_margin = min(min_margin, rep.margin)
-    return CertificateReport("pmatrix", PASS, float(min_margin), None, samples.seed, budget,
+    return CertificateReport("pmatrix", PASS, float(min_margin), None, seed, budget,
                              f"Jacobian is a P-matrix at every sample; {SAMPLED_NOTE}")
 
 
-def uniform_pmatrix_sampled(p: VIProblem, samples: SampleSet) -> CertificateReport:
+def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
     """Sampled test of the uniform P-matrix condition on the Jacobian.
 
     Mixed-row matrices take row i from the Jacobian at the i-th point of a
-    tuple of sampled points; each must be a P-matrix with margin at least
-    ETA_FLOOR.  The 2n tuples are the n all-same ones (one per sample), then
-    n seeded draws.
+    tuple of the n = ``samples`` points of draw_samples; each must be a
+    P-matrix with margin at least ETA_FLOOR.  The 2n tuples are the n
+    all-same ones (one per point), then n seeded draws.
     """
-    if samples.count == 0:
-        raise ValueError("sample set is empty")
-    n, m = samples.count, p.dim
-    jacs = np.array([jacobian(p, x) for x in samples.points])
-    rng = np.random.default_rng(samples.seed)
+    pts = _sample_points(draw_samples, p.set, samples, seed, radius)
+    n, m = samples, p.dim
+    jacs = np.array([jacobian(p, x) for x in pts])
+    rng = np.random.default_rng(seed)
     tuples = [np.full(m, k) for k in range(n)]
     tuples += [rng.integers(0, n, size=m) for _ in range(n)]
     budget = {"samples": n, "mixed_rows": len(tuples)}
@@ -299,51 +294,48 @@ def uniform_pmatrix_sampled(p: VIProblem, samples: SampleSet) -> CertificateRepo
         rep = pmatrix_minors(a_mix)
         if rep.verdict == FAIL:
             witness = {"tuple": [int(t) for t in tup],
-                       "points": [samples.points[t].tolist() for t in tup],
+                       "points": [pts[t].tolist() for t in tup],
                        "index_set": rep.witness["index_set"],
                        "minor": rep.witness["minor"]}
-            return CertificateReport("uniform-pmatrix", FAIL, rep.margin, witness,
-                                     samples.seed, budget,
-                                     "mixed-row matrix is not a P-matrix")
+            return CertificateReport("uniform-pmatrix", FAIL, rep.margin, witness, seed,
+                                     budget, "mixed-row matrix is not a P-matrix")
         if rep.margin < min_margin:
             min_margin = rep.margin
             min_tuple = tup
     if min_margin < ETA_FLOOR:
         witness = {"tuple": [int(t) for t in min_tuple], "min_minor": float(min_margin),
                    "eta_floor": ETA_FLOOR}
-        return CertificateReport("uniform-pmatrix", FAIL, float(min_margin), witness,
-                                 samples.seed, budget,
-                                 "P-matrix margin below the uniform floor")
-    return CertificateReport("uniform-pmatrix", PASS, float(min_margin), None, samples.seed,
+        return CertificateReport("uniform-pmatrix", FAIL, float(min_margin), witness, seed,
+                                 budget, "P-matrix margin below the uniform floor")
+    return CertificateReport("uniform-pmatrix", PASS, float(min_margin), None, seed,
                              budget, f"all sampled mixed-row matrices pass; {SAMPLED_NOTE}")
 
 
-def principal_submatrix_sigma_sweep(p: VIProblem, samples: SampleSet,
+def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
                                     threshold=0.0) -> CertificateReport:
     """Minimum singular value over all principal submatrices of the Jacobian
-    at every sampled point."""
+    at each of ``samples`` points of draw_samples."""
     m = p.dim
     if m > MINOR_BUDGET_DIM:
         raise BudgetError("submatrix enumeration exceeds budget for m > 20")
+    pts = _sample_points(draw_samples, p.set, samples, seed, radius)
     margin = np.inf
     arg = None
-    for k, a in _distinct(jacobian(p, x) for x in samples.points):
+    for k, a in _distinct(jacobian(p, x) for x in pts):
         s, idx = _sigma_scan(a)
         if s < margin:
             margin = s
             arg = (k, idx)
-    budget = {"samples": samples.count, "submatrices": 2 ** m - 1}
-    metrics = {"argmin_point": samples.points[arg[0]].tolist(),
-               "argmin_index_set": list(arg[1])}
+    budget = {"samples": samples, "submatrices": 2 ** m - 1}
+    metrics = {"argmin_point": pts[arg[0]].tolist(), "argmin_index_set": list(arg[1])}
     if margin > threshold:
-        return CertificateReport("sigma-sweep", PASS, float(margin), None, samples.seed,
-                                 budget, f"all sampled submatrix sigma_min above threshold; "
+        return CertificateReport("sigma-sweep", PASS, float(margin), None, seed, budget,
+                                 f"all sampled submatrix sigma_min above threshold; "
                                  f"{SAMPLED_NOTE}", metrics)
-    witness = {"point": samples.points[arg[0]].tolist(), "index_set": list(arg[1]),
+    witness = {"point": pts[arg[0]].tolist(), "index_set": list(arg[1]),
                "sigma_min": float(margin)}
-    return CertificateReport("sigma-sweep", FAIL, float(margin), witness, samples.seed,
-                             budget, "rank-deficient principal submatrix at a sample",
-                             metrics)
+    return CertificateReport("sigma-sweep", FAIL, float(margin), witness, seed, budget,
+                             "rank-deficient principal submatrix at a sample", metrics)
 
 
 def _direction_grid(m):
@@ -381,9 +373,9 @@ def _pair_stream(box: BoxSet, pairs, seed, radius):
     """Direction-grid pairs around the box midpoint and three seeded points,
     then pairs of consecutive rows of one draw_samples call; pairs closer than
     1e-12 are skipped, so a box without two distinct points gives fewer pairs."""
-    bases = [box_midpoint(box), *draw_samples(box, 3, seed + 1, radius).points]
+    bases = [box_midpoint(box), *draw_samples(box, 3, seed + 1, radius)]
     out = _pairs(box, bases, _direction_grid(box.dim), (1.0,), pairs)
-    rows = draw_samples(box, 2 * (pairs - len(out)), seed, radius).points
+    rows = draw_samples(box, 2 * (pairs - len(out)), seed, radius)
     out.extend((x, y) for x, y in zip(rows[0::2], rows[1::2])
                if np.linalg.norm(y - x) >= 1e-12)
     return out
@@ -443,7 +435,7 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Certificate
     """
     rng = np.random.default_rng(seed)
     box = p.set
-    bases = draw_samples(box, max(2, pairs // 40), seed, radius).points
+    bases = draw_samples(box, max(2, pairs // 40), seed, radius)
     dirs = _direction_grid(box.dim)
     while len(dirs) < 12:
         d = rng.standard_normal(box.dim)
@@ -533,10 +525,10 @@ def _hull_rows(m):
     return np.vstack([np.zeros(m), *(beta * alphas for beta in (0.25, 0.5, 0.75, 1.0))])
 
 
-def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
-                         tol=1e-8) -> CertificateReport:
+def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> CertificateReport:
     """Search for a scale t in T_SCHEDULE making every sampled
-    generalized-Jacobian element of the scaled normal map nonsingular.
+    generalized-Jacobian element of the scaled normal map nonsingular, at
+    the points of boundary_sample_set(K, samples, seed, radius).
 
     Elements have the form beta*diag(alpha) + t*J*(I - beta*diag(alpha)) with
     J the Jacobian at the projected sample and beta*alpha ranging over
@@ -547,7 +539,7 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
     m = p.dim
     if m > MINOR_BUDGET_DIM:
         raise BudgetError("minor enumeration exceeds budget for m > 20")
-    pts = boundary_samples.points
+    pts = _sample_points(boundary_sample_set, p.set, samples, seed, radius)
     budget = {"samples": len(pts), "t_schedule": list(T_SCHEDULE)}
     # Standing hypothesis: full-rank Jacobian on K.
     jacs = []  # distinct Jacobians at the projected samples, with their sigma_min
@@ -556,16 +548,15 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
         if s < tol:
             witness = {"hypothesis": "jacobian-full-rank",
                        "point": project(p.set, pts[k]).tolist(), "sigma_min": s}
-            return CertificateReport("maximal-rank", FAIL, s, witness,
-                                     boundary_samples.seed, budget,
+            return CertificateReport("maximal-rank", FAIL, s, witness, seed, budget,
                                      "Jacobian rank hypothesis fails at a sample")
         jacs.append((a, s))
     if p.set.is_full_space:
         # No boundary: the generalized Jacobian is the singleton {dF(x)}, and
         # the projection is the identity.
         s_min = min(s for _, s in jacs)
-        return CertificateReport("maximal-rank", PASS, s_min, None, boundary_samples.seed,
-                                 budget, f"full-space degenerate case: Jacobian "
+        return CertificateReport("maximal-rank", PASS, s_min, None, seed, budget,
+                                 f"full-space degenerate case: Jacobian "
                                  f"sigma_min >= tol at samples; {SAMPLED_NOTE}",
                                  {"t": 1.0})
     # Standing hypothesis: nonzero (m-1)x(m-1) principal minors at boundary points.
@@ -579,9 +570,8 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
                     minor = float(d[bad[0]])
                     witness = {"hypothesis": "m-1-minors", "point": on_boundary[k].tolist(),
                                "index_set": [int(i) for i in idx[bad[0]]], "minor": minor}
-                    return CertificateReport("maximal-rank", FAIL, abs(minor), witness,
-                                             boundary_samples.seed, budget,
-                                             "vanishing (m-1)-minor at a boundary sample")
+                    return CertificateReport("maximal-rank", FAIL, abs(minor), witness, seed,
+                                             budget, "vanishing (m-1)-minor at a boundary sample")
     bd = _hull_rows(m)[:, :, None] * np.eye(m)  # the stack of beta * diag(alpha)
     keep = np.eye(m) - bd
     for t in T_SCHEDULE:
@@ -592,12 +582,10 @@ def maximal_rank_tsearch(p: VIProblem, boundary_samples: SampleSet,
             if s < s_min:
                 s_min = s
         if s_min >= tol:
-            return CertificateReport("maximal-rank", PASS, s_min, None,
-                                     boundary_samples.seed, budget,
+            return CertificateReport("maximal-rank", PASS, s_min, None, seed, budget,
                                      f"scale t={t} makes every sampled element "
                                      f"nonsingular; {SAMPLED_NOTE}", {"t": t})
-    return CertificateReport("maximal-rank", INCONCLUSIVE, None, None,
-                             boundary_samples.seed, budget,
+    return CertificateReport("maximal-rank", INCONCLUSIVE, None, None, seed, budget,
                              "no scale in the schedule certified; the existence "
                              "theorem may still apply with a larger t")
 
@@ -618,7 +606,7 @@ def pl_condition_check(p: VIProblem, xbar, samples=200, seed=0,
                                  "the solver's point is a boundary equilibrium, outside the "
                                  "scope of the PL check (candidate is not stationary: "
                                  f"gradient-map norm {grad_norm:.3e} > 1e-6)")
-    rows = draw_samples(p.set, samples, seed, radius).points
+    rows = draw_samples(p.set, samples, seed, radius)
     mus = []
     budget = {"samples": samples}
     for i, sl in enumerate(block_slices(p.set.blocks)):
@@ -728,7 +716,6 @@ def _pl_at_solution(p: VIProblem, seed, samples, radius) -> CertificateReport:
 class _Settings:
     """The certify options a condition's checker reads."""
 
-    box: BoxSet
     seed: int
     samples: int
     radius: float
@@ -738,18 +725,16 @@ class _Settings:
     def pairs(self) -> int:
         return max(100, 4 * self.samples)
 
-    def draw(self) -> SampleSet:
-        return draw_samples(self.box, self.samples, self.seed, self.radius)
-
 
 # Condition id -> (checker(p, settings), game_only), in the default order.
 # Checkers are looked up as module globals at call time, never captured, so
 # that a function replaced on this module (by a test or a tracer) is the one run.
 CONDITIONS = {
-    "pmatrix": (lambda p, s: pmatrix_sampled(p, s.draw()), False),
-    "uniform-pmatrix": (lambda p, s: uniform_pmatrix_sampled(p, s.draw()), False),
+    "pmatrix": (lambda p, s: pmatrix_sampled(p, s.samples, s.seed, s.radius), False),
+    "uniform-pmatrix": (lambda p, s: uniform_pmatrix_sampled(
+        p, s.samples, s.seed, s.radius), False),
     "sigma-sweep": (lambda p, s: principal_submatrix_sigma_sweep(
-        p, s.draw(), threshold=s.tol), False),
+        p, s.samples, s.seed, s.radius, threshold=s.tol), False),
     "pfunction": (lambda p, s: uniform_pfunction_search(
         p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
     "block-pfunction": (lambda p, s: block_pfunction_search(
@@ -758,7 +743,7 @@ CONDITIONS = {
         p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
     "upsilon": (lambda p, s: p_upsilon_check(p), True),
     "maximal-rank": (lambda p, s: maximal_rank_tsearch(
-        p, boundary_sample_set(p.set, s.samples, s.seed, s.radius), tol=s.tol), False),
+        p, s.samples, s.seed, s.radius, tol=s.tol), False),
     "coercivity": (lambda p, s: coercivity_check(p, s.seed), False),
     "pl": (lambda p, s: _pl_at_solution(p, s.seed, s.pairs, s.radius), True),
     "block-convexity": (lambda p, s: hessian_block_convexity(p), True),
@@ -773,7 +758,7 @@ def certify_problem(p: VIProblem, conditions=None, seed=42, samples=30, radius=1
     unknown = [c for c in conditions if c not in CONDITIONS]
     if unknown:
         raise KeyError(f"unknown condition ids: {unknown}")
-    settings = _Settings(p.set, seed, samples, radius, tol)
+    settings = _Settings(seed, samples, radius, tol)
     reports, skipped = [], []
     for cond in conditions:
         check, game_only = CONDITIONS[cond]

@@ -23,7 +23,7 @@ from .certificates import certify_problem
 from .model import EvaluationError
 from .problem_io import ProblemFileError, load_problem
 from .registry import REGISTRY, get_problem
-from .solver import SolveConfig, multistart
+from .solver import classify, multistart
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,27 +90,26 @@ def cmd_solve(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
-    cfg = SolveConfig(tol=args.tol)
     try:
-        results = multistart(p, cfg, starts=args.starts, seed=args.seed, radius=args.radius)
+        results = multistart(p, starts=args.starts, seed=args.seed, radius=args.radius,
+                             tol=args.tol)
     except EvaluationError as e:
         print(f"error: {args.problem}: F is non-finite at a start point ({e})",
               file=sys.stderr)
         return EXIT_USAGE
-    elapsed = time.perf_counter() - t0
     doc = _report_skeleton("solve", args.problem, provenance,
                            {"seed": args.seed, "starts": args.starts, "tol": args.tol,
                             "radius": args.radius})
     doc["results"] = []
     for res in results:
         rec = {"status": res.status, "x": res.x.tolist(), "v": res.v.tolist(),
-               "residual": res.residual, "classification": res.classification,
+               "residual": res.residual, "classification": classify(p, res),
                "iterations": res.iterations, "steps": list(res.steps)}
         if args.trace:
             rec["trace"] = list(res.trace)
         doc["results"].append(rec)
     _emit(doc)
-    print(f"solved {args.problem} in {elapsed:.3f}s", file=sys.stderr)
+    print(f"solved {args.problem} in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return EXIT_OK if any(r.solved for r in results) else EXIT_NOT_SOLVED
 
 

@@ -79,10 +79,6 @@ class BoxSet:
     def full_space(m: int) -> "BoxSet":
         return BoxSet(np.full(m, -np.inf), np.full(m, np.inf))
 
-    @staticmethod
-    def bounds(lo, hi, blocks=None) -> "BoxSet":
-        return BoxSet(lo, hi, blocks)
-
 
 @dataclass(frozen=True)
 class Mapping:

@@ -3,7 +3,7 @@
 Files are JSON with the following fields:
 
     name            problem label
-    m               dimension
+    m               dimension, at least 1
     set.lo, set.hi  per-coordinate bounds; "inf", "-inf" or an overflowing number: no bound
     set.blocks      optional block partition
     mapping.kind    one of "affine", "game", "builtin"
@@ -106,6 +106,8 @@ def problem_from_dict(doc) -> VIProblem:
                                f"got {type(doc).__name__}")
     name = doc.get("name", "unnamed")
     m = int(doc["m"])
+    if m < 1:
+        raise ProblemFileError(f"m must be at least 1, got {m}")
     set_doc = doc["set"]
     lo = np.array([_decode_bound(v) for v in set_doc["lo"]])
     hi = np.array([_decode_bound(v) for v in set_doc["hi"]])

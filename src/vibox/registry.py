@@ -47,18 +47,18 @@ def _example_game():
 
 
 def _identity_box():
-    return VIProblem(affine_mapping(np.eye(3)), BoxSet.bounds([1.0] * 3, [2.0] * 3),
+    return VIProblem(affine_mapping(np.eye(3)), BoxSet([1.0] * 3, [2.0] * 3),
                      name="identity-box")
 
 
 def _constant_box():
     return VIProblem(affine_mapping(np.zeros((3, 3)), np.ones(3)),
-                     BoxSet.bounds([0.0] * 3, [1.0] * 3), name="constant-box")
+                     BoxSet([0.0] * 3, [1.0] * 3), name="constant-box")
 
 
 def _spd_box():
     return VIProblem(affine_mapping([[2.0, -1.0], [-1.0, 2.0]], [-1.0, -1.0]),
-                     BoxSet.bounds([0.0, 0.0], [2.0, 2.0]), name="spd-box")
+                     BoxSet([0.0, 0.0], [2.0, 2.0]), name="spd-box")
 
 
 def _cubic_free():

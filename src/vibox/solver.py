@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +28,7 @@ MAX_HALVINGS = 40  # and most halvings per Newton iteration
 MIN_PROGRESS = 1e-3  # a start ends after two accepted steps in a row that each
                      # lower ||r|| by less than this share
 REG_FLOOR = 1e-8  # singularity floor of newton_direction; Levenberg weight
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    max_iters: int = 200
-    tol: float = 1e-10
-    start: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.tol <= 0:
-            raise ValueError("tol must be positive and max_iters >= 1")
+ITERATION_LIMIT = 200  # accepted steps of a start; pivots of the corner-ray path
 
 
 @dataclass(frozen=True)
@@ -49,7 +39,6 @@ class SolveResult:
     residual: float
     trace: tuple[float, ...]  # residual norm per accepted iterate, initial included
     steps: tuple[str, ...]  # newton | regularized | gradient | picard, or (path,)
-    classification: str = NOT_APPLICABLE
     iterations: int = 0  # accepted steps; pivots for a path result
 
     @property
@@ -96,8 +85,9 @@ def merit_gradient(df: np.ndarray, free: np.ndarray, r: np.ndarray) -> np.ndarra
     return np.where(free, df.T @ r, r)
 
 
-def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
-    """Drive the normal-map residual to zero from a single start point.
+def solve(p: VIProblem, start=None, tol=1e-10) -> SolveResult:
+    """Drive the normal-map residual to at most tol from one start point (by
+    default the box midpoint), in at most ITERATION_LIMIT accepted steps.
 
     Newton steps on a generalized-Jacobian element J, Levenberg-regularized
     normal equations when J is numerically singular, merit-gradient and
@@ -116,17 +106,19 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
     than MIN_PROGRESS of its value: such a start crawls along a valley of
     the merit function and has, in practice, stopped converging.
 
-    Raises EvaluationError when F is non-finite at the start point.
+    Raises EvaluationError when F is non-finite at the start point, and
+    ValueError when tol is not positive.
     """
-    cfg = cfg or SolveConfig()
-    v = box_midpoint(p.set) if cfg.start is None else np.array(cfg.start, dtype=float)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    v = box_midpoint(p.set) if start is None else np.array(start, dtype=float)
     ev = normal_map(p, v)
     trace = [ev.norm]
     steps = []
     status = MAX_ITERS
     slow = 0  # accepted steps in a row below MIN_PROGRESS
-    for _ in range(cfg.max_iters):
-        if ev.norm <= cfg.tol:
+    for _ in range(ITERATION_LIMIT):
+        if ev.norm <= tol:
             status = SOLVED
             break
         r = ev.r
@@ -181,7 +173,7 @@ def solve(p: VIProblem, cfg: SolveConfig | None = None) -> SolveResult:
         if slow == 2:
             status = LINE_SEARCH_STALL
             break
-    if ev.norm <= cfg.tol:
+    if ev.norm <= tol:
         status = SOLVED
     x = project(p.set, v)
     return SolveResult(status=status, v=v, x=x, residual=ev.norm, trace=tuple(trace),
@@ -208,7 +200,7 @@ def _lexmin(ratios: np.ndarray) -> int:
     return int(rows[0])
 
 
-def _corner_ray_path(p: VIProblem, cfg: SolveConfig) -> SolveResult:
+def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
     """Follow F_nor(v) + mu 1 = 0 from the ray on which every coordinate sits
     at its lower bound, with mu falling to 0: Lemke's method on the box MCP.
 
@@ -221,7 +213,7 @@ def _corner_ray_path(p: VIProblem, cfg: SolveConfig) -> SolveResult:
     On a bounded box the starting ray is the only unbounded branch, so the
     path ends where mu leaves the basis, at a solution.  The point is read
     back as v = x - F(x); if its residual is above tol, one Newton step on
-    its piece follows.  At most cfg.max_iters pivots (then max-iters); a
+    its piece follows.  At most ITERATION_LIMIT pivots (then max-iters); a
     path that ends with residual above tol reports line-search-stall.
     """
     lo, hi = p.set.lo, p.set.hi
@@ -244,7 +236,7 @@ def _corner_ray_path(p: VIProblem, cfg: SolveConfig) -> SolveResult:
     if n and q.min() < 0.0:
         row, entering = _lexmin(tab[:n][:, keys]), mu  # the most negative q_i leaves
         while True:
-            if pivots == cfg.max_iters:
+            if pivots == ITERATION_LIMIT:
                 status = MAX_ITERS
                 break
             tab[row] /= tab[row, entering]
@@ -269,21 +261,22 @@ def _corner_ray_path(p: VIProblem, cfg: SolveConfig) -> SolveResult:
     x = np.minimum(np.maximum(x, lo), hi)
     ev = normal_map(p, x - p.F(x))
     trace = [ev.norm]
-    if ev.norm > cfg.tol:
+    if ev.norm > tol:
         free = (ev.v >= lo) & (ev.v <= hi)
         d = newton_direction(a, free, ev.r, ev.norm, REG_FLOOR)
         trial = normal_map(p, ev.v + d) if d is not None else ev
         if trial.norm < ev.norm:
             ev = trial
             trace.append(ev.norm)
-    if ev.norm <= cfg.tol:
+    if ev.norm <= tol:
         status = SOLVED
     return SolveResult(status=status, v=ev.v, x=ev.z, residual=ev.norm, trace=tuple(trace),
                        steps=("path",), iterations=pivots)
 
 
 def classify(p: VIProblem, res: SolveResult) -> str:
-    """vi-solution for plain VIs; for games, quasi-nash upgraded to nash when
+    """The label of one result in the solve report (n/a when unsolved):
+    vi-solution for plain VIs; for games, quasi-nash upgraded to nash when
     the block-convexity gate or the gap-domination check passes."""
     if not res.solved:
         return NOT_APPLICABLE
@@ -295,28 +288,25 @@ def classify(p: VIProblem, res: SolveResult) -> str:
     return QUASI_NASH
 
 
-def multistart(p: VIProblem, cfg: SolveConfig | None = None, starts=8, seed=0,
-               radius=10.0) -> list[SolveResult]:
-    """Seeded starts across K plus the default start, solved independently.
-    When none of them solves an affine or game problem on a box with every
-    bound finite, the corner-ray path (``_corner_ray_path``) adds one result.
-    Solved results are deduplicated by solution proximity, each kept one
-    classified; solved results come first, ordered by solution, then the
-    others by residual and solution."""
+def multistart(p: VIProblem, starts=8, seed=0, radius=10.0, tol=1e-10) -> list[SolveResult]:
+    """The default start plus starts - 1 seeded ones across K, solved
+    independently.  When none of them solves an affine or game problem on a
+    box with every bound finite, the corner-ray path (``_corner_ray_path``)
+    adds one result.  Solved results are deduplicated by solution proximity;
+    solved results come first, ordered by solution, then the others by
+    residual and solution."""
     if starts < 1:
         raise ValueError("need at least one start")
-    cfg = cfg or SolveConfig()
-    start_points = [box_midpoint(p.set) if cfg.start is None else np.asarray(cfg.start, float),
-                    *draw_samples(p.set, starts - 1, seed, radius).points]
-    results = [solve(p, replace(cfg, start=s)) for s in start_points]
+    start_points = [box_midpoint(p.set), *draw_samples(p.set, starts - 1, seed, radius)]
+    results = [solve(p, start=s, tol=tol) for s in start_points]
     if not any(r.solved for r in results) and _path_applies(p):
-        results.append(_corner_ray_path(p, cfg))
+        results.append(_corner_ray_path(p, tol))
     deduped = []
     for res in results:
         if res.solved and any(other.solved and np.linalg.norm(other.x - res.x) <= 1e-6
                               for other in deduped):
             continue
-        deduped.append(replace(res, classification=classify(p, res)) if res.solved else res)
+        deduped.append(res)
     deduped.sort(key=lambda r: (False, 0.0, tuple(r.x)) if r.solved
                  else (True, r.residual, tuple(r.x)))
     return deduped

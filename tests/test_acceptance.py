@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from vibox import (BoxSet, VIProblem, affine_mapping, boundary_sample_set,
-                   coercivity_check, coercivity_probe, fd_jacobian, get_problem,
-                   maximal_rank_tsearch, multistart, normal_map, normal_map_jacobian_element,
-                   pl_condition_check, pmatrix_minors, pmatrix_oracle, solve,
-                   uniform_pfunction_search, upsilon_build)
+from vibox import (BoxSet, VIProblem, affine_mapping, classify, coercivity_check,
+                   coercivity_probe, fd_jacobian, get_problem, maximal_rank_tsearch,
+                   multistart, normal_map, normal_map_jacobian_element, pl_condition_check,
+                   pmatrix_minors, pmatrix_oracle, solve, uniform_pfunction_search,
+                   upsilon_build)
 from vibox.cli import main as cli_main
 
 
@@ -47,11 +47,12 @@ def test_criterion_2_game_classified_nash_with_exact_gap_moduli(scorecard):
     res = multistart(p, starts=1)[0]
     rep = pl_condition_check(p, res.x, samples=200, seed=42)
     mu = rep.metrics["mu"]
-    ok = (res.status == "solved" and res.classification == "nash"
+    label = classify(p, res)
+    ok = (res.status == "solved" and label == "nash"
           and np.linalg.norm(res.x) <= 1e-8
           and rep.verdict == "pass"
           and max(abs(m - 2.0) for m in mu) <= 1e-9)
-    scorecard(2, ok, f"classification={res.classification}, mu={mu}")
+    scorecard(2, ok, f"classification={label}, mu={mu}")
 
 
 def test_criterion_3_negative_certificates_carry_exact_witnesses(scorecard):
@@ -125,10 +126,10 @@ def test_criterion_6_coercivity_probe_is_calibrated(scorecard):
 
 
 def test_criterion_7_maximal_rank_search_over_scaled_hull(scorecard):
-    p_box = VIProblem(affine_mapping(np.eye(3)), BoxSet.bounds([0.0] * 3, [1.0] * 3))
-    rep_box = maximal_rank_tsearch(p_box, boundary_sample_set(p_box.set, 20, 7))
+    p_box = VIProblem(affine_mapping(np.eye(3)), BoxSet([0.0] * 3, [1.0] * 3))
+    rep_box = maximal_rank_tsearch(p_box, 20, 7, 10.0)
     p_free = get_problem("example-vi")
-    rep_free = maximal_rank_tsearch(p_free, boundary_sample_set(p_free.set, 20, 7))
+    rep_free = maximal_rank_tsearch(p_free, 20, 7, 10.0)
     ok = (rep_box.verdict == "pass" and rep_box.metrics["t"] == 1.0
           and rep_free.verdict == "pass")
     scorecard(7, ok, f"box t={rep_box.metrics['t']}, free verdict={rep_free.verdict}")

@@ -14,7 +14,7 @@ from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
                    coercivity_check, draw_samples, get_problem, growth_l0lp_fit,
                    hessian_block_convexity, make_game, maximal_rank_tsearch, normal_map,
                    p_upsilon_check, pl_condition_check, pmatrix_minors, pmatrix_oracle,
-                   principal_submatrix_sigma_sweep, problem_ids, project,
+                   pmatrix_sampled, principal_submatrix_sigma_sweep, problem_ids, project,
                    uniform_pfunction_search, uniform_pmatrix_sampled, upsilon_build)
 from vibox.certificates import (CONDITIONS, _det_stack, _hull_rows, _principal_values,
                                 certify_problem)
@@ -82,42 +82,56 @@ class TestUniformPmatrixSampled:
     def test_affine_collapse_matches_minors(self):
         p = get_problem("example-vi")
         for seed in (0, 99):
-            ss = draw_samples(p.set, 10, seed)
-            rep = uniform_pmatrix_sampled(p, ss)
+            rep = uniform_pmatrix_sampled(p, 10, seed, 10.0)
             assert rep.verdict == "fail"
 
     def test_identity_passes(self):
         p = VIProblem(affine_mapping(np.eye(2)), free_box(2))
-        rep = uniform_pmatrix_sampled(p, draw_samples(p.set, 10, 0))
+        rep = uniform_pmatrix_sampled(p, 10, 0, 10.0)
         assert rep.verdict == "pass" and rep.margin == 1.0
         assert "sampled surrogate" in rep.notes
 
     def test_fail_witness_reverifies(self):
         p = get_problem("example-vi")
-        rep = uniform_pmatrix_sampled(p, draw_samples(p.set, 10, 0))
+        rep = uniform_pmatrix_sampled(p, 10, 0, 10.0)
         idx = rep.witness["index_set"]
         a = EXAMPLE_A  # constant Jacobian
         minor = np.linalg.det(a[np.ix_(idx, idx)])
         assert abs(minor - rep.witness["minor"]) < 1e-12 and minor <= 0
 
+    def test_margin_below_floor_fails(self):
+        # every minor is positive, but the least one, 1e-11, is below ETA_FLOOR
+        p = VIProblem(affine_mapping(np.diag([1e-11, 1.0])), BoxSet([-1.0] * 2, [1.0] * 2))
+        rep = uniform_pmatrix_sampled(p, 10, 0, 10.0)
+        assert rep.verdict == "fail" and rep.margin == 1e-11
+        assert rep.witness["min_minor"] == 1e-11 < rep.witness["eta_floor"]
+        assert len(rep.witness["tuple"]) == 2
+
+
+@pytest.mark.parametrize("pid", ["spd-box", "example-vi"])  # a box, and the full space
+@pytest.mark.parametrize("checker", [pmatrix_sampled, uniform_pmatrix_sampled,
+                                     principal_submatrix_sigma_sweep, maximal_rank_tsearch])
+def test_sampled_checkers_need_a_sample(checker, pid):
+    with pytest.raises(ValueError, match="sample set is empty"):
+        checker(get_problem(pid), 0, 0, 10.0)
+
 
 class TestSigmaSweep:
     def test_identity_margin_exact(self):
         p = VIProblem(affine_mapping(np.eye(3)), free_box(3))
-        rep = principal_submatrix_sigma_sweep(p, draw_samples(p.set, 5, 0))
+        rep = principal_submatrix_sigma_sweep(p, 5, 0, 10.0)
         assert rep.verdict == "pass" and rep.margin == 1.0
 
     def test_example_matrix_margin_is_svd_min(self):
         p = get_problem("example-vi")
-        rep = principal_submatrix_sigma_sweep(p, draw_samples(p.set, 5, 0))
+        rep = principal_submatrix_sigma_sweep(p, 5, 0, 10.0)
         expected = min(1.0, np.linalg.svd(EXAMPLE_A, compute_uv=False)[-1])
         assert rep.verdict == "pass"
         assert abs(rep.margin - expected) < 1e-12
 
     def test_singular_jacobian_fails(self):
         p = VIProblem(affine_mapping(np.ones((2, 2))), free_box(2))
-        rep = principal_submatrix_sigma_sweep(p, draw_samples(p.set, 5, 0),
-                                              threshold=1e-10)
+        rep = principal_submatrix_sigma_sweep(p, 5, 0, 10.0, threshold=1e-10)
         assert rep.verdict == "fail" and rep.margin < 1e-10
         assert rep.witness is not None
 
@@ -133,7 +147,7 @@ def evaluations(monkeypatch, check, builder):
     build = getattr(certificates, builder)
     monkeypatch.setattr(certificates, builder, lambda *a: pairs.extend(build(*a)) or pairs)
     p = VIProblem(builtin_mapping("cubic-plus-linear", 3),
-                  BoxSet.bounds([-1.0, 0.0, -np.inf], [1.0, np.inf, np.inf]))
+                  BoxSet([-1.0, 0.0, -np.inf], [1.0, np.inf, np.inf]))
     rep = check(p, pairs=120, seed=2)
     return sorted(calls), sorted({z.tobytes() for pair in pairs for z in pair}), rep
 
@@ -214,7 +228,7 @@ class TestGrowthFit:
 
     def test_cubic_on_box(self):
         from vibox import builtin_mapping
-        p = VIProblem(builtin_mapping("cubic", 2), BoxSet.bounds([-2.0] * 2, [2.0] * 2))
+        p = VIProblem(builtin_mapping("cubic", 2), BoxSet([-2.0] * 2, [2.0] * 2))
         rep = growth_l0lp_fit(p, pairs=150, seed=1)
         assert rep.verdict == "pass" and np.isfinite(rep.metrics["Lp"])
         assert rep.metrics["coverage"] == 1.0
@@ -224,6 +238,16 @@ class TestGrowthFit:
         calls, points, rep = evaluations(monkeypatch, growth_l0lp_fit, "_pairs")
         assert rep.budget["pairs"] == 120 and calls == points
         assert len(points) < 2 * 120
+
+
+@pytest.mark.parametrize("checker", [uniform_pfunction_search, block_pfunction_search,
+                                     growth_l0lp_fit])
+def test_pair_checkers_inconclusive_without_a_pair(checker):
+    # a one-point box has no two points 1e-12 apart
+    p = VIProblem(affine_mapping([[2.0, 0.5], [0.0, 1.0]]), BoxSet([1.0, 2.0], [1.0, 2.0]))
+    rep = checker(p, pairs=120, seed=3, radius=10.0)
+    assert rep.verdict == "inconclusive" and rep.margin is None and rep.witness is None
+    assert rep.budget == {"pairs": 0} and rep.seed == 3 and "no two points" in rep.notes
 
 
 class TestUpsilon:
@@ -392,25 +416,25 @@ class TestDistinctJacobianScan:
             a = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
             p = VIProblem(Mapping(fn=lambda x: a @ x + 1e-9 * x ** 2, dim=4,
                                   jac=lambda x: a + np.diag(2e-9 * x)),
-                          BoxSet.bounds([-1.0] * 4, [1.0] * 4))
+                          BoxSet([-1.0] * 4, [1.0] * 4))
         elif case == "cubic-box":
             p = VIProblem(builtin_mapping("cubic-plus-linear", 3),
-                          BoxSet.bounds([-1.0, 0.0, -2.0], [1.0, 2.0, 0.5]))
+                          BoxSet([-1.0, 0.0, -2.0], [1.0, 2.0, 0.5]))
         elif case == "cubic-free":
             p = get_problem("cubic-free")
         else:
             a = rng.standard_normal((5, 5)) + 4.0 * np.eye(5)
             p = VIProblem(affine_mapping(a, rng.standard_normal(5)),
-                          BoxSet.bounds([-1.0] * 5, [2.0] * 5))
+                          BoxSet([-1.0] * 5, [2.0] * 5))
         with mock.patch.object(certificates, "_distinct", lambda mats: enumerate(mats)):
             expected = scan_reports(p)
         assert scan_reports(p) == expected
 
     def test_affine_jacobian_is_scanned_once(self):
-        p = VIProblem(affine_mapping(EXAMPLE_A), BoxSet.bounds([0.0, 0.0], [1.0, 1.0]))
+        p = VIProblem(affine_mapping(EXAMPLE_A), BoxSet([0.0, 0.0], [1.0, 1.0]))
         with mock.patch.object(certificates, "_minor_scan",
                                wraps=certificates._minor_scan) as scan:
-            uniform_pmatrix_sampled(p, draw_samples(p.set, 10, 0))
+            uniform_pmatrix_sampled(p, 10, 0, 10.0)
         assert scan.call_count == 1
 
 
@@ -436,6 +460,13 @@ class TestPUpsilonCheck:
     def test_two_block_game_passes_with_margin(self):
         rep = p_upsilon_check(two_block_game())
         assert rep.verdict == "pass" and rep.margin == 2.0  # minors {2, 2, 3}
+
+    def test_own_block_not_positive_definite_fails(self):
+        g = make_game((1, 1), {(0, 0): [[-1.0]], (1, 1): [[1.0]]}, ([0.0], [0.0]),
+                      free_box(2, blocks=(1, 1)))
+        rep = p_upsilon_check(g)
+        assert rep.verdict == "fail" and rep.margin == -1.0
+        assert rep.witness == {"player": 0, "lambda_min": -1.0, "clause": "own-block-pd"}
 
 
 class TestHullRows:
@@ -467,21 +498,32 @@ class TestHullRows:
 
 class TestMaximalRankTsearch:
     def test_identity_on_unit_cube_passes_at_t_one(self):
-        p = VIProblem(affine_mapping(np.eye(3)), BoxSet.bounds([0.0] * 3, [1.0] * 3))
-        rep = maximal_rank_tsearch(p, boundary_sample_set(p.set, 10, 5))
+        p = VIProblem(affine_mapping(np.eye(3)), BoxSet([0.0] * 3, [1.0] * 3))
+        rep = maximal_rank_tsearch(p, 10, 5, 10.0)
         assert rep.verdict == "pass" and rep.metrics["t"] == 1.0
         assert rep.margin >= 1e-8
 
     def test_full_space_degenerate_path(self):
         p = get_problem("example-vi")
-        rep = maximal_rank_tsearch(p, boundary_sample_set(p.set, 10, 5))
+        rep = maximal_rank_tsearch(p, 10, 5, 10.0)
         assert rep.verdict == "pass"
 
     def test_singular_jacobian_hypothesis_fails(self):
-        p = VIProblem(affine_mapping(np.ones((2, 2))), BoxSet.bounds([0.0] * 2, [1.0] * 2))
-        rep = maximal_rank_tsearch(p, boundary_sample_set(p.set, 10, 5))
+        p = VIProblem(affine_mapping(np.ones((2, 2))), BoxSet([0.0] * 2, [1.0] * 2))
+        rep = maximal_rank_tsearch(p, 10, 5, 10.0)
         assert rep.verdict == "fail"
         assert rep.witness["hypothesis"] == "jacobian-full-rank"
+
+    def test_vanishing_minor_hypothesis_fails(self):
+        # A is nonsingular, but its 1 x 1 principal minor A[1, 1] is 0
+        a = np.array([[1.0, 1.0], [1.0, 0.0]])
+        p = VIProblem(affine_mapping(a), BoxSet([-1.0] * 2, [1.0] * 2))
+        rep = maximal_rank_tsearch(p, 10, 5, 10.0)
+        assert rep.verdict == "fail" and rep.margin == 0.0
+        w = rep.witness
+        assert w["hypothesis"] == "m-1-minors" and w["index_set"] == [1] and w["minor"] == 0.0
+        point = np.array(w["point"])
+        assert p.set.contains(point) and np.any(np.abs(point) == 1.0)
 
 
 class TestPLCondition:
@@ -511,7 +553,7 @@ class TestPLCondition:
         assert rep.seed == 4 and rep.budget == {} and "gradient-map norm" in rep.notes
 
 
-def unsolved(p, cfg=None):
+def unsolved(p, start, tol):
     """Stands in for solver.solve: a start that does not converge."""
     v = np.zeros(p.dim)
     return solver.SolveResult("line-search-stall", v, project(p.set, v), 1.0, (1.0,), ())
@@ -587,7 +629,7 @@ class TestPLSampler:
     def test_matches_per_row_loop(self, game, samples, seed, radius):
         p, xbar = game
         rep = pl_condition_check(p, xbar, samples=samples, seed=seed, radius=radius)
-        mus = pl_mu_oracle(p, xbar, draw_samples(p.set, samples, seed, radius).points)
+        mus = pl_mu_oracle(p, xbar, draw_samples(p.set, samples, seed, radius))
         if not all(np.isfinite(mus)):
             assert rep.verdict == "inconclusive"
             return
@@ -701,26 +743,25 @@ class TestCoercivityCheck:
 
 class TestSampling:
     def test_samples_lie_in_box(self):
-        box = BoxSet.bounds([0.0, -np.inf], [1.0, np.inf])
-        ss = draw_samples(box, 200, 3, radius=5.0)
-        assert np.all(ss.points[:, 0] >= 0.0) and np.all(ss.points[:, 0] <= 1.0)
-        assert np.all(np.abs(ss.points[:, 1]) <= 5.0)
+        box = BoxSet([0.0, -np.inf], [1.0, np.inf])
+        pts = draw_samples(box, 200, 3, radius=5.0)
+        assert np.all(pts[:, 0] >= 0.0) and np.all(pts[:, 0] <= 1.0)
+        assert np.all(np.abs(pts[:, 1]) <= 5.0)
 
     def test_boundary_set_contains_pinned_and_exterior_points(self):
-        box = BoxSet.bounds([0.0, 0.0], [1.0, 1.0])
-        ss = boundary_sample_set(box, 5, 1)
-        assert any(p[0] == 0.0 for p in ss.points)
-        assert any(p[0] < 0.0 for p in ss.points)
+        box = BoxSet([0.0, 0.0], [1.0, 1.0])
+        pts = boundary_sample_set(box, 5, 1)
+        assert any(p[0] == 0.0 for p in pts)
+        assert any(p[0] < 0.0 for p in pts)
 
     def test_seed_reproducible(self):
-        box = BoxSet.bounds([0.0], [1.0])
-        assert np.array_equal(draw_samples(box, 50, 4).points,
-                              draw_samples(box, 50, 4).points)
+        box = BoxSet([0.0], [1.0])
+        assert np.array_equal(draw_samples(box, 50, 4), draw_samples(box, 50, 4))
 
 
 def grid_pairs(box, seed, radius):
     """Every direction-grid pair of _pair_stream, in order, built with plain loops."""
-    bases = [box_midpoint(box), *draw_samples(box, 3, seed + 1, radius).points]
+    bases = [box_midpoint(box), *draw_samples(box, 3, seed + 1, radius)]
     out = []
     for x in bases:
         for d in certificates._direction_grid(box.dim):
@@ -744,7 +785,7 @@ def mixed_boxes(draw, dims=st.integers(1, 4)):
         b = a if kind == "point" else b
         lo.append(a if kind in ("lower", "both", "point") else -np.inf)
         hi.append(b if kind in ("upper", "both", "point") else np.inf)
-    return BoxSet.bounds(lo, hi)
+    return BoxSet(lo, hi)
 
 
 class TestPairStream:
@@ -753,7 +794,7 @@ class TestPairStream:
     def test_grid_pairs_then_consecutive_sample_rows(self, box, pairs, seed, radius):
         out = certificates._pair_stream(box, pairs, seed, radius)
         grid = grid_pairs(box, seed, radius)[:pairs]
-        rows = draw_samples(box, 2 * (pairs - len(grid)), seed, radius).points
+        rows = draw_samples(box, 2 * (pairs - len(grid)), seed, radius)
         tail = [(x, y) for x, y in zip(rows[0::2], rows[1::2])
                 if np.linalg.norm(y - x) >= 1e-12]
         assert [(x.tobytes(), y.tobytes()) for x, y in out] == \
@@ -765,7 +806,7 @@ class TestPairStream:
     def test_sampled_pairs_respect_finite_bounds(self):
         # [0, 1] x R: the pairs after the 16 grid pairs are drawn inside [0, 1],
         # not drawn from [-radius, radius] and clamped onto a bound
-        box = BoxSet.bounds([0.0, -np.inf], [1.0, np.inf])
+        box = BoxSet([0.0, -np.inf], [1.0, np.inf])
         out = certificates._pair_stream(box, 100, 0, 10.0)
         assert len(grid_pairs(box, 0, 10.0)) == 16 and len(out) == 100
         first = np.array([[x[0], y[0]] for x, y in out[16:]])
@@ -777,11 +818,10 @@ class TestImplicationChain:
         # no checker pair may produce (pass, fail) along the implication arrows
         for pid in problem_ids():
             p = get_problem(pid)
-            ss = draw_samples(p.set, 20, 7)
-            up = uniform_pmatrix_sampled(p, ss)
+            up = uniform_pmatrix_sampled(p, 20, 7, 10.0)
             if up.verdict != "pass":
                 continue
-            assert principal_submatrix_sigma_sweep(p, ss).margin > 0.0
+            assert principal_submatrix_sigma_sweep(p, 20, 7, 10.0).margin > 0.0
             assert uniform_pfunction_search(p, pairs=150, seed=7).verdict != "fail"
 
 
@@ -811,7 +851,7 @@ class TestConditionTable:
 
     def test_replaced_pmatrix_checker_report_is_returned(self, monkeypatch):
         mine = certificates.CertificateReport("pmatrix", "pass", 1.0, None, 42, {}, "replaced")
-        monkeypatch.setattr(certificates, "pmatrix_sampled", lambda p, samples: mine)
+        monkeypatch.setattr(certificates, "pmatrix_sampled", lambda p, samples, seed, radius: mine)
         assert certify_problem(get_problem("spd-box"), ["pmatrix"]) == ([mine], [])
 
     def test_vi_skips_exactly_the_game_only_ids(self):

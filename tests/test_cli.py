@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import vibox
-from vibox import (BoxSet, VIProblem, affine_mapping, get_problem, load_problem, make_game,
-                   save_problem, solve)
-from vibox import cli, problem_io
+from vibox import (BoxSet, VIProblem, affine_mapping, classify, get_problem, load_problem,
+                   make_game, save_problem, solve)
+from vibox import certificates, cli, problem_io, solver
 from vibox.cli import main
 from vibox.problem_io import ProblemFileError, problem_to_dict
 
@@ -118,6 +118,20 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys)
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("pid", ["example-game", "example-vi", "spd-box"])
+    def test_classify_once_per_result(self, pid, capsys, monkeypatch):
+        seen = []
+
+        def record(p, res):
+            seen.append(res.x.tolist())
+            return classify(p, res)
+
+        monkeypatch.setattr(cli, "classify", record)
+        code, out, _ = run_cli(capsys, "solve", pid, "--seed", "3")
+        results = json.loads(out)["results"]
+        assert code == 0 and seen == [r["x"] for r in results]
+        assert all(r["classification"] != "n/a" for r in results if r["status"] == "solved")
+
 
 class TestParserReuse:
     def test_consecutive_calls_do_not_share_options(self, capsys):
@@ -193,7 +207,7 @@ class TestCertifyCommand:
 
     def test_unequal_blocks_upsilon_inconclusive(self, tmp_path, capsys):
         g = make_game((1, 2), {(0, 0): [[2.0]], (1, 1): np.eye(2)}, ([0.0], np.zeros(2)),
-                      BoxSet.bounds([-1.0] * 3, [1.0] * 3, blocks=(1, 2)))
+                      BoxSet([-1.0] * 3, [1.0] * 3, blocks=(1, 2)))
         path = tmp_path / "unequal.json"
         save_problem(g, path)
         code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "upsilon")
@@ -225,11 +239,31 @@ class TestCertifyCommand:
         assert fewer[0] == 100 and fewer[1] != default[1]
         assert narrower[0] == 120 and narrower[1] != default[1]
 
+    def test_pl_checks_its_candidate_once(self, tmp_path, capsys, monkeypatch):
+        # Q_00 = diag(1, 0) fails block-convexity, so labelling the solver's
+        # candidate would run the PL check on it as well; certify runs it once.
+        g = make_game((2, 1), {(0, 0): np.diag([1.0, 0.0]), (1, 1): [[1.0]]},
+                      (np.zeros(2), np.zeros(1)), BoxSet([-1.0] * 3, [1.0] * 3, (2, 1)))
+        path = tmp_path / "semidefinite.json"
+        save_problem(g, path)
+        check, rows = certificates.pl_condition_check, []
+
+        def counted(p, xbar, *args, **kwargs):
+            rep = check(p, xbar, *args, **kwargs)
+            rows.append(rep.budget["samples"])
+            return rep
+
+        for module in (certificates, solver):
+            monkeypatch.setattr(module, "pl_condition_check", counted)
+        code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl")
+        (cert,) = json.loads(out)["certificates"]
+        assert code == 0 and cert["verdict"] == "pass" and rows == [120]
+
     def test_boundary_equilibrium_pl_inconclusive(self, tmp_path, capsys):
         # Each player pushes towards +inf and stops at the bound 1: the gradient
         # map is (-1, -1) at the solution (1, 1), not zero.
         g = make_game((1, 1), {(0, 0): [[1.0]], (1, 1): [[1.0]]}, ([-2.0], [-2.0]),
-                      BoxSet.bounds([-1.0, -1.0], [1.0, 1.0], blocks=(1, 1)))
+                      BoxSet([-1.0, -1.0], [1.0, 1.0], blocks=(1, 1)))
         path = tmp_path / "boundary.json"
         save_problem(g, path)
         code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl")
@@ -245,10 +279,10 @@ class TestCertifyCommand:
         lo = hi = [1.0, 2.0]
         if kind == "game":
             p = make_game((1, 1), {(0, 0): [[2.0]], (1, 1): [[1.0]], (0, 1): [[0.5]]},
-                          ([1.0], [-1.0]), BoxSet.bounds(lo, hi, blocks=(1, 1)))
+                          ([1.0], [-1.0]), BoxSet(lo, hi, blocks=(1, 1)))
         else:
             p = VIProblem(affine_mapping([[2.0, 0.5], [0.0, 1.0]], [1.0, -1.0]),
-                          BoxSet.bounds(lo, hi))
+                          BoxSet(lo, hi))
         path = tmp_path / "point.json"
         save_problem(p, path)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vibox.__file__)))
@@ -351,6 +385,19 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError):
             load_problem(path)
 
+
+    def test_zero_dimension_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "m": 0, "set": {"lo": [], "hi": []},
+            "mapping": {"kind": "affine"}, "affine": {"A": [], "b": []},
+        }))
+        with pytest.raises(ProblemFileError, match="m must be at least 1"):
+            load_problem(path)
+        for command in ("solve", "certify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert err.startswith("error:") and "m must be at least 1" in err
 
     def test_nan_bound_rejected_with_exit_one(self, tmp_path, capsys):
         path = tmp_path / "nanbound.json"

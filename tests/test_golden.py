@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vibox import (BoxSet, SolveConfig, VIProblem, affine_mapping, get_problem, make_game,
-                   multistart, normal_map, save_problem, solve, solver)
+from vibox import (BoxSet, VIProblem, affine_mapping, get_problem, make_game, multistart,
+                   normal_map, save_problem, solve, solver)
 from vibox.certificates import certify_problem
 from vibox.cli import main
 from vibox.registry import problem_ids
@@ -60,7 +60,7 @@ def snapshot(name):
     cases = stall_cases()
     p = cases[name] if name in cases else get_problem(name)
     return {"multistart": [_record(r) for r in multistart(p, starts=8, seed=42)],
-            "starts": [_record(solve(p, SolveConfig(start=s))) for s in snapshot_starts(p)]}
+            "starts": [_record(solve(p, start=s)) for s in snapshot_starts(p)]}
 
 
 def affine_cases(m=8):
@@ -159,7 +159,7 @@ def test_stall_case_stops_stalled_starts_early(monkeypatch):
 
     def run(start):
         calls.clear()
-        res = solve(p, SolveConfig(start=start))
+        res = solve(p, start=start)
         return res, len(calls)
 
     monkeypatch.setattr(solver, "normal_map", counted)

@@ -67,12 +67,12 @@ class TestGameToVI:
     def test_malformed_game_rejected_with_its_message(self, q, c, message):
         # a negative key would otherwise wrap around to the last player's block
         with pytest.raises(ConfigurationError, match=message):
-            make_game((1, 1), q, c, BoxSet.bounds([0.0, 0.0], [1.0, 1.0], (1, 1)))
+            make_game((1, 1), q, c, BoxSet([0.0, 0.0], [1.0, 1.0], (1, 1)))
 
     def test_caller_writes_leave_the_game_unchanged(self):
         q = {(0, 0): np.eye(2), (0, 1): np.ones((2, 1)), (1, 1): np.array([[3.0]])}
         c = [np.array([1.0, 2.0]), np.array([-1.0])]
-        p = make_game((2, 1), q, c, BoxSet.bounds([-1.0] * 3, [1.0] * 3, (2, 1)))
+        p = make_game((2, 1), q, c, BoxSet([-1.0] * 3, [1.0] * 3, (2, 1)))
         a, b = p.mapping.data["A"].copy(), p.mapping.data["b"].copy()
         q[(0, 0)][0, 1] = 7.0  # an asymmetric own block, had it been seen
         q[(0, 1)][:] = 5.0
@@ -166,18 +166,18 @@ class TestBoxSet:
                                         ([0.0, -np.inf], [1.0, np.nan])])
     def test_nan_bounds_rejected(self, lo, hi):
         with pytest.raises(ConfigurationError, match="NaN"):
-            BoxSet.bounds(lo, hi)
+            BoxSet(lo, hi)
 
     @pytest.mark.parametrize("inf", [np.inf, -np.inf])
     def test_empty_infinite_interval_rejected(self, inf):
         with pytest.raises(ConfigurationError, match="empty"):
-            BoxSet.bounds([0.0, inf], [1.0, inf])
+            BoxSet([0.0, inf], [1.0, inf])
 
     def test_full_space_flag(self):
         assert BoxSet.full_space(4).is_full_space
-        assert not BoxSet.bounds([0.0], [1.0]).is_full_space
+        assert not BoxSet([0.0], [1.0]).is_full_space
 
     def test_contains(self):
-        k = BoxSet.bounds([0.0, -np.inf], [1.0, np.inf])
+        k = BoxSet([0.0, -np.inf], [1.0, np.inf])
         assert k.contains([0.5, 100.0])
         assert not k.contains([-0.1, 0.0])

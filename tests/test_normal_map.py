@@ -11,7 +11,7 @@ from vibox.normal_map import RAY_RADII
 
 
 def box_identity():
-    return VIProblem(affine_mapping(np.eye(2)), BoxSet.bounds([0.0, 0.0], [1.0, 1.0]))
+    return VIProblem(affine_mapping(np.eye(2)), BoxSet([0.0, 0.0], [1.0, 1.0]))
 
 
 class TestNormalMap:
@@ -50,7 +50,7 @@ class TestNormalMap:
         a = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-3, 4, (m, m))
         lo = rng.choice([-np.inf, -1.0, 0.0], m)
         hi = rng.choice([0.0, 1.0, np.inf], m)
-        p = VIProblem(affine_mapping(a, rng.standard_normal(m)), BoxSet.bounds(lo, hi))
+        p = VIProblem(affine_mapping(a, rng.standard_normal(m)), BoxSet(lo, hi))
         v = rng.uniform(-3.0, 3.0, m)
         z = project(p.set, v)
         r = v - z + p.F(z)
@@ -61,7 +61,7 @@ class TestNormalMap:
     @pytest.mark.parametrize("v, coordinate", [([0.2, 0.7, 0.9], 1), ([2.0, 0.1, 0.3], 0)])
     def test_nonfinite_mapping_raises_with_coordinate(self, v, coordinate):
         nan_above_half = Mapping(fn=lambda x: np.where(x > 0.5, np.nan, x), dim=3)
-        p = VIProblem(nan_above_half, BoxSet.bounds([0.0] * 3, [1.0] * 3))
+        p = VIProblem(nan_above_half, BoxSet([0.0] * 3, [1.0] * 3))
         with pytest.raises(EvaluationError) as direct:
             p.F(project(p.set, v))
         with pytest.raises(EvaluationError) as via_normal_map:
@@ -97,13 +97,13 @@ class TestNormalMapJacobianElement:
 
     def test_all_outside_gives_identity(self):
         p = VIProblem(affine_mapping([[1.0, 2.0], [3.0, 1.0]]),
-                      BoxSet.bounds([0.0, 0.0], [1.0, 1.0]))
+                      BoxSet([0.0, 0.0], [1.0, 1.0]))
         np.testing.assert_array_equal(normal_map_jacobian_element(p, [2.0, -1.0]),
                                       np.eye(2))
 
     def test_mixed_activity(self):
         p = VIProblem(affine_mapping([[1.0, 2.0], [3.0, 1.0]]),
-                      BoxSet.bounds([0.0, 0.0], [1.0, 1.0]))
+                      BoxSet([0.0, 0.0], [1.0, 1.0]))
         np.testing.assert_array_equal(normal_map_jacobian_element(p, [2.0, 0.5]),
                                       [[1.0, 2.0], [0.0, 1.0]])
 
@@ -113,7 +113,7 @@ class TestNormalMapJacobianElement:
         a = rng.integers(-3, 4, (m, m)) * rng.choice([1.0, 0.5, -0.0], (m, m))
         lo = rng.choice([-np.inf, -1.0, 0.0], m)
         hi = rng.choice([0.0, 1.0, np.inf], m)
-        p = VIProblem(affine_mapping(a), BoxSet.bounds(lo, hi))
+        p = VIProblem(affine_mapping(a), BoxSet(lo, hi))
         v = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0], m)
         d = projection_jacobian_element(p.set, v)
         dense = np.eye(m) - np.diag(d) + a * d[np.newaxis, :]
@@ -158,7 +158,7 @@ class TestCoercivityProbe:
 
     def test_spd_on_box_coercive(self):
         p = VIProblem(affine_mapping([[2.0, -1.0], [-1.0, 2.0]]),
-                      BoxSet.bounds([0.0, 0.0], [1.0, 1.0]))
+                      BoxSet([0.0, 0.0], [1.0, 1.0]))
         assert coercivity_check(p, 0).verdict == "pass"
 
     def test_deterministic(self):

@@ -97,7 +97,7 @@ def affine_problems():
         st.lists(st.sampled_from([-math.inf, -1.0, 0.0, -2.5e-310]), min_size=m, max_size=m),
         st.lists(st.sampled_from([math.inf, 1.0, 3.25, 1e300]), min_size=m, max_size=m),
     ).map(lambda t: VIProblem(affine_mapping(np.reshape(t[0], (m, m)), t[1]),
-                              BoxSet.bounds(t[2], t[3]), name="random-affine")))
+                              BoxSet(t[2], t[3]), name="random-affine")))
 
 
 @st.composite
@@ -115,7 +115,7 @@ def game_problems(draw):
             q[(i, j)] = block
     c = [draw(st.lists(floats, min_size=s, max_size=s)) for s in sizes]
     m = sum(sizes)
-    box = BoxSet.bounds([-3.0] * m, [draw(st.sampled_from([3.0, math.inf]))] * m,
+    box = BoxSet([-3.0] * m, [draw(st.sampled_from([3.0, math.inf]))] * m,
                         blocks=tuple(sizes))
     return make_game(sizes, q, c, box, name="random-game")
 

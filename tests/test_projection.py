@@ -30,7 +30,7 @@ def box_and_point(draw):
     # lo = hi = +-inf is an empty interval, which BoxSet rejects.
     interval = st.tuples(_BOUND, _BOUND).filter(lambda b: not (b[0] == b[1] and np.isinf(b[0])))
     pairs = [sorted(draw(interval)) for _ in range(m)]
-    k = BoxSet.bounds([a for a, _ in pairs], [b for _, b in pairs])
+    k = BoxSet([a for a, _ in pairs], [b for _, b in pairs])
     # Points on a bound, at +-inf, or anywhere: every branch of the tie-break.
     x = [draw(st.sampled_from([lo, hi, -np.inf, np.inf]) | st.floats(-6, 6))
          for lo, hi in zip(k.lo, k.hi)]
@@ -39,7 +39,7 @@ def box_and_point(draw):
 
 class TestProject:
     def test_clamp(self):
-        k = BoxSet.bounds([0.0, 0.0], [1.0, 1.0])
+        k = BoxSet([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(project(k, [2.0, -1.0]), [1.0, 0.0])
 
     def test_full_space_identity(self):
@@ -48,12 +48,12 @@ class TestProject:
         assert np.array_equal(project(k, x), x)
 
     def test_mixed_bounds(self):
-        k = BoxSet.bounds([0.0, 0.0], [np.inf, 1.0])
+        k = BoxSet([0.0, 0.0], [np.inf, 1.0])
         np.testing.assert_array_equal(project(k, [-1.0, 0.5]), [0.0, 0.5])
 
     def test_idempotent_bit_exact(self):
         rng = np.random.default_rng(3)
-        k = BoxSet.bounds([-1.0, 0.0, -np.inf], [1.0, 0.5, np.inf])
+        k = BoxSet([-1.0, 0.0, -np.inf], [1.0, 0.5, np.inf])
         for _ in range(100):
             x = rng.uniform(-5, 5, 3)
             once = project(k, x)
@@ -61,7 +61,7 @@ class TestProject:
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(4)
-        k = BoxSet.bounds([-1.0, 0.0], [2.0, 1.0])
+        k = BoxSet([-1.0, 0.0], [2.0, 1.0])
         for _ in range(1000):
             x, y = rng.uniform(-10, 10, 2), rng.uniform(-10, 10, 2)
             assert (np.linalg.norm(project(k, x) - project(k, y))
@@ -70,19 +70,19 @@ class TestProject:
 
 class TestProjectionJacobianElement:
     def test_interior_is_identity(self):
-        k = BoxSet.bounds([0.0, 0.0], [1.0, 1.0])
+        k = BoxSet([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(projection_jacobian_element(k, [0.5, 0.5]), [1.0, 1.0])
 
     def test_outside_coordinate_is_zero(self):
-        k = BoxSet.bounds([0.0, 0.0], [1.0, 1.0])
+        k = BoxSet([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(projection_jacobian_element(k, [2.0, 0.5]), [0.0, 1.0])
 
     def test_boundary_rule(self):
-        k = BoxSet.bounds([0.0, 0.0], [1.0, 1.0])
+        k = BoxSet([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(projection_jacobian_element(k, [0.0, 0.5]), [1.0, 1.0])
 
     def test_free_coordinate(self):
-        k = BoxSet.bounds([-np.inf, 0.0], [np.inf, 1.0])
+        k = BoxSet([-np.inf, 0.0], [np.inf, 1.0])
         np.testing.assert_array_equal(projection_jacobian_element(k, [100.0, 2.0]), [1.0, 0.0])
 
     @given(box_and_point())
@@ -91,7 +91,7 @@ class TestProjectionJacobianElement:
         assert projection_jacobian_element(k, x).tobytes() == loop_element(k, x).tobytes()
 
     def test_element_keeps_its_point(self):
-        k = BoxSet.bounds([0.0], [1.0])
+        k = BoxSet([0.0], [1.0])
         x = np.array([0.5])
         d = projection_jacobian_element(k, x)
         x[0] = 2.0
@@ -99,7 +99,7 @@ class TestProjectionJacobianElement:
         assert not d.flags.writeable
 
     def test_matches_finite_differences_away_from_bounds(self):
-        k = BoxSet.bounds([-1.0, 0.0, -np.inf], [1.0, 2.0, np.inf])
+        k = BoxSet([-1.0, 0.0, -np.inf], [1.0, 2.0, np.inf])
         rng = np.random.default_rng(5)
         checked = 0
         while checked < 30:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from vibox import (BoxSet, Mapping, SolveConfig, VIProblem, affine_mapping, classify,
+from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, classify,
                    get_problem, make_game, multistart, normal_map, project, solve,
                    uniform_pfunction_search)
 from vibox.registry import problem_ids
@@ -106,14 +106,13 @@ class TestSolve:
 
         p = VIProblem(Mapping(fn=f, dim=1, jac=lambda x: np.diag(3.0 * x ** 2)),
                       BoxSet.full_space(1))
-        res = solve(p, SolveConfig(start=np.array([0.1])))
+        res = solve(p, start=np.array([0.1]))
         assert res.status == "solved" and res.steps[0] == "newton"
         np.testing.assert_allclose(res.x, [1.0], atol=1e-10)
         assert trials[1] == pytest.approx(0.1 + 0.999 / 0.03)
 
     def test_newton_quadratic_tail_on_spd(self):
-        res = solve(get_problem("spd-box"),
-                    SolveConfig(start=np.array([5.0, -5.0]), tol=1e-12))
+        res = solve(get_problem("spd-box"), start=np.array([5.0, -5.0]), tol=1e-12)
         assert res.status == "solved"
         tail = [r for r in res.trace if 0.0 < r < 1e-2]
         for a, b in zip(tail, tail[1:]):
@@ -162,9 +161,14 @@ class TestSolve:
             gaps = (z - res.x) @ f
             assert np.min(gaps) >= -1e-8 * scale
 
-    def test_max_iters_status(self):
-        res = solve(get_problem("cubic-free"),
-                    SolveConfig(max_iters=1, start=np.array([2.0, 2.0])))
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(get_problem("spd-box"), tol=tol)
+
+    def test_max_iters_status(self, monkeypatch):
+        monkeypatch.setattr(solver, "ITERATION_LIMIT", 1)
+        res = solve(get_problem("cubic-free"), start=np.array([2.0, 2.0]))
         assert res.status == "max-iters" and res.iterations == 1
 
 
@@ -213,7 +217,7 @@ class TestSingularityRule:
         for pid in problem_ids():
             p = get_problem(pid)
             for start in (None, np.full(p.dim, 7.0)):
-                solve(p, SolveConfig(start=start))
+                solve(p, start=start)
 
 
 class TestReducedStep:
@@ -282,14 +286,14 @@ class TestClassify:
         p = get_problem("example-game")
         res = multistart(p, starts=1)[0]
         assert res.status == "solved"
-        assert res.classification == "nash" == classify(p, solve(p))
+        assert classify(p, res) == "nash" == classify(p, solve(p))
         assert np.linalg.norm(res.x) <= 1e-8
 
     def test_pl_upgrades_a_game_that_fails_block_convexity(self, monkeypatch):
         # Q_00 = diag(1, 0) is only semidefinite, so block-convexity fails; the
         # gap-domination check then finds every solution a Nash equilibrium.
         p = make_game((2, 1), {(0, 0): np.diag([1.0, 0.0]), (1, 1): [[1.0]]},
-                      (np.zeros(2), np.zeros(1)), BoxSet.bounds([-1.0] * 3, [1.0] * 3, (2, 1)))
+                      (np.zeros(2), np.zeros(1)), BoxSet([-1.0] * 3, [1.0] * 3, (2, 1)))
         assert solver.hessian_block_convexity(p).verdict == "fail"
         verdicts = []
 
@@ -300,18 +304,17 @@ class TestClassify:
 
         monkeypatch.setattr(solver, "pl_condition_check", pl)
         solved = [r for r in multistart(p, starts=8, seed=3) if r.solved]
-        assert solved and [r.classification for r in solved] == ["nash"] * len(solved)
+        assert solved and [classify(p, r) for r in solved] == ["nash"] * len(solved)
         assert verdicts == ["pass"] * len(solved)
 
     def test_plain_vi_label(self):
         p = get_problem("example-vi")
         assert classify(p, solve(p)) == "vi-solution"
 
-    def test_unsolved_has_no_label(self):
+    def test_unsolved_has_no_label(self, monkeypatch):
+        monkeypatch.setattr(solver, "ITERATION_LIMIT", 1)
         p = get_problem("cubic-free")
-        cfg = SolveConfig(max_iters=1, start=np.array([2.0, 2.0]))
-        assert classify(p, solve(p, cfg)) == "n/a"
-        assert multistart(p, cfg, starts=1)[0].classification == "n/a"
+        assert classify(p, solve(p, start=np.array([2.0, 2.0]))) == "n/a"
 
 
 class TestMultistart:
@@ -339,7 +342,7 @@ class TestMultistart:
         fakes = iter([("solved", 2.0, 1e-12), ("solved", 1.0, 1e-11), ("max-iters", 0.5, 2.0),
                       ("max-iters", 0.25, 1.0), ("line-search-stall", 0.75, 1.0)])
 
-        def fake(p, cfg):
+        def fake(p, start, tol):
             status, x, residual = next(fakes)
             return SolveResult(status, np.array([x]), np.array([x]), residual, (residual,), ())
 
@@ -351,21 +354,6 @@ class TestMultistart:
         with pytest.raises(ValueError):
             multistart(get_problem("example-vi"), starts=0)
 
-    @pytest.mark.parametrize("pid", ["example-game", "example-vi", "spd-box"])
-    def test_classify_once_per_kept_solved_result(self, pid, monkeypatch):
-        p = get_problem(pid)
-        seen = []
-
-        def record(p, res):
-            seen.append(res.x)
-            return classify(p, res)
-
-        monkeypatch.setattr(solver, "classify", record)
-        results = multistart(p, starts=8, seed=3)
-        kept = [r.x.tobytes() for r in results if r.solved]
-        assert sorted(x.tobytes() for x in seen) == sorted(kept)
-        assert all(r.classification != "n/a" for r in results if r.solved)
-
 
 class TestStartSelection:
     def test_default_start_is_box_midpoint(self):
@@ -376,12 +364,12 @@ class TestStartSelection:
     def test_unbounded_coordinates_start_at_zero(self):
         from vibox.certificates import box_midpoint
         p = VIProblem(affine_mapping(np.eye(2)),
-                      BoxSet.bounds([0.0, -np.inf], [4.0, np.inf]))
+                      BoxSet([0.0, -np.inf], [4.0, np.inf]))
         np.testing.assert_array_equal(box_midpoint(p.set), [2.0, 0.0])
 
     def test_explicit_start_respected(self):
         p = get_problem("example-vi")
-        res = solve(p, SolveConfig(start=np.array([9.0, -9.0])))
+        res = solve(p, start=np.array([9.0, -9.0]))
         assert res.status == "solved"
 
 
@@ -409,16 +397,16 @@ def half_bounded_boxes(draw):
         a, b = sorted((draw(_END), draw(_END)))
         lo.append(a if kind in ("lower", "both") else -np.inf)
         hi.append(b if kind in ("upper", "both") else np.inf)
-    return BoxSet.bounds(lo, hi)
+    return BoxSet(lo, hi)
 
 
 def record_starts(p, **kw):
     """The start of every solve multistart makes, with solver.solve replaced."""
     seen = []
 
-    def record(p, cfg=None):
-        seen.append(cfg.start)
-        return SolveResult("max-iters", cfg.start, cfg.start, 1.0, (1.0,), ())
+    def record(p, start, tol):
+        seen.append(start)
+        return SolveResult("max-iters", start, start, 1.0, (1.0,), ())
 
     original = solver.solve
     solver.solve = record
@@ -441,7 +429,7 @@ class TestMultistartStarts:
 
     def test_lower_bound_beyond_radius_gives_distinct_starts(self):
         # [20, inf): the window is [20, 30], not the single point 20
-        box = BoxSet.bounds([20.0], [np.inf])
+        box = BoxSet([20.0], [np.inf])
         seen = record_starts(VIProblem(affine_mapping(np.eye(1)), box), starts=8, seed=0)
         assert len({s.tobytes() for s in seen}) == 8
         assert all(20.0 <= s[0] <= 30.0 for s in seen)
@@ -523,7 +511,7 @@ def enumerated_solutions(a, b, lo, hi, tol=1e-9):
     return found
 
 
-def failed_start(p, cfg):
+def failed_start(p, start, tol):
     """Stands in for solve: a start that does not converge."""
     v = np.zeros(p.dim)
     return SolveResult("line-search-stall", v, project(p.set, v), 1.0, (1.0,), ())
@@ -533,11 +521,10 @@ class TestCornerRayPath:
     @given(bounded_affine_vis())
     def test_path_ends_at_a_solution_the_enumeration_finds(self, case):
         p, a, b, lo, hi = case
-        cfg = SolveConfig()
-        res = _corner_ray_path(p, cfg)
+        res = _corner_ray_path(p, 1e-10)
         assert res.solved and res.steps == ("path",)
         ev = normal_map(p, res.v)
-        assert ev.norm == res.residual <= cfg.tol and np.array_equal(ev.z, res.x)
+        assert ev.norm == res.residual <= 1e-10 and np.array_equal(ev.z, res.x)
         natural = np.abs(res.x - np.clip(res.x - (a @ res.x + b), lo, hi)).max()
         assert natural <= 1e-8
         inside = (res.x > lo + 1e-9) & (res.x < hi - 1e-9)
@@ -557,7 +544,7 @@ class TestCornerRayPath:
             a = (orthogonal(rng, m) * 10.0 ** rng.uniform(-9, 2, m)) @ orthogonal(rng, m).T
             p = VIProblem(affine_mapping(a, 1e3 * rng.standard_normal(m)),
                           BoxSet(np.full(m, -1e4), np.full(m, 1e4)))
-            res = _corner_ray_path(p, SolveConfig())
+            res = _corner_ray_path(p, 1e-10)
             assert res.solved and res.trace[-1] == res.residual
             if len(res.trace) == 2:
                 polished += 1
@@ -570,7 +557,7 @@ class TestCornerRayPath:
         results = multistart(p, starts=4, seed=0)
         assert len(results) == 5 and [r.steps for r in results].count(("path",)) == 1
         path = results[0]  # the only solved result comes first
-        assert path.steps == ("path",) and path.solved and path.classification == "vi-solution"
+        assert path.steps == ("path",) and path.solved and classify(p, path) == "vi-solution"
         np.testing.assert_allclose(path.x, [1.0, 1.0], atol=1e-12)
 
     def test_skipped_when_a_start_solves(self, monkeypatch):
@@ -578,10 +565,10 @@ class TestCornerRayPath:
         assert multistart(get_problem("spd-box"), starts=4, seed=0)[0].solved
 
     @pytest.mark.parametrize("p", [
-        VIProblem(affine_mapping(np.eye(2)), BoxSet.bounds([0.0, 0.0], [1.0, np.inf])),
-        VIProblem(affine_mapping(np.eye(2)), BoxSet.bounds([-np.inf, 0.0], [1.0, 1.0])),
+        VIProblem(affine_mapping(np.eye(2)), BoxSet([0.0, 0.0], [1.0, np.inf])),
+        VIProblem(affine_mapping(np.eye(2)), BoxSet([-np.inf, 0.0], [1.0, 1.0])),
         VIProblem(Mapping(fn=lambda x: x - 0.5, dim=2, jac=lambda x: np.eye(2)),
-                  BoxSet.bounds([0.0, 0.0], [1.0, 1.0])),
+                  BoxSet([0.0, 0.0], [1.0, 1.0])),
         get_problem("example-game"),
     ], ids=["upper-inf", "lower-inf", "builtin", "game-full-space"])
     def test_never_runs_on_an_infinite_side_or_a_builtin_mapping(self, p, monkeypatch):
