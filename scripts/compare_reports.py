@@ -16,7 +16,11 @@ them, written straight in the file schema with ``json.dump``
 (``save_games``), so that the game loader and the game-only checkers meet
 unequal blocks, a nonconvex and a semidefinite own block, a game without
 cross blocks, and a game whose default start stalls, so that ``pl`` takes
-its candidate from the corner-ray path.  Prints each call whose exit code
+its candidate from the corner-ray path.  Seven more files are shaped like
+the ``certify-mixed`` benchmark workload (``save_affine``): affine problems
+with m of 8 to 10 on boxes with some free coordinates, three with a strictly
+diagonally dominant A and three with a planted negative 2x2 principal
+minor, and the ``cubic`` builtin on a box with one infinite side.  Prints each call whose exit code
 or stdout differs between the checkouts, or whose argv only one of them
 makes, and exits 1 if there is any; stderr (timings) is not compared.
 
@@ -59,6 +63,10 @@ def save_registry(problem_dir):
 
     for pid in problem_ids():
         save_problem(get_problem(pid), Path(problem_dir) / f"{pid}.json")
+
+
+def _bound(v):
+    return v if np.isfinite(v) else str(v)
 
 
 def _symmetric(rng, n, least):
@@ -114,13 +122,40 @@ def save_games(problem_dir):
     }
     for name, (sizes, q, c, lo, hi) in games.items():
         doc = {"name": name, "m": sum(sizes), "mapping": {"kind": "game"},
-               "set": {"lo": [v if np.isfinite(v) else str(v) for v in lo],
-                       "hi": [v if np.isfinite(v) else str(v) for v in hi],
+               "set": {"lo": [_bound(v) for v in lo], "hi": [_bound(v) for v in hi],
                        "blocks": list(sizes)},
                "game": {"block_sizes": list(sizes), "c": [v.tolist() for v in c],
                         "q": {f"{i},{j}": v.ravel().tolist() for (i, j), v in q.items()}}}
         with open(Path(problem_dir) / f"{name}.json", "w") as fh:
             json.dump(doc, fh)
+
+
+def save_affine(problem_dir):
+    """Write six seeded affine problems and one cubic builtin problem into
+    problem_dir (see the module docstring)."""
+    rng = np.random.default_rng(21)
+    docs = {}
+    for m in (8, 9, 10):
+        for planted in (False, True):
+            a = rng.standard_normal((m, m))
+            np.fill_diagonal(a, 0.0)
+            np.fill_diagonal(a, np.abs(a).sum(axis=1) + rng.uniform(0.5, 1.5, m))
+            if planted:  # a_ij a_ji = 2.25 a_ii a_jj: that 2x2 minor is negative
+                i, j = sorted(rng.choice(m, size=2, replace=False))
+                a[i, j] = a[j, i] = rng.choice([-1.5, 1.5]) * np.sqrt(a[i, i] * a[j, j])
+            free = rng.permutation(m) < round(0.2 * m)
+            lo = np.where(free, -np.inf, -5.0 * rng.uniform(0.1, 1.0, m))
+            hi = np.where(free, np.inf, 5.0 * rng.uniform(0.1, 1.0, m))
+            docs[f"affine-m{m}-{'planted' if planted else 'dominant'}"] = {
+                "m": m, "mapping": {"kind": "affine"},
+                "affine": {"A": a.ravel().tolist(), "b": rng.standard_normal(m).tolist()},
+                "set": {"lo": [_bound(v) for v in lo], "hi": [_bound(v) for v in hi]}}
+    docs["cubic-half-line"] = {"m": 3, "mapping": {"kind": "builtin"},
+                               "builtin": {"id": "cubic"},
+                               "set": {"lo": [-2.0, -1.0, 0.5], "hi": [1.5, 1.0, "inf"]}}
+    for name, doc in docs.items():
+        with open(Path(problem_dir) / f"{name}.json", "w") as fh:
+            json.dump(dict(doc, name=name), fh)
 
 
 def emit(problem_dir):
@@ -153,6 +188,7 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as problem_dir:
         save_registry(problem_dir)
         save_games(problem_dir)
+        save_affine(problem_dir)
         mine, other = run(HERE, problem_dir), run(argv[0], problem_dir)
     differ = [key for key in sorted(mine.keys() | other.keys())
               if mine.get(key) != other.get(key)]

@@ -70,22 +70,20 @@ def box_midpoint(box: BoxSet) -> np.ndarray:
 
 
 def boundary_sample_set(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
-    """The rows of draw_samples plus, per finite bound, copies of the first
-    three pinned exactly to that bound and pushed strictly outside it."""
+    """The rows of draw_samples plus, per finite bound (lo_0, hi_0, lo_1, ...),
+    copies of the first three pinned exactly to that bound and pushed
+    strictly outside it, one after the other."""
     base = draw_samples(box, count, seed, radius)
-    extra = []
-    for i in range(box.dim):
-        for bound, push in ((box.lo[i], -1.0), (box.hi[i], 1.0)):
-            if not np.isfinite(bound):
-                continue
-            for k in range(min(3, count)):
-                on = base[k].copy()
-                on[i] = bound
-                extra.append(on)
-                out = base[k].copy()
-                out[i] = bound + push
-                extra.append(out)
-    return np.vstack([base, np.array(extra)]) if extra else base
+    bounds = np.column_stack([box.lo, box.hi]).ravel()
+    finite = np.isfinite(bounds)
+    if not finite.any():
+        return base
+    coord = np.repeat(np.arange(box.dim), 2)[finite]
+    values = np.column_stack([bounds, bounds + np.tile([-1.0, 1.0], box.dim)])[finite]
+    k = min(3, count)
+    extra = np.repeat(np.tile(base[:k], (coord.size, 1)), 2, axis=0)
+    extra[np.arange(len(extra)), np.repeat(coord, 2 * k)] = np.repeat(values, k, axis=0).ravel()
+    return np.vstack([base, extra])
 
 
 # Upper bound on the bytes of one gathered stack of principal submatrices;
@@ -338,47 +336,91 @@ def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
                              "rank-deficient principal submatrix at a sample", metrics)
 
 
-def _direction_grid(m):
-    """Coordinate and pairwise-difference unit directions, coordinate ones first."""
-    eye = np.eye(m)
-    dirs = [eye[i] for i in range(m)]
-    for i, j in combinations(range(m), 2):
-        dirs.append((eye[i] - eye[j]) / np.sqrt(2.0))
-        dirs.append((eye[i] + eye[j]) / np.sqrt(2.0))
-    return dirs
+def _directions(m, k, extra):
+    """Rows k of the direction list of R^m: the m^2 grid directions, the
+    coordinate ones e_i first, then for each pair i < j in lexicographic order
+    (e_i - e_j)/sqrt(2) and (e_i + e_j)/sqrt(2); then the rows of extra.
+    Only the rows asked for are built."""
+    out = np.zeros((k.size, m))
+    at = np.arange(k.size)
+    coord, pair, more = k < m, (k >= m) & (k < m * m), k >= m * m
+    out[at[coord], k[coord]] = 1.0
+    q, plus = np.divmod(k[pair] - m, 2)
+    starts = np.cumsum(np.r_[0, np.arange(m - 1, 0, -1)])  # first pair index of each i
+    i = np.searchsorted(starts, q, side="right") - 1
+    s = 1.0 / np.sqrt(2.0)
+    out[at[pair], i] = s
+    out[at[pair], q - starts[i] + i + 1] = np.where(plus == 1, s, -s)
+    out[more] = extra[k[more] - m * m]
+    return out
 
 
-def _pairs(box: BoxSet, bases, dirs, radii, count):
-    """The first count pairs (x, P_K[x + r d]) at least 1e-12 apart; x runs
-    over bases (outermost), d over dirs and r over radii (innermost)."""
-    grid = ((x, project(box, x + r * d)) for x in bases for d in dirs for r in radii)
-    return list(islice(((x, y) for x, y in grid if np.linalg.norm(y - x) >= 1e-12), count))
+def _separated(x, y):
+    """Mask of the pairs of rows of x and y at least 1e-12 apart."""
+    d = y - x
+    return np.sqrt(np.vecdot(d, d)) >= 1e-12
 
 
-def _with_values(F, pairs):
-    """(x, y, F(x), F(y)) per pair, with F evaluated once per distinct point:
-    grid pairs share their base, and projected ends can coincide."""
-    values = {}
+def _pairs(box: BoxSet, bases, radii, count, extra=None):
+    """(xs, ys): the first count pairs (x, P_K[x + r d]) at least 1e-12
+    apart, one pair per row; x runs over the rows of bases (outermost), d
+    over the directions of _directions and r over radii (innermost).  The
+    grid is built in chunks, each just large enough for the pairs still
+    missing and at most _STACK_BYTES per array, until count pairs are kept."""
+    m = box.dim
+    extra = np.empty((0, m)) if extra is None else extra
+    radii = np.asarray(radii, dtype=float)
+    ndirs = m * m + len(extra)
+    most = max(1, _STACK_BYTES // (8 * m * radii.size))  # directions per chunk
+    xs, ys, kept, start = [np.empty((0, m))], [np.empty((0, m))], 0, 0
+    while kept < count and start < len(bases) * ndirs:
+        step = min(most, -(-(count - kept) // radii.size))  # enough if none is skipped
+        b, k = np.divmod(np.arange(start, min(start + step, len(bases) * ndirs)), ndirs)
+        start += step
+        d = _directions(m, k, extra)
+        x = np.repeat(bases[b], radii.size, axis=0)
+        y = project(box, x + (radii[:, None] * d[:, None, :]).reshape(-1, m))
+        keep = _separated(x, y)
+        xs.append(x[keep])
+        ys.append(y[keep])
+        kept += int(keep.sum())
+    return np.concatenate(xs)[:count], np.concatenate(ys)[:count]
 
-    def value(z):
+
+def _with_values(F, xs, ys):
+    """(F(xs), F(ys)) row by row, with F (a Mapping) evaluated once per
+    distinct point, on one stack: grid pairs share their base, and projected
+    ends can coincide.  Points are taken in the order x0, y0, x1, y1, ...,
+    so a non-finite F raises the error of the first such point."""
+    n, m = xs.shape
+    pts = np.stack([xs, ys], axis=1).reshape(2 * n, m)
+    ids, first, inverse = {}, [], []  # by bytes: -0.0 and 0.0 are distinct points
+    for i, z in enumerate(pts):
         key = z.tobytes()
-        if key not in values:
-            values[key] = F(z)
-        return values[key]
-
-    return [(x, y, value(x), value(y)) for x, y in pairs]
+        if key not in ids:
+            ids[key] = len(first)
+            first.append(i)
+        inverse.append(ids[key])
+    values = F.on_rows(pts[first])[inverse].reshape(n, 2, m)
+    return values[:, 0], values[:, 1]
 
 
 def _pair_stream(box: BoxSet, pairs, seed, radius):
     """Direction-grid pairs around the box midpoint and three seeded points,
-    then pairs of consecutive rows of one draw_samples call; pairs closer than
-    1e-12 are skipped, so a box without two distinct points gives fewer pairs."""
-    bases = [box_midpoint(box), *draw_samples(box, 3, seed + 1, radius)]
-    out = _pairs(box, bases, _direction_grid(box.dim), (1.0,), pairs)
-    rows = draw_samples(box, 2 * (pairs - len(out)), seed, radius)
-    out.extend((x, y) for x, y in zip(rows[0::2], rows[1::2])
-               if np.linalg.norm(y - x) >= 1e-12)
-    return out
+    then pairs of consecutive rows of one draw_samples call, as (xs, ys);
+    pairs closer than 1e-12 are skipped, so a box without two distinct points
+    gives fewer pairs."""
+    bases = np.vstack([box_midpoint(box), draw_samples(box, 3, seed + 1, radius)])
+    xs, ys = _pairs(box, bases, (1.0,), pairs)
+    rows = draw_samples(box, 2 * (pairs - len(xs)), seed, radius)
+    keep = _separated(rows[0::2], rows[1::2])
+    return np.vstack([xs, rows[0::2][keep]]), np.vstack([ys, rows[1::2][keep]])
+
+
+def _first_max(values):
+    """The greatest value along the last axis, the first one where several tie
+    (as -0.0 and 0.0 do), as a running max keeps its first value."""
+    return np.take_along_axis(values, np.argmax(values, axis=-1)[..., None], axis=-1)[..., 0]
 
 
 def uniform_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> CertificateReport:
@@ -397,32 +439,30 @@ def block_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Cert
 
 
 def _pfunction_search(p, blocks, pairs, seed, radius, condition):
-    pair_list = _pair_stream(p.set, pairs, seed, radius)
-    budget = {"pairs": len(pair_list)}
-    if not pair_list:
+    xs, ys = _pair_stream(p.set, pairs, seed, radius)
+    budget = {"pairs": len(xs)}
+    if not len(xs):
         return CertificateReport(condition, INCONCLUSIVE, None, None, seed, budget,
                                  NO_PAIR_NOTE)
-    slices = block_slices(blocks) if blocks is not None else None
-    min_rho = np.inf
-    first_violation = None
-    arg = None
-    for x, y, fx, fy in _with_values(p.F, pair_list):
-        d = x - y
-        if slices is None:
-            top = float(np.max((fx - fy) * d))
-        else:
-            top = float(max(np.dot((fx - fy)[s], d[s]) for s in slices))
-        rho = top / float(d @ d)
-        if rho < min_rho:
-            min_rho = rho
-            arg = (x, y)
-        if rho <= 0.0 and first_violation is None:
-            first_violation = {"x": x.tolist(), "y": y.tolist(), "rho": rho}
-    if first_violation is not None:
-        return CertificateReport(condition, FAIL, float(min_rho), first_violation, seed,
+    fx, fy = _with_values(p.mapping, xs, ys)
+    d, df = xs - ys, fx - fy
+    if blocks is None:
+        top = np.max(df * d, axis=1)
+    else:  # a 1-dim block's product keeps its sign of zero, which vecdot would not
+        top = _first_max(np.column_stack([
+            df[:, s.start] * d[:, s.start] if s.stop - s.start == 1
+            else np.vecdot(df[:, s], d[:, s]) for s in block_slices(blocks)]))
+    rho = top / np.vecdot(d, d)
+    k, min_rho = _first_min(rho)
+    bad = np.flatnonzero(rho <= 0.0)
+    if bad.size:
+        j = bad[0]
+        return CertificateReport(condition, FAIL, min_rho,
+                                 {"x": xs[j].tolist(), "y": ys[j].tolist(),
+                                  "rho": float(rho[j])}, seed,
                                  budget, "pair violating the P-function inequality",
-                                 {"min_rho_pair": {"x": arg[0].tolist(), "y": arg[1].tolist()}})
-    return CertificateReport(condition, INCONCLUSIVE, float(min_rho), None, seed, budget,
+                                 {"min_rho_pair": {"x": xs[k].tolist(), "y": ys[k].tolist()}})
+    return CertificateReport(condition, INCONCLUSIVE, min_rho, None, seed, budget,
                              f"no violating pair; empirical mu = min rho; {SAMPLED_NOTE}")
 
 
@@ -436,31 +476,29 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Certificate
     rng = np.random.default_rng(seed)
     box = p.set
     bases = draw_samples(box, max(2, pairs // 40), seed, radius)
-    dirs = _direction_grid(box.dim)
-    while len(dirs) < 12:
+    extra = []  # seeded random directions, up to 12 directions in all
+    while box.dim ** 2 + len(extra) < 12:
         d = rng.standard_normal(box.dim)
         n = np.linalg.norm(d)
         if n > 1e-12:
-            dirs.append(d / n)
-    pair_list = _pairs(box, bases, dirs, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0), pairs)
-    if not pair_list:
+            extra.append(d / n)
+    xs, ys = _pairs(box, bases, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0), pairs,
+                    np.array(extra).reshape(-1, box.dim))
+    if not len(xs):
         return CertificateReport("growth", INCONCLUSIVE, None, None, seed, {"pairs": 0},
                                  NO_PAIR_NOTE)
-    fits = [(float(np.linalg.norm(fx - fy)), float(np.linalg.norm(y - x)))
-            for x, y, fx, fy in _with_values(p.F, pair_list)]  # (df, sep) per pair
-    long_ratios = [df / sep for df, sep in fits if sep >= 1.0]
-    short = [(df, sep) for df, sep in fits if sep < 1.0]
-    if long_ratios:
-        lp = max(long_ratios)
-    else:
-        lp = max((df / sep for df, sep in short), default=0.0)
-    l0 = max((df - lp * sep for df, sep in short), default=0.0)
+    fx, fy = _with_values(p.mapping, xs, ys)
+    df = np.sqrt(np.vecdot(fx - fy, fx - fy))
+    sep = np.sqrt(np.vecdot(ys - xs, ys - xs))
+    long = sep >= 1.0
+    ratios = df / sep
+    lp = _first_max(ratios[long] if long.any() else ratios)
+    l0 = 0.0 if long.all() else _first_max(df[~long] - lp * sep[~long])
     l0 = 0.0 if l0 < 1e-12 * max(1.0, lp) else l0  # float noise below fit resolution
-    covered = sum(1 for df, sep in fits if df <= l0 + lp * sep + 1e-12)
+    covered = int(np.count_nonzero(df <= l0 + lp * sep + 1e-12))
     metrics = {"L0": float(l0), "Lp": float(lp), "p": 1.0,
-               "coverage": covered / len(pair_list)}
-    return CertificateReport("growth", PASS, float(lp), None, seed,
-                             {"pairs": len(pair_list)},
+               "coverage": covered / len(xs)}
+    return CertificateReport("growth", PASS, float(lp), None, seed, {"pairs": len(xs)},
                              f"fitted growth envelope on sampled pairs; {SAMPLED_NOTE}",
                              metrics)
 
@@ -542,12 +580,13 @@ def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> Certi
     pts = _sample_points(boundary_sample_set, p.set, samples, seed, radius)
     budget = {"samples": len(pts), "t_schedule": list(T_SCHEDULE)}
     # Standing hypothesis: full-rank Jacobian on K.
+    inside = project(p.set, pts)
     jacs = []  # distinct Jacobians at the projected samples, with their sigma_min
-    for k, a in _distinct(jacobian(p, project(p.set, x)) for x in pts):
+    for k, a in _distinct(jacobian(p, x) for x in inside):
         s = float(np.linalg.svd(a, compute_uv=False)[-1])
         if s < tol:
             witness = {"hypothesis": "jacobian-full-rank",
-                       "point": project(p.set, pts[k]).tolist(), "sigma_min": s}
+                       "point": inside[k].tolist(), "sigma_min": s}
             return CertificateReport("maximal-rank", FAIL, s, witness, seed, budget,
                                      "Jacobian rank hypothesis fails at a sample")
         jacs.append((a, s))
@@ -560,8 +599,9 @@ def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> Certi
                                  f"sigma_min >= tol at samples; {SAMPLED_NOTE}",
                                  {"t": 1.0})
     # Standing hypothesis: nonzero (m-1)x(m-1) principal minors at boundary points.
-    on_boundary = [x for x in pts
-                   if p.set.contains(x) and bool(np.any((x == p.set.lo) | (x == p.set.hi)))]
+    lo, hi = p.set.lo, p.set.hi
+    on_boundary = pts[np.all((pts >= lo) & (pts <= hi), axis=1)
+                      & np.any((pts == lo) | (pts == hi), axis=1)]
     if m >= 2:
         for k, a in _distinct(jacobian(p, x) for x in on_boundary):
             for idx, d in _principal_values(a, _det_stack, orders=(m - 1,)):

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -228,7 +229,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a reader that is gone raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed it (`vibox certify ... | head -1`): the output
+        # cannot be delivered.  Point stdout at devnull so that the flush at
+        # exit does not fail again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -28,6 +28,25 @@ def as_vector(x, m=None):
     return v
 
 
+def as_rows(xs, m) -> np.ndarray:
+    """xs as a (k, m) float array: a stack of k points of R^m, one per row."""
+    v = np.asarray(xs, dtype=float)
+    if v.ndim != 2 or v.shape[1] != m:
+        raise ConfigurationError(f"expected a (k, {m}) stack of points, got shape {v.shape}")
+    return v
+
+
+def _finite_values(y) -> np.ndarray:
+    """y, a value of F or a stack of them one per row, when every entry is
+    finite; else EvaluationError naming the coordinate of the first non-finite
+    entry in row-major order: that of the first failing row."""
+    if not np.isfinite(y).all():
+        c = int(np.argwhere(~np.isfinite(y))[0, -1])
+        raise EvaluationError(f"mapping produced non-finite value in coordinate {c}",
+                              coordinate=c)
+    return y
+
+
 @dataclass(frozen=True)
 class BoxSet:
     """Cartesian product of closed intervals; infinite bounds mark unconstrained coordinates.
@@ -84,26 +103,34 @@ class BoxSet:
 class Mapping:
     """A mapping F: R^m -> R^m with optional analytic Jacobian.
 
-    ``kind`` is one of ``affine`` (data holds A, b), ``game-gradient`` or
-    ``builtin``.  Evaluators must be deterministic.
+    ``rows``, when present, evaluates F on a (k, m) stack of points, one per
+    row; row i of its value must equal fn(xs[i]) bit for bit.  Without it,
+    ``on_rows`` calls ``fn`` once per row.  ``kind`` is one of ``affine``
+    (data holds A, b), ``game-gradient`` or ``builtin``.  Evaluators must be
+    deterministic.
     """
 
     fn: callable
     dim: int
     jac: callable | None = None
+    rows: callable | None = None
     kind: str = "builtin"
     data: dict = field(default_factory=dict)
 
     def __call__(self, x) -> np.ndarray:
         x = as_vector(x, self.dim)
-        y = np.asarray(self.fn(x), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
-            raise EvaluationError(
-                f"mapping produced non-finite value in coordinate {bad[0]}",
-                coordinate=int(bad[0]),
-            )
-        return y
+        return _finite_values(np.asarray(self.fn(x), dtype=float))
+
+    def on_rows(self, xs) -> np.ndarray:
+        """F at each row of the (k, m) stack xs, as a (k, m) stack.  Raises the
+        EvaluationError of the first row, in order, at which F is non-finite."""
+        xs = as_rows(xs, self.dim)
+        if self.rows is not None:
+            return _finite_values(np.asarray(self.rows(xs), dtype=float))
+        ys = np.empty(xs.shape)
+        for y, x in zip(ys, xs):
+            y[:] = self.fn(x)
+        return _finite_values(ys)
 
 
 def affine_mapping(a, b=None) -> Mapping:
@@ -122,6 +149,7 @@ def affine_mapping(a, b=None) -> Mapping:
         fn=lambda x: a @ x + b,
         dim=m,
         jac=lambda x: a,
+        rows=lambda xs: np.matvec(a, xs) + b,  # a @ x + b per row, bit for bit
         kind="affine",
         data={"A": a, "b": b},
     )

@@ -3,7 +3,7 @@
 Files are JSON with the following fields:
 
     name            problem label
-    m               dimension, at least 1
+    m               dimension, at least 1; the number of set.lo and set.hi entries
     set.lo, set.hi  per-coordinate bounds; "inf", "-inf" or an overflowing number: no bound
     set.blocks      optional block partition
     mapping.kind    one of "affine", "game", "builtin"
@@ -113,6 +113,8 @@ def problem_from_dict(doc) -> VIProblem:
     hi = np.array([_decode_bound(v) for v in set_doc["hi"]])
     blocks = tuple(set_doc["blocks"]) if set_doc.get("blocks") else None
     box = BoxSet(lo, hi, blocks)
+    if box.dim != m:
+        raise ProblemFileError(f"m is {m} but the set has {box.dim} coordinates")
     kind = doc["mapping"]["kind"]
     if kind == "affine":
         a = np.array(doc["affine"]["A"], dtype=float).reshape(m, m)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BoxSet, as_vector
+from .model import BoxSet, as_rows, as_vector
 
 
 def project(k: BoxSet, x) -> np.ndarray:
-    """Componentwise clamp of x into the box; identity on the full space."""
-    x = as_vector(x, k.dim)
+    """Componentwise clamp into the box of x, a point or a (n, m) stack of
+    points one per row; identity on the full space."""
+    x = as_rows(x, k.dim) if np.ndim(x) == 2 else as_vector(x, k.dim)
     return np.minimum(np.maximum(x, k.lo), k.hi)
 
 

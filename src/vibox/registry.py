@@ -9,13 +9,13 @@ from .model import BoxSet, Mapping, VIProblem, affine_mapping, make_game
 
 def _cubic_plus_linear(m):
     return Mapping(fn=lambda x: x ** 3 + x, dim=m,
-                   jac=lambda x: np.diag(3.0 * x ** 2 + 1.0),
+                   jac=lambda x: np.diag(3.0 * x ** 2 + 1.0), rows=lambda xs: xs ** 3 + xs,
                    kind="builtin", data={"id": "cubic-plus-linear"})
 
 
 def _cubic(m):
     return Mapping(fn=lambda x: x ** 3, dim=m,
-                   jac=lambda x: np.diag(3.0 * x ** 2),
+                   jac=lambda x: np.diag(3.0 * x ** 2), rows=lambda xs: xs ** 3,
                    kind="builtin", data={"id": "cubic"})
 
 

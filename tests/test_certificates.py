@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -136,20 +137,30 @@ class TestSigmaSweep:
         assert rep.witness is not None
 
 
-def evaluations(monkeypatch, check, builder):
-    """(sorted bytes of every point F is called at, sorted bytes of the
-    distinct ends of the pairs the module's ``builder`` returns, report) for
-    ``check`` with 120 pairs on a mixed box."""
-    calls, pairs = [], []
-    call = Mapping.__call__
+def evaluations(monkeypatch, check, pair_fn):
+    """(sorted bytes of every point F is evaluated at, one entry per call of F
+    and per row of a stack, sorted bytes of the distinct ends of the pairs the
+    module's ``pair_fn`` returns, report) for ``check`` with 120 pairs on a
+    mixed box."""
+    calls, ends = [], []
+    call, on_rows = Mapping.__call__, Mapping.on_rows
     monkeypatch.setattr(Mapping, "__call__",
                         lambda self, x: calls.append(x.tobytes()) or call(self, x))
-    build = getattr(certificates, builder)
-    monkeypatch.setattr(certificates, builder, lambda *a: pairs.extend(build(*a)) or pairs)
+    monkeypatch.setattr(Mapping, "on_rows",
+                        lambda self, xs: calls.extend(x.tobytes() for x in xs)
+                        or on_rows(self, xs))
+    build = getattr(certificates, pair_fn)
+
+    def record(*args):
+        xs, ys = build(*args)
+        ends.extend([*xs, *ys])
+        return xs, ys
+
+    monkeypatch.setattr(certificates, pair_fn, record)
     p = VIProblem(builtin_mapping("cubic-plus-linear", 3),
                   BoxSet([-1.0, 0.0, -np.inf], [1.0, np.inf, np.inf]))
     rep = check(p, pairs=120, seed=2)
-    return sorted(calls), sorted({z.tobytes() for pair in pairs for z in pair}), rep
+    return sorted(calls), sorted({z.tobytes() for z in ends}), rep
 
 
 class TestPfunctionSearch:
@@ -238,6 +249,28 @@ class TestGrowthFit:
         calls, points, rep = evaluations(monkeypatch, growth_l0lp_fit, "_pairs")
         assert rep.budget["pairs"] == 120 and calls == points
         assert len(points) < 2 * 120
+
+
+@pytest.mark.parametrize("checker, pair_fn", [(uniform_pfunction_search, "_pair_stream"),
+                                              (block_pfunction_search, "_pair_stream"),
+                                              (growth_l0lp_fit, "_pairs")])
+def test_pair_checkers_raise_the_first_error_in_pair_order(checker, pair_fn, monkeypatch):
+    # F is non-finite wherever a coordinate exceeds 0.5, so pairs fail at
+    # different coordinates; the error is that of the first failing point
+    # of x0, y0, x1, y1, ...
+    p = VIProblem(Mapping(fn=lambda x: np.where(x > 0.5, np.nan, x), dim=3), free_box(3))
+    ends = []
+    build = getattr(certificates, pair_fn)
+    monkeypatch.setattr(certificates, pair_fn,
+                        lambda *a: ends.append(build(*a)) or ends[-1])
+    with pytest.raises(EvaluationError) as exc:
+        checker(p, pairs=120, seed=4)
+    xs, ys = ends[0]
+    with pytest.raises(EvaluationError) as first:
+        for x, y in zip(xs, ys):
+            p.F(x)
+            p.F(y)
+    assert str(exc.value) == str(first.value)
 
 
 @pytest.mark.parametrize("checker", [uniform_pfunction_search, block_pfunction_search,
@@ -759,16 +792,37 @@ class TestSampling:
         assert np.array_equal(draw_samples(box, 50, 4), draw_samples(box, 50, 4))
 
 
+def grid_directions(m):
+    """The direction grid built with plain loops: e_0 ... e_{m-1}, then for
+    each pair i < j (e_i - e_j)/sqrt(2) and (e_i + e_j)/sqrt(2)."""
+    eye = np.eye(m)
+    dirs = [eye[i] for i in range(m)]
+    for i, j in combinations(range(m), 2):
+        dirs += [(eye[i] - eye[j]) / np.sqrt(2.0), (eye[i] + eye[j]) / np.sqrt(2.0)]
+    return dirs
+
+
+def loop_pairs(box, bases, dirs, radii):
+    """Every pair (x, P_K[x + r d]) at least 1e-12 apart, in order, built with
+    plain loops: x over bases, d over dirs, r over radii."""
+    out = []
+    for x in bases:
+        for d in dirs:
+            for r in radii:
+                y = project(box, x + r * d)
+                if np.linalg.norm(y - x) >= 1e-12:
+                    out.append((x, y))
+    return out
+
+
 def grid_pairs(box, seed, radius):
     """Every direction-grid pair of _pair_stream, in order, built with plain loops."""
     bases = [box_midpoint(box), *draw_samples(box, 3, seed + 1, radius)]
-    out = []
-    for x in bases:
-        for d in certificates._direction_grid(box.dim):
-            y = project(box, x + d)
-            if np.linalg.norm(y - x) >= 1e-12:
-                out.append((x, y))
-    return out
+    return loop_pairs(box, bases, grid_directions(box.dim), (1.0,))
+
+
+def pair_bytes(xs, ys):
+    return [(x.tobytes(), y.tobytes()) for x, y in zip(xs, ys)]
 
 
 _BOUND = st.floats(-30.0, 30.0)  # beyond the radius too: lo > radius, hi < -radius
@@ -792,14 +846,13 @@ class TestPairStream:
     @given(mixed_boxes(), st.integers(1, 120), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([0.5, 1.0, 10.0, 25.0]))
     def test_grid_pairs_then_consecutive_sample_rows(self, box, pairs, seed, radius):
-        out = certificates._pair_stream(box, pairs, seed, radius)
+        xs, ys = certificates._pair_stream(box, pairs, seed, radius)
         grid = grid_pairs(box, seed, radius)[:pairs]
         rows = draw_samples(box, 2 * (pairs - len(grid)), seed, radius)
         tail = [(x, y) for x, y in zip(rows[0::2], rows[1::2])
                 if np.linalg.norm(y - x) >= 1e-12]
-        assert [(x.tobytes(), y.tobytes()) for x, y in out] == \
-            [(x.tobytes(), y.tobytes()) for x, y in grid + tail]
-        for x, y in out:
+        assert pair_bytes(xs, ys) == [(x.tobytes(), y.tobytes()) for x, y in grid + tail]
+        for x, y in zip(xs, ys):
             assert box.contains(x) and box.contains(y)
             assert np.linalg.norm(y - x) >= 1e-12
 
@@ -807,10 +860,52 @@ class TestPairStream:
         # [0, 1] x R: the pairs after the 16 grid pairs are drawn inside [0, 1],
         # not drawn from [-radius, radius] and clamped onto a bound
         box = BoxSet([0.0, -np.inf], [1.0, np.inf])
-        out = certificates._pair_stream(box, 100, 0, 10.0)
-        assert len(grid_pairs(box, 0, 10.0)) == 16 and len(out) == 100
-        first = np.array([[x[0], y[0]] for x, y in out[16:]])
+        xs, ys = certificates._pair_stream(box, 100, 0, 10.0)
+        assert len(grid_pairs(box, 0, 10.0)) == 16 and len(xs) == 100
+        first = np.column_stack([xs[16:, 0], ys[16:, 0]])
         assert np.all((first > 0.0) & (first < 1.0))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_directions_match_the_loop_grid(self, m):
+        extra = np.arange(2.0 * m).reshape(2, m)
+        k = np.arange(m * m + 2)
+        expected = np.array([*grid_directions(m), *extra])
+        assert certificates._directions(m, k, extra).tobytes() == expected.tobytes()
+        picked = np.array([m * m - 1, 0, m * m + 1, m - 1])
+        assert certificates._directions(m, picked, extra).tobytes() == \
+            expected[picked].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_boxes(), st.integers(0, 400), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([64, 1 << 10, 1 << 21]))
+    def test_chunked_grid_matches_the_loop_oracle(self, box, count, seed, stack_bytes):
+        # several radii and extra directions, over chunks of every size
+        radii = (0.25, 1.0, 8.0)
+        bases = draw_samples(box, 2, seed, 10.0)
+        extra = draw_samples(BoxSet.full_space(box.dim), 2, seed, 1.0)
+        expected = loop_pairs(box, bases, [*grid_directions(box.dim), *extra], radii)[:count]
+        with mock.patch.object(certificates, "_STACK_BYTES", stack_bytes):
+            xs, ys = certificates._pairs(box, bases, radii, count, extra)
+        assert pair_bytes(xs, ys) == [(x.tobytes(), y.tobytes()) for x, y in expected]
+
+
+@pytest.mark.parametrize("checker", [uniform_pfunction_search, block_pfunction_search,
+                                     growth_l0lp_fit])
+def test_pair_checkers_stay_small_at_m_300(checker):
+    # The grid has m^2 = 90,000 directions per base; only the chunks that give
+    # the 120 pairs are built.
+    rng = np.random.default_rng(0)
+    m = 300
+    lo = np.where(np.arange(m) % 3 == 0, -np.inf, -1.0)
+    p = VIProblem(affine_mapping(rng.standard_normal((m, m))), BoxSet(lo, np.ones(m)))
+    tracemalloc.start()
+    try:
+        rep = checker(p, pairs=120, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.budget["pairs"] == 120
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestImplicationChain:

@@ -300,6 +300,20 @@ class TestCertifyCommand:
             assert certs[cond]["budget"] == {"pairs": 0}
             assert "no two points" in certs[cond]["notes"]
 
+    def test_closed_stdout_exits_without_a_traceback(self):
+        # The reader of stdout is gone before the report is written, as with
+        # `vibox certify example-game | head -1` when head exits first.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vibox.__file__)))
+        try:
+            done = subprocess.run([sys.executable, "-m", "vibox.cli", "certify", "example-game"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=60, env=env)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1 and done.stderr == ""
+
     def test_byte_identical_reports(self, capsys):
         _, out_a, _ = run_cli(capsys, "certify", "example-game", "--seed", "7")
         _, out_b, _ = run_cli(capsys, "certify", "example-game", "--seed", "7")
@@ -458,6 +472,26 @@ class TestProblemFiles:
         for command in ("solve", "certify"):
             code, out, err = run_cli(capsys, command, str(path))
             assert code == 1 and out == "" and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("pid, m", [("spd-box", 3), ("cubic-free", 1), ("example-game", 1),
+                                        ("three-players", 2)])
+    def test_m_other_than_the_box_dimension_exit_one(self, tmp_path, capsys, pid, m):
+        if pid == "three-players":  # three 1-dim players on a 3-dim box
+            doc = {"m": 3, "mapping": {"kind": "game"},
+                   "set": {"lo": [-1.0] * 3, "hi": [1.0] * 3, "blocks": [1, 1, 1]},
+                   "game": {"block_sizes": [1, 1, 1], "c": [[0.0]] * 3,
+                            "q": {f"{i},{i}": [1.0] for i in range(3)}}}
+        else:
+            doc = problem_to_dict(get_problem(pid))
+        doc["m"] = m
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFileError, match=f"m is {m} but the set has"):
+            load_problem(path)
+        for command in ("solve", "certify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert err.startswith("error:") and f"m is {m}" in err
 
     @pytest.mark.parametrize("bound", ["inf", "-inf"])
     def test_empty_infinite_interval_exit_one(self, tmp_path, capsys, bound):

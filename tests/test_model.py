@@ -1,5 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vibox import (BoxSet, ConfigurationError, EvaluationError, Mapping, VIProblem,
                    affine_mapping, builtin_mapping, get_problem, jacobian, make_game)
@@ -145,6 +150,83 @@ class TestJacobian:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             VIProblem(affine_mapping(np.eye(2)), BoxSet.full_space(3))
+
+
+_ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300])
+_POINT = st.floats(-1e120, 1e120) | st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e200])
+
+
+@st.composite
+def mappings(draw):
+    """An affine, game-gradient (blocks of 1 and 2 coordinates) or builtin
+    mapping of dimension 1 to 12, or one of them with ``rows`` removed."""
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["affine", "game", "cubic", "cubic-plus-linear"]))
+    if kind == "affine":
+        f = affine_mapping(draw(hnp.arrays(float, (m, m), elements=_ENTRY)),
+                           draw(hnp.arrays(float, m, elements=_ENTRY)))
+    elif kind == "game":
+        sizes = []
+        while sum(sizes) < m:
+            sizes.append(min(draw(st.integers(1, 2)), m - sum(sizes)))
+        a = draw(hnp.arrays(float, (m, m), elements=_ENTRY))
+        a = np.tril(a) + np.tril(a, -1).T  # symmetric, so every own block is
+        edges = np.cumsum([0, *sizes])
+        q = {(i, j): a[edges[i]:edges[i + 1], edges[j]:edges[j + 1]]
+             for i in range(len(sizes)) for j in range(len(sizes))}
+        c = [draw(hnp.arrays(float, n, elements=_ENTRY)) for n in sizes]
+        box = BoxSet(np.full(m, -np.inf), np.full(m, np.inf), blocks=sizes)
+        f = make_game(sizes, q, c, box).mapping
+    else:
+        f = builtin_mapping(kind, m)
+    return replace(f, rows=None) if draw(st.booleans()) else f
+
+
+class TestStackedEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_equal_fn_bit_for_bit(self, data):
+        f = data.draw(mappings())
+        xs = data.draw(hnp.arrays(float, (data.draw(st.integers(0, 8)), f.dim),
+                                  elements=st.floats(-1e3, 1e3)
+                                  | st.sampled_from([0.0, -0.0, 1e-300])))
+        ys = f.on_rows(xs)
+        assert ys.shape == xs.shape
+        expected = np.array([np.asarray(f.fn(x), dtype=float) for x in xs]).reshape(xs.shape)
+        assert ys.tobytes() == expected.tobytes()  # signbit included
+        assert np.array_equal(np.signbit(ys), np.signbit(expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_nonfinite_row_raises_the_first_per_point_error(self, data):
+        f = data.draw(mappings())
+        xs = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 6)), f.dim),
+                                  elements=_POINT))
+        with np.errstate(all="ignore"):
+            first = None
+            for x in xs:
+                try:
+                    f(x)
+                except EvaluationError as e:
+                    first = e
+                    break
+            if first is None:
+                assert f.on_rows(xs).shape == xs.shape
+                return
+            with pytest.raises(EvaluationError) as exc:
+                f.on_rows(xs)
+        assert exc.value.coordinate == first.coordinate and str(exc.value) == str(first)
+
+    def test_zero_rows(self):
+        for f in (affine_mapping(np.eye(3)), builtin_mapping("cubic", 3),
+                  replace(builtin_mapping("cubic", 3), rows=None)):
+            assert f.on_rows(np.empty((0, 3))).shape == (0, 3)
+
+    def test_stack_of_the_wrong_shape_rejected(self):
+        f = affine_mapping(np.eye(3))
+        for xs in (np.zeros(3), np.zeros((2, 2)), np.zeros((1, 2, 3))):
+            with pytest.raises(ConfigurationError):
+                f.on_rows(xs)
 
 
 class TestBoxSet:
