@@ -6,8 +6,11 @@ Runs, in one subprocess per checkout (with PYTHONPATH=<checkout>/src),
 with ``--seed 5 --radius 3`` (``certify`` also with ``--samples 12``; ``solve``
 has no ``--samples``), and once with a tolerance that changes some reports:
 ``--tol 1e-6`` for ``solve``, and ``--tol 0.5`` for ``certify``, which moves
-the ``sigma-sweep`` and ``maximal-rank`` verdicts of three games.  A
-tolerance that no longer reaches the solver or the checkers then shows.
+the ``sigma-sweep`` verdicts of three games and of the cubic file below, and
+that file's ``maximal-rank`` verdict (on affine problems and games ``--tol``
+reaches ``maximal-rank`` only through the block of free coordinates, which
+no game here has).  A tolerance that no longer reaches the solver or the
+checkers then shows.
 The same calls run on problem files too: this checkout writes every
 registry problem once with ``save_problem`` into a temporary directory that
 both subprocesses read, so the file loader is compared and the

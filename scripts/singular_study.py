@@ -5,7 +5,7 @@ index: trailing singular values exactly 0 before rounding) or near singular
 (odd index: trailing singular values 1e-14 .. 1e-6), m = 2 .. 29, from 4
 starts each (the default start and 3 seeded ones), twice: once with the
 solver as it is, once with the Newton direction patched to build the full
-element J, decide singularity by its SVD, sigma_min < reg_floor *
+element J, decide singularity by its SVD, sigma_min < REG_FLOOR *
 max(sigma_max, 1), and solve J d = -r by the LU of J itself.
 Prints how many problems give identical runs (statuses, step kinds and the
 bits of x and v), how many give the same statuses and step kinds (the bits
@@ -23,15 +23,16 @@ import numpy as np
 
 import vibox.solver
 from vibox import BoxSet, VIProblem, affine_mapping, box_midpoint, solve
+from vibox.solver import REG_FLOOR
 
 
-def svd_rule_direction(df, free, r, r_norm, reg_floor):
+def svd_rule_direction(df, free, r, r_norm):
     """The reference: the full element J = I - D + dF D, its SVD, and the LU
     solve of J d = -r when the singular-value test passes."""
     d = free.astype(float)
     j = df * d + np.diag(1.0 - d)
     sv = np.linalg.svd(j, compute_uv=False)
-    return None if sv[-1] < reg_floor * max(sv[0], 1.0) else np.linalg.solve(j, -r)
+    return None if sv[-1] < REG_FLOOR * max(sv[0], 1.0) else np.linalg.solve(j, -r)
 
 
 def problem(i):

@@ -2,14 +2,14 @@
 
 Each checker reifies one sufficient condition for solvability (P-matrix
 variants, P-function searches, growth fits, the Upsilon test for games, the
-scaled maximal-rank search, and the PL gap condition).  Conditions that
-quantify over all of K are verified on seeded sample sets: a fail is
-conclusive (witness-backed), a pass is sampled evidence only.
+maximal-rank test by vertex determinants, exact for affine F, and the PL gap
+condition).  Other conditions over all of K are verified on seeded samples:
+a fail is conclusive (witness-backed), a pass is sampled evidence only.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .model import BoxSet, ConfigurationError, VIProblem, as_vector, block_slices, jacobian
-from .normal_map import RAY_RADII, coercivity_probe
+from .normal_map import RAY_RADII, coercivity_probe, normal_map
 from .projection import project
 
 PASS = "pass"
@@ -29,6 +29,7 @@ NO_PAIR_NOTE = "K has no two points at least 1e-12 apart; no pair to test"
 
 MINOR_BUDGET_DIM = 20
 ETA_FLOOR = 1e-10  # least principal minor of a uniform-pmatrix mixed-row matrix
+NOISE_FLOOR = 1e-12  # maximal-rank: row-scaled Schur-complement minors this small are 0
 
 
 class BudgetError(ValueError):
@@ -47,7 +48,7 @@ class CertificateReport:
     metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(self.__dict__)  # shallow: nested values are shared
 
 
 def draw_samples(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
@@ -76,8 +77,6 @@ def boundary_sample_set(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
     base = draw_samples(box, count, seed, radius)
     bounds = np.column_stack([box.lo, box.hi]).ravel()
     finite = np.isfinite(bounds)
-    if not finite.any():
-        return base
     coord = np.repeat(np.arange(box.dim), 2)[finite]
     values = np.column_stack([bounds, bounds + np.tile([-1.0, 1.0], box.dim)])[finite]
     k = min(3, count)
@@ -128,16 +127,11 @@ def _det_stack(s):
     return np.linalg.det(s)
 
 
-def _sigma_min_stack(s):
-    """Smallest singular value of each matrix of a (k, r, r) stack."""
-    return np.linalg.svd(s, compute_uv=False)[:, -1]
-
-
-def _principal_values(a, fn, orders=None):
+def _principal_values(a, fn):
     """Yield (index sets, fn of the stacked principal submatrices) chunk by
-    chunk: orders ascending (default 1..m), lexicographic within an order."""
+    chunk: orders 1..m ascending, lexicographic within an order."""
     m = a.shape[0]
-    for r in orders or range(1, m + 1):
+    for r in range(1, m + 1):
         for idx in _subset_chunks(m, r):
             yield idx, fn(a[idx[:, :, None], idx[:, None, :]])
 
@@ -171,8 +165,8 @@ def principal_minor_det(a) -> float:
     return float(_det_stack(np.asarray(a)[np.newaxis])[0])
 
 
-def _minor_scan(a):
-    """(min minor, first nonpositive subset or None) over all principal minors."""
+def _minor_scan(a, floor=0.0):
+    """(min minor, first subset whose minor is <= floor, or None) over all principal minors."""
     min_minor = np.inf
     first_bad = None
     for idx, d in _principal_values(a, _det_stack):
@@ -180,7 +174,7 @@ def _minor_scan(a):
         if v < min_minor:
             min_minor = v
         if first_bad is None:
-            bad = np.flatnonzero(d <= 0.0)
+            bad = np.flatnonzero(d <= floor)
             if bad.size:
                 first_bad = tuple(int(i) for i in idx[bad[0]])
     return min_minor, first_bad
@@ -191,7 +185,7 @@ def _sigma_scan(a):
     principal submatrices."""
     margin = np.inf
     arg = None
-    for idx, s in _principal_values(a, _sigma_min_stack):
+    for idx, s in _principal_values(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1]):
         k, v = _first_min(s)
         if v < margin:
             margin = v
@@ -244,18 +238,18 @@ def pmatrix_oracle(a, samples=100000, seed=0) -> CertificateReport:
                              f"no violating direction among samples; {SAMPLED_NOTE}")
 
 
-def _sample_points(draw, box: BoxSet, samples, seed, radius) -> np.ndarray:
-    """draw(box, samples, seed, radius) for a sampled checker, which needs at
-    least one point."""
+def _sample_points(box: BoxSet, samples, seed, radius) -> np.ndarray:
+    """draw_samples(box, samples, seed, radius) for a sampled checker, which
+    needs at least one point."""
     if samples < 1:
         raise ValueError("sample set is empty")
-    return draw(box, samples, seed, radius)
+    return draw_samples(box, samples, seed, radius)
 
 
 def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
     """Exact minors test of the Jacobian at each of ``samples`` points of
     draw_samples."""
-    pts = _sample_points(draw_samples, p.set, samples, seed, radius)
+    pts = _sample_points(p.set, samples, seed, radius)
     budget = {"samples": samples}
     min_margin = np.inf
     for k, a in _distinct(jacobian(p, x) for x in pts):
@@ -277,7 +271,7 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
     P-matrix with margin at least ETA_FLOOR.  The 2n tuples are the n
     all-same ones (one per point), then n seeded draws.
     """
-    pts = _sample_points(draw_samples, p.set, samples, seed, radius)
+    pts = _sample_points(p.set, samples, seed, radius)
     n, m = samples, p.dim
     jacs = np.array([jacobian(p, x) for x in pts])
     rng = np.random.default_rng(seed)
@@ -316,7 +310,7 @@ def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
     m = p.dim
     if m > MINOR_BUDGET_DIM:
         raise BudgetError("submatrix enumeration exceeds budget for m > 20")
-    pts = _sample_points(draw_samples, p.set, samples, seed, radius)
+    pts = _sample_points(p.set, samples, seed, radius)
     margin = np.inf
     arg = None
     for k, a in _distinct(jacobian(p, x) for x in pts):
@@ -552,82 +546,86 @@ def p_upsilon_check(p: VIProblem) -> CertificateReport:
                              "Nash equilibrium", metrics)
 
 
-T_SCHEDULE = tuple(float(2 ** k) for k in range(13))
+def _face_edge(j, inside, pinned, tol):
+    """(margin, edge) for the elements I - D + J D, D = 1 on the mask ``inside``,
+    in [0, 1] on the mask ``pinned`` and 0 elsewhere.  Their determinant is
+    multilinear in D and is det J[S, S] at the vertex D = 1 on S: all are
+    nonsingular iff J[inside, inside] is (sigma_min >= tol, taken as 1 when
+    empty) and its Schur complement C on ``pinned`` is a P-matrix.  margin: the
+    lesser of that sigma_min and the least row-scaled minor of C.  edge: None
+    on a pass, else (S, k) with J[S, S] singular (k None) or det J[S, S] and
+    det J[S + k, S + k] differing in sign or including a 0 (k ends the first
+    bad set of _minor_scan, whose subsets of lower order all pass)."""
+    fr, bd = np.flatnonzero(inside), np.flatnonzero(pinned)
+    jff = j[np.ix_(fr, fr)]
+    s_min = float(np.linalg.svd(jff, compute_uv=False)[-1]) if fr.size else 1.0
+    if s_min < tol:
+        return s_min, (fr, None)
+    x = np.linalg.solve(jff, j[np.ix_(fr, bd)])
+    c = j[np.ix_(bd, bd)] - j[np.ix_(bd, fr)] @ x
+    norms = np.linalg.norm(np.abs(j[np.ix_(bd, bd)]) + np.abs(j[np.ix_(bd, fr)]) @ np.abs(x),
+                           axis=1)
+    least, bad = _minor_scan(c / np.where(norms > 0.0, norms, 1.0)[:, None], NOISE_FLOOR)
+    edge = None if bad is None else (np.sort(np.r_[fr, bd[list(bad[:-1])]]), int(bd[bad[-1]]))
+    return min(s_min, float(least)), edge
 
 
-def _hull_rows(m):
-    """The (1 + 4(m+1), m) rows beta * alpha of the hull sample I - beta *
-    diag(alpha): the zero row, then for each beta in (0.25, 0.5, 0.75, 1)
-    beta times each simplex vertex e_i and the barycenter."""
-    alphas = np.vstack([np.eye(m), np.full(m, 1.0 / m)])
-    return np.vstack([np.zeros(m), *(beta * alphas for beta in (0.25, 0.5, 0.75, 1.0))])
+def _face_point(box: BoxSet, s, k) -> np.ndarray:
+    """A point with coordinate k on a bound, those of s inside K, the others outside."""
+    v = np.where(np.isfinite(box.lo), box.lo - 1.0, box.hi + 1.0)
+    v[s] = np.where(np.isfinite(box.lo) & np.isfinite(box.hi), box_midpoint(box),
+                    np.clip(0.0, box.lo + 1.0, box.hi - 1.0))[s]
+    if k is not None:
+        v[k] = box.lo[k] if np.isfinite(box.lo[k]) else box.hi[k]
+    return v
 
 
 def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> CertificateReport:
-    """Search for a scale t in T_SCHEDULE making every sampled
-    generalized-Jacobian element of the scaled normal map nonsingular, at
-    the points of boundary_sample_set(K, samples, seed, radius).
-
-    Elements have the form beta*diag(alpha) + t*J*(I - beta*diag(alpha)) with
-    J the Jacobian at the projected sample and beta*alpha ranging over
-    _hull_rows, a fixed sample of the convex hull of {I} union {I - e_i e_i'}.
-    Standing hypotheses (Jacobian sigma_min >= tol on K, nonzero (m-1)-minors
-    at boundary points) are verified first.
-    """
-    m = p.dim
-    if m > MINOR_BUDGET_DIM:
-        raise BudgetError("minor enumeration exceeds budget for m > 20")
-    pts = _sample_points(boundary_sample_set, p.set, samples, seed, radius)
-    budget = {"samples": len(pts), "t_schedule": list(T_SCHEDULE)}
-    # Standing hypothesis: full-rank Jacobian on K.
-    inside = project(p.set, pts)
-    jacs = []  # distinct Jacobians at the projected samples, with their sigma_min
-    for k, a in _distinct(jacobian(p, x) for x in inside):
-        s = float(np.linalg.svd(a, compute_uv=False)[-1])
-        if s < tol:
-            witness = {"hypothesis": "jacobian-full-rank",
-                       "point": inside[k].tolist(), "sigma_min": s}
-            return CertificateReport("maximal-rank", FAIL, s, witness, seed, budget,
-                                     "Jacobian rank hypothesis fails at a sample")
-        jacs.append((a, s))
-    if p.set.is_full_space:
-        # No boundary: the generalized Jacobian is the singleton {dF(x)}, and
-        # the projection is the identity.
-        s_min = min(s for _, s in jacs)
-        return CertificateReport("maximal-rank", PASS, s_min, None, seed, budget,
-                                 f"full-space degenerate case: Jacobian "
-                                 f"sigma_min >= tol at samples; {SAMPLED_NOTE}",
-                                 {"t": 1.0})
-    # Standing hypothesis: nonzero (m-1)x(m-1) principal minors at boundary points.
+    """Whether every element of the normal map's generalized Jacobian is
+    nonsingular wherever F_nor != 0, by _face_edge.  Affine and game F are
+    decided exactly (J = A, D = 1 on free coordinates, 0 on fixed ones; at
+    most MINOR_BUDGET_DIM others, for any F); other F on the face of each v of
+    boundary_sample_set (J at P_K[v], D in [0, 1] where v is on a bound).  The
+    first singular face decides: fail when ||F_nor|| > tol at its point, else
+    inconclusive, as the existence theorem exempts the zeros of F_nor."""
+    if samples < 1:
+        raise ValueError("sample set is empty")
     lo, hi = p.set.lo, p.set.hi
-    on_boundary = pts[np.all((pts >= lo) & (pts <= hi), axis=1)
-                      & np.any((pts == lo) | (pts == hi), axis=1)]
-    if m >= 2:
-        for k, a in _distinct(jacobian(p, x) for x in on_boundary):
-            for idx, d in _principal_values(a, _det_stack, orders=(m - 1,)):
-                bad = np.flatnonzero(np.abs(d) < tol)
-                if bad.size:
-                    minor = float(d[bad[0]])
-                    witness = {"hypothesis": "m-1-minors", "point": on_boundary[k].tolist(),
-                               "index_set": [int(i) for i in idx[bad[0]]], "minor": minor}
-                    return CertificateReport("maximal-rank", FAIL, abs(minor), witness, seed,
-                                             budget, "vanishing (m-1)-minor at a boundary sample")
-    bd = _hull_rows(m)[:, :, None] * np.eye(m)  # the stack of beta * diag(alpha)
-    keep = np.eye(m) - bd
-    for t in T_SCHEDULE:
-        s_min = np.inf
-        for jf, _ in jacs:
-            # One stacked SVD over the hull elements beta*diag(alpha) + t*J*(I - ...).
-            _, s = _first_min(_sigma_min_stack(bd + t * jf @ keep))
-            if s < s_min:
-                s_min = s
-        if s_min >= tol:
-            return CertificateReport("maximal-rank", PASS, s_min, None, seed, budget,
-                                     f"scale t={t} makes every sampled element "
-                                     f"nonsingular; {SAMPLED_NOTE}", {"t": t})
-    return CertificateReport("maximal-rank", INCONCLUSIVE, None, None, seed, budget,
-                             "no scale in the schedule certified; the existence "
-                             "theorem may still apply with a larger t")
+    movable = lo < hi
+    free = np.isinf(lo) & np.isinf(hi)
+    bounded = int(np.count_nonzero(movable & ~free))
+    if bounded > MINOR_BUDGET_DIM:
+        raise BudgetError(f"{bounded} bounded coordinates exceed the budget of {MINOR_BUDGET_DIM}")
+    if p.mapping.kind in ("affine", "game-gradient"):
+        faces = [(p.mapping.data["A"], free, movable & ~free, None)]
+        seed, budget = None, {"vertices": 2 ** bounded}
+        note = "every element is nonsingular (exact vertex test)"
+    else:
+        pts = boundary_sample_set(p.set, samples, seed, radius)
+        faces = ((jacobian(p, z), movable & (v > lo) & (v < hi),
+                  movable & ((v == lo) | (v == hi)), v)
+                 for v, z in zip(pts, project(p.set, pts)))
+        budget = {"samples": len(pts)}
+        note = f"each sample's face (at most one coordinate on a bound) passes; {SAMPLED_NOTE}"
+    margin = np.inf
+    for j, inside, pinned, v in faces:
+        face_margin, edge = _face_edge(j, inside, pinned, tol)
+        margin = min(margin, face_margin)
+        if edge is None:
+            continue
+        s, k = edge
+        v = _face_point(p.set, s, k) if v is None else v
+        residual = normal_map(p, v).norm
+        if residual <= tol:
+            return CertificateReport("maximal-rank", INCONCLUSIVE, margin, None, seed, budget,
+                                     "singular element only where F_nor = 0, which is exempt")
+        ends = [] if k is None else [s, np.sort(np.r_[s, k])]  # J[S, S] singular: no edge
+        witness = {"index_set": s.tolist(), "k": k,
+                   "minors": [principal_minor_det(j[np.ix_(e, e)]) for e in ends],
+                   "point": v.tolist(), "residual": residual}
+        return CertificateReport("maximal-rank", FAIL, margin, witness, seed, budget,
+                                 "singular generalized-Jacobian element where F_nor != 0")
+    return CertificateReport("maximal-rank", PASS, margin, None, seed, budget, note)
 
 
 def pl_condition_check(p: VIProblem, xbar, samples=200, seed=0,

@@ -17,8 +17,8 @@ def project(k: BoxSet, x) -> np.ndarray:
 def projection_jacobian_element(k: BoxSet, x) -> np.ndarray:
     """Read-only diagonal d of a 0/1 element of the projection's generalized
     Jacobian at x: d_i = 1 strictly inside, on a bound or free, 0 strictly
-    outside."""
+    outside or fixed (lo_i == hi_i, where the projection is constant)."""
     x = as_vector(x, k.dim)
-    d = np.where((x < k.lo) | (x > k.hi), 0.0, 1.0)  # never 0 on a free coordinate
+    d = np.where((x < k.lo) | (x > k.hi) | (k.lo == k.hi), 0.0, 1.0)  # 1 on a free coordinate
     d.setflags(write=False)
     return d

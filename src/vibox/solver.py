@@ -46,11 +46,11 @@ class SolveResult:
         return self.status == SOLVED
 
 
-def newton_direction(df: np.ndarray, free: np.ndarray, r: np.ndarray, r_norm: float,
-                     reg_floor: float) -> np.ndarray | None:
+def newton_direction(df: np.ndarray, free: np.ndarray, r: np.ndarray,
+                     r_norm: float) -> np.ndarray | None:
     """The Newton direction d solving J d = -r for J = I - D + dF D, with D the
     0/1 diagonal that is 1 on the boolean mask ``free``, or None when J is
-    numerically singular: the LU solve fails, or ||r|| < reg_floor * max(c, 1)
+    numerically singular: the LU solve fails, or ||r|| < REG_FLOOR * max(c, 1)
     * ||d|| with c the largest column norm of J (NaN or inf in d fails this
     test too).
 
@@ -59,7 +59,7 @@ def newton_direction(df: np.ndarray, free: np.ndarray, r: np.ndarray, r_norm: fl
     coordinate free this is the LU solve of dF itself; with none, d = -r.
 
     Since sigma_min(J) <= ||r|| / ||d|| and c <= sigma_max(J), this flags J
-    only when the singular-value test sigma_min(J) < reg_floor *
+    only when the singular-value test sigma_min(J) < REG_FLOOR *
     max(sigma_max(J), 1) flags it too; a near-singular J whose step stays
     bounded keeps its Newton step."""
     try:
@@ -76,7 +76,7 @@ def newton_direction(df: np.ndarray, free: np.ndarray, r: np.ndarray, r_norm: fl
         return None
     # The active columns of J have norm 1, its free columns are those of dF.
     c = float(np.sqrt(np.max(np.einsum("ij,ij->j", df, df)[free], initial=1.0)))
-    return d if r_norm >= reg_floor * c * float(np.linalg.norm(d)) else None
+    return d if r_norm >= REG_FLOOR * c * float(np.linalg.norm(d)) else None
 
 
 def merit_gradient(df: np.ndarray, free: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -94,8 +94,8 @@ def solve(p: VIProblem, start=None, tol=1e-10) -> SolveResult:
     fixed-point fallbacks when the Newton direction is not a descent
     direction for theta(v) = 1/2 ||r(v)||^2.
 
-    J d = -r is solved on the free coordinates of v only (those inside or on
-    the bounds of K), followed by one back-substitution for the others.
+    J d = -r is solved on the free coordinates of v only (inside K or on a
+    bound, but not fixed by lo == hi), then back-substituted for the others.
     Singularity is read off that solve, without an SVD: J counts as singular
     when the LU solve fails or the step grows past ||r|| / (REG_FLOOR *
     max(c, 1)), with c the largest column norm of J (``newton_direction``).
@@ -112,6 +112,7 @@ def solve(p: VIProblem, start=None, tol=1e-10) -> SolveResult:
     if not tol > 0:
         raise ValueError("tol must be positive")
     v = box_midpoint(p.set) if start is None else np.array(start, dtype=float)
+    movable = p.set.lo < p.set.hi
     ev = normal_map(p, v)
     trace = [ev.norm]
     steps = []
@@ -123,10 +124,10 @@ def solve(p: VIProblem, start=None, tol=1e-10) -> SolveResult:
             break
         r = ev.r
         df = jacobian(p, ev.z)
-        free = (v >= p.set.lo) & (v <= p.set.hi)  # d == 1 in projection_jacobian_element
+        free = movable & (v >= p.set.lo) & (v <= p.set.hi)  # projection_jacobian_element's d
         grad = merit_gradient(df, free, r)
         kind = "newton"
-        d = newton_direction(df, free, r, ev.norm, REG_FLOOR)
+        d = newton_direction(df, free, r, ev.norm)
         if d is None:
             kind = "regularized"
             j = normal_map_jacobian_element(p, v)
@@ -262,8 +263,8 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
     ev = normal_map(p, x - p.F(x))
     trace = [ev.norm]
     if ev.norm > tol:
-        free = (ev.v >= lo) & (ev.v <= hi)
-        d = newton_direction(a, free, ev.r, ev.norm, REG_FLOOR)
+        free = (lo < hi) & (ev.v >= lo) & (ev.v <= hi)
+        d = newton_direction(a, free, ev.r, ev.norm)
         trial = normal_map(p, ev.v + d) if d is not None else ev
         if trial.norm < ev.norm:
             ev = trial

@@ -125,14 +125,23 @@ def test_criterion_6_coercivity_probe_is_calibrated(scorecard):
     scorecard(6, ok, f"identity slope error {slope_err:.1e}, flat map flagged")
 
 
-def test_criterion_7_maximal_rank_search_over_scaled_hull(scorecard):
+def test_criterion_7_maximal_rank_by_vertex_determinants(scorecard):
+    # Every element I - D + A D is nonsingular iff the vertex minors det A[S, S]
+    # share one sign: identity on a cube passes, and so does a nonsingular A
+    # on the full space; [[1, 1], [1, 0]] on a box has A[1, 1] = 0 and fails
+    # on the edge from S = {} to S = {1}, where F_nor is nonzero.
     p_box = VIProblem(affine_mapping(np.eye(3)), BoxSet([0.0] * 3, [1.0] * 3))
     rep_box = maximal_rank_tsearch(p_box, 20, 7, 10.0)
-    p_free = get_problem("example-vi")
-    rep_free = maximal_rank_tsearch(p_free, 20, 7, 10.0)
-    ok = (rep_box.verdict == "pass" and rep_box.metrics["t"] == 1.0
-          and rep_free.verdict == "pass")
-    scorecard(7, ok, f"box t={rep_box.metrics['t']}, free verdict={rep_free.verdict}")
+    rep_free = maximal_rank_tsearch(get_problem("example-vi"), 20, 7, 10.0)
+    a = np.array([[1.0, 1.0], [1.0, 0.0]])
+    p_bad = VIProblem(affine_mapping(a), BoxSet([-1.0] * 2, [1.0] * 2))
+    rep_bad = maximal_rank_tsearch(p_bad, 20, 7, 10.0)
+    w = rep_bad.witness
+    ok = (rep_box.verdict == "pass" and rep_free.verdict == "pass"
+          and rep_bad.verdict == "fail" and (w["index_set"], w["k"]) == ([], 1)
+          and w["minors"] == [1.0, 0.0] and normal_map(p_bad, w["point"]).norm > 1e-8)
+    scorecard(7, ok, f"box {rep_box.verdict}, free {rep_free.verdict}, "
+                     f"zero minor {rep_bad.verdict}")
 
 
 def test_criterion_8_solutions_satisfy_the_variational_inequality(scorecard):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
@@ -17,8 +18,7 @@ from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
                    p_upsilon_check, pl_condition_check, pmatrix_minors, pmatrix_oracle,
                    pmatrix_sampled, principal_submatrix_sigma_sweep, problem_ids, project,
                    uniform_pfunction_search, uniform_pmatrix_sampled, upsilon_build)
-from vibox.certificates import (CONDITIONS, _det_stack, _hull_rows, _principal_values,
-                                certify_problem)
+from vibox.certificates import CONDITIONS, _det_stack, _principal_values, certify_problem
 from vibox.model import EvaluationError
 
 EXAMPLE_A = np.array([[1.0, 2.0], [3.0, 1.0]])
@@ -502,61 +502,200 @@ class TestPUpsilonCheck:
         assert rep.witness == {"player": 0, "lambda_min": -1.0, "clause": "own-block-pd"}
 
 
-class TestHullRows:
-    """_hull_rows: beta * alpha for the hull sample I - beta * diag(alpha)."""
+def exact_det(a):
+    """det of an integer-valued matrix by elimination over the rationals."""
+    rows = [[Fraction(int(v)) for v in row] for row in a]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        piv = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
 
-    def test_beta_zero_collapses_to_identity(self):
-        np.testing.assert_array_equal(np.eye(2) - np.diag(_hull_rows(2)[0]), np.eye(2))
 
-    def test_vertex(self):
-        vertex = next(r for r in _hull_rows(2) if np.array_equal(r, [1.0, 0.0]))
-        np.testing.assert_array_equal(np.eye(2) - np.diag(vertex), np.diag([0.0, 1.0]))
+def vertex_signs_agree(a, box):
+    """The oracle: the signs of det A[S, S] over free <= S <= free + bounded,
+    with free the coordinates with both bounds infinite and bounded those
+    with lo < hi and some finite bound, are all nonzero and equal."""
+    free = [i for i in range(box.dim) if np.isinf(box.lo[i]) and np.isinf(box.hi[i])]
+    bounded = [i for i in range(box.dim) if box.lo[i] < box.hi[i] and i not in free]
+    signs = {np.sign(exact_det(a[np.ix_(s, s)])) for r in range(len(bounded) + 1)
+             for t in combinations(bounded, r) for s in [sorted(free + list(t))]}
+    return signs == {1} or signs == {-1}
 
-    def test_barycenter(self):
-        np.testing.assert_allclose(1.0 - _hull_rows(3)[-1], 2.0 / 3.0)
 
-    def test_rows_match_beta_diag_alpha(self):
-        # The construction the rows replace: beta * diag(alpha) with beta = 0 once
-        # (alpha = e_0), then each beta of the grid with the simplex vertices and
-        # the barycenter.
-        for m in (1, 2, 3, 5, 7):  # m = 5: beta / m and beta * (1.0 / m) differ at beta 0.75
-            alphas = [np.eye(m)[i] for i in range(m)] + [np.full(m, 1.0 / m)]
-            old = [0.0 * np.diag(alphas[0])]
-            old += [beta * np.diag(alpha) for beta in (0.25, 0.5, 0.75, 1.0)
-                    for alpha in alphas]
-            rows = _hull_rows(m)
-            assert rows.shape == (1 + 4 * (m + 1), m)
-            assert (rows[:, :, None] * np.eye(m)).tobytes() == np.array(old).tobytes()
+def element(j, on, k=None, theta=0.0):
+    """I - D + J D with D = 1 on the index set on, theta at k, 0 elsewhere."""
+    d = np.zeros(j.shape[0])
+    d[on] = 1.0
+    if k is not None:
+        d[k] = theta
+    return np.eye(d.size) - np.diag(d) + j * d
+
+
+def recheck_maximal_rank_witness(p, rep, tol=1e-8):
+    """A maximal-rank fail witness names a singular element of the normal
+    map's generalized Jacobian at its point v, where F_nor(v) != 0: v lies on
+    the face of the edge (S, k), and bisecting D_k between the vertex minors
+    det J[S, S] and det J[S + k, S + k] reaches an element with sigma_min ~ 0."""
+    w = rep.witness
+    s, k, v = w["index_set"], w["k"], np.array(w["point"])
+    lo, hi = p.set.lo, p.set.hi
+    inside = (v > lo) & (v < hi) & (lo < hi)
+    assert inside[s].all() and np.count_nonzero(inside) == len(s)
+    residual = normal_map(p, v).norm
+    assert residual == w["residual"] > tol
+    j = certificates.jacobian(p, project(p.set, v))
+    if k is None:  # J[S, S] itself is singular
+        assert w["minors"] == [] and rep.margin < tol
+        assert np.linalg.svd(j[np.ix_(s, s)], compute_uv=False)[-1] < tol
+        return
+    assert v[k] in (lo[k], hi[k]) and lo[k] < hi[k]
+    ends = [s, sorted(s + [k])]
+    assert w["minors"] == [certificates.principal_minor_det(j[np.ix_(e, e)]) for e in ends]
+    scale = max(1.0, float(np.abs(j).max()))
+    if np.sign(w["minors"][0]) * np.sign(w["minors"][1]) < 0:
+        a, b = 0.0, 1.0  # det is (1 - theta) * minors[0] + theta * minors[1]
+        for _ in range(60):
+            mid = (a + b) / 2.0
+            same = np.sign(np.linalg.det(element(j, s, k, mid))) == np.sign(w["minors"][0])
+            a, b = (mid, b) if same else (a, mid)
+        theta = a
+    else:  # a minor that counts as 0: its vertex is the singular element
+        theta = float(abs(w["minors"][1]) < abs(w["minors"][0]))
+    sigma = np.linalg.svd(element(j, s, k, theta), compute_uv=False)[-1]
+    assert sigma <= 1e-9 * scale, sigma
+
+
+@st.composite
+def integer_affine_problems(draw):
+    """Integer A and b with m <= 6 on a box whose coordinates are free,
+    bounded below, bounded above, bounded on both sides or fixed."""
+    m = draw(st.integers(1, 6))
+    a = draw(hnp.arrays(np.float64, (m, m), elements=st.integers(-4, 4)))
+    a += np.diag(draw(hnp.arrays(np.float64, m, elements=st.integers(0, 6))))
+    b = draw(hnp.arrays(np.float64, m, elements=st.integers(-3, 3)))
+    kinds = draw(st.lists(st.sampled_from(["free", "lo", "hi", "both", "fixed"]),
+                          min_size=m, max_size=m))
+    lo = [-1.0 if c in ("lo", "both", "fixed") else -np.inf for c in kinds]
+    hi = [2.0 if c in ("hi", "both") else -1.0 if c == "fixed" else np.inf for c in kinds]
+    return VIProblem(affine_mapping(a, b), BoxSet(lo, hi))
 
 
 class TestMaximalRankTsearch:
-    def test_identity_on_unit_cube_passes_at_t_one(self):
+    def test_identity_on_unit_cube_passes_exactly(self):
         p = VIProblem(affine_mapping(np.eye(3)), BoxSet([0.0] * 3, [1.0] * 3))
         rep = maximal_rank_tsearch(p, 10, 5, 10.0)
-        assert rep.verdict == "pass" and rep.metrics["t"] == 1.0
-        assert rep.margin >= 1e-8
+        assert rep.verdict == "pass" and rep.margin == 1.0 and rep.metrics == {}
+        assert rep.seed is None and rep.budget == {"vertices": 8}
+        assert "exact" in rep.notes and certificates.SAMPLED_NOTE not in rep.notes
 
     def test_full_space_degenerate_path(self):
+        # Every coordinate free: the only element is A, and the margin its sigma_min.
         p = get_problem("example-vi")
         rep = maximal_rank_tsearch(p, 10, 5, 10.0)
-        assert rep.verdict == "pass"
+        assert rep.verdict == "pass" and rep.budget == {"vertices": 1}
+        assert rep.margin == np.linalg.svd(EXAMPLE_A, compute_uv=False)[-1]
 
     def test_singular_jacobian_hypothesis_fails(self):
         p = VIProblem(affine_mapping(np.ones((2, 2))), BoxSet([0.0] * 2, [1.0] * 2))
         rep = maximal_rank_tsearch(p, 10, 5, 10.0)
         assert rep.verdict == "fail"
-        assert rep.witness["hypothesis"] == "jacobian-full-rank"
+        assert rep.witness["index_set"] == [0] and rep.witness["k"] == 1
+        assert rep.witness["minors"] == [1.0, 0.0]
+        recheck_maximal_rank_witness(p, rep)
 
     def test_vanishing_minor_hypothesis_fails(self):
         # A is nonsingular, but its 1 x 1 principal minor A[1, 1] is 0
         a = np.array([[1.0, 1.0], [1.0, 0.0]])
         p = VIProblem(affine_mapping(a), BoxSet([-1.0] * 2, [1.0] * 2))
         rep = maximal_rank_tsearch(p, 10, 5, 10.0)
-        assert rep.verdict == "fail" and rep.margin == 0.0
+        # the margin is the least minor of A with its rows scaled to norm 1
+        assert rep.verdict == "fail" and rep.margin == pytest.approx(-1.0 / np.sqrt(2.0))
         w = rep.witness
-        assert w["hypothesis"] == "m-1-minors" and w["index_set"] == [1] and w["minor"] == 0.0
-        point = np.array(w["point"])
-        assert p.set.contains(point) and np.any(np.abs(point) == 1.0)
+        assert w["index_set"] == [] and w["k"] == 1 and w["minors"] == [1.0, 0.0]
+        assert w["point"] == [-2.0, -1.0]
+        recheck_maximal_rank_witness(p, rep)
+
+    def test_singular_free_block_fails_at_a_vertex(self):
+        p = VIProblem(affine_mapping(np.ones((2, 2)), [1.0, 0.0]), free_box(2))
+        rep = maximal_rank_tsearch(p, 10, 5, 10.0)
+        assert rep.verdict == "fail" and rep.witness["k"] is None
+        assert rep.witness["index_set"] == [0, 1] and rep.margin < 1e-8
+        recheck_maximal_rank_witness(p, rep)
+
+    def test_planted_minor_fails_on_its_edge(self):
+        # The planted negative minor at {2, 5}: D = 1 on {2, 6} (6 is free) and
+        # D_5 in (0, 1) give a singular element.
+        from test_golden import affine_cases
+
+        p = affine_cases()["affine-m8-planted"]
+        rep = maximal_rank_tsearch(p, 30, 42, 10.0)
+        assert rep.verdict == "fail"
+        assert rep.witness["index_set"] == [2, 6] and rep.witness["k"] == 5
+        recheck_maximal_rank_witness(p, rep)
+
+    def test_fixed_coordinates_never_enter_s(self):
+        # A[1, 1] < 0, but coordinate 1 is fixed: D_1 = 0 on every face.
+        p = VIProblem(affine_mapping(np.diag([1.0, -1.0])), BoxSet([0.0, 1.0], [1.0, 1.0]))
+        rep = maximal_rank_tsearch(p, 10, 5, 10.0)
+        assert rep.verdict == "pass" and rep.budget == {"vertices": 2}
+
+    def test_zero_of_the_normal_map_is_exempt(self):
+        # F = 0 on [0, 1]: the element at D_0 = 1 is 0, but its face is {0, 1},
+        # where F_nor vanishes.
+        p = VIProblem(affine_mapping(np.zeros((1, 1))), BoxSet([0.0], [1.0]))
+        rep = maximal_rank_tsearch(p, 10, 5, 10.0)
+        assert rep.verdict == "inconclusive" and rep.witness is None
+        assert "exempt" in rep.notes
+
+    def test_budget_counts_bounded_coordinates_only(self):
+        m = certificates.MINOR_BUDGET_DIM + 1
+        lo = np.r_[0.0, np.full(m - 1, -np.inf)]
+        rep = maximal_rank_tsearch(VIProblem(affine_mapping(np.eye(m)),
+                                             BoxSet(lo, np.full(m, np.inf))), 1, 0, 10.0)
+        assert rep.verdict == "pass" and rep.budget == {"vertices": 2}
+        with pytest.raises(BudgetError):
+            maximal_rank_tsearch(VIProblem(affine_mapping(np.eye(m)),
+                                           BoxSet(np.zeros(m), np.ones(m))), 1, 0, 10.0)
+
+    def test_builtin_mapping_is_sampled_on_each_face(self):
+        rep = maximal_rank_tsearch(get_problem("cubic-free"), 10, 5, 10.0)
+        assert rep.verdict == "pass" and rep.seed == 5 and rep.budget == {"samples": 10}
+        assert certificates.SAMPLED_NOTE in rep.notes
+
+    def test_builtin_mapping_fails_at_a_sample(self):
+        # The affine map of test_vanishing_minor_hypothesis_fails, as a builtin.
+        a = np.array([[1.0, 1.0], [1.0, 0.0]])
+        p = VIProblem(Mapping(fn=lambda x: a @ x, dim=2, jac=lambda x: a),
+                      BoxSet([-1.0] * 2, [1.0] * 2))
+        rep = maximal_rank_tsearch(p, 10, 5, 10.0)
+        assert rep.verdict == "fail" and rep.seed == 5
+        pts = boundary_sample_set(p.set, 10, 5, 10.0)
+        assert any(np.array_equal(rep.witness["point"], x) for x in pts)
+        recheck_maximal_rank_witness(p, rep)
+
+    @given(integer_affine_problems())
+    def test_exact_rule_agrees_with_vertex_enumeration(self, p):
+        rep = maximal_rank_tsearch(p, 1, 0, 10.0)
+        if vertex_signs_agree(p.mapping.data["A"], p.set):
+            assert rep.verdict == "pass"
+        elif rep.verdict == "fail":
+            recheck_maximal_rank_witness(p, rep)
+        else:  # the singular elements lie where F_nor vanishes
+            assert rep.verdict == "inconclusive"
+            lo, hi = p.set.lo, p.set.hi
+            free = np.isinf(lo) & np.isinf(hi)
+            _, (s, k) = certificates._face_edge(p.mapping.data["A"], free,
+                                                (lo < hi) & ~free, 1e-8)
+            assert normal_map(p, certificates._face_point(p.set, s, k)).norm <= 1e-8
 
 
 class TestPLCondition:

@@ -10,7 +10,9 @@ def loop_element(k, x):
     """Reference: the element coordinate by coordinate, tie-breaks spelled out."""
     d = []
     for lo, hi, xi in zip(k.lo, k.hi, x):
-        if np.isinf(lo) and np.isinf(hi):
+        if lo == hi:
+            d.append(0.0)  # fixed: the projection is constant there
+        elif np.isinf(lo) and np.isinf(hi):
             d.append(1.0)  # free
         elif xi < lo or xi > hi:
             d.append(0.0)  # outside
@@ -80,6 +82,11 @@ class TestProjectionJacobianElement:
     def test_boundary_rule(self):
         k = BoxSet([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(projection_jacobian_element(k, [0.0, 0.5]), [1.0, 1.0])
+
+    def test_fixed_coordinate_is_zero(self):
+        k = BoxSet([0.5, -0.0, 0.0], [0.5, 0.0, 1.0])
+        np.testing.assert_array_equal(projection_jacobian_element(k, [0.5, 0.0, 0.5]),
+                                      [0.0, 0.0, 1.0])
 
     def test_free_coordinate(self):
         k = BoxSet([-np.inf, 0.0], [np.inf, 1.0])

@@ -21,7 +21,7 @@ def svd_rule_flags(j):
 
 
 def step_rule_flags(df, free, r):
-    return newton_direction(df, free, r, float(np.linalg.norm(r)), REG_FLOOR) is None
+    return newton_direction(df, free, r, float(np.linalg.norm(r))) is None
 
 
 def element(df, free):
@@ -172,6 +172,33 @@ class TestSolve:
         assert res.status == "max-iters" and res.iterations == 1
 
 
+class TestFixedCoordinates:
+    """A coordinate with lo == hi has D_i = 0: the projection is constant there."""
+
+    def problem(self, hi=np.inf):
+        return VIProblem(affine_mapping([[2.0, 1.0], [3.0, 2.0]], [1.0, -1.0]),
+                         BoxSet([0.5, -1.0], [0.5, hi]))
+
+    def test_every_start_solves_in_one_newton_step(self):
+        p = self.problem()
+        res = solve(p)
+        assert res.solved and res.steps == ("newton",)
+        np.testing.assert_allclose(res.x, [0.5, -0.25])
+        for s in certificates.draw_samples(p.set, 4, 0):
+            assert solve(p, start=s).steps == ("newton",)
+        assert all(r.solved for r in multistart(p, starts=5))
+
+    def test_solver_and_path_leave_fixed_coordinates_out(self, monkeypatch):
+        masks = []
+        monkeypatch.setattr(solver, "newton_direction",
+                            lambda df, free, r, r_norm: masks.append(free.copy()) or -r)
+        p = self.problem(hi=3.0)
+        solve(p, start=[0.5, 0.0])
+        _corner_ray_path(p, -1.0)  # a negative tol: the path's Newton step always runs
+        assert len(masks) >= 2 and not any(m[0] for m in masks)
+        assert all(m[1] for m in masks)
+
+
 class TestSingularityRule:
     @given(newton_systems())
     def test_flags_only_what_the_svd_rule_flags(self, system):
@@ -228,7 +255,7 @@ class TestReducedStep:
     def test_direction_matches_dense_solve(self, system):
         df, free, r = system
         j = element(df, free)
-        d = newton_direction(df, free, r, float(np.linalg.norm(r)), REG_FLOOR)
+        d = newton_direction(df, free, r, float(np.linalg.norm(r)))
         try:
             ref = np.linalg.solve(j, -r)
         except np.linalg.LinAlgError:
@@ -256,7 +283,7 @@ class TestReducedStep:
             assume(not abs(ratio - 1.0) <= 1e-4)
         except np.linalg.LinAlgError:
             pass
-        reduced = newton_direction(df, free, r, r_norm, REG_FLOOR)
+        reduced = newton_direction(df, free, r, r_norm)
         assert (reduced is None) == (dense_direction(j, r, r_norm, REG_FLOOR) is None)
 
     @given(newton_systems())
@@ -269,14 +296,14 @@ class TestReducedStep:
     def test_all_active_step_is_minus_r(self, system):
         df, _, r = system
         d = newton_direction(df, np.zeros(r.size, dtype=bool), r,
-                             float(np.linalg.norm(r)), REG_FLOOR)
+                             float(np.linalg.norm(r)))
         assert d is not None and d.tobytes() == (-r).tobytes()
 
     @given(newton_systems())
     def test_all_free_step_is_the_lu_of_df(self, system):
         df, _, r = system
         d = newton_direction(df, np.ones(r.size, dtype=bool), r,
-                             float(np.linalg.norm(r)), REG_FLOOR)
+                             float(np.linalg.norm(r)))
         assume(d is not None)
         assert d.tobytes() == np.linalg.solve(df, -r).tobytes()
 
