@@ -10,7 +10,9 @@ the ``sigma-sweep`` verdicts of three games and of the cubic file below, and
 that file's ``maximal-rank`` verdict (on affine problems and games ``--tol``
 reaches ``maximal-rank`` only through the block of free coordinates, which
 no game here has).  A tolerance that no longer reaches the solver or the
-checkers then shows.
+checkers then shows.  ``solve`` also runs with ``--starts 1`` and
+``--starts 13``: the solver advances the starts of a call as one stack, so
+these cover a stack of one row and one wider than the default 8.
 The same calls run on problem files too: this checkout writes every
 registry problem once with ``save_problem`` into a temporary directory that
 both subprocesses read, so the file loader is compared and the
@@ -42,7 +44,8 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
-OPTIONS = {"solve": [["--seed", "5", "--radius", "3"], ["--tol", "1e-6"]],
+OPTIONS = {"solve": [["--seed", "5", "--radius", "3"], ["--tol", "1e-6"], ["--starts", "1"],
+                     ["--starts", "13"]],
            "certify": [["--seed", "5", "--samples", "12", "--radius", "3"], ["--tol", "0.5"]]}
 
 

@@ -4,7 +4,8 @@ Solves 300 seeded affine box VIs whose matrices are rank deficient (even
 index: trailing singular values exactly 0 before rounding) or near singular
 (odd index: trailing singular values 1e-14 .. 1e-6), m = 2 .. 29, from 4
 starts each (the default start and 3 seeded ones), twice: once with the
-solver as it is, once with the Newton direction patched to build the full
+solver as it is, once with the Newton directions (``newton_directions``,
+which takes the starts' systems as one stack) patched to build each full
 element J, decide singularity by its SVD, sigma_min < REG_FLOOR *
 max(sigma_max, 1), and solve J d = -r by the LU of J itself.
 Prints how many problems give identical runs (statuses, step kinds and the
@@ -26,13 +27,18 @@ from vibox import BoxSet, VIProblem, affine_mapping, box_midpoint, solve
 from vibox.solver import REG_FLOOR
 
 
-def svd_rule_direction(df, free, r, r_norm):
-    """The reference: the full element J = I - D + dF D, its SVD, and the LU
-    solve of J d = -r when the singular-value test passes."""
-    d = free.astype(float)
-    j = df * d + np.diag(1.0 - d)
-    sv = np.linalg.svd(j, compute_uv=False)
-    return None if sv[-1] < REG_FLOOR * max(sv[0], 1.0) else np.linalg.solve(j, -r)
+def svd_rule_directions(df, free, r, r_norm):
+    """The reference, row by row: the full element J = I - D + dF D, its SVD,
+    and the LU solve of J d = -r when the singular-value test passes."""
+    d, singular = np.full(r.shape, np.nan), np.zeros(len(r), dtype=bool)
+    for i, (f, ri) in enumerate(zip(free, r)):
+        dfi = df if df.ndim == 2 else df[i]
+        j = dfi * f + np.diag(1.0 - f)
+        sv = np.linalg.svd(j, compute_uv=False)
+        singular[i] = sv[-1] < REG_FLOOR * max(sv[0], 1.0)
+        if not singular[i]:
+            d[i] = np.linalg.solve(j, -ri)
+    return d, singular
 
 
 def problem(i):
@@ -69,7 +75,7 @@ def main(count=300):
     for i in range(count):
         p, starts = problem(i)
         new = runs(p, starts)
-        with mock.patch.object(vibox.solver, "newton_direction", svd_rule_direction):
+        with mock.patch.object(vibox.solver, "newton_directions", svd_rule_directions):
             old = runs(p, starts)
         solved["step-growth"] += any(r.solved for r in new)
         solved["svd"] += any(r.solved for r in old)

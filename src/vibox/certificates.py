@@ -580,6 +580,19 @@ def _face_point(box: BoxSet, s, k) -> np.ndarray:
     return v
 
 
+def _edge_minors(blocks) -> dict:
+    """{"minors": the determinants of blocks} for a witness.  When one
+    overflows, both are divided by one power of two, 2^e with e from slogdet
+    so that the larger lies in [1, 2), and e is kept as "minors_exp2": the
+    minors are then minors * 2^minors_exp2, and their signs stay exact."""
+    minors = [principal_minor_det(a) for a in blocks]
+    if not any(np.isinf(minors)):
+        return {"minors": minors}
+    signs, logs = np.array([np.linalg.slogdet(a) for a in blocks]).T
+    e = int(np.floor(np.max(logs) / np.log(2.0)))
+    return {"minors": (signs * np.exp(logs - e * np.log(2.0))).tolist(), "minors_exp2": e}
+
+
 def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> CertificateReport:
     """Whether every element of the normal map's generalized Jacobian is
     nonsingular wherever F_nor != 0, by _face_edge.  Affine and game F are
@@ -621,7 +634,7 @@ def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> Certi
                                      "singular element only where F_nor = 0, which is exempt")
         ends = [] if k is None else [s, np.sort(np.r_[s, k])]  # J[S, S] singular: no edge
         witness = {"index_set": s.tolist(), "k": k,
-                   "minors": [principal_minor_det(j[np.ix_(e, e)]) for e in ends],
+                   **_edge_minors([j[np.ix_(e, e)] for e in ends]),
                    "point": v.tolist(), "residual": residual}
         return CertificateReport("maximal-rank", FAIL, margin, witness, seed, budget,
                                  "singular generalized-Jacobian element where F_nor != 0")

@@ -121,16 +121,18 @@ class Mapping:
         x = as_vector(x, self.dim)
         return _finite_values(np.asarray(self.fn(x), dtype=float))
 
-    def on_rows(self, xs) -> np.ndarray:
+    def on_rows(self, xs, check=True) -> np.ndarray:
         """F at each row of the (k, m) stack xs, as a (k, m) stack.  Raises the
-        EvaluationError of the first row, in order, at which F is non-finite."""
+        EvaluationError of the first row, in order, at which F is non-finite;
+        with check False, returns non-finite values as they are."""
         xs = as_rows(xs, self.dim)
         if self.rows is not None:
-            return _finite_values(np.asarray(self.rows(xs), dtype=float))
-        ys = np.empty(xs.shape)
-        for y, x in zip(ys, xs):
-            y[:] = self.fn(x)
-        return _finite_values(ys)
+            ys = np.asarray(self.rows(xs), dtype=float)
+        else:
+            ys = np.empty(xs.shape)
+            for y, x in zip(ys, xs):
+                y[:] = self.fn(x)
+        return _finite_values(ys) if check else ys
 
 
 def affine_mapping(a, b=None) -> Mapping:

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import EvaluationError, VIProblem, as_vector, jacobian
+from .model import EvaluationError, VIProblem, as_rows, as_vector, jacobian
 from .projection import project, projection_jacobian_element
 
 RAY_RADII = 2.0 ** np.arange(12)  # radii of coercivity_probe
@@ -17,14 +17,26 @@ class NormalMapEval(NamedTuple):
     v: np.ndarray
     z: np.ndarray  # projected point P_K[v]
     r: np.ndarray  # residual v - z + F(z)
-    norm: float
+    norm: float  # a (k,) array for a stack of points
 
 
 def normal_map(p: VIProblem, v) -> NormalMapEval:
     """The residual at v, with the projection and F evaluated inline: this is
-    the solver's line-search step, called once per trial.  F is checked for
-    finiteness through the norm only; when the norm is not finite, p.F(z)
-    raises EvaluationError if F(z) is non-finite, exactly as it would have."""
+    the solver's line-search step, called once per halving round.  v is a
+    point or a (k, m) stack of points, one per row; for a stack, z and r are
+    stacks too and norm is the (k,) array of row norms, each row bit for bit
+    its own evaluation.  F is checked for finiteness through the norm only;
+    at a row whose norm is not finite, p.F(z) raises EvaluationError if F(z)
+    is non-finite, exactly as it would have, rows taken in order."""
+    if np.ndim(v) == 2:
+        v = as_rows(v, p.dim)
+        z = np.minimum(np.maximum(v, p.set.lo), p.set.hi)
+        r = v - z + p.mapping.on_rows(z, check=False)
+        norm = np.sqrt(np.vecdot(r, r))  # math.sqrt(r.dot(r)) per row, bit for bit
+        for i, n in enumerate(norm.tolist()):  # a few rows: cheaper than np.isfinite
+            if not math.isfinite(n):
+                p.F(z[i])
+        return NormalMapEval(v, z, r, norm)
     v = as_vector(v, p.dim)
     z = np.minimum(np.maximum(v, p.set.lo), p.set.hi)
     r = v - z + np.asarray(p.mapping.fn(z), dtype=float)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import orjson
@@ -57,9 +58,39 @@ def _encode_bound(v):
 
 
 # orjson 3.8 has no nesting limit: a balanced 1,000,000-deep array overflows the
-# C stack and kills the process.  Each level opens with "[" or "{", so a text
-# with at most this many of them (strings included) is shallow enough for it.
+# C stack and kills the process.  A text whose nesting depth outside strings is
+# at most this is shallow enough for it; so is one with at most this many "["
+# and "{" in all, strings included, the cheap test tried first.
 ORJSON_MAX_OPENINGS = 1024
+_ESCAPE = re.compile(r"\\.", re.DOTALL)
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))  # bytes that _nesting_depth drops
+
+
+def _nesting_depth(text) -> float:
+    """An upper bound on the nesting depth of text: the greatest count of
+    "[" and "{" so far, strings included, less the "]" and "}" outside
+    strings; inf when a string never ends.  A bracket inside a string never
+    counts as a closing, so this never under-counts the depth orjson reaches.
+    Escape pairs are removed first, then every byte but brackets and quotes,
+    so that only the short remainder is scanned in Python."""
+    if "\\" in text:
+        text = _ESCAPE.sub("", text)
+    parts = text.encode("utf-8", "surrogatepass").translate(None, _NOT_STRUCTURE).split(b'"')
+    if len(parts) % 2 == 0:
+        return math.inf
+    depth = deepest = 0
+    for inside, part in enumerate(parts):
+        if inside % 2:
+            depth += part.count(b"[") + part.count(b"{")
+            deepest = max(deepest, depth)
+            continue
+        for c in part:
+            if c in b"[{":
+                depth += 1
+                deepest = max(deepest, depth)
+            else:
+                depth -= 1
+    return deepest
 
 
 def _parse_json(text):
@@ -71,7 +102,8 @@ def _parse_json(text):
     Floats are bit-identical either way; integers beyond the 64-bit range
     come back from orjson as the nearest float.
     """
-    if text.count("[") + text.count("{") <= ORJSON_MAX_OPENINGS:
+    if (text.count("[") + text.count("{") <= ORJSON_MAX_OPENINGS
+            or _nesting_depth(text) <= ORJSON_MAX_OPENINGS):
         try:
             return orjson.loads(text)
         except orjson.JSONDecodeError:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import (box_midpoint, draw_samples, hessian_block_convexity,
                            pl_condition_check)
-from .model import EvaluationError, VIProblem, jacobian
+from .model import EvaluationError, VIProblem, as_vector, jacobian
 from .normal_map import normal_map, normal_map_jacobian_element
 from .projection import project
 
@@ -46,13 +47,77 @@ class SolveResult:
         return self.status == SOLVED
 
 
+def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray,
+                      r_norm) -> tuple[np.ndarray, list]:
+    """``newton_direction`` for a stack of k systems at once: free and r hold
+    one system per row, r_norm their k norms, and df is their (k, m, m) stack
+    or one (m, m) matrix they share.  Returns the (k, m) directions and a
+    list of k flags, true where J is numerically singular (that row of the
+    directions is then meaningless).  Each row is bit for bit what
+    ``newton_direction`` gives it.
+
+    Rows with the same number n of free coordinates form one group, whose
+    free blocks are gathered into a (g, n, n) stack and factored in one
+    batched solve (``_solve_blocks``)."""
+    k, m = r.shape
+    d = -r
+    singular = [False] * k
+    counts = np.add.reduce(free, axis=1)  # per-row counts; np.count_nonzero with axis costs more
+    for n in sorted(set(counts.tolist()) - {0}):
+        rows = (counts == n).nonzero()[0]
+        g = slice(None) if rows.size == k else rows  # a view when the group is the stack
+        dfg = df if df.ndim == 2 else df[g]
+        if n == m:  # every coordinate free: the LU solve of dF itself
+            d[g] = _solve_blocks(dfg, d[g], rows, singular)
+            continue
+        fg = free[g]
+        cols = fg.nonzero()[1].reshape(rows.size, n)
+        if df.ndim == 2:
+            sub = df[cols[:, :, None], cols[:, None, :]]
+        else:
+            sub = dfg[np.arange(rows.size)[:, None, None], cols[:, :, None], cols[:, None, :]]
+        dg = d[g]
+        sol = _solve_blocks(sub, dg[fg].reshape(rows.size, n), rows, singular).ravel()
+        d_free = np.zeros((rows.size, m))
+        d_free[fg] = sol
+        dg -= np.matvec(dfg, d_free)
+        dg[fg] = sol
+        if rows.size < k:
+            d[rows] = dg
+    # The active columns of J have norm 1, its free columns are those of dF.
+    if df.ndim == 2:
+        col_sq = np.einsum("ij,ij->j", df, df)
+    else:
+        col_sq = np.array([np.einsum("ij,ij->j", j, j) for j in df])
+    c = np.sqrt(np.maximum.reduce(np.where(free, col_sq, 1.0), axis=1, initial=1.0)).tolist()
+    d_norm = np.sqrt(np.vecdot(d, d)).tolist()
+    return d, [s or not r_norm[i] >= REG_FLOOR * c[i] * d_norm[i] for i, s in enumerate(singular)]
+
+
+def _solve_blocks(a: np.ndarray, b: np.ndarray, rows, singular: list) -> np.ndarray:
+    """x with a[i] x[i] = b[i] for each row i of b (a is one matrix or a
+    stack of them), in one batched LU solve.  When that raises (an exactly
+    singular block), block by block instead: a singular block leaves its row
+    of x NaN and sets singular[rows[i]]."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for i in range(len(b)):
+            try:
+                x[i] = np.linalg.solve(a if a.ndim == 2 else a[i], b[i])
+            except np.linalg.LinAlgError:
+                singular[rows[i]] = True
+        return x
+
+
 def newton_direction(df: np.ndarray, free: np.ndarray, r: np.ndarray,
                      r_norm: float) -> np.ndarray | None:
     """The Newton direction d solving J d = -r for J = I - D + dF D, with D the
     0/1 diagonal that is 1 on the boolean mask ``free``, or None when J is
     numerically singular: the LU solve fails, or ||r|| < REG_FLOOR * max(c, 1)
     * ||d|| with c the largest column norm of J (NaN or inf in d fails this
-    test too).
+    test too).  The one-row case of ``newton_directions``.
 
     The columns of J off ``free`` are unit vectors, so only the free block is
     factored: dF[F, F] d_F = -r_F, then d_A = -r_A - dF[A, F] d_F.  With every
@@ -62,32 +127,156 @@ def newton_direction(df: np.ndarray, free: np.ndarray, r: np.ndarray,
     only when the singular-value test sigma_min(J) < REG_FLOOR *
     max(sigma_max(J), 1) flags it too; a near-singular J whose step stays
     bounded keeps its Newton step."""
-    try:
-        if free.all():
-            d = np.linalg.solve(df, -r)
-        else:
-            d = -r
-            if free.any():
-                d_free = np.zeros_like(r)
-                d_free[free] = np.linalg.solve(df[np.ix_(free, free)], d[free])
-                d -= df @ d_free
-                d[free] = d_free[free]
-    except np.linalg.LinAlgError:
-        return None
-    # The active columns of J have norm 1, its free columns are those of dF.
-    c = float(np.sqrt(np.max(np.einsum("ij,ij->j", df, df)[free], initial=1.0)))
-    return d if r_norm >= REG_FLOOR * c * float(np.linalg.norm(d)) else None
+    d, singular = newton_directions(df, free[None], r[None], [r_norm])
+    return None if singular[0] else d[0]
 
 
 def merit_gradient(df: np.ndarray, free: np.ndarray, r: np.ndarray) -> np.ndarray:
     """J^T r, the gradient of theta(v) = 1/2 ||r(v)||^2 for J = I - D + dF D:
-    dF^T r on the coordinates of the mask ``free``, r on the others."""
-    return np.where(free, df.T @ r, r)
+    dF^T r on the coordinates of the mask ``free``, r on the others.  free
+    and r may be (k, m) stacks, with df their (k, m, m) stack or one shared
+    (m, m) matrix; each row is then what it alone would give."""
+    return np.where(free, np.matvec(df.mT, r), r)
+
+
+def _jacobians(p: VIProblem, z: np.ndarray) -> np.ndarray:
+    """dF at each row of z: the (k, m, m) stack of ``jacobian``, or the one
+    matrix A that an affine or game mapping has everywhere."""
+    if p.mapping.kind in ("affine", "game-gradient"):
+        return p.mapping.data["A"]
+    return np.stack([jacobian(p, x) for x in z])
+
+
+def _trial(p: VIProblem, v: np.ndarray) -> tuple[list, list, list]:
+    """normal_map at each row of v, as the lists of the rows of z and r and of
+    the norms, with norm NaN (never accepted) instead of an EvaluationError
+    at a row where F is non-finite."""
+    if len(v) > 1:
+        try:
+            _, z, r, norm = normal_map(p, v)
+            return list(z), list(r), norm.tolist()
+        except EvaluationError:  # F is non-finite at some row: row by row
+            return tuple(sum(f, []) for f in zip(*(_trial(p, x[None]) for x in v)))
+    try:
+        _, z, r, norm = normal_map(p, v[0])  # one row: the point form, the same bits at less cost
+    except EvaluationError:
+        return [None], [None], [math.nan]
+    return [z], [r], [norm]
+
+
+def _line_search(p: VIProblem, v: np.ndarray, d: np.ndarray, theta0, slope, picard, rows,
+                 iterate, norms) -> list:
+    """Backtracking from t = 1 along each row of d at once: one stacked trial
+    per halving round on the rows still searching, which share t.  theta0,
+    slope and picard are per-row lists (picard: the test on theta0 alone,
+    for a step that is no descent direction), tested on Python floats as in
+    the one-start loop.  Row j's trial, once it passes, is written into row
+    rows[j] of the stacks ``iterate`` (v, z, r) and of the list ``norms``,
+    and the row drops out.  Returns the positions j that found no decrease."""
+    at = list(range(len(rows)))
+    t = 1.0
+    for _ in range(MAX_HALVINGS + 1):
+        trial_v = v + t * d
+        trial_z, trial_r, trial_norms = _trial(p, trial_v)
+        kept = []
+        for row, (j, n) in enumerate(zip(at, trial_norms)):
+            theta = 0.5 * n ** 2
+            if picard[j]:
+                ok = theta <= (1.0 - ARMIJO_SLOPE * t) * theta0[j]
+            else:
+                ok = theta <= theta0[j] + ARMIJO_SLOPE * t * slope[j]
+            if ok and theta < theta0[j]:
+                i = rows[j]
+                iterate[0][i], iterate[1][i], iterate[2][i] = trial_v[row], trial_z[row], trial_r[row]
+                norms[i] = n
+            else:
+                kept.append(row)
+        if len(kept) < len(at):
+            if not kept:
+                return []
+            at, v, d = [at[row] for row in kept], v[kept], d[kept]
+        t *= BACKTRACK
+    return at
+
+
+def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
+    """``solve`` from each row of the (k, m) stack ``starts``, all rows
+    advanced together: each iteration takes one step on every row still
+    running, its Newton directions in one call (``newton_directions``) and
+    each halving round of its line search in one stacked normal-map
+    evaluation on the rows still searching.  The rows share the step length
+    t, since each starts at 1 and halves in step.  Vectors live in (k, m)
+    stacks, per-row scalars (norms, step kinds, the Armijo test) in Python
+    floats, as in the one-start loop.  Row i of the result is bit for bit
+    what ``solve`` alone gives from row i.  Raises the EvaluationError of
+    the first start at which F is non-finite."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    lo, hi = p.set.lo, p.set.hi
+    movable = lo < hi
+    ev = normal_map(p, np.array(starts, dtype=float))
+    v, z, r, norms = ev.v, ev.z, ev.r, ev.norm.tolist()  # the current iterate of every row
+    k = len(norms)
+    traces = [[n] for n in norms]
+    steps = [[] for _ in norms]
+    status = [MAX_ITERS] * k
+    slow = [0] * k  # accepted steps in a row below MIN_PROGRESS
+    live = [i for i, n in enumerate(norms) if not n <= tol]  # the rows still running
+    for _ in range(ITERATION_LIMIT):
+        if not live:
+            break
+        at = slice(None) if len(live) == k else live  # views while every row runs
+        vl, rl, nl = v[at], r[at], [norms[i] for i in live]
+        df = _jacobians(p, z[at])
+        free = movable & (vl >= lo) & (vl <= hi)  # projection_jacobian_element's d
+        grad = merit_gradient(df, free, rl)
+        d, singular = newton_directions(df, free, rl, nl)
+        for j in [j for j, flag in enumerate(singular) if flag]:
+            jac = normal_map_jacobian_element(p, vl[j])
+            d[j] = np.linalg.solve(jac.T @ jac + REG_FLOOR * np.eye(p.dim), -grad[j])
+        slopes, finite = np.vecdot(grad, d).tolist(), np.logical_and.reduce(np.isfinite(d), axis=1).tolist()
+        kinds, theta0 = [], []
+        for j, n in enumerate(nl):
+            kind, slope = ("regularized" if singular[j] else "newton"), slopes[j]
+            if slope >= 0.0 or not finite[j]:
+                kind = "gradient"
+                d[j] = -grad[j]
+                slope = -float(grad[j] @ grad[j])
+            if -slope <= 1e-14 * (1.0 + n ** 2):
+                # Flat merit region (e.g. constant F inside the box): fall back to
+                # the fixed-point direction v - r, which targets P_K[v] - F(P_K[v]).
+                kind = "picard"
+                d[j] = -rl[j]
+            kinds.append(kind)
+            slopes[j] = slope
+            theta0.append(0.5 * n ** 2)
+        failed = set(_line_search(p, vl, d, theta0, slopes, [kd == "picard" for kd in kinds],
+                                  live, (v, z, r), norms))
+        running = []
+        for j, i in enumerate(live):
+            if j in failed:
+                flat = (kinds[j] in ("gradient", "picard")
+                        and np.linalg.norm(grad[j]) <= 1e-12 * (1.0 + nl[j]))
+                status[i] = FALLBACK_EXHAUSTED if flat else LINE_SEARCH_STALL
+                continue
+            slow[i] = slow[i] + 1 if norms[i] > (1.0 - MIN_PROGRESS) * nl[j] else 0
+            traces[i].append(norms[i])
+            steps[i].append(kinds[j])
+            if slow[i] == 2:
+                status[i] = LINE_SEARCH_STALL
+            elif not norms[i] <= tol:
+                running.append(i)
+        live = running
+    x = project(p.set, v)
+    return [SolveResult(status=SOLVED if n <= tol else status[i], v=v[i], x=x[i], residual=n,
+                        trace=tuple(traces[i]), steps=tuple(steps[i]), iterations=len(steps[i]))
+            for i, n in enumerate(norms)]
 
 
 def solve(p: VIProblem, start=None, tol=1e-10) -> SolveResult:
     """Drive the normal-map residual to at most tol from one start point (by
-    default the box midpoint), in at most ITERATION_LIMIT accepted steps.
+    default the box midpoint), in at most ITERATION_LIMIT accepted steps: the
+    one-row case of the stacked iteration that ``multistart`` runs.
 
     Newton steps on a generalized-Jacobian element J, Levenberg-regularized
     normal equations when J is numerically singular, merit-gradient and
@@ -109,76 +298,8 @@ def solve(p: VIProblem, start=None, tol=1e-10) -> SolveResult:
     Raises EvaluationError when F is non-finite at the start point, and
     ValueError when tol is not positive.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    v = box_midpoint(p.set) if start is None else np.array(start, dtype=float)
-    movable = p.set.lo < p.set.hi
-    ev = normal_map(p, v)
-    trace = [ev.norm]
-    steps = []
-    status = MAX_ITERS
-    slow = 0  # accepted steps in a row below MIN_PROGRESS
-    for _ in range(ITERATION_LIMIT):
-        if ev.norm <= tol:
-            status = SOLVED
-            break
-        r = ev.r
-        df = jacobian(p, ev.z)
-        free = movable & (v >= p.set.lo) & (v <= p.set.hi)  # projection_jacobian_element's d
-        grad = merit_gradient(df, free, r)
-        kind = "newton"
-        d = newton_direction(df, free, r, ev.norm)
-        if d is None:
-            kind = "regularized"
-            j = normal_map_jacobian_element(p, v)
-            d = np.linalg.solve(j.T @ j + REG_FLOOR * np.eye(p.dim), -grad)
-        slope = float(grad @ d)
-        if slope >= 0.0 or not np.all(np.isfinite(d)):
-            kind = "gradient"
-            d = -grad
-            slope = -float(grad @ grad)
-        if -slope <= 1e-14 * (1.0 + ev.norm ** 2):
-            # Flat merit region (e.g. constant F inside the box): fall back to
-            # the fixed-point direction v - r, which targets P_K[v] - F(P_K[v]).
-            kind = "picard"
-            d = -r
-            slope = None
-        accepted = None
-        t = 1.0
-        theta0 = 0.5 * ev.norm ** 2
-        for _ in range(MAX_HALVINGS + 1):
-            try:
-                trial = normal_map(p, v + t * d)
-            except EvaluationError:
-                t *= BACKTRACK
-                continue
-            theta = 0.5 * trial.norm ** 2
-            if slope is not None:
-                ok = theta <= theta0 + ARMIJO_SLOPE * t * slope
-            else:
-                ok = theta <= (1.0 - ARMIJO_SLOPE * t) * theta0
-            if ok and theta < theta0:
-                accepted = trial
-                break
-            t *= BACKTRACK
-        if accepted is None:
-            if kind in ("gradient", "picard") and np.linalg.norm(grad) <= 1e-12 * (1.0 + ev.norm):
-                status = FALLBACK_EXHAUSTED
-            else:
-                status = LINE_SEARCH_STALL
-            break
-        slow = slow + 1 if accepted.norm > (1.0 - MIN_PROGRESS) * ev.norm else 0
-        v, ev = accepted.v, accepted
-        trace.append(ev.norm)
-        steps.append(kind)
-        if slow == 2:
-            status = LINE_SEARCH_STALL
-            break
-    if ev.norm <= tol:
-        status = SOLVED
-    x = project(p.set, v)
-    return SolveResult(status=status, v=v, x=x, residual=ev.norm, trace=tuple(trace),
-                       steps=tuple(steps), iterations=len(steps))
+    v = box_midpoint(p.set) if start is None else as_vector(start, p.dim)
+    return _solve_stack(p, v[None], tol)[0]
 
 
 def _path_applies(p: VIProblem) -> bool:
@@ -290,16 +411,19 @@ def classify(p: VIProblem, res: SolveResult) -> str:
 
 
 def multistart(p: VIProblem, starts=8, seed=0, radius=10.0, tol=1e-10) -> list[SolveResult]:
-    """The default start plus starts - 1 seeded ones across K, solved
-    independently.  When none of them solves an affine or game problem on a
-    box with every bound finite, the corner-ray path (``_corner_ray_path``)
-    adds one result.  Solved results are deduplicated by solution proximity;
-    solved results come first, ordered by solution, then the others by
-    residual and solution."""
+    """The default start plus starts - 1 seeded ones across K, solved as one
+    (starts, m) stack that advances together (``_solve_stack``); each start's
+    result is bit for bit the one ``solve`` gives from it alone.  Raises the
+    EvaluationError of the first start at which F is non-finite.  When none
+    of them solves an affine or game problem on a box with every bound
+    finite, the corner-ray path (``_corner_ray_path``) adds one result.
+    Solved results are deduplicated by solution proximity; solved results
+    come first, ordered by solution, then the others by residual and
+    solution."""
     if starts < 1:
         raise ValueError("need at least one start")
-    start_points = [box_midpoint(p.set), *draw_samples(p.set, starts - 1, seed, radius)]
-    results = [solve(p, start=s, tol=tol) for s in start_points]
+    start_points = np.concatenate([box_midpoint(p.set)[None], draw_samples(p.set, starts - 1, seed, radius)])
+    results = _solve_stack(p, start_points, tol)
     if not any(r.solved for r in results) and _path_applies(p):
         results.append(_corner_ray_path(p, tol))
     deduped = []

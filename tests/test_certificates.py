@@ -725,10 +725,11 @@ class TestPLCondition:
         assert rep.seed == 4 and rep.budget == {} and "gradient-map norm" in rep.notes
 
 
-def unsolved(p, start, tol):
-    """Stands in for solver.solve: a start that does not converge."""
+def unsolved(p, starts, tol):
+    """Stands in for the solver's stacked solve: starts that do not converge."""
     v = np.zeros(p.dim)
-    return solver.SolveResult("line-search-stall", v, project(p.set, v), 1.0, (1.0,), ())
+    return [solver.SolveResult("line-search-stall", v, project(p.set, v), 1.0, (1.0,), ())
+            for _ in starts]
 
 
 class TestPLAtSolution:
@@ -739,13 +740,13 @@ class TestPLAtSolution:
                                (1, 1): [[1.0]]}, ([-1.0], [0.5]),
                       BoxSet(np.full(2, -3.0), np.full(2, 3.0), (1, 1)))
         (solved,), _ = certify_problem(p, ["pl"])
-        monkeypatch.setattr(solver, "solve", unsolved)
+        monkeypatch.setattr(solver, "_solve_stack", unsolved)
         (path,), _ = certify_problem(p, ["pl"])
         assert solved.verdict == path.verdict == "pass"
         np.testing.assert_allclose(path.metrics["mu"], solved.metrics["mu"], rtol=1e-9)
 
     def test_unbounded_game_stays_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(solver, "solve", unsolved)
+        monkeypatch.setattr(solver, "_solve_stack", unsolved)
         (rep,), _ = certify_problem(get_problem("example-game"), ["pl"])
         assert rep.verdict == "inconclusive" and "did not converge" in rep.notes
 

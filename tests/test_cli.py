@@ -259,6 +259,27 @@ class TestCertifyCommand:
         (cert,) = json.loads(out)["certificates"]
         assert code == 0 and cert["verdict"] == "pass" and rows == [120]
 
+    def test_overflowing_edge_minors_print_as_strict_json(self, tmp_path, capsys):
+        # A = 10 I on 400 free coordinates and -1 on one coordinate in [0, 1]:
+        # the edge's minors are +-10^400, beyond a double; the witness keeps
+        # them scaled by one power of two, whose exponent it records.
+        m = 401
+        a = np.diag(np.r_[np.full(m - 1, 10.0), -1.0])
+        p = VIProblem(affine_mapping(a, np.ones(m)),
+                      BoxSet(np.r_[np.full(m - 1, -np.inf), 0.0], np.r_[np.full(m - 1, np.inf), 1.0]))
+        path = tmp_path / "overflow.json"
+        save_problem(p, path)
+        code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "maximal-rank")
+
+        def refuse(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        (cert,) = json.loads(out, parse_constant=refuse)["certificates"]
+        low, high = cert["witness"]["minors"]
+        assert code == 2 and cert["verdict"] == "fail" and cert["witness"]["k"] == m - 1
+        assert low > 0.0 > high and max(abs(low), abs(high)) < 2.0
+        assert cert["witness"]["minors_exp2"] == int(np.floor((m - 1) * np.log2(10.0)))
+
     def test_boundary_equilibrium_pl_inconclusive(self, tmp_path, capsys):
         # Each player pushes towards +inf and stops at the bound 1: the gradient
         # map is (-1, -1) at the solution (1, 1), not zero.

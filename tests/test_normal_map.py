@@ -81,6 +81,43 @@ class TestNormalMap:
             ev = normal_map(p, [1e200, -1e200])
         assert np.all(np.isfinite(ev.r)) and ev.norm == np.inf
 
+    @given(st.integers(1, 6), st.integers(0, 8), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["affine", "rows", "fn"]))
+    def test_stack_is_each_row_bit_for_bit(self, m, k, seed, kind):
+        # Rows beyond 2 in coordinate 0 make F infinite in coordinate m - 1, and
+        # rows of size 1e200 overflow the norm while F stays finite.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, m))
+        lo, hi = rng.choice([-np.inf, -1.0, 0.0], m), rng.choice([0.0, 1.0, np.inf], m)
+
+        def fn(x):
+            y = a @ x
+            return np.where(np.arange(m) == m - 1, np.where(x[0] > 2.0, np.inf, y), y)
+
+        def rows(xs):
+            ys = np.matvec(a, xs)
+            return np.where(np.arange(m) == m - 1, np.where(xs[:, :1] > 2.0, np.inf, ys), ys)
+
+        mapping = (affine_mapping(a, rng.standard_normal(m)) if kind == "affine"
+                   else Mapping(fn=fn, dim=m, rows=rows if kind == "rows" else None))
+        p = VIProblem(mapping, BoxSet(lo, hi))
+        vs = rng.uniform(-3.0, 3.0, (k, m)) * rng.choice([1.0, 1e200], (k, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = []
+            for v in vs:
+                try:
+                    expected.append(normal_map(p, v))
+                except EvaluationError as e:
+                    with pytest.raises(EvaluationError) as got:
+                        normal_map(p, vs)
+                    assert (str(got.value), got.value.coordinate) == (str(e), e.coordinate)
+                    return
+            ev = normal_map(p, vs)
+        assert ev.norm.shape == (k,)
+        for i, one in enumerate(expected):
+            assert ev.z[i].tobytes() == one.z.tobytes() and ev.r[i].tobytes() == one.r.tobytes()
+            assert float(ev.norm[i]).hex() == float(one.norm).hex()
+
     def test_eval_is_immutable(self):
         ev = normal_map(get_problem("example-vi"), [1.0, 1.0])
         for field in ("v", "z", "r", "norm"):

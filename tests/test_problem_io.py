@@ -12,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vibox import BoxSet, VIProblem, affine_mapping, load_problem, make_game
-from vibox.problem_io import (ORJSON_MAX_OPENINGS, _parse_json, problem_from_dict,
-                              save_problem)
+from vibox import problem_io
+from vibox.problem_io import (ORJSON_MAX_OPENINGS, ProblemFileError, _nesting_depth, _parse_json,
+                              problem_from_dict, problem_to_dict, save_problem)
 
 INT64_MIN, UINT64_MAX = -2 ** 63, 2 ** 64 - 1
 
@@ -65,6 +66,8 @@ documents = st.recursive(
                                                                  max_size=6),
     max_leaves=40)
 
+bracket_text = st.text(alphabet='[]{}"\\a', max_size=8)  # strings full of JSON structure
+
 
 class TestParseJson:
     @given(documents, st.sampled_from([None, 0, 2]), st.booleans())
@@ -88,6 +91,52 @@ class TestParseJson:
             _parse_json("[" * depth + "]" * depth)
         # Brackets inside strings count too: the guard errs towards json.
         assert _parse_json('{"k": "' + "[" * depth + '"}') == {"k": "[" * depth}
+
+    def test_deep_text_is_a_nesting_error(self, tmp_path, monkeypatch):
+        def refuse(text):
+            raise AssertionError("orjson called on deep text")
+
+        monkeypatch.setattr(orjson, "loads", refuse)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 2000 + "]" * 2000)
+        with pytest.raises(ProblemFileError, match="nested too deeply"):
+            load_problem(path)
+
+    def test_closings_in_strings_never_lower_the_depth(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("orjson called on deep text")
+
+        monkeypatch.setattr(orjson, "loads", refuse)
+        deep = "[" * (ORJSON_MAX_OPENINGS + 1) + "]" * (ORJSON_MAX_OPENINGS + 1)
+        for closings in ('"' + "]" * 5000 + '"', '"' + "}" * 5000 + '"',
+                         '"' + '\\"]' * 3000 + '"'):
+            with pytest.raises(RecursionError):  # json's, not orjson's refusal
+                _parse_json("[" + closings + ", " + deep + "]")
+        assert _nesting_depth('["' + "]" * 3000) == math.inf  # a string that never ends
+
+    def test_shallow_text_with_many_brackets_reads_with_orjson(self, tmp_path, monkeypatch):
+        # An affine file with A as 1100 nested rows has 1102 "[" but depth 3.
+        m = 1100
+        a = 2.0 * np.eye(m)
+        p = VIProblem(affine_mapping(a, np.ones(m)), BoxSet(np.zeros(m), np.full(m, np.inf)))
+        doc = problem_to_dict(p)
+        doc["affine"]["A"] = a.tolist()
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(problem_io.json, "loads", None)  # calling json would raise
+        q = load_problem(path)
+        assert q.mapping.data["A"].tobytes() == a.tobytes()
+
+    @given(st.recursive(bracket_text | st.integers(),
+                        lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(bracket_text, inner, max_size=4), max_leaves=30),
+           st.sampled_from([None, 0, 2]))
+    def test_depth_bound_never_under_counts(self, doc, indent):
+        def depth(d):
+            inner = d if isinstance(d, list) else d.values() if isinstance(d, dict) else None
+            return 0 if inner is None else 1 + max(map(depth, inner), default=0)
+
+        assert _nesting_depth(json.dumps(doc, indent=indent)) >= depth(doc)
 
 
 def affine_problems():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, classify,
@@ -10,6 +10,8 @@ from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, classify,
                    uniform_pfunction_search)
 from vibox.registry import problem_ids
 from vibox import certificates, solver
+from vibox.model import EvaluationError, jacobian
+from vibox.normal_map import normal_map_jacobian_element
 from vibox.solver import (REG_FLOOR, SolveResult, _corner_ray_path, merit_gradient,
                           newton_direction)
 
@@ -190,8 +192,9 @@ class TestFixedCoordinates:
 
     def test_solver_and_path_leave_fixed_coordinates_out(self, monkeypatch):
         masks = []
-        monkeypatch.setattr(solver, "newton_direction",
-                            lambda df, free, r, r_norm: masks.append(free.copy()) or -r)
+        monkeypatch.setattr(solver, "newton_directions",
+                            lambda df, free, r, r_norm: masks.extend(free.copy())
+                            or (-r, np.zeros(len(r), dtype=bool)))
         p = self.problem(hi=3.0)
         solve(p, start=[0.5, 0.0])
         _corner_ray_path(p, -1.0)  # a negative tol: the path's Newton step always runs
@@ -369,11 +372,11 @@ class TestMultistart:
         fakes = iter([("solved", 2.0, 1e-12), ("solved", 1.0, 1e-11), ("max-iters", 0.5, 2.0),
                       ("max-iters", 0.25, 1.0), ("line-search-stall", 0.75, 1.0)])
 
-        def fake(p, start, tol):
-            status, x, residual = next(fakes)
-            return SolveResult(status, np.array([x]), np.array([x]), residual, (residual,), ())
+        def fake(p, starts, tol):
+            return [SolveResult(status, np.array([x]), np.array([x]), residual, (residual,), ())
+                    for (status, x, residual), _ in zip(fakes, starts)]
 
-        monkeypatch.setattr(solver, "solve", fake)
+        monkeypatch.setattr(solver, "_solve_stack", fake)
         p = VIProblem(affine_mapping(np.eye(1)), BoxSet.full_space(1))
         assert [float(r.x[0]) for r in multistart(p, starts=5)] == [1.0, 2.0, 0.25, 0.75, 0.5]
 
@@ -428,19 +431,19 @@ def half_bounded_boxes(draw):
 
 
 def record_starts(p, **kw):
-    """The start of every solve multistart makes, with solver.solve replaced."""
+    """The start of every solve multistart makes, with its stacked solve replaced."""
     seen = []
 
-    def record(p, start, tol):
-        seen.append(start)
-        return SolveResult("max-iters", start, start, 1.0, (1.0,), ())
+    def record(p, starts, tol):
+        seen.extend(starts)
+        return [SolveResult("max-iters", start, start, 1.0, (1.0,), ()) for start in starts]
 
-    original = solver.solve
-    solver.solve = record
+    original = solver._solve_stack
+    solver._solve_stack = record
     try:
         multistart(p, **kw)
     finally:
-        solver.solve = original
+        solver._solve_stack = original
     return seen
 
 
@@ -538,10 +541,11 @@ def enumerated_solutions(a, b, lo, hi, tol=1e-9):
     return found
 
 
-def failed_start(p, start, tol):
-    """Stands in for solve: a start that does not converge."""
+def failed_starts(p, starts, tol):
+    """Stands in for the stacked solve: starts that do not converge."""
     v = np.zeros(p.dim)
-    return SolveResult("line-search-stall", v, project(p.set, v), 1.0, (1.0,), ())
+    return [SolveResult("line-search-stall", v, project(p.set, v), 1.0, (1.0,), ())
+            for _ in starts]
 
 
 class TestCornerRayPath:
@@ -579,7 +583,7 @@ class TestCornerRayPath:
         assert polished >= 4
 
     def test_runs_once_when_every_start_fails(self, monkeypatch):
-        monkeypatch.setattr(solver, "solve", failed_start)
+        monkeypatch.setattr(solver, "_solve_stack", failed_starts)
         p = get_problem("spd-box")
         results = multistart(p, starts=4, seed=0)
         assert len(results) == 5 and [r.steps for r in results].count(("path",)) == 1
@@ -599,7 +603,244 @@ class TestCornerRayPath:
         get_problem("example-game"),
     ], ids=["upper-inf", "lower-inf", "builtin", "game-full-space"])
     def test_never_runs_on_an_infinite_side_or_a_builtin_mapping(self, p, monkeypatch):
-        monkeypatch.setattr(solver, "solve", failed_start)
+        monkeypatch.setattr(solver, "_solve_stack", failed_starts)
         monkeypatch.setattr(solver, "_corner_ray_path", None)
         results = multistart(p, starts=3, seed=0)
         assert results and not any(r.steps == ("path",) for r in results)
+
+
+# The one-start loop as it stood before the starts of a call were advanced as
+# one stack: the oracle for _solve_stack, kept verbatim but for the names.
+def oracle_direction(df, free, r, r_norm):
+    try:
+        if free.all():
+            d = np.linalg.solve(df, -r)
+        else:
+            d = -r
+            if free.any():
+                d_free = np.zeros_like(r)
+                d_free[free] = np.linalg.solve(df[np.ix_(free, free)], d[free])
+                d -= df @ d_free
+                d[free] = d_free[free]
+    except np.linalg.LinAlgError:
+        return None
+    c = float(np.sqrt(np.max(np.einsum("ij,ij->j", df, df)[free], initial=1.0)))
+    return d if r_norm >= REG_FLOOR * c * float(np.linalg.norm(d)) else None
+
+
+def oracle_solve(p, start, tol):
+    v = np.array(start, dtype=float)
+    movable = p.set.lo < p.set.hi
+    ev = normal_map(p, v)
+    trace = [ev.norm]
+    steps = []
+    status = "max-iters"
+    slow = 0
+    for _ in range(solver.ITERATION_LIMIT):
+        if ev.norm <= tol:
+            status = "solved"
+            break
+        r = ev.r
+        df = jacobian(p, ev.z)
+        free = movable & (v >= p.set.lo) & (v <= p.set.hi)
+        grad = np.where(free, df.T @ r, r)
+        kind = "newton"
+        d = oracle_direction(df, free, r, ev.norm)
+        if d is None:
+            kind = "regularized"
+            j = normal_map_jacobian_element(p, v)
+            d = np.linalg.solve(j.T @ j + REG_FLOOR * np.eye(p.dim), -grad)
+        slope = float(grad @ d)
+        if slope >= 0.0 or not np.all(np.isfinite(d)):
+            kind = "gradient"
+            d = -grad
+            slope = -float(grad @ grad)
+        if -slope <= 1e-14 * (1.0 + ev.norm ** 2):
+            kind = "picard"
+            d = -r
+            slope = None
+        accepted = None
+        t = 1.0
+        theta0 = 0.5 * ev.norm ** 2
+        for _ in range(solver.MAX_HALVINGS + 1):
+            try:
+                trial = normal_map(p, v + t * d)
+            except EvaluationError:
+                t *= solver.BACKTRACK
+                continue
+            theta = 0.5 * trial.norm ** 2
+            if slope is not None:
+                ok = theta <= theta0 + solver.ARMIJO_SLOPE * t * slope
+            else:
+                ok = theta <= (1.0 - solver.ARMIJO_SLOPE * t) * theta0
+            if ok and theta < theta0:
+                accepted = trial
+                break
+            t *= solver.BACKTRACK
+        if accepted is None:
+            if kind in ("gradient", "picard") and np.linalg.norm(grad) <= 1e-12 * (1.0 + ev.norm):
+                status = "singular-jacobian-fallback-exhausted"
+            else:
+                status = "line-search-stall"
+            break
+        slow = slow + 1 if accepted.norm > (1.0 - solver.MIN_PROGRESS) * ev.norm else 0
+        v, ev = accepted.v, accepted
+        trace.append(ev.norm)
+        steps.append(kind)
+        if slow == 2:
+            status = "line-search-stall"
+            break
+    if ev.norm <= tol:
+        status = "solved"
+    return SolveResult(status=status, v=v, x=project(p.set, v), residual=ev.norm,
+                       trace=tuple(trace), steps=tuple(steps), iterations=len(steps))
+
+
+def oracle_multistart(p, starts, seed, radius, tol=1e-10):
+    start_points = [certificates.box_midpoint(p.set),
+                    *certificates.draw_samples(p.set, starts - 1, seed, radius)]
+    results = [oracle_solve(p, s, tol) for s in start_points]
+    if not any(r.solved for r in results) and solver._path_applies(p):
+        results.append(_corner_ray_path(p, tol))
+    deduped = []
+    for res in results:
+        if res.solved and any(other.solved and np.linalg.norm(other.x - res.x) <= 1e-6
+                              for other in deduped):
+            continue
+        deduped.append(res)
+    deduped.sort(key=lambda r: (False, 0.0, tuple(r.x)) if r.solved
+                 else (True, r.residual, tuple(r.x)))
+    return deduped
+
+
+def bits(res):
+    """Every field of a result as bytes or exact values: signbit included."""
+    return (res.status, res.v.tobytes(), res.x.tobytes(), np.float64(res.residual).tobytes(),
+            np.array(res.trace, dtype=float).tobytes(), res.steps, res.iterations)
+
+
+MAPPINGS = ["affine", "game", "rows+jac", "jac", "rows", "fn", "non-finite"]
+
+
+@st.composite
+def stacked_problems(draw):
+    """A problem with m = 1..6 coordinates, each free, bounded below, bounded
+    above, bounded on both sides or fixed, and F affine, a game's, or the
+    builtin x -> A x + b + x^3 / 8 with and without ``rows`` and ``jac`` (the
+    finite-difference Jacobian then), or that builtin made infinite where
+    x_0 > c."""
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(MAPPINGS))
+    kinds = rng.choice(["free", "lo", "hi", "both", "fixed"], m)
+    a_lo = rng.uniform(-3.0, 0.0, m)
+    lo = np.where(np.isin(kinds, ["lo", "both", "fixed"]), a_lo, -np.inf)
+    hi = np.where(kinds == "fixed", a_lo,
+                  np.where(np.isin(kinds, ["hi", "both"]), a_lo + rng.uniform(0.5, 4.0, m),
+                           np.inf))
+    b = rng.uniform(-3.0, 3.0, m)
+    if kind == "game":
+        a, sizes = game_matrix(rng, m)
+        offs = np.cumsum([0, *sizes])
+        sl = [slice(offs[i], offs[i + 1]) for i in range(len(sizes))]
+        q = {(i, j): a[sl[i], sl[j]] for i in range(len(sizes)) for j in range(len(sizes))}
+        return make_game(sizes, q, [b[s] for s in sl], BoxSet(lo, hi, sizes))
+    a = rng.standard_normal((m, m)) * rng.choice([0.5, 2.0])
+    if rng.random() < 0.2:
+        a[:, rng.integers(m)] = 0.0  # a singular Jacobian on some faces
+    if kind == "affine":
+        return VIProblem(affine_mapping(a, b), BoxSet(lo, hi))
+    cut = rng.uniform(-1.0, 3.0)
+
+    def fn(x):
+        y = a @ x + b + x ** 3 / 8.0
+        return np.where(x[0] > cut, np.inf, y) if kind == "non-finite" else y
+
+    def rows(xs):
+        ys = np.matvec(a, xs) + b + xs ** 3 / 8.0
+        return np.where(xs[:, :1] > cut, np.inf, ys) if kind == "non-finite" else ys
+
+    mapping = Mapping(fn=fn, dim=m, kind="builtin",
+                      jac=None if kind in ("rows", "fn") else lambda x: a + np.diag(3.0 * x ** 2 / 8.0),
+                      rows=rows if kind in ("rows+jac", "rows", "non-finite") else None)
+    return VIProblem(mapping, BoxSet(lo, hi))
+
+
+class TestStackedSolve:
+    """The starts of a call advance as one stack; each row must end exactly
+    where the one-start loop ends from the same start."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_problems(), st.integers(1, 12), st.integers(0, 2 ** 16),
+           st.sampled_from([1.0, 3.0, 10.0]))
+    def test_multistart_matches_the_one_start_loop(self, p, starts, seed, radius):
+        try:
+            expected = [bits(r) for r in oracle_multistart(p, starts, seed, radius)]
+        except EvaluationError as e:
+            with pytest.raises(EvaluationError) as got:
+                multistart(p, starts=starts, seed=seed, radius=radius)
+            assert (str(got.value), got.value.coordinate) == (str(e), e.coordinate)
+            return
+        got = multistart(p, starts=starts, seed=seed, radius=radius)
+        assert [bits(r) for r in got] == expected
+
+    @settings(deadline=None)
+    @given(stacked_problems(), st.integers(0, 2 ** 16))
+    def test_solve_is_the_one_row_case(self, p, seed):
+        start = certificates.draw_samples(p.set, 1, seed, 10.0)[0]
+        try:
+            expected = bits(oracle_solve(p, start, 1e-10))
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                solve(p, start=start)
+            return
+        assert bits(solve(p, start=start)) == expected
+
+    def test_non_finite_start_raises_the_first_such_starts_error(self):
+        # F is infinite in coordinate 1 where x_0 > 1; start 0 (the midpoint
+        # 0.5) is finite, so the error is that of the first seeded start there.
+        def fn(x):
+            return np.where(np.arange(2) == 1, np.where(x[0] > 1.0, np.inf, x[1]), x[0])
+
+        p = VIProblem(Mapping(fn=fn, dim=2, jac=lambda x: np.eye(2)),
+                      BoxSet([-1.0, -1.0], [2.0, 1.0]))
+        starts = certificates.draw_samples(p.set, 7, 0, 10.0)
+        assert starts[:, 0].max() > 1.0
+        with pytest.raises(EvaluationError) as got:
+            multistart(p, starts=8, seed=0)
+        assert got.value.coordinate == 1
+
+    @given(newton_systems(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_stacked_directions_match_the_one_row_rule(self, system, k, seed):
+        df, free, r = system
+        rng = np.random.default_rng(seed)
+        frees = np.vstack([free, rng.random((k - 1, free.size)) < 0.5])
+        rs = np.vstack([r, rng.standard_normal((k - 1, r.size))])
+        norms = np.sqrt(np.vecdot(rs, rs))
+        for shared in (df, np.stack([df] * k)):
+            d, singular = solver.newton_directions(shared, frees, rs, norms)
+            for i in range(k):
+                ref = oracle_direction(df, frees[i], rs[i], float(norms[i]))
+                assert singular[i] == (ref is None)
+                if ref is not None:
+                    assert d[i].tobytes() == ref.tobytes()
+            assert solver.merit_gradient(shared, frees, rs).tobytes() == np.array(
+                [np.where(f, df.T @ ri, ri) for f, ri in zip(frees, rs)]).tobytes()
+
+    @pytest.mark.parametrize("pid", ["spd-box", "example-vi", "cubic-free", "identity-box"])
+    def test_rows_leave_the_stack_when_they_end(self, pid, monkeypatch):
+        # Every start of these solves, so row i takes part in exactly its
+        # res.iterations direction calls, and the loop stops with its
+        # longest row.
+        sizes = []
+        original = solver.newton_directions
+        monkeypatch.setattr(solver, "newton_directions",
+                            lambda df, free, r, r_norm: sizes.append(len(r))
+                            or original(df, free, r, r_norm))
+        p = get_problem(pid)
+        starts = np.vstack([certificates.box_midpoint(p.set),
+                            certificates.draw_samples(p.set, 11, 3, 10.0)])
+        results = solver._solve_stack(p, starts, 1e-10)
+        assert all(r.solved for r in results)
+        iterations = [r.iterations for r in results]
+        assert sizes == [sum(n > i for n in iterations) for i in range(max(iterations))]
