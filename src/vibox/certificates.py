@@ -55,6 +55,8 @@ def draw_samples(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
     """(count, m) seeded uniform draws over the box, an infinite upper side
     replaced by max(radius, lo + radius) and an infinite lower side by
     min(-radius, hi - radius); every point lies in K exactly."""
+    if count == 0:  # no generator: every single-start multistart takes this path
+        return np.empty((0, box.dim))
     rng = np.random.default_rng(seed)
     lo = np.where(np.isfinite(box.lo), box.lo, np.minimum(-radius, box.hi - radius))
     hi = np.where(np.isfinite(box.hi), box.hi, np.maximum(radius, box.lo + radius))

@@ -63,20 +63,18 @@ def coercivity_probe(p: VIProblem) -> tuple[np.ndarray, np.ndarray]:
     (directions, norms): direction 2i is +e_i and 2i + 1 is -e_i, and row k
     of norms holds ||F_nor(r d_k)|| at the radii r of RAY_RADII.  A ray on
     which F is non-finite gets a row of NaN.  ``coercivity_check`` reads the
-    table; this function only evaluates it, on one stack of all the ray
-    points, or ray by ray when F is non-finite somewhere on the stack."""
+    table; this function only evaluates it with ``normal_map``, on one stack
+    of all the ray points, or ray by ray when F is non-finite on the stack."""
     eye = np.eye(p.dim)
     directions = np.array([s * eye[i] for i in range(p.dim) for s in (1.0, -1.0)])
     v = RAY_RADII[:, None] * directions[:, None, :]  # (ray, radius, coordinate)
-    z = project(p.set, v.reshape(-1, p.dim)).reshape(v.shape)
     try:
-        fz = p.mapping.on_rows(z.reshape(-1, p.dim)).reshape(v.shape)
+        norms = normal_map(p, v.reshape(-1, p.dim)).norm.reshape(v.shape[:2])
     except EvaluationError:
-        fz = np.full(v.shape, np.nan)
-        for k, ray in enumerate(z):
+        norms = np.full(v.shape[:2], np.nan)
+        for k, ray in enumerate(v):
             try:
-                fz[k] = p.mapping.on_rows(ray)
+                norms[k] = normal_map(p, ray).norm
             except EvaluationError:
                 pass
-    r = v - z + fz
-    return directions, np.sqrt(np.vecdot(r, r))  # ||r||, as normal_map computes it
+    return directions, norms

@@ -28,7 +28,7 @@ BACKTRACK = 0.5  # step shrink factor
 MAX_HALVINGS = 40  # and most halvings per Newton iteration
 MIN_PROGRESS = 1e-3  # a start ends after two accepted steps in a row that each
                      # lower ||r|| by less than this share
-REG_FLOOR = 1e-8  # singularity floor of newton_direction; Levenberg weight
+REG_FLOOR = 1e-8  # singularity floor of newton_directions; Levenberg weight
 ITERATION_LIMIT = 200  # accepted steps of a start; pivots of the corner-ray path
 
 
@@ -49,16 +49,24 @@ class SolveResult:
 
 def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray,
                       r_norm) -> tuple[np.ndarray, list]:
-    """``newton_direction`` for a stack of k systems at once: free and r hold
-    one system per row, r_norm their k norms, and df is their (k, m, m) stack
-    or one (m, m) matrix they share.  Returns the (k, m) directions and a
-    list of k flags, true where J is numerically singular (that row of the
-    directions is then meaningless).  Each row is bit for bit what
-    ``newton_direction`` gives it.
+    """The Newton directions d solving J d = -r, J = I - D + dF D with D the
+    0/1 diagonal that is 1 on the boolean mask ``free``, for k systems at
+    once: free and r hold one per row, r_norm their k norms, and df is their
+    (k, m, m) stack or one (m, m) matrix they share.  Returns the (k, m)
+    directions and k flags, true where J is numerically singular and that
+    row meaningless: the LU solve fails, or ||r|| < REG_FLOOR * max(c, 1) *
+    ||d|| with c the largest column norm of J (NaN or inf in d fails too).
 
-    Rows with the same number n of free coordinates form one group, whose
-    free blocks are gathered into a (g, n, n) stack and factored in one
-    batched solve (``_solve_blocks``)."""
+    The columns of J off ``free`` are unit vectors, so only the free block is
+    factored: dF[F, F] d_F = -r_F, then d_A = -r_A - dF[A, F] d_F (with every
+    coordinate free, the LU solve of dF; with none, d = -r).  Rows with the
+    same number n of free coordinates are factored together as one (g, n, n)
+    stack (``_solve_blocks``); each row is bit for bit its own solve.
+
+    Since sigma_min(J) <= ||r|| / ||d|| and c <= sigma_max(J), this flags J
+    only when the singular-value test sigma_min(J) < REG_FLOOR *
+    max(sigma_max(J), 1) flags it too; a near-singular J whose step stays
+    bounded keeps its Newton step."""
     k, m = r.shape
     d = -r
     singular = [False] * k
@@ -111,26 +119,6 @@ def _solve_blocks(a: np.ndarray, b: np.ndarray, rows, singular: list) -> np.ndar
         return x
 
 
-def newton_direction(df: np.ndarray, free: np.ndarray, r: np.ndarray,
-                     r_norm: float) -> np.ndarray | None:
-    """The Newton direction d solving J d = -r for J = I - D + dF D, with D the
-    0/1 diagonal that is 1 on the boolean mask ``free``, or None when J is
-    numerically singular: the LU solve fails, or ||r|| < REG_FLOOR * max(c, 1)
-    * ||d|| with c the largest column norm of J (NaN or inf in d fails this
-    test too).  The one-row case of ``newton_directions``.
-
-    The columns of J off ``free`` are unit vectors, so only the free block is
-    factored: dF[F, F] d_F = -r_F, then d_A = -r_A - dF[A, F] d_F.  With every
-    coordinate free this is the LU solve of dF itself; with none, d = -r.
-
-    Since sigma_min(J) <= ||r|| / ||d|| and c <= sigma_max(J), this flags J
-    only when the singular-value test sigma_min(J) < REG_FLOOR *
-    max(sigma_max(J), 1) flags it too; a near-singular J whose step stays
-    bounded keeps its Newton step."""
-    d, singular = newton_directions(df, free[None], r[None], [r_norm])
-    return None if singular[0] else d[0]
-
-
 def merit_gradient(df: np.ndarray, free: np.ndarray, r: np.ndarray) -> np.ndarray:
     """J^T r, the gradient of theta(v) = 1/2 ||r(v)||^2 for J = I - D + dF D:
     dF^T r on the coordinates of the mask ``free``, r on the others.  free
@@ -164,16 +152,15 @@ def _trial(p: VIProblem, v: np.ndarray) -> tuple[list, list, list]:
     return [z], [r], [norm]
 
 
-def _line_search(p: VIProblem, v: np.ndarray, d: np.ndarray, theta0, slope, picard, rows,
-                 iterate, norms) -> list:
+def _line_search(p: VIProblem, v: np.ndarray, d: np.ndarray, theta0, slope, picard) -> list:
     """Backtracking from t = 1 along each row of d at once: one stacked trial
     per halving round on the rows still searching, which share t.  theta0,
     slope and picard are per-row lists (picard: the test on theta0 alone,
     for a step that is no descent direction), tested on Python floats as in
-    the one-start loop.  Row j's trial, once it passes, is written into row
-    rows[j] of the stacks ``iterate`` (v, z, r) and of the list ``norms``,
-    and the row drops out.  Returns the positions j that found no decrease."""
-    at = list(range(len(rows)))
+    the one-start loop.  Returns per row the accepted trial (v, z, r, norm),
+    or None where no decrease was found."""
+    found = [None] * len(v)
+    at = list(range(len(v)))
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):
         trial_v = v + t * d
@@ -186,17 +173,15 @@ def _line_search(p: VIProblem, v: np.ndarray, d: np.ndarray, theta0, slope, pica
             else:
                 ok = theta <= theta0[j] + ARMIJO_SLOPE * t * slope[j]
             if ok and theta < theta0[j]:
-                i = rows[j]
-                iterate[0][i], iterate[1][i], iterate[2][i] = trial_v[row], trial_z[row], trial_r[row]
-                norms[i] = n
+                found[j] = trial_v[row], trial_z[row], trial_r[row], n
             else:
                 kept.append(row)
         if len(kept) < len(at):
             if not kept:
-                return []
+                break
             at, v, d = [at[row] for row in kept], v[kept], d[kept]
         t *= BACKTRACK
-    return at
+    return found
 
 
 def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
@@ -250,15 +235,15 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
             kinds.append(kind)
             slopes[j] = slope
             theta0.append(0.5 * n ** 2)
-        failed = set(_line_search(p, vl, d, theta0, slopes, [kd == "picard" for kd in kinds],
-                                  live, (v, z, r), norms))
+        found = _line_search(p, vl, d, theta0, slopes, [kd == "picard" for kd in kinds])
         running = []
         for j, i in enumerate(live):
-            if j in failed:
+            if found[j] is None:
                 flat = (kinds[j] in ("gradient", "picard")
                         and np.linalg.norm(grad[j]) <= 1e-12 * (1.0 + nl[j]))
                 status[i] = FALLBACK_EXHAUSTED if flat else LINE_SEARCH_STALL
                 continue
+            v[i], z[i], r[i], norms[i] = found[j]
             slow[i] = slow[i] + 1 if norms[i] > (1.0 - MIN_PROGRESS) * nl[j] else 0
             traces[i].append(norms[i])
             steps[i].append(kinds[j])
@@ -287,7 +272,7 @@ def solve(p: VIProblem, start=None, tol=1e-10) -> SolveResult:
     bound, but not fixed by lo == hi), then back-substituted for the others.
     Singularity is read off that solve, without an SVD: J counts as singular
     when the LU solve fails or the step grows past ||r|| / (REG_FLOOR *
-    max(c, 1)), with c the largest column norm of J (``newton_direction``).
+    max(c, 1)), with c the largest column norm of J (``newton_directions``).
     Only then is J itself built, for the regularized step.
 
     The start ends as line-search-stall when the line search finds no
@@ -380,13 +365,13 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
     values[basis] = tab[:, -1]
     x = lo.copy()
     x[idx] += values[2 * n:3 * n]
-    x = np.minimum(np.maximum(x, lo), hi)
+    x = project(p.set, x)
     ev = normal_map(p, x - p.F(x))
     trace = [ev.norm]
     if ev.norm > tol:
         free = (lo < hi) & (ev.v >= lo) & (ev.v <= hi)
-        d = newton_direction(a, free, ev.r, ev.norm)
-        trial = normal_map(p, ev.v + d) if d is not None else ev
+        d, singular = newton_directions(a, free[None], ev.r[None], [ev.norm])
+        trial = ev if singular[0] else normal_map(p, ev.v + d[0])
         if trial.norm < ev.norm:
             ev = trial
             trace.append(ev.norm)

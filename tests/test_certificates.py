@@ -719,6 +719,22 @@ class TestPLCondition:
         assert rep.verdict == "inconclusive"
         assert "unbounded below" in rep.notes
 
+    def test_flat_direction_inconclusive(self):
+        # Q_00 = 0 and an own gradient of 5e-7, below the stationarity cut:
+        # player 0's cost decreases linearly without bound.
+        g = make_game((1, 1), {(0, 0): [[0.0]], (1, 1): [[1.0]]}, ([5e-7], [0.0]),
+                      free_box(2, blocks=(1, 1)))
+        rep = pl_condition_check(g, np.zeros(2), samples=50, seed=9)
+        assert rep.verdict == "inconclusive" and rep.metrics == {"player": 0}
+        assert "flat direction" in rep.notes
+
+    def test_zero_own_block_has_no_positive_gap(self):
+        g = make_game((1, 1), {(0, 0): [[1.0]], (1, 1): [[0.0]]}, ([0.0], [0.0]),
+                      free_box(2, blocks=(1, 1)))
+        rep = pl_condition_check(g, np.zeros(2), samples=50, seed=9)
+        assert rep.verdict == "inconclusive" and rep.metrics == {"player": 1}
+        assert "no sample with a positive gap" in rep.notes
+
     def test_nonstationary_candidate_rejected(self):
         rep = pl_condition_check(get_problem("example-game"), np.array([1.0, 1.0]), seed=4)
         assert rep.verdict == "inconclusive" and rep.margin is None and rep.witness is None
@@ -930,6 +946,11 @@ class TestSampling:
     def test_seed_reproducible(self):
         box = BoxSet([0.0], [1.0])
         assert np.array_equal(draw_samples(box, 50, 4), draw_samples(box, 50, 4))
+
+    def test_zero_count_is_an_empty_stack_without_a_generator(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # calling it would raise
+        pts = draw_samples(BoxSet([0.0, -np.inf, 1.0], [1.0, np.inf, 1.0]), 0, 4)
+        assert pts.shape == (0, 3) and pts.dtype == float
 
 
 def grid_directions(m):

@@ -171,6 +171,11 @@ class TestNumberOptions:
         assert err.startswith(f"error: argument {argv[2]}: expected ")
         assert err.rstrip().endswith(f", got {argv[3]!r}")
 
+    def test_non_integer_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "example-vi", "--seed", "abc")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: argument --seed: expected an integer >= 0, got 'abc'"]
+
 
 class TestCertifyCommand:
     def test_all_pass_exit_zero(self, capsys):

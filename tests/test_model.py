@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from vibox import (BoxSet, ConfigurationError, EvaluationError, Mapping, VIProblem,
                    affine_mapping, builtin_mapping, get_problem, jacobian, make_game)
+from vibox.model import as_vector
 
 
 def example_game():
@@ -263,3 +264,21 @@ class TestBoxSet:
         k = BoxSet([0.0, -np.inf], [1.0, np.inf])
         assert k.contains([0.5, 100.0])
         assert not k.contains([-0.1, 0.0])
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("build", [
+        lambda: as_vector(np.zeros((2, 2))),
+        lambda: as_vector(np.zeros(3), 2),
+        lambda: BoxSet([0.0, 0.0], [1.0]),
+        lambda: BoxSet(np.zeros((2, 1)), np.ones((2, 1))),
+        lambda: BoxSet([0.0, 0.0], [1.0, 1.0], (1, 0, 1)),
+        lambda: BoxSet([0.0, 0.0], [1.0, 1.0], (1, 2)),
+        lambda: affine_mapping(np.zeros((2, 3))),
+        lambda: affine_mapping(np.zeros(3)),
+        lambda: make_game((), {}, (), BoxSet([0.0], [1.0], None)),
+    ], ids=["vector-shape", "vector-length", "bounds-unequal", "bounds-2d", "blocks-zero",
+            "blocks-sum", "affine-non-square", "affine-1d", "game-no-players"])
+    def test_rejected_with_configuration_error(self, build):
+        with pytest.raises(ConfigurationError):
+            build()

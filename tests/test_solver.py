@@ -13,7 +13,14 @@ from vibox import certificates, solver
 from vibox.model import EvaluationError, jacobian
 from vibox.normal_map import normal_map_jacobian_element
 from vibox.solver import (REG_FLOOR, SolveResult, _corner_ray_path, merit_gradient,
-                          newton_direction)
+                          newton_directions)
+
+
+def newton_step(df, free, r, r_norm):
+    """newton_directions on the one system (df, free, r): d, or None where
+    it flags J singular."""
+    d, singular = newton_directions(df, free[None], r[None], [r_norm])
+    return None if singular[0] else d[0]
 
 
 def svd_rule_flags(j):
@@ -23,7 +30,7 @@ def svd_rule_flags(j):
 
 
 def step_rule_flags(df, free, r):
-    return newton_direction(df, free, r, float(np.linalg.norm(r))) is None
+    return newton_step(df, free, r, float(np.linalg.norm(r))) is None
 
 
 def element(df, free):
@@ -251,14 +258,14 @@ class TestSingularityRule:
 
 
 class TestReducedStep:
-    """newton_direction factors dF on the free coordinates only; these
+    """newton_directions factors dF on the free coordinates only; these
     properties hold it to the dense element I - D + dF D."""
 
     @given(newton_systems())
     def test_direction_matches_dense_solve(self, system):
         df, free, r = system
         j = element(df, free)
-        d = newton_direction(df, free, r, float(np.linalg.norm(r)))
+        d = newton_step(df, free, r, float(np.linalg.norm(r)))
         try:
             ref = np.linalg.solve(j, -r)
         except np.linalg.LinAlgError:
@@ -286,7 +293,7 @@ class TestReducedStep:
             assume(not abs(ratio - 1.0) <= 1e-4)
         except np.linalg.LinAlgError:
             pass
-        reduced = newton_direction(df, free, r, r_norm)
+        reduced = newton_step(df, free, r, r_norm)
         assert (reduced is None) == (dense_direction(j, r, r_norm, REG_FLOOR) is None)
 
     @given(newton_systems())
@@ -298,15 +305,15 @@ class TestReducedStep:
     @given(newton_systems())
     def test_all_active_step_is_minus_r(self, system):
         df, _, r = system
-        d = newton_direction(df, np.zeros(r.size, dtype=bool), r,
-                             float(np.linalg.norm(r)))
+        d = newton_step(df, np.zeros(r.size, dtype=bool), r,
+                        float(np.linalg.norm(r)))
         assert d is not None and d.tobytes() == (-r).tobytes()
 
     @given(newton_systems())
     def test_all_free_step_is_the_lu_of_df(self, system):
         df, _, r = system
-        d = newton_direction(df, np.ones(r.size, dtype=bool), r,
-                             float(np.linalg.norm(r)))
+        d = newton_step(df, np.ones(r.size, dtype=bool), r,
+                        float(np.linalg.norm(r)))
         assume(d is not None)
         assert d.tobytes() == np.linalg.solve(df, -r).tobytes()
 
@@ -336,6 +343,16 @@ class TestClassify:
         solved = [r for r in multistart(p, starts=8, seed=3) if r.solved]
         assert solved and [classify(p, r) for r in solved] == ["nash"] * len(solved)
         assert verdicts == ["pass"] * len(solved)
+
+    def test_solved_nonconvex_game_is_quasi_nash(self):
+        # Player 0's own cost -x_0^2 / 2 is concave: block-convexity fails and
+        # pl is inconclusive, so the stationary point stays quasi-nash.
+        p = make_game((1, 1), {(0, 0): [[-1.0]], (1, 1): [[2.0]], (0, 1): [[0.5]],
+                               (1, 0): [[0.5]]}, ([0.3], [-0.2]),
+                      BoxSet([-1.0, -1.0], [1.0, 1.0], (1, 1)))
+        results = multistart(p, starts=4)
+        assert [r.status for r in results] == ["solved"]
+        assert classify(p, results[0]) == "quasi-nash"
 
     def test_plain_vi_label(self):
         p = get_problem("example-vi")
@@ -582,6 +599,17 @@ class TestCornerRayPath:
                 assert res.trace[1] <= 1e-10 < res.trace[0]
         assert polished >= 4
 
+    def test_pivot_limit_ends_the_path_as_max_iters(self, monkeypatch):
+        # The path of this 3-player game to its interior solution takes 4 pivots.
+        a = [[2.2, -1.4, -0.7], [-2.0, 12.1, 2.7], [-0.6, 2.8, 2.5]]
+        p = make_game((1, 1, 1), {(i, j): [[a[i][j]]] for i in range(3) for j in range(3)},
+                      ([-0.9], [-2.5], [-1.2]), BoxSet([-1.0] * 3, [1.0] * 3, (1, 1, 1)))
+        res = _corner_ray_path(p, 1e-10)
+        assert res.solved and res.iterations == 4
+        monkeypatch.setattr(solver, "ITERATION_LIMIT", 2)
+        res = _corner_ray_path(p, 1e-10)
+        assert (res.status, res.iterations, res.steps) == ("max-iters", 2, ("path",))
+
     def test_runs_once_when_every_start_fails(self, monkeypatch):
         monkeypatch.setattr(solver, "_solve_stack", failed_starts)
         p = get_problem("spd-box")
@@ -795,6 +823,38 @@ class TestStackedSolve:
                 solve(p, start=start)
             return
         assert bits(solve(p, start=start)) == expected
+
+    @pytest.mark.parametrize("m, seed, lo", [(3, 14, -np.inf), (2, 22, -1.0)],
+                             ids=["full-space", "lower-bounds"])
+    def test_line_search_falls_back_row_by_row(self, m, seed, lo, monkeypatch):
+        # F = A x + b is infinite where x_0 > 1.5, so stacked trials raise
+        # and _trial evaluates their rows one by one.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, m)) * 2.0
+        b = rng.uniform(-3.0, 3.0, m)
+        mapping = Mapping(fn=lambda x: np.where(x[0] > 1.5, np.inf, a @ x + b), dim=m,
+                          jac=lambda x: a,
+                          rows=lambda xs: np.where(xs[:, :1] > 1.5, np.inf, np.matvec(a, xs) + b))
+        p = VIProblem(mapping, BoxSet(np.full(m, lo), np.full(m, np.inf)))
+        stacked_errors = []
+
+        def counted(p, v):
+            try:
+                return normal_map(p, v)
+            except EvaluationError:
+                stacked_errors.append(np.ndim(v) == 2 and len(v) > 1)
+                raise
+
+        monkeypatch.setattr(solver, "normal_map", counted)
+        got = multistart(p, starts=8, seed=0, radius=1.0)
+        assert [bits(r) for r in got] == [bits(r) for r in oracle_multistart(p, 8, 0, 1.0)]
+        assert any(stacked_errors)
+
+    @pytest.mark.parametrize("pid", problem_ids())
+    def test_single_start_matches_the_one_start_loop(self, pid):
+        p = get_problem(pid)
+        expected = [bits(r) for r in oracle_multistart(p, 1, 0, 10.0)]
+        assert [bits(r) for r in multistart(p, starts=1)] == expected
 
     def test_non_finite_start_raises_the_first_such_starts_error(self):
         # F is infinite in coordinate 1 where x_0 > 1; start 0 (the midpoint
