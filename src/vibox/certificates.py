@@ -28,6 +28,7 @@ SAMPLED_NOTE = "sampled surrogate, not a proof"
 NO_PAIR_NOTE = "K has no two points at least 1e-12 apart; no pair to test"
 
 MINOR_BUDGET_DIM = 20
+MIN_PAIRS = 100  # pfunction, block-pfunction and growth test at least this many pairs
 ETA_FLOOR = 1e-10  # least principal minor of a uniform-pmatrix mixed-row matrix
 NOISE_FLOOR = 1e-12  # maximal-rank: row-scaled Schur-complement minors this small are 0
 
@@ -167,32 +168,20 @@ def principal_minor_det(a) -> float:
     return float(_det_stack(np.asarray(a)[np.newaxis])[0])
 
 
-def _minor_scan(a, floor=0.0):
-    """(min minor, first subset whose minor is <= floor, or None) over all principal minors."""
-    min_minor = np.inf
-    first_bad = None
-    for idx, d in _principal_values(a, _det_stack):
-        _, v = _first_min(d)
-        if v < min_minor:
-            min_minor = v
-        if first_bad is None:
-            bad = np.flatnonzero(d <= floor)
+def _scan(a, fn, floor=None):
+    """(least value of fn, first index set attaining it, first index set whose
+    value is <= floor or None) over all principal submatrices of a; the least
+    value is a strict-< running minimum from +inf, so NaN never wins."""
+    least, arg, first_bad = np.inf, None, None
+    for idx, values in _principal_values(a, fn):
+        k, v = _first_min(values)
+        if v < least:
+            least, arg = v, tuple(int(i) for i in idx[k])
+        if first_bad is None and floor is not None:
+            bad = np.flatnonzero(values <= floor)
             if bad.size:
                 first_bad = tuple(int(i) for i in idx[bad[0]])
-    return min_minor, first_bad
-
-
-def _sigma_scan(a):
-    """(min sigma_min, first index set attaining it or None) over all
-    principal submatrices."""
-    margin = np.inf
-    arg = None
-    for idx, s in _principal_values(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1]):
-        k, v = _first_min(s)
-        if v < margin:
-            margin = v
-            arg = tuple(int(i) for i in idx[k])
-    return margin, arg
+    return least, arg, first_bad
 
 
 def pmatrix_minors(a) -> CertificateReport:
@@ -203,7 +192,7 @@ def pmatrix_minors(a) -> CertificateReport:
         raise BudgetError(
             f"minor enumeration over 2^{m}-1 subsets exceeds budget; use pmatrix_oracle"
         )
-    min_minor, first_bad = _minor_scan(a)
+    min_minor, _, first_bad = _scan(a, _det_stack, 0.0)
     budget = {"minors": 2 ** m - 1}
     if first_bad is not None:
         witness = {
@@ -240,21 +229,23 @@ def pmatrix_oracle(a, samples=100000, seed=0) -> CertificateReport:
                              f"no violating direction among samples; {SAMPLED_NOTE}")
 
 
-def _sample_points(box: BoxSet, samples, seed, radius) -> np.ndarray:
-    """draw_samples(box, samples, seed, radius) for a sampled checker, which
-    needs at least one point."""
+def _sampled_jacobians(p: VIProblem, samples, seed, radius):
+    """(points, Jacobians): the rows of draw_samples(p.set, samples, seed,
+    radius) and the (samples, m, m) stack of the Jacobian at each; a sampled
+    checker needs at least one point."""
     if samples < 1:
         raise ValueError("sample set is empty")
-    return draw_samples(box, samples, seed, radius)
+    pts = draw_samples(p.set, samples, seed, radius)
+    return pts, np.array([jacobian(p, x) for x in pts])
 
 
 def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
     """Exact minors test of the Jacobian at each of ``samples`` points of
     draw_samples."""
-    pts = _sample_points(p.set, samples, seed, radius)
+    pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     budget = {"samples": samples}
     min_margin = np.inf
-    for k, a in _distinct(jacobian(p, x) for x in pts):
+    for k, a in _distinct(jacs):
         rep = pmatrix_minors(a)
         if rep.verdict == FAIL:
             witness = dict(rep.witness, point=pts[k].tolist())
@@ -273,9 +264,8 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
     P-matrix with margin at least ETA_FLOOR.  The 2n tuples are the n
     all-same ones (one per point), then n seeded draws.
     """
-    pts = _sample_points(p.set, samples, seed, radius)
+    pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     n, m = samples, p.dim
-    jacs = np.array([jacobian(p, x) for x in pts])
     rng = np.random.default_rng(seed)
     tuples = [np.full(m, k) for k in range(n)]
     tuples += [rng.integers(0, n, size=m) for _ in range(n)]
@@ -312,11 +302,11 @@ def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
     m = p.dim
     if m > MINOR_BUDGET_DIM:
         raise BudgetError("submatrix enumeration exceeds budget for m > 20")
-    pts = _sample_points(p.set, samples, seed, radius)
+    pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     margin = np.inf
     arg = None
-    for k, a in _distinct(jacobian(p, x) for x in pts):
-        s, idx = _sigma_scan(a)
+    for k, a in _distinct(jacs):
+        s, idx, _ = _scan(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1])
         if s < margin:
             margin = s
             arg = (k, idx)
@@ -383,22 +373,11 @@ def _pairs(box: BoxSet, bases, radii, count, extra=None):
     return np.concatenate(xs)[:count], np.concatenate(ys)[:count]
 
 
-def _with_values(F, xs, ys):
-    """(F(xs), F(ys)) row by row, with F (a Mapping) evaluated once per
-    distinct point, on one stack: grid pairs share their base, and projected
-    ends can coincide.  Points are taken in the order x0, y0, x1, y1, ...,
-    so a non-finite F raises the error of the first such point."""
-    n, m = xs.shape
-    pts = np.stack([xs, ys], axis=1).reshape(2 * n, m)
-    ids, first, inverse = {}, [], []  # by bytes: -0.0 and 0.0 are distinct points
-    for i, z in enumerate(pts):
-        key = z.tobytes()
-        if key not in ids:
-            ids[key] = len(first)
-            first.append(i)
-        inverse.append(ids[key])
-    values = F.on_rows(pts[first])[inverse].reshape(n, 2, m)
-    return values[:, 0], values[:, 1]
+def _pair_values(F, xs, ys):
+    """(F(xs), F(ys)) row by row, on one stack of the points in the order x0,
+    y0, x1, y1, ..., so a non-finite F raises the error of the first such point."""
+    values = F.on_rows(np.hstack([xs, ys]).reshape(-1, xs.shape[1]))
+    return values[0::2], values[1::2]
 
 
 def _pair_stream(box: BoxSet, pairs, seed, radius):
@@ -422,8 +401,6 @@ def _first_max(values):
 def uniform_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> CertificateReport:
     """Search for violations of the uniform P-function inequality
     max_j [F(x)-F(y)]_j [x-y]_j >= mu ||x-y||^2 over sampled pairs in K."""
-    if pairs < 100:
-        raise ValueError("need at least 100 pairs")
     return _pfunction_search(p, None, pairs, seed, radius, "pfunction")
 
 
@@ -435,12 +412,14 @@ def block_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Cert
 
 
 def _pfunction_search(p, blocks, pairs, seed, radius, condition):
+    if pairs < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} pairs")
     xs, ys = _pair_stream(p.set, pairs, seed, radius)
     budget = {"pairs": len(xs)}
     if not len(xs):
         return CertificateReport(condition, INCONCLUSIVE, None, None, seed, budget,
                                  NO_PAIR_NOTE)
-    fx, fy = _with_values(p.mapping, xs, ys)
+    fx, fy = _pair_values(p.mapping, xs, ys)
     d, df = xs - ys, fx - fy
     if blocks is None:
         top = np.max(df * d, axis=1)
@@ -469,6 +448,8 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Certificate
     residual of the shorter pairs.  Passes with margin the fitted Lp whenever
     K has a pair to fit, and is inconclusive otherwise.
     """
+    if pairs < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} pairs")
     rng = np.random.default_rng(seed)
     box = p.set
     bases = draw_samples(box, max(2, pairs // 40), seed, radius)
@@ -483,7 +464,7 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Certificate
     if not len(xs):
         return CertificateReport("growth", INCONCLUSIVE, None, None, seed, {"pairs": 0},
                                  NO_PAIR_NOTE)
-    fx, fy = _with_values(p.mapping, xs, ys)
+    fx, fy = _pair_values(p.mapping, xs, ys)
     df = np.sqrt(np.vecdot(fx - fy, fx - fy))
     sep = np.sqrt(np.vecdot(ys - xs, ys - xs))
     long = sep >= 1.0
@@ -499,6 +480,12 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Certificate
                              metrics)
 
 
+def _own_lambdas(p: VIProblem) -> np.ndarray:
+    """lambda_min of each own block A[s_i, s_i] of a game's Jacobian A, one per player."""
+    a = p.mapping.data["A"]
+    return np.array([np.linalg.eigvalsh(a[s, s])[0] for s in block_slices(p.set.blocks)])
+
+
 def upsilon_build(p: VIProblem) -> np.ndarray:
     """The N x N comparison matrix of a game (``make_game``): diagonal inf
     lambda_min of own blocks, off-diagonal minus sup spectral norm of cross
@@ -512,12 +499,8 @@ def upsilon_build(p: VIProblem) -> np.ndarray:
             "Upsilon analysis requires all player blocks of equal dimension")
     a = p.mapping.data["A"]
     sl = block_slices(p.set.blocks)
-    ups = np.zeros((len(sl), len(sl)))
-    for i, si in enumerate(sl):
-        ups[i, i] = float(np.linalg.eigvalsh(a[si, si])[0])
-        for j, sj in enumerate(sl):
-            if j != i:
-                ups[i, j] = -float(np.linalg.norm(a[si, sj], 2))
+    ups = np.array([[-np.linalg.norm(a[si, sj], 2) for sj in sl] for si in sl])
+    np.fill_diagonal(ups, _own_lambdas(p))
     return ups
 
 
@@ -557,7 +540,7 @@ def _face_edge(j, inside, pinned, tol):
     lesser of that sigma_min and the least row-scaled minor of C.  edge: None
     on a pass, else (S, k) with J[S, S] singular (k None) or det J[S, S] and
     det J[S + k, S + k] differing in sign or including a 0 (k ends the first
-    bad set of _minor_scan, whose subsets of lower order all pass)."""
+    bad set of _scan, whose subsets of lower order all pass)."""
     fr, bd = np.flatnonzero(inside), np.flatnonzero(pinned)
     jff = j[np.ix_(fr, fr)]
     s_min = float(np.linalg.svd(jff, compute_uv=False)[-1]) if fr.size else 1.0
@@ -567,7 +550,8 @@ def _face_edge(j, inside, pinned, tol):
     c = j[np.ix_(bd, bd)] - j[np.ix_(bd, fr)] @ x
     norms = np.linalg.norm(np.abs(j[np.ix_(bd, bd)]) + np.abs(j[np.ix_(bd, fr)]) @ np.abs(x),
                            axis=1)
-    least, bad = _minor_scan(c / np.where(norms > 0.0, norms, 1.0)[:, None], NOISE_FLOOR)
+    least, _, bad = _scan(c / np.where(norms > 0.0, norms, 1.0)[:, None], _det_stack,
+                          NOISE_FLOOR)
     edge = None if bad is None else (np.sort(np.r_[fr, bd[list(bad[:-1])]]), int(bd[bad[-1]]))
     return min(s_min, float(least)), edge
 
@@ -662,10 +646,9 @@ def pl_condition_check(p: VIProblem, xbar, samples=200, seed=0,
     rows = draw_samples(p.set, samples, seed, radius)
     mus = []
     budget = {"samples": samples}
-    for i, sl in enumerate(block_slices(p.set.blocks)):
+    for i, (sl, lam) in enumerate(zip(block_slices(p.set.blocks), _own_lambdas(p))):
         qii = p.mapping.data["A"][sl, sl]
         b = grad[sl] - qii @ xbar[sl]  # own gradient is qii @ x_i + b, others at xbar
-        lam = float(np.linalg.eigvalsh(qii)[0])
         if lam > 1e-12:
             x_opt = np.linalg.solve(qii, -b)
         elif lam < -1e-10:
@@ -685,7 +668,7 @@ def pl_condition_check(p: VIProblem, xbar, samples=200, seed=0,
         dx = xi - x_opt
         gap = 0.5 * np.sum((dx @ qii) * dx, axis=1)
         grad2 = np.sum((xi @ qii.T + b) ** 2, axis=1)
-        positive = gap > 1e-12
+        positive = (gap > 1e-12) & np.isfinite(gap) & np.isfinite(grad2)  # inf / inf is NaN
         if not positive.any():
             return CertificateReport("pl", INCONCLUSIVE, None, None, seed, budget,
                                      f"player {i}: no sample with a positive gap",
@@ -706,13 +689,7 @@ def hessian_block_convexity(p: VIProblem) -> CertificateReport:
     """Smallest eigenvalue over the own-block Hessians A[s_i, s_i] of a game
     (``make_game``); positive margin means every player's cost is strongly
     convex in its own variable."""
-    margin = np.inf
-    bad = None
-    for i, sl in enumerate(block_slices(p.set.blocks)):
-        lam = float(np.linalg.eigvalsh(p.mapping.data["A"][sl, sl])[0])
-        if lam < margin:
-            margin = lam
-            bad = i
+    bad, margin = _first_min(_own_lambdas(p))
     budget = {"players": len(p.set.blocks)}
     if margin > 0.0:
         return CertificateReport("block-convexity", PASS, float(margin), None, None,
@@ -776,7 +753,7 @@ class _Settings:
 
     @property
     def pairs(self) -> int:
-        return max(100, 4 * self.samples)
+        return max(MIN_PAIRS, 4 * self.samples)
 
 
 # Condition id -> (checker(p, settings), game_only), in the default order.

@@ -88,7 +88,7 @@ def cmd_solve(args) -> int:
     try:
         p, provenance = resolve_problem(args.problem)
     except (KeyError, ProblemFileError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e.args[0]}", file=sys.stderr)  # str(KeyError) would quote it
         return EXIT_USAGE
     t0 = time.perf_counter()
     try:
@@ -124,7 +124,7 @@ def cmd_certify(args) -> int:
                                            samples=args.samples, radius=args.radius,
                                            tol=args.tol)
     except (KeyError, ProblemFileError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e.args[0]}", file=sys.stderr)  # str(KeyError) would quote it
         return EXIT_USAGE
     except EvaluationError as e:
         print(f"error: {args.problem}: F is non-finite at a sampled point ({e})",

@@ -127,7 +127,9 @@ def load_problem(path) -> VIProblem:
         raise ProblemFileError(f"{path}: number too large: {e.args[0].split(';')[0]}") from e
     try:
         return problem_from_dict(doc)
-    except (AttributeError, KeyError, ConfigurationError, OverflowError, ProblemFileError,
+    except KeyError as e:
+        raise ProblemFileError(f"{path}: missing field {e.args[0]!r}") from e
+    except (AttributeError, ConfigurationError, OverflowError, ProblemFileError,
             TypeError, ValueError) as e:
         raise ProblemFileError(f"{path}: {e}") from e
 

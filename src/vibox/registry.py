@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BoxSet, Mapping, VIProblem, affine_mapping, make_game
+from .model import BoxSet, ConfigurationError, Mapping, VIProblem, affine_mapping, make_game
 
 
 def _cubic_plus_linear(m):
@@ -27,7 +27,7 @@ BUILTIN_MAPPINGS = {
 
 def builtin_mapping(mapping_id, m) -> Mapping:
     if mapping_id not in BUILTIN_MAPPINGS:
-        raise KeyError(f"unknown builtin mapping {mapping_id!r}")
+        raise ConfigurationError(f"unknown builtin mapping {mapping_id!r}")
     return BUILTIN_MAPPINGS[mapping_id](m)
 
 

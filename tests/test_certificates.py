@@ -137,32 +137,6 @@ class TestSigmaSweep:
         assert rep.witness is not None
 
 
-def evaluations(monkeypatch, check, pair_fn):
-    """(sorted bytes of every point F is evaluated at, one entry per call of F
-    and per row of a stack, sorted bytes of the distinct ends of the pairs the
-    module's ``pair_fn`` returns, report) for ``check`` with 120 pairs on a
-    mixed box."""
-    calls, ends = [], []
-    call, on_rows = Mapping.__call__, Mapping.on_rows
-    monkeypatch.setattr(Mapping, "__call__",
-                        lambda self, x: calls.append(x.tobytes()) or call(self, x))
-    monkeypatch.setattr(Mapping, "on_rows",
-                        lambda self, xs: calls.extend(x.tobytes() for x in xs)
-                        or on_rows(self, xs))
-    build = getattr(certificates, pair_fn)
-
-    def record(*args):
-        xs, ys = build(*args)
-        ends.extend([*xs, *ys])
-        return xs, ys
-
-    monkeypatch.setattr(certificates, pair_fn, record)
-    p = VIProblem(builtin_mapping("cubic-plus-linear", 3),
-                  BoxSet([-1.0, 0.0, -np.inf], [1.0, np.inf, np.inf]))
-    rep = check(p, pairs=120, seed=2)
-    return sorted(calls), sorted({z.tobytes() for z in ends}), rep
-
-
 class TestPfunctionSearch:
     def test_example_vi_fails_along_antidiagonal(self):
         rep = uniform_pfunction_search(get_problem("example-vi"), pairs=200, seed=42)
@@ -195,11 +169,6 @@ class TestPfunctionSearch:
     def test_pair_floor(self):
         with pytest.raises(ValueError):
             uniform_pfunction_search(get_problem("example-vi"), pairs=10)
-
-    @pytest.mark.parametrize("check", [uniform_pfunction_search, block_pfunction_search])
-    def test_one_evaluation_per_distinct_point(self, check, monkeypatch):
-        calls, points, rep = evaluations(monkeypatch, check, "_pair_stream")
-        assert rep.budget["pairs"] == 120 and calls == points
 
 
 class TestBlockPfunction:
@@ -244,12 +213,6 @@ class TestGrowthFit:
         assert rep.verdict == "pass" and np.isfinite(rep.metrics["Lp"])
         assert rep.metrics["coverage"] == 1.0
 
-    def test_one_evaluation_per_distinct_point(self, monkeypatch):
-        # grid pairs share their base, and some projected ends coincide
-        calls, points, rep = evaluations(monkeypatch, growth_l0lp_fit, "_pairs")
-        assert rep.budget["pairs"] == 120 and calls == points
-        assert len(points) < 2 * 120
-
 
 @pytest.mark.parametrize("checker, pair_fn", [(uniform_pfunction_search, "_pair_stream"),
                                               (block_pfunction_search, "_pair_stream"),
@@ -271,6 +234,14 @@ def test_pair_checkers_raise_the_first_error_in_pair_order(checker, pair_fn, mon
             p.F(x)
             p.F(y)
     assert str(exc.value) == str(first.value)
+
+
+@pytest.mark.parametrize("checker", [uniform_pfunction_search, block_pfunction_search,
+                                     growth_l0lp_fit])
+@pytest.mark.parametrize("pairs", [-3, 0, 99])
+def test_pair_checkers_need_100_pairs(checker, pairs):
+    with pytest.raises(ValueError, match="need at least 100 pairs"):
+        checker(get_problem("example-vi"), pairs=pairs)
 
 
 @pytest.mark.parametrize("checker", [uniform_pfunction_search, block_pfunction_search,
@@ -348,6 +319,18 @@ def oracle_sigma_scan(a):
     return margin, arg
 
 
+def minor_scan(a):
+    """(least minor, first index set whose minor is <= 0 or None) by _scan."""
+    least, _, first_bad = certificates._scan(a, _det_stack, 0.0)
+    return least, first_bad
+
+
+def sigma_scan(a):
+    """(least sigma_min, first index set attaining it) by _scan."""
+    least, arg, _ = certificates._scan(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1])
+    return least, arg
+
+
 def outcome(fn, a):
     """fn(a) with floats as float.hex, or the type of the exception it raises."""
     try:
@@ -403,25 +386,25 @@ class TestMinorEngine:
     def test_minor_scan_matches_oracle(self, a):
         with np.errstate(all="ignore"):
             expected = outcome(oracle_minor_scan, a)
-            assert outcome(certificates._minor_scan, a) == expected
+            assert outcome(minor_scan, a) == expected
             with TINY_STACK:
-                assert outcome(certificates._minor_scan, a) == expected
+                assert outcome(minor_scan, a) == expected
 
     @settings(max_examples=80)
     @given(square_matrices())
     def test_sigma_scan_matches_oracle(self, a):
         with np.errstate(all="ignore"):
             expected = outcome(oracle_sigma_scan, a)
-            assert outcome(certificates._sigma_scan, a) == expected
+            assert outcome(sigma_scan, a) == expected
             with TINY_STACK:
-                assert outcome(certificates._sigma_scan, a) == expected
+                assert outcome(sigma_scan, a) == expected
 
     def test_ties_keep_the_first_index_set(self):
         # every sigma_min is 1 and every minor 0 or 1: the first subset wins
-        assert certificates._sigma_scan(np.eye(6)) == (1.0, (0,))
-        assert certificates._minor_scan(np.zeros((5, 5))) == (0.0, (0,))
+        assert sigma_scan(np.eye(6)) == (1.0, (0,))
+        assert minor_scan(np.zeros((5, 5))) == (0.0, (0,))
         signed = np.diag([1.0, -0.0, 0.0])
-        assert outcome(certificates._minor_scan, signed) == ((-0.0).hex(), (1,))
+        assert outcome(minor_scan, signed) == ((-0.0).hex(), (1,))
 
     def test_budget_dimension_stacks_stay_small(self):
         rows = certificates._STACK_BYTES // (8 * 10 * 10)
@@ -465,8 +448,7 @@ class TestDistinctJacobianScan:
 
     def test_affine_jacobian_is_scanned_once(self):
         p = VIProblem(affine_mapping(EXAMPLE_A), BoxSet([0.0, 0.0], [1.0, 1.0]))
-        with mock.patch.object(certificates, "_minor_scan",
-                               wraps=certificates._minor_scan) as scan:
+        with mock.patch.object(certificates, "_scan", wraps=certificates._scan) as scan:
             uniform_pmatrix_sampled(p, 10, 0, 10.0)
         assert scan.call_count == 1
 

@@ -103,12 +103,21 @@ class TestSolveCommand:
         trace = doc["results"][0]["trace"]
         assert trace == sorted(trace, reverse=True)
 
-    def test_unsolved_exit_two(self, capsys):
-        # zero starts is a usage error; an unsolvable residual is exit 2
+    def test_unknown_ids_are_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "constant-free")
         assert code == 1  # unknown id is usage
         code, out, _ = run_cli(capsys, "certify", "example-vi", "--conditions", "nope")
         assert code == 1
+
+    def test_unsolvable_problem_exit_two(self, tmp_path, capsys):
+        # F = (1, 1) everywhere on R^2: no start can reach a zero of the normal map
+        path = tmp_path / "constant-free.json"
+        save_problem(VIProblem(affine_mapping(np.zeros((2, 2)), [1.0, 1.0]),
+                               BoxSet.full_space(2)), path)
+        code, out, _ = run_cli(capsys, "solve", str(path))
+        results = json.loads(out)["results"]
+        assert code == 2 and len(results) == 8
+        assert all(r["status"] != "solved" and r["classification"] == "n/a" for r in results)
 
     def test_unknown_problem_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "no-such-problem")
@@ -326,6 +335,19 @@ class TestCertifyCommand:
             assert certs[cond]["budget"] == {"pairs": 0}
             assert "no two points" in certs[cond]["notes"]
 
+    def test_overflowing_pl_gap_is_left_out(self, tmp_path, capsys):
+        # Strongly convex, but on this box 1/2 x^2 and x^2 overflow at most
+        # samples: inf / inf would be a NaN margin and a false fail.
+        g = make_game((1,), {(0, 0): [[1.0]]}, ([0.0],),
+                      BoxSet([-1e160], [1e160], blocks=(1,)))
+        path = tmp_path / "wide.json"
+        save_problem(g, path)
+        code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl")
+        assert "NaN" not in out
+        cert = json.loads(out)["certificates"][0]
+        assert code == 3 and cert["verdict"] == "inconclusive" and cert["margin"] is None
+        assert cert["notes"] == "player 0: no sample with a positive gap"
+
     def test_closed_stdout_exits_without_a_traceback(self):
         # The reader of stdout is gone before the report is written, as with
         # `vibox certify example-game | head -1` when head exits first.
@@ -415,6 +437,31 @@ class TestProblemFiles:
         path.write_text('{"m": 2, "set": {"lo": [0, 0], "hi": [1, 1]}}\n')
         with pytest.raises(ProblemFileError):
             load_problem(path)
+
+    @pytest.mark.parametrize("case", ["unknown-id", "unknown-condition", "builtin-id",
+                                      "missing-m", "mapping-kind"])
+    def test_one_exact_error_line(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)  # no file named "nope" here
+        path = tmp_path / "bad.json"
+        doc = {"m": 2, "set": {"lo": [0, 0], "hi": [1, 1]},
+               "mapping": {"kind": "builtin"}, "builtin": {"id": "nope"}}
+        argv, expected = [str(path)], f"{path}: unknown builtin mapping 'nope'"
+        if case == "unknown-id":
+            argv, expected = ["nope"], "unknown problem id or file: 'nope'"
+        elif case == "unknown-condition":
+            argv, expected = ["example-vi", "--conditions", "foo"], \
+                "unknown condition ids: ['foo']"
+        elif case == "missing-m":
+            del doc["m"]
+            expected = f"{path}: missing field 'm'"
+        elif case == "mapping-kind":
+            doc["mapping"]["kind"] = "cubic"
+            expected = f"{path}: unknown mapping kind 'cubic'"
+        path.write_text(json.dumps(doc))
+        commands = ["certify"] if case == "unknown-condition" else ["solve", "certify"]
+        for command in commands:
+            code, out, err = run_cli(capsys, command, *argv)
+            assert (code, out, err) == (1, "", f"error: {expected}\n")
 
     def test_bad_bound_token_rejected(self, tmp_path):
         path = tmp_path / "badbound.json"
