@@ -25,7 +25,11 @@ its candidate from the corner-ray path.  Seven more files are shaped like
 the ``certify-mixed`` benchmark workload (``save_affine``): affine problems
 with m of 8 to 10 on boxes with some free coordinates, three with a strictly
 diagonally dominant A and three with a planted negative 2x2 principal
-minor, and the ``cubic`` builtin on a box with one infinite side.  Prints each call whose exit code
+minor, and the ``cubic`` builtin on a box with one infinite side.  Three
+more files (``save_variants``) hold problems above in other shapes that the
+schema allows: an affine file with ``\\r\\n`` line ends, one with ``A`` as
+nested rows, and a game file without ``set.blocks``, so that each branch of
+the loader is compared.  Prints each call whose exit code
 or stdout differs between the checkouts, or whose argv only one of them
 makes, and exits 1 if there is any; stderr (timings) is not compared.
 
@@ -164,6 +168,28 @@ def save_affine(problem_dir):
             json.dump(dict(doc, name=name), fh)
 
 
+def save_variants(problem_dir):
+    """Write three files of save_affine and save_games again in other shapes
+    (see the module docstring)."""
+    d = Path(problem_dir)
+
+    def read(name):
+        return json.loads((d / f"{name}.json").read_text())
+
+    def write(name, doc, text=json.dumps):
+        with open(d / f"{name}.json", "wb") as fh:  # bytes: line ends as given
+            fh.write(text(dict(doc, name=name)).encode())
+
+    write("affine-m9-crlf", read("affine-m9-dominant"),
+          lambda doc: json.dumps(doc, indent=2).replace("\n", "\r\n"))
+    doc = read("affine-m10-planted")
+    doc["affine"]["A"] = np.reshape(doc["affine"]["A"], (doc["m"], doc["m"])).tolist()
+    write("affine-m10-nested-rows", doc)
+    doc = read("game-unequal-blocks")
+    del doc["set"]["blocks"]
+    write("game-no-set-blocks", doc)
+
+
 def emit(problem_dir):
     """Print [argv, exit code, stdout] for every call as one JSON list."""
     from vibox.cli import main
@@ -195,6 +221,7 @@ def main(argv) -> int:
         save_registry(problem_dir)
         save_games(problem_dir)
         save_affine(problem_dir)
+        save_variants(problem_dir)
         mine, other = run(HERE, problem_dir), run(argv[0], problem_dir)
     differ = [key for key in sorted(mine.keys() | other.keys())
               if mine.get(key) != other.get(key)]

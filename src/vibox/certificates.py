@@ -26,6 +26,8 @@ INCONCLUSIVE = "inconclusive"
 
 SAMPLED_NOTE = "sampled surrogate, not a proof"
 NO_PAIR_NOTE = "K has no two points at least 1e-12 apart; no pair to test"
+NO_GRID_PAIR_NOTE = ("every grid step x + r d (r <= 8) rounds or projects back to within "
+                     "1e-12 of x; no pair to test")
 
 MINOR_BUDGET_DIM = 20
 MIN_PAIRS = 100  # pfunction, block-pfunction and growth test at least this many pairs
@@ -184,14 +186,20 @@ def _scan(a, fn, floor=None):
     return least, arg, first_bad
 
 
-def pmatrix_minors(a) -> CertificateReport:
-    """Exact P-matrix test: every principal minor must be positive."""
-    a = np.asarray(a, dtype=float)
-    m = a.shape[0]
+def _check_minor_budget(m):
+    """BudgetError when the 2^m - 1 principal minors of an m x m matrix are
+    more than the budget allows."""
     if m > MINOR_BUDGET_DIM:
         raise BudgetError(
             f"minor enumeration over 2^{m}-1 subsets exceeds budget; use pmatrix_oracle"
         )
+
+
+def pmatrix_minors(a) -> CertificateReport:
+    """Exact P-matrix test: every principal minor must be positive."""
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    _check_minor_budget(m)
     min_minor, _, first_bad = _scan(a, _det_stack, 0.0)
     budget = {"minors": 2 ** m - 1}
     if first_bad is not None:
@@ -232,9 +240,11 @@ def pmatrix_oracle(a, samples=100000, seed=0) -> CertificateReport:
 def _sampled_jacobians(p: VIProblem, samples, seed, radius):
     """(points, Jacobians): the rows of draw_samples(p.set, samples, seed,
     radius) and the (samples, m, m) stack of the Jacobian at each; a sampled
-    checker needs at least one point."""
+    checker needs at least one point.  Every caller enumerates principal
+    submatrices, so the minor budget is checked before the stack is built."""
     if samples < 1:
         raise ValueError("sample set is empty")
+    _check_minor_budget(p.dim)
     pts = draw_samples(p.set, samples, seed, radius)
     return pts, np.array([jacobian(p, x) for x in pts])
 
@@ -461,9 +471,9 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Certificate
             extra.append(d / n)
     xs, ys = _pairs(box, bases, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0), pairs,
                     np.array(extra).reshape(-1, box.dim))
-    if not len(xs):
+    if not len(xs):  # on a wide box every step may round back to its base
         return CertificateReport("growth", INCONCLUSIVE, None, None, seed, {"pairs": 0},
-                                 NO_PAIR_NOTE)
+                                 NO_PAIR_NOTE if (box.lo == box.hi).all() else NO_GRID_PAIR_NOTE)
     fx, fy = _pair_values(p.mapping, xs, ys)
     df = np.sqrt(np.vecdot(fx - fy, fx - fy))
     sep = np.sqrt(np.vecdot(ys - xs, ys - xs))

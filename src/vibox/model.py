@@ -68,11 +68,12 @@ class BoxSet:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConfigurationError("box bounds must be 1-d arrays of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ConfigurationError("box bounds must not be NaN")
-        if np.any(lo > hi):
-            raise ConfigurationError("box has lo > hi in some coordinate")
-        if np.any((lo == hi) & np.isinf(lo)):
+        # One test when every interval is nonempty; else the first rule broken.
+        if not ((lo < hi) | ((lo == hi) & np.isfinite(lo))).all():
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ConfigurationError("box bounds must not be NaN")
+            if (lo > hi).any():
+                raise ConfigurationError("box has lo > hi in some coordinate")
             raise ConfigurationError("box has an empty coordinate interval: lo = hi = +-inf")
         if self.blocks is not None:
             blocks = tuple(int(b) for b in self.blocks)
@@ -219,10 +220,13 @@ def make_game(block_sizes, q, c, box, name="game") -> VIProblem:
                                      else f"cross block ({i},{j}) has wrong shape")
         a[sl[i], sl[j]] = block
     c = [np.asarray(v, dtype=float) for v in c]
-    for i, s in enumerate(sl):
+    owner = np.repeat(np.arange(n), sizes)  # the player of each coordinate
+    rows = np.nonzero((a != a.T) & (owner[:, None] == owner))[0]
+    asymmetric = set(owner[rows].tolist())  # players whose own block is not symmetric
+    for i in range(n):
         if (i, i) not in q:
             raise ConfigurationError(f"missing own-block matrix for player {i}")
-        if not np.array_equal(a[s, s], a[s, s].T):
+        if i in asymmetric:
             raise ConfigurationError(f"own-block of player {i} is not symmetric")
         if c[i].shape != (sizes[i],):
             raise ConfigurationError(f"linear term of player {i} has wrong length")

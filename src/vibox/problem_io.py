@@ -62,20 +62,21 @@ def _encode_bound(v):
 # at most this is shallow enough for it; so is one with at most this many "["
 # and "{" in all, strings included, the cheap test tried first.
 ORJSON_MAX_OPENINGS = 1024
-_ESCAPE = re.compile(r"\\.", re.DOTALL)
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+_NOT_OPENING = bytes(sorted(set(range(256)) - set(b"[{")))  # bytes that the opening count drops
 _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))  # bytes that _nesting_depth drops
 
 
-def _nesting_depth(text) -> float:
-    """An upper bound on the nesting depth of text: the greatest count of
-    "[" and "{" so far, strings included, less the "]" and "}" outside
-    strings; inf when a string never ends.  A bracket inside a string never
-    counts as a closing, so this never under-counts the depth orjson reaches.
-    Escape pairs are removed first, then every byte but brackets and quotes,
-    so that only the short remainder is scanned in Python."""
-    if "\\" in text:
-        text = _ESCAPE.sub("", text)
-    parts = text.encode("utf-8", "surrogatepass").translate(None, _NOT_STRUCTURE).split(b'"')
+def _nesting_depth(raw) -> float:
+    """An upper bound on the nesting depth of the bytes raw: the greatest
+    count of "[" and "{" so far, strings included, less the "]" and "}"
+    outside strings; inf when a string never ends.  A bracket inside a string
+    never counts as a closing, so this never under-counts the depth orjson
+    reaches.  Escape pairs are removed first, then every byte but brackets
+    and quotes, so that only the short remainder is scanned in Python."""
+    if b"\\" in raw:
+        raw = _ESCAPE.sub(b"", raw)
+    parts = raw.translate(None, _NOT_STRUCTURE).split(b'"')
     if len(parts) % 2 == 0:
         return math.inf
     depth = deepest = 0
@@ -93,38 +94,57 @@ def _nesting_depth(text) -> float:
     return deepest
 
 
-def _parse_json(text):
-    """json.loads(text), through orjson when the text is shallow enough.
+def _parse_json(raw):
+    """json.loads on the bytes raw as a file opened in text mode reads them
+    (UTF-8, with "\\r\\n" and a lone "\\r" read as "\\n"), through orjson on
+    the bytes when they are shallow enough.
 
     orjson raises on what only json reads (NaN and Infinity literals, numbers
-    that overflow a double, lone surrogates, a byte-order mark) and on
-    malformed text; json then gives its document or its JSONDecodeError.
+    that overflow a double, lone surrogate escapes), on what json refuses
+    too (a byte-order mark, bytes that are not UTF-8) and on malformed text;
+    json then gives its document, its JSONDecodeError or, from the decoding,
+    a UnicodeDecodeError.  Line ends are whitespace to orjson and never
+    valid inside a string, so reading them untranslated changes no document.
     Floats are bit-identical either way; integers beyond the 64-bit range
     come back from orjson as the nearest float.
     """
-    if (text.count("[") + text.count("{") <= ORJSON_MAX_OPENINGS
-            or _nesting_depth(text) <= ORJSON_MAX_OPENINGS):
+    if (len(raw.translate(None, _NOT_OPENING)) <= ORJSON_MAX_OPENINGS
+            or _nesting_depth(raw) <= ORJSON_MAX_OPENINGS):
         try:
-            return orjson.loads(text)
+            return orjson.loads(raw)
         except orjson.JSONDecodeError:
             pass
-    return json.loads(text)
+    return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+
+
+def _float_array(v) -> np.ndarray:
+    """np.array(v, dtype=float).  A list goes through np.fromiter, which
+    skips np.array's type discovery (a quarter of the time on a million
+    entries) and gives the same array for entries that are not lists; on an
+    entry that is (a nested row), np.array builds the array or raises its
+    own error."""
+    if isinstance(v, list):
+        try:
+            return np.fromiter(v, float, len(v))
+        except ValueError:
+            pass
+    return np.array(v, dtype=float)
 
 
 def load_problem(path) -> VIProblem:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        doc = _parse_json(raw)
     except (OSError, UnicodeDecodeError) as e:
         raise ProblemFileError(f"{path}: cannot read a UTF-8 problem file: {e}") from e
-    try:
-        doc = _parse_json(text)
     except json.JSONDecodeError as e:
         raise ProblemFileError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     except RecursionError as e:
         raise ProblemFileError(f"{path}: JSON nested too deeply") from e
     except ValueError as e:  # an integer longer than int() reads
         raise ProblemFileError(f"{path}: number too large: {e.args[0].split(';')[0]}") from e
+    del raw  # the arrays are built from the document alone
     try:
         return problem_from_dict(doc)
     except KeyError as e:
@@ -151,7 +171,7 @@ def problem_from_dict(doc) -> VIProblem:
         raise ProblemFileError(f"m is {m} but the set has {box.dim} coordinates")
     kind = doc["mapping"]["kind"]
     if kind == "affine":
-        a = np.array(doc["affine"]["A"], dtype=float).reshape(m, m)
+        a = _float_array(doc["affine"]["A"]).reshape(m, m)
         b = np.array(doc["affine"].get("b", [0.0] * m), dtype=float)
         return _finite(VIProblem(affine_mapping(a, b), box, name=name), "affine.A", "affine.b")
     if kind == "game":
@@ -159,13 +179,14 @@ def problem_from_dict(doc) -> VIProblem:
         sizes = tuple(int(s) for s in gdoc["block_sizes"])
         q = {}
         for key, flat in gdoc["q"].items():
-            i, j = (int(t) for t in key.split(","))
+            i, j = map(int, key.split(","))
             if not (0 <= i < len(sizes) and 0 <= j < len(sizes)):
                 raise ProblemFileError(f"game block key {key!r} is outside "
                                        f"[0, {len(sizes)}) for {len(sizes)} players")
             q[(i, j)] = np.array(flat, dtype=float).reshape(sizes[i], sizes[j])
-        return _finite(make_game(sizes, q, gdoc["c"], BoxSet(lo, hi, blocks or sizes), name=name),
-                       "game.q", "game.c")
+        # The box read above, unless the set gives no blocks: the players' then.
+        game_box = box if blocks else BoxSet(lo, hi, sizes)
+        return _finite(make_game(sizes, q, gdoc["c"], game_box, name=name), "game.q", "game.c")
     if kind == "builtin":
         mapping = builtin_mapping(doc["builtin"]["id"], m)
         return VIProblem(mapping, box, name=name)

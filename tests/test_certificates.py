@@ -254,6 +254,14 @@ def test_pair_checkers_inconclusive_without_a_pair(checker):
     assert rep.budget == {"pairs": 0} and rep.seed == 3 and "no two points" in rep.notes
 
 
+def test_growth_on_a_wide_box_says_its_steps_round_back():
+    # K has many points far apart, but every x + r d with r <= 8 rounds to x.
+    p = VIProblem(affine_mapping(np.eye(1)), BoxSet([-1e160], [1e160]))
+    rep = growth_l0lp_fit(p, pairs=120, seed=3)
+    assert rep.verdict == "inconclusive" and rep.budget == {"pairs": 0}
+    assert rep.notes == certificates.NO_GRID_PAIR_NOTE and "no two points" not in rep.notes
+
+
 class TestUpsilon:
     def test_example_game(self):
         g = get_problem("example-game")
@@ -1049,6 +1057,23 @@ def test_pair_checkers_stay_small_at_m_300(checker):
         tracemalloc.stop()
     assert rep.budget["pairs"] == 120
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("checker", [pmatrix_sampled, uniform_pmatrix_sampled])
+def test_minor_budget_is_checked_before_the_jacobian_stack(checker):
+    # 30 Jacobians of order 400 would take 37 MiB, all for a budget error.
+    m = 400
+    p = VIProblem(affine_mapping(np.eye(m)), free_box(m))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as e:
+            checker(p, 30, 0, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == (f"minor enumeration over 2^{m}-1 subsets exceeds budget; "
+                            "use pmatrix_oracle")
+    assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestImplicationChain:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -529,7 +530,9 @@ class TestProblemFiles:
         write_bad_problem_file(path, kind)
         with pytest.raises(ProblemFileError) as fast:
             load_problem(path)
-        monkeypatch.setattr(problem_io, "_parse_json", json.loads)
+        # json on the text as a file opened in text mode decodes it
+        monkeypatch.setattr(problem_io, "_parse_json", lambda raw: json.loads(
+            io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()))
         with pytest.raises(ProblemFileError) as plain:
             load_problem(path)
         assert str(fast.value) == str(plain.value)

@@ -75,6 +75,29 @@ class TestGameToVI:
         with pytest.raises(ConfigurationError, match=message):
             make_game((1, 1), q, c, BoxSet([0.0, 0.0], [1.0, 1.0], (1, 1)))
 
+    @given(st.lists(st.tuples(st.integers(1, 2), st.sampled_from(["ok", "missing", "asym"]),
+                              st.booleans()), min_size=1, max_size=4))
+    def test_first_player_at_fault_is_named(self, players):
+        # Per player in turn: own block present, then symmetric, then c long enough.
+        sizes = tuple(s for s, _, _ in players)
+        q, c, expected = {}, [], None
+        for i, (s, own, c_ok) in enumerate(players):
+            if own != "missing":
+                q[(i, i)] = np.eye(s) + (np.triu(np.ones((s, s)), 1) if own == "asym" else 0.0)
+            c.append(np.zeros(s if c_ok else s + 1))
+            fault = ("missing own-block matrix" if own == "missing"
+                     else "not symmetric" if own == "asym" and s > 1
+                     else None if c_ok else "linear term")
+            if expected is None and fault:
+                expected = (i, fault)
+        box = BoxSet([-1.0] * sum(sizes), [1.0] * sum(sizes), sizes)
+        if expected is None:
+            make_game(sizes, q, c, box)
+            return
+        with pytest.raises(ConfigurationError) as e:
+            make_game(sizes, q, c, box)
+        assert f"player {expected[0]}" in str(e.value) and expected[1] in str(e.value)
+
     def test_caller_writes_leave_the_game_unchanged(self):
         q = {(0, 0): np.eye(2), (0, 1): np.ones((2, 1)), (1, 1): np.array([[3.0]])}
         c = [np.array([1.0, 2.0]), np.array([-1.0])]
@@ -255,6 +278,20 @@ class TestBoxSet:
     def test_empty_infinite_interval_rejected(self, inf):
         with pytest.raises(ConfigurationError, match="empty"):
             BoxSet([0.0, inf], [1.0, inf])
+
+    @given(st.lists(st.tuples(*[st.sampled_from([np.nan, -np.inf, -1.0, 0.0, 1.0, np.inf])] * 2),
+                    max_size=4))
+    def test_first_rule_broken_is_named(self, bounds):
+        # NaN anywhere first, then lo > hi anywhere, then lo = hi = +-inf.
+        lo, hi = np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds])
+        expected = ("NaN" if np.isnan(lo).any() or np.isnan(hi).any()
+                    else "lo > hi" if (lo > hi).any()
+                    else "empty" if ((lo == hi) & np.isinf(lo)).any() else None)
+        if expected is None:
+            assert BoxSet(lo, hi).dim == len(bounds)
+            return
+        with pytest.raises(ConfigurationError, match=expected):
+            BoxSet(lo, hi)
 
     def test_full_space_flag(self):
         assert BoxSet.full_space(4).is_full_space

@@ -1,6 +1,7 @@
 """The problem-file parser: orjson where it is safe, json otherwise, and the
 same documents and problems either way."""
 
+import io
 import json
 import math
 import struct
@@ -8,7 +9,7 @@ import struct
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from vibox import BoxSet, VIProblem, affine_mapping, load_problem, make_game
@@ -73,13 +74,13 @@ class TestParseJson:
     @given(documents, st.sampled_from([None, 0, 2]), st.booleans())
     def test_equals_json_loads(self, doc, indent, ensure_ascii):
         text = json.dumps(doc, indent=indent, ensure_ascii=ensure_ascii)
-        assert same(_parse_json(text), as_parsed(json.loads(text)))
+        assert same(_parse_json(text.encode()), as_parsed(json.loads(text)))
 
     def test_json_only_inputs_read_as_json_reads_them(self):
         for text in ('[NaN, Infinity, -Infinity]', '[1e400, -1e400]', '"\\ud800"',
                      '[' + '7' * 400 + ']', '{"a": [1.5, "x"], "b": NaN}'):
-            assert same(_parse_json(text), as_parsed(json.loads(text))), text
-        assert math.isnan(_parse_json("NaN"))
+            assert same(_parse_json(text.encode()), as_parsed(json.loads(text))), text
+        assert math.isnan(_parse_json(b"NaN"))
 
     def test_deep_text_goes_to_json(self, monkeypatch):
         def refuse(text):
@@ -88,9 +89,9 @@ class TestParseJson:
         monkeypatch.setattr(orjson, "loads", refuse)
         depth = ORJSON_MAX_OPENINGS + 1
         with pytest.raises(RecursionError):
-            _parse_json("[" * depth + "]" * depth)
+            _parse_json(b"[" * depth + b"]" * depth)
         # Brackets inside strings count too: the guard errs towards json.
-        assert _parse_json('{"k": "' + "[" * depth + '"}') == {"k": "[" * depth}
+        assert _parse_json(b'{"k": "' + b"[" * depth + b'"}') == {"k": "[" * depth}
 
     def test_deep_text_is_a_nesting_error(self, tmp_path, monkeypatch):
         def refuse(text):
@@ -111,8 +112,8 @@ class TestParseJson:
         for closings in ('"' + "]" * 5000 + '"', '"' + "}" * 5000 + '"',
                          '"' + '\\"]' * 3000 + '"'):
             with pytest.raises(RecursionError):  # json's, not orjson's refusal
-                _parse_json("[" + closings + ", " + deep + "]")
-        assert _nesting_depth('["' + "]" * 3000) == math.inf  # a string that never ends
+                _parse_json(("[" + closings + ", " + deep + "]").encode())
+        assert _nesting_depth(b'["' + b"]" * 3000) == math.inf  # a string that never ends
 
     def test_shallow_text_with_many_brackets_reads_with_orjson(self, tmp_path, monkeypatch):
         # An affine file with A as 1100 nested rows has 1102 "[" but depth 3.
@@ -136,7 +137,7 @@ class TestParseJson:
             inner = d if isinstance(d, list) else d.values() if isinstance(d, dict) else None
             return 0 if inner is None else 1 + max(map(depth, inner), default=0)
 
-        assert _nesting_depth(json.dumps(doc, indent=indent)) >= depth(doc)
+        assert _nesting_depth(json.dumps(doc, indent=indent).encode()) >= depth(doc)
 
 
 def affine_problems():
@@ -187,3 +188,52 @@ class TestLoadProblem:
         path = tmp_path_factory.mktemp("saved") / "p.json"
         save_problem(p, path)
         assert problem_bytes(load_problem(path)) == problem_bytes(p)
+
+
+def text_mode(raw) -> str:
+    """The bytes raw as a file opened in text mode reads them."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+
+
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+class TestBytesIn:
+    """load_problem reads the file as bytes; the result is what reading it in
+    text mode gave."""
+
+    @given(affine_problems() | game_problems(), st.sampled_from([None, 0, 2]), line_ends)
+    def test_line_ends_and_indents_load_bit_identically(self, tmp_path_factory, p, indent, end):
+        path = tmp_path_factory.mktemp("ends") / "p.json"
+        text = json.dumps(problem_to_dict(p), indent=indent)
+        path.write_bytes(text.replace("\n", end).encode())
+        assert problem_bytes(load_problem(path)) == problem_bytes(p)
+
+    @given(affine_problems() | game_problems(), st.sampled_from([None, 0, 2]), line_ends,
+           st.data())
+    def test_malformed_text_has_the_json_message(self, tmp_path_factory, p, indent, end, data):
+        text = json.dumps(problem_to_dict(p), indent=indent).replace("\n", end)
+        at = data.draw(st.integers(0, len(text) - 1))
+        junk = data.draw(st.sampled_from(["", ",", "]", "}", ":", "x", '"', "\r", "\r\n"]))
+        raw = (text[:at] + junk + (text[at:] if junk else "")).encode()  # no junk: cut at `at`
+        try:
+            json.loads(text_mode(raw))
+        except json.JSONDecodeError as e:
+            path = tmp_path_factory.mktemp("bad") / "p.json"
+            path.write_bytes(raw)
+            with pytest.raises(ProblemFileError) as err:
+                load_problem(path)
+            assert str(err.value) == f"{path}:{e.lineno}:{e.colno}: {e.msg}"
+        else:
+            assume(False)  # still valid JSON: a line end between tokens, a character in a string
+
+    @pytest.mark.parametrize("raw", [b"\xff", b"\xc0\x80", b"\xed\xa0\x80", b"\xe2\x82",
+                                     b"\xf4\x90\x80\x80", b"\xef\xbb"])
+    def test_bytes_that_are_not_utf8_are_refused_as_text_mode_refuses_them(self, tmp_path, raw):
+        path = tmp_path / "p.json"
+        path.write_bytes(b'{"name": "' + raw + b'", "m": 1}')
+        with pytest.raises(UnicodeDecodeError) as e:
+            text_mode(path.read_bytes())
+        with pytest.raises(ProblemFileError) as err:
+            load_problem(path)
+        assert str(err.value) == f"{path}: cannot read a UTF-8 problem file: {e.value}"
