@@ -10,7 +10,13 @@ the ``sigma-sweep`` verdicts of three games and of the cubic file below, and
 that file's ``maximal-rank`` verdict (on affine problems and games ``--tol``
 reaches ``maximal-rank`` only through the block of free coordinates, which
 no game here has).  A tolerance that no longer reaches the solver or the
-checkers then shows.  ``solve`` also runs with ``--starts 1`` and
+checkers then shows.  ``certify`` also runs three ``--conditions`` lists
+in other orders, one with a repeated id: ``uniform-pmatrix,pmatrix,sigma-sweep``,
+``block-pfunction,pfunction,block-pfunction`` and ``block-convexity,pl,upsilon``.
+The checkers of one call share their sampled Jacobians, principal-minor
+scans, pair values and own-block spectra, so these show a report that
+depends on which checker computed a shared input first.
+``solve`` also runs with ``--starts 1`` and
 ``--starts 13``: the solver advances the starts of a call as one stack, so
 these cover a stack of one row and one wider than the default 8.
 The same calls run on problem files too: this checkout writes every
@@ -50,7 +56,10 @@ import numpy as np
 HERE = Path(__file__).resolve().parent.parent
 OPTIONS = {"solve": [["--seed", "5", "--radius", "3"], ["--tol", "1e-6"], ["--starts", "1"],
                      ["--starts", "13"]],
-           "certify": [["--seed", "5", "--samples", "12", "--radius", "3"], ["--tol", "0.5"]]}
+           "certify": [["--seed", "5", "--samples", "12", "--radius", "3"], ["--tol", "0.5"],
+                       ["--conditions", "uniform-pmatrix,pmatrix,sigma-sweep"],
+                       ["--conditions", "block-pfunction,pfunction,block-pfunction"],
+                       ["--conditions", "block-convexity,pl,upsilon"]]}
 
 
 def calls(problem_dir):

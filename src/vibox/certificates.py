@@ -9,6 +9,7 @@ a fail is conclusive (witness-backed), a pass is sampled evidence only.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice
@@ -52,6 +53,25 @@ class CertificateReport:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)  # shallow: nested values are shared
+
+
+# The running certify_problem call: (its problem, {key: shared input}).
+_CALL = ContextVar("certify_call", default=None)
+
+
+def _shared(key, make, p=None):
+    """make(), made once per key in the running certify_problem call, whose
+    checkers then share it read-only; made afresh outside a call or for a
+    problem p not the call's.  The key names every argument of make but p."""
+    call = _CALL.get()
+    if call is None or (p is not None and p is not call[0]):
+        return make()
+    if key not in call[1]:
+        call[1][key] = value = make()
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+    return call[1][key]
 
 
 def draw_samples(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
@@ -195,12 +215,17 @@ def _check_minor_budget(m):
         )
 
 
+def _minor_scan(a):
+    """_scan(a, _det_stack, 0.0) of a float matrix, shared by matrix value."""
+    return _shared(("minors", a.shape, a.tobytes()), lambda: _scan(a, _det_stack, 0.0))
+
+
 def pmatrix_minors(a) -> CertificateReport:
     """Exact P-matrix test: every principal minor must be positive."""
     a = np.asarray(a, dtype=float)
     m = a.shape[0]
     _check_minor_budget(m)
-    min_minor, _, first_bad = _scan(a, _det_stack, 0.0)
+    min_minor, _, first_bad = _minor_scan(a)
     budget = {"minors": 2 ** m - 1}
     if first_bad is not None:
         witness = {
@@ -245,8 +270,9 @@ def _sampled_jacobians(p: VIProblem, samples, seed, radius):
     if samples < 1:
         raise ValueError("sample set is empty")
     _check_minor_budget(p.dim)
-    pts = draw_samples(p.set, samples, seed, radius)
-    return pts, np.array([jacobian(p, x) for x in pts])
+    return _shared(("jacobians", samples, seed, radius), lambda: (
+        pts := draw_samples(p.set, samples, seed, radius),
+        np.array([jacobian(p, x) for x in pts])), p)
 
 
 def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
@@ -272,18 +298,22 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
     Mixed-row matrices take row i from the Jacobian at the i-th point of a
     tuple of the n = ``samples`` points of draw_samples; each must be a
     P-matrix with margin at least ETA_FLOOR.  The 2n tuples are the n
-    all-same ones (one per point), then n seeded draws.
+    all-same ones (one per point), then n seeded draws, which are not made
+    when the Jacobians are byte-equal: every mixed-row matrix is then the first.
     """
     pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     n, m = samples, p.dim
-    rng = np.random.default_rng(seed)
-    tuples = [np.full(m, k) for k in range(n)]
-    tuples += [rng.integers(0, n, size=m) for _ in range(n)]
-    budget = {"samples": n, "mixed_rows": len(tuples)}
+    budget = {"samples": n, "mixed_rows": 2 * n}
+    if (jacs.view(np.int64) == jacs[:1].view(np.int64)).all():
+        tuples, mixed = [np.zeros(m, dtype=int)], [(0, jacs[0])]
+    else:
+        rng = np.random.default_rng(seed)
+        tuples = [np.full(m, k) for k in range(n)]
+        tuples += [rng.integers(0, n, size=m) for _ in range(n)]
+        mixed = _distinct(jacs[tup, np.arange(m)] for tup in tuples)
     min_margin = np.inf
-    min_tuple = None
-    rows = np.arange(m)
-    for k, a_mix in _distinct(jacs[tup, rows] for tup in tuples):
+    min_tuple = min_mix = None
+    for k, a_mix in mixed:
         tup = tuples[k]
         rep = pmatrix_minors(a_mix)
         if rep.verdict == FAIL:
@@ -294,10 +324,10 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
             return CertificateReport("uniform-pmatrix", FAIL, rep.margin, witness, seed,
                                      budget, "mixed-row matrix is not a P-matrix")
         if rep.margin < min_margin:
-            min_margin = rep.margin
-            min_tuple = tup
+            min_margin, min_tuple, min_mix = rep.margin, tup, a_mix
     if min_margin < ETA_FLOOR:
-        witness = {"tuple": [int(t) for t in min_tuple], "min_minor": float(min_margin),
+        witness = {"tuple": [int(t) for t in min_tuple],
+                   "index_set": list(_minor_scan(min_mix)[1]), "min_minor": float(min_margin),
                    "eta_floor": ETA_FLOOR}
         return CertificateReport("uniform-pmatrix", FAIL, float(min_margin), witness, seed,
                                  budget, "P-matrix margin below the uniform floor")
@@ -424,12 +454,13 @@ def block_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Cert
 def _pfunction_search(p, blocks, pairs, seed, radius, condition):
     if pairs < MIN_PAIRS:
         raise ValueError(f"need at least {MIN_PAIRS} pairs")
-    xs, ys = _pair_stream(p.set, pairs, seed, radius)
+    key = (pairs, seed, radius)
+    xs, ys = _shared(("pairs", *key), lambda: _pair_stream(p.set, *key), p)
     budget = {"pairs": len(xs)}
     if not len(xs):
         return CertificateReport(condition, INCONCLUSIVE, None, None, seed, budget,
                                  NO_PAIR_NOTE)
-    fx, fy = _pair_values(p.mapping, xs, ys)
+    fx, fy = _shared(("pair values", *key), lambda: _pair_values(p.mapping, xs, ys), p)
     d, df = xs - ys, fx - fy
     if blocks is None:
         top = np.max(df * d, axis=1)
@@ -493,7 +524,8 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Certificate
 def _own_lambdas(p: VIProblem) -> np.ndarray:
     """lambda_min of each own block A[s_i, s_i] of a game's Jacobian A, one per player."""
     a = p.mapping.data["A"]
-    return np.array([np.linalg.eigvalsh(a[s, s])[0] for s in block_slices(p.set.blocks)])
+    return _shared(("own lambdas",), lambda: np.array(
+        [np.linalg.eigvalsh(a[s, s])[0] for s in block_slices(p.set.blocks)]), p)
 
 
 def upsilon_build(p: VIProblem) -> np.ndarray:
@@ -800,14 +832,18 @@ def certify_problem(p: VIProblem, conditions=None, seed=42, samples=30, radius=1
         raise KeyError(f"unknown condition ids: {unknown}")
     settings = _Settings(seed, samples, radius, tol)
     reports, skipped = [], []
-    for cond in conditions:
-        check, game_only = CONDITIONS[cond]
-        if game_only and not p.is_game:
-            skipped.append(cond)
-            continue
-        try:
-            reports.append(check(p, settings))
-        except BudgetError as e:
-            reports.append(CertificateReport(cond, INCONCLUSIVE, None, None, seed, {},
-                                             f"budget exceeded: {e}"))
+    call = _CALL.set((p, {}))  # the inputs its checkers share (_shared), for this call only
+    try:
+        for cond in conditions:
+            check, game_only = CONDITIONS[cond]
+            if game_only and not p.is_game:
+                skipped.append(cond)
+                continue
+            try:
+                reports.append(check(p, settings))
+            except BudgetError as e:
+                reports.append(CertificateReport(cond, INCONCLUSIVE, None, None, seed, {},
+                                                 f"budget exceeded: {e}"))
+    finally:
+        _CALL.reset(call)
     return reports, skipped

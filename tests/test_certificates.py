@@ -18,7 +18,8 @@ from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
                    p_upsilon_check, pl_condition_check, pmatrix_minors, pmatrix_oracle,
                    pmatrix_sampled, principal_submatrix_sigma_sweep, problem_ids, project,
                    uniform_pfunction_search, uniform_pmatrix_sampled, upsilon_build)
-from vibox.certificates import CONDITIONS, _det_stack, _principal_values, certify_problem
+from vibox.certificates import (CONDITIONS, _det_stack, _principal_values, certify_problem,
+                                principal_minor_det)
 from vibox.model import EvaluationError
 
 EXAMPLE_A = np.array([[1.0, 2.0], [3.0, 1.0]])
@@ -107,6 +108,38 @@ class TestUniformPmatrixSampled:
         assert rep.verdict == "fail" and rep.margin == 1e-11
         assert rep.witness["min_minor"] == 1e-11 < rep.witness["eta_floor"]
         assert len(rep.witness["tuple"]) == 2
+        assert rep.witness["index_set"] == [0]
+        assert certify_problem(p, ["uniform-pmatrix"], seed=0, samples=10)[0] == [rep]
+
+    @given(hnp.arrays(np.float64, st.integers(1, 4).map(lambda m: (m, m)),
+                      elements=st.integers(-2, 2)), st.integers(0, 99))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_jacobians_give_the_report_of_mixing_rows(self, a, seed):
+        # the same A with its zeros signed -0.0 at some points: the Jacobians are
+        # not byte-equal, so the tuples are drawn and mixed, and the report must
+        # be the one of byte-equal Jacobians, where no tuple is made
+        signed = np.where(a == 0.0, -0.0, a)
+        m = a.shape[0]
+        box = BoxSet([-1.0] * m, [1.0] * m)
+        mixed = VIProblem(Mapping(fn=lambda x: a @ x, dim=m,
+                                  jac=lambda x: a if x[0] > 0.0 else signed), box)
+        rep = uniform_pmatrix_sampled(VIProblem(affine_mapping(a), box), 12, seed, 10.0)
+        assert uniform_pmatrix_sampled(mixed, 12, seed, 10.0) == rep
+        assert rep.budget == {"samples": 12, "mixed_rows": 24}
+
+    @given(st.integers(1, 5), st.integers(0, 7), st.floats(1e-14, 9e-11))
+    @settings(max_examples=25, deadline=None)
+    def test_below_floor_witness_names_the_first_least_minor(self, m, at, least):
+        # a diagonal matrix whose least principal minor, least, is the one at
+        # {at} alone (every larger set holding at has 2^k least); index_set
+        # reverifies it
+        diag = np.full(m, 2.0)
+        diag[at % m] = least
+        p = VIProblem(affine_mapping(np.diag(diag)), BoxSet([-1.0] * m, [1.0] * m))
+        rep = uniform_pmatrix_sampled(p, 4, 0, 10.0)
+        idx = rep.witness["index_set"]
+        assert idx == [at % m]
+        assert principal_minor_det(np.diag(diag)[np.ix_(idx, idx)]) == rep.witness["min_minor"]
 
 
 @pytest.mark.parametrize("pid", ["spd-box", "example-vi"])  # a box, and the full space
@@ -1137,3 +1170,109 @@ class TestConditionTable:
         p = VIProblem(affine_mapping(np.eye(21)), free_box(21))
         reports, _ = certify_problem(p, ["sigma-sweep"], samples=2)
         assert reports[0].verdict == "inconclusive" and "budget exceeded" in reports[0].notes
+
+
+@st.composite
+def integer_games(draw):
+    """A quadratic game with m <= 6: blocks of size 1 to 3, integer own blocks
+    (symmetric, not always definite) and cross blocks, and a box of [-2, 3]
+    or the full space."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                       .filter(lambda s: sum(s) <= 6)))
+    ints = lambda shape: draw(hnp.arrays(np.float64, shape, elements=st.integers(-3, 3)))
+    q = {(i, j): ints((a, b)) for i, a in enumerate(sizes) for j, b in enumerate(sizes)}
+    for i, a in enumerate(sizes):
+        q[i, i] = q[i, i] + q[i, i].T + 4.0 * np.eye(a)
+    m = sum(sizes)
+    box = (BoxSet([-2.0] * m, [3.0] * m, sizes) if draw(st.booleans())
+           else free_box(m, blocks=sizes))
+    return make_game(sizes, q, [ints(a) for a in sizes], box)
+
+
+def alone(p, cond, seed, samples, radius):
+    """The report of one condition's checker, run outside any certify call."""
+    return CONDITIONS[cond][0](p, certificates._Settings(seed, samples, radius, 1e-8))
+
+
+class TestSharedInputs:
+    """certify_problem computes the inputs its checkers share once per call:
+    each report equals its checker's run alone, and no store outlives a call."""
+
+    @given(st.one_of(integer_affine_problems(), integer_games()),
+           st.lists(st.sampled_from(list(CONDITIONS)), min_size=1, max_size=14),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.sampled_from([1.0, 10.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_report_is_its_checkers_alone(self, p, conditions, seed, samples, radius):
+        reports, skipped = certify_problem(p, conditions, seed=seed, samples=samples,
+                                           radius=radius)
+        assert certificates._CALL.get() is None
+        run = [c for c in conditions if p.is_game or not CONDITIONS[c][1]]
+        assert skipped == [c for c in conditions if c not in run]
+        assert [repr(r) for r in reports] == [
+            repr(alone(p, c, seed, samples, radius)) for c in run]
+
+    def test_the_store_lives_inside_the_call_only(self, monkeypatch):
+        inside = []
+        checker = certificates.hessian_block_convexity
+        monkeypatch.setattr(certificates, "hessian_block_convexity",
+                            lambda p: inside.append(certificates._CALL.get()) or checker(p))
+        p = get_problem("example-game")
+        certify_problem(p, ["block-convexity", "upsilon"], samples=5)
+        assert len(inside) == 2 and inside[0] is inside[1] and inside[0][0] is p
+        assert list(inside[0][1]) == [("own lambdas",), ("minors", (2, 2), mock.ANY)]
+        assert certificates._CALL.get() is None
+
+    def test_no_store_survives_a_raising_call(self):
+        nan_f = VIProblem(Mapping(fn=lambda x: x / 0.0, dim=2), free_box(2))
+        with np.errstate(all="ignore"), pytest.raises(EvaluationError):
+            certify_problem(nan_f, ["pmatrix", "pfunction"], samples=3)
+        assert certificates._CALL.get() is None
+        with pytest.raises(KeyError):
+            certify_problem(get_problem("spd-box"), ["pmatrix", "nope"])
+        assert certificates._CALL.get() is None
+        big = VIProblem(affine_mapping(np.eye(21)), free_box(21))
+        reports, _ = certify_problem(big, ["pmatrix", "uniform-pmatrix"], samples=2)
+        assert [r.verdict for r in reports] == ["inconclusive"] * 2
+        assert certificates._CALL.get() is None
+
+    def test_back_to_back_calls_get_their_own_reports(self):
+        # same dimension, seed, samples and radius: every key of the two calls is equal
+        box = BoxSet([-1.0] * 3, [2.0] * 3)
+        first = VIProblem(affine_mapping(np.diag([1.0, 2.0, 3.0])), box)
+        second = VIProblem(affine_mapping(EXAMPLE_A[[0, 1, 1]][:, [0, 1, 1]]), box)
+        for p in (first, second, first):
+            reports, _ = certify_problem(p, samples=4, seed=7)
+            assert [repr(r) for r in reports] == [
+                repr(alone(p, r.condition, 7, 4, 10.0)) for r in reports]
+
+    @pytest.mark.parametrize("change", ["problem", "seed", "count", "radius"])
+    @pytest.mark.parametrize("cond, name", [("pmatrix", "pmatrix_sampled"),
+                                            ("pfunction", "uniform_pfunction_search")])
+    def test_a_checker_given_other_arguments_makes_its_own_inputs(self, cond, name, change,
+                                                                  monkeypatch):
+        # inside a call, a replaced checker also runs on arguments that differ in
+        # one key (or on another problem): it must get that run's own report.
+        # On these boxes each of the four changes moves the checker's margin.
+        box = BoxSet([-1.0, -np.inf], [np.inf if cond == "pmatrix" else 2.0, np.inf])
+        mine = VIProblem(builtin_mapping("cubic-plus-linear", 2), box)
+        other = VIProblem(builtin_mapping("cubic", 2), box) if change == "problem" else mine
+        n = 25 if cond == "pmatrix" else 100  # samples or pairs of the call's own run
+        n, seed, radius = {"problem": (n, 1, 10.0), "seed": (n, 2, 10.0),
+                           "count": (n // 5 if n < 100 else n + 20, 1, 10.0),
+                           "radius": (n, 1, 3.0)}[change]
+        checker, seen = getattr(certificates, name), []
+        monkeypatch.setattr(certificates, name, lambda p, *a, **k: seen.append(
+            checker(other, n, seed, radius)) or checker(p, *a, **k))
+        reports, _ = certify_problem(mine, ["sigma-sweep", "pfunction", cond], samples=25,
+                                     seed=1)
+        assert seen[0] == checker(other, n, seed, radius) != reports[-1]
+        assert reports[-1] == alone(mine, cond, 1, 25, 10.0)
+
+    def test_shared_arrays_are_read_only(self, monkeypatch):
+        got = []
+        checker = certificates._sampled_jacobians
+        monkeypatch.setattr(certificates, "_sampled_jacobians",
+                            lambda *a: got.append(checker(*a)) or got[-1])
+        certify_problem(get_problem("spd-box"), ["pmatrix", "sigma-sweep"], samples=3)
+        assert got[0] is got[1]
+        assert not any(a.flags.writeable for a in got[0])
