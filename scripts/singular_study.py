@@ -32,8 +32,7 @@ def svd_rule_directions(df, free, r, r_norm):
     and the LU solve of J d = -r when the singular-value test passes."""
     d, singular = np.full(r.shape, np.nan), np.zeros(len(r), dtype=bool)
     for i, (f, ri) in enumerate(zip(free, r)):
-        dfi = df if df.ndim == 2 else df[i]
-        j = dfi * f + np.diag(1.0 - f)
+        j = df[i] * f + np.diag(1.0 - f)
         sv = np.linalg.svd(j, compute_uv=False)
         singular[i] = sv[-1] < REG_FLOOR * max(sv[0], 1.0)
         if not singular[i]:

@@ -17,7 +17,8 @@ from math import comb
 
 import numpy as np
 
-from .model import BoxSet, ConfigurationError, VIProblem, as_vector, block_slices, jacobian
+from .model import (BoxSet, ConfigurationError, VIProblem, _finite_values, as_vector,
+                    block_slices, jacobian)
 from .normal_map import RAY_RADII, coercivity_probe, normal_map
 from .projection import project
 
@@ -77,13 +78,18 @@ def _shared(key, make, p=None):
 def draw_samples(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
     """(count, m) seeded uniform draws over the box, an infinite upper side
     replaced by max(radius, lo + radius) and an infinite lower side by
-    min(-radius, hi - radius); every point lies in K exactly."""
+    min(-radius, hi - radius); every point lies in K exactly.  Each draw is
+    lo + (hi - lo) u, as rng.uniform makes it, or lo (1 - u) + hi u where
+    hi - lo overflows (rng.uniform raises there)."""
     if count == 0:  # no generator: every single-start multistart takes this path
         return np.empty((0, box.dim))
     rng = np.random.default_rng(seed)
     lo = np.where(np.isfinite(box.lo), box.lo, np.minimum(-radius, box.hi - radius))
     hi = np.where(np.isfinite(box.hi), box.hi, np.maximum(radius, box.lo + radius))
-    pts = rng.uniform(lo, hi, size=(count, box.dim))
+    u = rng.random((count, box.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+        pts = np.where(np.isfinite(width), lo + width * u, lo * (1.0 - u) + hi * u)
     return np.clip(pts, box.lo, box.hi)
 
 
@@ -266,13 +272,14 @@ def _sampled_jacobians(p: VIProblem, samples, seed, radius):
     """(points, Jacobians): the rows of draw_samples(p.set, samples, seed,
     radius) and the (samples, m, m) stack of the Jacobian at each; a sampled
     checker needs at least one point.  Every caller enumerates principal
-    submatrices, so the minor budget is checked before the stack is built."""
+    submatrices, so the minor budget is checked before the stack is built.
+    A non-finite Jacobian entry raises EvaluationError, as a non-finite F does."""
     if samples < 1:
         raise ValueError("sample set is empty")
     _check_minor_budget(p.dim)
     return _shared(("jacobians", samples, seed, radius), lambda: (
         pts := draw_samples(p.set, samples, seed, radius),
-        np.array([jacobian(p, x) for x in pts])), p)
+        _finite_values(np.array([jacobian(p, x) for x in pts]))), p)
 
 
 def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
@@ -643,7 +650,7 @@ def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> Certi
         note = "every element is nonsingular (exact vertex test)"
     else:
         pts = boundary_sample_set(p.set, samples, seed, radius)
-        faces = ((jacobian(p, z), movable & (v > lo) & (v < hi),
+        faces = ((_finite_values(jacobian(p, z)), movable & (v > lo) & (v < hi),
                   movable & ((v == lo) | (v == hi)), v)
                  for v, z in zip(pts, project(p.set, pts)))
         budget = {"samples": len(pts)}

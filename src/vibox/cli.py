@@ -127,7 +127,7 @@ def cmd_certify(args) -> int:
         print(f"error: {e.args[0]}", file=sys.stderr)  # str(KeyError) would quote it
         return EXIT_USAGE
     except EvaluationError as e:
-        print(f"error: {args.problem}: F is non-finite at a sampled point ({e})",
+        print(f"error: {args.problem}: F or its Jacobian is non-finite at a sampled point ({e})",
               file=sys.stderr)
         return EXIT_USAGE
     doc = _report_skeleton("certify", args.problem, provenance,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,7 +41,9 @@ def _finite_values(y) -> np.ndarray:
     """y, a value of F or a stack of them one per row, when every entry is
     finite; else EvaluationError naming the coordinate of the first non-finite
     entry in row-major order: that of the first failing row."""
-    if not np.isfinite(y).all():
+    # y . y is finite when every entry is: one BLAS call for the common case,
+    # and the entries are tested one by one only when it is not (or overflows)
+    if not math.isfinite(np.vdot(y, y)) and not np.isfinite(y).all():
         c = int(np.argwhere(~np.isfinite(y))[0, -1])
         raise EvaluationError(f"mapping produced non-finite value in coordinate {c}",
                               coordinate=c)
@@ -122,10 +125,9 @@ class Mapping:
         x = as_vector(x, self.dim)
         return _finite_values(np.asarray(self.fn(x), dtype=float))
 
-    def on_rows(self, xs, check=True) -> np.ndarray:
+    def on_rows(self, xs) -> np.ndarray:
         """F at each row of the (k, m) stack xs, as a (k, m) stack.  Raises the
-        EvaluationError of the first row, in order, at which F is non-finite;
-        with check False, returns non-finite values as they are."""
+        EvaluationError of the first row, in order, at which F is non-finite."""
         xs = as_rows(xs, self.dim)
         if self.rows is not None:
             ys = np.asarray(self.rows(xs), dtype=float)
@@ -133,7 +135,7 @@ class Mapping:
             ys = np.empty(xs.shape)
             for y, x in zip(ys, xs):
                 y[:] = self.fn(x)
-        return _finite_values(ys) if check else ys
+        return _finite_values(ys)
 
 
 def affine_mapping(a, b=None) -> Mapping:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -21,28 +20,19 @@ class NormalMapEval(NamedTuple):
 
 
 def normal_map(p: VIProblem, v) -> NormalMapEval:
-    """The residual at v, with the projection and F evaluated inline: this is
-    the solver's line-search step, called once per halving round.  v is a
-    point or a (k, m) stack of points, one per row; for a stack, z and r are
-    stacks too and norm is the (k,) array of row norms, each row bit for bit
-    its own evaluation.  F is checked for finiteness through the norm only;
-    at a row whose norm is not finite, p.F(z) raises EvaluationError if F(z)
-    is non-finite, exactly as it would have, rows taken in order."""
-    if np.ndim(v) == 2:
-        v = as_rows(v, p.dim)
-        z = np.minimum(np.maximum(v, p.set.lo), p.set.hi)
-        r = v - z + p.mapping.on_rows(z, check=False)
-        norm = np.sqrt(np.vecdot(r, r))  # math.sqrt(r.dot(r)) per row, bit for bit
-        for i, n in enumerate(norm.tolist()):  # a few rows: cheaper than np.isfinite
-            if not math.isfinite(n):
-                p.F(z[i])
-        return NormalMapEval(v, z, r, norm)
-    v = as_vector(v, p.dim)
+    """The residual v - P_K[v] + F(P_K[v]) at v: the solver's line-search
+    step, called once per halving round.  v is a point or a (k, m) stack of
+    points, one per row; for a stack, z and r are stacks too and norm is the
+    (k,) array of row norms, each row bit for bit its own evaluation.  A
+    point is row 0 of its one-row stack, with a float norm.  Raises the
+    EvaluationError of the first row, in order, at which F is non-finite."""
+    point = np.ndim(v) != 2
+    v = as_vector(v, p.dim)[None] if point else as_rows(v, p.dim)
     z = np.minimum(np.maximum(v, p.set.lo), p.set.hi)
-    r = v - z + np.asarray(p.mapping.fn(z), dtype=float)
-    norm = math.sqrt(r.dot(r))  # np.linalg.norm(r): the same call, without its dispatch
-    if not math.isfinite(norm):
-        p.F(z)
+    r = v - z + p.mapping.on_rows(z)
+    norm = np.sqrt(np.vecdot(r, r))  # math.sqrt(r.dot(r)) per row, bit for bit
+    if point:
+        return NormalMapEval(v[0], z[0], r[0], float(norm[0]))
     return NormalMapEval(v, z, r, norm)
 
 

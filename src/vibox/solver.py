@@ -52,10 +52,10 @@ def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray,
     """The Newton directions d solving J d = -r, J = I - D + dF D with D the
     0/1 diagonal that is 1 on the boolean mask ``free``, for k systems at
     once: free and r hold one per row, r_norm their k norms, and df is their
-    (k, m, m) stack or one (m, m) matrix they share.  Returns the (k, m)
-    directions and k flags, true where J is numerically singular and that
-    row meaningless: the LU solve fails, or ||r|| < REG_FLOOR * max(c, 1) *
-    ||d|| with c the largest column norm of J (NaN or inf in d fails too).
+    (k, m, m) stack.  Returns the (k, m) directions and k flags, true where J
+    is numerically singular and that row meaningless: the LU solve fails, or
+    ||r|| < REG_FLOOR * max(c, 1) * ||d|| with c the largest column norm of
+    J (NaN or inf in d fails too).
 
     The columns of J off ``free`` are unit vectors, so only the free block is
     factored: dF[F, F] d_F = -r_F, then d_A = -r_A - dF[A, F] d_F (with every
@@ -74,16 +74,13 @@ def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray,
     for n in sorted(set(counts.tolist()) - {0}):
         rows = (counts == n).nonzero()[0]
         g = slice(None) if rows.size == k else rows  # a view when the group is the stack
-        dfg = df if df.ndim == 2 else df[g]
+        dfg = df[g]
         if n == m:  # every coordinate free: the LU solve of dF itself
             d[g] = _solve_blocks(dfg, d[g], rows, singular)
             continue
         fg = free[g]
         cols = fg.nonzero()[1].reshape(rows.size, n)
-        if df.ndim == 2:
-            sub = df[cols[:, :, None], cols[:, None, :]]
-        else:
-            sub = dfg[np.arange(rows.size)[:, None, None], cols[:, :, None], cols[:, None, :]]
+        sub = dfg[np.arange(rows.size)[:, None, None], cols[:, :, None], cols[:, None, :]]
         dg = d[g]
         sol = _solve_blocks(sub, dg[fg].reshape(rows.size, n), rows, singular).ravel()
         d_free = np.zeros((rows.size, m))
@@ -93,27 +90,23 @@ def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray,
         if rows.size < k:
             d[rows] = dg
     # The active columns of J have norm 1, its free columns are those of dF.
-    if df.ndim == 2:
-        col_sq = np.einsum("ij,ij->j", df, df)
-    else:
-        col_sq = np.array([np.einsum("ij,ij->j", j, j) for j in df])
+    col_sq = np.einsum("kij,kij->kj", df, df)
     c = np.sqrt(np.maximum.reduce(np.where(free, col_sq, 1.0), axis=1, initial=1.0)).tolist()
     d_norm = np.sqrt(np.vecdot(d, d)).tolist()
     return d, [s or not r_norm[i] >= REG_FLOOR * c[i] * d_norm[i] for i, s in enumerate(singular)]
 
 
 def _solve_blocks(a: np.ndarray, b: np.ndarray, rows, singular: list) -> np.ndarray:
-    """x with a[i] x[i] = b[i] for each row i of b (a is one matrix or a
-    stack of them), in one batched LU solve.  When that raises (an exactly
-    singular block), block by block instead: a singular block leaves its row
-    of x NaN and sets singular[rows[i]]."""
+    """x with a[i] x[i] = b[i] for each row i of b, in one batched LU solve.
+    When that raises (an exactly singular block), block by block instead: a
+    singular block leaves its row of x NaN and sets singular[rows[i]]."""
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         x = np.full(b.shape, np.nan)
         for i in range(len(b)):
             try:
-                x[i] = np.linalg.solve(a if a.ndim == 2 else a[i], b[i])
+                x[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
                 singular[rows[i]] = True
         return x
@@ -121,35 +114,24 @@ def _solve_blocks(a: np.ndarray, b: np.ndarray, rows, singular: list) -> np.ndar
 
 def merit_gradient(df: np.ndarray, free: np.ndarray, r: np.ndarray) -> np.ndarray:
     """J^T r, the gradient of theta(v) = 1/2 ||r(v)||^2 for J = I - D + dF D:
-    dF^T r on the coordinates of the mask ``free``, r on the others.  free
-    and r may be (k, m) stacks, with df their (k, m, m) stack or one shared
-    (m, m) matrix; each row is then what it alone would give."""
+    dF^T r on the coordinates of the mask ``free``, r on the others, for the
+    (k, m) stacks free and r and the (k, m, m) stack df: each row is what it
+    alone would give."""
     return np.where(free, np.matvec(df.mT, r), r)
 
 
-def _jacobians(p: VIProblem, z: np.ndarray) -> np.ndarray:
-    """dF at each row of z: the (k, m, m) stack of ``jacobian``, or the one
-    matrix A that an affine or game mapping has everywhere."""
-    if p.mapping.kind in ("affine", "game-gradient"):
-        return p.mapping.data["A"]
-    return np.stack([jacobian(p, x) for x in z])
-
-
-def _trial(p: VIProblem, v: np.ndarray) -> tuple[list, list, list]:
-    """normal_map at each row of v, as the lists of the rows of z and r and of
-    the norms, with norm NaN (never accepted) instead of an EvaluationError
-    at a row where F is non-finite."""
-    if len(v) > 1:
-        try:
-            _, z, r, norm = normal_map(p, v)
-            return list(z), list(r), norm.tolist()
-        except EvaluationError:  # F is non-finite at some row: row by row
-            return tuple(sum(f, []) for f in zip(*(_trial(p, x[None]) for x in v)))
+def _trial(p: VIProblem, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """normal_map at each row of v, as the stacks z and r and the list of the
+    norms, with norm NaN (never accepted) and rows of NaN instead of an
+    EvaluationError at a row where F is non-finite."""
     try:
-        _, z, r, norm = normal_map(p, v[0])  # one row: the point form, the same bits at less cost
-    except EvaluationError:
-        return [None], [None], [math.nan]
-    return [z], [r], [norm]
+        _, z, r, norm = normal_map(p, v)
+        return z, r, norm.tolist()
+    except EvaluationError:  # F is non-finite at some row: row by row
+        if len(v) == 1:
+            return np.full(v.shape, np.nan), np.full(v.shape, np.nan), [math.nan]
+        z, r, norms = zip(*(_trial(p, x[None]) for x in v))
+        return np.concatenate(z), np.concatenate(r), sum(norms, [])
 
 
 def _line_search(p: VIProblem, v: np.ndarray, d: np.ndarray, theta0, slope, picard) -> list:
@@ -202,6 +184,10 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
     ev = normal_map(p, np.array(starts, dtype=float))
     v, z, r, norms = ev.v, ev.z, ev.r, ev.norm.tolist()  # the current iterate of every row
     k = len(norms)
+    # dF of an affine or game mapping is its A at every row: a view of k copies,
+    # whose first len(live) rows (a view too) serve the live rows
+    dfa = (np.broadcast_to(p.mapping.data["A"], (k, p.dim, p.dim))
+           if p.mapping.kind in ("affine", "game-gradient") else None)
     traces = [[n] for n in norms]
     steps = [[] for _ in norms]
     status = [MAX_ITERS] * k
@@ -212,7 +198,7 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
             break
         at = slice(None) if len(live) == k else live  # views while every row runs
         vl, rl, nl = v[at], r[at], [norms[i] for i in live]
-        df = _jacobians(p, z[at])
+        df = dfa[:len(live)] if dfa is not None else np.stack([jacobian(p, x) for x in z[at]])
         free = movable & (vl >= lo) & (vl <= hi)  # projection_jacobian_element's d
         grad = merit_gradient(df, free, rl)
         d, singular = newton_directions(df, free, rl, nl)
@@ -370,7 +356,7 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
     trace = [ev.norm]
     if ev.norm > tol:
         free = (lo < hi) & (ev.v >= lo) & (ev.v <= hi)
-        d, singular = newton_directions(a, free[None], ev.r[None], [ev.norm])
+        d, singular = newton_directions(a[None], free[None], ev.r[None], [ev.norm])
         trial = ev if singular[0] else normal_map(p, ev.v + d[0])
         if trial.norm < ev.norm:
             ev = trial

@@ -150,6 +150,17 @@ def test_sampled_checkers_need_a_sample(checker, pid):
         checker(get_problem(pid), 0, 0, 10.0)
 
 
+@pytest.mark.parametrize("checker", [pmatrix_sampled, uniform_pmatrix_sampled,
+                                     principal_submatrix_sigma_sweep, maximal_rank_tsearch])
+def test_non_finite_sampled_jacobians_raise(checker):
+    # F is finite everywhere; its Jacobian overflows past |x| = 1e154.
+    p = VIProblem(Mapping(fn=lambda x: x, dim=2, jac=lambda x: np.diag(x * x + 1.0)),
+                  free_box(2))
+    assert checker(p, 30, 0, 10.0).verdict == "pass"
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError):
+        checker(p, 30, 0, 1e200)
+
+
 class TestSigmaSweep:
     def test_identity_margin_exact(self):
         p = VIProblem(affine_mapping(np.eye(3)), free_box(3))
@@ -974,6 +985,21 @@ class TestSampling:
         monkeypatch.setattr(np.random, "default_rng", None)  # calling it would raise
         pts = draw_samples(BoxSet([0.0, -np.inf, 1.0], [1.0, np.inf, 1.0]), 0, 4)
         assert pts.shape == (0, 3) and pts.dtype == float
+
+    def test_draws_are_those_of_rng_uniform(self):
+        box = BoxSet([0.0, -np.inf, -3.0, 1.0], [1.0, np.inf, np.inf, 1.0])
+        lo, hi = np.array([0.0, -5.0, -3.0, 1.0]), np.array([1.0, 5.0, 5.0, 1.0])
+        for seed in range(20):
+            expected = np.random.default_rng(seed).uniform(lo, hi, size=(40, 4))
+            assert draw_samples(box, 40, seed, 5.0).tobytes() == expected.tobytes()
+
+    def test_intervals_wider_than_the_largest_double(self):
+        # hi - lo overflows in coordinates 0 and 1, where rng.uniform raises.
+        box = BoxSet([-1e308, -np.inf, 0.0], [1e308, 1.0, 1.0])
+        pts = draw_samples(box, 200, 4, radius=1.7e308)
+        assert np.isfinite(pts).all() and all(box.contains(x) for x in pts)
+        assert (pts[:, :2] < -1e307).any(axis=0).all() and (pts[:, 0] > 1e307).any()
+        assert (pts[:, 2] > 0.0).all()
 
 
 def grid_directions(m):

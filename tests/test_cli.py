@@ -15,6 +15,7 @@ from vibox import (BoxSet, VIProblem, affine_mapping, classify, get_problem, loa
 from vibox import certificates, cli, problem_io, solver
 from vibox.cli import main
 from vibox.problem_io import ProblemFileError, problem_to_dict
+from vibox.registry import problem_ids
 
 
 def run_cli(capsys, *argv):
@@ -386,6 +387,31 @@ class TestCertifyCommand:
         doc = json.loads(out)
         assert doc["config"]["seed"] == 11
         assert doc["certificates"][0]["seed"] == 11
+
+
+class TestWideSampling:
+    @pytest.mark.parametrize("radius", ["10", "1e200", "1e308", "1.7e308"])
+    def test_wide_boxes_end_in_a_report_or_one_error_line(self, tmp_path, capsys, radius):
+        # Sampled intervals wider than the largest double (hi - lo overflows)
+        # and Jacobians that overflow (cubic-free past |x| = 1e154) end in a
+        # report, or in one error line with exit code 1, never in an
+        # exception.  Solve reports may print an overflowing residual as
+        # Infinity; certify reports must be strict JSON.
+        path = tmp_path / "wide.json"
+        save_problem(VIProblem(affine_mapping([[0.5, 0.1], [-0.1, 0.5]], [1.0, -1.0]),
+                               BoxSet([-1e308, -1e308], [1e308, 1e308])), path)
+
+        def refuse(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        for problem in [*problem_ids(), str(path)]:
+            for command in ("solve", "certify"):
+                code, out, err = run_cli(capsys, command, problem, "--radius", radius)
+                assert code in (0, 1, 2, 3), (command, problem)
+                if code == 1:
+                    assert out == "" and err.count("\n") == 1 and "non-finite" in err
+                elif command == "certify":
+                    json.loads(out, parse_constant=refuse)
 
 
 NONFINITE_ENTRIES = [  # (field, problem, path to one entry of the field in its file)

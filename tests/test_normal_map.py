@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,19 @@ from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, coercivity_check,
                    project, projection_jacobian_element)
 from vibox.model import EvaluationError, fd_jacobian
 from vibox.normal_map import RAY_RADII
+
+
+def point_form(p, v):
+    """(z, r, norm) at the point v by the scalar formula: z = clip(v),
+    r = v - z + fn(z) with the mapping's own fn, norm math.sqrt(r.dot(r));
+    where the norm is not finite, p.F(z) raises if F(z) is non-finite."""
+    v = np.asarray(v, dtype=float)
+    z = np.minimum(np.maximum(v, p.set.lo), p.set.hi)
+    r = v - z + np.asarray(p.mapping.fn(z), dtype=float)
+    norm = math.sqrt(r.dot(r))
+    if not math.isfinite(norm):
+        p.F(z)
+    return z, r, norm
 
 
 def box_identity():
@@ -106,17 +121,20 @@ class TestNormalMap:
             expected = []
             for v in vs:
                 try:
-                    expected.append(normal_map(p, v))
+                    expected.append(point_form(p, v))
                 except EvaluationError as e:
-                    with pytest.raises(EvaluationError) as got:
-                        normal_map(p, vs)
-                    assert (str(got.value), got.value.coordinate) == (str(e), e.coordinate)
+                    for points in (vs, v):
+                        with pytest.raises(EvaluationError) as got:
+                            normal_map(p, points)
+                        assert (str(got.value), got.value.coordinate) == (str(e), e.coordinate)
                     return
             ev = normal_map(p, vs)
-        assert ev.norm.shape == (k,)
-        for i, one in enumerate(expected):
-            assert ev.z[i].tobytes() == one.z.tobytes() and ev.r[i].tobytes() == one.r.tobytes()
-            assert float(ev.norm[i]).hex() == float(one.norm).hex()
+            points = [normal_map(p, v) for v in vs]
+        assert ev.norm.shape == (k,) and all(type(one.norm) is float for one in points)
+        for i, (z, r, norm) in enumerate(expected):
+            for got_z, got_r, got_norm in ((ev.z[i], ev.r[i], float(ev.norm[i])), points[i][1:]):
+                assert got_z.tobytes() == z.tobytes() and got_r.tobytes() == r.tobytes()
+                assert got_norm.hex() == norm.hex()
 
     def test_eval_is_immutable(self):
         ev = normal_map(get_problem("example-vi"), [1.0, 1.0])

@@ -19,7 +19,7 @@ from vibox.solver import (REG_FLOOR, SolveResult, _corner_ray_path, merit_gradie
 def newton_step(df, free, r, r_norm):
     """newton_directions on the one system (df, free, r): d, or None where
     it flags J singular."""
-    d, singular = newton_directions(df, free[None], r[None], [r_norm])
+    d, singular = newton_directions(df[None], free[None], r[None], [r_norm])
     return None if singular[0] else d[0]
 
 
@@ -877,7 +877,7 @@ class TestStackedSolve:
         frees = np.vstack([free, rng.random((k - 1, free.size)) < 0.5])
         rs = np.vstack([r, rng.standard_normal((k - 1, r.size))])
         norms = np.sqrt(np.vecdot(rs, rs))
-        for shared in (df, np.stack([df] * k)):
+        for shared in (np.broadcast_to(df, (k, *df.shape)), np.stack([df] * k)):
             d, singular = solver.newton_directions(shared, frees, rs, norms)
             for i in range(k):
                 ref = oracle_direction(df, frees[i], rs[i], float(norms[i]))
@@ -886,6 +886,16 @@ class TestStackedSolve:
                     assert d[i].tobytes() == ref.tobytes()
             assert solver.merit_gradient(shared, frees, rs).tobytes() == np.array(
                 [np.where(f, df.T @ ri, ri) for f, ri in zip(frees, rs)]).tobytes()
+
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+    def test_stacked_column_norms_are_each_matrix_bit_for_bit(self, k, m, seed):
+        # newton_directions' c: one einsum over the (k, m, m) stack, a copy of
+        # one matrix k times (affine and game F) or k distinct ones.
+        rng = np.random.default_rng(seed)
+        df = rng.standard_normal((k, m, m)) * 10.0 ** rng.integers(-150, 150, (k, m, m))
+        for stack in (df, np.broadcast_to(df[0], df.shape)):
+            expected = np.array([np.einsum("ij,ij->j", j, j) for j in stack])
+            assert np.einsum("kij,kij->kj", stack, stack).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("pid", ["spd-box", "example-vi", "cubic-free", "identity-box"])
     def test_rows_leave_the_stack_when_they_end(self, pid, monkeypatch):
