@@ -38,12 +38,16 @@ nested rows, and a game file without ``set.blocks``, so that each branch of
 the loader is compared.  Prints each call whose exit code
 or stdout differs between the checkouts, or whose argv only one of them
 makes, and exits 1 if there is any; stderr (timings) is not compared.
+Under each ``certify`` call that differs it names what differs: the
+condition id of each certificate entry that differs, then ``exit code``
+and ``other fields`` when those differ too.
 
     python scripts/compare_reports.py <other-checkout>
 """
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -212,6 +216,23 @@ def emit(problem_dir):
     print(json.dumps(out))
 
 
+def certify_differences(mine, other) -> list[str]:
+    """What differs between two (exit code, stdout) results of one certify
+    call: the condition id of each certificate entry that differs, position
+    by position, then "exit code" and "other fields" when those differ."""
+    (code, out), (other_code, other_out) = mine, other
+    doc, other_doc = (json.loads(text, parse_constant=str) if text else {}  # NaN == NaN
+                      for text in (out, other_out))
+    certs, other_certs = doc.pop("certificates", []), other_doc.pop("certificates", [])
+    parts = [(c or o)["condition"] for c, o in itertools.zip_longest(certs, other_certs)
+             if c != o]
+    if code != other_code:
+        parts.append("exit code")
+    if doc != other_doc:
+        parts.append("other fields")
+    return parts
+
+
 def run(checkout, problem_dir) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src")}
     done = subprocess.run([sys.executable, __file__, "--emit", problem_dir], env=env,
@@ -236,6 +257,9 @@ def main(argv) -> int:
               if mine.get(key) != other.get(key)]
     for key in differ:
         print("differs:", " ".join(key))
+        if key[0] == "certify" and key in mine and key in other:
+            for part in certify_differences(mine[key], other[key]):
+                print("    in:", part)
     print(f"{len(differ)} of {len(mine.keys() | other.keys())} calls differ "
           f"between {HERE} and {Path(argv[0]).resolve()}")
     return 1 if differ else 0

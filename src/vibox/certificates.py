@@ -3,8 +3,10 @@
 Each checker reifies one sufficient condition for solvability (P-matrix
 variants, P-function searches, growth fits, the Upsilon test for games, the
 maximal-rank test by vertex determinants, exact for affine F, and the PL gap
-condition).  Other conditions over all of K are verified on seeded samples:
-a fail is conclusive (witness-backed), a pass is sampled evidence only.
+condition).  On affine F and games the P-function conditions, growth and
+coercivity are read off A too, where their exact rules apply.  Other
+conditions over all of K are verified on seeded samples: a fail is
+conclusive (witness-backed), a pass is sampled evidence only.
 """
 
 from __future__ import annotations
@@ -27,6 +29,23 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 SAMPLED_NOTE = "sampled surrogate, not a proof"
+PMATRIX_NOTE = ("exact: A[N, N] is a P-matrix, so F is a uniform P-function on K "
+                "(More & Rheinboldt 1973); the margin is its least principal minor, "
+                "not the modulus mu")
+NOT_PMATRIX_NOTE = ("exact: A[N, N] is not a P-matrix (More & Rheinboldt 1973); the pair "
+                    "runs along an eigenvector of A[index_set] for an eigenvalue <= 0; the "
+                    "margin is the least principal minor, not mu")
+MONOTONE_NOTE = ("exact: with one block the inequality is strong monotonicity on K, of "
+                 "modulus lambda_min of the symmetric part of A[N, N], the margin "
+                 "(Facchinei & Pang 2003, 2.3)")
+NOT_MONOTONE_NOTE = ("exact: with one block the inequality is strong monotonicity on K, "
+                     "and lambda_min of the symmetric part of A[N, N], the margin, is <= 0; "
+                     "the pair runs along its eigenvector")
+GROWTH_NOTE = ("exact: ||F(x) - F(y)|| <= ||A[:, N]||_2 ||x - y|| on K, with equality "
+               "along A[:, N]'s top singular vector")
+COERCIVE_NOTE = ("exact: no coordinate is half-bounded, so the normal map is norm coercive "
+                 "iff A[Fr, Fr] is nonsingular; its sigma_min, the margin, is >= tol "
+                 "(null: Fr is empty)")
 NO_PAIR_NOTE = "K has no two points at least 1e-12 apart; no pair to test"
 NO_GRID_PAIR_NOTE = ("every grid step x + r d (r <= 8) rounds or projects back to within "
                      "1e-12 of x; no pair to test")
@@ -34,7 +53,8 @@ NO_GRID_PAIR_NOTE = ("every grid step x + r d (r <= 8) rounds or projects back t
 MINOR_BUDGET_DIM = 20
 MIN_PAIRS = 100  # pfunction, block-pfunction and growth test at least this many pairs
 ETA_FLOOR = 1e-10  # least principal minor of a uniform-pmatrix mixed-row matrix
-NOISE_FLOOR = 1e-12  # maximal-rank: row-scaled Schur-complement minors this small are 0
+NOISE_FLOOR = 1e-12  # a minor or eigenvalue this small relative to its scale counts as 0
+_BIG = np.finfo(float).max
 
 
 class BudgetError(ValueError):
@@ -78,19 +98,21 @@ def _shared(key, make, p=None):
 def draw_samples(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
     """(count, m) seeded uniform draws over the box, an infinite upper side
     replaced by max(radius, lo + radius) and an infinite lower side by
-    min(-radius, hi - radius); every point lies in K exactly.  Each draw is
-    lo + (hi - lo) u, as rng.uniform makes it, or lo (1 - u) + hi u where
-    hi - lo overflows (rng.uniform raises there)."""
+    min(-radius, hi - radius), each held within the largest double; every
+    point is finite and lies in K exactly.  Each draw is lo + (hi - lo) u, as
+    rng.uniform makes it, or lo (1 - u) + hi u where hi - lo overflows
+    (rng.uniform raises there)."""
     if count == 0:  # no generator: every single-start multistart takes this path
         return np.empty((0, box.dim))
-    rng = np.random.default_rng(seed)
-    lo = np.where(np.isfinite(box.lo), box.lo, np.minimum(-radius, box.hi - radius))
-    hi = np.where(np.isfinite(box.hi), box.hi, np.maximum(radius, box.lo + radius))
-    u = rng.random((count, box.dim))
+    u = np.random.default_rng(seed).random((count, box.dim))
     with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.where(np.isfinite(box.lo), box.lo,
+                      np.maximum(np.minimum(-radius, box.hi - radius), -_BIG))
+        hi = np.where(np.isfinite(box.hi), box.hi,
+                      np.minimum(np.maximum(radius, box.lo + radius), _BIG))
         width = hi - lo
         pts = np.where(np.isfinite(width), lo + width * u, lo * (1.0 - u) + hi * u)
-    return np.clip(pts, box.lo, box.hi)
+    return np.clip(pts, np.maximum(box.lo, -_BIG), np.minimum(box.hi, _BIG))
 
 
 def box_midpoint(box: BoxSet) -> np.ndarray:
@@ -99,6 +121,27 @@ def box_midpoint(box: BoxSet) -> np.ndarray:
     both = np.isfinite(box.lo) & np.isfinite(box.hi)
     mid = (np.where(both, box.lo, 0.0) + np.where(both, box.hi, 0.0)) / 2.0
     return project(box, np.where(both, mid, 0.0))
+
+
+def _is_affine(p: VIProblem) -> bool:
+    """F = A x + b with A in the mapping's data: an affine mapping or a game."""
+    return p.mapping.kind in ("affine", "game-gradient")
+
+
+def _affine_base(p: VIProblem):
+    """(A, y, F(y)) with y = box_midpoint(K), the base point of every exact
+    witness, when the exact rules for affine and game F apply: K has two
+    distinct points and A and F(y) are finite.  None otherwise, and the
+    sampled checker runs.  Shared per call."""
+    if not _is_affine(p) or not (p.set.lo < p.set.hi).any():
+        return None
+
+    def make():
+        a, y = p.mapping.data["A"], box_midpoint(p.set)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fy = p.mapping.rows(y[None])[0]
+        return (a, y, fy) if np.isfinite(a).all() and np.isfinite(fy).all() else None
+    return _shared(("affine base",), make, p)
 
 
 def boundary_sample_set(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
@@ -212,6 +255,15 @@ def _scan(a, fn, floor=None):
     return least, arg, first_bad
 
 
+def _sigma_min(a, idx) -> float:
+    """sigma_min of a[idx, idx], 1.0 when idx is empty; shared by matrix
+    value and index set."""
+    if not idx.size:
+        return 1.0
+    return _shared(("sigma_min", a.shape, a.tobytes(), idx.tobytes()), lambda: float(
+        np.linalg.svd(a[np.ix_(idx, idx)], compute_uv=False)[-1]))
+
+
 def _check_minor_budget(m):
     """BudgetError when the 2^m - 1 principal minors of an m x m matrix are
     more than the budget allows."""
@@ -273,13 +325,20 @@ def _sampled_jacobians(p: VIProblem, samples, seed, radius):
     radius) and the (samples, m, m) stack of the Jacobian at each; a sampled
     checker needs at least one point.  Every caller enumerates principal
     submatrices, so the minor budget is checked before the stack is built.
-    A non-finite Jacobian entry raises EvaluationError, as a non-finite F does."""
+    A non-finite Jacobian entry raises EvaluationError, as a non-finite F does.
+    The Jacobian of affine and game F is A at every point: the stack is then
+    one read-only view of A, its points still drawn for the witnesses."""
     if samples < 1:
         raise ValueError("sample set is empty")
     _check_minor_budget(p.dim)
-    return _shared(("jacobians", samples, seed, radius), lambda: (
-        pts := draw_samples(p.set, samples, seed, radius),
-        _finite_values(np.array([jacobian(p, x) for x in pts]))), p)
+
+    def make():
+        pts = draw_samples(p.set, samples, seed, radius)
+        if _is_affine(p):
+            a = _finite_values(p.mapping.data["A"])
+            return pts, np.broadcast_to(a, (samples, *a.shape))
+        return pts, _finite_values(np.array([jacobian(p, x) for x in pts]))
+    return _shared(("jacobians", samples, seed, radius), make, p)
 
 
 def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
@@ -447,7 +506,8 @@ def _first_max(values):
 
 def uniform_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> CertificateReport:
     """Search for violations of the uniform P-function inequality
-    max_j [F(x)-F(y)]_j [x-y]_j >= mu ||x-y||^2 over sampled pairs in K."""
+    max_j [F(x)-F(y)]_j [x-y]_j >= mu ||x-y||^2 over sampled pairs in K;
+    decided exactly on affine and game F (_exact_pfunction)."""
     return _pfunction_search(p, None, pairs, seed, radius, "pfunction")
 
 
@@ -458,9 +518,25 @@ def block_pfunction_search(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Cert
                              "block-pfunction")
 
 
+def _rho(d, df, blocks):
+    """rho of each pair, one per row of d = x - y and df = F(x) - F(y): the
+    greatest coordinate product (blocks None) or block inner product, over
+    ||d||^2."""
+    if blocks is None:
+        top = np.max(df * d, axis=1)
+    else:  # a 1-dim block's product keeps its sign of zero, which vecdot would not
+        top = _first_max(np.column_stack([
+            df[:, s.start] * d[:, s.start] if s.stop - s.start == 1
+            else np.vecdot(df[:, s], d[:, s]) for s in block_slices(blocks)]))
+    return top / np.vecdot(d, d)
+
+
 def _pfunction_search(p, blocks, pairs, seed, radius, condition):
     if pairs < MIN_PAIRS:
         raise ValueError(f"need at least {MIN_PAIRS} pairs")
+    exact = _exact_pfunction(p, blocks, condition)
+    if exact is not None:
+        return exact
     key = (pairs, seed, radius)
     xs, ys = _shared(("pairs", *key), lambda: _pair_stream(p.set, *key), p)
     budget = {"pairs": len(xs)}
@@ -468,14 +544,7 @@ def _pfunction_search(p, blocks, pairs, seed, radius, condition):
         return CertificateReport(condition, INCONCLUSIVE, None, None, seed, budget,
                                  NO_PAIR_NOTE)
     fx, fy = _shared(("pair values", *key), lambda: _pair_values(p.mapping, xs, ys), p)
-    d, df = xs - ys, fx - fy
-    if blocks is None:
-        top = np.max(df * d, axis=1)
-    else:  # a 1-dim block's product keeps its sign of zero, which vecdot would not
-        top = _first_max(np.column_stack([
-            df[:, s.start] * d[:, s.start] if s.stop - s.start == 1
-            else np.vecdot(df[:, s], d[:, s]) for s in block_slices(blocks)]))
-    rho = top / np.vecdot(d, d)
+    rho = _rho(xs - ys, fx - fy, blocks)
     k, min_rho = _first_min(rho)
     bad = np.flatnonzero(rho <= 0.0)
     if bad.size:
@@ -489,15 +558,126 @@ def _pfunction_search(p, blocks, pairs, seed, radius, condition):
                              f"no violating pair; empirical mu = min rho; {SAMPLED_NOTE}")
 
 
+def _exact_pfunction(p, blocks, condition):
+    """The report of the P-function inequality on affine or game F, read off
+    A[N, N] with N the coordinates with lo < hi: by _pmatrix_rule for
+    coordinate products (blocks None or all of size 1), by _monotone_rule
+    for one block.  A fail's pair is _violating_pair's, along the rule's
+    direction.  None where the sampled search decides instead: F is not
+    affine (_affine_base), the blocks are of another layout, the rule
+    cannot decide, or the pair does not hold."""
+    base = _affine_base(p)
+    if base is None or not (blocks is None or len(blocks) == 1 or set(blocks) == {1}):
+        return None
+    n = np.flatnonzero(p.set.lo < p.set.hi)
+    rule = _pmatrix_rule if blocks is None or len(blocks) > 1 else _monotone_rule
+    found = rule(base[0][np.ix_(n, n)])
+    if found is None:
+        return None
+    margin, budget, note, alpha, w = found
+    if w is None:
+        return CertificateReport(condition, PASS, margin, None, None, budget, note)
+    direction = np.zeros(p.dim)
+    direction[n[alpha]] = w
+    pair = _violating_pair(p, base, direction, blocks)
+    if pair is None:
+        return None
+    x, y, rho = pair
+    return CertificateReport(condition, FAIL, margin,
+                             {"x": x.tolist(), "y": y.tolist(), "rho": rho,
+                              "index_set": n[alpha].tolist()}, None, budget, note)
+
+
+def _pmatrix_rule(a):
+    """(margin, budget, note, alpha, w) of the coordinate-product rule on
+    a = A[N, N]: F is a uniform P-function on K iff a is a P-matrix (More &
+    Rheinboldt 1973), by the shared _minor_scan; the margin is the least
+    minor.  A pass (alpha and w None) needs it above NOISE_FLOOR h, h the
+    Hadamard bound prod max(1, ||row||) of every minor.  On a fail, alpha is
+    the first nonpositive minor's index set and w an eigenvector of a[alpha]
+    for its least real eigenvalue, which its determinant makes <= 0.  None
+    when |N| > MINOR_BUDGET_DIM, h is not below 1e300 (a minor or a term of
+    it could overflow) or the least minor lies in (0, NOISE_FLOOR h]."""
+    if len(a) > MINOR_BUDGET_DIM:
+        return None
+    with np.errstate(over="ignore"):
+        h = np.prod(np.maximum(1.0, np.linalg.norm(a, axis=1)))
+    if not h < 1e300:
+        return None
+    least, _, bad = _minor_scan(a)
+    budget = {"minors": 2 ** len(a) - 1}
+    if bad is None:
+        ok = least > NOISE_FLOOR * h
+        return (float(least), budget, PMATRIX_NOTE, None, None) if ok else None
+    alpha = list(bad)
+    lam, vec = np.linalg.eig(a[np.ix_(alpha, alpha)])
+    real = np.flatnonzero(lam.imag == 0.0)
+    k = real[np.argmin(lam.real[real])] if real.size else None
+    if k is None or lam.real[k] > 0.0:  # only by rounding
+        return None
+    return float(least), budget, NOT_PMATRIX_NOTE, alpha, vec[:, k].real
+
+
+def _monotone_rule(a):
+    """(margin, budget, note, alpha, w) of the one-block rule on a = A[N, N]:
+    the inequality is strong monotonicity on K, whose modulus, the margin,
+    is lambda_min of the symmetric part S of a (Facchinei & Pang 2003, 2.3).
+    A pass (alpha and w None) needs it above NOISE_FLOOR lambda_max(S); a
+    fail has it <= 0, w its eigenvector and alpha all of N.  None otherwise,
+    or when S is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (a + a.T) / 2.0
+    if not np.isfinite(s).all():
+        return None
+    lam, vec = np.linalg.eigh(s)
+    budget = {"eigenvalues": len(a)}
+    if lam[0] > NOISE_FLOOR * lam[-1]:
+        return float(lam[0]), budget, MONOTONE_NOTE, None, None
+    if lam[0] > 0.0:
+        return None
+    return float(lam[0]), budget, NOT_MONOTONE_NOTE, slice(None), vec[:, 0]
+
+
+def _violating_pair(p, base, w, blocks):
+    """(x, y, rho): y = box_midpoint(K), x = y + eps s in K for s = w, or
+    else -w, with eps <= 1 as large as K allows, and rho that of the pair
+    by _rho on F(x) and F(y), when it is <= 0; None when neither direction
+    leaves y by 1e-12 or F(x) is not finite or rho > 0."""
+    _, y, fy = base
+    box = p.set
+    for s in (w, -w):
+        on = s != 0.0
+        eps = min(1.0, float(((np.where(s > 0.0, box.hi, box.lo) - y)[on] / s[on]).min()))
+        x = project(box, y + eps * s)
+        d = x - y
+        if np.sqrt(d @ d) < 1e-12:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            fx = p.mapping.rows(x[None])[0]
+        rho = float(_rho(d[None], (fx - fy)[None], blocks)[0])
+        return (x, y, rho) if np.isfinite(fx).all() and rho <= 0.0 else None
+    return None
+
+
 def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> CertificateReport:
     """Least-max fit of ||F(x)-F(y)|| <= L0 + Lp ||x-y||^p, p = 1, over sampled pairs.
 
     Lp is the worst ratio over pairs with separation >= 1; L0 covers the
     residual of the shorter pairs.  Passes with margin the fitted Lp whenever
-    K has a pair to fit, and is inconclusive otherwise.
+    K has a pair to fit, and is inconclusive otherwise.  On affine and game
+    F (_affine_base) the fit is exact when finite: L0 = 0 and Lp = ||A[:, N]||_2,
+    N the coordinates with lo < hi, the Lipschitz constant of F on K.
     """
     if pairs < MIN_PAIRS:
         raise ValueError(f"need at least {MIN_PAIRS} pairs")
+    base = _affine_base(p)
+    if base is not None:
+        n = np.flatnonzero(p.set.lo < p.set.hi)
+        lp = float(np.linalg.norm(base[0][:, n], 2))
+        if np.isfinite(lp):
+            return CertificateReport("growth", PASS, lp, None, None, {"columns": int(n.size)},
+                                     GROWTH_NOTE, {"L0": 0.0, "Lp": lp, "p": 1.0,
+                                                   "coverage": 1.0})
     rng = np.random.default_rng(seed)
     box = p.set
     bases = draw_samples(box, max(2, pairs // 40), seed, radius)
@@ -591,11 +771,10 @@ def _face_edge(j, inside, pinned, tol):
     det J[S + k, S + k] differing in sign or including a 0 (k ends the first
     bad set of _scan, whose subsets of lower order all pass)."""
     fr, bd = np.flatnonzero(inside), np.flatnonzero(pinned)
-    jff = j[np.ix_(fr, fr)]
-    s_min = float(np.linalg.svd(jff, compute_uv=False)[-1]) if fr.size else 1.0
+    s_min = _sigma_min(j, fr)
     if s_min < tol:
         return s_min, (fr, None)
-    x = np.linalg.solve(jff, j[np.ix_(fr, bd)])
+    x = np.linalg.solve(j[np.ix_(fr, fr)], j[np.ix_(fr, bd)])
     c = j[np.ix_(bd, bd)] - j[np.ix_(bd, fr)] @ x
     norms = np.linalg.norm(np.abs(j[np.ix_(bd, bd)]) + np.abs(j[np.ix_(bd, fr)]) @ np.abs(x),
                            axis=1)
@@ -644,7 +823,7 @@ def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> Certi
     bounded = int(np.count_nonzero(movable & ~free))
     if bounded > MINOR_BUDGET_DIM:
         raise BudgetError(f"{bounded} bounded coordinates exceed the budget of {MINOR_BUDGET_DIM}")
-    if p.mapping.kind in ("affine", "game-gradient"):
+    if _is_affine(p):
         faces = [(p.mapping.data["A"], free, movable & ~free, None)]
         seed, budget = None, {"vertices": 2 ** bounded}
         note = "every element is nonsingular (exact vertex test)"
@@ -748,12 +927,23 @@ def hessian_block_convexity(p: VIProblem) -> CertificateReport:
                              "own-block Hessian with nonpositive eigenvalue")
 
 
-def coercivity_check(p: VIProblem, seed) -> CertificateReport:
-    """Norm coercivity of the normal map from ``coercivity_probe``'s table.  A
-    ray whose last norm is below twice its first is a violation (fail, the
-    first such ray the witness); a ray with finite norms, positive past the
-    first four radii, has their log-log slope.  Pass when every ray has a
-    slope of at least 0.5, else inconclusive; the margin is the least slope."""
+def coercivity_check(p: VIProblem, seed, tol=1e-8) -> CertificateReport:
+    """Norm coercivity of the normal map.  On affine and game F
+    (_affine_base) over a box with no half-bounded coordinate it holds iff
+    A[Fr, Fr] is nonsingular, Fr the free coordinates: an exact pass when
+    sigma_min(A[Fr, Fr]) >= tol, the margin (None when Fr is empty).
+    Otherwise, from ``coercivity_probe``'s table: a ray whose last norm is
+    below twice its first is a violation (fail, the first such ray the
+    witness); a ray with finite norms, positive past the first four radii,
+    has their log-log slope.  Pass when every ray has a slope of at least
+    0.5, else inconclusive; the margin is the least slope."""
+    lo, hi = p.set.lo, p.set.hi
+    if _affine_base(p) is not None and not (np.isinf(lo) ^ np.isinf(hi)).any():
+        fr = np.flatnonzero(np.isinf(lo))
+        s_min = _sigma_min(p.mapping.data["A"], fr) if fr.size else None
+        if s_min is None or s_min >= tol:
+            return CertificateReport("coercivity", PASS, s_min, None, None,
+                                     {"free": int(fr.size)}, COERCIVE_NOTE)
     directions, norms = coercivity_probe(p)
     tail = slice(4, None)
     slopes, violation = [], None
@@ -823,7 +1013,7 @@ CONDITIONS = {
     "upsilon": (lambda p, s: p_upsilon_check(p), True),
     "maximal-rank": (lambda p, s: maximal_rank_tsearch(
         p, s.samples, s.seed, s.radius, tol=s.tol), False),
-    "coercivity": (lambda p, s: coercivity_check(p, s.seed), False),
+    "coercivity": (lambda p, s: coercivity_check(p, s.seed, s.tol), False),
     "pl": (lambda p, s: _pl_at_solution(p, s.seed, s.pairs, s.radius), True),
     "block-convexity": (lambda p, s: hessian_block_convexity(p), True),
 }

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,51 @@ def resolve_problem(name):
 
 
 def _emit(doc):
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    """Print doc as json.dumps(doc, indent=2, sort_keys=True) writes it."""
+    try:
+        text = _json_text(doc, "\n")
+    except (TypeError, RecursionError):  # json.dumps decides: it writes, or raises its error
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    print(text)
+
+
+def _json_text(o, pad) -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True) writes it, each line after
+    its first starting with pad (a line break and the indentation), for the
+    types a report holds: str, None, bool, int, float, and lists, tuples and
+    dicts with str keys of these.  TypeError on any other."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return (float.__repr__(o) if math.isfinite(o)
+                else "NaN" if o != o else "Infinity" if o > 0.0 else "-Infinity")
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        try:  # a list of floats in one step
+            text = ("," + inner).join(map(float.__repr__, o))
+        except TypeError:  # an entry that is not a float
+            text = "n"
+        if "n" in text:  # or a nan or an inf, which json spells otherwise
+            text = ("," + inner).join([_json_text(v, inner) for v in o])
+        return "[" + inner + text + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        return "{" + inner + ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in sorted(o.items())]) + pad + "}"
+    raise TypeError(f"{type(o).__name__} is not a report type")
 
 
 def _report_skeleton(command, problem_id, provenance, config):

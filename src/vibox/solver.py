@@ -307,7 +307,9 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
     path ends where mu leaves the basis, at a solution.  The point is read
     back as v = x - F(x); if its residual is above tol, one Newton step on
     its piece follows.  At most ITERATION_LIMIT pivots (then max-iters); a
-    path that ends with residual above tol reports line-search-stall.
+    path that ends with residual above tol reports line-search-stall.  So
+    does a path whose tableau is or turns non-finite (a box about 1e308
+    wide), at the default start, the box midpoint, where F is finite.
     """
     lo, hi = p.set.lo, p.set.hi
     a, b = p.mapping.data["A"], p.mapping.data["b"]
@@ -326,7 +328,8 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
     basis = np.arange(2 * n)
     mu, keys = 4 * n, np.r_[4 * n + 1, np.arange(2 * n)]  # ratio-test columns: rhs, B^-1
     pivots, status = 0, LINE_SEARCH_STALL
-    if n and q.min() < 0.0:
+    finite = bool(np.isfinite(tab).all())
+    if n and finite and q.min() < 0.0:
         row, entering = _lexmin(tab[:n][:, keys]), mu  # the most negative q_i leaves
         while True:
             if pivots == ITERATION_LIMIT:
@@ -338,7 +341,8 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
             tab -= np.outer(col, tab[row])
             leaving, basis[row] = basis[row], entering
             pivots += 1
-            if leaving == mu:
+            finite = bool(np.isfinite(tab).all())
+            if leaving == mu or not finite:
                 break
             entering = leaving + 2 * n if leaving < 2 * n else leaving - 2 * n
             col = tab[:, entering]
@@ -347,6 +351,10 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
                 break
             ratios = tab[rows][:, keys] / col[rows, None]
             row = rows[_lexmin(ratios)]
+    if not finite:  # F(lo) or hi - lo overflows, or a pivot does: no point to read back
+        ev = normal_map(p, box_midpoint(p.set))
+        return SolveResult(status=status, v=ev.v, x=ev.z, residual=ev.norm, trace=(ev.norm,),
+                           steps=("path",), iterations=pivots)
     values = np.zeros(4 * n + 1)
     values[basis] = tab[:, -1]
     x = lo.copy()

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from vibox import (BoxSet, VIProblem, affine_mapping, classify, coercivity_check,
+from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, classify, coercivity_check,
                    coercivity_probe, fd_jacobian, get_problem, maximal_rank_tsearch,
                    multistart, normal_map, normal_map_jacobian_element, pl_condition_check,
                    pmatrix_minors, pmatrix_oracle, solve, uniform_pfunction_search,
@@ -56,7 +56,9 @@ def test_criterion_2_game_classified_nash_with_exact_gap_moduli(scorecard):
 
 
 def test_criterion_3_negative_certificates_carry_exact_witnesses(scorecard):
-    rep_pf = uniform_pfunction_search(get_problem("example-vi"), pairs=200, seed=42)
+    f = get_problem("example-vi")
+    opaque = VIProblem(Mapping(fn=f.mapping.fn, dim=f.dim, rows=f.mapping.rows), f.set)
+    rep_pf = uniform_pfunction_search(opaque, pairs=200, seed=42)
     d = np.array(rep_pf.witness["y"]) - np.array(rep_pf.witness["x"])
     d /= np.linalg.norm(d)
     target = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -114,13 +116,15 @@ def test_criterion_6_coercivity_probe_is_calibrated(scorecard):
     slope_err = 0.0
     ok = True
     for m in (2, 5, 10):
-        p = VIProblem(affine_mapping(np.eye(m)), BoxSet.full_space(m))
+        f = affine_mapping(np.eye(m))
+        p = VIProblem(Mapping(fn=f.fn, dim=m, rows=f.rows), BoxSet.full_space(m))
         _, norms = coercivity_probe(p)
         slopes = np.polyfit(np.log(2.0 ** np.arange(4, 12)), np.log(norms[:, 4:]).T, 1)[0]
         slope_err = max(slope_err, float(np.max(np.abs(slopes - 1.0))))
         ok &= coercivity_check(p, 0).verdict == "pass"
     ok &= slope_err <= 0.01
-    flat = VIProblem(affine_mapping(np.zeros((3, 3)), np.ones(3)), BoxSet.full_space(3))
+    f = affine_mapping(np.zeros((3, 3)), np.ones(3))
+    flat = VIProblem(Mapping(fn=f.fn, dim=3, rows=f.rows), BoxSet.full_space(3))
     ok &= coercivity_check(flat, 0).verdict == "fail"
     scorecard(6, ok, f"identity slope error {slope_err:.1e}, flat map flagged")
 

@@ -29,6 +29,12 @@ def free_box(m, blocks=None):
     return BoxSet(np.full(m, -np.inf), np.full(m, np.inf), blocks)
 
 
+def opaque(p):
+    """p with F behind a builtin Mapping of the same fn and rows: no exact rule
+    reads its kind, so every checker samples it."""
+    return VIProblem(Mapping(fn=p.mapping.fn, dim=p.dim, rows=p.mapping.rows), p.set, p.name)
+
+
 def two_block_game():
     # n = 2 per player; own blocks 2I, cross blocks nilpotent with spectral norm 1
     q12 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -183,7 +189,7 @@ class TestSigmaSweep:
 
 class TestPfunctionSearch:
     def test_example_vi_fails_along_antidiagonal(self):
-        rep = uniform_pfunction_search(get_problem("example-vi"), pairs=200, seed=42)
+        rep = uniform_pfunction_search(opaque(get_problem("example-vi")), pairs=200, seed=42)
         assert rep.verdict == "fail"
         d = np.array(rep.witness["y"]) - np.array(rep.witness["x"])
         d /= np.linalg.norm(d)
@@ -192,18 +198,18 @@ class TestPfunctionSearch:
         assert rep.witness["rho"] <= 0.0
 
     def test_identity_no_violation(self):
-        p = VIProblem(affine_mapping(np.eye(3)), free_box(3))
+        p = opaque(VIProblem(affine_mapping(np.eye(3)), free_box(3)))
         rep = uniform_pfunction_search(p, pairs=150, seed=0)
         assert rep.verdict == "inconclusive"
         assert rep.margin >= 1.0 / 3.0 - 1e-12
 
     def test_constant_mapping_fails_with_zero_rho(self):
-        p = VIProblem(affine_mapping(np.zeros((2, 2)), np.ones(2)), free_box(2))
+        p = opaque(VIProblem(affine_mapping(np.zeros((2, 2)), np.ones(2)), free_box(2)))
         rep = uniform_pfunction_search(p, pairs=100, seed=0)
         assert rep.verdict == "fail" and rep.witness["rho"] == 0.0
 
     def test_witness_reverifies(self):
-        p = get_problem("example-vi")
+        p = opaque(get_problem("example-vi"))
         rep = uniform_pfunction_search(p, pairs=200, seed=7)
         x = np.array(rep.witness["x"])
         y = np.array(rep.witness["y"])
@@ -212,24 +218,24 @@ class TestPfunctionSearch:
 
     def test_pair_floor(self):
         with pytest.raises(ValueError):
-            uniform_pfunction_search(get_problem("example-vi"), pairs=10)
+            uniform_pfunction_search(opaque(get_problem("example-vi")), pairs=10)
 
 
 class TestBlockPfunction:
     def test_single_block_is_monotonicity_and_identity_margin_one(self):
-        p = VIProblem(affine_mapping(np.eye(2)), free_box(2))
+        p = opaque(VIProblem(affine_mapping(np.eye(2)), free_box(2)))
         rep = block_pfunction_search(p, pairs=100, seed=0)
         assert rep.verdict == "inconclusive"
         assert rep.margin == 1.0
 
     def test_rotation_fails_single_block(self):
         # skew mapping: <F(x)-F(y), x-y> = 0 on every pair
-        p = VIProblem(affine_mapping([[0.0, -1.0], [1.0, 0.0]]), free_box(2))
+        p = opaque(VIProblem(affine_mapping([[0.0, -1.0], [1.0, 0.0]]), free_box(2)))
         rep = block_pfunction_search(p, pairs=100, seed=0)
         assert rep.verdict == "fail" and rep.witness["rho"] == 0.0
 
     def test_coordinate_blocks_match_coordinate_test(self):
-        p = get_problem("example-game")
+        p = opaque(get_problem("example-game"))
         rep_block = block_pfunction_search(p, pairs=200, seed=42)  # blocks (1, 1)
         rep_coord = uniform_pfunction_search(p, pairs=200, seed=42)
         assert rep_block.verdict == rep_coord.verdict == "fail"
@@ -300,7 +306,7 @@ def test_pair_checkers_inconclusive_without_a_pair(checker):
 
 def test_growth_on_a_wide_box_says_its_steps_round_back():
     # K has many points far apart, but every x + r d with r <= 8 rounds to x.
-    p = VIProblem(affine_mapping(np.eye(1)), BoxSet([-1e160], [1e160]))
+    p = opaque(VIProblem(affine_mapping(np.eye(1)), BoxSet([-1e160], [1e160])))
     rep = growth_l0lp_fit(p, pairs=120, seed=3)
     assert rep.verdict == "inconclusive" and rep.budget == {"pairs": 0}
     assert rep.notes == certificates.NO_GRID_PAIR_NOTE and "no two points" not in rep.notes
@@ -732,6 +738,176 @@ class TestMaximalRankTsearch:
             assert normal_map(p, certificates._face_point(p.set, s, k)).norm <= 1e-8
 
 
+def fraction_pmatrix(a):
+    """The oracle: every principal minor of the integer matrix a is positive,
+    over the rationals."""
+    return all(exact_det(a[np.ix_(s, s)]) > 0 for s in oracle_index_sets(a.shape[0]))
+
+
+def recheck_pair(p, rep, blocks):
+    """A pfunction or block-pfunction fail witness: x and y lie in K, and rho,
+    recomputed from F(x) and F(y), is the witness's and <= 0."""
+    x, y = np.array(rep.witness["x"]), np.array(rep.witness["y"])
+    assert p.set.contains(x) and p.set.contains(y)
+    d, df = x - y, p.F(x) - p.F(y)
+    tops = ([df[i] * d[i] for i in range(p.dim)] if blocks is None
+            else [np.vecdot(df[s], d[s]) for s in certificates.block_slices(blocks)])
+    rho = max(tops) / float(d @ d)
+    assert rho <= 0.0 and abs(rho - rep.witness["rho"]) <= 1e-12 * max(1.0, abs(rho))
+
+
+def exact(rep):
+    return rep.notes.startswith("exact")
+
+
+def fields(rep):
+    return (rep.condition, rep.verdict, rep.margin, rep.witness, rep.seed, rep.budget,
+            rep.notes, rep.metrics)
+
+
+PAIR_CHECKERS = [(uniform_pfunction_search, lambda p: None),
+                 (block_pfunction_search, lambda p: p.set.blocks or (p.dim,))]
+
+
+class TestExactRules:
+    def test_pmatrix_rule_passes_with_the_least_minor(self):
+        p = VIProblem(affine_mapping([[2.0, 1.0], [0.0, 3.0]]), BoxSet([-1.0, -np.inf],
+                                                                       [1.0, 4.0]))
+        rep = uniform_pfunction_search(p, pairs=100, seed=3)
+        assert (rep.verdict, rep.margin, rep.witness, rep.seed) == ("pass", 2.0, None, None)
+        assert rep.budget == {"minors": 3} and exact(rep) and "More & Rheinboldt" in rep.notes
+
+    def test_pmatrix_rule_fails_along_an_eigenvector(self):
+        p = get_problem("example-vi")
+        rep = uniform_pfunction_search(p, pairs=200, seed=42)
+        assert rep.verdict == "fail" and rep.margin == -5.0 and exact(rep)
+        assert rep.witness["index_set"] == [0, 1] and rep.witness["y"] == [0.0, 0.0]
+        recheck_pair(p, rep, None)
+
+    def test_one_block_is_strong_monotonicity(self):
+        p = VIProblem(affine_mapping([[2.0, 1.0], [-1.0, 0.5]]), free_box(2))
+        rep = block_pfunction_search(p, pairs=100, seed=0)
+        assert (rep.verdict, rep.margin, rep.budget) == ("pass", 0.5, {"eigenvalues": 2})
+        assert exact(rep) and rep.seed is None
+        rot = VIProblem(affine_mapping([[0.0, -1.0], [1.0, 0.0]]), free_box(2))
+        rep = block_pfunction_search(rot, pairs=100, seed=0)
+        assert rep.verdict == "fail" and rep.margin == 0.0 and rep.witness["rho"] == 0.0
+        recheck_pair(rot, rep, (2,))
+
+    def test_coordinate_blocks_use_the_pmatrix_rule(self):
+        p = get_problem("example-game")  # blocks (1, 1)
+        rep_block = block_pfunction_search(p, pairs=200, seed=42)
+        rep_coord = uniform_pfunction_search(p, pairs=200, seed=42)
+        assert rep_block.verdict == rep_coord.verdict == "fail" and exact(rep_block)
+        assert rep_block.witness == rep_coord.witness and rep_block.margin == rep_coord.margin
+
+    def test_other_block_layouts_stay_sampled(self):
+        p = two_block_game()
+        assert fields(block_pfunction_search(p, pairs=100, seed=1)) == fields(
+            block_pfunction_search(opaque(p), pairs=100, seed=1))
+
+    def test_growth_is_the_spectral_norm_of_the_moving_columns(self):
+        a = np.array([[1.0, 2.0, 7.0], [3.0, 1.0, -7.0], [0.0, 0.0, 1.0]])
+        p = VIProblem(affine_mapping(a), BoxSet([-1.0, -np.inf, 2.0], [1.0, np.inf, 2.0]))
+        rep = growth_l0lp_fit(p, pairs=100, seed=2)
+        lp = float(np.linalg.norm(a[:, :2], 2))
+        assert (rep.verdict, rep.margin, rep.seed, rep.budget) == ("pass", lp, None,
+                                                                   {"columns": 2})
+        assert rep.metrics == {"L0": 0.0, "Lp": lp, "p": 1.0, "coverage": 1.0} and exact(rep)
+
+    def test_coercivity_from_the_free_block(self):
+        full = VIProblem(affine_mapping([[2.0, 1.0], [0.0, 3.0]]), free_box(2))
+        rep = coercivity_check(full, 4)
+        s_min = float(np.linalg.svd([[2.0, 1.0], [0.0, 3.0]], compute_uv=False)[-1])
+        assert (rep.verdict, rep.margin, rep.seed, rep.budget) == ("pass", s_min, None,
+                                                                   {"free": 2})
+        box = VIProblem(affine_mapping(np.zeros((2, 2))), BoxSet([0.0, 1.0], [1.0, 1.0]))
+        rep = coercivity_check(box, 4)
+        assert (rep.verdict, rep.margin, rep.budget) == ("pass", None, {"free": 0})
+        assert exact(rep)
+
+    @pytest.mark.parametrize("a, lo, hi", [
+        ([[1.0, 1.0], [1.0, 1.0]], [-np.inf] * 2, [np.inf] * 2),  # singular free block
+        ([[2.0, 0.0], [0.0, 1.0]], [0.0, -np.inf], [np.inf, np.inf]),  # half-bounded
+        ([[1e-9, 0.0], [0.0, 1.0]], [-np.inf] * 2, [np.inf] * 2),  # sigma_min < tol
+    ])
+    def test_coercivity_probe_decides_otherwise(self, a, lo, hi):
+        p = VIProblem(affine_mapping(a), BoxSet(lo, hi))
+        rep = coercivity_check(p, 4)
+        assert fields(rep) == fields(coercivity_check(opaque(p), 4)) and not exact(rep)
+
+    def test_maximal_rank_and_coercivity_share_one_svd(self, monkeypatch):
+        p = VIProblem(affine_mapping([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 2.0]]),
+                      BoxSet([-np.inf, -1.0, -np.inf], [np.inf, 1.0, np.inf]))
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        reports, _ = certify_problem(p, ["maximal-rank", "coercivity"])
+        assert [r.verdict for r in reports] == ["pass", "pass"] and len(calls) == 1
+        a = p.mapping.data["A"]
+        assert reports[1].margin == float(svd(a[np.ix_([0, 2], [0, 2])], compute_uv=False)[-1])
+
+    @pytest.mark.parametrize("p", [
+        VIProblem(affine_mapping(np.eye(21)), free_box(21)),  # beyond MINOR_BUDGET_DIM
+        VIProblem(affine_mapping(np.eye(2)), BoxSet([1.0, 2.0], [1.0, 2.0])),  # one point
+        VIProblem(affine_mapping([[1e200, 0.0], [0.0, 1e200]]), free_box(2)),  # h overflows
+    ], ids=["m21", "one-point", "wide-minors"])
+    def test_pmatrix_rule_falls_back_to_the_search(self, p):
+        rep = uniform_pfunction_search(p, pairs=100, seed=6)
+        assert fields(rep) == fields(uniform_pfunction_search(opaque(p), pairs=100, seed=6))
+
+    def test_a_box_about_1e308_wide_gets_finite_margins(self):
+        game = make_game((1,), {(0, 0): [[1.0]]}, ([-0.855],),
+                         BoxSet([-1e308], [1.0], blocks=(1,)))
+        reports, _ = certify_problem(game, ["pfunction", "block-pfunction"])
+        assert [(r.verdict, r.margin) for r in reports] == [("pass", 1.0)] * 2
+        p = VIProblem(affine_mapping([[-1e308]]), BoxSet([0.0], [1.0]))
+        rep = growth_l0lp_fit(p, pairs=100, seed=0)
+        assert rep.metrics["Lp"] == 1e308 and rep.metrics["L0"] == 0.0
+
+    @given(integer_affine_problems())
+    def test_pmatrix_rule_matches_the_fraction_oracle(self, p):
+        n = np.flatnonzero(p.set.lo < p.set.hi)
+        rep = uniform_pfunction_search(p, pairs=100, seed=1)
+        if exact(rep):
+            assert (rep.verdict == "pass") == fraction_pmatrix(p.mapping.data["A"][np.ix_(n, n)])
+        else:  # the search decides, and its fail is backed by a pair
+            assert rep.verdict != "pass"
+
+    @given(integer_affine_problems(), st.sampled_from(PAIR_CHECKERS))
+    def test_exact_fail_witnesses_hold(self, p, checker):
+        check, blocks = checker
+        rep = check(p, pairs=100, seed=1)
+        if exact(rep) and rep.verdict == "fail":
+            recheck_pair(p, rep, blocks(p))
+
+    @given(integer_affine_problems(), st.sampled_from(PAIR_CHECKERS),
+           st.integers(0, 2 ** 32 - 1))
+    def test_the_search_never_fails_where_the_rule_passes(self, p, checker, seed):
+        check, _ = checker
+        if check(p, pairs=100, seed=seed).verdict == "pass":
+            assert check(opaque(p), pairs=100, seed=seed).verdict != "fail"
+
+    @given(integer_affine_problems(), st.integers(0, 2 ** 32 - 1))
+    def test_sampled_growth_stays_below_the_exact_constant(self, p, seed):
+        rep = growth_l0lp_fit(p, pairs=100, seed=seed)
+        sampled = growth_l0lp_fit(opaque(p), pairs=100, seed=seed)
+        if exact(rep) and sampled.margin is not None:
+            assert sampled.metrics["Lp"] <= rep.metrics["Lp"] * (1.0 + 1e-12)
+
+    @given(integer_affine_problems())
+    def test_the_probe_decides_on_a_singular_free_block(self, p):
+        a = np.array(p.mapping.data["A"])
+        free = np.flatnonzero(np.isinf(p.set.lo) & np.isinf(p.set.hi))
+        if free.size:
+            a[free[0], free] = 0.0
+        p = VIProblem(affine_mapping(a, p.mapping.data["b"]), p.set)
+        rep = coercivity_check(p, 2)
+        if free.size:
+            assert fields(rep) == fields(coercivity_check(opaque(p), 2))
+        elif exact(rep):  # no half-bounded coordinate: every bounded box is coercive
+            assert rep.verdict == "pass" and rep.margin is None
+
+
 class TestPLCondition:
     def test_example_game_mu_exact(self):
         g = get_problem("example-game")
@@ -993,6 +1169,15 @@ class TestSampling:
             expected = np.random.default_rng(seed).uniform(lo, hi, size=(40, 4))
             assert draw_samples(box, 40, seed, 5.0).tobytes() == expected.tobytes()
 
+    @given(st.lists(st.tuples(st.sampled_from([-np.inf, -1e308, -1.0, 1.0, 1e308]),
+                              st.sampled_from([-1e308, -1.0, 1.0, 1e308, np.inf])),
+                    min_size=1, max_size=4),
+           st.sampled_from([1.0, 10.0, 1e308, 1.7e308]), st.integers(0, 2 ** 32 - 1))
+    def test_rows_are_finite_and_in_k_for_any_bounds(self, bounds, radius, seed):
+        box = BoxSet(*zip(*(sorted(b) for b in bounds)))
+        pts = draw_samples(box, 20, seed, radius)
+        assert np.isfinite(pts).all() and all(box.contains(x) for x in pts)
+
     def test_intervals_wider_than_the_largest_double(self):
         # hi - lo overflows in coordinates 0 and 1, where rng.uniform raises.
         box = BoxSet([-1e308, -np.inf, 0.0], [1e308, 1.0, 1.0])
@@ -1107,7 +1292,7 @@ def test_pair_checkers_stay_small_at_m_300(checker):
     rng = np.random.default_rng(0)
     m = 300
     lo = np.where(np.arange(m) % 3 == 0, -np.inf, -1.0)
-    p = VIProblem(affine_mapping(rng.standard_normal((m, m))), BoxSet(lo, np.ones(m)))
+    p = opaque(VIProblem(affine_mapping(rng.standard_normal((m, m))), BoxSet(lo, np.ones(m))))
     tracemalloc.start()
     try:
         rep = checker(p, pairs=120, seed=1)
@@ -1116,6 +1301,21 @@ def test_pair_checkers_stay_small_at_m_300(checker):
         tracemalloc.stop()
     assert rep.budget["pairs"] == 120
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("pid", [pid for pid in problem_ids()
+                                 if get_problem(pid).mapping.kind != "builtin"])
+@pytest.mark.parametrize("checker", [pmatrix_sampled, uniform_pmatrix_sampled,
+                                     principal_submatrix_sigma_sweep])
+def test_affine_jacobian_stack_is_a_view_of_a(checker, pid, monkeypatch):
+    # The report of one Jacobian call per sample, without evaluating one.
+    p = get_problem(pid)
+    a = p.mapping.data["A"]
+    per_point = VIProblem(Mapping(fn=p.mapping.fn, dim=p.dim, jac=lambda x: a,
+                                  rows=p.mapping.rows), p.set)
+    expected = checker(per_point, 30, 5, 10.0).to_dict()
+    monkeypatch.setattr(certificates, "jacobian", None)  # calling it would raise
+    assert checker(p, 30, 5, 10.0).to_dict() == expected
 
 
 @pytest.mark.parametrize("checker", [pmatrix_sampled, uniform_pmatrix_sampled])

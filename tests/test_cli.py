@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -5,9 +6,12 @@ import subprocess
 import sys
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import vibox
 from vibox import (BoxSet, VIProblem, affine_mapping, classify, get_problem, load_problem,
@@ -16,6 +20,52 @@ from vibox import certificates, cli, problem_io, solver
 from vibox.cli import main
 from vibox.problem_io import ProblemFileError, problem_to_dict
 from vibox.registry import problem_ids
+
+
+def emitted(doc):
+    """What _emit prints for doc, or the type of the exception it raises."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            cli._emit(doc)
+    except (TypeError, ValueError) as e:
+        return type(e)
+    return out.getvalue()
+
+
+def dumped(doc):
+    """What print(json.dumps(doc, indent=2, sort_keys=True)) prints, or the
+    type of the exception it raises."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 0, 1, True, False]),
+    st.text(), st.sampled_from(["", "é", "\"\\/", "\n\t\x00\x1f", "\u2028\U0001f600"]))
+JSON_TREES = st.recursive(JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=5), st.lists(kids, max_size=3).map(tuple),
+    st.lists(st.floats(), max_size=5), st.dictionaries(st.text(max_size=4), kids, max_size=5),
+    st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()), kids,
+                    max_size=2)), max_leaves=40)
+
+
+@given(JSON_TREES)
+def test_emit_prints_what_json_dumps_writes(doc):
+    assert emitted(doc) == dumped(doc)
+
+
+def test_emit_of_every_registry_report(capsys):
+    for pid in problem_ids():
+        for command in ("solve", "certify"):
+            docs = []
+            with mock.patch.object(cli, "_emit", docs.append):
+                main([command, pid])
+            capsys.readouterr()
+            assert emitted(docs[0]) == dumped(docs[0])
 
 
 def run_cli(capsys, *argv):
@@ -412,6 +462,19 @@ class TestWideSampling:
                     assert out == "" and err.count("\n") == 1 and "non-finite" in err
                 elif command == "certify":
                     json.loads(out, parse_constant=refuse)
+
+
+def test_corner_ray_path_on_a_box_about_1e308_wide(tmp_path, capsys):
+    # F(lo) overflows, so the path's tableau is non-finite from the start.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "m": 2, "mapping": {"kind": "affine"},
+        "affine": {"A": [-1.948, 2.980, -1.431, 0.864], "b": [-0.753, 0.783]},
+        "set": {"lo": [-1e308, -1e308], "hi": [1.0, 1.0]}}))
+    code, out, err = run_cli(capsys, "solve", str(path), "--starts", "3")
+    assert code == 2 and err.startswith("solved") and err.count("\n") == 1
+    ends = [r for r in json.loads(out)["results"] if r["steps"] == ["path"]]
+    assert [(r["status"], r["x"]) for r in ends] == [("line-search-stall", [-5e307, -5e307])]
 
 
 NONFINITE_ENTRIES = [  # (field, problem, path to one entry of the field in its file)

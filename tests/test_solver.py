@@ -480,7 +480,9 @@ class TestMultistartStarts:
         seen = record_starts(VIProblem(affine_mapping(np.eye(1)), box), starts=8, seed=0)
         assert len({s.tobytes() for s in seen}) == 8
         assert all(20.0 <= s[0] <= 30.0 for s in seen)
-        rep = uniform_pfunction_search(VIProblem(affine_mapping(np.eye(1)), box), pairs=100)
+        f = affine_mapping(np.eye(1))
+        rep = uniform_pfunction_search(VIProblem(Mapping(fn=f.fn, dim=1, rows=f.rows), box),
+                                       pairs=100)
         assert rep.budget["pairs"] == 100
 
 
