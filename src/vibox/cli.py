@@ -100,8 +100,8 @@ def _json_text(o, pad) -> str:
         try:  # a list of floats in one step
             text = ("," + inner).join(map(float.__repr__, o))
         except TypeError:  # an entry that is not a float
-            text = "n"
-        if "n" in text:  # or a nan or an inf, which json spells otherwise
+            text = None
+        if text is None or "n" in text:  # or a nan or an inf, which json spells otherwise
             text = ("," + inner).join([_json_text(v, inner) for v in o])
         return "[" + inner + text + pad + "]"
     if isinstance(o, dict):

@@ -353,8 +353,8 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
             row = rows[_lexmin(ratios)]
     if not finite:  # F(lo) or hi - lo overflows, or a pivot does: no point to read back
         ev = normal_map(p, box_midpoint(p.set))
-        return SolveResult(status=status, v=ev.v, x=ev.z, residual=ev.norm, trace=(ev.norm,),
-                           steps=("path",), iterations=pivots)
+        return SolveResult(status=LINE_SEARCH_STALL, v=ev.v, x=ev.z, residual=ev.norm,
+                           trace=(ev.norm,), steps=("path",), iterations=pivots)
     values = np.zeros(4 * n + 1)
     values[basis] = tab[:, -1]
     x = lo.copy()
