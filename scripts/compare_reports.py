@@ -22,12 +22,15 @@ these cover a stack of one row and one wider than the default 8.
 The same calls run on problem files too: this checkout writes every
 registry problem once with ``save_problem`` into a temporary directory that
 both subprocesses read, so the file loader is compared and the
-``provenance`` fields (the paths) match.  Five seeded quadratic games join
+``provenance`` fields (the paths) match.  Six seeded quadratic games join
 them, written straight in the file schema with ``json.dump``
 (``save_games``), so that the game loader and the game-only checkers meet
 unequal blocks, a nonconvex and a semidefinite own block, a game without
-cross blocks, and a game whose default start stalls, so that ``pl`` takes
-its candidate from the corner-ray path.  Seven more files are shaped like
+cross blocks, a game whose default start stalls, so that ``pl`` takes
+its candidate from the corner-ray path, and a game of 33 one-dimensional
+players with all 1,089 ``q`` blocks written: over 1,100 ``[`` outside
+strings at depth 4, more than ``problem_io.ORJSON_MAX_OPENINGS``, so the
+loader reads it with ``json`` rather than orjson.  Seven more files are shaped like
 the ``certify-mixed`` benchmark workload (``save_affine``): affine problems
 with m of 8 to 10 on boxes with some free coordinates, three with a strictly
 diagonally dominant A and three with a planted negative 2x2 principal
@@ -116,8 +119,17 @@ def _stall_game():
     return (2, 1, 1), q, [c[s] for s in sl], [-3.0] * 4, [3.0] * 4
 
 
+def _many_players(n=33):
+    """n players with one-dimensional blocks on [-2, 2]^n, a diagonally
+    dominant A, and every one of the n^2 blocks Q_ij given, zero or not."""
+    rng = np.random.default_rng(33)
+    a = 0.1 * rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+    q = {(i, j): a[i:i + 1, j:j + 1] for i in range(n) for j in range(n)}
+    return (1,) * n, q, [rng.uniform(-1.0, 1.0, 1) for _ in range(n)], [-2.0] * n, [2.0] * n
+
+
 def save_games(problem_dir):
-    """Write five seeded games into problem_dir as files of mapping kind "game"."""
+    """Write six seeded games into problem_dir as files of mapping kind "game"."""
     rng = np.random.default_rng(12)
 
     def cross(sizes):
@@ -142,6 +154,7 @@ def save_games(problem_dir):
                           linear((1, 2, 1)), [-np.inf, -1.0, -1.0, 0.0],
                           [np.inf, 1.0, np.inf, 2.0]),
         "game-3p-stall": _stall_game(),
+        "game-33-players": _many_players(),
     }
     for name, (sizes, q, c, lo, hi) in games.items():
         doc = {"name": name, "m": sum(sizes), "mapping": {"kind": "game"},

@@ -12,7 +12,7 @@ conclusive (witness-backed), a pass is sampled evidence only.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
@@ -123,17 +123,12 @@ def box_midpoint(box: BoxSet) -> np.ndarray:
     return project(box, np.where(both, mid, 0.0))
 
 
-def _is_affine(p: VIProblem) -> bool:
-    """F = A x + b with A in the mapping's data: an affine mapping or a game."""
-    return p.mapping.kind in ("affine", "game-gradient")
-
-
 def _affine_base(p: VIProblem):
     """(A, y, F(y)) with y = box_midpoint(K), the base point of every exact
     witness, when the exact rules for affine and game F apply: K has two
     distinct points and A and F(y) are finite.  None otherwise, and the
     sampled checker runs.  Shared per call."""
-    if not _is_affine(p) or not (p.set.lo < p.set.hi).any():
+    if not p.is_affine or not (p.set.lo < p.set.hi).any():
         return None
 
     def make():
@@ -274,12 +269,17 @@ def _check_minor_budget(m):
 
 
 def _minor_scan(a):
-    """_scan(a, _det_stack, 0.0) of a float matrix, shared by matrix value."""
-    return _shared(("minors", a.shape, a.tobytes()), lambda: _scan(a, _det_stack, 0.0))
+    """_scan(a, _det_stack, 0.0) of a float matrix, shared by matrix value, with
+    a NaN minor (inf - inf in its terms) read as -0.0: nonpositive, so that the
+    scan stops at it as at a bad set, and never below an earlier number <= 0."""
+    return _shared(("minors", a.shape, a.tobytes()), lambda: _scan(
+        a, lambda s: np.nan_to_num(_det_stack(s), nan=-0.0, posinf=np.inf, neginf=-np.inf), 0.0))
 
 
 def pmatrix_minors(a) -> CertificateReport:
-    """Exact P-matrix test: every principal minor must be positive."""
+    """Exact P-matrix test: every principal minor must be positive.  The
+    first minor in scan order that is not decides: a nonpositive one fails,
+    a NaN one (inf - inf in its terms) leaves the test inconclusive."""
     a = np.asarray(a, dtype=float)
     m = a.shape[0]
     _check_minor_budget(m)
@@ -290,6 +290,10 @@ def pmatrix_minors(a) -> CertificateReport:
             "index_set": list(first_bad),
             "minor": principal_minor_det(a[np.ix_(first_bad, first_bad)]),
         }
+        if np.isnan(witness["minor"]):
+            return CertificateReport("pmatrix", INCONCLUSIVE, None, None, None, budget,
+                                     f"principal minor {list(first_bad)} is NaN: its "
+                                     "terms overflow")
         return CertificateReport("pmatrix", FAIL, float(min_minor), witness, None, budget,
                                  "nonpositive principal minor found")
     return CertificateReport("pmatrix", PASS, float(min_minor), None, None, budget,
@@ -334,7 +338,7 @@ def _sampled_jacobians(p: VIProblem, samples, seed, radius):
 
     def make():
         pts = draw_samples(p.set, samples, seed, radius)
-        if _is_affine(p):
+        if p.is_affine:
             a = _finite_values(p.mapping.data["A"])
             return pts, np.broadcast_to(a, (samples, *a.shape))
         return pts, _finite_values(np.array([jacobian(p, x) for x in pts]))
@@ -349,10 +353,9 @@ def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
     min_margin = np.inf
     for k, a in _distinct(jacs):
         rep = pmatrix_minors(a)
-        if rep.verdict == FAIL:
-            witness = dict(rep.witness, point=pts[k].tolist())
-            return CertificateReport("pmatrix", FAIL, rep.margin, witness, seed, budget,
-                                     rep.notes)
+        if rep.verdict != PASS:  # a fail's witness gains the point
+            witness = rep.witness and dict(rep.witness, point=pts[k].tolist())
+            return replace(rep, witness=witness, seed=seed, budget=budget)
         min_margin = min(min_margin, rep.margin)
     return CertificateReport("pmatrix", PASS, float(min_margin), None, seed, budget,
                              f"Jacobian is a P-matrix at every sample; {SAMPLED_NOTE}")
@@ -383,12 +386,12 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
         tup = tuples[k]
         rep = pmatrix_minors(a_mix)
         if rep.verdict == FAIL:
-            witness = {"tuple": [int(t) for t in tup],
-                       "points": [pts[t].tolist() for t in tup],
-                       "index_set": rep.witness["index_set"],
-                       "minor": rep.witness["minor"]}
+            witness = {"tuple": [int(t) for t in tup], "points": [pts[t].tolist() for t in tup],
+                       **rep.witness}
             return CertificateReport("uniform-pmatrix", FAIL, rep.margin, witness, seed,
                                      budget, "mixed-row matrix is not a P-matrix")
+        if rep.verdict == INCONCLUSIVE:
+            return replace(rep, condition="uniform-pmatrix", seed=seed, budget=budget)
         if rep.margin < min_margin:
             min_margin, min_tuple, min_mix = rep.margin, tup, a_mix
     if min_margin < ETA_FLOOR:
@@ -751,10 +754,11 @@ def p_upsilon_check(p: VIProblem) -> CertificateReport:
     rep = pmatrix_minors(ups)
     metrics = {"upsilon": ups.tolist()}
     if rep.verdict == FAIL:
-        witness = {"clause": "upsilon-pmatrix", "index_set": rep.witness["index_set"],
-                   "minor": rep.witness["minor"]}
-        return CertificateReport("upsilon", FAIL, rep.margin, witness, None, budget,
+        return CertificateReport("upsilon", FAIL, rep.margin,
+                                 {"clause": "upsilon-pmatrix", **rep.witness}, None, budget,
                                  "comparison matrix is not a P-matrix", metrics)
+    if rep.verdict == INCONCLUSIVE:
+        return replace(rep, condition="upsilon", budget=budget, metrics=metrics)
     return CertificateReport("upsilon", PASS, rep.margin, None, None, budget,
                              "comparison matrix is a P-matrix; the game has a unique "
                              "Nash equilibrium", metrics)
@@ -823,7 +827,7 @@ def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> Certi
     bounded = int(np.count_nonzero(movable & ~free))
     if bounded > MINOR_BUDGET_DIM:
         raise BudgetError(f"{bounded} bounded coordinates exceed the budget of {MINOR_BUDGET_DIM}")
-    if _is_affine(p):
+    if p.is_affine:
         faces = [(p.mapping.data["A"], free, movable & ~free, None)]
         seed, budget = None, {"vertices": 2 ** bounded}
         note = "every element is nonsingular (exact vertex test)"

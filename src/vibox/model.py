@@ -189,6 +189,11 @@ class VIProblem:
         """A quadratic game's VI (``make_game``); its players are the blocks of K."""
         return self.mapping.kind == "game-gradient"
 
+    @property
+    def is_affine(self) -> bool:
+        """F = A x + b with A and b in the mapping's data: an affine mapping or a game."""
+        return self.mapping.kind in ("affine", "game-gradient")
+
     def F(self, x) -> np.ndarray:
         return self.mapping(x)
 

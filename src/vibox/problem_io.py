@@ -3,22 +3,26 @@
 Files are JSON with the following fields:
 
     name            problem label
-    m               dimension, at least 1; the number of set.lo and set.hi entries
-    set.lo, set.hi  per-coordinate bounds; "inf", "-inf" or an overflowing number: no bound
-    set.blocks      optional block partition
+    m               dimension, an integer at least 1; the number of set.lo and set.hi entries
+    set.lo, set.hi  per-coordinate bounds, numbers; "inf", "-inf" or an overflowing number:
+                    no bound
+    set.blocks      optional block partition, a list of integers
     mapping.kind    one of "affine", "game", "builtin"
     affine.A        row-major m*m matrix, affine.b offset (kind "affine")
     game.block_sizes, game.q ("i,j" keyed row-major blocks; absent ones are zero), game.c
     builtin.id      registered mapping id (kind "builtin")
 
 Every entry of affine.A, affine.b, game.q and game.c must be finite (1e400 is not).
+Integers (m, set.blocks, game.block_sizes) must be JSON integers, and the entries
+of affine.b, game.c and the bounds JSON numbers: a bool, a float where an integer
+is due or a string other than the bounds' "inf" and "-inf" is an error.  The
+entries of affine.A and game.q are read as numpy converts them to float.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 
 import numpy as np
 import orjson
@@ -31,13 +35,25 @@ class ProblemFileError(ValueError):
     """Malformed problem file; carries a human-readable diagnostic."""
 
 
-def _decode_bound(v):
+def _numbers(v, field, kind=float):
+    """v when it is a list of JSON numbers, integers if kind is int (a bool
+    is neither); else ProblemFileError naming field."""
+    if not isinstance(v, list):
+        raise ProblemFileError(f"{field} must be a list, got {v!r}")
+    for x in v:
+        if isinstance(x, bool) or not isinstance(x, (int, kind)):
+            what = "an integer" if kind is int else "a number"
+            raise ProblemFileError(f"{field} has an entry that is not {what}: {x!r}")
+    return v
+
+
+def _decode_bound(v, field):
     if isinstance(v, str):
-        if v == "inf":
-            return math.inf
-        if v == "-inf":
-            return -math.inf
+        if v in ("inf", "-inf"):
+            return float(v)
         raise ProblemFileError(f"bad bound value {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ProblemFileError(f"{field} has an entry that is not a number: {v!r}")
     return float(v)
 
 
@@ -58,46 +74,16 @@ def _encode_bound(v):
 
 
 # orjson 3.8 has no nesting limit: a balanced 1,000,000-deep array overflows the
-# C stack and kills the process.  A text whose nesting depth outside strings is
-# at most this is shallow enough for it; so is one with at most this many "["
-# and "{" in all, strings included, the cheap test tried first.
+# C stack and kills the process.  Bytes with at most this many "[" and "{" in
+# all, strings included, are never deeper than this, so orjson reads them.
 ORJSON_MAX_OPENINGS = 1024
-_ESCAPE = re.compile(rb"\\.", re.DOTALL)
 _NOT_OPENING = bytes(sorted(set(range(256)) - set(b"[{")))  # bytes that the opening count drops
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))  # bytes that _nesting_depth drops
-
-
-def _nesting_depth(raw) -> float:
-    """An upper bound on the nesting depth of the bytes raw: the greatest
-    count of "[" and "{" so far, strings included, less the "]" and "}"
-    outside strings; inf when a string never ends.  A bracket inside a string
-    never counts as a closing, so this never under-counts the depth orjson
-    reaches.  Escape pairs are removed first, then every byte but brackets
-    and quotes, so that only the short remainder is scanned in Python."""
-    if b"\\" in raw:
-        raw = _ESCAPE.sub(b"", raw)
-    parts = raw.translate(None, _NOT_STRUCTURE).split(b'"')
-    if len(parts) % 2 == 0:
-        return math.inf
-    depth = deepest = 0
-    for inside, part in enumerate(parts):
-        if inside % 2:
-            depth += part.count(b"[") + part.count(b"{")
-            deepest = max(deepest, depth)
-            continue
-        for c in part:
-            if c in b"[{":
-                depth += 1
-                deepest = max(deepest, depth)
-            else:
-                depth -= 1
-    return deepest
 
 
 def _parse_json(raw):
     """json.loads on the bytes raw as a file opened in text mode reads them
     (UTF-8, with "\\r\\n" and a lone "\\r" read as "\\n"), through orjson on
-    the bytes when they are shallow enough.
+    the bytes when they hold at most ORJSON_MAX_OPENINGS "[" and "{".
 
     orjson raises on what only json reads (NaN and Infinity literals, numbers
     that overflow a double, lone surrogate escapes), on what json refuses
@@ -108,8 +94,7 @@ def _parse_json(raw):
     Floats are bit-identical either way; integers beyond the 64-bit range
     come back from orjson as the nearest float.
     """
-    if (len(raw.translate(None, _NOT_OPENING)) <= ORJSON_MAX_OPENINGS
-            or _nesting_depth(raw) <= ORJSON_MAX_OPENINGS):
+    if len(raw.translate(None, _NOT_OPENING)) <= ORJSON_MAX_OPENINGS:
         try:
             return orjson.loads(raw)
         except orjson.JSONDecodeError:
@@ -159,24 +144,27 @@ def problem_from_dict(doc) -> VIProblem:
         raise ProblemFileError("expected a JSON object at the top level, "
                                f"got {type(doc).__name__}")
     name = doc.get("name", "unnamed")
-    m = int(doc["m"])
+    m = doc["m"]
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ProblemFileError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ProblemFileError(f"m must be at least 1, got {m}")
     set_doc = doc["set"]
-    lo = np.array([_decode_bound(v) for v in set_doc["lo"]])
-    hi = np.array([_decode_bound(v) for v in set_doc["hi"]])
-    blocks = tuple(set_doc["blocks"]) if set_doc.get("blocks") else None
+    lo = np.array([_decode_bound(v, "set.lo") for v in set_doc["lo"]])
+    hi = np.array([_decode_bound(v, "set.hi") for v in set_doc["hi"]])
+    blocks = (tuple(_numbers(set_doc["blocks"], "set.blocks", int)) if set_doc.get("blocks")
+              else None)
     box = BoxSet(lo, hi, blocks)
     if box.dim != m:
         raise ProblemFileError(f"m is {m} but the set has {box.dim} coordinates")
     kind = doc["mapping"]["kind"]
     if kind == "affine":
         a = _float_array(doc["affine"]["A"]).reshape(m, m)
-        b = np.array(doc["affine"].get("b", [0.0] * m), dtype=float)
+        b = np.array(_numbers(doc["affine"].get("b", [0.0] * m), "affine.b"), dtype=float)
         return _finite(VIProblem(affine_mapping(a, b), box, name=name), "affine.A", "affine.b")
     if kind == "game":
         gdoc = doc["game"]
-        sizes = tuple(int(s) for s in gdoc["block_sizes"])
+        sizes = tuple(_numbers(gdoc["block_sizes"], "game.block_sizes", int))
         q = {}
         for key, flat in gdoc["q"].items():
             i, j = map(int, key.split(","))
@@ -186,6 +174,8 @@ def problem_from_dict(doc) -> VIProblem:
             q[(i, j)] = np.array(flat, dtype=float).reshape(sizes[i], sizes[j])
         # The box read above, unless the set gives no blocks: the players' then.
         game_box = box if blocks else BoxSet(lo, hi, sizes)
+        for ci in gdoc["c"]:
+            _numbers(ci, "game.c")
         return _finite(make_game(sizes, q, gdoc["c"], game_box, name=name), "game.q", "game.c")
     if kind == "builtin":
         mapping = builtin_mapping(doc["builtin"]["id"], m)

@@ -186,8 +186,7 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
     k = len(norms)
     # dF of an affine or game mapping is its A at every row: a view of k copies,
     # whose first len(live) rows (a view too) serve the live rows
-    dfa = (np.broadcast_to(p.mapping.data["A"], (k, p.dim, p.dim))
-           if p.mapping.kind in ("affine", "game-gradient") else None)
+    dfa = np.broadcast_to(p.mapping.data["A"], (k, p.dim, p.dim)) if p.is_affine else None
     traces = [[n] for n in norms]
     steps = [[] for _ in norms]
     status = [MAX_ITERS] * k
@@ -275,8 +274,7 @@ def solve(p: VIProblem, start=None, tol=1e-10) -> SolveResult:
 
 def _path_applies(p: VIProblem) -> bool:
     """The corner-ray path needs F = A x + b and a box with every bound finite."""
-    return (p.mapping.kind in ("affine", "game-gradient")
-            and bool(np.all(np.isfinite(p.set.lo)) and np.all(np.isfinite(p.set.hi))))
+    return p.is_affine and bool(np.all(np.isfinite(p.set.lo)) and np.all(np.isfinite(p.set.hi)))
 
 
 def _lexmin(ratios: np.ndarray) -> int:

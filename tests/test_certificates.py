@@ -64,6 +64,28 @@ class TestPmatrixMinors:
         with pytest.raises(BudgetError):
             pmatrix_minors(np.eye(21))
 
+    def test_nan_minor_is_inconclusive_and_an_infinite_one_keeps_its_sign(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = pmatrix_minors([[1e200, 1e200], [1e200, 1e200]])  # inf - inf
+            assert (rep.verdict, rep.margin, rep.witness) == ("inconclusive", None, None)
+            assert rep.notes == "principal minor [0, 1] is NaN: its terms overflow"
+            rep = pmatrix_minors([[1e200, -1e200], [1e200, 1e200]])  # +inf
+            assert (rep.verdict, rep.margin) == ("pass", 1e200)
+            rep = pmatrix_minors([[1e200, 1e200], [1e200, 1e-200]])  # 1 - inf
+            assert (rep.verdict, rep.margin) == ("fail", -np.inf)
+            assert rep.witness == {"index_set": [0, 1], "minor": -np.inf}
+
+    def test_nan_minor_leaves_every_minor_checker_inconclusive(self):
+        vi = VIProblem(affine_mapping(np.full((2, 2), 1e200)), free_box(2))
+        game = make_game((1, 1), {(i, j): [[1e200]] for i in range(2) for j in range(2)},
+                         ([0.0], [0.0]), free_box(2, blocks=(1, 1)))  # Upsilon has inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = (certify_problem(vi, ["pmatrix", "uniform-pmatrix"])[0]
+                       + certify_problem(game, ["upsilon"])[0])
+        assert [(r.condition, r.verdict, r.margin, r.witness) for r in reports] == [
+            (c, "inconclusive", None, None) for c in ("pmatrix", "uniform-pmatrix", "upsilon")]
+        assert {r.notes for r in reports} == {"principal minor [0, 1] is NaN: its terms overflow"}
+
 
 class TestPmatrixOracle:
     def test_example_matrix_fails(self):
@@ -854,6 +876,18 @@ class TestExactRules:
     def test_pmatrix_rule_falls_back_to_the_search(self, p):
         rep = uniform_pfunction_search(p, pairs=100, seed=6)
         assert fields(rep) == fields(uniform_pfunction_search(opaque(p), pairs=100, seed=6))
+
+    @pytest.mark.parametrize("a, box", [
+        ([[1.0, 1e308], [1e308, 1.0]], BoxSet([0.0, 0.0], [1.0, 1.0])),
+        ([[1e-13, 0.0], [0.0, 1.0]], free_box(2)),
+        ([[-1.0]], BoxSet([0.0], [1e-13])),
+    ], ids=["symmetric-part-overflows", "lambda-min-below-the-noise-floor",
+            "no-step-leaves-the-midpoint"])
+    def test_monotone_rule_falls_back_to_the_search(self, a, box):
+        p = VIProblem(affine_mapping(a), box)
+        rep = block_pfunction_search(p, pairs=100, seed=6)
+        assert fields(rep) == fields(block_pfunction_search(opaque(p), pairs=100, seed=6))
+        assert not exact(rep)
 
     def test_a_box_about_1e308_wide_gets_finite_margins(self):
         game = make_game((1,), {(0, 0): [[1.0]]}, ([-0.855],),

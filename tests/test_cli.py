@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -694,6 +695,38 @@ class TestProblemFiles:
             assert code == 1 and out == "" and err.count("\n") == 1
             assert err.startswith("error:") and f"{field} has an entry" in err
 
+    @pytest.mark.parametrize("pid, where, value, message", [
+        ("spd-box", ("m",), 2.7, "m must be an integer, got 2.7"),
+        ("spd-box", ("m",), "2", "m must be an integer, got '2'"),
+        ("spd-box", ("m",), True, "m must be an integer, got True"),
+        ("spd-box", ("set", "lo", 0), False, "set.lo has an entry that is not a number: False"),
+        ("spd-box", ("set", "hi", 1), True, "set.hi has an entry that is not a number: True"),
+        ("spd-box", ("affine", "b"), ["-1", -1],
+         "affine.b has an entry that is not a number: '-1'"),
+        ("example-game", ("game", "c"), [["1"], [-1]],
+         "game.c has an entry that is not a number: '1'"),
+        ("spd-box", ("set", "blocks"), [1.5, 1],
+         "set.blocks has an entry that is not an integer: 1.5"),
+        ("example-game", ("game", "block_sizes"), [True, True],
+         "game.block_sizes has an entry that is not an integer: True"),
+        ("example-game", ("game", "block_sizes"), [1.9, 1],
+         "game.block_sizes has an entry that is not an integer: 1.9"),
+    ], ids=["m-float", "m-string", "m-bool", "lo-false", "hi-true", "b-string", "c-string",
+            "blocks-float", "block-sizes-bool", "block-sizes-float"])
+    def test_number_fields_take_json_numbers_only(self, tmp_path, capsys, pid, where, value,
+                                                  message):
+        doc = problem_to_dict(get_problem(pid))
+        *keys, last = where
+        entry = doc
+        for key in keys:
+            entry = entry[key]
+        entry[last] = value
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(doc))
+        for command in ("solve", "certify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
     def test_overflowing_bound_is_an_unbounded_side(self, tmp_path):
         path = tmp_path / "bounds.json"
         doc = problem_to_dict(get_problem("spd-box"))
@@ -718,6 +751,85 @@ class TestProblemFiles:
         assert code == 1 and out == "" and err.count("\n") == 1
         point = "a start point" if argv[0] == "solve" else "a sampled point"
         assert err.startswith("error:") and f"non-finite at {point}" in err
+
+
+NO_KEY = "<no key>"  # a replacement that deletes the field
+REPLACEMENTS = [2.7, "2", True, False, ["-1", -1], [["1"], [-1]], [1.5, 1], [True, True],
+                [1.9, 1], math.nan, "x", [[1.0, [2.0]]], NO_KEY]
+
+
+def _paths(node, at=()):
+    """The key path of every entry below node, containers before their entries."""
+    items = (node.items() if isinstance(node, dict) else enumerate(node)
+             if isinstance(node, list) else ())
+    for key, value in items:
+        yield (*at, key)
+        yield from _paths(value, (*at, key))
+
+
+@st.composite
+def problem_docs(draw):
+    """Problem files of kind affine, game or builtin with m <= 3; in two of
+    three, one field replaced by an entry of REPLACEMENTS or deleted."""
+    m = draw(st.integers(1, 3))
+    lo = draw(st.lists(st.sampled_from([-1.0, 0.0, -math.inf, -1e308]), min_size=m, max_size=m))
+    hi = draw(st.lists(st.sampled_from([1.0, 2.0, math.inf, 1e308]), min_size=m, max_size=m))
+    doc = {"name": "drawn", "m": m,
+           "set": {"lo": [v if math.isfinite(v) else str(v) for v in lo],
+                   "hi": [v if math.isfinite(v) else str(v) for v in hi]}}
+    kind = draw(st.sampled_from(["affine", "game", "builtin"]))
+
+    def numbers(k):
+        return draw(st.lists(st.floats(-4, 4) | st.integers(-4, 4), min_size=k, max_size=k))
+
+    if kind == "affine":
+        doc["affine"] = {"A": numbers(m * m), "b": numbers(m)}
+    elif kind == "game":
+        sizes = draw(st.sampled_from([s for s in ([1], [2], [3], [1, 1], [1, 2], [2, 1],
+                                                  [1, 1, 1]) if sum(s) == m]))
+        q = {}
+        for i, si in enumerate(sizes):
+            for j, sj in enumerate(sizes):
+                block = numbers(si * sj)
+                if i == j:  # an exactly symmetric own block
+                    block = [block[min(r, c) * si + max(r, c)] for r in range(si)
+                             for c in range(si)]
+                elif draw(st.booleans()):
+                    continue  # an absent cross block is zero
+                q[f"{i},{j}"] = block
+        doc["game"] = {"block_sizes": sizes, "q": q, "c": [numbers(s) for s in sizes]}
+        if draw(st.booleans()):
+            doc["set"]["blocks"] = sizes
+    else:
+        doc["builtin"] = {"id": draw(st.sampled_from(["cubic", "cubic-plus-linear"]))}
+    doc["mapping"] = {"kind": kind}
+    if draw(st.integers(0, 2)):
+        *at, last = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in at:
+            parent = parent[key]
+        value = draw(st.sampled_from(REPLACEMENTS))
+        if value == NO_KEY:
+            del parent[last]
+        else:
+            parent[last] = value
+    return doc
+
+
+@given(problem_docs())
+def test_every_problem_file_gets_a_report_or_one_error_line(tmp_path_factory, doc):
+    # stdout is not checked to be strict JSON: a report may still print
+    # Infinity or NaN for a margin.
+    path = tmp_path_factory.mktemp("drawn") / "p.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["solve", str(path), "--starts", "3"], ["certify", str(path), "--samples", "5"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("error:")
 
 
 class TestReportCommand:

@@ -13,8 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from vibox import BoxSet, VIProblem, affine_mapping, load_problem, make_game
-from vibox import problem_io
-from vibox.problem_io import (ORJSON_MAX_OPENINGS, ProblemFileError, _nesting_depth, _parse_json,
+from vibox.problem_io import (ORJSON_MAX_OPENINGS, ProblemFileError, _parse_json,
                               problem_from_dict, problem_to_dict, save_problem)
 
 INT64_MIN, UINT64_MAX = -2 ** 63, 2 ** 64 - 1
@@ -67,8 +66,6 @@ documents = st.recursive(
                                                                  max_size=6),
     max_leaves=40)
 
-bracket_text = st.text(alphabet='[]{}"\\a', max_size=8)  # strings full of JSON structure
-
 
 class TestParseJson:
     @given(documents, st.sampled_from([None, 0, 2]), st.booleans())
@@ -113,9 +110,8 @@ class TestParseJson:
                          '"' + '\\"]' * 3000 + '"'):
             with pytest.raises(RecursionError):  # json's, not orjson's refusal
                 _parse_json(("[" + closings + ", " + deep + "]").encode())
-        assert _nesting_depth(b'["' + b"]" * 3000) == math.inf  # a string that never ends
 
-    def test_shallow_text_with_many_brackets_reads_with_orjson(self, tmp_path, monkeypatch):
+    def test_shallow_text_with_many_brackets_loads_bit_for_bit(self, tmp_path):
         # An affine file with A as 1100 nested rows has 1102 "[" but depth 3.
         m = 1100
         a = 2.0 * np.eye(m)
@@ -124,20 +120,8 @@ class TestParseJson:
         doc["affine"]["A"] = a.tolist()
         path = tmp_path / "nested.json"
         path.write_text(json.dumps(doc))
-        monkeypatch.setattr(problem_io.json, "loads", None)  # calling json would raise
         q = load_problem(path)
         assert q.mapping.data["A"].tobytes() == a.tobytes()
-
-    @given(st.recursive(bracket_text | st.integers(),
-                        lambda inner: st.lists(inner, max_size=4)
-                        | st.dictionaries(bracket_text, inner, max_size=4), max_leaves=30),
-           st.sampled_from([None, 0, 2]))
-    def test_depth_bound_never_under_counts(self, doc, indent):
-        def depth(d):
-            inner = d if isinstance(d, list) else d.values() if isinstance(d, dict) else None
-            return 0 if inner is None else 1 + max(map(depth, inner), default=0)
-
-        assert _nesting_depth(json.dumps(doc, indent=indent).encode()) >= depth(doc)
 
 
 def affine_problems():
@@ -187,6 +171,19 @@ class TestLoadProblem:
     def test_saved_problem_round_trips_bit_exactly(self, tmp_path_factory, p):
         path = tmp_path_factory.mktemp("saved") / "p.json"
         save_problem(p, path)
+        assert problem_bytes(load_problem(path)) == problem_bytes(p)
+
+    def test_game_of_33_players_loads_bit_for_bit(self, tmp_path):
+        # 1,089 one-entry q blocks and 33 c lists: over ORJSON_MAX_OPENINGS "[", depth 4
+        n = 33
+        rng = np.random.default_rng(33)
+        a = 0.1 * rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+        q = {(i, j): a[i:i + 1, j:j + 1] for i in range(n) for j in range(n)}
+        c = [rng.uniform(-1.0, 1.0, 1) for _ in range(n)]
+        p = make_game((1,) * n, q, c, BoxSet([-2.0] * n, [2.0] * n, (1,) * n), name="players")
+        path = tmp_path / "players.json"
+        save_problem(p, path)
+        assert path.read_bytes().count(b"[") > ORJSON_MAX_OPENINGS
         assert problem_bytes(load_problem(path)) == problem_bytes(p)
 
 
