@@ -273,7 +273,7 @@ def _minor_scan(a):
     a NaN minor (inf - inf in its terms) read as -0.0: nonpositive, so that the
     scan stops at it as at a bad set, and never below an earlier number <= 0."""
     return _shared(("minors", a.shape, a.tobytes()), lambda: _scan(
-        a, lambda s: np.nan_to_num(_det_stack(s), nan=-0.0, posinf=np.inf, neginf=-np.inf), 0.0))
+        a, lambda s: np.where(np.isnan(d := _det_stack(s)), -0.0, d), 0.0))
 
 
 def pmatrix_minors(a) -> CertificateReport:
