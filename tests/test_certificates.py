@@ -74,6 +74,10 @@ class TestPmatrixMinors:
             rep = pmatrix_minors([[1e200, 1e200], [1e200, 1e-200]])  # 1 - inf
             assert (rep.verdict, rep.margin) == ("fail", -np.inf)
             assert rep.witness == {"index_set": [0, 1], "minor": -np.inf}
+            a = [[-1.0, 0.0, 0.0], [0.0, 1e200, 1e200], [0.0, 1e200, 1e200]]
+            rep = pmatrix_minors(a)  # the first minor, -1, decides; later NaNs move nothing
+            assert (rep.verdict, rep.margin) == ("fail", -1e200)
+            assert rep.witness == {"index_set": [0], "minor": -1.0}
 
     def test_nan_minor_leaves_every_minor_checker_inconclusive(self):
         vi = VIProblem(affine_mapping(np.full((2, 2), 1e200)), free_box(2))
@@ -883,7 +887,7 @@ class TestExactRules:
         ([[-1.0]], BoxSet([0.0], [1e-13])),
     ], ids=["symmetric-part-overflows", "lambda-min-below-the-noise-floor",
             "no-step-leaves-the-midpoint"])
-    def test_monotone_rule_falls_back_to_the_search(self, a, box):
+    def test_one_block_rule_falls_back_to_the_search(self, a, box):
         p = VIProblem(affine_mapping(a), box)
         rep = block_pfunction_search(p, pairs=100, seed=6)
         assert fields(rep) == fields(block_pfunction_search(opaque(p), pairs=100, seed=6))
