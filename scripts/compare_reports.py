@@ -34,11 +34,18 @@ loader reads it with ``json`` rather than orjson.  Seven more files are shaped l
 the ``certify-mixed`` benchmark workload (``save_affine``): affine problems
 with m of 8 to 10 on boxes with some free coordinates, three with a strictly
 diagonally dominant A and three with a planted negative 2x2 principal
-minor, and the ``cubic`` builtin on a box with one infinite side.  Three
+minor, and the ``cubic`` builtin on a box with one infinite side.  Five
 more files (``save_variants``) hold problems above in other shapes that the
 schema allows: an affine file with ``\\r\\n`` line ends, one with ``A`` as
-nested rows, and a game file without ``set.blocks``, so that each branch of
-the loader is compared.  Prints each call whose exit code
+nested rows, a game file without ``set.blocks``, and two copies of an
+affine file whose ``name`` is padded with ``[`` until the file holds exactly
+``ORJSON_MAX_OPENINGS`` ``[`` and ``{`` (strings count), or one more, so
+that orjson reads the one and ``json`` the other; so each branch of the
+loader is compared.  One affine file is shaped like the ``solve-large``
+benchmark instances (``save_large``): a flat ``A``, an SPD-plus-skew
+matrix with m = 300, 20% of the coordinates free and the others bounded,
+so that each start takes several Newton steps as its free block shrinks.
+Prints each call whose exit code
 or stdout differs between the checkouts, or whose argv only one of them
 makes, and exits 1 if there is any; stderr (timings) is not compared.
 Under each ``certify`` call that differs it names what differs: the
@@ -195,8 +202,10 @@ def save_affine(problem_dir):
 
 
 def save_variants(problem_dir):
-    """Write three files of save_affine and save_games again in other shapes
+    """Write five files of save_affine and save_games again in other shapes
     (see the module docstring)."""
+    from vibox.problem_io import ORJSON_MAX_OPENINGS  # imported by save_registry from HERE
+
     d = Path(problem_dir)
 
     def read(name):
@@ -214,6 +223,28 @@ def save_variants(problem_dir):
     doc = read("game-unequal-blocks")
     del doc["set"]["blocks"]
     write("game-no-set-blocks", doc)
+    doc = dict(read("affine-m8-dominant"), name="")
+    text = json.dumps(doc)
+    for extra, name in ((0, "affine-m8-openings-at-limit"), (1, "affine-m8-openings-past-limit")):
+        pad = "[" * (ORJSON_MAX_OPENINGS + extra - text.count("[") - text.count("{"))
+        (d / f"{name}.json").write_text(json.dumps(dict(doc, name=pad)))
+
+
+def save_large(problem_dir):
+    """Write one affine problem shaped like the solve-large instances (see the
+    module docstring), with A written flat."""
+    rng = np.random.default_rng(300)
+    m = 300
+    g, s = rng.standard_normal((m, m)), rng.standard_normal((m, m))
+    a = g @ g.T / m + 0.5 * np.eye(m) + 0.5 * (s - s.T) / np.sqrt(m)
+    free = rng.permutation(m) < round(0.2 * m)
+    lo = np.where(free, -np.inf, -rng.uniform(0.1, 1.0, m))
+    hi = np.where(free, np.inf, rng.uniform(0.1, 1.0, m))
+    doc = {"name": "affine-m300-large", "m": m, "mapping": {"kind": "affine"},
+           "affine": {"A": a.ravel().tolist(), "b": rng.standard_normal(m).tolist()},
+           "set": {"lo": [_bound(v) for v in lo], "hi": [_bound(v) for v in hi]}}
+    with open(Path(problem_dir) / "affine-m300-large.json", "w") as fh:
+        json.dump(doc, fh)
 
 
 def emit(problem_dir):
@@ -265,6 +296,7 @@ def main(argv) -> int:
         save_games(problem_dir)
         save_affine(problem_dir)
         save_variants(problem_dir)
+        save_large(problem_dir)
         mine, other = run(HERE, problem_dir), run(argv[0], problem_dir)
     differ = [key for key in sorted(mine.keys() | other.keys())
               if mine.get(key) != other.get(key)]

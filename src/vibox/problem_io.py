@@ -6,7 +6,7 @@ Files are JSON with the following fields:
     m               dimension, an integer at least 1; the number of set.lo and set.hi entries
     set.lo, set.hi  per-coordinate bounds, numbers; "inf", "-inf" or an overflowing number:
                     no bound
-    set.blocks      optional block partition, a list of integers
+    set.blocks      optional block partition, a list of integers (absent: none)
     mapping.kind    one of "affine", "game", "builtin"
     affine.A        row-major m*m matrix, affine.b offset (kind "affine")
     game.block_sizes, game.q ("i,j" keyed row-major blocks; absent ones are zero), game.c
@@ -57,6 +57,12 @@ def _decode_bound(v, field):
     return float(v)
 
 
+def _bounds(v, field) -> np.ndarray:
+    """The bounds listed in v as an array: a float entry is its own value, so
+    only the other entries pay for a _decode_bound call."""
+    return np.array([x if type(x) is float else _decode_bound(x, field) for x in v])
+
+
 def _finite(p: VIProblem, a_field, b_field) -> VIProblem:
     """p, unless an entry of its A (read from a_field) or b (from b_field) is
     NaN or infinite.  One check per assembled array: a check per game block
@@ -77,7 +83,21 @@ def _encode_bound(v):
 # C stack and kills the process.  Bytes with at most this many "[" and "{" in
 # all, strings included, are never deeper than this, so orjson reads them.
 ORJSON_MAX_OPENINGS = 1024
-_NOT_OPENING = bytes(sorted(set(range(256)) - set(b"[{")))  # bytes that the opening count drops
+
+
+def _few_openings(raw, limit=ORJSON_MAX_OPENINGS) -> bool:
+    """Whether the bytes raw hold at most limit "[" and "{" in all, strings
+    included.  bytes.find jumps from one to the next and the count stops past
+    the limit, so no copy of raw is made."""
+    count = 0
+    for opening in (b"[", b"{"):
+        i = raw.find(opening)
+        while i >= 0:
+            count += 1
+            if count > limit:
+                return False
+            i = raw.find(opening, i + 1)
+    return count <= limit
 
 
 def _parse_json(raw):
@@ -94,7 +114,7 @@ def _parse_json(raw):
     Floats are bit-identical either way; integers beyond the 64-bit range
     come back from orjson as the nearest float.
     """
-    if len(raw.translate(None, _NOT_OPENING)) <= ORJSON_MAX_OPENINGS:
+    if _few_openings(raw):
         try:
             return orjson.loads(raw)
         except orjson.JSONDecodeError:
@@ -150,9 +170,9 @@ def problem_from_dict(doc) -> VIProblem:
     if m < 1:
         raise ProblemFileError(f"m must be at least 1, got {m}")
     set_doc = doc["set"]
-    lo = np.array([_decode_bound(v, "set.lo") for v in set_doc["lo"]])
-    hi = np.array([_decode_bound(v, "set.hi") for v in set_doc["hi"]])
-    blocks = (tuple(_numbers(set_doc["blocks"], "set.blocks", int)) if set_doc.get("blocks")
+    lo, hi = _bounds(set_doc["lo"], "set.lo"), _bounds(set_doc["hi"], "set.hi")
+    # Only an absent key means no partition; any other value must be a valid one.
+    blocks = (tuple(_numbers(set_doc["blocks"], "set.blocks", int)) if "blocks" in set_doc
               else None)
     box = BoxSet(lo, hi, blocks)
     if box.dim != m:
@@ -173,7 +193,7 @@ def problem_from_dict(doc) -> VIProblem:
                                        f"[0, {len(sizes)}) for {len(sizes)} players")
             q[(i, j)] = np.array(flat, dtype=float).reshape(sizes[i], sizes[j])
         # The box read above, unless the set gives no blocks: the players' then.
-        game_box = box if blocks else BoxSet(lo, hi, sizes)
+        game_box = box if blocks is not None else BoxSet(lo, hi, sizes)
         for ci in gdoc["c"]:
             _numbers(ci, "game.c")
         return _finite(make_game(sizes, q, gdoc["c"], game_box, name=name), "game.q", "game.c")

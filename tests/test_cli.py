@@ -727,6 +727,24 @@ class TestProblemFiles:
             code, out, err = run_cli(capsys, command, str(path))
             assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
+    @pytest.mark.parametrize("value, message", [
+        (False, "set.blocks must be a list, got False"),
+        (0, "set.blocks must be a list, got 0"),
+        ({}, "set.blocks must be a list, got {}"),
+        ("", "set.blocks must be a list, got ''"),
+        (None, "set.blocks must be a list, got None"),
+        ([], "block sizes must be positive and sum to the dimension"),
+    ], ids=["false", "zero", "empty-object", "empty-string", "null", "empty-list"])
+    def test_present_set_blocks_must_be_a_partition(self, tmp_path, capsys, value, message):
+        # Only an absent set.blocks means no partition.
+        doc = problem_to_dict(get_problem("spd-box"))
+        doc["set"]["blocks"] = value
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps(doc))
+        for command in ("solve", "certify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
     def test_overflowing_bound_is_an_unbounded_side(self, tmp_path):
         path = tmp_path / "bounds.json"
         doc = problem_to_dict(get_problem("spd-box"))

@@ -13,8 +13,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from vibox import BoxSet, VIProblem, affine_mapping, load_problem, make_game
-from vibox.problem_io import (ORJSON_MAX_OPENINGS, ProblemFileError, _parse_json,
-                              problem_from_dict, problem_to_dict, save_problem)
+from vibox.problem_io import (ORJSON_MAX_OPENINGS, ProblemFileError, _decode_bound,
+                              _few_openings, _parse_json, problem_from_dict, problem_to_dict,
+                              save_problem)
+from vibox.registry import get_problem
 
 INT64_MIN, UINT64_MAX = -2 ** 63, 2 ** 64 - 1
 
@@ -124,6 +126,34 @@ class TestParseJson:
         assert q.mapping.data["A"].tobytes() == a.tobytes()
 
 
+class TestOpeningCount:
+    @given(st.lists(st.sampled_from([b"[", b"{", b'"', b"\\", b"]", b"}", b"a", b" "]),
+                    max_size=60).map(b"".join),
+           st.sampled_from([-1, 0, 1]), st.booleans())
+    def test_equals_the_count_of_both_openings(self, raw, offset, zero):
+        count = raw.count(b"[") + raw.count(b"{")
+        limit = 0 if zero else count + offset
+        assert _few_openings(raw, limit) == (count <= limit)
+
+    @pytest.mark.parametrize("openings, parser", [(ORJSON_MAX_OPENINGS, "orjson"),
+                                                  (ORJSON_MAX_OPENINGS + 1, "json")])
+    def test_limit_decides_the_parser(self, tmp_path, monkeypatch, openings, parser):
+        # Padding in a field the loader ignores; "[" in a string counts too.
+        doc = problem_to_dict(get_problem("spd-box"))
+        doc["pad"] = ""
+        base = json.dumps(doc).encode()
+        doc["pad"] = "[" * (openings - base.count(b"[") - base.count(b"{"))
+        raw = json.dumps(doc).encode()
+        assert raw.count(b"[") + raw.count(b"{") == openings
+        ran = []
+        orjson_loads = orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda b: ran.append("orjson") or orjson_loads(b))
+        path = tmp_path / "padded.json"
+        path.write_bytes(raw)
+        assert problem_bytes(load_problem(path)) == problem_bytes(get_problem("spd-box"))
+        assert ran == (["orjson"] if parser == "orjson" else [])
+
+
 def affine_problems():
     return st.integers(1, 5).flatmap(lambda m: st.tuples(
         st.lists(floats, min_size=m * m, max_size=m * m),
@@ -172,6 +202,18 @@ class TestLoadProblem:
         path = tmp_path_factory.mktemp("saved") / "p.json"
         save_problem(p, path)
         assert problem_bytes(load_problem(path)) == problem_bytes(p)
+
+    def test_mixed_bounds_load_as_each_entry_decoded(self, tmp_path):
+        # Floats skip the decode call; ints, "inf" and "-inf" do not.
+        lo = [-1.5, -2, "-inf", 0, -0.0, -1e308, 5e-324, -(2 ** 60)]
+        hi = [2.5, 3, "inf", 1, 0.0, 1e308, 1.0, 2 ** 60]
+        doc = {"m": len(lo), "set": {"lo": lo, "hi": hi}, "mapping": {"kind": "affine"},
+               "affine": {"A": np.eye(len(lo)).ravel().tolist()}}
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps(doc))
+        p = load_problem(path)
+        for got, field, vals in ((p.set.lo, "set.lo", lo), (p.set.hi, "set.hi", hi)):
+            assert got.tobytes() == np.array([_decode_bound(v, field) for v in vals]).tobytes()
 
     def test_game_of_33_players_loads_bit_for_bit(self, tmp_path):
         # 1,089 one-entry q blocks and 33 c lists: over ORJSON_MAX_OPENINGS "[", depth 4
