@@ -142,17 +142,19 @@ def host():
             "blas_threads": 1}
 
 
+def summed_medians(passes, get) -> float:
+    """The per-instance medians over the passes of get(pass), summed."""
+    return sum(statistics.median(v) for v in zip(*(get(q) for q in passes)))
+
+
 def summarize(rounds):
     """Per seed: per-instance medians over the rounds, summed over the batch."""
     out = {}
     for seed in map(str, SEEDS):
         passes = [r[seed] for r in rounds]
-
-        def med(get):  # per-instance medians over the rounds, summed
-            return sum(statistics.median(v) for v in zip(*(get(q) for q in passes)))
-
-        calls = {f: round(med(lambda q: q["calls"][f]), 3) for f in FIGURES}
-        conds = {c: {k: round(med(lambda q: q["layers"][c][k]), 3) for k in ("alone", "in_call")}
+        calls = {f: round(summed_medians(passes, lambda q: q["calls"][f]), 3) for f in FIGURES}
+        conds = {c: {k: round(summed_medians(passes, lambda q: q["layers"][c][k]), 3)
+                     for k in ("alone", "in_call")}
                  for c in passes[0]["layers"]}
         out[seed] = {
             "instances": len(passes[0]["calls"]["cli_ms"]),
@@ -168,37 +170,53 @@ def summarize(rounds):
     return out
 
 
-def main(argv) -> int:
-    if len(argv) == 2 and argv[0] == "--emit":
-        emit(argv[1])
-        return 0
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def run_checkouts(argv, script, out_name, prepare, summarize, key, fields) -> dict:
+    """Measure the checkouts that argv names (NAME=CHECKOUT ..., --rounds N,
+    --out FILE, by default out_name in the repository) and write the output
+    file; returns its document.
+
+    Each round runs ``script --emit prepare(workdir)`` once per checkout, a
+    fresh process with the checkout's ``src`` first on PYTHONPATH, the
+    checkouts alternating within a round, and reads the JSON it prints.
+    Each checkout's entry gets {key: summarize(its rounds)}; fields (its
+    "description" heads the help) and the host go at the top of the file,
+    whose entries of names not measured again are kept."""
+    ap = argparse.ArgumentParser(description=fields["description"])
     ap.add_argument("checkouts", nargs="+", help="NAME=CHECKOUT")
     ap.add_argument("--rounds", type=int, default=9)
-    ap.add_argument("--out", default=str(HERE / "BENCH_certify.json"))
+    ap.add_argument("--out", default=str(HERE / out_name))
     args = ap.parse_args(argv)
     named = dict(arg.split("=", 1) for arg in args.checkouts)
     rounds = {name: [] for name in named}
     with tempfile.TemporaryDirectory() as workdir:
+        emit_arg = prepare(workdir)
         for k in range(args.rounds):
             order = list(named) if k % 2 == 0 else list(reversed(named))
             for name in order:
                 env = {**os.environ, "PYTHONPATH": str(Path(named[name]).resolve() / "src")}
-                done = subprocess.run([sys.executable, __file__, "--emit", workdir], env=env,
+                done = subprocess.run([sys.executable, script, "--emit", emit_arg], env=env,
                                       check=True, capture_output=True, text=True)
                 rounds[name].append(json.loads(done.stdout))
             print(f"round {k + 1} of {args.rounds} done", file=sys.stderr)
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.update({"description": __doc__.split("\n\n")[0], "workload": WORKLOAD,
-                "seeds": list(SEEDS), "certify": {"seed": 42, "samples": 30, "radius": 10.0,
-                                                  "tol": 1e-8},
-                "host": host()})
+    doc.update({**fields, "host": host()})
     doc.setdefault("checkouts", {})
     for name, path in named.items():
         doc["checkouts"][name] = {"source_sha256": source_sha256(path),
-                                  "rounds": args.rounds, "seeds": summarize(rounds[name])}
+                                  "rounds": args.rounds, key: summarize(rounds[name])}
     out.write_text(json.dumps(doc, indent=2) + "\n")
+    return doc
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--emit":
+        emit(argv[1])
+        return 0
+    doc = run_checkouts(argv, __file__, "BENCH_certify.json", lambda workdir: workdir, summarize,
+                        "seeds", {
+        "description": __doc__.split("\n\n")[0], "workload": WORKLOAD, "seeds": list(SEEDS),
+        "certify": {"seed": 42, "samples": 30, "radius": 10.0, "tol": 1e-8}})
     for name, entry in doc["checkouts"].items():
         for seed, s in entry["seeds"].items():
             print(f"{name} seed {seed}: checker sum alone {s['checker_sum_alone_ms']:.1f} ms, "

@@ -27,10 +27,9 @@ from vibox import BoxSet, VIProblem, affine_mapping, box_midpoint, solve
 from vibox.solver import REG_FLOOR
 
 
-def svd_rule_directions(df, free, r, r_norm, col_sq=None):
+def svd_rule_directions(df, free, r, r_norm):
     """The reference, row by row: the full element J = I - D + dF D, its SVD,
-    and the LU solve of J d = -r when the singular-value test passes (col_sq,
-    the column norms the solver passes along, is not needed)."""
+    and the LU solve of J d = -r when the singular-value test passes."""
     d, singular = np.full(r.shape, np.nan), np.zeros(len(r), dtype=bool)
     for i, (f, ri) in enumerate(zip(free, r)):
         j = df[i] * f + np.diag(1.0 - f)

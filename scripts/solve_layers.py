@@ -54,14 +54,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # one BLAS thread, as in the benchmark
 
-import argparse
 import contextlib
+import functools
 import io
 import json
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 import types
 from collections import Counter
@@ -71,7 +69,7 @@ HERE = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(HERE / "perfbench"))
 import hostspeed  # noqa: E402
 import workloads  # noqa: E402
-from certify_layers import host, source_sha256  # noqa: E402
+from certify_layers import run_checkouts, summed_medians  # noqa: E402
 
 BATCHES = {  # name: (workload, seed, instances taken from the start of the batch)
     "solve-large seed 1": ("solve-large", 1, None),
@@ -201,10 +199,7 @@ def summarize(rounds):
     out = {}
     for name in BATCHES:
         passes = [r[name] for r in rounds]
-
-        def med(get):  # per-instance medians over the rounds, summed
-            return sum(statistics.median(v) for v in zip(*(get(q) for q in passes)))
-
+        med = functools.partial(summed_medians, passes)
         cli_ms = med(lambda q: q["cli_ms"])
         out[name] = {
             "instances": len(passes[0]["cli_ms"]),
@@ -234,34 +229,10 @@ def main(argv) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
         emit(argv[1])
         return 0
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("checkouts", nargs="+", help="NAME=CHECKOUT")
-    ap.add_argument("--rounds", type=int, default=9)
-    ap.add_argument("--out", default=str(HERE / "BENCH_solve.json"))
-    args = ap.parse_args(argv)
-    named = dict(arg.split("=", 1) for arg in args.checkouts)
-    rounds = {name: [] for name in named}
-    with tempfile.TemporaryDirectory() as workdir:
-        manifest = write_batches(workdir)
-        for k in range(args.rounds):
-            order = list(named) if k % 2 == 0 else list(reversed(named))
-            for name in order:
-                env = {**os.environ, "PYTHONPATH": str(Path(named[name]).resolve() / "src")}
-                done = subprocess.run([sys.executable, __file__, "--emit", manifest], env=env,
-                                      check=True, capture_output=True, text=True)
-                rounds[name].append(json.loads(done.stdout))
-            print(f"round {k + 1} of {args.rounds} done", file=sys.stderr)
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.update({"description": __doc__.split("\n\n")[0],
-                "batches": {name: {"workload": w, "seed": s, "instances": c or "all"}
-                            for name, (w, s, c) in BATCHES.items()},
-                "host": host()})
-    doc.setdefault("checkouts", {})
-    for name, path in named.items():
-        doc["checkouts"][name] = {"source_sha256": source_sha256(path),
-                                  "rounds": args.rounds, "batches": summarize(rounds[name])}
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    doc = run_checkouts(argv, __file__, "BENCH_solve.json", write_batches, summarize, "batches", {
+        "description": __doc__.split("\n\n")[0],
+        "batches": {name: {"workload": w, "seed": s, "instances": c or "all"}
+                    for name, (w, s, c) in BATCHES.items()}})
     for name, entry in doc["checkouts"].items():
         for batch, s in entry["batches"].items():
             top = sorted(s["phases_ms"].items(), key=lambda kv: -kv[1])[:4]

@@ -57,12 +57,6 @@ def _decode_bound(v, field):
     return float(v)
 
 
-def _bounds(v, field) -> np.ndarray:
-    """The bounds listed in v as an array: a float entry is its own value, so
-    only the other entries pay for a _decode_bound call."""
-    return np.array([x if type(x) is float else _decode_bound(x, field) for x in v])
-
-
 def _finite(p: VIProblem, a_field, b_field) -> VIProblem:
     """p, unless an entry of its A (read from a_field) or b (from b_field) is
     NaN or infinite.  One check per assembled array: a check per game block
@@ -85,19 +79,19 @@ def _encode_bound(v):
 ORJSON_MAX_OPENINGS = 1024
 
 
-def _few_openings(raw, limit=ORJSON_MAX_OPENINGS) -> bool:
-    """Whether the bytes raw hold at most limit "[" and "{" in all, strings
-    included.  bytes.find jumps from one to the next and the count stops past
-    the limit, so no copy of raw is made."""
+def _few_openings(raw) -> bool:
+    """Whether the bytes raw hold at most ORJSON_MAX_OPENINGS "[" and "{" in
+    all, strings included.  bytes.find jumps from one to the next and the
+    count stops past the limit, so no copy of raw is made."""
     count = 0
     for opening in (b"[", b"{"):
         i = raw.find(opening)
         while i >= 0:
             count += 1
-            if count > limit:
+            if count > ORJSON_MAX_OPENINGS:
                 return False
             i = raw.find(opening, i + 1)
-    return count <= limit
+    return count <= ORJSON_MAX_OPENINGS
 
 
 def _parse_json(raw):
@@ -170,7 +164,8 @@ def problem_from_dict(doc) -> VIProblem:
     if m < 1:
         raise ProblemFileError(f"m must be at least 1, got {m}")
     set_doc = doc["set"]
-    lo, hi = _bounds(set_doc["lo"], "set.lo"), _bounds(set_doc["hi"], "set.hi")
+    lo = np.array([_decode_bound(v, "set.lo") for v in set_doc["lo"]])
+    hi = np.array([_decode_bound(v, "set.hi") for v in set_doc["hi"]])
     # Only an absent key means no partition; any other value must be a valid one.
     blocks = (tuple(_numbers(set_doc["blocks"], "set.blocks", int)) if "blocks" in set_doc
               else None)

@@ -47,17 +47,15 @@ class SolveResult:
         return self.status == SOLVED
 
 
-def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray, r_norm,
-                      col_sq=None) -> tuple[np.ndarray, list]:
+def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray,
+                      r_norm) -> tuple[np.ndarray, list]:
     """The Newton directions d solving J d = -r, J = I - D + dF D with D the
     0/1 diagonal that is 1 on the boolean mask ``free``, for k systems at
     once: free and r hold one per row, r_norm their k norms, and df is their
     (k, m, m) stack.  Returns the (k, m) directions and k flags, true where J
     is numerically singular and that row meaningless: the LU solve fails, or
     ||r|| < REG_FLOOR * max(c, 1) * ||d|| with c the largest column norm of
-    J (NaN or inf in d fails too).  col_sq, when given, is the (k, m) stack
-    of the squared column norms of df, np.einsum("kij,kij->kj", df, df),
-    which a caller whose dF does not change computes once.
+    J (NaN or inf in d fails too).
 
     The columns of J off ``free`` are unit vectors, so only the free block is
     factored: dF[F, F] d_F = -r_F, then d_A = -r_A - dF[A, F] d_F (with every
@@ -92,8 +90,7 @@ def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray, r_norm,
         if rows.size < k:
             d[rows] = dg
     # The active columns of J have norm 1, its free columns are those of dF.
-    if col_sq is None:
-        col_sq = np.einsum("kij,kij->kj", df, df)
+    col_sq = np.einsum("kij,kij->kj", df, df)
     c = np.sqrt(np.maximum.reduce(np.where(free, col_sq, 1.0), axis=1, initial=1.0)).tolist()
     d_norm = np.sqrt(np.vecdot(d, d)).tolist()
     return d, [s or not r_norm[i] >= REG_FLOOR * c[i] * d_norm[i] for i, s in enumerate(singular)]
@@ -188,12 +185,8 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
     v, z, r, norms = ev.v, ev.z, ev.r, ev.norm.tolist()  # the current iterate of every row
     k = len(norms)
     # dF of an affine or game mapping is its A at every row: a view of k copies,
-    # whose first len(live) rows (a view too) serve the live rows, as do those
-    # of its column norms, taken once
-    dfa = col_sq = None
-    if p.is_affine:
-        dfa = np.broadcast_to(p.mapping.data["A"], (k, p.dim, p.dim))
-        col_sq = np.einsum("kij,kij->kj", dfa, dfa)
+    # whose first len(live) rows (a view too) serve the live rows
+    dfa = np.broadcast_to(p.mapping.data["A"], (k, p.dim, p.dim)) if p.is_affine else None
     traces = [[n] for n in norms]
     steps = [[] for _ in norms]
     status = [MAX_ITERS] * k
@@ -204,13 +197,10 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
             break
         at = slice(None) if len(live) == k else live  # views while every row runs
         vl, rl, nl = v[at], r[at], [norms[i] for i in live]
-        if dfa is None:
-            df, df_sq = np.stack([jacobian(p, x) for x in z[at]]), None
-        else:
-            df, df_sq = dfa[:len(live)], col_sq[:len(live)]
+        df = dfa[:len(live)] if dfa is not None else np.stack([jacobian(p, x) for x in z[at]])
         free = movable & (vl >= lo) & (vl <= hi)  # projection_jacobian_element's d
         grad = merit_gradient(df, free, rl)
-        d, singular = newton_directions(df, free, rl, nl, df_sq)
+        d, singular = newton_directions(df, free, rl, nl)
         for j in [j for j, flag in enumerate(singular) if flag]:
             jac = normal_map_jacobian_element(p, vl[j])
             d[j] = np.linalg.solve(jac.T @ jac + REG_FLOOR * np.eye(p.dim), -grad[j])

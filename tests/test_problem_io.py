@@ -5,6 +5,7 @@ import io
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -12,10 +13,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from vibox import BoxSet, VIProblem, affine_mapping, load_problem, make_game
-from vibox.problem_io import (ORJSON_MAX_OPENINGS, ProblemFileError, _decode_bound,
-                              _few_openings, _parse_json, problem_from_dict, problem_to_dict,
-                              save_problem)
+from vibox import BoxSet, VIProblem, affine_mapping, load_problem, make_game, problem_io
+from vibox.problem_io import (ORJSON_MAX_OPENINGS, ProblemFileError, _few_openings, _parse_json,
+                              problem_from_dict, problem_to_dict, save_problem)
 from vibox.registry import get_problem
 
 INT64_MIN, UINT64_MAX = -2 ** 63, 2 ** 64 - 1
@@ -133,7 +133,8 @@ class TestOpeningCount:
     def test_equals_the_count_of_both_openings(self, raw, offset, zero):
         count = raw.count(b"[") + raw.count(b"{")
         limit = 0 if zero else count + offset
-        assert _few_openings(raw, limit) == (count <= limit)
+        with mock.patch.object(problem_io, "ORJSON_MAX_OPENINGS", limit):
+            assert _few_openings(raw) == (count <= limit)
 
     @pytest.mark.parametrize("openings, parser", [(ORJSON_MAX_OPENINGS, "orjson"),
                                                   (ORJSON_MAX_OPENINGS + 1, "json")])
@@ -204,7 +205,7 @@ class TestLoadProblem:
         assert problem_bytes(load_problem(path)) == problem_bytes(p)
 
     def test_mixed_bounds_load_as_each_entry_decoded(self, tmp_path):
-        # Floats skip the decode call; ints, "inf" and "-inf" do not.
+        # Each entry is its float: an int converted, "inf" and "-inf" no bound.
         lo = [-1.5, -2, "-inf", 0, -0.0, -1e308, 5e-324, -(2 ** 60)]
         hi = [2.5, 3, "inf", 1, 0.0, 1e308, 1.0, 2 ** 60]
         doc = {"m": len(lo), "set": {"lo": lo, "hi": hi}, "mapping": {"kind": "affine"},
@@ -212,8 +213,8 @@ class TestLoadProblem:
         path = tmp_path / "bounds.json"
         path.write_text(json.dumps(doc))
         p = load_problem(path)
-        for got, field, vals in ((p.set.lo, "set.lo", lo), (p.set.hi, "set.hi", hi)):
-            assert got.tobytes() == np.array([_decode_bound(v, field) for v in vals]).tobytes()
+        for got, vals in ((p.set.lo, lo), (p.set.hi, hi)):
+            assert got.tobytes() == np.array([float(v) for v in vals]).tobytes()
 
     def test_game_of_33_players_loads_bit_for_bit(self, tmp_path):
         # 1,089 one-entry q blocks and 33 c lists: over ORJSON_MAX_OPENINGS "[", depth 4

@@ -200,7 +200,7 @@ class TestFixedCoordinates:
     def test_solver_and_path_leave_fixed_coordinates_out(self, monkeypatch):
         masks = []
         monkeypatch.setattr(solver, "newton_directions",
-                            lambda df, free, r, r_norm, col_sq=None: masks.extend(free.copy())
+                            lambda df, free, r, r_norm: masks.extend(free.copy())
                             or (-r, np.zeros(len(r), dtype=bool)))
         p = self.problem(hi=3.0)
         solve(p, start=[0.5, 0.0])
@@ -899,24 +899,6 @@ class TestStackedSolve:
             expected = np.array([np.einsum("ij,ij->j", j, j) for j in stack])
             assert np.einsum("kij,kij->kj", stack, stack).tobytes() == expected.tobytes()
 
-    @given(newton_systems(), st.integers(1, 8), st.booleans(), st.integers(0, 2 ** 32 - 1))
-    def test_given_column_norms_change_no_bit(self, system, k, distinct, seed):
-        # _solve_stack passes the column norms of a constant dF, taken once.
-        df, free, r = system
-        assume(df.shape[0] <= 6)
-        rng = np.random.default_rng(seed)
-        m = df.shape[0]
-        frees = np.vstack([free, np.ones(m, bool), np.zeros(m, bool),
-                           rng.random((k, m)) < 0.5])[:k]
-        rs = np.vstack([r, rng.standard_normal((k - 1, m))])
-        norms = np.sqrt(np.vecdot(rs, rs)).tolist()
-        stack = (np.stack([df, *(df * rng.standard_normal((k - 1, m, m)))]) if distinct
-                 else np.broadcast_to(df, (k, m, m)))
-        col_sq = np.einsum("kij,kij->kj", stack, stack)
-        d, singular = solver.newton_directions(stack, frees, rs.copy(), norms)
-        d_given, singular_given = solver.newton_directions(stack, frees, rs.copy(), norms, col_sq)
-        assert d_given.tobytes() == d.tobytes() and singular_given == singular
-
     @pytest.mark.parametrize("pid", ["spd-box", "example-vi", "cubic-free", "identity-box"])
     def test_rows_leave_the_stack_when_they_end(self, pid, monkeypatch):
         # Every start of these solves, so row i takes part in exactly its
@@ -925,8 +907,8 @@ class TestStackedSolve:
         sizes = []
         original = solver.newton_directions
         monkeypatch.setattr(solver, "newton_directions",
-                            lambda df, free, r, r_norm, col_sq=None: sizes.append(len(r))
-                            or original(df, free, r, r_norm, col_sq))
+                            lambda df, free, r, r_norm: sizes.append(len(r))
+                            or original(df, free, r, r_norm))
         p = get_problem(pid)
         starts = np.vstack([certificates.box_midpoint(p.set),
                             certificates.draw_samples(p.set, 11, 3, 10.0)])
