@@ -79,10 +79,18 @@ def _encode_bound(v):
 ORJSON_MAX_OPENINGS = 1024
 
 
+# Below this many bytes two bytes.count passes cost less than a bytes.find per
+# opening: a 1.4 KB game file with 32 openings takes 2 us against 8 us.
+_FIND_FROM_BYTES = 1 << 14
+
+
 def _few_openings(raw) -> bool:
     """Whether the bytes raw hold at most ORJSON_MAX_OPENINGS "[" and "{" in
-    all, strings included.  bytes.find jumps from one to the next and the
-    count stops past the limit, so no copy of raw is made."""
+    all, strings included.  Past _FIND_FROM_BYTES, bytes.find jumps from one
+    to the next and the count stops past the limit, so no copy of raw is
+    made and a large file is not walked byte by byte."""
+    if len(raw) < _FIND_FROM_BYTES:
+        return raw.count(b"[") + raw.count(b"{") <= ORJSON_MAX_OPENINGS
     count = 0
     for opening in (b"[", b"{"):
         i = raw.find(opening)

@@ -129,23 +129,27 @@ class TestParseJson:
 class TestOpeningCount:
     @given(st.lists(st.sampled_from([b"[", b"{", b'"', b"\\", b"]", b"}", b"a", b" "]),
                     max_size=60).map(b"".join),
-           st.sampled_from([-1, 0, 1]), st.booleans())
-    def test_equals_the_count_of_both_openings(self, raw, offset, zero):
+           st.sampled_from([-1, 0, 1]), st.booleans(), st.sampled_from([0, 61]))
+    def test_equals_the_count_of_both_openings(self, raw, offset, zero, find_from):
+        # find_from 0 takes the bytes.find loop, 61 the bytes.count passes.
         count = raw.count(b"[") + raw.count(b"{")
         limit = 0 if zero else count + offset
-        with mock.patch.object(problem_io, "ORJSON_MAX_OPENINGS", limit):
+        with mock.patch.multiple(problem_io, ORJSON_MAX_OPENINGS=limit,
+                                 _FIND_FROM_BYTES=find_from):
             assert _few_openings(raw) == (count <= limit)
 
     @pytest.mark.parametrize("openings, parser", [(ORJSON_MAX_OPENINGS, "orjson"),
                                                   (ORJSON_MAX_OPENINGS + 1, "json")])
-    def test_limit_decides_the_parser(self, tmp_path, monkeypatch, openings, parser):
+    @pytest.mark.parametrize("spaces", [0, problem_io._FIND_FROM_BYTES], ids=["count", "find"])
+    def test_limit_decides_the_parser(self, tmp_path, monkeypatch, openings, parser, spaces):
         # Padding in a field the loader ignores; "[" in a string counts too.
         doc = problem_to_dict(get_problem("spd-box"))
-        doc["pad"] = ""
+        doc["pad"] = " " * spaces
         base = json.dumps(doc).encode()
-        doc["pad"] = "[" * (openings - base.count(b"[") - base.count(b"{"))
+        doc["pad"] += "[" * (openings - base.count(b"[") - base.count(b"{"))
         raw = json.dumps(doc).encode()
         assert raw.count(b"[") + raw.count(b"{") == openings
+        assert (len(raw) >= problem_io._FIND_FROM_BYTES) == bool(spaces)
         ran = []
         orjson_loads = orjson.loads
         monkeypatch.setattr(orjson, "loads", lambda b: ran.append("orjson") or orjson_loads(b))
