@@ -213,10 +213,10 @@ def main(argv) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
         emit(argv[1])
         return 0
+    fields = {"description": __doc__.split("\n\n")[0], "workload": WORKLOAD, "seeds": list(SEEDS),
+              "certify": {"seed": 42, "samples": 30, "radius": 10.0, "tol": 1e-8}}
     doc = run_checkouts(argv, __file__, "BENCH_certify.json", lambda workdir: workdir, summarize,
-                        "seeds", {
-        "description": __doc__.split("\n\n")[0], "workload": WORKLOAD, "seeds": list(SEEDS),
-        "certify": {"seed": 42, "samples": 30, "radius": 10.0, "tol": 1e-8}})
+                        "seeds", fields)
     for name, entry in doc["checkouts"].items():
         for seed, s in entry["seeds"].items():
             print(f"{name} seed {seed}: checker sum alone {s['checker_sum_alone_ms']:.1f} ms, "

@@ -229,10 +229,11 @@ def main(argv) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
         emit(argv[1])
         return 0
-    doc = run_checkouts(argv, __file__, "BENCH_solve.json", write_batches, summarize, "batches", {
-        "description": __doc__.split("\n\n")[0],
-        "batches": {name: {"workload": w, "seed": s, "instances": c or "all"}
-                    for name, (w, s, c) in BATCHES.items()}})
+    fields = {"description": __doc__.split("\n\n")[0],
+              "batches": {name: {"workload": w, "seed": s, "instances": c or "all"}
+                          for name, (w, s, c) in BATCHES.items()}}
+    doc = run_checkouts(argv, __file__, "BENCH_solve.json", write_batches, summarize, "batches",
+                        fields)
     for name, entry in doc["checkouts"].items():
         for batch, s in entry["batches"].items():
             top = sorted(s["phases_ms"].items(), key=lambda kv: -kv[1])[:4]
