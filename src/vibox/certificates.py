@@ -216,18 +216,6 @@ def _first_min(values):
     return k, float(values[k])
 
 
-def _distinct(mats):
-    """(position, matrix) for each matrix that is not byte-equal to an earlier
-    one.  The checkers' margins are strict-< minima and their witnesses first
-    hits, so a repeated matrix can change neither."""
-    seen = set()
-    for k, a in enumerate(mats):
-        key = a.tobytes()
-        if key not in seen:
-            seen.add(key)
-            yield k, a
-
-
 def principal_minor_det(a) -> float:
     """Determinant of one matrix: exact cofactor expansion for orders up to 3,
     LU-based above (the rule of _det_stack)."""
@@ -331,7 +319,7 @@ def _sampled_jacobians(p: VIProblem, samples, seed, radius):
     submatrices, so the minor budget is checked before the stack is built.
     A non-finite Jacobian entry raises EvaluationError, as a non-finite F does.
     The Jacobian of affine and game F is A at every point: the stack is then
-    one read-only view of A, its points still drawn for the witnesses."""
+    A alone, (1, m, m), its points still drawn for the witnesses."""
     if samples < 1:
         raise ValueError("sample set is empty")
     _check_minor_budget(p.dim)
@@ -339,8 +327,7 @@ def _sampled_jacobians(p: VIProblem, samples, seed, radius):
     def make():
         pts = draw_samples(p.set, samples, seed, radius)
         if p.is_affine:
-            a = _finite_values(p.mapping.data["A"])
-            return pts, np.broadcast_to(a, (samples, *a.shape))
+            return pts, _finite_values(p.mapping.data["A"])[None]
         return pts, _finite_values(np.array([jacobian(p, x) for x in pts]))
     return _shared(("jacobians", samples, seed, radius), make, p)
 
@@ -351,7 +338,7 @@ def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
     pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     budget = {"samples": samples}
     min_margin = np.inf
-    for k, a in _distinct(jacs):
+    for k, a in enumerate(jacs):
         rep = pmatrix_minors(a)
         if rep.verdict != PASS:  # a fail's witness gains the point
             witness = rep.witness and dict(rep.witness, point=pts[k].tolist())
@@ -368,22 +355,20 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
     tuple of the n = ``samples`` points of draw_samples; each must be a
     P-matrix with margin at least ETA_FLOOR.  The 2n tuples are the n
     all-same ones (one per point), then n seeded draws, which are not made
-    when the Jacobians are byte-equal: every mixed-row matrix is then the first.
+    when the stack holds one matrix: every mixed-row matrix is then that one.
     """
     pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     n, m = samples, p.dim
     budget = {"samples": n, "mixed_rows": 2 * n}
-    if (jacs.view(np.int64) == jacs[:1].view(np.int64)).all():
-        tuples, mixed = [np.zeros(m, dtype=int)], [(0, jacs[0])]
-    else:
+    tuples = [np.zeros(m, dtype=int)]
+    if len(jacs) > 1:
         rng = np.random.default_rng(seed)
         tuples = [np.full(m, k) for k in range(n)]
         tuples += [rng.integers(0, n, size=m) for _ in range(n)]
-        mixed = _distinct(jacs[tup, np.arange(m)] for tup in tuples)
     min_margin = np.inf
     min_tuple = min_mix = None
-    for k, a_mix in mixed:
-        tup = tuples[k]
+    for tup in tuples:
+        a_mix = jacs[tup, np.arange(m)]
         rep = pmatrix_minors(a_mix)
         if rep.verdict == FAIL:
             witness = {"tuple": [int(t) for t in tup], "points": [pts[t].tolist() for t in tup],
@@ -414,7 +399,7 @@ def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
     pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     margin = np.inf
     arg = None
-    for k, a in _distinct(jacs):
+    for k, a in enumerate(jacs):
         s, idx, _ = _scan(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1])
         if s < margin:
             margin = s

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,20 @@ def normal_map(p: VIProblem, v) -> NormalMapEval:
     return NormalMapEval(v, z, r, norm)
 
 
+def _trial(p: VIProblem, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """normal_map at each row of v, as the stacks z and r and the list of the
+    norms, with norm NaN (never accepted) and rows of NaN instead of an
+    EvaluationError at a row where F is non-finite."""
+    try:
+        _, z, r, norm = normal_map(p, v)
+        return z, r, norm.tolist()
+    except EvaluationError:  # F is non-finite at some row: row by row
+        if len(v) == 1:
+            return np.full(v.shape, np.nan), np.full(v.shape, np.nan), [math.nan]
+        z, r, norms = zip(*(_trial(p, x[None]) for x in v))
+        return np.concatenate(z), np.concatenate(r), sum(norms, [])
+
+
 def normal_map_jacobian_element(p: VIProblem, v) -> np.ndarray:
     """Element I - D + dF(P_K[v]) D of the normal map's generalized Jacobian,
     with D the diagonal projection-Jacobian element at v."""
@@ -53,18 +68,11 @@ def coercivity_probe(p: VIProblem) -> tuple[np.ndarray, np.ndarray]:
     (directions, norms): direction 2i is +e_i and 2i + 1 is -e_i, and row k
     of norms holds ||F_nor(r d_k)|| at the radii r of RAY_RADII.  A ray on
     which F is non-finite gets a row of NaN.  ``coercivity_check`` reads the
-    table; this function only evaluates it with ``normal_map``, on one stack
-    of all the ray points, or ray by ray when F is non-finite on the stack."""
+    table; this function only evaluates it, on one stack of all the ray
+    points, with the solver's rule for rows where F is non-finite (``_trial``)."""
     eye = np.eye(p.dim)
     directions = np.array([s * eye[i] for i in range(p.dim) for s in (1.0, -1.0)])
     v = RAY_RADII[:, None] * directions[:, None, :]  # (ray, radius, coordinate)
-    try:
-        norms = normal_map(p, v.reshape(-1, p.dim)).norm.reshape(v.shape[:2])
-    except EvaluationError:
-        norms = np.full(v.shape[:2], np.nan)
-        for k, ray in enumerate(v):
-            try:
-                norms[k] = normal_map(p, ray).norm
-            except EvaluationError:
-                pass
+    norms = np.array(_trial(p, v.reshape(-1, p.dim))[2]).reshape(v.shape[:2])
+    norms[np.isnan(norms).any(axis=1)] = np.nan  # a finite residual's norm is at most inf
     return directions, norms

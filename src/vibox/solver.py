@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import (box_midpoint, draw_samples, hessian_block_convexity,
                            pl_condition_check)
-from .model import EvaluationError, VIProblem, as_vector, jacobian
-from .normal_map import normal_map, normal_map_jacobian_element
+from .model import VIProblem, as_vector, jacobian
+from .normal_map import _trial, normal_map, normal_map_jacobian_element
 from .projection import project
 
 SOLVED = "solved"
@@ -118,20 +117,6 @@ def merit_gradient(df: np.ndarray, free: np.ndarray, r: np.ndarray) -> np.ndarra
     (k, m) stacks free and r and the (k, m, m) stack df: each row is what it
     alone would give."""
     return np.where(free, np.matvec(df.mT, r), r)
-
-
-def _trial(p: VIProblem, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """normal_map at each row of v, as the stacks z and r and the list of the
-    norms, with norm NaN (never accepted) and rows of NaN instead of an
-    EvaluationError at a row where F is non-finite."""
-    try:
-        _, z, r, norm = normal_map(p, v)
-        return z, r, norm.tolist()
-    except EvaluationError:  # F is non-finite at some row: row by row
-        if len(v) == 1:
-            return np.full(v.shape, np.nan), np.full(v.shape, np.nan), [math.nan]
-        z, r, norms = zip(*(_trial(p, x[None]) for x in v))
-        return np.concatenate(z), np.concatenate(r), sum(norms, [])
 
 
 def _line_search(p: VIProblem, v: np.ndarray, d: np.ndarray, theta0, slope, picard) -> list:

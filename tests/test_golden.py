@@ -162,7 +162,9 @@ def test_stall_case_stops_stalled_starts_early(monkeypatch):
         res = solve(p, start=start)
         return res, len(calls)
 
-    monkeypatch.setattr(solver, "normal_map", counted)
+    # _trial, in the module vibox.normal_map (the package attribute is the
+    # function), evaluates every line-search trial
+    monkeypatch.setattr(sys.modules["vibox.normal_map"], "normal_map", counted)
     stalled = 0
     for start in snapshot_starts(p):
         res, evals = run(start)

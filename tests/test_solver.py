@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -830,7 +831,8 @@ class TestStackedSolve:
                              ids=["full-space", "lower-bounds"])
     def test_line_search_falls_back_row_by_row(self, m, seed, lo, monkeypatch):
         # F = A x + b is infinite where x_0 > 1.5, so stacked trials raise
-        # and _trial evaluates their rows one by one.
+        # and _trial evaluates their rows one by one; it looks normal_map up
+        # in the module vibox.normal_map (the package attribute is the function).
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((m, m)) * 2.0
         b = rng.uniform(-3.0, 3.0, m)
@@ -847,7 +849,7 @@ class TestStackedSolve:
                 stacked_errors.append(np.ndim(v) == 2 and len(v) > 1)
                 raise
 
-        monkeypatch.setattr(solver, "normal_map", counted)
+        monkeypatch.setattr(sys.modules["vibox.normal_map"], "normal_map", counted)
         got = multistart(p, starts=8, seed=0, radius=1.0)
         assert [bits(r) for r in got] == [bits(r) for r in oracle_multistart(p, 8, 0, 1.0)]
         assert any(stacked_errors)
