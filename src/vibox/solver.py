@@ -8,8 +8,8 @@ import numpy as np
 
 from .certificates import (box_midpoint, draw_samples, hessian_block_convexity,
                            pl_condition_check)
-from .model import VIProblem, as_vector, jacobian
-from .normal_map import _trial, normal_map, normal_map_jacobian_element
+from .model import EvaluationError, VIProblem, as_vector, jacobian
+from .normal_map import NormalMapEval, _trial, normal_map, normal_map_jacobian_element
 from .projection import project
 
 SOLVED = "solved"
@@ -289,10 +289,12 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
     On a bounded box the starting ray is the only unbounded branch, so the
     path ends where mu leaves the basis, at a solution.  The point is read
     back as v = x - F(x); if its residual is above tol, one Newton step on
-    its piece follows.  At most ITERATION_LIMIT pivots (then max-iters); a
-    path that ends with residual above tol reports line-search-stall.  So
-    does a path whose tableau is or turns non-finite (a box about 1e308
-    wide), at the default start, the box midpoint, where F is finite.
+    its piece follows, kept only when its residual is finite and lower.  At
+    most ITERATION_LIMIT pivots (then max-iters); a path that ends with
+    residual above tol reports line-search-stall.  So does a path whose
+    tableau is or turns non-finite (a box about 1e308 wide), or at whose end
+    point F is non-finite in the read-back, at the default start, the box
+    midpoint, where F is finite.
     """
     lo, hi = p.set.lo, p.set.hi
     a, b = p.mapping.data["A"], p.mapping.data["b"]
@@ -334,24 +336,29 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
                 break
             ratios = tab[rows][:, keys] / col[rows, None]
             row = rows[_lexmin(ratios)]
-    if not finite:  # F(lo) or hi - lo overflows, or a pivot does: no point to read back
+    if finite:
+        values = np.zeros(4 * n + 1)
+        values[basis] = tab[:, -1]
+        x = lo.copy()
+        x[idx] += values[2 * n:3 * n]
+        x = project(p.set, x)
+        try:
+            ev = normal_map(p, x - p.F(x))
+        except EvaluationError:  # F(x) or F(P_K[x - F(x)]) is non-finite
+            finite = False
+    if not finite:  # F(lo) or hi - lo overflows, or a pivot or the read-back does
         ev = normal_map(p, box_midpoint(p.set))
         return SolveResult(status=LINE_SEARCH_STALL, v=ev.v, x=ev.z, residual=ev.norm,
                            trace=(ev.norm,), steps=("path",), iterations=pivots)
-    values = np.zeros(4 * n + 1)
-    values[basis] = tab[:, -1]
-    x = lo.copy()
-    x[idx] += values[2 * n:3 * n]
-    x = project(p.set, x)
-    ev = normal_map(p, x - p.F(x))
     trace = [ev.norm]
     if ev.norm > tol:
         free = (lo < hi) & (ev.v >= lo) & (ev.v <= hi)
         d, singular = newton_directions(a[None], free[None], ev.r[None], [ev.norm])
-        trial = ev if singular[0] else normal_map(p, ev.v + d[0])
-        if trial.norm < ev.norm:
-            ev = trial
-            trace.append(ev.norm)
+        if not singular[0]:
+            z, r, (norm,) = _trial(p, ev.v[None] + d)  # NaN where F is non-finite: never kept
+            if norm < ev.norm:
+                ev = NormalMapEval(ev.v + d[0], z[0], r[0], norm)
+                trace.append(norm)
     if ev.norm <= tol:
         status = SOLVED
     return SolveResult(status=status, v=ev.v, x=ev.z, residual=ev.norm, trace=tuple(trace),

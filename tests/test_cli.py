@@ -478,6 +478,21 @@ def test_corner_ray_path_on_a_box_about_1e308_wide(tmp_path, capsys):
     assert [(r["status"], r["x"]) for r in ends] == [("line-search-stall", [-5e307, -5e307])]
 
 
+def test_corner_ray_path_where_f_overflows_at_its_end(tmp_path, capsys):
+    # F is finite at both starts but overflows where the path reads its end
+    # point back: the path stalls at the box midpoint, and solve prints its report.
+    path = tmp_path / "overflow-end.json"
+    path.write_text(json.dumps({
+        "m": 1, "mapping": {"kind": "affine"},
+        "affine": {"A": [7.684337819423959e+307], "b": [-6.9305022522022e+303]},
+        "set": {"lo": [-0.494153906108326], "hi": [2.58142683425597]}}))
+    code, out, err = run_cli(capsys, "solve", str(path), "--starts", "2")
+    assert code == 2 and err.startswith("solved") and err.count("\n") == 1
+    ends = [r for r in json.loads(out)["results"] if r["steps"] == ["path"]]
+    assert [(r["status"], r["x"]) for r in ends] == [
+        ("line-search-stall", [(-0.494153906108326 + 2.58142683425597) / 2.0])]
+
+
 NONFINITE_ENTRIES = [  # (field, problem, path to one entry of the field in its file)
     ("game.q", "example-game", ("game", "q", "0,0", 0)),
     ("game.q", "example-game", ("game", "q", "0,1", 0)),

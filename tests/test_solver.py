@@ -613,6 +613,28 @@ class TestCornerRayPath:
         res = _corner_ray_path(p, 1e-10)
         assert (res.status, res.iterations, res.steps) == ("max-iters", 2, ("path",))
 
+    @pytest.mark.parametrize("a, b, lo, hi", [
+        ([[7.684337819423959e+307]], [-6.9305022522022e+303],
+         [-0.494153906108326], [2.58142683425597]),
+        ([[-4.5186998474970475e+305, -8.543174599389352e+306],
+          [1.3863022007715714e+308, 2.5271023843935695e+302]],
+         [1.2867094963769917e+298, -3.530210297950824e+297],
+         [-0.835545931874262, -0.05719502085583472], [2.2995945412347814, 2.0879025736263443]),
+    ], ids=["read-back", "newton-step"])
+    def test_non_finite_f_at_the_path_end_stalls(self, a, b, lo, hi):
+        # F is finite at both starts, but non-finite where the path reads its
+        # end point back, which then ends at the box midpoint, or at its final
+        # Newton trial, which is then rejected, as in the line search.
+        p = VIProblem(affine_mapping(a, b), BoxSet(lo, hi))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = [r for r in multistart(p, starts=2) if r.steps == ("path",)]
+            assert [r.status for r in ends] == ["line-search-stall"]
+            assert ends[0].trace == (ends[0].residual,)
+            res = _corner_ray_path(p, 1e-10)
+        assert bits(res) == bits(ends[0])
+        if len(a) == 1:
+            np.testing.assert_array_equal(res.x, certificates.box_midpoint(p.set))
+
     def test_runs_once_when_every_start_fails(self, monkeypatch):
         monkeypatch.setattr(solver, "_solve_stack", failed_starts)
         p = get_problem("spd-box")
