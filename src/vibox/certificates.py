@@ -55,6 +55,7 @@ MIN_PAIRS = 100  # pfunction, block-pfunction and growth test at least this many
 ETA_FLOOR = 1e-10  # least principal minor of a uniform-pmatrix mixed-row matrix
 NOISE_FLOOR = 1e-12  # a minor or eigenvalue this small relative to its scale counts as 0
 _BIG = np.finfo(float).max
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # a norm below this may have lost its squares
 
 
 class BudgetError(ValueError):
@@ -765,8 +766,14 @@ def _face_edge(j, inside, pinned, tol):
         return s_min, (fr, None)
     x = np.linalg.solve(j[np.ix_(fr, fr)], j[np.ix_(fr, bd)])
     c = j[np.ix_(bd, bd)] - j[np.ix_(bd, fr)] @ x
-    norms = np.linalg.norm(np.abs(j[np.ix_(bd, bd)]) + np.abs(j[np.ix_(bd, fr)]) @ np.abs(x),
-                           axis=1)
+    terms = np.abs(j[np.ix_(bd, bd)]) + np.abs(j[np.ix_(bd, fr)]) @ np.abs(x)
+    # Where the squares overflow or underflow, the norm of the row scaled by t,
+    # its largest term, times t: else a huge row would be zeroed, a tiny one kept.
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(terms, axis=1)
+    t = np.max(terms, axis=1, initial=0.0)
+    redo = (0.0 < t) & (t < np.inf) & ~((norms >= _SQRT_TINY) & (norms < np.inf))
+    norms[redo] = t[redo] * np.linalg.norm(terms[redo] / t[redo, None], axis=1)
     least, _, bad = _scan(c / np.where(norms > 0.0, norms, 1.0)[:, None], _det_stack,
                           NOISE_FLOOR)
     edge = None if bad is None else (np.sort(np.r_[fr, bd[list(bad[:-1])]]), int(bd[bad[-1]]))

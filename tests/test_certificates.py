@@ -719,6 +719,34 @@ class TestMaximalRankTsearch:
         assert any(np.array_equal(rep.witness["point"], x) for x in pts)
         recheck_maximal_rank_witness(p, rep)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e305, 1e-170])
+    def test_rows_whose_squares_overflow_or_underflow_keep_their_scale(self, scale):
+        # A positive diagonal is a P-matrix at any scale; the squares of 1e160
+        # overflow and those of 1e-170 underflow in a plain row norm.
+        p = VIProblem(affine_mapping(np.diag([scale, 1.0])), BoxSet([0.0, -1.0], [5.0, 1.0]))
+        rep = maximal_rank_tsearch(p, 10, 5, 10.0)
+        assert (rep.verdict, rep.margin) == ("pass", 1.0)
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 5).map(lambda m: (m, m)),
+                      elements=st.integers(-4, 4)), st.data())
+    def test_pass_is_kept_under_power_of_two_row_scaling(self, a, data):
+        # Scaling row i of A by 2^k_i keeps the sign of every principal minor,
+        # so on a box with every bound finite whether A passes cannot change,
+        # even where the squares of a row's terms overflow or underflow (|k_i|
+        # past about 510, drawn as often as the rest).
+        m = a.shape[0]
+        a += np.diag(data.draw(hnp.arrays(np.float64, m, elements=st.integers(0, 12))))
+        k = data.draw(hnp.arrays(np.int64, m, elements=st.integers(-520, -500)
+                                 | st.integers(-520, 520) | st.integers(500, 520)))
+        fixed = data.draw(hnp.arrays(bool, m))
+        box = BoxSet(np.full(m, -1.0), np.where(fixed, -1.0, 2.0))
+        with np.errstate(over="ignore"):  # the residual at a fail's point may overflow
+            passes = [maximal_rank_tsearch(VIProblem(affine_mapping(b), box), 1, 0,
+                                           10.0).verdict == "pass"
+                      for b in (a, np.ldexp(a, k[:, None]))]
+        assert passes[0] == passes[1]
+
     @given(integer_affine_problems())
     def test_exact_rule_agrees_with_vertex_enumeration(self, p):
         rep = maximal_rank_tsearch(p, 1, 0, 10.0)
