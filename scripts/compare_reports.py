@@ -45,6 +45,14 @@ loader is compared.  One affine file is shaped like the ``solve-large``
 benchmark instances (``save_large``): a flat ``A``, an SPD-plus-skew
 matrix with m = 300, 20% of the coordinates free and the others bounded,
 so that each start takes several Newton steps as its free block shrinks.
+Three affine files hold entries near the largest double (``save_overflow``):
+a one-dimensional problem on whose corner-ray path F overflows where the
+end point is read back, though it is finite at every start;
+``diag(1e160, 1)`` on ``[0, 5] x [-1, 1]``, where the squares of the first
+row of ``maximal-rank``'s Schur complement overflow; and ``diag(1e305, 1)``
+with ``b = 0`` on ``[0, inf) x [-1, 1]``, where F is finite at every
+sample but overflows on the ray ``+e_0``, so ``coercivity`` reads a row of
+NaN.
 Prints each call whose exit code
 or stdout differs between the checkouts, or whose argv only one of them
 makes, and exits 1 if there is any; stderr (timings) is not compared.
@@ -247,6 +255,22 @@ def save_large(problem_dir):
         json.dump(doc, fh)
 
 
+def save_overflow(problem_dir):
+    """Write the three affine files with entries near the largest double (see
+    the module docstring)."""
+    docs = {
+        "affine-overflow-path-end": ([7.684337819423959e+307], [-6.9305022522022e+303],
+                                     [-0.494153906108326], [2.58142683425597]),
+        "affine-huge-row": ([1e160, 0.0, 0.0, 1.0], [0.0, 0.0], [0.0, -1.0], [5.0, 1.0]),
+        "affine-overflow-ray": ([1e305, 0.0, 0.0, 1.0], [0.0, 0.0], [0.0, -1.0], ["inf", 1.0]),
+    }
+    for name, (a, b, lo, hi) in docs.items():
+        doc = {"name": name, "m": len(b), "mapping": {"kind": "affine"},
+               "affine": {"A": a, "b": b}, "set": {"lo": lo, "hi": hi}}
+        with open(Path(problem_dir) / f"{name}.json", "w") as fh:
+            json.dump(doc, fh)
+
+
 def emit(problem_dir):
     """Print [argv, exit code, stdout] for every call as one JSON list."""
     from vibox.cli import main
@@ -297,6 +321,7 @@ def main(argv) -> int:
         save_affine(problem_dir)
         save_variants(problem_dir)
         save_large(problem_dir)
+        save_overflow(problem_dir)
         mine, other = run(HERE, problem_dir), run(argv[0], problem_dir)
     differ = [key for key in sorted(mine.keys() | other.keys())
               if mine.get(key) != other.get(key)]

@@ -31,7 +31,9 @@ per-row records), ``merit_gradient``, ``free_block_gather``
 of each free block, the back-substitution and the singularity flags),
 ``lu_solves`` (``_solve_blocks``), ``column_norms`` (every ``np.einsum``
 call of the solver), ``line_search`` (``_line_search`` less its trials),
-``normal_map_trials`` (``_trial``), ``classify`` and ``emit`` (``_emit``).
+``normal_map_trials`` (``_trial``, which ``solver`` imports from
+``normal_map``: the line-search trials and the corner-ray path's final
+Newton trial), ``classify`` and ``emit`` (``_emit``).
 
 Each round makes one untimed pass over every batch first.  Each figure is
 the median over the rounds per instance, summed over a batch, so one figure
