@@ -767,13 +767,15 @@ def _face_edge(j, inside, pinned, tol):
     x = np.linalg.solve(j[np.ix_(fr, fr)], j[np.ix_(fr, bd)])
     c = j[np.ix_(bd, bd)] - j[np.ix_(bd, fr)] @ x
     terms = np.abs(j[np.ix_(bd, bd)]) + np.abs(j[np.ix_(bd, fr)]) @ np.abs(x)
-    # Where the squares overflow or underflow, the norm of the row scaled by t,
-    # its largest term, times t: else a huge row would be zeroed, a tiny one kept.
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(terms, axis=1)
-    t = np.max(terms, axis=1, initial=0.0)
-    redo = (0.0 < t) & (t < np.inf) & ~((norms >= _SQRT_TINY) & (norms < np.inf))
-    norms[redo] = t[redo] * np.linalg.norm(terms[redo] / t[redo, None], axis=1)
+    redo = ~((norms >= _SQRT_TINY) & (norms < np.inf))
+    if redo.any():
+        # Squares that overflow would zero a huge row, and squares that underflow
+        # leave a tiny one unscaled: there the norm is t ||row / t||, t its largest term.
+        t = np.max(terms, axis=1, initial=0.0)
+        redo &= (0.0 < t) & (t < np.inf)
+        norms[redo] = t[redo] * np.linalg.norm(terms[redo] / t[redo, None], axis=1)
     least, _, bad = _scan(c / np.where(norms > 0.0, norms, 1.0)[:, None], _det_stack,
                           NOISE_FLOOR)
     edge = None if bad is None else (np.sort(np.r_[fr, bd[list(bad[:-1])]]), int(bd[bad[-1]]))
