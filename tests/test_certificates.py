@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
