@@ -853,62 +853,46 @@ def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> Certi
     return CertificateReport("maximal-rank", PASS, margin, None, seed, budget, note)
 
 
-def pl_condition_check(p: VIProblem, xbar, samples=200, seed=0,
-                       radius=10.0) -> CertificateReport:
+def pl_condition_check(p: VIProblem, xbar) -> CertificateReport:
     """Gap-domination check of a game (``make_game``) at a stationary
     candidate: for each player the squared own gradient must dominate a
-    positive multiple of the suboptimality gap, upgrading the candidate to a
-    Nash equilibrium; inconclusive where the gradient map exceeds 1e-6 in
-    norm.  Each player reads its own columns of one draw_samples call over K
-    and its own block A[s_i, s_i] of the Jacobian A."""
+    positive multiple mu_i of the suboptimality gap, upgrading the candidate to
+    a Nash equilibrium; inconclusive where the gradient map exceeds 1e-6 in
+    norm.  With own block Q_ii = A[s_i, s_i] of the Jacobian A and a finite
+    inner minimum, the quadratic own cost has the exact constant mu_i = 2
+    lambda_min+(Q_ii), its least eigenvalue above 1e-12 (Karimi, Nutini &
+    Schmidt 2016)."""
     xbar = as_vector(xbar, p.dim)
     grad = p.F(xbar)
     grad_norm = float(np.linalg.norm(grad))
+    budget = {"players": len(p.set.blocks)}
     if grad_norm > 1e-6:
-        return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
+        return CertificateReport("pl", INCONCLUSIVE, None, None, None, budget,
                                  "the solver's point is a boundary equilibrium, outside the "
                                  "scope of the PL check (candidate is not stationary: "
                                  f"gradient-map norm {grad_norm:.3e} > 1e-6)")
-    rows = draw_samples(p.set, samples, seed, radius)
     mus = []
-    budget = {"samples": samples}
     for i, (sl, lam) in enumerate(zip(block_slices(p.set.blocks), _own_lambdas(p))):
-        qii = p.mapping.data["A"][sl, sl]
-        b = grad[sl] - qii @ xbar[sl]  # own gradient is qii @ x_i + b, others at xbar
-        if lam > 1e-12:
-            x_opt = np.linalg.solve(qii, -b)
-        elif lam < -1e-10:
-            return CertificateReport(
-                "pl", INCONCLUSIVE, None, None, seed, budget,
-                f"player {i} cost is unbounded below in its own variable; "
-                "no finite inner minimum exists", {"player": i})
-        else:
-            x_opt = np.linalg.lstsq(qii, -b, rcond=None)[0]
-            if np.linalg.norm(qii @ x_opt + b) > 1e-8:
-                return CertificateReport(
-                    "pl", INCONCLUSIVE, None, None, seed, budget,
-                    f"player {i} cost decreases linearly along a flat direction; "
-                    "no finite inner minimum exists", {"player": i})
-        # gap(x_i) = 1/2 (x_i - x_opt)' Q_ii (x_i - x_opt); exact for quadratics
-        xi = rows[:, sl]
-        dx = xi - x_opt
-        gap = 0.5 * np.sum((dx @ qii) * dx, axis=1)
-        grad2 = np.sum((xi @ qii.T + b) ** 2, axis=1)
-        positive = (gap > 1e-12) & np.isfinite(gap) & np.isfinite(grad2)  # inf / inf is NaN
-        if not positive.any():
-            return CertificateReport("pl", INCONCLUSIVE, None, None, seed, budget,
-                                     f"player {i}: no sample with a positive gap",
-                                     {"player": i})
-        mus.append(float(np.min(grad2[positive] / gap[positive])))
-    margin = float(min(mus))
-    metrics = {"mu": [float(v) for v in mus]}
-    if margin > 0.0:
-        return CertificateReport("pl", PASS, margin, None, seed, budget,
-                                 "gap-domination holds at every sample; the candidate "
-                                 f"is a Nash equilibrium; {SAMPLED_NOTE}", metrics)
-    k = int(np.argmin(mus))
-    return CertificateReport("pl", FAIL, margin, {"player": k, "mu": float(mus[k])},
-                             seed, budget, "nonpositive gap-domination constant", metrics)
+        if lam <= 1e-12:  # semidefinite or worse: a minimum needs b in the range of Q_ii
+            qii = p.mapping.data["A"][sl, sl]
+            b = grad[sl] - qii @ xbar[sl]  # own gradient is qii @ x_i + b, others at xbar
+            lams = np.linalg.eigvalsh(qii)
+            if lam < -1e-10:
+                why = "cost is unbounded below in its own variable; no finite inner minimum exists"
+            elif np.linalg.norm(qii @ np.linalg.lstsq(qii, -b, rcond=None)[0] + b) > 1e-8:
+                why = ("cost decreases linearly along a flat direction; no finite inner "
+                       "minimum exists")
+            elif lams[-1] <= 1e-12:
+                why = "own block has no positive eigenvalue"
+            else:
+                why, lam = None, lams[lams > 1e-12][0]
+            if why:
+                return CertificateReport("pl", INCONCLUSIVE, None, None, None, budget,
+                                         f"exact: player {i}: {why}", {"player": i})
+        mus.append(2.0 * float(lam))
+    return CertificateReport("pl", PASS, min(mus), None, None, budget,
+                             "exact: mu_i = 2 lambda_min+ of each own block; the candidate "
+                             "is a Nash equilibrium", {"mu": mus})
 
 
 def hessian_block_convexity(p: VIProblem) -> CertificateReport:
@@ -966,7 +950,7 @@ def coercivity_check(p: VIProblem, seed, tol=1e-8) -> CertificateReport:
                              "slopes below the evidence threshold on some ray")
 
 
-def _pl_at_solution(p: VIProblem, seed, samples, radius) -> CertificateReport:
+def _pl_at_solution(p: VIProblem) -> CertificateReport:
     """The PL check at the first result of ``multistart`` from the default
     start alone: the point that start reaches, or, when it does not solve a
     game on a bounded box, the end of the corner-ray path."""
@@ -974,9 +958,10 @@ def _pl_at_solution(p: VIProblem, seed, samples, radius) -> CertificateReport:
 
     res = multistart(p, starts=1)[0]
     if not res.solved:
-        return CertificateReport("pl", INCONCLUSIVE, None, None, seed, {},
+        return CertificateReport("pl", INCONCLUSIVE, None, None, None,
+                                 {"players": len(p.set.blocks)},
                                  "no stationary candidate: solver did not converge")
-    return pl_condition_check(p, res.x, samples, seed, radius)
+    return pl_condition_check(p, res.x)
 
 
 @dataclass(frozen=True)
@@ -1012,7 +997,7 @@ CONDITIONS = {
     "maximal-rank": (lambda p, s: maximal_rank_tsearch(
         p, s.samples, s.seed, s.radius, tol=s.tol), False),
     "coercivity": (lambda p, s: coercivity_check(p, s.seed, s.tol), False),
-    "pl": (lambda p, s: _pl_at_solution(p, s.seed, s.pairs, s.radius), True),
+    "pl": (lambda p, s: _pl_at_solution(p), True),
     "block-convexity": (lambda p, s: hessian_block_convexity(p), True),
 }
 

@@ -947,21 +947,21 @@ class TestExactRules:
 class TestPLCondition:
     def test_example_game_mu_exact(self):
         g = get_problem("example-game")
-        rep = pl_condition_check(g, np.zeros(2), samples=100, seed=9)
+        rep = pl_condition_check(g, np.zeros(2))
         assert rep.verdict == "pass"
         assert rep.metrics["mu"] == [2.0, 2.0]
 
     def test_decoupled_identity_blocks(self):
         g = make_game((2, 2), {(0, 0): np.eye(2), (1, 1): np.eye(2)},
                       (np.zeros(2), np.zeros(2)), free_box(4, blocks=(2, 2)))
-        rep = pl_condition_check(g, np.zeros(4), samples=100, seed=9)
+        rep = pl_condition_check(g, np.zeros(4))
         assert rep.verdict == "pass"
         assert rep.metrics["mu"] == pytest.approx([2.0, 2.0], abs=1e-12)
 
     def test_indefinite_block_inconclusive(self):
         g = make_game((1, 1), {(0, 0): [[-1.0]], (1, 1): [[1.0]]}, ([0.0], [0.0]),
                       free_box(2, blocks=(1, 1)))
-        rep = pl_condition_check(g, np.zeros(2), samples=50, seed=9)
+        rep = pl_condition_check(g, np.zeros(2))
         assert rep.verdict == "inconclusive"
         assert "unbounded below" in rep.notes
 
@@ -970,21 +970,22 @@ class TestPLCondition:
         # player 0's cost decreases linearly without bound.
         g = make_game((1, 1), {(0, 0): [[0.0]], (1, 1): [[1.0]]}, ([5e-7], [0.0]),
                       free_box(2, blocks=(1, 1)))
-        rep = pl_condition_check(g, np.zeros(2), samples=50, seed=9)
+        rep = pl_condition_check(g, np.zeros(2))
         assert rep.verdict == "inconclusive" and rep.metrics == {"player": 0}
         assert "flat direction" in rep.notes
 
     def test_zero_own_block_has_no_positive_gap(self):
         g = make_game((1, 1), {(0, 0): [[1.0]], (1, 1): [[0.0]]}, ([0.0], [0.0]),
                       free_box(2, blocks=(1, 1)))
-        rep = pl_condition_check(g, np.zeros(2), samples=50, seed=9)
+        rep = pl_condition_check(g, np.zeros(2))
         assert rep.verdict == "inconclusive" and rep.metrics == {"player": 1}
-        assert "no sample with a positive gap" in rep.notes
+        assert "own block has no positive eigenvalue" in rep.notes
 
     def test_nonstationary_candidate_rejected(self):
-        rep = pl_condition_check(get_problem("example-game"), np.array([1.0, 1.0]), seed=4)
+        rep = pl_condition_check(get_problem("example-game"), np.array([1.0, 1.0]))
         assert rep.verdict == "inconclusive" and rep.margin is None and rep.witness is None
-        assert rep.seed == 4 and rep.budget == {} and "gradient-map norm" in rep.notes
+        assert rep.seed is None and rep.budget == {"players": 2}
+        assert "gradient-map norm" in rep.notes
 
 
 def unsolved(p, starts, tol):
@@ -1014,8 +1015,9 @@ class TestPLAtSolution:
 
 
 def pl_mu_oracle(p, xbar, rows):
-    """mu per player from a plain loop over the rows; inf for a player with no
-    row of positive gap.  The blocks Q_ij and c_i are read straight off A and b."""
+    """mu per player from a plain loop over the rows, the least ratio of squared
+    own gradient to gap over the rows of gap above 1e-12; inf for a player with
+    no such row.  The blocks Q_ij and c_i are read straight off A and b."""
     a, c = p.mapping.data["A"], p.mapping.data["b"]
     ends = np.cumsum(p.set.blocks)
     sls = [slice(end - size, end) for size, end in zip(p.set.blocks, ends)]
@@ -1027,7 +1029,7 @@ def pl_mu_oracle(p, xbar, rows):
             if j != i:
                 b = b + a[sl, sj] @ xbar[sj]
         b = b + c[sl]
-        x_opt = np.linalg.solve(qii, -b)
+        x_opt = np.linalg.lstsq(qii, -b, rcond=None)[0]
         mu = np.inf
         for row in rows:
             dx = row[sl] - x_opt
@@ -1041,15 +1043,23 @@ def pl_mu_oracle(p, xbar, rows):
 @st.composite
 def stationary_games(draw):
     """(game's VI, stationary point): 2 or 3 players with blocks of size 1 to 3,
-    positive definite own blocks, a box mixing every kind of coordinate, and
-    c chosen so that the gradient map vanishes at the point."""
+    own blocks positive definite or, drawn per player, semidefinite with a zero
+    row and column (size 1: definite), a box mixing every kind of coordinate,
+    and c chosen so that the gradient map vanishes at the point (so each c_i
+    lies in the range of Q_ii).  The zero row keeps the null space exact: a
+    null eigenvalue rounded to 1e-17 would lower the ratio of a row far along
+    it, below the 1e-12 cut of the rule."""
     sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    semidefinite = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
     box = draw(mixed_boxes(st.just(sum(sizes))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     q = {(i, j): rng.uniform(-1.0, 1.0, (a, b))
          for i, a in enumerate(sizes) for j, b in enumerate(sizes)}
     for i, a in enumerate(sizes):
-        s = q[i, i] @ q[i, i].T + rng.uniform(0.1, 2.0) * np.eye(a)
+        f = q[i, i]
+        if semidefinite[i] and a > 1:
+            f[rng.integers(a)] = 0.0
+        s = f @ f.T + (0.0 if semidefinite[i] else rng.uniform(0.1, 2.0)) * np.eye(a)
         q[i, i] = (s + s.T) / 2.0
     box = BoxSet(box.lo, box.hi, sizes)
     p = make_game(sizes, q, [np.zeros(a) for a in sizes], box)
@@ -1058,18 +1068,30 @@ def stationary_games(draw):
     return make_game(sizes, q, np.split(c, np.cumsum(sizes)[:-1]), box), xbar
 
 
-class TestPLSampler:
-    @given(stationary_games(), st.integers(1, 60), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([0.5, 10.0, 40.0]))
-    def test_matches_per_row_loop(self, game, samples, seed, radius):
+class TestPLExact:
+    @given(stationary_games(), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.5, 10.0, 40.0]))
+    def test_mu_is_twice_the_least_positive_eigenvalue(self, game, seed, radius):
+        # No sampled row of positive gap has a smaller ratio than mu_i, and the
+        # point xbar + v, v an eigenvector of mu_i / 2 on player i's block
+        # (xbar_i minimizes the own cost), attains it.
         p, xbar = game
-        rep = pl_condition_check(p, xbar, samples=samples, seed=seed, radius=radius)
-        mus = pl_mu_oracle(p, xbar, draw_samples(p.set, samples, seed, radius))
-        if not all(np.isfinite(mus)):
-            assert rep.verdict == "inconclusive"
-            return
-        assert rep.verdict == ("pass" if min(mus) > 0.0 else "fail")
-        np.testing.assert_allclose(rep.metrics["mu"], mus, rtol=1e-12, atol=0.0)
+        rep = pl_condition_check(p, xbar)
+        assert rep.verdict == "pass" and rep.seed is None
+        assert rep.budget == {"players": len(p.set.blocks)} and rep.notes.startswith("exact:")
+        sampled = pl_mu_oracle(p, xbar, draw_samples(p.set, 60, seed, radius))
+        ends = np.cumsum(p.set.blocks)
+        for i, (size, end) in enumerate(zip(p.set.blocks, ends)):
+            sl = slice(end - size, end)
+            qii = p.mapping.data["A"][sl, sl]
+            lams = np.linalg.eigvalsh(qii)
+            assert rep.metrics["mu"][i] == 2.0 * lams[lams > 1e-12][0]
+            assert sampled[i] >= rep.metrics["mu"][i] * (1.0 - 1e-9)
+            w, vecs = np.linalg.eigh(qii)
+            x = xbar.copy()
+            x[sl] += vecs[:, np.flatnonzero(w > 1e-12)[0]]
+            assert pl_mu_oracle(p, xbar, [x])[i] == pytest.approx(rep.metrics["mu"][i],
+                                                                  rel=1e-9)
+        assert rep.margin == min(rep.metrics["mu"])
 
 
 class TestHessianBlockConvexity:

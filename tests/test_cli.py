@@ -283,10 +283,9 @@ class TestCertifyCommand:
         assert cert["verdict"] == "inconclusive" and cert["margin"] is None
         assert "equal dimension" in cert["notes"] and "[1, 2]" in cert["notes"]
 
-    def test_pl_follows_samples_and_radius(self, tmp_path, capsys):
-        # Two players with 2-dim own blocks on R^4; the equilibrium is off 0, so
-        # the sampled directions from it, and with them pl's margin, move with
-        # the radius as well as with the number of samples.
+    def test_pl_is_the_same_for_any_samples_radius_and_seed(self, tmp_path, capsys):
+        # Two players with 2-dim own blocks on R^4 and the equilibrium off 0:
+        # pl reads its constant off the own blocks, so no sampling option moves it.
         q = {(0, 0): [[1.05, 0.05], [0.05, 1.5]], (0, 1): [[0.3, 0.4], [0.1, 0.2]],
              (1, 0): [[0.0, 0.4], [0.3, -0.5]], (1, 1): [[1.41, 0.23], [0.23, 1.13]]}
         g = make_game((2, 2), q, ([2.2, 0.2], [-1.2, -0.5]),
@@ -298,13 +297,12 @@ class TestCertifyCommand:
             code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl", *options)
             (cert,) = json.loads(out)["certificates"]
             assert code == 0 and cert["verdict"] == "pass"
-            return cert["budget"]["samples"], cert["margin"]
+            return cert
 
         default = pl()
-        assert default[0] == 120  # the pair budget, max(100, 4 * samples)
-        fewer, narrower = pl("--samples", "5"), pl("--radius", "1")
-        assert fewer[0] == 100 and fewer[1] != default[1]
-        assert narrower[0] == 120 and narrower[1] != default[1]
+        assert default["seed"] is None and default["budget"] == {"players": 2}
+        for options in (("--samples", "5"), ("--radius", "1"), ("--seed", "7")):
+            assert pl(*options) == default
 
     def test_pl_checks_its_candidate_once(self, tmp_path, capsys, monkeypatch):
         # Q_00 = diag(1, 0) fails block-convexity, so labelling the solver's
@@ -313,18 +311,17 @@ class TestCertifyCommand:
                       (np.zeros(2), np.zeros(1)), BoxSet([-1.0] * 3, [1.0] * 3, (2, 1)))
         path = tmp_path / "semidefinite.json"
         save_problem(g, path)
-        check, rows = certificates.pl_condition_check, []
+        check, calls = certificates.pl_condition_check, []
 
-        def counted(p, xbar, *args, **kwargs):
-            rep = check(p, xbar, *args, **kwargs)
-            rows.append(rep.budget["samples"])
-            return rep
+        def counted(p, xbar):
+            calls.append(1)
+            return check(p, xbar)
 
         for module in (certificates, solver):
             monkeypatch.setattr(module, "pl_condition_check", counted)
         code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl")
         (cert,) = json.loads(out)["certificates"]
-        assert code == 0 and cert["verdict"] == "pass" and rows == [120]
+        assert code == 0 and cert["verdict"] == "pass" and len(calls) == 1
 
     def test_overflowing_edge_minors_print_as_strict_json(self, tmp_path, capsys):
         # A = 10 I on 400 free coordinates and -1 on one coordinate in [0, 1]:
@@ -388,18 +385,21 @@ class TestCertifyCommand:
             assert certs[cond]["budget"] == {"pairs": 0}
             assert "no two points" in certs[cond]["notes"]
 
-    def test_overflowing_pl_gap_is_left_out(self, tmp_path, capsys):
-        # Strongly convex, but on this box 1/2 x^2 and x^2 overflow at most
-        # samples: inf / inf would be a NaN margin and a false fail.
+    def test_pl_on_an_overflowing_box_passes_as_strict_json(self, tmp_path, capsys):
+        # Strongly convex; on this box 1/2 x^2 and x^2 overflow, but the
+        # constant 2 lambda_min(Q_00) = 2 is read off the block, not off points.
         g = make_game((1,), {(0, 0): [[1.0]]}, ([0.0],),
                       BoxSet([-1e160], [1e160], blocks=(1,)))
         path = tmp_path / "wide.json"
         save_problem(g, path)
         code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl")
-        assert "NaN" not in out
-        cert = json.loads(out)["certificates"][0]
-        assert code == 3 and cert["verdict"] == "inconclusive" and cert["margin"] is None
-        assert cert["notes"] == "player 0: no sample with a positive gap"
+
+        def refuse(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        (cert,) = json.loads(out, parse_constant=refuse)["certificates"]
+        assert code == 0 and cert["verdict"] == "pass" and cert["margin"] == 2.0
+        assert cert["notes"].startswith("exact:")
 
     def test_closed_stdout_exits_without_a_traceback(self):
         # The reader of stdout is gone before the report is written, as with
