@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -227,3 +228,33 @@ class TestCoercivityProbe:
                       BoxSet.full_space(2))
         _, norms = coercivity_probe(p)
         assert np.all(np.isnan(norms[:2])) and np.all(np.isfinite(norms[2:]))
+
+    def test_one_overflowing_ray_costs_few_calls(self, monkeypatch):
+        # A = diag(1e305, 1, ..., 1) on [0, inf) x [-1, 1]^(m-1): F overflows
+        # at radius 2048 of the ray +e_0, one of the 24m ray points.  The stack
+        # is split in halves down to that row, and the table equals the one of
+        # evaluating every point on its own, bit for bit.
+        m = 10
+        p = VIProblem(affine_mapping(np.diag(np.r_[1e305, np.ones(m - 1)])),
+                      BoxSet(np.r_[0.0, -np.ones(m - 1)], np.r_[np.inf, np.ones(m - 1)]))
+        module, calls = sys.modules["vibox.normal_map"], []
+
+        def counted(p, v):
+            calls.append(len(v))
+            return normal_map(p, v)
+
+        with monkeypatch.context() as patch, np.errstate(over="ignore"):
+            patch.setattr(module, "normal_map", counted)
+            directions, norms = coercivity_probe(p)
+        assert len(calls) <= 20
+        rows = []
+        for v in (RAY_RADII[:, None] * directions[:, None, :]).reshape(-1, m):
+            try:
+                with np.errstate(over="ignore"):
+                    rows.append(normal_map(p, v[None]).norm[0])
+            except EvaluationError:
+                rows.append(np.nan)
+        expected = np.array(rows).reshape(norms.shape)
+        expected[np.isnan(expected).any(axis=1)] = np.nan
+        assert norms.tobytes() == expected.tobytes()
+        assert np.isnan(norms[0]).all() and np.isfinite(norms[1:]).all()
