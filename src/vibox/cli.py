@@ -130,12 +130,12 @@ _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 @_QUIET_OVERFLOW
 def cmd_solve(args) -> int:
+    t0 = time.perf_counter()
     try:
         p, provenance = resolve_problem(args.problem)
     except (KeyError, ProblemFileError) as e:
         print(f"error: {e.args[0]}", file=sys.stderr)  # str(KeyError) would quote it
         return EXIT_USAGE
-    t0 = time.perf_counter()
     try:
         results = multistart(p, starts=args.starts, seed=args.seed, radius=args.radius,
                              tol=args.tol)

@@ -180,6 +180,21 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys)
         assert code == 1 and "error" in err
 
+    def test_both_commands_time_the_load(self, capsys, monkeypatch):
+        # "solved ... in" and "certified ... in" time the same span, from
+        # before the problem is loaded to after the report is written.
+        load = cli.resolve_problem
+
+        def slow(problem):
+            time.sleep(0.05)
+            return load(problem)
+
+        monkeypatch.setattr(cli, "resolve_problem", slow)
+        for command, verb in (("solve", "solved"), ("certify", "certified")):
+            _, _, err = run_cli(capsys, command, "example-game")
+            (line,) = [ln for ln in err.splitlines() if ln.startswith(verb)]
+            assert float(line.rsplit(" in ", 1)[1].rstrip("s")) >= 0.05
+
     @pytest.mark.parametrize("pid", ["example-game", "example-vi", "spd-box"])
     def test_classify_once_per_result(self, pid, capsys, monkeypatch):
         seen = []
