@@ -22,15 +22,18 @@ these cover a stack of one row and one wider than the default 8.
 The same calls run on problem files too: this checkout writes every
 registry problem once with ``save_problem`` into a temporary directory that
 both subprocesses read, so the file loader is compared and the
-``provenance`` fields (the paths) match.  Six seeded quadratic games join
+``provenance`` fields (the paths) match.  Eight seeded quadratic games join
 them, written straight in the file schema with ``json.dump``
 (``save_games``), so that the game loader and the game-only checkers meet
 unequal blocks, a nonconvex and a semidefinite own block, a game without
 cross blocks, a game whose default start stalls, so that ``pl`` takes
-its candidate from the corner-ray path, and a game of 33 one-dimensional
+its candidate from the corner-ray path, a game of 33 one-dimensional
 players with all 1,089 ``q`` blocks written: over 1,100 ``[`` outside
 strings at depth 4, more than ``problem_io.ORJSON_MAX_OPENINGS``, so the
-loader reads it with ``json`` rather than orjson.  Seven more files are shaped like
+loader reads it with ``json`` rather than orjson; and two games for
+``pl``: ``Q = [[1]]``, ``c = 0`` on ``[-1e160, 1e160]``, where squared
+gaps and gradients overflow, and two players with an interior
+equilibrium whose first own block has eigenvalues 0.5 and 3.  Seven more files are shaped like
 the ``certify-mixed`` benchmark workload (``save_affine``): affine problems
 with m of 8 to 10 on boxes with some free coordinates, three with a strictly
 diagonally dominant A and three with a planted negative 2x2 principal
@@ -143,8 +146,23 @@ def _many_players(n=33):
     return (1,) * n, q, [rng.uniform(-1.0, 1.0, 1) for _ in range(n)], [-2.0] * n, [2.0] * n
 
 
+def _interior_game():
+    """Two players on [-4, 4]^3 with blocks (2, 1): player 0's own block has
+    eigenvalues 0.5 and 3, and c puts the equilibrium at an interior point."""
+    rng = np.random.default_rng(41)
+    u = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    a = 0.3 * rng.standard_normal((3, 3))
+    own = u @ np.diag([0.5, 3.0]) @ u.T
+    a[:2, :2] = (own + own.T) / 2.0
+    a[2, 2] = 1.5
+    c = -(a @ np.array([0.7, -1.2, 0.4]))
+    sl = (slice(0, 2), slice(2, 3))
+    q = {(i, j): a[sl[i], sl[j]] for i in range(2) for j in range(2)}
+    return (2, 1), q, [c[s] for s in sl], [-4.0] * 3, [4.0] * 3
+
+
 def save_games(problem_dir):
-    """Write six seeded games into problem_dir as files of mapping kind "game"."""
+    """Write eight seeded games into problem_dir as files of mapping kind "game"."""
     rng = np.random.default_rng(12)
 
     def cross(sizes):
@@ -170,6 +188,8 @@ def save_games(problem_dir):
                           [np.inf, 1.0, np.inf, 2.0]),
         "game-3p-stall": _stall_game(),
         "game-33-players": _many_players(),
+        "game-wide-box": ((1,), {(0, 0): np.eye(1)}, [np.zeros(1)], [-1e160], [1e160]),
+        "game-interior-pl": _interior_game(),
     }
     for name, (sizes, q, c, lo, hi) in games.items():
         doc = {"name": name, "m": sum(sizes), "mapping": {"kind": "game"},

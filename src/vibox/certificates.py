@@ -3,10 +3,10 @@
 Each checker reifies one sufficient condition for solvability (P-matrix
 variants, P-function searches, growth fits, the Upsilon test for games, the
 maximal-rank test by vertex determinants, exact for affine F, and the PL gap
-condition).  On affine F and games the P-function conditions, growth and
-coercivity are read off A too, where their exact rules apply.  Other
-conditions over all of K are verified on seeded samples: a fail is
-conclusive (witness-backed), a pass is sampled evidence only.
+condition of games, read off their own blocks).  On affine F and games the
+P-function conditions, growth and coercivity are read off A too, where their
+exact rules apply.  Other conditions over all of K are verified on seeded
+samples: a fail is conclusive (witness-backed), a pass is sampled evidence only.
 """
 
 from __future__ import annotations
