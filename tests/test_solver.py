@@ -854,8 +854,8 @@ class TestStackedSolve:
     def test_line_search_falls_back_row_by_row(self, m, seed, lo, monkeypatch):
         # F = A x + b is infinite where x_0 > 1.5, so stacked trials raise
         # and _trial evaluates their halves, down to the rows that fail; it
-        # looks normal_map up
-        # in the module vibox.normal_map (the package attribute is the function).
+        # looks normal_map up in the module vibox.normal_map (the package
+        # attribute is the function).
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((m, m)) * 2.0
         b = rng.uniform(-3.0, 3.0, m)
