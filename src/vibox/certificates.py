@@ -19,10 +19,11 @@ from math import comb
 
 import numpy as np
 
-from .model import (BoxSet, ConfigurationError, VIProblem, _finite_values, as_vector,
-                    block_slices, jacobian)
+from .model import (PSD_TOL, BoxSet, ConfigurationError, VIProblem, _finite_values,
+                    as_vector, block_slices, jacobian, own_block_lambdas)
 from .normal_map import RAY_RADII, coercivity_probe, normal_map
-from .projection import project
+from .projection import box_midpoint, draw_samples, project
+from .solver import multistart
 
 PASS = "pass"
 FAIL = "fail"
@@ -54,7 +55,6 @@ MINOR_BUDGET_DIM = 20
 MIN_PAIRS = 100  # pfunction, block-pfunction and growth test at least this many pairs
 ETA_FLOOR = 1e-10  # least principal minor of a uniform-pmatrix mixed-row matrix
 NOISE_FLOOR = 1e-12  # a minor or eigenvalue this small relative to its scale counts as 0
-_BIG = np.finfo(float).max
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # a norm below this may have lost its squares
 
 
@@ -94,34 +94,6 @@ def _shared(key, make, p=None):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
     return call[1][key]
-
-
-def draw_samples(box: BoxSet, count, seed, radius=10.0) -> np.ndarray:
-    """(count, m) seeded uniform draws over the box, an infinite upper side
-    replaced by max(radius, lo + radius) and an infinite lower side by
-    min(-radius, hi - radius), each held within the largest double; every
-    point is finite and lies in K exactly.  Each draw is lo + (hi - lo) u, as
-    rng.uniform makes it, or lo (1 - u) + hi u where hi - lo overflows
-    (rng.uniform raises there)."""
-    if count == 0:  # no generator: every single-start multistart takes this path
-        return np.empty((0, box.dim))
-    u = np.random.default_rng(seed).random((count, box.dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo = np.where(np.isfinite(box.lo), box.lo,
-                      np.maximum(np.minimum(-radius, box.hi - radius), -_BIG))
-        hi = np.where(np.isfinite(box.hi), box.hi,
-                      np.minimum(np.maximum(radius, box.lo + radius), _BIG))
-        width = hi - lo
-        pts = np.where(np.isfinite(width), lo + width * u, lo * (1.0 - u) + hi * u)
-    return np.clip(pts, np.maximum(box.lo, -_BIG), np.minimum(box.hi, _BIG))
-
-
-def box_midpoint(box: BoxSet) -> np.ndarray:
-    """Midpoint of the finite coordinates; an unbounded coordinate sits at 0
-    projected into K (its finite bound when 0 lies outside)."""
-    both = np.isfinite(box.lo) & np.isfinite(box.hi)
-    mid = (np.where(both, box.lo, 0.0) + np.where(both, box.hi, 0.0)) / 2.0
-    return project(box, np.where(both, mid, 0.0))
 
 
 def _affine_base(p: VIProblem):
@@ -698,10 +670,8 @@ def growth_l0lp_fit(p: VIProblem, pairs=200, seed=0, radius=10.0) -> Certificate
 
 
 def _own_lambdas(p: VIProblem) -> np.ndarray:
-    """lambda_min of each own block A[s_i, s_i] of a game's Jacobian A, one per player."""
-    a = p.mapping.data["A"]
-    return _shared(("own lambdas",), lambda: np.array(
-        [np.linalg.eigvalsh(a[s, s])[0] for s in block_slices(p.set.blocks)]), p)
+    """own_block_lambdas(p), shared per call."""
+    return _shared(("own lambdas",), lambda: own_block_lambdas(p), p)
 
 
 def upsilon_build(p: VIProblem) -> np.ndarray:
@@ -877,7 +847,7 @@ def pl_condition_check(p: VIProblem, xbar) -> CertificateReport:
             qii = p.mapping.data["A"][sl, sl]
             b = grad[sl] - qii @ xbar[sl]  # own gradient is qii @ x_i + b, others at xbar
             lams = np.linalg.eigvalsh(qii)
-            if lam < -1e-10:
+            if lam < -PSD_TOL:
                 why = "cost is unbounded below in its own variable; no finite inner minimum exists"
             elif np.linalg.norm(qii @ np.linalg.lstsq(qii, -b, rcond=None)[0] + b) > 1e-8:
                 why = ("cost decreases linearly along a flat direction; no finite inner "
@@ -909,7 +879,7 @@ def hessian_block_convexity(p: VIProblem) -> CertificateReport:
                              "own-block Hessian with nonpositive eigenvalue")
 
 
-def coercivity_check(p: VIProblem, seed, tol=1e-8) -> CertificateReport:
+def coercivity_check(p: VIProblem, *, tol=1e-8) -> CertificateReport:
     """Norm coercivity of the normal map.  On affine and game F
     (_affine_base) over a box with no half-bounded coordinate it holds iff
     A[Fr, Fr] is nonsingular, Fr the free coordinates: an exact pass when
@@ -918,7 +888,7 @@ def coercivity_check(p: VIProblem, seed, tol=1e-8) -> CertificateReport:
     below twice its first is a violation (fail, the first such ray the
     witness); a ray with finite norms, positive past the first four radii,
     has their log-log slope.  Pass when every ray has a slope of at least
-    0.5, else inconclusive; the margin is the least slope."""
+    0.5, else inconclusive; the margin is the least slope.  Seed None: no ray is drawn."""
     lo, hi = p.set.lo, p.set.hi
     if _affine_base(p) is not None and not (np.isinf(lo) ^ np.isinf(hi)).any():
         fr = np.flatnonzero(np.isinf(lo))
@@ -940,22 +910,19 @@ def coercivity_check(p: VIProblem, seed, tol=1e-8) -> CertificateReport:
     margin = min(slopes) if slopes else None
     budget = {"rays": len(directions), "steps": RAY_RADII.size}
     if violation:
-        return CertificateReport("coercivity", FAIL, margin, violation, seed, budget,
+        return CertificateReport("coercivity", FAIL, margin, violation, None, budget,
                                  "residual norm fails to grow along a ray")
     if len(slopes) == len(directions) and margin >= 0.5:
-        return CertificateReport("coercivity", PASS, margin, None, seed, budget,
+        return CertificateReport("coercivity", PASS, margin, None, None, budget,
                                  "all rays show growing residual norms; sampled "
                                  "evidence, not a proof")
-    return CertificateReport("coercivity", INCONCLUSIVE, margin, None, seed, budget,
+    return CertificateReport("coercivity", INCONCLUSIVE, margin, None, None, budget,
                              "slopes below the evidence threshold on some ray")
 
 
 def _pl_at_solution(p: VIProblem) -> CertificateReport:
-    """The PL check at the first result of ``multistart`` from the default
-    start alone: the point that start reaches, or, when it does not solve a
-    game on a bounded box, the end of the corner-ray path."""
-    from .solver import multistart  # solver imports us
-
+    """pl_condition_check at multistart(p, starts=1)[0]: the default start's
+    point, or the corner-ray path's end where that start fails on a bounded box."""
     res = multistart(p, starts=1)[0]
     if not res.solved:
         return CertificateReport("pl", INCONCLUSIVE, None, None, None,
@@ -996,7 +963,7 @@ CONDITIONS = {
     "upsilon": (lambda p, s: p_upsilon_check(p), True),
     "maximal-rank": (lambda p, s: maximal_rank_tsearch(
         p, s.samples, s.seed, s.radius, tol=s.tol), False),
-    "coercivity": (lambda p, s: coercivity_check(p, s.seed, s.tol), False),
+    "coercivity": (lambda p, s: coercivity_check(p, tol=s.tol), False),
     "pl": (lambda p, s: _pl_at_solution(p), True),
     "block-convexity": (lambda p, s: hessian_block_convexity(p), True),
 }

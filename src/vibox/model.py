@@ -7,6 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+PSD_TOL = 1e-10  # an own block whose lambda_min is at least -PSD_TOL counts as semidefinite
+
 
 class ConfigurationError(ValueError):
     """Raised when problem data is dimensionally inconsistent or malformed."""
@@ -239,6 +241,12 @@ def make_game(block_sizes, q, c, box, name="game") -> VIProblem:
             raise ConfigurationError(f"linear term of player {i} has wrong length")
     mapping = replace(affine_mapping(a, np.concatenate(c)), kind="game-gradient")
     return VIProblem(mapping=mapping, set=box, name=name)
+
+
+def own_block_lambdas(p: VIProblem) -> np.ndarray:
+    """lambda_min of each own block A[s_i, s_i] of a game's Jacobian A, one per player."""
+    a = p.mapping.data["A"]
+    return np.array([np.linalg.eigvalsh(a[s, s])[0] for s in block_slices(p.set.blocks)])
 
 
 def jacobian(p: VIProblem, x) -> np.ndarray:

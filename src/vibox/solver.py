@@ -6,11 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import (box_midpoint, draw_samples, hessian_block_convexity,
-                           pl_condition_check)
-from .model import EvaluationError, VIProblem, as_vector, jacobian
+from .model import PSD_TOL, EvaluationError, VIProblem, as_vector, jacobian, own_block_lambdas
 from .normal_map import NormalMapEval, _trial, normal_map, normal_map_jacobian_element
-from .projection import project
+from .projection import box_midpoint, draw_samples, project
 
 SOLVED = "solved"
 MAX_ITERS = "max-iters"
@@ -366,17 +364,15 @@ def _corner_ray_path(p: VIProblem, tol) -> SolveResult:
 
 
 def classify(p: VIProblem, res: SolveResult) -> str:
-    """The label of one result in the solve report (n/a when unsolved):
-    vi-solution for plain VIs; for games, quasi-nash upgraded to nash when
-    the block-convexity gate or the gap-domination check passes."""
+    """The label of one result in the solve report: n/a when unsolved,
+    vi-solution on a plain VI, and on a game nash when every own block has
+    lambda_min >= -PSD_TOL (convex own costs make a VI solution a Nash
+    equilibrium, Facchinei & Pang 2003, Ch. 1), else quasi-nash."""
     if not res.solved:
         return NOT_APPLICABLE
     if not p.is_game:
         return VI_SOLUTION
-    if (hessian_block_convexity(p).verdict == "pass"
-            or pl_condition_check(p, res.x).verdict == "pass"):
-        return NASH
-    return QUASI_NASH
+    return NASH if (own_block_lambdas(p) >= -PSD_TOL).all() else QUASI_NASH
 
 
 def multistart(p: VIProblem, starts=8, seed=0, radius=10.0, tol=1e-10) -> list[SolveResult]:

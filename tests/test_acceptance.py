@@ -121,11 +121,11 @@ def test_criterion_6_coercivity_probe_is_calibrated(scorecard):
         _, norms = coercivity_probe(p)
         slopes = np.polyfit(np.log(2.0 ** np.arange(4, 12)), np.log(norms[:, 4:]).T, 1)[0]
         slope_err = max(slope_err, float(np.max(np.abs(slopes - 1.0))))
-        ok &= coercivity_check(p, 0).verdict == "pass"
+        ok &= coercivity_check(p).verdict == "pass"
     ok &= slope_err <= 0.01
     f = affine_mapping(np.zeros((3, 3)), np.ones(3))
     flat = VIProblem(Mapping(fn=f.fn, dim=3, rows=f.rows), BoxSet.full_space(3))
-    ok &= coercivity_check(flat, 0).verdict == "fail"
+    ok &= coercivity_check(flat).verdict == "fail"
     scorecard(6, ok, f"identity slope error {slope_err:.1e}, flat map flagged")
 
 

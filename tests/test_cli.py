@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import vibox
 from vibox import (BoxSet, VIProblem, affine_mapping, classify, get_problem, load_problem,
                    make_game, save_problem, solve)
-from vibox import certificates, cli, problem_io, solver
+from vibox import certificates, cli, problem_io
 from vibox.cli import main
 from vibox.problem_io import ProblemFileError, problem_to_dict
 from vibox.registry import problem_ids
@@ -320,8 +320,8 @@ class TestCertifyCommand:
             assert pl(*options) == default
 
     def test_pl_checks_its_candidate_once(self, tmp_path, capsys, monkeypatch):
-        # Q_00 = diag(1, 0) fails block-convexity, so labelling the solver's
-        # candidate would run the PL check on it as well; certify runs it once.
+        # Q_00 = diag(1, 0) fails block-convexity; certify runs the PL check
+        # once, at the solver's candidate, and labels nothing.
         g = make_game((2, 1), {(0, 0): np.diag([1.0, 0.0]), (1, 1): [[1.0]]},
                       (np.zeros(2), np.zeros(1)), BoxSet([-1.0] * 3, [1.0] * 3, (2, 1)))
         path = tmp_path / "semidefinite.json"
@@ -332,8 +332,7 @@ class TestCertifyCommand:
             calls.append(1)
             return check(p, xbar)
 
-        for module in (certificates, solver):
-            monkeypatch.setattr(module, "pl_condition_check", counted)
+        monkeypatch.setattr(certificates, "pl_condition_check", counted)
         code, out, _ = run_cli(capsys, "certify", str(path), "--conditions", "pl")
         (cert,) = json.loads(out)["certificates"]
         assert code == 0 and cert["verdict"] == "pass" and len(calls) == 1

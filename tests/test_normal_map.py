@@ -200,22 +200,22 @@ class TestCoercivityProbe:
             np.testing.assert_array_equal(norms, np.tile(RAY_RADII, (2 * m, 1)))
             slopes = np.polyfit(np.log(RAY_RADII[4:]), np.log(norms[:, 4:]).T, 1)[0]
             assert np.all(np.abs(slopes - 1.0) < 0.01)
-            assert coercivity_check(p, 0).verdict == "pass"
+            assert coercivity_check(p).verdict == "pass"
 
     def test_example_vi_coercive(self):
-        assert coercivity_check(get_problem("example-vi"), 0).verdict == "pass"
+        assert coercivity_check(get_problem("example-vi")).verdict == "pass"
 
     def test_constant_mapping_violation(self):
         p = VIProblem(affine_mapping(np.zeros((3, 3)), np.ones(3)), BoxSet.full_space(3))
         _, norms = coercivity_probe(p)
         assert np.all(norms[:, -1] < 2.0 * norms[:, 0])
-        rep = coercivity_check(p, 0)
+        rep = coercivity_check(p)
         assert rep.verdict == "fail" and rep.witness["direction"] == [1.0, 0.0, 0.0]
 
     def test_spd_on_box_coercive(self):
         p = VIProblem(affine_mapping([[2.0, -1.0], [-1.0, 2.0]]),
                       BoxSet([0.0, 0.0], [1.0, 1.0]))
-        assert coercivity_check(p, 0).verdict == "pass"
+        assert coercivity_check(p).verdict == "pass"
 
     def test_deterministic(self):
         p = get_problem("example-vi")

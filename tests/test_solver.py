@@ -11,7 +11,7 @@ from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, classify,
                    uniform_pfunction_search)
 from vibox.registry import problem_ids
 from vibox import certificates, solver
-from vibox.model import EvaluationError, jacobian
+from vibox.model import PSD_TOL, EvaluationError, block_slices, jacobian, own_block_lambdas
 from vibox.normal_map import normal_map_jacobian_element
 from vibox.solver import (REG_FLOOR, SolveResult, _corner_ray_path, merit_gradient,
                           newton_directions)
@@ -319,6 +319,50 @@ class TestReducedStep:
         assert d.tobytes() == np.linalg.solve(df, -r).tobytes()
 
 
+@st.composite
+def bounded_games(draw, semidefinite):
+    """A quadratic game of one to three players with blocks of size 1 to 3 on
+    a bounded integer box, with integer c and cross blocks in halves.  With
+    ``semidefinite``, each own block is B B' for an integer B, whose row and
+    column k are then zeroed where drawn, so that its null space is exact;
+    otherwise an integer symmetric block of any signature."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    ints = lambda shape, lo=-2, hi=2: np.array(
+        draw(st.lists(st.integers(lo, hi), min_size=int(np.prod(shape)),
+                      max_size=int(np.prod(shape)))), dtype=float).reshape(shape)
+    q = {(i, j): 0.5 * ints((a, b)) for i, a in enumerate(sizes)
+         for j, b in enumerate(sizes) if i != j}
+    for i, a in enumerate(sizes):
+        b = ints((a, a))
+        own = b @ b.T if semidefinite else b + b.T
+        k = draw(st.integers(-1, a - 1))
+        if semidefinite and k >= 0:
+            own[k, :] = own[:, k] = 0.0
+        q[i, i] = own
+    m = sum(sizes)
+    lo = ints((m,), -3, 0)
+    box = BoxSet(lo, lo + ints((m,), 1, 3), sizes)
+    return make_game(sizes, q, [ints((a,)) for a in sizes], box)
+
+
+def best_response_gains(p, x, points=21):
+    """Per player, how much its own cost at x exceeds the least one over a
+    grid of ``points`` values per coordinate of its box (the vertices
+    included), the other players held at x."""
+    a, b = p.mapping.data["A"], p.mapping.data["b"]
+    gains = []
+    for s in block_slices(p.set.blocks):
+        axes = [np.linspace(lo, hi, points) for lo, hi in zip(p.set.lo[s], p.set.hi[s])]
+        ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, s.stop - s.start)
+        lin = a[s] @ x - a[s, s] @ x[s] + b[s]  # own gradient minus the own block's term
+
+        def cost(y):
+            return 0.5 * np.einsum("ki,ij,kj->k", y, a[s, s], y) + y @ lin
+
+        gains.append(float(cost(x[s][None])[0] - cost(ys).min()))
+    return gains
+
+
 class TestClassify:
     def test_example_game_is_nash(self):
         p = get_problem("example-game")
@@ -327,23 +371,31 @@ class TestClassify:
         assert classify(p, res) == "nash" == classify(p, solve(p))
         assert np.linalg.norm(res.x) <= 1e-8
 
-    def test_pl_upgrades_a_game_that_fails_block_convexity(self, monkeypatch):
+    def test_semidefinite_game_that_fails_block_convexity_is_nash(self):
         # Q_00 = diag(1, 0) is only semidefinite, so block-convexity fails; the
-        # gap-domination check then finds every solution a Nash equilibrium.
+        # own costs are still convex, so every solution is a Nash equilibrium,
+        # and pl, which checks the solved points exactly, agrees.
         p = make_game((2, 1), {(0, 0): np.diag([1.0, 0.0]), (1, 1): [[1.0]]},
                       (np.zeros(2), np.zeros(1)), BoxSet([-1.0] * 3, [1.0] * 3, (2, 1)))
-        assert solver.hessian_block_convexity(p).verdict == "fail"
-        verdicts = []
-
-        def pl(*args):
-            rep = certificates.pl_condition_check(*args)
-            verdicts.append(rep.verdict)
-            return rep
-
-        monkeypatch.setattr(solver, "pl_condition_check", pl)
+        assert certificates.hessian_block_convexity(p).verdict == "fail"
         solved = [r for r in multistart(p, starts=8, seed=3) if r.solved]
         assert solved and [classify(p, r) for r in solved] == ["nash"] * len(solved)
-        assert verdicts == ["pass"] * len(solved)
+        assert all(certificates.pl_condition_check(p, r.x).verdict == "pass" for r in solved)
+
+    def test_boundary_equilibrium_of_a_semidefinite_game_is_nash(self):
+        # Player 0's second coordinate has cost -x_1: it sits at its bound 1,
+        # where the gradient map has norm 1, so pl is inconclusive there and
+        # block-convexity fails; the own blocks are semidefinite, so it is nash.
+        p = make_game((2, 1), {(0, 0): np.diag([1.0, 0.0]), (0, 1): [[0.5], [0.0]],
+                               (1, 0): [[0.5, 0.0]], (1, 1): [[1.0]]},
+                      (np.array([0.0, -1.0]), np.zeros(1)),
+                      BoxSet([-1.0] * 3, [1.0] * 3, (2, 1)))
+        res = multistart(p)[0]
+        assert res.solved and res.x.tolist() == [0.0, 1.0, 0.0]
+        assert certificates.pl_condition_check(p, res.x).verdict == "inconclusive"
+        assert certificates.hessian_block_convexity(p).verdict == "fail"
+        assert classify(p, res) == "nash"
+        assert max(best_response_gains(p, res.x)) <= 1e-9
 
     def test_solved_nonconvex_game_is_quasi_nash(self):
         # Player 0's own cost -x_0^2 / 2 is concave: block-convexity fails and
@@ -363,6 +415,36 @@ class TestClassify:
         monkeypatch.setattr(solver, "ITERATION_LIMIT", 1)
         p = get_problem("cubic-free")
         assert classify(p, solve(p, start=np.array([2.0, 2.0]))) == "n/a"
+
+    @given(bounded_games(semidefinite=True))
+    @settings(max_examples=60)
+    def test_semidefinite_games_are_nash(self, p):
+        for res in multistart(p, starts=4):
+            if res.solved:
+                assert classify(p, res) == "nash"
+                assert max(best_response_gains(p, res.x)) <= 1e-9
+
+    @given(bounded_games(semidefinite=False))
+    @settings(max_examples=60)
+    def test_nash_wherever_block_convexity_or_pl_passes(self, p):
+        convex = certificates.hessian_block_convexity(p).verdict == "pass"
+        for res in multistart(p, starts=4):
+            if res.solved and (convex or certificates.pl_condition_check(p, res.x).verdict == "pass"):
+                assert classify(p, res) == "nash"
+
+    @given(bounded_games(semidefinite=False), st.integers(0, 2), st.integers(1, 3))
+    @settings(max_examples=60)
+    def test_an_indefinite_own_block_is_quasi_nash(self, p, k, d):
+        # A negative diagonal entry of a symmetric block bounds its lambda_min.
+        a = np.array(p.mapping.data["A"])
+        k = min(k, p.set.blocks[0] - 1)
+        a[k, k] = -d
+        sl = block_slices(p.set.blocks)
+        q = {(i, j): a[si, sj] for i, si in enumerate(sl) for j, sj in enumerate(sl)}
+        g = make_game(p.set.blocks, q, [p.mapping.data["b"][s] for s in sl], p.set)
+        assert own_block_lambdas(g)[0] < -PSD_TOL
+        for res in multistart(g, starts=4):
+            assert classify(g, res) == ("quasi-nash" if res.solved else "n/a")
 
 
 class TestMultistart:
