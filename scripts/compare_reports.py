@@ -22,12 +22,15 @@ these cover a stack of one row and one wider than the default 8.
 The same calls run on problem files too: this checkout writes every
 registry problem once with ``save_problem`` into a temporary directory that
 both subprocesses read, so the file loader is compared and the
-``provenance`` fields (the paths) match.  Eight seeded quadratic games join
+``provenance`` fields (the paths) match.  Nine quadratic games join
 them, written straight in the file schema with ``json.dump``
-(``save_games``), so that the game loader and the game-only checkers meet
-unequal blocks, a nonconvex and a semidefinite own block, a game without
-cross blocks, a game whose default start stalls, so that ``pl`` takes
-its candidate from the corner-ray path, a game of 33 one-dimensional
+(``save_games``), so that the game loader, the game-only checkers and
+``classify`` meet unequal blocks, a nonconvex and a semidefinite own
+block, a semidefinite game whose solution sits on a bound of the flat
+own coordinate, so that ``pl`` is inconclusive there and ``classify``
+reads ``nash`` off the own blocks alone, a game without cross blocks, a
+game whose default start stalls, so that ``pl`` takes its candidate from
+the corner-ray path, a game of 33 one-dimensional
 players with all 1,089 ``q`` blocks written: over 1,100 ``[`` outside
 strings at depth 4, more than ``problem_io.ORJSON_MAX_OPENINGS``, so the
 loader reads it with ``json`` rather than orjson; and two games for
@@ -162,7 +165,7 @@ def _interior_game():
 
 
 def save_games(problem_dir):
-    """Write eight seeded games into problem_dir as files of mapping kind "game"."""
+    """Write nine games into problem_dir as files of mapping kind "game"."""
     rng = np.random.default_rng(12)
 
     def cross(sizes):
@@ -181,6 +184,12 @@ def save_games(problem_dir):
                            linear((2, 2)), [-3.0] * 4, [3.0] * 4),
         "game-semidefinite": ((2, 1), {(0, 0): np.diag([1.0, 0.0]), (1, 1): np.eye(1)},
                               [np.zeros(2), np.zeros(1)], [-1.0] * 3, [1.0] * 3),
+        "game-semidefinite-boundary": ((2, 1), {(0, 0): np.diag([1.0, 0.0]),
+                                                (0, 1): np.array([[0.5], [0.0]]),
+                                                (1, 0): np.array([[0.5, 0.0]]),
+                                                (1, 1): np.eye(1)},
+                                       [np.array([0.0, -1.0]), np.zeros(1)], [-1.0] * 3,
+                                       [1.0] * 3),
         "game-no-cross": ((1, 2, 1), {(0, 0): _symmetric(rng, 1, 1.5),
                                       (1, 1): _symmetric(rng, 2, 0.8),
                                       (2, 2): _symmetric(rng, 1, 2.0)},

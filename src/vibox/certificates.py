@@ -888,7 +888,7 @@ def coercivity_check(p: VIProblem, *, tol=1e-8) -> CertificateReport:
     below twice its first is a violation (fail, the first such ray the
     witness); a ray with finite norms, positive past the first four radii,
     has their log-log slope.  Pass when every ray has a slope of at least
-    0.5, else inconclusive; the margin is the least slope.  Seed None: no ray is drawn."""
+    0.5, else inconclusive; the margin is the least slope.  The seed is None: nothing is drawn."""
     lo, hi = p.set.lo, p.set.hi
     if _affine_base(p) is not None and not (np.isinf(lo) ^ np.isinf(hi)).any():
         fr = np.flatnonzero(np.isinf(lo))

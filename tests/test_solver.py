@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, classify,
                    get_problem, make_game, multistart, normal_map, project, solve,
@@ -325,18 +326,16 @@ def bounded_games(draw, semidefinite):
     a bounded integer box, with integer c and cross blocks in halves.  With
     ``semidefinite``, each own block is B B' for an integer B, whose row and
     column k are then zeroed where drawn, so that its null space is exact;
-    otherwise an integer symmetric block of any signature."""
+    otherwise B + B' + d I for d in 0..4, of any signature."""
     sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
-    ints = lambda shape, lo=-2, hi=2: np.array(
-        draw(st.lists(st.integers(lo, hi), min_size=int(np.prod(shape)),
-                      max_size=int(np.prod(shape)))), dtype=float).reshape(shape)
+    ints = lambda shape, lo=-2, hi=2: draw(hnp.arrays(np.float64, shape,
+                                                      elements=st.integers(lo, hi)))
     q = {(i, j): 0.5 * ints((a, b)) for i, a in enumerate(sizes)
          for j, b in enumerate(sizes) if i != j}
     for i, a in enumerate(sizes):
         b = ints((a, a))
-        own = b @ b.T if semidefinite else b + b.T
-        k = draw(st.integers(-1, a - 1))
-        if semidefinite and k >= 0:
+        own = b @ b.T if semidefinite else b + b.T + draw(st.integers(0, 4)) * np.eye(a)
+        if semidefinite and (k := draw(st.integers(-1, a - 1))) >= 0:
             own[k, :] = own[:, k] = 0.0
         q[i, i] = own
     m = sum(sizes)
@@ -416,6 +415,14 @@ class TestClassify:
         p = get_problem("cubic-free")
         assert classify(p, solve(p, start=np.array([2.0, 2.0]))) == "n/a"
 
+    @pytest.mark.parametrize("q, label", [(-0.5 * PSD_TOL, "nash"), (-PSD_TOL, "nash"),
+                                          (-2.0 * PSD_TOL, "quasi-nash")])
+    def test_the_label_follows_psd_tol(self, q, label):
+        # F = q x on [-1, 1] vanishes at the box midpoint 0, the default start
+        p = make_game((1,), {(0, 0): [[q]]}, (np.zeros(1),), BoxSet([-1.0], [1.0], (1,)))
+        res = solve(p)
+        assert res.solved and res.x.tolist() == [0.0] and classify(p, res) == label
+
     @given(bounded_games(semidefinite=True))
     @settings(max_examples=60)
     def test_semidefinite_games_are_nash(self, p):
@@ -428,8 +435,8 @@ class TestClassify:
     @settings(max_examples=60)
     def test_nash_wherever_block_convexity_or_pl_passes(self, p):
         convex = certificates.hessian_block_convexity(p).verdict == "pass"
-        for res in multistart(p, starts=4):
-            if res.solved and (convex or certificates.pl_condition_check(p, res.x).verdict == "pass"):
+        for res in [r for r in multistart(p, starts=4) if r.solved]:
+            if convex or certificates.pl_condition_check(p, res.x).verdict == "pass":
                 assert classify(p, res) == "nash"
 
     @given(bounded_games(semidefinite=False), st.integers(0, 2), st.integers(1, 3))
