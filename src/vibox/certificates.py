@@ -55,7 +55,6 @@ MINOR_BUDGET_DIM = 20
 MIN_PAIRS = 100  # pfunction, block-pfunction and growth test at least this many pairs
 ETA_FLOOR = 1e-10  # least principal minor of a uniform-pmatrix mixed-row matrix
 NOISE_FLOOR = 1e-12  # a minor or eigenvalue this small relative to its scale counts as 0
-_SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # a norm below this may have lost its squares
 
 
 class BudgetError(ValueError):
@@ -363,7 +362,7 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
 
 
 def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
-                                    threshold=0.0) -> CertificateReport:
+                                    threshold=1e-8) -> CertificateReport:
     """Minimum singular value over all principal submatrices of the Jacobian
     at each of ``samples`` points of draw_samples."""
     m = p.dim
@@ -737,17 +736,14 @@ def _face_edge(j, inside, pinned, tol):
     x = np.linalg.solve(j[np.ix_(fr, fr)], j[np.ix_(fr, bd)])
     c = j[np.ix_(bd, bd)] - j[np.ix_(bd, fr)] @ x
     terms = np.abs(j[np.ix_(bd, bd)]) + np.abs(j[np.ix_(bd, fr)]) @ np.abs(x)
-    with np.errstate(over="ignore", under="ignore"):
-        norms = np.linalg.norm(terms, axis=1)
-    redo = ~((norms >= _SQRT_TINY) & (norms < np.inf))
-    if redo.any():
-        # Squares that overflow would zero a huge row, and squares that underflow
-        # leave a tiny one unscaled: there the norm is t ||row / t||, t its largest term.
-        t = np.max(terms, axis=1, initial=0.0)
-        redo &= (0.0 < t) & (t < np.inf)
-        norms[redo] = t[redo] * np.linalg.norm(terms[redo] / t[redo, None], axis=1)
-    least, _, bad = _scan(c / np.where(norms > 0.0, norms, 1.0)[:, None], _det_stack,
-                          NOISE_FLOOR)
+    # Each row of c and its terms is scaled by the power of two that puts the
+    # row's largest term in [1/2, 1) (Blue 1978): the scaling is exact, no square
+    # overflows, a square that underflows is below the sum's rounding, and the
+    # norm itself cannot overflow.
+    e = -np.frexp(np.max(terms, axis=1, initial=0.0))[1][:, None]
+    norms = np.linalg.norm(np.ldexp(terms, e), axis=1)
+    least, _, bad = _scan(np.ldexp(c, e) / np.where(norms > 0.0, norms, 1.0)[:, None],
+                          _det_stack, NOISE_FLOOR)
     edge = None if bad is None else (np.sort(np.r_[fr, bd[list(bad[:-1])]]), int(bd[bad[-1]]))
     return min(s_min, float(least)), edge
 

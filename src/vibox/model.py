@@ -92,10 +92,6 @@ class BoxSet:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    @property
-    def is_full_space(self) -> bool:
-        return bool(np.all(np.isinf(self.lo)) and np.all(np.isinf(self.hi)))
-
     def contains(self, x) -> bool:
         x = as_vector(x, self.dim)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))

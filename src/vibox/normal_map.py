@@ -53,16 +53,19 @@ def _trial(p: VIProblem, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         return np.concatenate(z), np.concatenate(r), sum(norms, [])
 
 
+def _jacobian_element(df: np.ndarray, d) -> np.ndarray:
+    """I - D + df D for the diagonal d of D, a 0/1 float or a boolean array."""
+    j = df * d
+    j += 0.0  # -0.0 -> +0.0, as in the sum I - D + dF D
+    j.flat[::len(d) + 1] += 1.0 - d
+    return j
+
+
 def normal_map_jacobian_element(p: VIProblem, v) -> np.ndarray:
     """Element I - D + dF(P_K[v]) D of the normal map's generalized Jacobian,
     with D the diagonal projection-Jacobian element at v."""
     v = as_vector(v, p.dim)
-    z = project(p.set, v)
-    d = projection_jacobian_element(p.set, v)
-    j = jacobian(p, z) * d
-    j += 0.0  # -0.0 -> +0.0, as in the sum I - D + dF D
-    j.flat[::p.dim + 1] += 1.0 - d
-    return j
+    return _jacobian_element(jacobian(p, project(p.set, v)), projection_jacobian_element(p.set, v))
 
 
 def coercivity_probe(p: VIProblem) -> tuple[np.ndarray, np.ndarray]:

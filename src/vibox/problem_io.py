@@ -231,7 +231,7 @@ def problem_to_dict(p: VIProblem) -> dict:
         doc["mapping"] = {"kind": "affine"}
         doc["affine"] = {"A": p.mapping.data["A"].ravel().tolist(),
                          "b": p.mapping.data["b"].tolist()}
-    elif p.mapping.kind == "builtin":
+    elif p.mapping.kind == "builtin" and "id" in p.mapping.data:
         doc["mapping"] = {"kind": "builtin"}
         doc["builtin"] = {"id": p.mapping.data["id"]}
     else:
@@ -240,6 +240,7 @@ def problem_to_dict(p: VIProblem) -> dict:
 
 
 def save_problem(p: VIProblem, path):
+    doc = problem_to_dict(p)  # before the file is opened: an unserializable p writes nothing
     with open(path, "w") as fh:
-        json.dump(problem_to_dict(p), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

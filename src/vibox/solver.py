@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PSD_TOL, EvaluationError, VIProblem, as_vector, jacobian, own_block_lambdas
-from .normal_map import NormalMapEval, _trial, normal_map, normal_map_jacobian_element
+from .normal_map import NormalMapEval, _jacobian_element, _trial, normal_map
 from .projection import box_midpoint, draw_samples, project
 
 SOLVED = "solved"
@@ -185,7 +185,7 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
         grad = merit_gradient(df, free, rl)
         d, singular = newton_directions(df, free, rl, nl)
         for j in [j for j, flag in enumerate(singular) if flag]:
-            jac = normal_map_jacobian_element(p, vl[j])
+            jac = _jacobian_element(df[j], free[j])
             d[j] = np.linalg.solve(jac.T @ jac + REG_FLOOR * np.eye(p.dim), -grad[j])
         slopes, finite = np.vecdot(grad, d).tolist(), np.logical_and.reduce(np.isfinite(d), axis=1).tolist()
         kinds, theta0 = [], []
@@ -220,8 +220,7 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
             elif not norms[i] <= tol:
                 running.append(i)
         live = running
-    x = project(p.set, v)
-    return [SolveResult(status=SOLVED if n <= tol else status[i], v=v[i], x=x[i], residual=n,
+    return [SolveResult(status=SOLVED if n <= tol else status[i], v=v[i], x=z[i], residual=n,
                         trace=tuple(traces[i]), steps=tuple(steps[i]), iterations=len(steps[i]))
             for i, n in enumerate(norms)]
 

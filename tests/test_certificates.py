@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -726,6 +726,14 @@ class TestMaximalRankTsearch:
         rep = maximal_rank_tsearch(p, 10, 5, 10.0)
         assert (rep.verdict, rep.margin) == ("pass", 1.0)
 
+    def test_a_row_whose_norm_overflows_is_not_zeroed(self):
+        # A P-matrix whose first row has norm 2.1e308, past the largest double:
+        # its rows divided by their norms have minors 1/sqrt(2), 2/sqrt(5), 1/sqrt(10).
+        p = VIProblem(affine_mapping([[1.5e308, 1.5e308], [1.0, 2.0]]),
+                      BoxSet([0.0, 0.0], [1.0, 1.0]))
+        rep = maximal_rank_tsearch(p, 1, 0, 10.0)
+        assert rep.verdict == "pass" and rep.margin == pytest.approx(1.0 / np.sqrt(10.0))
+
     @settings(deadline=None)
     @given(hnp.arrays(np.float64, st.integers(1, 5).map(lambda m: (m, m)),
                       elements=st.integers(-4, 4)), st.data())
@@ -745,6 +753,29 @@ class TestMaximalRankTsearch:
                                            10.0).verdict == "pass"
                       for b in (a, np.ldexp(a, k[:, None]))]
         assert passes[0] == passes[1]
+
+    @given(hnp.arrays(np.float64, st.integers(1, 4).map(lambda m: (m, m)),
+                      elements=st.floats(-8.0, 8.0, allow_subnormal=False)),
+           hnp.arrays(np.int64, 4, elements=st.integers(-520, -500) | st.integers(-520, 520)
+                      | st.integers(500, 520)),
+           hnp.arrays(bool, 4))
+    @example(np.array([[5.164, -0.146], [0.245, 7.233]]), np.array([-513, -513, 0, 0]),
+             np.zeros(4, dtype=bool))  # row norms in the band where some squares are subnormal
+    def test_report_is_kept_bit_for_bit_under_power_of_two_row_scaling(self, a, k, fixed):
+        # With every coordinate bounded, the rows of the Schur complement are
+        # those of A, and scaling them by powers of two is exact: the scaled
+        # rows divided by their norms are the same bits.  b dwarfs A x on the
+        # box, so a fail's residual is far above tol (or overflows) on both sides.
+        m = a.shape[0]
+        scaled = np.ldexp(a, k[:m, None])
+        assume(((a == 0.0) | (np.abs(scaled) >= np.finfo(float).tiny)).all())
+        box = BoxSet(np.full(m, -1.0), np.where(fixed[:m], -1.0, 2.0))
+        with np.errstate(over="ignore"):
+            reports = [maximal_rank_tsearch(VIProblem(affine_mapping(b, np.full(m, 1e200)), box),
+                                            1, 0, 10.0) for b in (a, scaled)]
+        keys = [(rep.verdict, rep.margin.hex(), rep.witness and rep.witness["index_set"],
+                 rep.witness and rep.witness["k"]) for rep in reports]
+        assert keys[0] == keys[1]
 
     @given(integer_affine_problems())
     def test_exact_rule_agrees_with_vertex_enumeration(self, p):

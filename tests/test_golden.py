@@ -35,7 +35,7 @@ import pytest
 
 from vibox import (BoxSet, VIProblem, affine_mapping, get_problem, make_game, multistart,
                    normal_map, save_problem, solve, solver)
-from vibox.certificates import certify_problem
+from vibox.certificates import certify_problem, principal_submatrix_sigma_sweep
 from vibox.cli import main
 from vibox.registry import problem_ids
 
@@ -197,6 +197,15 @@ def test_sigma_sweep_fails_on_rank_deficient_case():
     (rep,), _ = certify_problem(p, ["sigma-sweep"], tol=tol)
     assert rep.verdict == "fail" and rep.witness["sigma_min"] <= tol
     assert rep.witness["index_set"] == list(range(8))
+
+
+@pytest.mark.parametrize("p", [VIProblem(affine_mapping(np.ones((2, 2))), BoxSet.full_space(2)),
+                               affine_cases()["affine-m8-singular"]], ids=["ones-2x2", "m8"])
+def test_sigma_sweep_default_threshold_fails_rank_deficient_cases(p):
+    # Their least sigma_min is rounding noise (3.35e-17 and 5.24e-18): above a
+    # threshold of 0, below the default 1e-8.
+    rep = principal_submatrix_sigma_sweep(p, 5, 0, 10.0)
+    assert rep.verdict == "fail" and rep.margin <= 1e-8
 
 
 if __name__ == "__main__":

@@ -293,10 +293,6 @@ class TestBoxSet:
         with pytest.raises(ConfigurationError, match=expected):
             BoxSet(lo, hi)
 
-    def test_full_space_flag(self):
-        assert BoxSet.full_space(4).is_full_space
-        assert not BoxSet([0.0], [1.0]).is_full_space
-
     def test_contains(self):
         k = BoxSet([0.0, -np.inf], [1.0, np.inf])
         assert k.contains([0.5, 100.0])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from vibox import (BoxSet, Mapping, VIProblem, affine_mapping, coercivity_check,
                    coercivity_probe, get_problem, normal_map, normal_map_jacobian_element,
                    project, projection_jacobian_element)
-from vibox.model import EvaluationError, fd_jacobian
-from vibox.normal_map import RAY_RADII
+from vibox.model import EvaluationError, fd_jacobian, jacobian
+from vibox.normal_map import RAY_RADII, _jacobian_element
 
 
 def point_form(p, v):
@@ -174,6 +174,8 @@ class TestNormalMapJacobianElement:
         d = projection_jacobian_element(p.set, v)
         dense = np.eye(m) - np.diag(d) + a * d[np.newaxis, :]
         assert normal_map_jacobian_element(p, v).tobytes() == dense.tobytes()
+        free = (lo < hi) & (v >= lo) & (v <= hi)  # the solver's boolean D
+        assert _jacobian_element(jacobian(p, project(p.set, v)), free).tobytes() == dense.tobytes()
 
     def test_matches_finite_differences(self):
         for pid in ("example-vi", "identity-box", "spd-box"):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from vibox import BoxSet, VIProblem, affine_mapping, load_problem, make_game, problem_io
+from vibox import BoxSet, Mapping, VIProblem, affine_mapping, load_problem, make_game, problem_io
 from vibox.problem_io import (ORJSON_MAX_OPENINGS, ProblemFileError, _few_openings, _parse_json,
                               problem_from_dict, problem_to_dict, save_problem)
 from vibox.registry import get_problem
@@ -207,6 +207,15 @@ class TestLoadProblem:
         path = tmp_path_factory.mktemp("saved") / "p.json"
         save_problem(p, path)
         assert problem_bytes(load_problem(path)) == problem_bytes(p)
+
+    def test_mapping_built_in_python_is_not_serializable(self, tmp_path):
+        # A Mapping's kind defaults to builtin, but it has no registry id to write.
+        p = VIProblem(Mapping(fn=lambda x: x, dim=1), BoxSet.full_space(1))
+        with pytest.raises(ProblemFileError, match="mapping kind 'builtin' is not serializable"):
+            problem_to_dict(p)
+        with pytest.raises(ProblemFileError):
+            save_problem(p, tmp_path / "p.json")
+        assert not (tmp_path / "p.json").exists()
 
     def test_mixed_bounds_load_as_each_entry_decoded(self, tmp_path):
         # Each entry is its float: an int converted, "inf" and "-inf" no bound.

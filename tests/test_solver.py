@@ -248,6 +248,18 @@ class TestSingularityRule:
         assert svd_rule_flags(j)
         assert step_rule_flags(j, np.ones(m, dtype=bool), r)
 
+    def test_regularized_iteration_evaluates_jac_once_per_row(self, monkeypatch):
+        # dF is exactly singular and r lies off its range: every row's step is
+        # regularized, and its element is built from the dF the iteration holds.
+        calls = []
+        p = VIProblem(Mapping(fn=lambda x: np.full(2, x.sum() - 1.0) + [0.0, 1.0], dim=2,
+                              jac=lambda x: calls.append(1) or np.ones((2, 2))),
+                      BoxSet.full_space(2))
+        monkeypatch.setattr(solver, "ITERATION_LIMIT", 1)
+        results = solver._solve_stack(p, np.array([[0.0, 0.0], [2.0, 1.0], [-3.0, 5.0]]), 1e-10)
+        assert [r.steps for r in results] == [("regularized",)] * 3
+        assert len(calls) == 3
+
     def test_solver_makes_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("solve called np.linalg.svd")
