@@ -19,10 +19,11 @@ ways, with the ``certify`` defaults (seed 42, 30 samples, radius 10, tol
 
 Each round makes one untimed pass over a seed's batch first, so that no
 figure includes imports or the first use of a cached subset table.  Each
-figure is the median over the rounds per instance, summed over the 20
-instances of a seed's batch, so one figure is the time of one pass.
-``calls_per_s`` is instances over the ``cli_ms`` pass time, unscaled, unlike
-the benchmark's.  Host data and the median reference-task time of
+figure is the time of one pass, summed over the 20 instances of a seed's
+batch in one round, and is given as its quartiles over the rounds,
+``[q1, median, q3]``, so that a change can be told from the spread of the
+rounds.  ``calls_per_s`` is instances over the ``cli_ms`` pass time of each
+round, unscaled, unlike the benchmark's.  Host data and the median reference-task time of
 ``perfbench/hostspeed.py`` (taken between instances) go with the results.
 
     python scripts/certify_layers.py NAME=CHECKOUT [NAME=CHECKOUT ...] [--rounds N]
@@ -147,23 +148,27 @@ def summed_medians(passes, get) -> float:
     return sum(statistics.median(v) for v in zip(*(get(q) for q in passes)))
 
 
+def quartiles(totals, digits=3) -> list:
+    """[q1, median, q3] of one figure's per-round totals."""
+    return [round(float(v), digits) for v in np.percentile(totals, [25, 50, 75])]
+
+
 def summarize(rounds):
-    """Per seed: per-instance medians over the rounds, summed over the batch."""
+    """Per seed: the quartiles over the rounds of each figure's pass time."""
     out = {}
     for seed in map(str, SEEDS):
         passes = [r[seed] for r in rounds]
-        calls = {f: round(summed_medians(passes, lambda q: q["calls"][f]), 3) for f in FIGURES}
-        conds = {c: {k: round(summed_medians(passes, lambda q: q["layers"][c][k]), 3)
-                     for k in ("alone", "in_call")}
-                 for c in passes[0]["layers"]}
+        n = len(passes[0]["calls"]["cli_ms"])
+        calls = {f: [sum(q["calls"][f]) for q in passes] for f in FIGURES}
+        conds = {k: {c: [sum(q["layers"][c][k]) for q in passes] for c in passes[0]["layers"]}
+                 for k in ("alone", "in_call")}
         out[seed] = {
-            "instances": len(passes[0]["calls"]["cli_ms"]),
-            "alone_ms": {c: v["alone"] for c, v in conds.items()},
-            "in_call_ms": {c: v["in_call"] for c, v in conds.items()},
-            "checker_sum_alone_ms": round(sum(v["alone"] for v in conds.values()), 3),
-            "checker_sum_in_call_ms": round(sum(v["in_call"] for v in conds.values()), 3),
-            **calls,
-            "calls_per_s": round(1e3 * len(passes[0]["calls"]["cli_ms"]) / calls["cli_ms"], 2),
+            "instances": n,
+            **{f"{k}_ms": {c: quartiles(v) for c, v in conds[k].items()} for k in conds},
+            **{f"checker_sum_{k}_ms": quartiles(np.sum(list(conds[k].values()), axis=0))
+               for k in conds},
+            **{f: quartiles(v) for f, v in calls.items()},
+            "calls_per_s": quartiles([1e3 * n / t for t in calls["cli_ms"]], 2),
             "reference_ms": round(statistics.median(
                 [t for q in passes for t in q["reference_ms"]]), 3),
         }
@@ -219,9 +224,10 @@ def main(argv) -> int:
                         "seeds", fields)
     for name, entry in doc["checkouts"].items():
         for seed, s in entry["seeds"].items():
-            print(f"{name} seed {seed}: checker sum alone {s['checker_sum_alone_ms']:.1f} ms, "
-                  f"in call {s['checker_sum_in_call_ms']:.1f} ms, certify_problem "
-                  f"{s['certify_problem_ms']:.1f} ms, {s['calls_per_s']:.1f} calls/s")
+            print(f"{name} seed {seed}, medians: checker sum alone "
+                  f"{s['checker_sum_alone_ms'][1]:.1f} ms, in call "
+                  f"{s['checker_sum_in_call_ms'][1]:.1f} ms, certify_problem "
+                  f"{s['certify_problem_ms'][1]:.1f} ms, {s['calls_per_s'][1]:.1f} calls/s")
     return 0
 
 

@@ -11,8 +11,9 @@ that file's ``maximal-rank`` verdict (on affine problems and games ``--tol``
 reaches ``maximal-rank`` only through the block of free coordinates, which
 no game here has).  A tolerance that no longer reaches the solver or the
 checkers then shows.  ``certify`` also runs three ``--conditions`` lists
-in other orders, one with a repeated id: ``uniform-pmatrix,pmatrix,sigma-sweep``,
-``block-pfunction,pfunction,block-pfunction`` and ``block-convexity,pl,upsilon``.
+in other orders: ``uniform-pmatrix,pmatrix,sigma-sweep``,
+``block-pfunction,pfunction,growth`` and ``block-convexity,pl,upsilon`` (a
+repeated id exits 1).
 The checkers of one call share their sampled Jacobians, principal-minor
 scans, pair values and own-block spectra, so these show a report that
 depends on which checker computed a shared input first.
@@ -59,7 +60,15 @@ row of ``maximal-rank``'s Schur complement overflow; and ``diag(1e305, 1)``
 with ``b = 0`` on ``[0, inf) x [-1, 1]``, where F is finite at every
 sample but overflows on the ray ``+e_0``, so ``coercivity`` reads a row of
 NaN.
-Prints each call whose exit code
+Two 10x10 affine files test where ``sigma-sweep`` skips an SVD
+(``save_sweep_edges``): a diagonally dominant A with its rows scaled by
+``2^500`` and ``2^-500`` in turn, whose scaled least ``sigma_min`` falls below
+the skip test's underflow guard, and ``3I + 1e-9 B``, B uniform in [-1, 1],
+whose submatrices' ``sigma_min`` lie within about ``1e-8`` of each other.
+A call that raises is compared by the type of its exception, in place of
+an exit code, and each call that raises in this checkout is printed; the
+``solve`` calls on the rows-scaled file raise ``LinAlgError`` in the
+solver's regularized step.  Prints each call whose exit code
 or stdout differs between the checkouts, or whose argv only one of them
 makes, and exits 1 if there is any; stderr (timings) is not compared.
 Under each ``certify`` call that differs it names what differs: the
@@ -86,7 +95,7 @@ OPTIONS = {"solve": [["--seed", "5", "--radius", "3"], ["--tol", "1e-6"], ["--st
                      ["--starts", "13"]],
            "certify": [["--seed", "5", "--samples", "12", "--radius", "3"], ["--tol", "0.5"],
                        ["--conditions", "uniform-pmatrix,pmatrix,sigma-sweep"],
-                       ["--conditions", "block-pfunction,pfunction,block-pfunction"],
+                       ["--conditions", "block-pfunction,pfunction,growth"],
                        ["--conditions", "block-convexity,pl,upsilon"]]}
 
 
@@ -300,6 +309,23 @@ def save_overflow(problem_dir):
             json.dump(doc, fh)
 
 
+def save_sweep_edges(problem_dir):
+    """Write the two 10x10 affine files for the sigma-sweep's skip test (see
+    the module docstring)."""
+    rng = np.random.default_rng(500)
+    m = 10
+    a = rng.uniform(-1.0, 1.0, (m, m))
+    np.fill_diagonal(a, np.abs(a).sum(axis=1) + 1.0)
+    docs = {"affine-m10-rows-2pm500": np.ldexp(a, np.tile([500, -500], m // 2)[:, None]),
+            "affine-m10-near-tie": 3.0 * np.eye(m) + 1e-9 * rng.uniform(-1.0, 1.0, (m, m))}
+    for name, a in docs.items():
+        doc = {"name": name, "m": m, "mapping": {"kind": "affine"},
+               "affine": {"A": a.ravel().tolist(), "b": rng.standard_normal(m).tolist()},
+               "set": {"lo": [-5.0] * m, "hi": [5.0] * m}}
+        with open(Path(problem_dir) / f"{name}.json", "w") as fh:
+            json.dump(doc, fh)
+
+
 def emit(problem_dir):
     """Print [argv, exit code, stdout] for every call as one JSON list."""
     from vibox.cli import main
@@ -307,8 +333,11 @@ def emit(problem_dir):
     out = []
     for argv in calls(problem_dir):
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+        try:
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except Exception as e:  # compared by its type, in place of an exit code
+            code = f"raises {type(e).__name__}"
         out.append([argv, code, buf.getvalue()])
     print(json.dumps(out))
 
@@ -351,7 +380,11 @@ def main(argv) -> int:
         save_variants(problem_dir)
         save_large(problem_dir)
         save_overflow(problem_dir)
+        save_sweep_edges(problem_dir)
         mine, other = run(HERE, problem_dir), run(argv[0], problem_dir)
+    for key, (code, _) in sorted(mine.items()):
+        if isinstance(code, str):
+            print(f"{code}:", " ".join(key))
     differ = [key for key in sorted(mine.keys() | other.keys())
               if mine.get(key) != other.get(key)]
     for key in differ:

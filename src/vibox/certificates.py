@@ -168,13 +168,13 @@ def _det_stack(s):
     return np.linalg.det(s)
 
 
-def _principal_values(a, fn):
-    """Yield (index sets, fn of the stacked principal submatrices) chunk by
-    chunk: orders 1..m ascending, lexicographic within an order."""
+def _principal_stacks(a):
+    """Yield (index sets, stacked principal submatrices of a) chunk by chunk:
+    orders 1..m ascending, lexicographic within an order."""
     m = a.shape[0]
     for r in range(1, m + 1):
         for idx in _subset_chunks(m, r):
-            yield idx, fn(a[idx[:, :, None], idx[:, None, :]])
+            yield idx, a[idx[:, :, None], idx[:, None, :]]
 
 
 def _first_min(values):
@@ -194,12 +194,22 @@ def principal_minor_det(a) -> float:
     return float(_det_stack(np.asarray(a)[np.newaxis])[0])
 
 
-def _scan(a, fn, floor=None):
+def _scan(a, fn, floor=None, least=np.inf, above=None):
     """(least value of fn, first index set attaining it, first index set whose
-    value is <= floor or None) over all principal submatrices of a; the least
-    value is a strict-< running minimum from +inf, so NaN never wins."""
-    least, arg, first_bad = np.inf, None, None
-    for idx, values in _principal_values(a, fn):
+    value is <= floor or None) over all principal submatrices of a.  The least
+    value is a strict-< running minimum from ``least``, so NaN never wins; the
+    index set is None when no value is below that start.  Without a floor,
+    above(stack, least) may mask the submatrices of a chunk whose value is
+    certainly above the running minimum once it is finite: they can be neither
+    the least value nor its first index set, and fn never sees them."""
+    arg = first_bad = None
+    for idx, s in _principal_stacks(a):
+        if above is not None and least < np.inf:
+            keep = ~above(s, least)
+            if not keep.any():
+                continue
+            idx, s = idx[keep], s[keep]
+        values = fn(s)
         k, v = _first_min(values)
         if v < least:
             least, arg = v, tuple(int(i) for i in idx[k])
@@ -361,10 +371,57 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
                              budget, f"all sampled mixed-row matrices pass; {SAMPLED_NOTE}")
 
 
+def _sigma_above(s, tau):
+    """Mask of the rows S of the (k, r, r) stack s, every entry below 1 in
+    magnitude, whose sigma_min as np.linalg.svd computes it is certainly above
+    tau: none when tau <= 1e-140.  A row is cleared when the Cholesky
+    factorization of S^T S - t I, t = (tau (1 + 1e-10))^2 + 1e-12 r ||S||_F^2,
+    has only positive pivots in floating point.  Why that suffices, with
+    u = 2^-53:
+    - forming S^T S, subtracting t and factoring perturb S^T S by at most about
+      (r + 1)^2 u ||S||_F^2 (Higham 2002, Thm 10.3), under a hundredth of the
+      1e-12 r ||S||_F^2 term for r <= 20, so the true sigma_min^2 exceeds
+      (tau (1 + 1e-10))^2 + 0.99e-12 ||S||_F^2;
+    - the computed sigma_min is within p u ||S||_2 of the true one (LAPACK
+      Users' Guide, 4.9), and by 2xy <= 2e-10 x^2 + y^2 / 2e-10 both slack
+      terms together exceed tau's distance to it for any p below 1e5;
+    - entries below 1 keep every square and sum finite, and t > 1e-280 sits
+      far above the absolute errors of order 1e-308 that underflow adds,
+      including entries that underflowed when the stack was scaled.
+    NaN or inf in S makes t NaN or inf, so no pivot is positive.  A pivot <= 0
+    makes every later pivot NaN or -inf, so the last pivot alone decides."""
+    k, r = s.shape[:2]
+    if not tau > 1e-140:
+        return np.zeros(k, dtype=bool)
+    g = np.matmul(s.transpose(0, 2, 1), s)
+    diag = np.arange(r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g[:, diag, diag] -= ((tau * (1 + 1e-10)) ** 2
+                             + 1e-12 * r * np.trace(g, axis1=1, axis2=2))[:, None]
+        for j in range(r - 1):
+            col = g[:, j + 1:, j] / np.sqrt(g[:, j, j:j + 1])
+            g[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
+    return g[:, -1, -1] > 0.0
+
+
+def _sigma_scan(a, least=np.inf):
+    """(least sigma_min, first index set attaining it or None) over the
+    principal submatrices of a, a strict-< running minimum from ``least``:
+    _scan with one SVD per submatrix, except those that _sigma_above clears
+    against the running minimum, on a scaled by the power of two (exact) that
+    puts max |a| in [1/2, 1)."""
+    e = -np.frexp(np.max(np.abs(a)))[1]
+    least, arg, _ = _scan(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1], least=least,
+                          above=lambda s, v: _sigma_above(np.ldexp(s, e), np.ldexp(v, e)))
+    return least, arg
+
+
 def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
                                     threshold=1e-8) -> CertificateReport:
     """Minimum singular value over all principal submatrices of the Jacobian
-    at each of ``samples`` points of draw_samples."""
+    at each of ``samples`` points of draw_samples: one running minimum spans
+    the samples, so a later sample skips the SVDs that _sigma_scan clears
+    against the least value of the earlier ones."""
     m = p.dim
     if m > MINOR_BUDGET_DIM:
         raise BudgetError("submatrix enumeration exceeds budget for m > 20")
@@ -372,8 +429,8 @@ def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
     margin = np.inf
     arg = None
     for k, a in enumerate(jacs):
-        s, idx, _ = _scan(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1])
-        if s < margin:
+        s, idx = _sigma_scan(a, margin)
+        if idx is not None:
             margin = s
             arg = (k, idx)
     budget = {"samples": samples, "submatrices": 2 ** m - 1}
@@ -968,11 +1025,15 @@ CONDITIONS = {
 def certify_problem(p: VIProblem, conditions=None, seed=42, samples=30, radius=10.0,
                     tol=1e-8):
     """Run the requested checkers of CONDITIONS (default: all); returns
-    (reports, skipped) in request order, game-only ids on a VI skipped."""
+    (reports, skipped) in request order, game-only ids on a VI skipped.  An
+    unknown or repeated id raises KeyError."""
     conditions = list(conditions) if conditions else list(CONDITIONS)
     unknown = [c for c in conditions if c not in CONDITIONS]
     if unknown:
         raise KeyError(f"unknown condition ids: {unknown}")
+    repeated = sorted({c for c in conditions if conditions.count(c) > 1})
+    if repeated:
+        raise KeyError(f"repeated condition ids: {repeated}")
     settings = _Settings(seed, samples, radius, tol)
     reports, skipped = [], []
     call = _CALL.set((p, {}))  # the inputs its checkers share (_shared), for this call only

@@ -17,7 +17,7 @@ from vibox import (BoxSet, BudgetError, Mapping, VIProblem, affine_mapping,
                    p_upsilon_check, pl_condition_check, pmatrix_minors, pmatrix_oracle,
                    pmatrix_sampled, principal_submatrix_sigma_sweep, problem_ids, project,
                    uniform_pfunction_search, uniform_pmatrix_sampled, upsilon_build)
-from vibox.certificates import (CONDITIONS, _det_stack, _principal_values, certify_problem,
+from vibox.certificates import (CONDITIONS, _det_stack, _principal_stacks, certify_problem,
                                 principal_minor_det)
 from vibox.model import EvaluationError
 
@@ -409,9 +409,8 @@ def minor_scan(a):
 
 
 def sigma_scan(a):
-    """(least sigma_min, first index set attaining it) by _scan."""
-    least, arg, _ = certificates._scan(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1])
-    return least, arg
+    """(least sigma_min, first index set attaining it) by the sweep's _sigma_scan."""
+    return certificates._sigma_scan(a)
 
 
 def outcome(fn, a):
@@ -446,6 +445,37 @@ def square_matrices(draw):
     return np.insert(rows, k, coef @ rows, axis=0)
 
 
+@st.composite
+def skip_edge_matrices(draw):
+    """m = 2..8, at the edges of sigma-sweep's skip test: A 2^k with |k| <=
+    1000, A with row i scaled by 2^k_i, |k_i| <= 600 (A strictly diagonally
+    dominant or not), and near ties 3I + eps B, eps in [1e-12, 1e-3] and B
+    in [-1, 1]."""
+    m = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["scaled", "row-scaled", "near-tie"]))
+    if kind == "near-tie":
+        b = draw(hnp.arrays(np.float64, (m, m), elements=st.floats(-1, 1)))
+        return 3.0 * np.eye(m) + draw(st.floats(1e-12, 1e-3)) * b
+    a = draw(hnp.arrays(np.float64, (m, m), elements=st.floats(-8, 8)))
+    if draw(st.booleans()):
+        np.fill_diagonal(a, np.abs(a).sum(axis=1) + 1.0)
+    if kind == "scaled":
+        return np.ldexp(a, draw(st.integers(-1000, 1000)))
+    return np.ldexp(a, draw(hnp.arrays(np.int64, (m, 1), elements=st.integers(-600, 600))))
+
+
+def svd_rows(fn, *args):
+    """(fn(*args), the number of matrices that reach np.linalg.svd)."""
+    rows = []
+    svd = np.linalg.svd
+
+    def counted(s, **kwargs):
+        rows.append(len(s) if s.ndim == 3 else 1)
+        return svd(s, **kwargs)
+    with mock.patch.object(np.linalg, "svd", counted):
+        return fn(*args), sum(rows)
+
+
 # A stack budget this small splits most orders into several chunks.
 TINY_STACK = mock.patch.object(certificates, "_STACK_BYTES", 1 << 12)
 
@@ -456,7 +486,7 @@ class TestMinorEngine:
     def test_minors_match_oracle_bit_for_bit(self, a):
         def engine_minors():
             return [(tuple(int(i) for i in row), float(d).hex())
-                    for idx, ds in _principal_values(a, _det_stack) for row, d in zip(idx, ds)]
+                    for idx, s in _principal_stacks(a) for row, d in zip(idx, _det_stack(s))]
 
         with np.errstate(all="ignore"):
             expected = [(idx, float(d).hex()) for idx, d in oracle_minors(a)]
@@ -482,6 +512,23 @@ class TestMinorEngine:
             with TINY_STACK:
                 assert outcome(sigma_scan, a) == expected
 
+    @settings(max_examples=200)
+    @given(skip_edge_matrices())
+    def test_sigma_scan_matches_oracle_at_the_skip_edges(self, a):
+        with np.errstate(all="ignore"):
+            expected = outcome(oracle_sigma_scan, a)
+            assert outcome(sigma_scan, a) == expected
+            with TINY_STACK:
+                assert outcome(sigma_scan, a) == expected
+
+    def test_most_submatrices_of_a_dominant_matrix_skip_the_svd(self):
+        rng = np.random.default_rng(4)
+        a = rng.uniform(-1.0, 1.0, (10, 10))
+        np.fill_diagonal(a, np.abs(a).sum(axis=1) + rng.uniform(0.5, 1.5, 10))
+        result, rows = svd_rows(sigma_scan, a)
+        assert result == oracle_sigma_scan(a)
+        assert rows < 0.1 * 1023
+
     def test_ties_keep_the_first_index_set(self):
         # every sigma_min is 1 and every minor 0 or 1: the first subset wins
         assert sigma_scan(np.eye(6)) == (1.0, (0,))
@@ -495,6 +542,36 @@ class TestMinorEngine:
         first = next(chunks)
         assert first.shape == (rows, 10)
         assert [tuple(r) for r in first[:2]] == [tuple(range(10)), (*range(9), 10)]
+
+
+def _coupled_cubic(m):
+    """A builtin-kind F = A x + x^3 / 10 on [-2, 2]^m, A = 3I + uniform [-1, 1]."""
+    a = 3.0 * np.eye(m) + np.random.default_rng(8).uniform(-1.0, 1.0, (m, m))
+    return VIProblem(Mapping(fn=lambda x: a @ x + 0.1 * x ** 3, dim=m,
+                             jac=lambda x: a + np.diag(0.3 * x ** 2)),
+                     BoxSet([-2.0] * m, [2.0] * m))
+
+
+@pytest.mark.parametrize("p", [_coupled_cubic(6),
+                               VIProblem(builtin_mapping("cubic-plus-linear", 6),
+                                         BoxSet([-2.0] * 6, [2.0] * 6))],
+                         ids=["coupled-cubic", "cubic-plus-linear"])
+def test_sigma_sweep_over_samples_is_each_sample_scanned_alone(p):
+    # One running minimum spans the 30 Jacobians, so later samples skip SVDs
+    # against earlier ones; the report is still that of scanning each alone.
+    pts = draw_samples(p.set, 30, 3, 10.0)
+    margin, arg, alone = np.inf, None, 0
+    for k, x in enumerate(pts):
+        (s, idx), rows = svd_rows(sigma_scan, p.mapping.jac(x))
+        assert (s, idx) == oracle_sigma_scan(p.mapping.jac(x))
+        alone += rows
+        if s < margin:
+            margin, arg = s, (k, idx)
+    rep, rows = svd_rows(principal_submatrix_sigma_sweep, p, 30, 3, 10.0)
+    assert rep.margin.hex() == margin.hex()
+    assert rep.metrics == {"argmin_point": pts[arg[0]].tolist(),
+                           "argmin_index_set": list(arg[1])}
+    assert rows < alone
 
 
 class TestDistinctJacobianScan:
@@ -1529,7 +1606,7 @@ class TestSharedInputs:
     each report equals its checker's run alone, and no store outlives a call."""
 
     @given(st.one_of(integer_affine_problems(), integer_games()),
-           st.lists(st.sampled_from(list(CONDITIONS)), min_size=1, max_size=14),
+           st.lists(st.sampled_from(list(CONDITIONS)), min_size=1, unique=True),
            st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.sampled_from([1.0, 10.0]))
     @settings(max_examples=40, deadline=None)
     def test_every_report_is_its_checkers_alone(self, p, conditions, seed, samples, radius):
@@ -1580,9 +1657,10 @@ class TestSharedInputs:
                                             ("pfunction", "uniform_pfunction_search")])
     def test_a_checker_given_other_arguments_makes_its_own_inputs(self, cond, name, change,
                                                                   monkeypatch):
-        # inside a call, a replaced checker also runs on arguments that differ in
-        # one key (or on another problem): it must get that run's own report.
-        # On these boxes each of the four changes moves the checker's margin.
+        # inside a call, after checkers that fill the shared Jacobians and pairs,
+        # a replaced checker also runs on arguments that differ in one key (or
+        # on another problem): it must get that run's own report.  On these
+        # boxes each of the four changes moves the checker's margin.
         box = BoxSet([-1.0, -np.inf], [np.inf if cond == "pmatrix" else 2.0, np.inf])
         mine = VIProblem(builtin_mapping("cubic-plus-linear", 2), box)
         other = VIProblem(builtin_mapping("cubic", 2), box) if change == "problem" else mine
@@ -1593,8 +1671,8 @@ class TestSharedInputs:
         checker, seen = getattr(certificates, name), []
         monkeypatch.setattr(certificates, name, lambda p, *a, **k: seen.append(
             checker(other, n, seed, radius)) or checker(p, *a, **k))
-        reports, _ = certify_problem(mine, ["sigma-sweep", "pfunction", cond], samples=25,
-                                     seed=1)
+        reports, _ = certify_problem(mine, ["sigma-sweep", "block-pfunction", cond],
+                                     samples=25, seed=1)
         assert seen[0] == checker(other, n, seed, radius) != reports[-1]
         assert reports[-1] == alone(mine, cond, 1, 25, 10.0)
 

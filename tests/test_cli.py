@@ -558,8 +558,8 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError):
             load_problem(path)
 
-    @pytest.mark.parametrize("case", ["unknown-id", "unknown-condition", "builtin-id",
-                                      "missing-m", "mapping-kind"])
+    @pytest.mark.parametrize("case", ["unknown-id", "unknown-condition", "repeated-condition",
+                                      "builtin-id", "missing-m", "mapping-kind"])
     def test_one_exact_error_line(self, tmp_path, capsys, monkeypatch, case):
         monkeypatch.chdir(tmp_path)  # no file named "nope" here
         path = tmp_path / "bad.json"
@@ -571,6 +571,9 @@ class TestProblemFiles:
         elif case == "unknown-condition":
             argv, expected = ["example-vi", "--conditions", "foo"], \
                 "unknown condition ids: ['foo']"
+        elif case == "repeated-condition":
+            argv, expected = ["example-vi", "--conditions", "pmatrix,growth,pmatrix"], \
+                "repeated condition ids: ['pmatrix']"
         elif case == "missing-m":
             del doc["m"]
             expected = f"{path}: missing field 'm'"
@@ -578,7 +581,7 @@ class TestProblemFiles:
             doc["mapping"]["kind"] = "cubic"
             expected = f"{path}: unknown mapping kind 'cubic'"
         path.write_text(json.dumps(doc))
-        commands = ["certify"] if case == "unknown-condition" else ["solve", "certify"]
+        commands = ["certify"] if case.endswith("-condition") else ["solve", "certify"]
         for command in commands:
             code, out, err = run_cli(capsys, command, *argv)
             assert (code, out, err) == (1, "", f"error: {expected}\n")
