@@ -139,11 +139,12 @@ def _subset_table(m, r):
     return table
 
 
-def _subset_chunks(m, r):
+def _subset_chunks(m, r, n=1):
     """The r-subsets of range(m) in lexicographic order, in index arrays whose
-    gathered submatrices fit in _STACK_BYTES.  Tables that fit in one chunk
-    are cached: about 4 MiB for every (m, r) with m <= MINOR_BUDGET_DIM."""
-    rows = max(1, _STACK_BYTES // (8 * r * r))
+    gathered submatrices, from each of n matrices, fit in _STACK_BYTES.  Tables
+    that fit in one chunk are cached: about 4 MiB for every (m, r) with
+    m <= MINOR_BUDGET_DIM."""
+    rows = max(1, _STACK_BYTES // (8 * n * r * r))
     if comb(m, r) <= rows:
         yield _subset_table(m, r)
         return
@@ -169,12 +170,13 @@ def _det_stack(s):
 
 
 def _principal_stacks(a):
-    """Yield (index sets, stacked principal submatrices of a) chunk by chunk:
-    orders 1..m ascending, lexicographic within an order."""
-    m = a.shape[0]
+    """Yield (index sets, stacked principal submatrices) chunk by chunk for the
+    (n, m, m) stack a: orders 1..m ascending, lexicographic within an order;
+    a chunk holds the submatrices of a[0] on its index sets, then of a[1], ..."""
+    n, m = a.shape[:2]
     for r in range(1, m + 1):
-        for idx in _subset_chunks(m, r):
-            yield idx, a[idx[:, :, None], idx[:, None, :]]
+        for idx in _subset_chunks(m, r, n):
+            yield idx, a[:, idx[:, :, None], idx[:, None, :]].reshape(-1, r, r)
 
 
 def _first_min(values):
@@ -194,30 +196,43 @@ def principal_minor_det(a) -> float:
     return float(_det_stack(np.asarray(a)[np.newaxis])[0])
 
 
-def _scan(a, fn, floor=None, least=np.inf, above=None):
-    """(least value of fn, first index set attaining it, first index set whose
-    value is <= floor or None) over all principal submatrices of a.  The least
-    value is a strict-< running minimum from ``least``, so NaN never wins; the
-    index set is None when no value is below that start.  Without a floor,
+def _scan(a, fn, floor=None, above=None):
+    """(least value of fn, first place attaining it, first place whose value is
+    <= floor or None) over the principal submatrices of each matrix of the
+    (n, m, m) stack a.  A place is (k, index set) in a[k]; places are ordered
+    by k, then by order, then lexicographically.  The least value is a strict-<
+    running minimum from +inf, so NaN never wins.  Without a floor,
     above(stack, least) may mask the submatrices of a chunk whose value is
     certainly above the running minimum once it is finite: they can be neither
-    the least value nor its first index set, and fn never sees them."""
-    arg = first_bad = None
+    the least value nor its first place, and fn never sees them."""
+    if floor is not None and above is not None:
+        raise ValueError("a floor needs every value, and above skips some")
+    least, arg, first_bad = np.inf, None, None
     for idx, s in _principal_stacks(a):
+        pos = np.arange(len(s))
         if above is not None and least < np.inf:
-            keep = ~above(s, least)
-            if not keep.any():
+            pos = np.flatnonzero(~above(s, least))
+            if not pos.size:
                 continue
-            idx, s = idx[keep], s[keep]
+            s = s[pos]
         values = fn(s)
-        k, v = _first_min(values)
-        if v < least:
-            least, arg = v, tuple(int(i) for i in idx[k])
-        if first_bad is None and floor is not None:
+        i, v = _first_min(values)
+        # a chunk's index sets follow those of every earlier chunk, so a place
+        # in it comes first only when its matrix does
+        if i is not None and (v < least or v == least and _place(idx, pos[i])[0] < arg[0]):
+            least, arg = v, _place(idx, pos[i])
+        if floor is not None:
             bad = np.flatnonzero(values <= floor)
-            if bad.size:
-                first_bad = tuple(int(i) for i in idx[bad[0]])
+            if bad.size and (first_bad is None or _place(idx, pos[bad[0]])[0] < first_bad[0]):
+                first_bad = _place(idx, pos[bad[0]])
     return least, arg, first_bad
+
+
+def _place(idx, p):
+    """(k, index set) of position p of a chunk that _principal_stacks yields
+    with the index sets idx: the submatrices of a[0] come first, then a[1]'s."""
+    k, j = divmod(int(p), len(idx))
+    return k, tuple(int(t) for t in idx[j])
 
 
 def _sigma_min(a, idx) -> float:
@@ -239,11 +254,15 @@ def _check_minor_budget(m):
 
 
 def _minor_scan(a):
-    """_scan(a, _det_stack, 0.0) of a float matrix, shared by matrix value, with
+    """(least minor, first index set attaining it, first index set whose minor
+    is <= 0 or None) of a float matrix by _scan, shared by matrix value, with
     a NaN minor (inf - inf in its terms) read as -0.0: nonpositive, so that the
     scan stops at it as at a bad set, and never below an earlier number <= 0."""
-    return _shared(("minors", a.shape, a.tobytes()), lambda: _scan(
-        a, lambda s: np.where(np.isnan(d := _det_stack(s)), -0.0, d), 0.0))
+    def make():
+        least, arg, bad = _scan(a[None], lambda s: np.where(
+            np.isnan(d := _det_stack(s)), -0.0, d), 0.0)
+        return least, arg and arg[1], bad and bad[1]
+    return _shared(("minors", a.shape, a.tobytes()), make)
 
 
 def pmatrix_minors(a) -> CertificateReport:
@@ -404,14 +423,15 @@ def _sigma_above(s, tau):
     return g[:, -1, -1] > 0.0
 
 
-def _sigma_scan(a, least=np.inf):
-    """(least sigma_min, first index set attaining it or None) over the
-    principal submatrices of a, a strict-< running minimum from ``least``:
-    _scan with one SVD per submatrix, except those that _sigma_above clears
-    against the running minimum, on a scaled by the power of two (exact) that
-    puts max |a| in [1/2, 1)."""
+def _sigma_scan(a):
+    """(least sigma_min, first place attaining it or None) over the principal
+    submatrices of each matrix of the (n, m, m) stack a: _scan with one SVD
+    per submatrix, except those that _sigma_above clears against the running
+    minimum, on a scaled by the power of two (exact) that puts max |a| in
+    [1/2, 1).  Orders run across the whole stack, so for n > 1 the minimum
+    over lower orders of every matrix prunes each order."""
     e = -np.frexp(np.max(np.abs(a)))[1]
-    least, arg, _ = _scan(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1], least=least,
+    least, arg, _ = _scan(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1],
                           above=lambda s, v: _sigma_above(np.ldexp(s, e), np.ldexp(v, e)))
     return least, arg
 
@@ -419,20 +439,13 @@ def _sigma_scan(a, least=np.inf):
 def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
                                     threshold=1e-8) -> CertificateReport:
     """Minimum singular value over all principal submatrices of the Jacobian
-    at each of ``samples`` points of draw_samples: one running minimum spans
-    the samples, so a later sample skips the SVDs that _sigma_scan clears
-    against the least value of the earlier ones."""
+    at each of ``samples`` points of draw_samples, by one _sigma_scan of their
+    stack."""
     m = p.dim
     if m > MINOR_BUDGET_DIM:
         raise BudgetError("submatrix enumeration exceeds budget for m > 20")
     pts, jacs = _sampled_jacobians(p, samples, seed, radius)
-    margin = np.inf
-    arg = None
-    for k, a in enumerate(jacs):
-        s, idx = _sigma_scan(a, margin)
-        if idx is not None:
-            margin = s
-            arg = (k, idx)
+    margin, arg = _sigma_scan(jacs)
     budget = {"samples": samples, "submatrices": 2 ** m - 1}
     metrics = {"argmin_point": pts[arg[0]].tolist(), "argmin_index_set": list(arg[1])}
     if margin > threshold:
@@ -799,9 +812,9 @@ def _face_edge(j, inside, pinned, tol):
     # norm itself cannot overflow.
     e = -np.frexp(np.max(terms, axis=1, initial=0.0))[1][:, None]
     norms = np.linalg.norm(np.ldexp(terms, e), axis=1)
-    least, _, bad = _scan(np.ldexp(c, e) / np.where(norms > 0.0, norms, 1.0)[:, None],
+    least, _, bad = _scan((np.ldexp(c, e) / np.where(norms > 0.0, norms, 1.0)[:, None])[None],
                           _det_stack, NOISE_FLOOR)
-    edge = None if bad is None else (np.sort(np.r_[fr, bd[list(bad[:-1])]]), int(bd[bad[-1]]))
+    edge = None if bad is None else (np.sort(np.r_[fr, bd[list(bad[1][:-1])]]), int(bd[bad[1][-1]]))
     return min(s_min, float(least)), edge
 
 

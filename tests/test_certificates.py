@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -404,13 +405,14 @@ def oracle_sigma_scan(a):
 
 def minor_scan(a):
     """(least minor, first index set whose minor is <= 0 or None) by _scan."""
-    least, _, first_bad = certificates._scan(a, _det_stack, 0.0)
-    return least, first_bad
+    least, _, first_bad = certificates._scan(a[None], _det_stack, 0.0)
+    return least, first_bad and first_bad[1]
 
 
 def sigma_scan(a):
     """(least sigma_min, first index set attaining it) by the sweep's _sigma_scan."""
-    return certificates._sigma_scan(a)
+    least, arg = certificates._sigma_scan(a[None])
+    return least, arg and arg[1]
 
 
 def outcome(fn, a):
@@ -464,6 +466,34 @@ def skip_edge_matrices(draw):
     return np.ldexp(a, draw(hnp.arrays(np.int64, (m, 1), elements=st.integers(-600, 600))))
 
 
+@st.composite
+def matrix_stacks(draw):
+    """n = 1..4 matrices of order m = 1..6: floats, entries in {-2, ..., 2}
+    (exact ties within and across matrices), or an earlier matrix again."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    mats = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["float", "integer", "again"]))
+        if kind == "again" and mats:
+            mats.append(mats[draw(st.integers(0, len(mats) - 1))])
+        elif kind == "integer":
+            mats.append(draw(hnp.arrays(np.float64, (m, m), elements=st.integers(-2, 2))))
+        else:
+            mats.append(draw(hnp.arrays(np.float64, (m, m), elements=st.floats(-8, 8))))
+    return np.array(mats)
+
+
+def oracle_stack_scan(oracle, a):
+    """(least value, (k, first index set attaining it)) of oracle over a[0],
+    a[1], ... in turn, by a strict-< running minimum."""
+    least, arg = np.inf, None
+    for k, ak in enumerate(a):
+        v, idx = oracle(ak)
+        if v < least:
+            least, arg = v, (k, idx)
+    return least, arg
+
+
 def svd_rows(fn, *args):
     """(fn(*args), the number of matrices that reach np.linalg.svd)."""
     rows = []
@@ -486,7 +516,7 @@ class TestMinorEngine:
     def test_minors_match_oracle_bit_for_bit(self, a):
         def engine_minors():
             return [(tuple(int(i) for i in row), float(d).hex())
-                    for idx, s in _principal_stacks(a) for row, d in zip(idx, _det_stack(s))]
+                    for idx, s in _principal_stacks(a[None]) for row, d in zip(idx, _det_stack(s))]
 
         with np.errstate(all="ignore"):
             expected = [(idx, float(d).hex()) for idx, d in oracle_minors(a)]
@@ -536,6 +566,39 @@ class TestMinorEngine:
         signed = np.diag([1.0, -0.0, 0.0])
         assert outcome(minor_scan, signed) == ((-0.0).hex(), (1,))
 
+    @settings(max_examples=150)
+    @given(matrix_stacks())
+    def test_a_stack_scans_as_its_matrices_in_turn(self, a):
+        # orders run across the stack, yet the least value and its place are
+        # those of scanning a[0], a[1], ... one after the other
+        expected = oracle_stack_scan(oracle_sigma_scan, a)
+        expected = float(expected[0]).hex(), expected[1]
+        for stack in (contextlib.nullcontext(), TINY_STACK):
+            with stack:
+                least, arg = certificates._sigma_scan(a)
+                assert (float(least).hex(), arg) == expected
+
+    def test_a_tie_goes_to_the_earlier_matrix(self):
+        # a[0] reaches its least sigma_min v at order 2, a[1] at order 1: the
+        # scan meets a[1]'s first, yet a[0]'s place is first
+        a0 = np.array([[1.0, 1.0], [0.0, 1.0]])
+        v = float(np.linalg.svd(a0, compute_uv=False)[-1])
+        a1 = np.diag([v, 5.0])
+        assert certificates._sigma_scan(np.array([a0, a1])) == (v, (0, (0, 1)))
+        assert certificates._sigma_scan(np.array([a1, a0])) == (v, (0, (0,)))
+
+    def test_the_first_bad_place_is_in_the_earliest_matrix(self):
+        # a[0]'s first minor <= 0 has order 2, a[1]'s order 1
+        a = np.array([[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]])
+        assert certificates._scan(a, _det_stack, 0.0) == (-3.0, (0, (0, 1)), (0, (0, 1)))
+        assert certificates._scan(a[::-1], _det_stack, 0.0) == (-3.0, (1, (0, 1)), (0, (0,)))
+
+    def test_a_floor_and_a_mask_are_not_combined(self):
+        # a masked submatrix is never compared with the floor
+        with pytest.raises(ValueError, match="floor"):
+            certificates._scan(np.eye(2)[None], _det_stack, 0.0,
+                               above=lambda s, v: np.ones(len(s), dtype=bool))
+
     def test_budget_dimension_stacks_stay_small(self):
         rows = certificates._STACK_BYTES // (8 * 10 * 10)
         chunks = certificates._subset_chunks(certificates.MINOR_BUDGET_DIM, 10)
@@ -557,8 +620,9 @@ def _coupled_cubic(m):
                                          BoxSet([-2.0] * 6, [2.0] * 6))],
                          ids=["coupled-cubic", "cubic-plus-linear"])
 def test_sigma_sweep_over_samples_is_each_sample_scanned_alone(p):
-    # One running minimum spans the 30 Jacobians, so later samples skip SVDs
-    # against earlier ones; the report is still that of scanning each alone.
+    # The 30 Jacobians are scanned as one stack, each order pruned against the
+    # lower orders of every sample; the report is still that of scanning each
+    # alone.
     pts = draw_samples(p.set, 30, 3, 10.0)
     margin, arg, alone = np.inf, None, 0
     for k, x in enumerate(pts):
