@@ -12,7 +12,7 @@ samples: a fail is conclusive (witness-backed), a pass is sampled evidence only.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
@@ -253,40 +253,45 @@ def _check_minor_budget(m):
         )
 
 
-def _minor_scan(a):
-    """(least minor, first index set attaining it, first index set whose minor
-    is <= 0 or None) of a float matrix by _scan, shared by matrix value, with
-    a NaN minor (inf - inf in its terms) read as -0.0: nonpositive, so that the
-    scan stops at it as at a bad set, and never below an earlier number <= 0."""
-    def make():
-        least, arg, bad = _scan(a[None], lambda s: np.where(
-            np.isnan(d := _det_stack(s)), -0.0, d), 0.0)
-        return least, arg and arg[1], bad and bad[1]
-    return _shared(("minors", a.shape, a.tobytes()), make)
+def _minor_scan(a, floor=0.0):
+    """_scan of the determinant, with floor, over the (n, m, m) float stack
+    a, shared by floor and a's shape and bytes, with a NaN minor (inf - inf in
+    its terms) read as -0.0: nonpositive, so that the scan stops at it as at
+    a bad place, and never below an earlier number <= 0."""
+    _check_minor_budget(a.shape[-1])
+    return _shared((floor, a.shape, a.tobytes()), lambda: _scan(a, lambda s: np.where(
+        np.isnan(d := _det_stack(s)), -0.0, d), floor))
+
+
+def _minor_report(condition, a, scan, seed, budget, witness, notes, **metrics):
+    """The report of the test that every principal minor of the (n, m, m)
+    stack a is positive, from scan, its _minor_scan.  The first place (k,
+    index set) whose minor is not decides: a nonpositive one fails, with
+    witness(k, {"index_set", "minor"}), a NaN one leaves the test
+    inconclusive.  A pass or fail has the stack's least minor as margin.
+    notes: (pass note, fail note); the keywords are the report's metrics."""
+    least, _, bad = scan
+    if bad is None:
+        return CertificateReport(condition, PASS, float(least), None, seed, budget, notes[0],
+                                 metrics)
+    k, alpha = bad
+    minor = principal_minor_det(a[k][np.ix_(alpha, alpha)])
+    if np.isnan(minor):
+        return CertificateReport(condition, INCONCLUSIVE, None, None, seed, budget,
+                                 f"principal minor {list(alpha)} is NaN: its terms overflow",
+                                 metrics)
+    return CertificateReport(condition, FAIL, float(least),
+                             witness(k, {"index_set": list(alpha), "minor": minor}), seed,
+                             budget, notes[1], metrics)
 
 
 def pmatrix_minors(a) -> CertificateReport:
-    """Exact P-matrix test: every principal minor must be positive.  The
-    first minor in scan order that is not decides: a nonpositive one fails,
-    a NaN one (inf - inf in its terms) leaves the test inconclusive."""
-    a = np.asarray(a, dtype=float)
-    m = a.shape[0]
-    _check_minor_budget(m)
-    min_minor, _, first_bad = _minor_scan(a)
-    budget = {"minors": 2 ** m - 1}
-    if first_bad is not None:
-        witness = {
-            "index_set": list(first_bad),
-            "minor": principal_minor_det(a[np.ix_(first_bad, first_bad)]),
-        }
-        if np.isnan(witness["minor"]):
-            return CertificateReport("pmatrix", INCONCLUSIVE, None, None, None, budget,
-                                     f"principal minor {list(first_bad)} is NaN: its "
-                                     "terms overflow")
-        return CertificateReport("pmatrix", FAIL, float(min_minor), witness, None, budget,
-                                 "nonpositive principal minor found")
-    return CertificateReport("pmatrix", PASS, float(min_minor), None, None, budget,
-                             "all principal minors positive (exact enumeration)")
+    """Exact P-matrix test: every principal minor must be positive
+    (_minor_report of a as a stack of one)."""
+    a = np.asarray(a, dtype=float)[None]
+    return _minor_report("pmatrix", a, _minor_scan(a), None, {"minors": 2 ** a.shape[-1] - 1},
+                         lambda k, w: w, ("all principal minors positive (exact enumeration)",
+                                          "nonpositive principal minor found"))
 
 
 def pmatrix_oracle(a, samples=100000, seed=0) -> CertificateReport:
@@ -335,18 +340,13 @@ def _sampled_jacobians(p: VIProblem, samples, seed, radius):
 
 def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
     """Exact minors test of the Jacobian at each of ``samples`` points of
-    draw_samples."""
+    draw_samples, by one _minor_report of their stack; a fail's witness
+    names the point."""
     pts, jacs = _sampled_jacobians(p, samples, seed, radius)
-    budget = {"samples": samples}
-    min_margin = np.inf
-    for k, a in enumerate(jacs):
-        rep = pmatrix_minors(a)
-        if rep.verdict != PASS:  # a fail's witness gains the point
-            witness = rep.witness and dict(rep.witness, point=pts[k].tolist())
-            return replace(rep, witness=witness, seed=seed, budget=budget)
-        min_margin = min(min_margin, rep.margin)
-    return CertificateReport("pmatrix", PASS, float(min_margin), None, seed, budget,
-                             f"Jacobian is a P-matrix at every sample; {SAMPLED_NOTE}")
+    return _minor_report("pmatrix", jacs, _minor_scan(jacs), seed, {"samples": samples},
+                         lambda k, w: dict(w, point=pts[k].tolist()),
+                         (f"Jacobian is a P-matrix at every sample; {SAMPLED_NOTE}",
+                          "nonpositive principal minor found"))
 
 
 def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
@@ -357,37 +357,28 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
     P-matrix with margin at least ETA_FLOOR.  The 2n tuples are the n
     all-same ones (one per point), then n seeded draws, which are not made
     when the stack holds one matrix: every mixed-row matrix is then that one.
+    One _minor_report tests their stack; a fail names its tuple and points.
     """
     pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     n, m = samples, p.dim
     budget = {"samples": n, "mixed_rows": 2 * n}
-    tuples = [np.zeros(m, dtype=int)]
+    tuples = np.zeros((1, m), dtype=int)
     if len(jacs) > 1:
-        rng = np.random.default_rng(seed)
-        tuples = [np.full(m, k) for k in range(n)]
-        tuples += [rng.integers(0, n, size=m) for _ in range(n)]
-    min_margin = np.inf
-    min_tuple = min_mix = None
-    for tup in tuples:
-        a_mix = jacs[tup, np.arange(m)]
-        rep = pmatrix_minors(a_mix)
-        if rep.verdict == FAIL:
-            witness = {"tuple": [int(t) for t in tup], "points": [pts[t].tolist() for t in tup],
-                       **rep.witness}
-            return CertificateReport("uniform-pmatrix", FAIL, rep.margin, witness, seed,
-                                     budget, "mixed-row matrix is not a P-matrix")
-        if rep.verdict == INCONCLUSIVE:
-            return replace(rep, condition="uniform-pmatrix", seed=seed, budget=budget)
-        if rep.margin < min_margin:
-            min_margin, min_tuple, min_mix = rep.margin, tup, a_mix
-    if min_margin < ETA_FLOOR:
-        witness = {"tuple": [int(t) for t in min_tuple],
-                   "index_set": list(_minor_scan(min_mix)[1]), "min_minor": float(min_margin),
-                   "eta_floor": ETA_FLOOR}
-        return CertificateReport("uniform-pmatrix", FAIL, float(min_margin), witness, seed,
-                                 budget, "P-matrix margin below the uniform floor")
-    return CertificateReport("uniform-pmatrix", PASS, float(min_margin), None, seed,
-                             budget, f"all sampled mixed-row matrices pass; {SAMPLED_NOTE}")
+        tuples = np.vstack([np.repeat(np.arange(n)[:, None], m, axis=1),
+                            np.random.default_rng(seed).integers(0, n, size=(n, m))])
+    mix = jacs[tuples, np.arange(m)]
+    least, arg, _ = scan = _minor_scan(mix)
+    rep = _minor_report("uniform-pmatrix", mix, scan, seed, budget,
+                        lambda k, w: {"tuple": tuples[k].tolist(),
+                                      "points": pts[tuples[k]].tolist(), **w},
+                        (f"all sampled mixed-row matrices pass; {SAMPLED_NOTE}",
+                         "mixed-row matrix is not a P-matrix"))
+    if rep.verdict != PASS or least >= ETA_FLOOR:
+        return rep
+    witness = {"tuple": tuples[arg[0]].tolist(), "index_set": list(arg[1]),
+               "min_minor": float(least), "eta_floor": ETA_FLOOR}
+    return CertificateReport("uniform-pmatrix", FAIL, float(least), witness, seed, budget,
+                             "P-matrix margin below the uniform floor")
 
 
 def _sigma_above(s, tau):
@@ -634,12 +625,12 @@ def _pmatrix_rule(a):
         h = np.prod(np.maximum(1.0, np.linalg.norm(a, axis=1)))
     if not h < 1e300:
         return None
-    least, _, bad = _minor_scan(a)
+    least, _, bad = _minor_scan(a[None])
     budget = {"minors": 2 ** len(a) - 1}
     if bad is None:
         ok = least > NOISE_FLOOR * h
         return (float(least), budget, PMATRIX_NOTE, None, None) if ok else None
-    alpha = list(bad)
+    alpha = list(bad[1])
     lam, vec = np.linalg.eig(a[np.ix_(alpha, alpha)])
     real = np.flatnonzero(lam.imag == 0.0)
     k = real[np.argmin(lam.real[real])] if real.size else None
@@ -775,18 +766,12 @@ def p_upsilon_check(p: VIProblem) -> CertificateReport:
         witness = dict(convex.witness, clause="own-block-pd")
         return CertificateReport("upsilon", FAIL, convex.margin, witness, None, budget,
                                  "own-block Hessian is not positive definite")
-    ups = upsilon_build(p)
-    rep = pmatrix_minors(ups)
-    metrics = {"upsilon": ups.tolist()}
-    if rep.verdict == FAIL:
-        return CertificateReport("upsilon", FAIL, rep.margin,
-                                 {"clause": "upsilon-pmatrix", **rep.witness}, None, budget,
-                                 "comparison matrix is not a P-matrix", metrics)
-    if rep.verdict == INCONCLUSIVE:
-        return replace(rep, condition="upsilon", budget=budget, metrics=metrics)
-    return CertificateReport("upsilon", PASS, rep.margin, None, None, budget,
-                             "comparison matrix is a P-matrix; the game has a unique "
-                             "Nash equilibrium", metrics)
+    ups = upsilon_build(p)[None]
+    return _minor_report("upsilon", ups, _minor_scan(ups), None, budget,
+                         lambda k, w: {"clause": "upsilon-pmatrix", **w},
+                         ("comparison matrix is a P-matrix; the game has a unique Nash "
+                          "equilibrium", "comparison matrix is not a P-matrix"),
+                         upsilon=ups[0].tolist())
 
 
 def _face_edge(j, inside, pinned, tol):

@@ -607,6 +607,54 @@ class TestMinorEngine:
         assert [tuple(r) for r in first[:2]] == [tuple(range(10)), (*range(9), 10)]
 
 
+def oracle_minor_loop(mats):
+    """(least minor, first (k, index set) whose minor is <= 0 or None) of
+    mats[0], mats[1], ... scanned one after the other, by a strict-< running
+    minimum."""
+    least, first_bad = np.inf, None
+    for k, a in enumerate(mats):
+        v, bad = oracle_minor_scan(a)
+        if v < least:
+            least = v
+        if first_bad is None and bad is not None:
+            first_bad = k, bad
+    return least, first_bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_stacks(), st.integers(0, 99))
+def test_sampled_minor_checkers_scan_as_a_loop_over_their_matrices(a, seed):
+    # The Jacobian at sample k is a[k]: the one scan of the whole stack gives
+    # the verdict, the first failing place and the least minor of scanning the
+    # Jacobians, or the mixed-row matrices, one by one.
+    n, m = a.shape[:2]
+    box = BoxSet([-1.0] * m, [1.0] * m)
+    pts = draw_samples(box, n, seed, 10.0)
+    p = VIProblem(Mapping(fn=lambda x: x, dim=m, jac=lambda x: a[
+        int(np.flatnonzero((pts == x).all(axis=1))[0])]), box)
+    tuples = np.zeros((1, m), dtype=int)
+    if n > 1:
+        rng = np.random.default_rng(seed)
+        tuples = np.array([np.full(m, k) for k in range(n)]
+                          + [rng.integers(0, n, size=m) for _ in range(n)])
+    for stack in (contextlib.nullcontext(), TINY_STACK):
+        with stack:
+            rep = pmatrix_sampled(p, n, seed, 10.0)
+            least, bad = oracle_minor_loop(a)
+            assert rep.verdict == ("pass" if bad is None else "fail")
+            assert rep.margin.hex() == float(least).hex()
+            if bad is not None:
+                assert (rep.witness["point"], rep.witness["index_set"]) == (
+                    pts[bad[0]].tolist(), list(bad[1]))
+            rep = uniform_pmatrix_sampled(p, n, seed, 10.0)
+            least, bad = oracle_minor_loop([a[t, np.arange(m)] for t in tuples])
+            assert rep.verdict == ("pass" if bad is None and least >= 1e-10 else "fail")
+            assert rep.margin.hex() == float(least).hex()
+            if bad is not None:
+                assert (rep.witness["tuple"], rep.witness["index_set"]) == (
+                    tuples[bad[0]].tolist(), list(bad[1]))
+
+
 def _coupled_cubic(m):
     """A builtin-kind F = A x + x^3 / 10 on [-2, 2]^m, A = 3I + uniform [-1, 1]."""
     a = 3.0 * np.eye(m) + np.random.default_rng(8).uniform(-1.0, 1.0, (m, m))
@@ -1690,7 +1738,7 @@ class TestSharedInputs:
         p = get_problem("example-game")
         certify_problem(p, ["block-convexity", "upsilon"], samples=5)
         assert len(inside) == 2 and inside[0] is inside[1] and inside[0][0] is p
-        assert list(inside[0][1]) == [("own lambdas",), ("minors", (2, 2), mock.ANY)]
+        assert list(inside[0][1]) == [("own lambdas",), (0.0, (1, 2, 2), mock.ANY)]
         assert certificates._CALL.get() is None
 
     def test_no_store_survives_a_raising_call(self):
