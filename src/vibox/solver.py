@@ -186,7 +186,10 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
         d, singular = newton_directions(df, free, rl, nl)
         for j in [j for j, flag in enumerate(singular) if flag]:
             jac = _jacobian_element(df[j], free[j])
-            d[j] = np.linalg.solve(jac.T @ jac + REG_FLOOR * np.eye(p.dim), -grad[j])
+            try:
+                d[j] = np.linalg.solve(jac.T @ jac + REG_FLOOR * np.eye(p.dim), -grad[j])
+            except np.linalg.LinAlgError:  # J^T J overflowed: the gradient step below
+                d[j] = np.nan
         slopes, finite = np.vecdot(grad, d).tolist(), np.logical_and.reduce(np.isfinite(d), axis=1).tolist()
         kinds, theta0 = [], []
         for j, n in enumerate(nl):
@@ -233,7 +236,8 @@ def solve(p: VIProblem, start=None, tol=1e-10) -> SolveResult:
     Newton steps on a generalized-Jacobian element J, Levenberg-regularized
     normal equations when J is numerically singular, merit-gradient and
     fixed-point fallbacks when the Newton direction is not a descent
-    direction for theta(v) = 1/2 ||r(v)||^2.
+    direction for theta(v) = 1/2 ||r(v)||^2, is not finite, or cannot be
+    solved for (the regularized system overflows).
 
     J d = -r is solved on the free coordinates of v only (inside K or on a
     bound, but not fixed by lo == hi), then back-substituted for the others.

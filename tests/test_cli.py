@@ -933,3 +933,29 @@ class TestReportCommand:
         bad.write_text("not json")
         code, out, err = run_cli(capsys, "report", str(bad))
         assert code == 0 and "skipping" in err
+
+
+def rows_scaled_problem():
+    """The rows-scaled file of scripts/compare_reports.py (save_sweep_edges):
+    a diagonally dominant 10 x 10 A, its rows scaled by 2^500 and 2^-500 in
+    turn, on [-5, 5]^10."""
+    rng = np.random.default_rng(500)
+    m = 10
+    a = rng.uniform(-1.0, 1.0, (m, m))
+    np.fill_diagonal(a, np.abs(a).sum(axis=1) + 1.0)
+    rng.uniform(-1.0, 1.0, (m, m))  # the other file's A
+    return VIProblem(affine_mapping(np.ldexp(a, np.tile([500, -500], m // 2)[:, None]),
+                                    rng.standard_normal(m)), BoxSet([-5.0] * m, [5.0] * m))
+
+
+@pytest.mark.parametrize("starts", ["1", "2", "3", "8", "13"])
+def test_an_overflowing_regularized_system_takes_the_gradient_step(capsys, tmp_path, starts):
+    # J^T J overflows on these rows and its solve raised LinAlgError from the
+    # third start on; such a start now takes the gradient step and the solve
+    # ends with a report
+    path = tmp_path / "rows.json"
+    save_problem(rows_scaled_problem(), path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run_cli(capsys, "solve", str(path), "--starts", starts)
+    assert code == 2
+    assert len(json.loads(out)["results"]) >= int(starts)
