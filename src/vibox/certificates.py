@@ -783,7 +783,8 @@ def _face_edge(j, inside, pinned, tol):
     lesser of that sigma_min and the least row-scaled minor of C.  edge: None
     on a pass, else (S, k) with J[S, S] singular (k None) or det J[S, S] and
     det J[S + k, S + k] differing in sign or including a 0 (k ends the first
-    bad set of _scan, whose subsets of lower order all pass)."""
+    bad set of _minor_scan, whose subsets of lower order all pass; a NaN
+    minor of C is bad)."""
     fr, bd = np.flatnonzero(inside), np.flatnonzero(pinned)
     s_min = _sigma_min(j, fr)
     if s_min < tol:
@@ -797,8 +798,8 @@ def _face_edge(j, inside, pinned, tol):
     # norm itself cannot overflow.
     e = -np.frexp(np.max(terms, axis=1, initial=0.0))[1][:, None]
     norms = np.linalg.norm(np.ldexp(terms, e), axis=1)
-    least, _, bad = _scan((np.ldexp(c, e) / np.where(norms > 0.0, norms, 1.0)[:, None])[None],
-                          _det_stack, NOISE_FLOOR)
+    least, _, bad = _minor_scan(
+        (np.ldexp(c, e) / np.where(norms > 0.0, norms, 1.0)[:, None])[None], NOISE_FLOOR)
     edge = None if bad is None else (np.sort(np.r_[fr, bd[list(bad[1][:-1])]]), int(bd[bad[1][-1]]))
     return min(s_min, float(least)), edge
 

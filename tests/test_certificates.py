@@ -881,6 +881,18 @@ class TestMaximalRankTsearch:
         assert rep.verdict == "inconclusive" and rep.witness is None
         assert "exempt" in rep.notes
 
+    def test_a_nan_schur_complement_is_a_bad_minor(self):
+        # A[Fr, Fr]^-1 A[Fr, B] overflows to inf and the complement reads NaN,
+        # which the minor scan reads as -0.0, as it does for every minor: the
+        # edge ({0}, 1) is found, where det A[{0}] = 1e-8 and det A = -1e-8
+        p = VIProblem(affine_mapping(np.array([[1e-8, 1e308], [0.0, -1.0]]), np.ones(2)),
+                      BoxSet([-np.inf, 0.0], [np.inf, 1.0]))
+        with np.errstate(invalid="ignore"):
+            rep = maximal_rank_tsearch(p, 10, 5, 10.0)
+        assert rep.verdict == "fail"
+        w = rep.witness
+        assert (w["index_set"], w["k"], w["minors"]) == ([0], 1, [1e-8, -1e-8])
+
     def test_budget_counts_bounded_coordinates_only(self):
         m = certificates.MINOR_BUDGET_DIM + 1
         lo = np.r_[0.0, np.full(m - 1, -np.inf)]
