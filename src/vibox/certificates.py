@@ -834,7 +834,8 @@ def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> Certi
     most MINOR_BUDGET_DIM others, for any F); other F on the face of each v of
     boundary_sample_set (J at P_K[v], D in [0, 1] where v is on a bound).  The
     first singular face decides: fail when ||F_nor|| > tol at its point, else
-    inconclusive, as the existence theorem exempts the zeros of F_nor."""
+    inconclusive, as the existence theorem exempts the zeros of F_nor, and
+    inconclusive where the edge's minors share one strict sign (or one is NaN)."""
     if samples < 1:
         raise ValueError("sample set is empty")
     lo, hi = p.set.lo, p.set.hi
@@ -867,8 +868,12 @@ def maximal_rank_tsearch(p: VIProblem, samples, seed, radius, tol=1e-8) -> Certi
             return CertificateReport("maximal-rank", INCONCLUSIVE, margin, None, seed, budget,
                                      "singular element only where F_nor = 0, which is exempt")
         ends = [] if k is None else [s, np.sort(np.r_[s, k])]  # J[S, S] singular: no edge
-        witness = {"index_set": s.tolist(), "k": k,
-                   **_edge_minors([j[np.ix_(e, e)] for e in ends]),
+        minors = _edge_minors([j[np.ix_(e, e)] for e in ends])
+        if ends and not np.prod(np.sign(minors["minors"])) <= 0.0:
+            return CertificateReport("maximal-rank", INCONCLUSIVE, margin, None, seed, budget,
+                                     f"edge S = {s.tolist()}, k = {k}: its minors "
+                                     f"{minors['minors']} share one sign, so no witness holds")
+        witness = {"index_set": s.tolist(), "k": k, **minors,
                    "point": v.tolist(), "residual": residual}
         return CertificateReport("maximal-rank", FAIL, margin, witness, seed, budget,
                                  "singular generalized-Jacobian element where F_nor != 0")

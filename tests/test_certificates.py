@@ -993,6 +993,25 @@ class TestMaximalRankTsearch:
                                                 (lo < hi) & ~free, 1e-8)
             assert normal_map(p, certificates._face_point(p.set, s, k)).norm <= 1e-8
 
+    @settings(max_examples=150)
+    @given(integer_affine_problems())
+    def test_every_fail_has_minors_that_differ_in_sign_or_include_0(self, p):
+        assume(p.dim <= 5)
+        rep = maximal_rank_tsearch(p, 1, 0, 10.0)
+        if rep.verdict == "fail" and rep.witness["k"] is not None:
+            assert np.prod(np.sign(rep.witness["minors"])) <= 0.0
+
+    def test_an_edge_whose_minors_share_a_sign_is_inconclusive(self):
+        # pmatrix passes: every minor, the least 1e-13 (9.99e-14 in floating
+        # point), is positive; the row-scaled complement minor is below 1e-12
+        # and flags the edge ({0}, 1), whose minors 1 and 9.99e-14 hold no witness
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        p = VIProblem(affine_mapping(a, np.ones(2)), BoxSet([0.0] * 2, [1.0] * 2))
+        assert pmatrix_minors(a).verdict == "pass"
+        rep = maximal_rank_tsearch(p, 1, 0, 10.0)
+        assert rep.verdict == "inconclusive" and rep.witness is None
+        assert "edge S = [0], k = 1" in rep.notes
+
 
 def fraction_pmatrix(a):
     """The oracle: every principal minor of the integer matrix a is positive,
