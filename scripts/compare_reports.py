@@ -64,11 +64,18 @@ Two 10x10 affine files test where ``sigma-sweep`` skips an SVD
 (``save_sweep_edges``): a diagonally dominant A with its rows scaled by
 ``2^500`` and ``2^-500`` in turn, whose scaled least ``sigma_min`` falls below
 the skip test's underflow guard, and ``3I + 1e-9 B``, B uniform in [-1, 1],
-whose submatrices' ``sigma_min`` lie within about ``1e-8`` of each other.
+whose submatrices' ``sigma_min`` lie within about ``1e-8`` of each other;
+on the rows-scaled file the solver's regularized system overflows, and
+those starts take the gradient step.
+Two 2x2 affine files hold ``maximal-rank``'s edge cases (``save_rank_edges``):
+``A = [[1e-8, 1e308], [0, -1]]``, ``b = (1, 1)`` on ``R x [0, 1]``, whose
+Schur complement overflows to NaN and fails on the edge ``({0}, 1)``, and
+``A = [[1, 1], [1, 1 + 1e-13]]``, ``b = (1, 1)`` on ``[0, 1]^2``, a
+P-matrix whose row-scaled complement minor falls below ``1e-12``, so that
+its edge minors share one sign and the verdict is ``inconclusive``.
 A call that raises is compared by the type of its exception, in place of
-an exit code, and each call that raises in this checkout is printed; the
-``solve`` calls on the rows-scaled file raise ``LinAlgError`` in the
-solver's regularized step.  Prints each call whose exit code
+an exit code, and each call that raises in this checkout is printed.
+Prints each call whose exit code
 or stdout differs between the checkouts, or whose argv only one of them
 makes, and exits 1 if there is any; stderr (timings) is not compared.
 Under each ``certify`` call that differs it names what differs: the
@@ -296,12 +303,26 @@ def save_large(problem_dir):
 def save_overflow(problem_dir):
     """Write the three affine files with entries near the largest double (see
     the module docstring)."""
-    docs = {
+    _save_small_affine(problem_dir, {
         "affine-overflow-path-end": ([7.684337819423959e+307], [-6.9305022522022e+303],
                                      [-0.494153906108326], [2.58142683425597]),
         "affine-huge-row": ([1e160, 0.0, 0.0, 1.0], [0.0, 0.0], [0.0, -1.0], [5.0, 1.0]),
         "affine-overflow-ray": ([1e305, 0.0, 0.0, 1.0], [0.0, 0.0], [0.0, -1.0], ["inf", 1.0]),
-    }
+    })
+
+
+def save_rank_edges(problem_dir):
+    """Write the two 2x2 affine files for maximal-rank's edge cases (see the
+    module docstring)."""
+    _save_small_affine(problem_dir, {
+        "affine-nan-schur": ([1e-8, 1e308, 0.0, -1.0], [1.0, 1.0], ["-inf", 0.0], ["inf", 1.0]),
+        "affine-near-singular-edge": ([1.0, 1.0, 1.0, 1.0 + 1e-13], [1.0, 1.0], [0.0, 0.0],
+                                      [1.0, 1.0]),
+    })
+
+
+def _save_small_affine(problem_dir, docs):
+    """Write each {name: (A flat, b, lo, hi)} of docs as an affine file."""
     for name, (a, b, lo, hi) in docs.items():
         doc = {"name": name, "m": len(b), "mapping": {"kind": "affine"},
                "affine": {"A": a, "b": b}, "set": {"lo": lo, "hi": hi}}
@@ -381,6 +402,7 @@ def main(argv) -> int:
         save_large(problem_dir)
         save_overflow(problem_dir)
         save_sweep_edges(problem_dir)
+        save_rank_edges(problem_dir)
         mine, other = run(HERE, problem_dir), run(argv[0], problem_dir)
     for key, (code, _) in sorted(mine.items()):
         if isinstance(code, str):
