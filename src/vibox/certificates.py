@@ -253,23 +253,27 @@ def _check_minor_budget(m):
         )
 
 
+def _minor_values(s):
+    """_det_stack(s), a NaN minor (inf - inf in its terms) read as -0.0: bad
+    to a scan, as a minor <= 0 is, yet never below an earlier number <= 0."""
+    d = _det_stack(s)
+    d[np.isnan(d)] = -0.0  # d is new, or a view of s, a gathered copy
+    return d
+
+
 def _minor_scan(a, floor=0.0):
-    """_scan of the determinant, with floor, over the (n, m, m) float stack
-    a, shared by floor and a's shape and bytes, with a NaN minor (inf - inf in
-    its terms) read as -0.0: nonpositive, so that the scan stops at it as at
-    a bad place, and never below an earlier number <= 0."""
+    """_scan of _minor_values, with floor, over the (n, m, m) float stack a,
+    shared by floor and a's shape and bytes."""
     _check_minor_budget(a.shape[-1])
-    return _shared((floor, a.shape, a.tobytes()), lambda: _scan(a, lambda s: np.where(
-        np.isnan(d := _det_stack(s)), -0.0, d), floor))
+    return _shared((floor, a.shape, a.tobytes()), lambda: _scan(a, _minor_values, floor))
 
 
 def _minor_report(condition, a, scan, seed, budget, witness, notes, **metrics):
     """The report of the test that every principal minor of the (n, m, m)
-    stack a is positive, from scan, its _minor_scan.  The first place (k,
-    index set) whose minor is not decides: a nonpositive one fails, with
-    witness(k, {"index_set", "minor"}), a NaN one leaves the test
-    inconclusive.  A pass or fail has the stack's least minor as margin.
-    notes: (pass note, fail note); the keywords are the report's metrics."""
+    stack a is positive, from scan, its _minor_scan: the first place (k, index
+    set) whose minor is not decides, a nonpositive one fails with witness(k,
+    {"index_set", "minor"}), a NaN one is inconclusive; the margin is the least
+    minor.  notes: (pass note, fail note); the keywords are the metrics."""
     least, _, bad = scan
     if bad is None:
         return CertificateReport(condition, PASS, float(least), None, seed, budget, notes[0],
