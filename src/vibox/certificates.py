@@ -786,9 +786,9 @@ def _face_edge(j, inside, pinned, tol):
     empty) and its Schur complement C on ``pinned`` is a P-matrix.  margin: the
     lesser of that sigma_min and the least row-scaled minor of C.  edge: None
     on a pass, else (S, k) with J[S, S] singular (k None) or det J[S, S] and
-    det J[S + k, S + k] differing in sign or including a 0 (k ends the first
-    bad set of _minor_scan, whose subsets of lower order all pass; a NaN
-    minor of C is bad)."""
+    det J[S + k, S + k] differing in sign or including a 0 up to rounding (k
+    ends the first bad set of _minor_scan, whose subsets of lower order all
+    pass; a NaN minor of C is bad)."""
     fr, bd = np.flatnonzero(inside), np.flatnonzero(pinned)
     s_min = _sigma_min(j, fr)
     if s_min < tol:
