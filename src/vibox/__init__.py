@@ -12,8 +12,7 @@ from .certificates import (CONDITIONS, BudgetError, CertificateReport, block_pfu
                            boundary_sample_set, certify_problem, coercivity_check, growth_l0lp_fit,
                            hessian_block_convexity, maximal_rank_tsearch, p_upsilon_check,
                            pl_condition_check, pmatrix_minors, pmatrix_oracle, pmatrix_sampled,
-                           principal_submatrix_sigma_sweep, uniform_pfunction_search,
-                           uniform_pmatrix_sampled, upsilon_build)
+                           uniform_pfunction_search, uniform_pmatrix_sampled, upsilon_build)
 from .registry import REGISTRY, builtin_mapping, get_problem, problem_ids
 from .problem_io import ProblemFileError, load_problem, problem_from_dict, problem_to_dict, \
     save_problem

@@ -196,35 +196,23 @@ def principal_minor_det(a) -> float:
     return float(_det_stack(np.asarray(a)[np.newaxis])[0])
 
 
-def _scan(a, fn, floor=None, above=None):
+def _scan(a, fn, floor):
     """(least value of fn, first place attaining it, first place whose value is
     <= floor or None) over the principal submatrices of each matrix of the
     (n, m, m) stack a.  A place is (k, index set) in a[k]; places are ordered
     by k, then by order, then lexicographically.  The least value is a strict-<
-    running minimum from +inf, so NaN never wins.  Without a floor,
-    above(stack, least) may mask the submatrices of a chunk whose value is
-    certainly above the running minimum once it is finite: they can be neither
-    the least value nor its first place, and fn never sees them."""
-    if floor is not None and above is not None:
-        raise ValueError("a floor needs every value, and above skips some")
+    running minimum from +inf, so NaN never wins."""
     least, arg, first_bad = np.inf, None, None
     for idx, s in _principal_stacks(a):
-        pos = np.arange(len(s))
-        if above is not None and least < np.inf:
-            pos = np.flatnonzero(~above(s, least))
-            if not pos.size:
-                continue
-            s = s[pos]
         values = fn(s)
         i, v = _first_min(values)
         # a chunk's index sets follow those of every earlier chunk, so a place
         # in it comes first only when its matrix does
-        if i is not None and (v < least or v == least and _place(idx, pos[i])[0] < arg[0]):
-            least, arg = v, _place(idx, pos[i])
-        if floor is not None:
-            bad = np.flatnonzero(values <= floor)
-            if bad.size and (first_bad is None or _place(idx, pos[bad[0]])[0] < first_bad[0]):
-                first_bad = _place(idx, pos[bad[0]])
+        if i is not None and (v < least or v == least and _place(idx, i)[0] < arg[0]):
+            least, arg = v, _place(idx, i)
+        bad = np.flatnonzero(values <= floor)
+        if bad.size and (first_bad is None or _place(idx, bad[0])[0] < first_bad[0]):
+            first_bad = _place(idx, bad[0])
     return least, arg, first_bad
 
 
@@ -383,74 +371,6 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
                "min_minor": float(least), "eta_floor": ETA_FLOOR}
     return CertificateReport("uniform-pmatrix", FAIL, float(least), witness, seed, budget,
                              "P-matrix margin below the uniform floor")
-
-
-def _sigma_above(s, tau):
-    """Mask of the rows S of the (k, r, r) stack s, every entry below 1 in
-    magnitude, whose sigma_min as np.linalg.svd computes it is certainly above
-    tau: none when tau <= 1e-140.  A row is cleared when the Cholesky
-    factorization of S^T S - t I, t = (tau (1 + 1e-10))^2 + 1e-12 r ||S||_F^2,
-    has only positive pivots in floating point.  Why that suffices, with
-    u = 2^-53:
-    - forming S^T S, subtracting t and factoring perturb S^T S by at most about
-      (r + 1)^2 u ||S||_F^2 (Higham 2002, Thm 10.3), under a hundredth of the
-      1e-12 r ||S||_F^2 term for r <= 20, so the true sigma_min^2 exceeds
-      (tau (1 + 1e-10))^2 + 0.99e-12 ||S||_F^2;
-    - the computed sigma_min is within p u ||S||_2 of the true one (LAPACK
-      Users' Guide, 4.9), and by 2xy <= 2e-10 x^2 + y^2 / 2e-10 both slack
-      terms together exceed tau's distance to it for any p below 1e5;
-    - entries below 1 keep every square and sum finite, and t > 1e-280 sits
-      far above the absolute errors of order 1e-308 that underflow adds,
-      including entries that underflowed when the stack was scaled.
-    NaN or inf in S makes t NaN or inf, so no pivot is positive.  A pivot <= 0
-    makes every later pivot NaN or -inf, so the last pivot alone decides."""
-    k, r = s.shape[:2]
-    if not tau > 1e-140:
-        return np.zeros(k, dtype=bool)
-    g = np.matmul(s.transpose(0, 2, 1), s)
-    diag = np.arange(r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g[:, diag, diag] -= ((tau * (1 + 1e-10)) ** 2
-                             + 1e-12 * r * np.trace(g, axis1=1, axis2=2))[:, None]
-        for j in range(r - 1):
-            col = g[:, j + 1:, j] / np.sqrt(g[:, j, j:j + 1])
-            g[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
-    return g[:, -1, -1] > 0.0
-
-
-def _sigma_scan(a):
-    """(least sigma_min, first place attaining it or None) over the principal
-    submatrices of each matrix of the (n, m, m) stack a: _scan with one SVD
-    per submatrix, except those that _sigma_above clears against the running
-    minimum, on a scaled by the power of two (exact) that puts max |a| in
-    [1/2, 1).  Orders run across the whole stack, so for n > 1 the minimum
-    over lower orders of every matrix prunes each order."""
-    e = -np.frexp(np.max(np.abs(a)))[1]
-    least, arg, _ = _scan(a, lambda s: np.linalg.svd(s, compute_uv=False)[:, -1],
-                          above=lambda s, v: _sigma_above(np.ldexp(s, e), np.ldexp(v, e)))
-    return least, arg
-
-
-def principal_submatrix_sigma_sweep(p: VIProblem, samples, seed, radius,
-                                    threshold=1e-8) -> CertificateReport:
-    """Minimum singular value over all principal submatrices of the Jacobian
-    at each of ``samples`` points of draw_samples, by one _sigma_scan of their
-    stack."""
-    m = p.dim
-    if m > MINOR_BUDGET_DIM:
-        raise BudgetError("submatrix enumeration exceeds budget for m > 20")
-    pts, jacs = _sampled_jacobians(p, samples, seed, radius)
-    margin, arg = _sigma_scan(jacs)
-    budget = {"samples": samples, "submatrices": 2 ** m - 1}
-    metrics = {"argmin_point": pts[arg[0]].tolist(), "argmin_index_set": list(arg[1])}
-    if margin > threshold:
-        return CertificateReport("sigma-sweep", PASS, float(margin), None, seed, budget,
-                                 f"all sampled submatrix sigma_min above threshold; "
-                                 f"{SAMPLED_NOTE}", metrics)
-    witness = {"point": pts[arg[0]].tolist(), "index_set": list(arg[1]),
-               "sigma_min": float(margin)}
-    return CertificateReport("sigma-sweep", FAIL, float(margin), witness, seed, budget,
-                             "rank-deficient principal submatrix at a sample", metrics)
 
 
 def _directions(m, k, extra):
@@ -944,12 +864,14 @@ def coercivity_check(p: VIProblem, *, tol=1e-8) -> CertificateReport:
     """Norm coercivity of the normal map.  On affine and game F
     (_affine_base) over a box with no half-bounded coordinate it holds iff
     A[Fr, Fr] is nonsingular, Fr the free coordinates: an exact pass when
-    sigma_min(A[Fr, Fr]) >= tol, the margin (None when Fr is empty).
-    Otherwise, from ``coercivity_probe``'s table: a ray whose last norm is
-    below twice its first is a violation (fail, the first such ray the
-    witness); a ray with finite norms, positive past the first four radii,
-    has their log-log slope.  Pass when every ray has a slope of at least
-    0.5, else inconclusive; the margin is the least slope.  The seed is None: nothing is drawn."""
+    sigma_min(A[Fr, Fr]) >= tol, the margin (None when Fr is empty), and
+    never a pass below tol (_free_block_ray).  Otherwise, from
+    ``coercivity_probe``'s table: a ray whose last norm is below twice its
+    first is a violation (fail, the first such ray the witness); a ray with
+    finite norms, positive past the first four radii, has their log-log
+    slope.  Pass when every ray has a slope of at least 0.5, else
+    inconclusive; the margin is the least slope.  The seed is None: nothing
+    is drawn."""
     lo, hi = p.set.lo, p.set.hi
     if _affine_base(p) is not None and not (np.isinf(lo) ^ np.isinf(hi)).any():
         fr = np.flatnonzero(np.isinf(lo))
@@ -957,6 +879,7 @@ def coercivity_check(p: VIProblem, *, tol=1e-8) -> CertificateReport:
         if s_min is None or s_min >= tol:
             return CertificateReport("coercivity", PASS, s_min, None, None,
                                      {"free": int(fr.size)}, COERCIVE_NOTE)
+        return _free_block_ray(p, fr, s_min, tol)
     directions, norms = coercivity_probe(p)
     tail = slice(4, None)
     slopes, violation = [], None
@@ -979,6 +902,34 @@ def coercivity_check(p: VIProblem, *, tol=1e-8) -> CertificateReport:
                                  "evidence, not a proof")
     return CertificateReport("coercivity", INCONCLUSIVE, margin, None, None, budget,
                              "slopes below the evidence threshold on some ray")
+
+
+def _free_block_ray(p: VIProblem, fr, s_min, tol) -> CertificateReport:
+    """The coercivity report of affine or game F on a box with no
+    half-bounded coordinate whose free block A[Fr, Fr] has sigma_min s_min <
+    tol.  With w its least right singular vector, the ray runs along the unit
+    z = w on Fr and -A[:, Fr] w off Fr, where F_nor(t z) = t A[Fr, Fr] w on Fr
+    plus a term bounded in t, as P_K(t z) stays in the box off Fr.  Read with
+    ``coercivity_probe``'s rule: fail, with the ray as witness, when its last
+    norm is below twice its first, else inconclusive; the margin is s_min."""
+    a = p.mapping.data["A"]
+    w = np.linalg.svd(a[np.ix_(fr, fr)])[2][-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = -(a[:, fr] @ w)
+        z[fr] = w
+        z /= np.linalg.norm(z)
+    (d,), (row,) = coercivity_probe(p, z[None])
+    budget = {"free": int(fr.size), "rays": 1, "steps": RAY_RADII.size}
+    if row[-1] < 2.0 * row[0]:
+        return CertificateReport("coercivity", FAIL, s_min,
+                                 {"direction": d.tolist(), "norms": row.tolist(),
+                                  "radii": RAY_RADII.tolist()}, None, budget,
+                                 "sigma_min(A[Fr, Fr]) is below --tol, and the residual norm "
+                                 "fails to grow along the ray of its least singular vector")
+    return CertificateReport("coercivity", INCONCLUSIVE, s_min, None, None, budget,
+                             f"sigma_min(A[Fr, Fr]), the margin, is below --tol ({tol:g}), "
+                             "yet the residual norm grows along the ray of its least "
+                             "singular vector")
 
 
 def _pl_at_solution(p: VIProblem) -> CertificateReport:
@@ -1013,8 +964,6 @@ CONDITIONS = {
     "pmatrix": (lambda p, s: pmatrix_sampled(p, s.samples, s.seed, s.radius), False),
     "uniform-pmatrix": (lambda p, s: uniform_pmatrix_sampled(
         p, s.samples, s.seed, s.radius), False),
-    "sigma-sweep": (lambda p, s: principal_submatrix_sigma_sweep(
-        p, s.samples, s.seed, s.radius, threshold=s.tol), False),
     "pfunction": (lambda p, s: uniform_pfunction_search(
         p, pairs=s.pairs, seed=s.seed, radius=s.radius), False),
     "block-pfunction": (lambda p, s: block_pfunction_search(

@@ -68,15 +68,17 @@ def normal_map_jacobian_element(p: VIProblem, v) -> np.ndarray:
     return _jacobian_element(jacobian(p, project(p.set, v)), projection_jacobian_element(p.set, v))
 
 
-def coercivity_probe(p: VIProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The residual norms of the normal map along the 2m rays +-e_i, as
-    (directions, norms): direction 2i is +e_i and 2i + 1 is -e_i, and row k
-    of norms holds ||F_nor(r d_k)|| at the radii r of RAY_RADII.  A ray on
-    which F is non-finite gets a row of NaN.  ``coercivity_check`` reads the
-    table; this function only evaluates it, on one stack of all the ray
-    points, with the solver's rule for rows where F is non-finite (``_trial``)."""
-    eye = np.eye(p.dim)
-    directions = np.array([s * eye[i] for i in range(p.dim) for s in (1.0, -1.0)])
+def coercivity_probe(p: VIProblem, directions=None) -> tuple[np.ndarray, np.ndarray]:
+    """The residual norms of the normal map along rays, as (directions,
+    norms): by default the 2m rays +-e_i, direction 2i being +e_i and 2i + 1
+    -e_i, else the rows of directions; row k of norms holds ||F_nor(r d_k)||
+    at the radii r of RAY_RADII.  A ray on which F is non-finite gets a row
+    of NaN.  ``coercivity_check`` reads the table; this function only
+    evaluates it, on one stack of all the ray points, with the solver's rule
+    for rows where F is non-finite (``_trial``)."""
+    if directions is None:
+        eye = np.eye(p.dim)
+        directions = np.array([s * eye[i] for i in range(p.dim) for s in (1.0, -1.0)])
     v = RAY_RADII[:, None] * directions[:, None, :]  # (ray, radius, coordinate)
     norms = np.array(_trial(p, v.reshape(-1, p.dim))[2]).reshape(v.shape[:2])
     norms[np.isnan(norms).any(axis=1)] = np.nan  # a finite residual's norm is at most inf

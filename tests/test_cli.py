@@ -257,7 +257,7 @@ class TestNumberOptions:
 class TestCertifyCommand:
     def test_all_pass_exit_zero(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "spd-box",
-                               "--conditions", "pmatrix,sigma-sweep,coercivity")
+                               "--conditions", "pmatrix,maximal-rank,coercivity")
         assert code == 0
         doc = json.loads(out)
         assert [c["verdict"] for c in doc["certificates"]] == ["pass"] * 3
@@ -721,7 +721,7 @@ class TestProblemFiles:
         path.write_text(json.dumps(doc).replace("7.25", number))
         with pytest.raises(ProblemFileError, match="not a finite number"):
             load_problem(path)
-        conditions = "block-convexity,upsilon" if pid == "example-game" else "pmatrix,sigma-sweep"
+        conditions = "block-convexity,upsilon" if pid == "example-game" else "pmatrix,maximal-rank"
         for argv in (["solve"], ["certify", "--conditions", conditions]):
             code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
             assert code == 1 and out == "" and err.count("\n") == 1
@@ -890,7 +890,7 @@ class TestReportCommand:
         return path
 
     def test_merges_and_sorts_rows(self, capsys, tmp_path):
-        a = self._write_report(capsys, tmp_path, "spd-box", "pmatrix,sigma-sweep", "a.json")
+        a = self._write_report(capsys, tmp_path, "spd-box", "pmatrix,maximal-rank", "a.json")
         b = self._write_report(capsys, tmp_path, "example-game", "upsilon", "b.json")
         code, out, _ = run_cli(capsys, "report", str(b), str(a), "--format", "delimited")
         assert code == 0

@@ -35,7 +35,7 @@ import pytest
 
 from vibox import (BoxSet, VIProblem, affine_mapping, get_problem, make_game, multistart,
                    normal_map, save_problem, solve, solver)
-from vibox.certificates import certify_problem, principal_submatrix_sigma_sweep
+from vibox.certificates import certify_problem, maximal_rank_tsearch
 from vibox.cli import main
 from vibox.registry import problem_ids
 
@@ -190,22 +190,24 @@ def test_golden_certify_covers_cases():
     assert sorted(json.loads(GOLDEN_CERTIFY.read_text())) == sorted(CERTIFY_NAMES)
 
 
-def test_sigma_sweep_fails_on_rank_deficient_case():
-    # rank m - 2: the sweep's smallest sigma_min is rounding noise, below --tol
+def test_maximal_rank_fails_on_rank_deficient_case():
+    # rank m - 2: the vertex minors det A[S, S] over the faces differ in sign,
+    # and the edge ({6}, 0) of the witness shows it where F_nor != 0
     p = affine_cases()["affine-m8-singular"]
-    tol = 1e-8
-    (rep,), _ = certify_problem(p, ["sigma-sweep"], tol=tol)
-    assert rep.verdict == "fail" and rep.witness["sigma_min"] <= tol
-    assert rep.witness["index_set"] == list(range(8))
+    (rep,), _ = certify_problem(p, ["maximal-rank"], tol=1e-8)
+    assert rep.verdict == "fail" and rep.witness["residual"] > 1e-8
+    assert (rep.witness["index_set"], rep.witness["k"]) == ([6], 0)
+    assert np.prod(np.sign(rep.witness["minors"])) < 0.0
 
 
 @pytest.mark.parametrize("p", [VIProblem(affine_mapping(np.ones((2, 2))), BoxSet.full_space(2)),
                                affine_cases()["affine-m8-singular"]], ids=["ones-2x2", "m8"])
-def test_sigma_sweep_default_threshold_fails_rank_deficient_cases(p):
+def test_maximal_rank_never_passes_rank_deficient_cases(p):
     # Their least sigma_min is rounding noise (3.35e-17 and 5.24e-18): above a
-    # threshold of 0, below the default 1e-8.
-    rep = principal_submatrix_sigma_sweep(p, 5, 0, 10.0)
-    assert rep.verdict == "fail" and rep.margin <= 1e-8
+    # tol of 0, below the default 1e-8.  With b = 0, F_nor vanishes at the
+    # face point of ones-2x2, so there the verdict is inconclusive.
+    rep = maximal_rank_tsearch(p, 5, 0, 10.0)
+    assert rep.verdict != "pass" and rep.margin <= 1e-8
 
 
 if __name__ == "__main__":
