@@ -6,12 +6,14 @@ Runs, in one subprocess per checkout (with PYTHONPATH=<checkout>/src),
 with ``--seed 5 --radius 3`` (``certify`` also with ``--samples 12``; ``solve``
 has no ``--samples``), and once with a tolerance that changes some reports:
 ``--tol 1e-6`` for ``solve``, and ``--tol 0.5`` for ``certify``, which moves
-the ``sigma-sweep`` verdicts of three games and of the cubic file below, and
-that file's ``maximal-rank`` verdict (on affine problems and games ``--tol``
-reaches ``maximal-rank`` only through the block of free coordinates, which
-no game here has).  A tolerance that no longer reaches the solver or the
+the ``maximal-rank`` verdict of the cubic file below and the ``coercivity``
+entry of ``affine-nan-schur`` below, whose free block ``[[1e-8]]`` then falls
+below ``--tol`` (on affine problems and games ``--tol`` reaches
+``maximal-rank`` and ``coercivity`` only through the block of free
+coordinates, which no game here has).  A tolerance that no longer reaches the solver or the
 checkers then shows.  ``certify`` also runs three ``--conditions`` lists
-in other orders: ``uniform-pmatrix,pmatrix,sigma-sweep``,
+in other orders: ``coercivity,maximal-rank,uniform-pmatrix,pmatrix``, in
+which ``coercivity`` computes the shared ``sigma_min(A[Fr, Fr])`` first,
 ``block-pfunction,pfunction,growth`` and ``block-convexity,pl,upsilon`` (a
 repeated id exits 1).
 The checkers of one call share their sampled Jacobians, principal-minor
@@ -60,34 +62,37 @@ row of ``maximal-rank``'s Schur complement overflow; and ``diag(1e305, 1)``
 with ``b = 0`` on ``[0, inf) x [-1, 1]``, where F is finite at every
 sample but overflows on the ray ``+e_0``, so ``coercivity`` reads a row of
 NaN.
-Two 10x10 affine files test where ``sigma-sweep`` skips an SVD
-(``save_sweep_edges``): a diagonally dominant A with its rows scaled by
-``2^500`` and ``2^-500`` in turn, whose scaled least ``sigma_min`` falls below
-the skip test's underflow guard, and ``3I + 1e-9 B``, B uniform in [-1, 1],
-whose submatrices' ``sigma_min`` lie within about ``1e-8`` of each other;
-on the rows-scaled file the solver's regularized system overflows, and
-those starts take the gradient step.
+Two 10x10 affine files sit at the edges of floating point
+(``save_sweep_edges``): a strictly diagonally dominant A, so a P-matrix,
+with its rows scaled by ``2^500`` and ``2^-500`` in turn, on which the
+solver's regularized system overflows, so those starts take the gradient
+step, and the minor tests meet minors that overflow to NaN; and
+``3I + 1e-9 B``, B uniform in [-1, 1], whose principal submatrices have
+every singular value within ``1e-8`` of 3.
 Two 2x2 affine files hold ``maximal-rank``'s edge cases (``save_rank_edges``):
 ``A = [[1e-8, 1e308], [0, -1]]``, ``b = (1, 1)`` on ``R x [0, 1]``, whose
 Schur complement overflows to NaN and fails on the edge ``({0}, 1)``, and
 ``A = [[1, 1], [1, 1 + 1e-13]]``, ``b = (1, 1)`` on ``[0, 1]^2``, a
 P-matrix whose row-scaled complement minor falls below ``1e-12``, so that
-its edge minors share one sign and the verdict is ``inconclusive``.
+its edge minors share one sign and the verdict is ``inconclusive``.  With
+them goes ``A = [[1, 1], [1, 1]]``, ``b = (1, 0)`` on ``R^2``, whose singular
+free block ``coercivity`` fails along ``(1, -1) / sqrt(2)``, where
+``F_nor`` is ``(1, 0)`` at every radius.
 A call that raises is compared by the type of its exception, in place of
 an exit code, and each call that raises in this checkout is printed.
 Prints each call whose exit code
 or stdout differs between the checkouts, or whose argv only one of them
 makes, and exits 1 if there is any; stderr (timings) is not compared.
 Under each ``certify`` call that differs it names what differs: the
-condition id of each certificate entry that differs, then ``exit code``
-and ``other fields`` when those differ too.
+condition id of each certificate entry that differs or is in one output
+only, matched by id, then ``certificate order``, ``exit code`` and
+``other fields`` when those differ too.
 
     python scripts/compare_reports.py <other-checkout>
 """
 
 import contextlib
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -101,7 +106,7 @@ HERE = Path(__file__).resolve().parent.parent
 OPTIONS = {"solve": [["--seed", "5", "--radius", "3"], ["--tol", "1e-6"], ["--starts", "1"],
                      ["--starts", "13"]],
            "certify": [["--seed", "5", "--samples", "12", "--radius", "3"], ["--tol", "0.5"],
-                       ["--conditions", "uniform-pmatrix,pmatrix,sigma-sweep"],
+                       ["--conditions", "coercivity,maximal-rank,uniform-pmatrix,pmatrix"],
                        ["--conditions", "block-pfunction,pfunction,growth"],
                        ["--conditions", "block-convexity,pl,upsilon"]]}
 
@@ -312,12 +317,13 @@ def save_overflow(problem_dir):
 
 
 def save_rank_edges(problem_dir):
-    """Write the two 2x2 affine files for maximal-rank's edge cases (see the
-    module docstring)."""
+    """Write the two 2x2 affine files for maximal-rank's edge cases and the
+    one for coercivity's singular free block (see the module docstring)."""
     _save_small_affine(problem_dir, {
         "affine-nan-schur": ([1e-8, 1e308, 0.0, -1.0], [1.0, 1.0], ["-inf", 0.0], ["inf", 1.0]),
         "affine-near-singular-edge": ([1.0, 1.0, 1.0, 1.0 + 1e-13], [1.0, 1.0], [0.0, 0.0],
                                       [1.0, 1.0]),
+        "affine-ones-free": ([1.0, 1.0, 1.0, 1.0], [1.0, 0.0], ["-inf", "-inf"], ["inf", "inf"]),
     })
 
 
@@ -331,7 +337,7 @@ def _save_small_affine(problem_dir, docs):
 
 
 def save_sweep_edges(problem_dir):
-    """Write the two 10x10 affine files for the sigma-sweep's skip test (see
+    """Write the two 10x10 affine files at the edges of floating point (see
     the module docstring)."""
     rng = np.random.default_rng(500)
     m = 10
@@ -365,14 +371,18 @@ def emit(problem_dir):
 
 def certify_differences(mine, other) -> list[str]:
     """What differs between two (exit code, stdout) results of one certify
-    call: the condition id of each certificate entry that differs, position
-    by position, then "exit code" and "other fields" when those differ."""
+    call: the condition id of each certificate entry that differs or is in
+    one result only, matched by id, then "certificate order" when the ids
+    both have are in another order, and "exit code" and "other fields" when
+    those differ."""
     (code, out), (other_code, other_out) = mine, other
     doc, other_doc = (json.loads(text, parse_constant=str) if text else {}  # NaN == NaN
                       for text in (out, other_out))
-    certs, other_certs = doc.pop("certificates", []), other_doc.pop("certificates", [])
-    parts = [(c or o)["condition"] for c, o in itertools.zip_longest(certs, other_certs)
-             if c != o]
+    certs, other_certs = ({c["condition"]: c for c in d.pop("certificates", [])}
+                          for d in (doc, other_doc))
+    parts = [c for c in {**certs, **other_certs} if certs.get(c) != other_certs.get(c)]
+    if [c for c in certs if c in other_certs] != [c for c in other_certs if c in certs]:
+        parts.append("certificate order")
     if code != other_code:
         parts.append("exit code")
     if doc != other_doc:

@@ -915,7 +915,7 @@ def _free_block_ray(p: VIProblem, fr, s_min, tol) -> CertificateReport:
     a = p.mapping.data["A"]
     w = np.linalg.svd(a[np.ix_(fr, fr)])[2][-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        z = -(a[:, fr] @ w)
+        z = 0.0 - a[:, fr] @ w  # not -(...): a 0 column entry gives +0.0
         z[fr] = w
         z /= np.linalg.norm(z)
     (d,), (row,) = coercivity_probe(p, z[None])

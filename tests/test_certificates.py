@@ -2,6 +2,7 @@ import contextlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1613,6 +1614,12 @@ CHECKER_OF = {"pmatrix": "pmatrix_sampled", "uniform-pmatrix": "uniform_pmatrix_
 class TestConditionTable:
     def test_every_condition_has_a_checker(self):
         assert list(CONDITIONS) == list(CHECKER_OF)
+
+    def test_readme_table_lists_the_conditions_in_order(self):
+        text = (Path(__file__).parent.parent / "README.md").read_text()
+        table = text.split("| id | checker | games only |\n|---|---|---|\n", 1)[1]
+        rows = table[:table.index("\n\n")].splitlines()
+        assert [row.split("`")[1] for row in rows] == list(CONDITIONS)
 
     @pytest.mark.parametrize("cond", list(CHECKER_OF))
     def test_checker_replaced_on_the_module_is_run(self, cond, monkeypatch):
