@@ -519,6 +519,54 @@ class TestMinorEngine:
         assert [tuple(r) for r in first[:2]] == [tuple(range(10)), (*range(9), 10)]
 
 
+def svd_calls(monkeypatch):
+    """A list that gets one entry per np.linalg.svd call from now on."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+class TestSigmaMin:
+    """_sigma_min, the free-block sigma_min that maximal-rank and coercivity share."""
+
+    @settings(max_examples=80)
+    @given(square_matrices(), st.data())
+    def test_sigma_min_is_the_least_singular_value(self, a, data):
+        idx = np.array(sorted(data.draw(st.sets(st.integers(0, a.shape[0] - 1), min_size=1))))
+        with np.errstate(all="ignore"):
+            try:
+                expected = float(np.linalg.svd(a[np.ix_(idx, idx)], compute_uv=False)[-1]).hex()
+            except np.linalg.LinAlgError as e:
+                expected = type(e)
+            try:
+                got = float(certificates._sigma_min(a, idx)).hex()
+            except np.linalg.LinAlgError as e:
+                got = type(e)
+        assert got == expected
+
+    def test_an_empty_block_has_sigma_min_one_without_an_svd(self, monkeypatch):
+        calls = svd_calls(monkeypatch)
+        assert certificates._sigma_min(np.zeros((3, 3)), np.array([], dtype=int)) == 1.0
+        assert calls == []
+
+    def test_one_svd_per_value_and_index_set_in_a_call(self, monkeypatch):
+        a, fr = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([0, 1])
+        calls = svd_calls(monkeypatch)
+        certificates._sigma_min(a, fr)
+        certificates._sigma_min(a, fr)
+        assert len(calls) == 2  # outside a certify_problem call nothing is kept
+        token = certificates._CALL.set((get_problem("spd-box"), {}))
+        try:
+            first = certificates._sigma_min(a, fr)
+            assert certificates._sigma_min(a.copy(), fr.copy()) == first  # equal values
+            assert len(calls) == 3
+            certificates._sigma_min(a, fr[:1])  # another index set
+            certificates._sigma_min(2.0 * a, fr)  # another value
+            assert len(calls) == 5
+        finally:
+            certificates._CALL.reset(token)
+
+
 def oracle_minor_loop(mats):
     """(least minor, first (k, index set) whose minor is <= 0 or None) of
     mats[0], mats[1], ... scanned one after the other, by a strict-< running
@@ -906,6 +954,49 @@ class TestMaximalRankTsearch:
         assert "edge S = [0], k = 1" in rep.notes
 
 
+def _coupled_cubic(m):
+    a = 3.0 * np.eye(m) + np.random.default_rng(8).uniform(-1.0, 1.0, (m, m))
+    return VIProblem(Mapping(fn=lambda x: a @ x + 0.1 * x ** 3, dim=m,
+                             jac=lambda x: a + np.diag(0.3 * x ** 2)), free_box(m))
+
+
+class TestFreeBlockMargin:
+    """maximal-rank and coercivity both read sigma_min(J[Fr, Fr]) on the free
+    coordinates Fr; with no bounded coordinate that is each one's margin."""
+
+    @pytest.mark.parametrize("cond", ["maximal-rank", "coercivity"])
+    def test_identity_margin_exact(self, cond):
+        reports, _ = certify_problem(VIProblem(affine_mapping(np.eye(3)), free_box(3)), [cond])
+        assert (reports[0].verdict, reports[0].margin) == ("pass", 1.0)
+
+    @pytest.mark.parametrize("cond", ["maximal-rank", "coercivity"])
+    def test_fixed_coordinates_leave_the_free_block(self, cond):
+        a = np.random.default_rng(3).standard_normal((4, 4))
+        box = BoxSet([-np.inf, 1.0, -np.inf, -2.0], [np.inf, 1.0, np.inf, -2.0])
+        reports, _ = certify_problem(VIProblem(affine_mapping(a), box), [cond])
+        s_min = float(np.linalg.svd(a[np.ix_([0, 2], [0, 2])], compute_uv=False)[-1])
+        assert (reports[0].verdict, reports[0].margin) == ("pass", s_min)
+
+    @pytest.mark.parametrize("p", [
+        _coupled_cubic(6), VIProblem(builtin_mapping("cubic-plus-linear", 6), free_box(6)),
+    ], ids=["coupled-cubic", "cubic-plus-linear"])
+    def test_sampled_margin_is_the_least_sampled_sigma_min(self, p):
+        # On the full space each sample's face is its Jacobian alone.
+        pts = boundary_sample_set(p.set, 30, 3, 10.0)
+        s_min = min(float(np.linalg.svd(p.mapping.jac(x), compute_uv=False)[-1]) for x in pts)
+        rep = maximal_rank_tsearch(p, 30, 3, 10.0)
+        assert (rep.verdict, rep.margin, rep.budget) == ("pass", s_min, {"samples": 30})
+
+    def test_equal_sampled_faces_take_one_svd_in_a_call(self, monkeypatch):
+        a = np.array([[2.0, 1.0], [0.0, 3.0]])
+        p = VIProblem(Mapping(fn=lambda x: a @ x, dim=2, jac=lambda x: a), free_box(2))
+        calls = svd_calls(monkeypatch)
+        alone = maximal_rank_tsearch(p, 30, 3, 10.0)
+        assert len(calls) == 30
+        reports, _ = certify_problem(p, ["maximal-rank"], seed=3)
+        assert len(calls) == 31 and reports == [alone]
+
+
 def fraction_pmatrix(a):
     """The oracle: every principal minor of the integer matrix a is positive,
     over the rationals."""
@@ -1004,9 +1095,13 @@ class TestExactRules:
         assert (rep.verdict, rep.margin, rep.budget) == ("pass", None, {"free": 0})
         assert exact(rep)
 
-    def test_coercivity_probe_decides_otherwise(self):
-        p = VIProblem(affine_mapping([[2.0, 0.0], [0.0, 1.0]]),
-                      BoxSet([0.0, -np.inf], [np.inf, np.inf]))  # half-bounded
+    @pytest.mark.parametrize("a, lo, hi", [
+        ([[2.0, 0.0], [0.0, 1.0]], [0.0, -np.inf], [np.inf, np.inf]),
+        ([[1.0, 1.0], [1.0, 1.0]], [0.0, -np.inf], [np.inf, np.inf]),  # singular
+        ([[1e-9, 0.0], [0.0, 1.0]], [-np.inf] * 2, [np.inf, 0.0]),  # sigma_min < tol
+    ])
+    def test_coercivity_probe_decides_otherwise(self, a, lo, hi):
+        p = VIProblem(affine_mapping(a), BoxSet(lo, hi))
         rep = coercivity_check(p)
         assert fields(rep) == fields(coercivity_check(opaque(p))) and not exact(rep)
 
@@ -1602,6 +1697,16 @@ class TestImplicationChain:
             assert pmatrix_sampled(p, 20, 7, 10.0).verdict == "pass"
             assert uniform_pfunction_search(p, pairs=150, seed=7).verdict != "fail"
 
+    def test_uniform_pmatrix_pass_implies_maximal_rank_pass(self):
+        # every element I - D + J D, D diagonal in [0, 1], of a P-matrix J is nonsingular
+        passed = 0
+        for pid in problem_ids():
+            p = get_problem(pid)
+            if uniform_pmatrix_sampled(p, 20, 7, 10.0).verdict == "pass":
+                passed += 1
+                assert maximal_rank_tsearch(p, 20, 7, 10.0).verdict == "pass", pid
+        assert passed
+
 
 # The public checker each condition id reaches through its table entry.
 CHECKER_OF = {"pmatrix": "pmatrix_sampled", "uniform-pmatrix": "uniform_pmatrix_sampled",
@@ -1652,6 +1757,14 @@ class TestConditionTable:
         assert [r.condition for r in reports] == ["growth", "pmatrix"] and skipped == ["pl"]
         with pytest.raises(KeyError, match="nope"):
             certify_problem(get_problem("spd-box"), ["pmatrix", "nope"])
+
+    def test_the_retired_sigma_sweep_id_is_unknown(self):
+        # B-subdifferential regularity was dropped: it is not the main theorem's
+        # hypothesis, which maximal-rank tests
+        assert "sigma-sweep" not in CONDITIONS
+        assert not hasattr(certificates, "principal_submatrix_sigma_sweep")
+        with pytest.raises(KeyError, match=r"unknown condition ids: \['sigma-sweep'\]"):
+            certify_problem(get_problem("spd-box"), ["maximal-rank", "sigma-sweep"])
 
     def test_budget_error_becomes_inconclusive(self):
         p = VIProblem(affine_mapping(np.eye(21)), free_box(21))

@@ -558,8 +558,9 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError):
             load_problem(path)
 
-    @pytest.mark.parametrize("case", ["unknown-id", "unknown-condition", "repeated-condition",
-                                      "builtin-id", "missing-m", "mapping-kind"])
+    @pytest.mark.parametrize("case", ["unknown-id", "unknown-condition", "retired-condition",
+                                      "repeated-condition", "builtin-id", "missing-m",
+                                      "mapping-kind"])
     def test_one_exact_error_line(self, tmp_path, capsys, monkeypatch, case):
         monkeypatch.chdir(tmp_path)  # no file named "nope" here
         path = tmp_path / "bad.json"
@@ -571,6 +572,9 @@ class TestProblemFiles:
         elif case == "unknown-condition":
             argv, expected = ["example-vi", "--conditions", "foo"], \
                 "unknown condition ids: ['foo']"
+        elif case == "retired-condition":
+            argv, expected = ["example-vi", "--conditions", "sigma-sweep"], \
+                "unknown condition ids: ['sigma-sweep']"
         elif case == "repeated-condition":
             argv, expected = ["example-vi", "--conditions", "pmatrix,growth,pmatrix"], \
                 "repeated condition ids: ['pmatrix']"
