@@ -4,15 +4,16 @@ Each checker reifies one sufficient condition for solvability (P-matrix
 variants, P-function searches, growth fits, the Upsilon test for games, the
 maximal-rank test by vertex determinants, exact for affine F, and the PL gap
 condition of games, read off their own blocks).  On affine F and games the
-P-function conditions, growth and coercivity are read off A too, where their
-exact rules apply.  Other conditions over all of K are verified on seeded
-samples: a fail is conclusive (witness-backed), a pass is sampled evidence only.
+P-matrix and P-function conditions, growth and coercivity are read off A too,
+where their exact rules apply.  Other conditions over all of K are verified on
+seeded samples: a fail is conclusive (witness-backed), a pass is sampled
+evidence only.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
@@ -196,26 +197,6 @@ def principal_minor_det(a) -> float:
     return float(_det_stack(np.asarray(a)[np.newaxis])[0])
 
 
-def _scan(a, fn, floor):
-    """(least value of fn, first place attaining it, first place whose value is
-    <= floor or None) over the principal submatrices of each matrix of the
-    (n, m, m) stack a.  A place is (k, index set) in a[k]; places are ordered
-    by k, then by order, then lexicographically.  The least value is a strict-<
-    running minimum from +inf, so NaN never wins."""
-    least, arg, first_bad = np.inf, None, None
-    for idx, s in _principal_stacks(a):
-        values = fn(s)
-        i, v = _first_min(values)
-        # a chunk's index sets follow those of every earlier chunk, so a place
-        # in it comes first only when its matrix does
-        if i is not None and (v < least or v == least and _place(idx, i)[0] < arg[0]):
-            least, arg = v, _place(idx, i)
-        bad = np.flatnonzero(values <= floor)
-        if bad.size and (first_bad is None or _place(idx, bad[0])[0] < first_bad[0]):
-            first_bad = _place(idx, bad[0])
-    return least, arg, first_bad
-
-
 def _place(idx, p):
     """(k, index set) of position p of a chunk that _principal_stacks yields
     with the index sets idx: the submatrices of a[0] come first, then a[1]'s."""
@@ -241,19 +222,31 @@ def _check_minor_budget(m):
         )
 
 
-def _minor_values(s):
-    """_det_stack(s), a NaN minor (inf - inf in its terms) read as -0.0: bad
-    to a scan, as a minor <= 0 is, yet never below an earlier number <= 0."""
-    d = _det_stack(s)
-    d[np.isnan(d)] = -0.0  # d is new, or a view of s, a gathered copy
-    return d
-
-
 def _minor_scan(a, floor=0.0):
-    """_scan of _minor_values, with floor, over the (n, m, m) float stack a,
-    shared by floor and a's shape and bytes."""
+    """(least minor, first place attaining it, first place whose minor is <=
+    floor or None) over the principal submatrices of each matrix of the
+    (n, m, m) float stack a, shared by floor and a's shape and bytes.  A place
+    is (k, index set) in a[k]; places are ordered by k, then by order, then
+    lexicographically.  The least minor is a strict-< running minimum from
+    +inf.  A NaN minor (inf - inf in its terms) reads as -0.0: bad, as a
+    minor <= 0 is, yet never below an earlier number <= 0."""
     _check_minor_budget(a.shape[-1])
-    return _shared((floor, a.shape, a.tobytes()), lambda: _scan(a, _minor_values, floor))
+
+    def scan():
+        least, arg, first_bad = np.inf, None, None
+        for idx, s in _principal_stacks(a):
+            minors = _det_stack(s)
+            minors[np.isnan(minors)] = -0.0  # minors is new, or a view of s, a gathered copy
+            i, v = _first_min(minors)
+            # a chunk's index sets follow those of every earlier chunk, so a place
+            # in it comes first only when its matrix does
+            if i is not None and (v < least or v == least and _place(idx, i)[0] < arg[0]):
+                least, arg = v, _place(idx, i)
+            bad = np.flatnonzero(minors <= floor)
+            if bad.size and (first_bad is None or _place(idx, bad[0])[0] < first_bad[0]):
+                first_bad = _place(idx, bad[0])
+        return least, arg, first_bad
+    return _shared((floor, a.shape, a.tobytes()), scan)
 
 
 def _minor_report(condition, a, scan, seed, budget, witness, notes, **metrics):
@@ -312,20 +305,14 @@ def pmatrix_oracle(a, samples=100000, seed=0) -> CertificateReport:
 
 def _sampled_jacobians(p: VIProblem, samples, seed, radius):
     """(points, Jacobians): the rows of draw_samples(p.set, samples, seed,
-    radius) and the (samples, m, m) stack of the Jacobian at each; a sampled
-    checker needs at least one point.  Every caller enumerates principal
-    submatrices, so the minor budget is checked before the stack is built.
-    A non-finite Jacobian entry raises EvaluationError, as a non-finite F does.
-    The Jacobian of affine and game F is A at every point: the stack is then
-    A alone, (1, m, m), its points still drawn for the witnesses."""
-    if samples < 1:
-        raise ValueError("sample set is empty")
+    radius) and the (samples, m, m) stack of the Jacobian at each.  Every
+    caller enumerates principal submatrices, so the minor budget is checked
+    before the stack is built.  A non-finite Jacobian entry raises
+    EvaluationError, as a non-finite F does."""
     _check_minor_budget(p.dim)
 
     def make():
         pts = draw_samples(p.set, samples, seed, radius)
-        if p.is_affine:
-            return pts, _finite_values(p.mapping.data["A"])[None]
         return pts, _finite_values(np.array([jacobian(p, x) for x in pts]))
     return _shared(("jacobians", samples, seed, radius), make, p)
 
@@ -333,7 +320,12 @@ def _sampled_jacobians(p: VIProblem, samples, seed, radius):
 def pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateReport:
     """Exact minors test of the Jacobian at each of ``samples`` points of
     draw_samples, by one _minor_report of their stack; a fail's witness
-    names the point."""
+    names the point.  On affine and game F the report is pmatrix_minors(A),
+    and nothing is drawn."""
+    if samples < 1:
+        raise ValueError("sample set is empty")
+    if p.is_affine:
+        return pmatrix_minors(_finite_values(p.mapping.data["A"]))
     pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     return _minor_report("pmatrix", jacs, _minor_scan(jacs), seed, {"samples": samples},
                          lambda k, w: dict(w, point=pts[k].tolist()),
@@ -347,17 +339,22 @@ def uniform_pmatrix_sampled(p: VIProblem, samples, seed, radius) -> CertificateR
     Mixed-row matrices take row i from the Jacobian at the i-th point of a
     tuple of the n = ``samples`` points of draw_samples; each must be a
     P-matrix with margin at least ETA_FLOOR.  The 2n tuples are the n
-    all-same ones (one per point), then n seeded draws, which are not made
-    when the stack holds one matrix: every mixed-row matrix is then that one.
-    One _minor_report tests their stack; a fail names its tuple and points.
+    all-same ones (one per point), then n seeded draws.  One _minor_report
+    tests their stack; a fail names its tuple and points.  On affine and
+    game F every mixed-row matrix is A, so the condition holds iff A is a
+    P-matrix: the report is pmatrix_minors(A) under this condition's id,
+    nothing is drawn, and ETA_FLOOR does not apply.
     """
+    if samples < 1:
+        raise ValueError("sample set is empty")
+    if p.is_affine:
+        return replace(pmatrix_minors(_finite_values(p.mapping.data["A"])),
+                       condition="uniform-pmatrix")
     pts, jacs = _sampled_jacobians(p, samples, seed, radius)
     n, m = samples, p.dim
     budget = {"samples": n, "mixed_rows": 2 * n}
-    tuples = np.zeros((1, m), dtype=int)
-    if len(jacs) > 1:
-        tuples = np.vstack([np.repeat(np.arange(n)[:, None], m, axis=1),
-                            np.random.default_rng(seed).integers(0, n, size=(n, m))])
+    tuples = np.vstack([np.repeat(np.arange(n)[:, None], m, axis=1),
+                        np.random.default_rng(seed).integers(0, n, size=(n, m))])
     mix = jacs[tuples, np.arange(m)]
     least, arg, _ = scan = _minor_scan(mix)
     rep = _minor_report("uniform-pmatrix", mix, scan, seed, budget,

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -31,9 +32,10 @@ def free_box(m, blocks=None):
 
 
 def opaque(p):
-    """p with F behind a builtin Mapping of the same fn and rows: no exact rule
-    reads its kind, so every checker samples it."""
-    return VIProblem(Mapping(fn=p.mapping.fn, dim=p.dim, rows=p.mapping.rows), p.set, p.name)
+    """p with F behind a builtin Mapping of the same fn, jac and rows: no exact
+    rule reads its kind, so every checker samples it."""
+    return VIProblem(Mapping(fn=p.mapping.fn, dim=p.dim, jac=p.mapping.jac, rows=p.mapping.rows),
+                     p.set, p.name)
 
 
 def two_block_game():
@@ -123,7 +125,11 @@ class TestUniformPmatrixSampled:
     def test_identity_passes(self):
         p = VIProblem(affine_mapping(np.eye(2)), free_box(2))
         rep = uniform_pmatrix_sampled(p, 10, 0, 10.0)
-        assert rep.verdict == "pass" and rep.margin == 1.0
+        assert (rep.verdict, rep.margin, rep.seed, rep.budget) == ("pass", 1.0, None,
+                                                                   {"minors": 3})
+        assert rep.notes == pmatrix_minors(np.eye(2)).notes
+        rep = uniform_pmatrix_sampled(opaque(p), 10, 0, 10.0)
+        assert (rep.verdict, rep.margin, rep.seed) == ("pass", 1.0, 0)
         assert "sampled surrogate" in rep.notes
 
     def test_fail_witness_reverifies(self):
@@ -135,30 +141,16 @@ class TestUniformPmatrixSampled:
         assert abs(minor - rep.witness["minor"]) < 1e-12 and minor <= 0
 
     def test_margin_below_floor_fails(self):
-        # every minor is positive, but the least one, 1e-11, is below ETA_FLOOR
-        p = VIProblem(affine_mapping(np.diag([1e-11, 1.0])), BoxSet([-1.0] * 2, [1.0] * 2))
+        # every minor of the sampled Jacobians is positive, but the least one,
+        # 1e-11, is below ETA_FLOOR
+        p = opaque(VIProblem(affine_mapping(np.diag([1e-11, 1.0])),
+                             BoxSet([-1.0] * 2, [1.0] * 2)))
         rep = uniform_pmatrix_sampled(p, 10, 0, 10.0)
         assert rep.verdict == "fail" and rep.margin == 1e-11
         assert rep.witness["min_minor"] == 1e-11 < rep.witness["eta_floor"]
         assert len(rep.witness["tuple"]) == 2
         assert rep.witness["index_set"] == [0]
         assert certify_problem(p, ["uniform-pmatrix"], seed=0, samples=10)[0] == [rep]
-
-    @given(hnp.arrays(np.float64, st.integers(1, 4).map(lambda m: (m, m)),
-                      elements=st.integers(-2, 2)), st.integers(0, 99))
-    @settings(max_examples=40, deadline=None)
-    def test_equal_jacobians_give_the_report_of_mixing_rows(self, a, seed):
-        # the same A with its zeros signed -0.0 at some points: the Jacobians are
-        # not byte-equal, so the tuples are drawn and mixed, and the report must
-        # be the one of byte-equal Jacobians, where no tuple is made
-        signed = np.where(a == 0.0, -0.0, a)
-        m = a.shape[0]
-        box = BoxSet([-1.0] * m, [1.0] * m)
-        mixed = VIProblem(Mapping(fn=lambda x: a @ x, dim=m,
-                                  jac=lambda x: a if x[0] > 0.0 else signed), box)
-        rep = uniform_pmatrix_sampled(VIProblem(affine_mapping(a), box), 12, seed, 10.0)
-        assert uniform_pmatrix_sampled(mixed, 12, seed, 10.0) == rep
-        assert rep.budget == {"samples": 12, "mixed_rows": 24}
 
     @given(st.integers(1, 5), st.integers(0, 7), st.floats(1e-14, 9e-11))
     @settings(max_examples=25, deadline=None)
@@ -168,7 +160,7 @@ class TestUniformPmatrixSampled:
         # reverifies it
         diag = np.full(m, 2.0)
         diag[at % m] = least
-        p = VIProblem(affine_mapping(np.diag(diag)), BoxSet([-1.0] * m, [1.0] * m))
+        p = opaque(VIProblem(affine_mapping(np.diag(diag)), BoxSet([-1.0] * m, [1.0] * m)))
         rep = uniform_pmatrix_sampled(p, 4, 0, 10.0)
         idx = rep.witness["index_set"]
         assert idx == [at % m]
@@ -366,8 +358,11 @@ def oracle_minors(a):
 
 
 def oracle_minor_scan(a):
+    """(least minor, first index set whose minor is <= 0 or None), a NaN
+    minor read as -0.0, by a strict-< running minimum."""
     min_minor, first_bad = np.inf, None
     for idx, d in oracle_minors(a):
+        d = -0.0 if np.isnan(d) else d
         if d < min_minor:
             min_minor = d
         if d <= 0.0 and first_bad is None:
@@ -385,8 +380,8 @@ def oracle_least_minor(a):
 
 
 def minor_scan(a):
-    """(least minor, first index set whose minor is <= 0 or None) by _scan."""
-    least, _, first_bad = certificates._scan(a[None], _det_stack, 0.0)
+    """(least minor, first index set whose minor is <= 0 or None) by _minor_scan."""
+    least, _, first_bad = certificates._minor_scan(a[None])
     return least, first_bad and first_bad[1]
 
 
@@ -479,7 +474,7 @@ class TestMinorEngine:
 
     def test_ties_keep_the_first_index_set(self):
         # every minor 0 or 1: the first subset wins
-        assert certificates._scan(np.eye(6)[None], _det_stack, 0.0) == (1.0, (0, (0,)), None)
+        assert certificates._minor_scan(np.eye(6)[None]) == (1.0, (0, (0,)), None)
         assert minor_scan(np.zeros((5, 5))) == (0.0, (0,))
         signed = np.diag([1.0, -0.0, 0.0])
         assert outcome(minor_scan, signed) == ((-0.0).hex(), (1,))
@@ -493,7 +488,7 @@ class TestMinorEngine:
         expected = float(expected[0]).hex(), expected[1]
         for stack in (contextlib.nullcontext(), TINY_STACK):
             with stack:
-                least, arg, _ = certificates._scan(a, _det_stack, 0.0)
+                least, arg, _ = certificates._minor_scan(a)
                 assert (float(least).hex(), arg) == expected
 
     def test_a_tie_goes_to_the_earlier_matrix(self):
@@ -501,15 +496,15 @@ class TestMinorEngine:
         # meets a[1]'s first, yet a[0]'s place is first
         a0 = np.array([[2.0, 3.0], [1.0, 2.0]])
         a1 = np.diag([1.0, 5.0])
-        scan = certificates._scan
-        assert scan(np.array([a0, a1]), _det_stack, 0.0) == (1.0, (0, (0, 1)), None)
-        assert scan(np.array([a1, a0]), _det_stack, 0.0) == (1.0, (0, (0,)), None)
+        scan = certificates._minor_scan
+        assert scan(np.array([a0, a1])) == (1.0, (0, (0, 1)), None)
+        assert scan(np.array([a1, a0])) == (1.0, (0, (0,)), None)
 
     def test_the_first_bad_place_is_in_the_earliest_matrix(self):
         # a[0]'s first minor <= 0 has order 2, a[1]'s order 1
         a = np.array([[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]])
-        assert certificates._scan(a, _det_stack, 0.0) == (-3.0, (0, (0, 1)), (0, (0, 1)))
-        assert certificates._scan(a[::-1], _det_stack, 0.0) == (-3.0, (1, (0, 1)), (0, (0,)))
+        assert certificates._minor_scan(a) == (-3.0, (0, (0, 1)), (0, (0, 1)))
+        assert certificates._minor_scan(a[::-1]) == (-3.0, (1, (0, 1)), (0, (0,)))
 
     def test_budget_dimension_stacks_stay_small(self):
         rows = certificates._STACK_BYTES // (8 * 10 * 10)
@@ -592,11 +587,9 @@ def test_sampled_minor_checkers_scan_as_a_loop_over_their_matrices(a, seed):
     pts = draw_samples(box, n, seed, 10.0)
     p = VIProblem(Mapping(fn=lambda x: x, dim=m, jac=lambda x: a[
         int(np.flatnonzero((pts == x).all(axis=1))[0])]), box)
-    tuples = np.zeros((1, m), dtype=int)
-    if n > 1:
-        rng = np.random.default_rng(seed)
-        tuples = np.array([np.full(m, k) for k in range(n)]
-                          + [rng.integers(0, n, size=m) for _ in range(n)])
+    rng = np.random.default_rng(seed)
+    tuples = np.array([np.full(m, k) for k in range(n)]
+                      + [rng.integers(0, n, size=m) for _ in range(n)])
     for stack in (contextlib.nullcontext(), TINY_STACK):
         with stack:
             rep = pmatrix_sampled(p, n, seed, 10.0)
@@ -620,9 +613,10 @@ class TestDistinctJacobianScan:
 
     def test_affine_jacobian_is_scanned_once(self):
         p = VIProblem(affine_mapping(EXAMPLE_A), BoxSet([0.0, 0.0], [1.0, 1.0]))
-        with mock.patch.object(certificates, "_scan", wraps=certificates._scan) as scan:
+        with mock.patch.object(certificates, "_minor_scan", wraps=certificates._minor_scan) as scan:
             uniform_pmatrix_sampled(p, 10, 0, 10.0)
         assert scan.call_count == 1
+        assert scan.call_args.args[0].shape == (1, 2, 2)
 
 
 class TestPUpsilonCheck:
@@ -1001,6 +995,37 @@ def fraction_pmatrix(a):
     """The oracle: every principal minor of the integer matrix a is positive,
     over the rationals."""
     return all(exact_det(a[np.ix_(s, s)]) > 0 for s in oracle_index_sets(a.shape[0]))
+
+
+class TestConstantJacobian:
+    """On affine F and games the Jacobian is A at every point: pmatrix and
+    uniform-pmatrix both report pmatrix_minors(A) and draw nothing."""
+
+    @given(integer_affine_problems().filter(lambda p: p.dim <= 5), st.integers(0, 99),
+           st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_both_report_the_minors_of_a(self, p, seed, samples):
+        a = p.mapping.data["A"]
+        with mock.patch.object(certificates, "draw_samples",
+                               side_effect=AssertionError("no point is drawn")):
+            reports, _ = certify_problem(p, ["pmatrix", "uniform-pmatrix"], seed=seed,
+                                         samples=samples)
+            alone = [pmatrix_sampled(p, samples, seed, 10.0),
+                     uniform_pmatrix_sampled(p, samples, seed, 10.0)]
+        pm, up = reports
+        assert reports == alone
+        assert replace(up, condition="pmatrix") == pm == pmatrix_minors(a)
+        assert pm.verdict == ("pass" if fraction_pmatrix(a) else "fail")
+        assert (pm.seed, pm.budget) == (None, {"minors": 2 ** p.dim - 1})
+        if pm.verdict == "fail":
+            assert list(pm.witness) == ["index_set", "minor"]
+
+    def test_a_least_minor_below_the_uniform_floor_passes(self):
+        # ETA_FLOOR bounds sampled Jacobians only: a constant A with least
+        # minor 1e-11 is a P-matrix, and F a uniform P-function, exactly
+        p = VIProblem(affine_mapping(np.diag([1e-11, 1.0])), BoxSet([0.0] * 2, [1.0] * 2))
+        reports, _ = certify_problem(p, ["pmatrix", "uniform-pmatrix", "pfunction"])
+        assert [(r.verdict, r.margin) for r in reports] == [("pass", 1e-11)] * 3
 
 
 def recheck_pair(p, rep, blocks):
@@ -1646,34 +1671,13 @@ def test_pair_checkers_stay_small_at_m_300(checker):
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
-SCANNING_CHECKERS = {"pmatrix": pmatrix_sampled, "uniform-pmatrix": uniform_pmatrix_sampled}
-
-
-@pytest.mark.parametrize("pid", [pid for pid in problem_ids()
-                                 if get_problem(pid).mapping.kind != "builtin"])
-@pytest.mark.parametrize("condition", list(SCANNING_CHECKERS))
-def test_affine_jacobian_stack_is_a_alone(condition, pid, monkeypatch):
-    # The report of one Jacobian call per sample, without evaluating one: from
-    # the checker alone, and inside one certify_problem call, after the other
-    # two checkers, which share the stack.
-    checker = SCANNING_CHECKERS[condition]
-    order = [c for c in SCANNING_CHECKERS if c != condition] + [condition]
-    p = get_problem(pid)
-    a = p.mapping.data["A"]
-    per_point = VIProblem(Mapping(fn=p.mapping.fn, dim=p.dim, jac=lambda x: a,
-                                  rows=p.mapping.rows), p.set)
-    expected = checker(per_point, 30, 5, 10.0).to_dict()
-    in_call = [r.to_dict() for r in certify_problem(per_point, order, seed=5, samples=30)[0]]
-    monkeypatch.setattr(certificates, "jacobian", None)  # calling it would raise
-    assert checker(p, 30, 5, 10.0).to_dict() == expected
-    assert [r.to_dict() for r in certify_problem(p, order, seed=5, samples=30)[0]] == in_call
-
-
+@pytest.mark.parametrize("sampled", [False, True], ids=["affine", "opaque"])
 @pytest.mark.parametrize("checker", [pmatrix_sampled, uniform_pmatrix_sampled])
-def test_minor_budget_is_checked_before_the_jacobian_stack(checker):
+def test_minor_budget_is_checked_before_the_jacobian_stack(checker, sampled):
     # 30 Jacobians of order 400 would take 37 MiB, all for a budget error.
     m = 400
     p = VIProblem(affine_mapping(np.eye(m)), free_box(m))
+    p = opaque(p) if sampled else p
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError) as e:
@@ -1874,6 +1878,6 @@ class TestSharedInputs:
         checker = certificates._sampled_jacobians
         monkeypatch.setattr(certificates, "_sampled_jacobians",
                             lambda *a: got.append(checker(*a)) or got[-1])
-        certify_problem(get_problem("spd-box"), ["pmatrix", "uniform-pmatrix"], samples=3)
+        certify_problem(get_problem("cubic-free"), ["pmatrix", "uniform-pmatrix"], samples=3)
         assert got[0] is got[1]
         assert not any(a.flags.writeable for a in got[0])

@@ -447,7 +447,7 @@ class TestCertifyCommand:
         assert float(err.split(" in ")[-1].rstrip().rstrip("s")) >= 0.2
 
     def test_seed_recorded_in_config(self, capsys):
-        _, out, _ = run_cli(capsys, "certify", "identity-box", "--seed", "11",
+        _, out, _ = run_cli(capsys, "certify", "cubic-free", "--seed", "11",
                             "--conditions", "pmatrix")
         doc = json.loads(out)
         assert doc["config"]["seed"] == 11
