@@ -491,6 +491,9 @@ def _pfunction_search(p, blocks, pairs, seed, radius, condition):
     bad = np.flatnonzero(rho <= 0.0)
     if bad.size:
         j = bad[0]
+        unheld = _unheld_pair_note(p, xs[j], ys[j], rho[j], blocks)
+        if unheld:
+            return CertificateReport(condition, INCONCLUSIVE, None, None, seed, budget, unheld)
         return CertificateReport(condition, FAIL, min_rho,
                                  {"x": xs[j].tolist(), "y": ys[j].tolist(),
                                   "rho": float(rho[j])}, seed,
@@ -498,6 +501,22 @@ def _pfunction_search(p, blocks, pairs, seed, radius, condition):
                                  {"min_rho_pair": {"x": xs[k].tolist(), "y": ys[k].tolist()}})
     return CertificateReport(condition, INCONCLUSIVE, min_rho, None, seed, budget,
                              f"no violating pair; empirical mu = min rho; {SAMPLED_NOTE}")
+
+
+def _unheld_pair_note(p, x, y, rho, blocks):
+    """On affine and game F (_affine_base), where F(x) - F(y) can absorb the
+    terms of A (x - y) into b, a note naming the pair when rho recomputed by
+    _rho from d = x - y and A d, one matvec, is not <= 0 too; else None."""
+    base = _affine_base(p)
+    if base is None:
+        return None
+    d = x - y
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = float(_rho(d[None], (base[0] @ d)[None], blocks)[0])
+    if exact <= 0.0:
+        return None
+    return (f"the pair x = {x.tolist()}, y = {y.tolist()} has rho {float(rho)!r} from "
+            f"F(x) - F(y) but {exact!r} from A (x - y): its fail holds only in floating point")
 
 
 def _exact_pfunction(p, blocks, condition):

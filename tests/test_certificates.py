@@ -1164,6 +1164,24 @@ class TestExactRules:
         a = p.mapping.data["A"]
         assert reports[1].margin == float(svd(a[np.ix_([0, 2], [0, 2])], compute_uv=False)[-1])
 
+    def test_a_pair_that_fails_only_in_floating_point_is_inconclusive(self):
+        # a strictly diagonally dominant A with rows scaled by 2^500 and 2^-500
+        # is a P-matrix, yet F(x) - F(y) absorbs the small rows' terms into b
+        rng = np.random.default_rng(500)
+        m = 10
+        a = rng.uniform(-1.0, 1.0, (m, m))
+        np.fill_diagonal(a, np.abs(a).sum(axis=1) + 1.0)
+        a = np.ldexp(a, np.tile([500, -500], m // 2)[:, None])
+        p = VIProblem(affine_mapping(a, rng.standard_normal(m)), BoxSet([-5.0] * m, [5.0] * m))
+        verdicts = set()
+        for seed in range(4):
+            rep = uniform_pfunction_search(p, pairs=100, seed=seed)
+            verdicts.add(rep.verdict)
+            if rep.verdict == "inconclusive" and rep.margin is None:
+                assert rep.notes.startswith("the pair x = ")
+                assert "holds only in floating point" in rep.notes
+        assert verdicts == {"inconclusive"}
+
     @pytest.mark.parametrize("p", [
         VIProblem(affine_mapping(np.eye(21)), free_box(21)),  # beyond MINOR_BUDGET_DIM
         VIProblem(affine_mapping(np.eye(2)), BoxSet([1.0, 2.0], [1.0, 2.0])),  # one point
@@ -1173,17 +1191,26 @@ class TestExactRules:
         rep = uniform_pfunction_search(p, pairs=100, seed=6)
         assert fields(rep) == fields(uniform_pfunction_search(opaque(p), pairs=100, seed=6))
 
-    @pytest.mark.parametrize("a, box", [
-        ([[1.0, 1e308], [1e308, 1.0]], BoxSet([0.0, 0.0], [1.0, 1.0])),
-        ([[1e-13, 0.0], [0.0, 1.0]], free_box(2)),
-        ([[-1.0]], BoxSet([0.0], [1e-13])),
+    @pytest.mark.parametrize("a, box, unheld", [
+        ([[1.0, 1e308], [1e308, 1.0]], BoxSet([0.0, 0.0], [1.0, 1.0]), True),
+        ([[1e-13, 0.0], [0.0, 1.0]], free_box(2), False),
+        ([[-1.0]], BoxSet([0.0], [1e-13]), False),
     ], ids=["symmetric-part-overflows", "lambda-min-below-the-noise-floor",
             "no-step-leaves-the-midpoint"])
-    def test_one_block_rule_falls_back_to_the_search(self, a, box):
+    def test_one_block_rule_falls_back_to_the_search(self, a, box, unheld):
         p = VIProblem(affine_mapping(a), box)
         rep = block_pfunction_search(p, pairs=100, seed=6)
-        assert fields(rep) == fields(block_pfunction_search(opaque(p), pairs=100, seed=6))
+        sampled = block_pfunction_search(opaque(p), pairs=100, seed=6)
         assert not exact(rep)
+        if not unheld:
+            assert fields(rep) == fields(sampled)
+            return
+        # F(x) - F(y) absorbs x_0 - y_0 into 1e308 x_1: the search's rho of
+        # its first failing pair is 0, the one from A (x - y) positive
+        assert (sampled.verdict, rep.verdict, rep.margin) == ("fail", "inconclusive", None)
+        x, y = sampled.witness["x"], sampled.witness["y"]
+        assert rep.notes == (f"the pair x = {x}, y = {y} has rho 0.0 from F(x) - F(y) but "
+                             "1.0 from A (x - y): its fail holds only in floating point")
 
     def test_a_box_about_1e308_wide_gets_finite_margins(self):
         game = make_game((1,), {(0, 0): [[1.0]]}, ([-0.855],),
