@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
@@ -202,6 +203,25 @@ def _place(idx, p):
     with the index sets idx: the submatrices of a[0] come first, then a[1]'s."""
     k, j = divmod(int(p), len(idx))
     return k, tuple(int(t) for t in idx[j])
+
+
+def _exact_det(a) -> Fraction:
+    """The determinant of the float matrix a, exactly: Gaussian elimination
+    in Fractions of its entries, which must be finite."""
+    rows = [[Fraction(v) for v in row] for row in np.asarray(a, dtype=float).tolist()]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for row in rows[c + 1:]:
+            f = row[c] / rows[c][c]
+            row[c:] = [v - f * w for v, w in zip(row[c:], rows[c][c:])]
+    return det
 
 
 def _sigma_min(a, idx) -> float:
@@ -880,8 +900,9 @@ def coercivity_check(p: VIProblem, *, tol=1e-8) -> CertificateReport:
     """Norm coercivity of the normal map.  On affine and game F
     (_affine_base) over a box with no half-bounded coordinate it holds iff
     A[Fr, Fr] is nonsingular, Fr the free coordinates: an exact pass when
-    sigma_min(A[Fr, Fr]) >= tol, the margin (None when Fr is empty), and
-    never a pass below tol (_free_block_ray).  Otherwise, from
+    sigma_min(A[Fr, Fr]) >= tol, the margin (None when Fr is empty); below
+    tol a fail on an exactly singular A[Fr, Fr], else inconclusive
+    (_free_block_ray).  Otherwise, from
     ``coercivity_probe``'s table: a ray whose last norm is below twice its
     first is a violation (fail, the first such ray the witness); a ray with
     finite norms, positive past the first four radii, has their log-log
@@ -923,29 +944,39 @@ def coercivity_check(p: VIProblem, *, tol=1e-8) -> CertificateReport:
 def _free_block_ray(p: VIProblem, fr, s_min, tol) -> CertificateReport:
     """The coercivity report of affine or game F on a box with no
     half-bounded coordinate whose free block A[Fr, Fr] has sigma_min s_min <
-    tol.  With w its least right singular vector, the ray runs along the unit
-    z = w on Fr and -A[:, Fr] w off Fr, where F_nor(t z) = t A[Fr, Fr] w on Fr
-    plus a term bounded in t, as P_K(t z) stays in the box off Fr.  Read with
-    ``coercivity_probe``'s rule: fail, with the ray as witness, when its last
-    norm is below twice its first, else inconclusive; the margin is s_min."""
+    tol: the map is coercive iff A[Fr, Fr] is nonsingular, so a fail needs
+    _exact_det(A[Fr, Fr]) == 0 (|Fr| <= MINOR_BUDGET_DIM); else inconclusive.
+    The fail's witness is the ray of the proof: with w the least right
+    singular vector of A[Fr, Fr], the unit z = w on Fr and -A[:, Fr] w off
+    Fr, where F_nor(t z) = t A[Fr, Fr] w on Fr plus a term bounded in t, as
+    P_K(t z) stays in the box off Fr, with ``coercivity_probe``'s norms along
+    it.  The margin is s_min."""
     a = p.mapping.data["A"]
-    w = np.linalg.svd(a[np.ix_(fr, fr)])[2][-1]
+    block = a[np.ix_(fr, fr)]
+    why = None
+    if fr.size > MINOR_BUDGET_DIM:
+        why = f"and |Fr| = {fr.size} is too large for its exact determinant"
+    elif _exact_det(block) != 0:
+        why = "yet A[Fr, Fr] is nonsingular: the exact determinant of its entries is not 0"
+    if why:
+        return CertificateReport("coercivity", INCONCLUSIVE, s_min, None, None,
+                                 {"free": int(fr.size)},
+                                 f"sigma_min(A[Fr, Fr]), the margin, is below --tol "
+                                 f"({tol:g}), {why}")
+    w = np.linalg.svd(block)[2][-1]
     with np.errstate(over="ignore", invalid="ignore"):
         z = 0.0 - a[:, fr] @ w  # not -(...): a 0 column entry gives +0.0
         z[fr] = w
         z /= np.linalg.norm(z)
     (d,), (row,) = coercivity_probe(p, z[None])
-    budget = {"free": int(fr.size), "rays": 1, "steps": RAY_RADII.size}
-    if row[-1] < 2.0 * row[0]:
-        return CertificateReport("coercivity", FAIL, s_min,
-                                 {"direction": d.tolist(), "norms": row.tolist(),
-                                  "radii": RAY_RADII.tolist()}, None, budget,
-                                 "sigma_min(A[Fr, Fr]) is below --tol, and the residual norm "
-                                 "fails to grow along the ray of its least singular vector")
-    return CertificateReport("coercivity", INCONCLUSIVE, s_min, None, None, budget,
-                             f"sigma_min(A[Fr, Fr]), the margin, is below --tol ({tol:g}), "
-                             "yet the residual norm grows along the ray of its least "
-                             "singular vector")
+    return CertificateReport("coercivity", FAIL, s_min,
+                             {"direction": d.tolist(), "norms": row.tolist(),
+                              "radii": RAY_RADII.tolist()}, None,
+                             {"free": int(fr.size), "rays": 1, "steps": RAY_RADII.size},
+                             "sigma_min(A[Fr, Fr]) is below --tol and A[Fr, Fr] is singular "
+                             "(the exact determinant of its entries is 0), so the normal map "
+                             "is not coercive; the witness is the ray of its least singular "
+                             "vector")
 
 
 def _pl_at_solution(p: VIProblem) -> CertificateReport:

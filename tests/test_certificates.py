@@ -1044,14 +1044,18 @@ def exact(rep):
     return rep.notes.startswith("exact")
 
 
-def recheck_ray(p, rep):
+def recheck_norms(p, rep):
     """A coercivity fail witness: the residual norms along its direction,
-    evaluated again point by point, are its norms, and the last is below
-    twice the first."""
+    evaluated again point by point, are its norms."""
     w = rep.witness
     d = np.array(w["direction"])
     assert w["norms"] == [normal_map(p, r * d).norm for r in w["radii"]]
-    assert w["norms"][-1] < 2.0 * w["norms"][0]
+
+
+def recheck_ray(p, rep):
+    """recheck_norms, and the last norm is below twice the first."""
+    recheck_norms(p, rep)
+    assert rep.witness["norms"][-1] < 2.0 * rep.witness["norms"][0]
 
 
 def fields(rep):
@@ -1133,26 +1137,46 @@ class TestExactRules:
     @pytest.mark.parametrize("a, b, lo, hi, verdict", [
         # F_nor(t z) = (1, 0) along z = (1, -1) / sqrt(2)
         ([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0], [-np.inf] * 2, [np.inf] * 2, "fail"),
-        # with b = 0 the residual along z is rounding noise times t
-        ([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], [-np.inf] * 2, [np.inf] * 2, "inconclusive"),
-        # nonsingular, but sigma_min < tol: the residual grows as 1e-9 t
+        # exactly singular, though with b = 0 the residual along z is rounding
+        # noise times t, which grows
+        ([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], [-np.inf] * 2, [np.inf] * 2, "fail"),
+        # nonsingular, so coercive, but sigma_min < tol
         ([[1e-9, 0.0], [0.0, 1.0]], [0.0, 0.0], [-np.inf] * 2, [np.inf] * 2, "inconclusive"),
+        # the same, where F_nor(t e_0) = (1 + 1e-9 t, 0) does not double by t = 2048
+        ([[1e-9, 0.0], [0.0, 1.0]], [1.0, 0.0], [-np.inf] * 2, [np.inf] * 2, "inconclusive"),
         # a bounded coordinate: z is -(A[2, Fr] w) there, where P_K(t z) saturates
         ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [3.0, 0.0, 1.0]], [1.0, 0.0, 0.0],
          [-np.inf, -np.inf, -1.0], [np.inf, np.inf, 2.0], "fail"),
-    ], ids=["ones", "ones-b0", "tiny", "ones-bounded"])
+    ], ids=["ones", "ones-b0", "tiny", "tiny-b", "ones-bounded"])
     def test_coercivity_below_tol_on_the_free_block_never_passes(self, a, b, lo, hi, verdict):
+        # below tol only an exactly singular A[Fr, Fr] fails
         p = VIProblem(affine_mapping(a, b), BoxSet(lo, hi))
         rep = coercivity_check(p)
         fr = np.flatnonzero(np.isinf(p.set.lo))
         s_min = float(np.linalg.svd(np.array(a)[np.ix_(fr, fr)], compute_uv=False)[-1])
         assert (rep.verdict, rep.margin, rep.seed) == (verdict, s_min, None)
-        assert rep.budget == {"free": 2, "rays": 1, "steps": 12}
         assert "--tol" in rep.notes and not exact(rep)
-        if verdict == "fail":
-            recheck_ray(p, rep)
-            d = rep.witness["direction"]  # on Fr, the kernel of A[Fr, Fr]
-            assert abs(d[0] + d[1]) < 1e-12 < abs(d[0])
+        if verdict == "inconclusive":
+            assert rep.budget == {"free": 2} and rep.witness is None
+            return
+        assert rep.budget == {"free": 2, "rays": 1, "steps": 12}
+        recheck_norms(p, rep)
+        d = rep.witness["direction"]  # on Fr, the kernel of A[Fr, Fr]
+        assert abs(d[0] + d[1]) < 1e-12 < abs(d[0])
+
+    def test_free_block_beyond_the_exact_determinant_is_inconclusive(self):
+        a = np.ones((21, 21))
+        rep = coercivity_check(VIProblem(affine_mapping(a), free_box(21)))
+        assert (rep.verdict, rep.budget) == ("inconclusive", {"free": 21})
+        assert "too large for its exact determinant" in rep.notes
+
+    @settings(max_examples=60)
+    @given(hnp.arrays(np.float64, st.integers(1, 6).map(lambda m: (m, m)),
+                      elements=st.integers(-3, 3)), st.integers(-60, 60))
+    def test_exact_det_is_the_rational_determinant(self, a, e):
+        # entries scaled by 2^e stay exact, and the determinant scales by 2^(e m)
+        assert certificates._exact_det(a) == exact_det(a)
+        assert certificates._exact_det(np.ldexp(a, e)) == exact_det(a) * Fraction(2) ** (e * len(a))
 
     def test_maximal_rank_and_coercivity_share_one_svd(self, monkeypatch):
         p = VIProblem(affine_mapping([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 2.0]]),
@@ -1254,7 +1278,8 @@ class TestExactRules:
     @given(integer_affine_problems(), st.data())
     def test_a_singular_free_block_is_never_passed(self, p, data):
         # Row free[k] of A[Fr, Fr] is an integer combination of the others (0
-        # when Fr has one coordinate): the normal map is not coercive.
+        # when Fr has one coordinate): the normal map is not coercive, and
+        # A[Fr, Fr] is exactly singular, so that is a fail.
         a = np.array(p.mapping.data["A"])
         free = np.flatnonzero(np.isinf(p.set.lo) & np.isinf(p.set.hi))
         if free.size:
@@ -1268,9 +1293,8 @@ class TestExactRules:
         if half:  # the probe decides
             assert fields(rep) == fields(coercivity_check(opaque(p)))
         elif free.size:
-            assert rep.verdict in ("fail", "inconclusive") and rep.margin < 1e-8
-            if rep.verdict == "fail":
-                recheck_ray(p, rep)
+            assert rep.verdict == "fail" and rep.margin < 1e-8
+            recheck_norms(p, rep)
         elif exact(rep):  # no half-bounded coordinate: every bounded box is coercive
             assert rep.verdict == "pass" and rep.margin is None
 
