@@ -78,6 +78,15 @@ its edge minors share one sign and the verdict is ``inconclusive``.  With
 them goes ``A = [[1, 1], [1, 1]]``, ``b = (1, 0)`` on ``R^2``, whose singular
 free block ``coercivity`` fails along ``(1, -1) / sqrt(2)``, where
 ``F_nor`` is ``(1, 0)`` at every radius.
+Three more 2x2 affine files sit at the edges of the exact rules
+(``save_exact_edges``): ``diag(1e-11, 1)`` on ``[0, 1]^2``, a P-matrix whose
+least minor lies below ``ETA_FLOOR``, which ``pmatrix``, ``uniform-pmatrix``
+and ``pfunction`` all pass; ``diag(1e-9, 1)`` with ``b = (1, 0)`` on
+``R^2``, nonsingular, so coercive, though ``sigma_min`` is below ``--tol``
+and ``F_nor(t e_0) = (1 + 1e-9 t, 0)`` does not double by radius 2048, so
+``coercivity`` is ``inconclusive``; and ``A = [[1, 1], [1, 1]]`` with ``b = 0``
+on ``R^2``, exactly singular, which ``coercivity`` fails though its residual
+along the kernel ray is rounding noise that grows with the radius.
 A call that raises is compared by the type of its exception, in place of
 an exit code, and each call that raises in this checkout is printed.
 Prints each call whose exit code
@@ -327,6 +336,17 @@ def save_rank_edges(problem_dir):
     })
 
 
+def save_exact_edges(problem_dir):
+    """Write the three 2x2 affine files at the edges of the exact rules (see
+    the module docstring)."""
+    _save_small_affine(problem_dir, {
+        "affine-tiny-minor": ([1e-11, 0.0, 0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]),
+        "affine-tiny-free": ([1e-9, 0.0, 0.0, 1.0], [1.0, 0.0], ["-inf", "-inf"], ["inf", "inf"]),
+        "affine-ones-free-b0": ([1.0, 1.0, 1.0, 1.0], [0.0, 0.0], ["-inf", "-inf"],
+                                ["inf", "inf"]),
+    })
+
+
 def _save_small_affine(problem_dir, docs):
     """Write each {name: (A flat, b, lo, hi)} of docs as an affine file."""
     for name, (a, b, lo, hi) in docs.items():
@@ -413,6 +433,7 @@ def main(argv) -> int:
         save_overflow(problem_dir)
         save_sweep_edges(problem_dir)
         save_rank_edges(problem_dir)
+        save_exact_edges(problem_dir)
         mine, other = run(HERE, problem_dir), run(argv[0], problem_dir)
     for key, (code, _) in sorted(mine.items()):
         if isinstance(code, str):
