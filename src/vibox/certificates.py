@@ -532,11 +532,11 @@ def _unheld_pair_note(p, x, y, rho, blocks):
         return None
     d = x - y
     with np.errstate(over="ignore", invalid="ignore"):
-        exact = float(_rho(d[None], (base[0] @ d)[None], blocks)[0])
-    if exact <= 0.0:
+        rho_a = float(_rho(d[None], (base[0] @ d)[None], blocks)[0])
+    if rho_a <= 0.0:
         return None
     return (f"the pair x = {x.tolist()}, y = {y.tolist()} has rho {float(rho)!r} from "
-            f"F(x) - F(y) but {exact!r} from A (x - y): its fail holds only in floating point")
+            f"F(x) - F(y) but {rho_a!r} from A (x - y): its fail holds only in floating point")
 
 
 def _exact_pfunction(p, blocks, condition):
