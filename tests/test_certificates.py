@@ -152,6 +152,26 @@ class TestUniformPmatrixSampled:
         assert rep.witness["index_set"] == [0]
         assert certify_problem(p, ["uniform-pmatrix"], seed=0, samples=10)[0] == [rep]
 
+    @given(hnp.arrays(np.float64, st.integers(1, 4).map(lambda m: (m, m)),
+                      elements=st.integers(-2, 2)), st.integers(0, 99))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_jacobians_give_the_report_of_mixing_rows(self, a, seed):
+        # a sampled F whose Jacobian is A at every point, its zeros signed -0.0
+        # at some: the Jacobians are not byte-equal, yet the mixed rows give the
+        # report of byte-equal ones, and its verdict and margin are those of
+        # the exact report on A
+        signed = np.where(a == 0.0, -0.0, a)
+        m = a.shape[0]
+        box = BoxSet([-1.0] * m, [1.0] * m)
+        mixed = VIProblem(Mapping(fn=lambda x: a @ x, dim=m,
+                                  jac=lambda x: a if x[0] > 0.0 else signed), box)
+        equal = VIProblem(Mapping(fn=lambda x: a @ x, dim=m, jac=lambda x: a), box)
+        rep = uniform_pmatrix_sampled(equal, 12, seed, 10.0)
+        assert uniform_pmatrix_sampled(mixed, 12, seed, 10.0) == rep
+        assert rep.budget == {"samples": 12, "mixed_rows": 24}
+        exact_rep = uniform_pmatrix_sampled(VIProblem(affine_mapping(a), box), 12, seed, 10.0)
+        assert (rep.verdict, rep.margin) == (exact_rep.verdict, exact_rep.margin)
+
     @given(st.integers(1, 5), st.integers(0, 7), st.floats(1e-14, 9e-11))
     @settings(max_examples=25, deadline=None)
     def test_below_floor_witness_names_the_first_least_minor(self, m, at, least):
@@ -1720,6 +1740,32 @@ def test_pair_checkers_stay_small_at_m_300(checker):
         tracemalloc.stop()
     assert rep.budget["pairs"] == 120
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+SCANNING_CHECKERS = {"pmatrix": pmatrix_sampled, "uniform-pmatrix": uniform_pmatrix_sampled}
+
+
+@pytest.mark.parametrize("pid", [pid for pid in problem_ids()
+                                 if get_problem(pid).mapping.kind != "builtin"])
+@pytest.mark.parametrize("condition", list(SCANNING_CHECKERS))
+def test_affine_jacobian_stack_is_a_alone(condition, pid, monkeypatch):
+    # The only stack scanned is A itself, and the report is pmatrix_minors(A)
+    # under the checker's id, with no Jacobian evaluated and no point drawn:
+    # from the checker alone, and inside one certify_problem call, after the
+    # other checker, which shares the scan.
+    checker = SCANNING_CHECKERS[condition]
+    order = [c for c in SCANNING_CHECKERS if c != condition] + [condition]
+    p = get_problem(pid)
+    a = p.mapping.data["A"]
+    expected = replace(pmatrix_minors(a), condition=condition).to_dict()
+    monkeypatch.setattr(certificates, "jacobian", None)  # calling either would raise
+    monkeypatch.setattr(certificates, "draw_samples", None)
+    with mock.patch.object(certificates, "_minor_scan", wraps=certificates._minor_scan) as scan:
+        assert checker(p, 30, 5, 10.0).to_dict() == expected
+        assert certify_problem(p, order, seed=5, samples=30)[0][-1].to_dict() == expected
+    assert scan.call_count >= 2
+    for call in scan.call_args_list:
+        assert call.args[0].shape == (1,) + a.shape and np.array_equal(call.args[0][0], a)
 
 
 @pytest.mark.parametrize("checker", [pmatrix_sampled, uniform_pmatrix_sampled])
