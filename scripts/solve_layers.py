@@ -13,8 +13,10 @@ captured, as the benchmark calls it:
 - ``timed_cli_ms`` and ``phases_ms``: the call with the module attributes
   of ``PHASES`` wrapped in timers, each phase the self time of its wrapped
   calls (their time less that of the wrapped calls inside them), so the
-  phases add up to the ``main`` call, and ``calls``: how often each
-  wrapped attribute ran.
+  phases add up to the ``main`` call, ``calls``: how often each
+  wrapped attribute ran, and ``trial_points``: the rows of the stacks that
+  ``_trial`` evaluated, so that the speculative points of the line search's
+  batched steps show next to its calls.
 
 The phases, in the order of a call: ``argparse`` (``main`` less
 ``cmd_solve``: parsing, dispatch and the stdout flush), ``report`` (the
@@ -27,8 +29,9 @@ problem), ``multistart`` (start points, deduplication and the corner-ray
 path), ``stack_bookkeeping`` (``_solve_stack`` less its parts: the first
 normal-map evaluation, the step kinds, the regularized steps and the
 per-row records), ``merit_gradient``, ``free_block_gather``
-(``newton_directions`` less the LU solves and the column norms: the gather
-of each free block, the back-substitution and the singularity flags),
+(``newton_directions`` and ``_newton_directions``, which the solver's loop
+calls, less the LU solves and the column norms: the gather of each free
+block, the back-substitution and the singularity flags),
 ``lu_solves`` (``_solve_blocks``), ``column_norms`` (every ``np.einsum``
 call of the solver), ``line_search`` (``_line_search`` less its trials),
 ``normal_map_trials`` (``_trial``, which ``solver`` imports from
@@ -81,6 +84,7 @@ BATCHES = {  # name: (workload, seed, instances taken from the start of the batc
 # (phase, module of vibox, attribute): the attribute is wrapped in a timer; a
 # dotted one is an attribute of a module that the vibox module imported, which
 # is then replaced, for that module alone, by a copy with the attribute wrapped.
+# A checkout that lacks an attribute has it skipped.
 PHASES = (
     ("argparse", "cli", "main"),
     ("report", "cli", "cmd_solve"),
@@ -93,6 +97,7 @@ PHASES = (
     ("stack_bookkeeping", "solver", "_solve_stack"),
     ("merit_gradient", "solver", "merit_gradient"),
     ("free_block_gather", "solver", "newton_directions"),
+    ("free_block_gather", "solver", "_newton_directions"),
     ("lu_solves", "solver", "_solve_blocks"),
     ("column_norms", "solver", "np.einsum"),
     ("line_search", "solver", "_line_search"),
@@ -101,6 +106,7 @@ PHASES = (
     ("emit", "cli", "_emit"),
 )
 NAMES = list(dict.fromkeys(name for name, _, _ in PHASES))
+TRIALS = "normal_map_trials"  # the phase whose stacks' rows are counted as trial points
 
 
 class Clock:
@@ -112,9 +118,12 @@ class Clock:
 
     def reset(self):
         self.self_s, self.calls = Counter(), Counter()
+        self.trial_points = 0
 
     def wrap(self, name, fn):
         def timed(*args, **kwargs):
+            if name == TRIALS:
+                self.trial_points += len(args[1])  # _trial(p, v): the rows of v
             self.open.append(0.0)
             t0 = time.perf_counter()
             try:
@@ -138,6 +147,8 @@ def install(clock):
     undo = []
     for name, mod, attr in PHASES:
         owner = modules[mod]
+        if not hasattr(owner, attr.split(".")[0]):
+            continue
         if "." in attr:
             inner, attr = attr.split(".")
             imported = getattr(owner, inner)
@@ -167,7 +178,7 @@ def call(argv) -> float:
 def measure_pass(batch, clock):
     """Per instance: the plain and the timed call, and the phases of the timed one."""
     out = {"cli_ms": [], "timed_cli_ms": [], "phases_ms": {n: [] for n in NAMES},
-           "calls": {n: [] for n in NAMES}, "reference_ms": []}
+           "calls": {n: [] for n in NAMES}, "trial_points": [], "reference_ms": []}
     last = -hostspeed.EVERY_S
     for argv in batch:
         if time.perf_counter() - last >= hostspeed.EVERY_S:
@@ -183,6 +194,7 @@ def measure_pass(batch, clock):
         for n in NAMES:
             out["phases_ms"][n].append(1e3 * clock.self_s[n])
             out["calls"][n].append(clock.calls[n])
+        out["trial_points"].append(clock.trial_points)
     return out
 
 
@@ -210,6 +222,7 @@ def summarize(rounds):
             "timed_cli_ms": round(med(lambda q: q["timed_cli_ms"]), 3),
             "phases_ms": {n: round(med(lambda q: q["phases_ms"][n]), 3) for n in NAMES},
             "calls": {n: med(lambda q: q["calls"][n]) for n in NAMES},
+            "trial_points": med(lambda q: q["trial_points"]),
             "reference_ms": round(statistics.median(
                 [t for q in passes for t in q["reference_ms"]]), 3),
         }
@@ -239,7 +252,8 @@ def main(argv) -> int:
     for name, entry in doc["checkouts"].items():
         for batch, s in entry["batches"].items():
             top = sorted(s["phases_ms"].items(), key=lambda kv: -kv[1])[:4]
-            print(f"{name} {batch}: {s['cli_ms']:.1f} ms per pass, {s['calls_per_s']:.2f} calls/s; "
+            print(f"{name} {batch}: {s['cli_ms']:.1f} ms per pass, {s['calls_per_s']:.2f} calls/s, "
+                  f"{s['calls'][TRIALS]} trials of {s['trial_points']} points; "
                   + ", ".join(f"{n} {v:.1f}" for n, v in top))
     return 0
 

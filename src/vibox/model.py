@@ -240,9 +240,11 @@ def make_game(block_sizes, q, c, box, name="game") -> VIProblem:
 
 
 def own_block_lambdas(p: VIProblem) -> np.ndarray:
-    """lambda_min of each own block A[s_i, s_i] of a game's Jacobian A, one per player."""
+    """lambda_min of each own block A[s_i, s_i] of a game's Jacobian A, one per
+    player: a 1x1 block's entry itself, as eigvalsh (LAPACK's dsyevd) returns it."""
     a = p.mapping.data["A"]
-    return np.array([np.linalg.eigvalsh(a[s, s])[0] for s in block_slices(p.set.blocks)])
+    return np.array([a[s.start, s.start] if s.stop - s.start == 1 else np.linalg.eigvalsh(a[s, s])[0]
+                     for s in block_slices(p.set.blocks)])
 
 
 def jacobian(p: VIProblem, x) -> np.ndarray:

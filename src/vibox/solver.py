@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -23,6 +26,9 @@ NOT_APPLICABLE = "n/a"
 ARMIJO_SLOPE = 1e-4  # line search: sufficient-decrease constant,
 BACKTRACK = 0.5  # step shrink factor
 MAX_HALVINGS = 40  # and most halvings per Newton iteration
+STEPS = list(accumulate(repeat(BACKTRACK, MAX_HALVINGS), mul, initial=1.0))  # 1, 1/2, ...
+STEP_BATCHES = [slice(2 ** i - 1, 2 ** (i + 1) - 1)  # evaluated together: 1, then 2, 4, 8, ...
+                for i in range(len(STEPS).bit_length())]
 MIN_PROGRESS = 1e-3  # a start ends after two accepted steps in a row that each
                      # lower ||r|| by less than this share
 REG_FLOOR = 1e-8  # singularity floor of newton_directions; Levenberg weight
@@ -64,6 +70,13 @@ def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray,
     only when the singular-value test sigma_min(J) < REG_FLOOR *
     max(sigma_max(J), 1) flags it too; a near-singular J whose step stays
     bounded keeps its Newton step."""
+    return _newton_directions(df, free, r, r_norm, np.einsum("kij,kij->kj", df, df))
+
+
+def _newton_directions(df, free, r, r_norm, col_sq) -> tuple[np.ndarray, list]:
+    """``newton_directions`` with the squared column norms of df given, as
+    the (k, m) stack ``np.einsum("kij,kij->kj", df, df)``: an affine stack
+    computes them once per ``_solve_stack``."""
     k, m = r.shape
     d = -r
     singular = [False] * k
@@ -77,7 +90,10 @@ def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray,
             continue
         fg = free[g]
         cols = fg.nonzero()[1].reshape(rows.size, n)
-        sub = dfg[np.arange(rows.size)[:, None, None], cols[:, :, None], cols[:, None, :]]
+        if rows.size == 1:  # two takes: faster than the 3-D index at every m
+            sub = dfg[0].take(cols[0], 0).take(cols[0], 1)[None]
+        else:
+            sub = dfg[np.arange(rows.size)[:, None, None], cols[:, :, None], cols[:, None, :]]
         dg = d[g]
         sol = _solve_blocks(sub, dg[fg].reshape(rows.size, n), rows, singular).ravel()
         d_free = np.zeros((rows.size, m))
@@ -87,7 +103,6 @@ def newton_directions(df: np.ndarray, free: np.ndarray, r: np.ndarray,
         if rows.size < k:
             d[rows] = dg
     # The active columns of J have norm 1, its free columns are those of dF.
-    col_sq = np.einsum("kij,kij->kj", df, df)
     c = np.sqrt(np.maximum.reduce(np.where(free, col_sq, 1.0), axis=1, initial=1.0)).tolist()
     d_norm = np.sqrt(np.vecdot(d, d)).tolist()
     return d, [s or not r_norm[i] >= REG_FLOOR * c[i] * d_norm[i] for i, s in enumerate(singular)]
@@ -118,48 +133,59 @@ def merit_gradient(df: np.ndarray, free: np.ndarray, r: np.ndarray) -> np.ndarra
 
 
 def _line_search(p: VIProblem, v: np.ndarray, d: np.ndarray, theta0, slope, picard) -> list:
-    """Backtracking from t = 1 along each row of d at once: one stacked trial
-    per halving round on the rows still searching, which share t.  theta0,
+    """Backtracking along each row of d at once: each row takes the first
+    step length t of STEPS (1, 1/2, 1/4, ...) that passes the Armijo test,
+    as a loop halving t would.  The steps are evaluated in the batches of
+    STEP_BATCHES, t = 1 alone and then 2, 4, 8, ... lengths at a time, each
+    batch as one stacked trial of every row still searching at each t of
+    the batch.  A row leaves after the batch that holds its step, so a
+    search evaluates fewer than twice the points that it tests.  theta0,
     slope and picard are per-row lists (picard: the test on theta0 alone,
-    for a step that is no descent direction), tested on Python floats as in
-    the one-start loop.  Returns per row the accepted trial (v, z, r, norm),
-    or None where no decrease was found."""
+    for a step that is no descent direction), tested on Python floats in
+    order of t, as in the one-start loop.  Returns per row the accepted
+    trial (v, z, r, norm), or None where no decrease was found."""
     found = [None] * len(v)
     at = list(range(len(v)))
-    t = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        trial_v = v + t * d
+    for batch in STEP_BATCHES:
+        ts = STEPS[batch]
+        size = len(ts)
+        if size == 1:  # t = 1: the plain step, without the broadcast below
+            trial_v = v + ts[0] * d
+        else:  # row-major: each row's steps in order
+            trial_v = (v[:, None] + np.array(ts)[:, None] * d[:, None]).reshape(-1, p.dim)
         trial_z, trial_r, trial_norms = _trial(p, trial_v)
         kept = []
-        for row, (j, n) in enumerate(zip(at, trial_norms)):
-            theta = 0.5 * n ** 2
-            if picard[j]:
-                ok = theta <= (1.0 - ARMIJO_SLOPE * t) * theta0[j]
-            else:
-                ok = theta <= theta0[j] + ARMIJO_SLOPE * t * slope[j]
-            if ok and theta < theta0[j]:
-                found[j] = trial_v[row], trial_z[row], trial_r[row], n
+        for row, j in enumerate(at):
+            for q, t in enumerate(ts, row * size):
+                n = trial_norms[q]
+                theta = 0.5 * n ** 2
+                if picard[j]:
+                    ok = theta <= (1.0 - ARMIJO_SLOPE * t) * theta0[j]
+                else:
+                    ok = theta <= theta0[j] + ARMIJO_SLOPE * t * slope[j]
+                if ok and theta < theta0[j]:
+                    found[j] = trial_v[q], trial_z[q], trial_r[q], n
+                    break
             else:
                 kept.append(row)
         if len(kept) < len(at):
             if not kept:
                 break
             at, v, d = [at[row] for row in kept], v[kept], d[kept]
-        t *= BACKTRACK
     return found
 
 
 def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
     """``solve`` from each row of the (k, m) stack ``starts``, all rows
     advanced together: each iteration takes one step on every row still
-    running, its Newton directions in one call (``newton_directions``) and
-    each halving round of its line search in one stacked normal-map
-    evaluation on the rows still searching.  The rows share the step length
-    t, since each starts at 1 and halves in step.  Vectors live in (k, m)
-    stacks, per-row scalars (norms, step kinds, the Armijo test) in Python
-    floats, as in the one-start loop.  Row i of the result is bit for bit
-    what ``solve`` alone gives from row i.  Raises the EvaluationError of
-    the first start at which F is non-finite."""
+    running, its Newton directions in one call (``newton_directions``, with
+    the column norms of an affine A squared once per call) and each batch
+    of step lengths of its line search (``_line_search``) in one stacked
+    normal-map evaluation on the rows still searching.  Vectors live in
+    (k, m) stacks, per-row scalars (norms, step kinds, the Armijo test) in
+    Python floats, as in the one-start loop.  Row i of the result is bit for
+    bit what ``solve`` alone gives from row i.  Raises the EvaluationError
+    of the first start at which F is non-finite."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     lo, hi = p.set.lo, p.set.hi
@@ -170,6 +196,7 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
     # dF of an affine or game mapping is its A at every row: a view of k copies,
     # whose first len(live) rows (a view too) serve the live rows
     dfa = np.broadcast_to(p.mapping.data["A"], (k, p.dim, p.dim)) if p.is_affine else None
+    col_sq = np.einsum("kij,kij->kj", dfa, dfa) if p.is_affine else None  # and its column norms
     traces = [[n] for n in norms]
     steps = [[] for _ in norms]
     status = [MAX_ITERS] * k
@@ -183,7 +210,8 @@ def _solve_stack(p: VIProblem, starts: np.ndarray, tol) -> list[SolveResult]:
         df = dfa[:len(live)] if dfa is not None else np.stack([jacobian(p, x) for x in z[at]])
         free = movable & (vl >= lo) & (vl <= hi)  # projection_jacobian_element's d
         grad = merit_gradient(df, free, rl)
-        d, singular = newton_directions(df, free, rl, nl)
+        sq = col_sq[:len(live)] if dfa is not None else np.einsum("kij,kij->kj", df, df)
+        d, singular = _newton_directions(df, free, rl, nl, sq)
         for j in [j for j, flag in enumerate(singular) if flag]:
             jac = _jacobian_element(df[j], free[j])
             try:
@@ -378,6 +406,12 @@ def classify(p: VIProblem, res: SolveResult) -> str:
     return NASH if (own_block_lambdas(p) >= -PSD_TOL).all() else QUASI_NASH
 
 
+def _distance(x: np.ndarray, y: np.ndarray) -> float:
+    """||x - y||, as np.linalg.norm computes it for a 1-D float vector."""
+    d = x - y
+    return math.sqrt(d @ d)
+
+
 def multistart(p: VIProblem, starts=8, seed=0, radius=10.0, tol=1e-10) -> list[SolveResult]:
     """The default start plus starts - 1 seeded ones across K, solved as one
     (starts, m) stack that advances together (``_solve_stack``); each start's
@@ -396,7 +430,7 @@ def multistart(p: VIProblem, starts=8, seed=0, radius=10.0, tol=1e-10) -> list[S
         results.append(_corner_ray_path(p, tol))
     deduped = []
     for res in results:
-        if res.solved and any(other.solved and np.linalg.norm(other.x - res.x) <= 1e-6
+        if res.solved and any(other.solved and _distance(other.x, res.x) <= 1e-6
                               for other in deduped):
             continue
         deduped.append(res)

@@ -201,8 +201,8 @@ class TestFixedCoordinates:
 
     def test_solver_and_path_leave_fixed_coordinates_out(self, monkeypatch):
         masks = []
-        monkeypatch.setattr(solver, "newton_directions",
-                            lambda df, free, r, r_norm: masks.extend(free.copy())
+        monkeypatch.setattr(solver, "_newton_directions",  # newton_directions calls it too
+                            lambda df, free, r, r_norm, col_sq: masks.extend(free.copy())
                             or (-r, np.zeros(len(r), dtype=bool)))
         p = self.problem(hi=3.0)
         solve(p, start=[0.5, 0.0])
@@ -1031,10 +1031,10 @@ class TestStackedSolve:
         # res.iterations direction calls, and the loop stops with its
         # longest row.
         sizes = []
-        original = solver.newton_directions
-        monkeypatch.setattr(solver, "newton_directions",
-                            lambda df, free, r, r_norm: sizes.append(len(r))
-                            or original(df, free, r, r_norm))
+        original = solver._newton_directions
+        monkeypatch.setattr(solver, "_newton_directions",
+                            lambda df, free, r, r_norm, col_sq: sizes.append(len(r))
+                            or original(df, free, r, r_norm, col_sq))
         p = get_problem(pid)
         starts = np.vstack([certificates.box_midpoint(p.set),
                             certificates.draw_samples(p.set, 11, 3, 10.0)])
@@ -1042,3 +1042,157 @@ class TestStackedSolve:
         assert all(r.solved for r in results)
         iterations = [r.iterations for r in results]
         assert sizes == [sum(n > i for n in iterations) for i in range(max(iterations))]
+
+
+# The line search as it stood before its steps were evaluated in batches: one
+# stacked trial per halving round on the rows still searching, which share t.
+def sequential_line_search(p, v, d, theta0, slope, picard):
+    found = [None] * len(v)
+    at = list(range(len(v)))
+    t = 1.0
+    for _ in range(solver.MAX_HALVINGS + 1):
+        trial_v = v + t * d
+        trial_z, trial_r, trial_norms = solver._trial(p, trial_v)
+        kept = []
+        for row, (j, n) in enumerate(zip(at, trial_norms)):
+            theta = 0.5 * n ** 2
+            if picard[j]:
+                ok = theta <= (1.0 - solver.ARMIJO_SLOPE * t) * theta0[j]
+            else:
+                ok = theta <= theta0[j] + solver.ARMIJO_SLOPE * t * slope[j]
+            if ok and theta < theta0[j]:
+                found[j] = trial_v[row], trial_z[row], trial_r[row], n
+            else:
+                kept.append(row)
+        if len(kept) < len(at):
+            if not kept:
+                break
+            at, v, d = [at[row] for row in kept], v[kept], d[kept]
+        t *= solver.BACKTRACK
+    return found
+
+
+@st.composite
+def line_searches(draw):
+    """(p, v, d, theta0, slope, picard) for _line_search: F = A x + b, a
+    game's, or A x + b made infinite where x_0 > c, on m = 1..8 coordinates
+    each free, bounded on one side or on both, and k = 1..8 rows.  Each row's
+    direction is the fixed-point step -r (a picard row), a random one, one
+    scaled past 2^1000 (the norm of r, or F, overflows at large t), or one
+    uphill; theta0 is 1/2 ||r(v)||^2, or 0 in a row that can never decrease."""
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["affine", "game", "cut"]))
+    sides = rng.choice(["free", "lo", "hi", "both"], m)
+    a_lo = rng.uniform(-3.0, 0.0, m)
+    lo = np.where(np.isin(sides, ["lo", "both"]), a_lo, -np.inf)
+    hi = np.where(np.isin(sides, ["hi", "both"]), a_lo + rng.uniform(0.5, 4.0, m), np.inf)
+    b = rng.uniform(-3.0, 3.0, m)
+    if kind == "game":
+        a, sizes = game_matrix(rng, m)
+        sl = block_slices(sizes)
+        q = {(i, j): a[si, sj] for i, si in enumerate(sl) for j, sj in enumerate(sl)}
+        p = make_game(sizes, q, [b[s] for s in sl], BoxSet(lo, hi, sizes))
+    else:
+        a = rng.standard_normal((m, m))
+        p = VIProblem(affine_mapping(a, b), BoxSet(lo, hi))
+        if kind == "cut":
+            cut = rng.uniform(0.5, 3.0)
+            p = VIProblem(Mapping(fn=lambda x: np.where(x[0] > cut, np.inf, a @ x + b), dim=m,
+                                  rows=lambda xs: np.where(xs[:, :1] > cut, np.inf,
+                                                           np.matvec(a, xs) + b)),
+                          p.set)
+    v = rng.uniform(-4.0, 4.0, (k, m))
+    if kind == "cut":
+        v[:, 0] = np.minimum(v[:, 0], -1.5)  # P_K[v]_0 <= max(lo_0, -1.5) <= 0: F is finite at v
+    ev = normal_map(p, v)
+    rows = rng.choice(["picard", "random", "huge", "uphill"], k, p=[0.3, 0.4, 0.1, 0.2])
+    d = np.where((rows == "picard")[:, None], -ev.r, rng.standard_normal((k, m)))
+    d[rows == "huge"] *= 2.0 ** rng.integers(1000, 1023)
+    d[rows == "uphill"] = ev.r[rows == "uphill"]
+    theta0 = [0.0 if rng.random() < 0.15 else 0.5 * n ** 2 for n in ev.norm.tolist()]
+    slope = (-np.abs(rng.standard_normal(k)) * 10.0 ** rng.uniform(-3, 3, k)).tolist()
+    return p, v, d, theta0, slope, (rows == "picard").tolist()
+
+
+def trial_bits(found):
+    return [None if f is None else (f[0].tobytes(), f[1].tobytes(), f[2].tobytes(),
+                                    np.float64(f[3]).tobytes()) for f in found]
+
+
+class TestBatchedLineSearch:
+    """_line_search evaluates its steps in doubling batches; each row must
+    take exactly the trial that the halving loop takes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_searches())
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the huge rows
+    def test_matches_the_sequential_loop(self, case):
+        p, v, d, theta0, slope, picard = case
+        expected = sequential_line_search(p, v, d, theta0, slope, picard)
+        assert trial_bits(solver._line_search(p, v, d, theta0, slope, picard)) == trial_bits(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(line_searches())
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the huge rows
+    def test_evaluates_fewer_than_twice_the_points_it_tests(self, case):
+        p, v, d, theta0, slope, picard = case
+        points = []
+        real = solver._trial
+
+        def counted(p, v):
+            points.append(len(v))
+            return real(p, v)
+
+        solver._trial = counted  # the oracle looks it up there too
+        try:
+            sequential_line_search(p, v, d, theta0, slope, picard)
+            tested = sum(points)
+            points.clear()
+            solver._line_search(p, v, d, theta0, slope, picard)
+        finally:
+            solver._trial = real
+        assert sum(points) <= 2 * tested - len(v)
+
+    def test_a_stalled_row_takes_six_trials(self, monkeypatch):
+        # r(v) = F(v) = v on R^1, from v = 1 uphill along d = 1: every t raises
+        # theta, so each row tests all 41 steps, in batches of 1, 2, 4, 8, 16, 10.
+        p = VIProblem(affine_mapping(np.eye(1)), BoxSet.full_space(1))
+        sizes = []
+        real = solver._trial
+        monkeypatch.setattr(solver, "_trial", lambda p, v: sizes.append(len(v)) or real(p, v))
+        v = np.ones((2, 1))
+        found = solver._line_search(p, v, v.copy(), [0.5, 0.5], [-1.0, -1.0], [False, False])
+        assert found == [None, None]
+        assert sizes == [2, 4, 8, 16, 32, 20]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
+    def test_own_block_lambdas_are_eigvalsh_bit_for_bit(self, sizes, data):
+        m = sum(sizes)
+        entries = st.one_of(st.floats(-1e308, 1e308, allow_subnormal=True),
+                            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308]))
+        a = data.draw(hnp.arrays(np.float64, (m, m), elements=entries))
+        a = np.where(np.tri(m, dtype=bool), a.T, a)  # symmetric, each -0.0 kept
+        sl = block_slices(sizes)
+        g = make_game(sizes, {(i, j): a[si, sj] for i, si in enumerate(sl) for j, sj in enumerate(sl)},
+                      [np.zeros(s) for s in sizes], BoxSet(np.full(m, -1.0), np.ones(m), tuple(sizes)))
+        expected = np.array([np.linalg.eigvalsh(a[s, s])[0] for s in sl])
+        assert own_block_lambdas(g).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded_affine_vis(), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_hoisted_column_norms_give_the_same_directions(self, vi, k, seed):
+        # _solve_stack squares the columns of its k copies of A once and hands
+        # the first rows of that stack to each iteration's live rows.
+        p, a = vi[0], vi[1]
+        rng = np.random.default_rng(seed)
+        dfa = np.broadcast_to(a, (k, p.dim, p.dim))
+        col_sq = np.einsum("kij,kij->kj", dfa, dfa)
+        for live in range(1, k + 1):
+            free = rng.random((live, p.dim)) < 0.7
+            r = rng.standard_normal((live, p.dim)) * 10.0 ** rng.integers(-12, 4, (live, 1))
+            r_norm = np.sqrt(np.vecdot(r, r)).tolist()
+            d0, s0 = newton_directions(dfa[:live], free, r, r_norm)
+            d1, s1 = solver._newton_directions(dfa[:live], free, r, r_norm, col_sq[:live])
+            assert (d1.tobytes(), s1) == (d0.tobytes(), s0)
